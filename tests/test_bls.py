@@ -4,15 +4,20 @@ and curve constants (they run at import), bilinearity/non-degeneracy of the
 pairing itself, and a literal pow()-based final exponentiation as an
 independent oracle for the optimized chain."""
 
+import hashlib
 import random
 
 import pytest
 
+from punchcard import mergeable
+from punchcard.core import RedeemStatus
+from punchcard.db import RedeemDb
 from punchcard.errors import InvalidEncoding
 from punchcard.groups import get_pairing
 from punchcard.groups.bls import fields
 from punchcard.groups.bls.curve import (
     B1,
+    B2,
     G1_GEN,
     G2_GEN,
     _field_candidate,
@@ -196,6 +201,29 @@ def test_g1_decode_rejects_non_subgroup_point():
     assert curve_g1.is_on_curve(again)
 
 
+def _twist_point_outside_subgroup():
+    msg = b"\x07outside" + b"probe"
+    for ctr in range(256):
+        x = (_field_candidate(msg, ctr, 0), _field_candidate(msg, ctr, 1))
+        try:
+            y = fields.f2_sqrt(fields.f2_add(fields.f2_mul(fields.f2_sqr(x), x), B2))
+        except ValueError:
+            continue
+        pt = (x, y)
+        if curve_g2.is_on_curve(pt) and not in_subgroup_g2(pt):
+            return pt
+    raise AssertionError("no point found outside the subgroup")
+
+
+def test_g2_decode_rejects_non_subgroup_point():
+    pt = _twist_point_outside_subgroup()
+    blob = g2_to_bytes(pt)
+    with pytest.raises(InvalidEncoding):
+        g2_from_bytes(blob)
+    again = g2_from_bytes(blob, subgroup_check=False)
+    assert curve_g2.is_on_curve(again)
+
+
 def test_hash_to_curve_deterministic_and_separated():
     a = hash_to_g1(TAG, b"payload")
     assert a == hash_to_g1(TAG, b"payload")
@@ -282,3 +310,108 @@ def test_g1_group_wrapper_rejects_identity_free_encodings(bls):
     assert g0.is_identity(g0.decode_element(blob))
     with pytest.raises(InvalidEncoding):
         g0.decode_element(b"\x00" * 48)
+
+
+# --- pinned bytes -------------------------------------------------------------
+# Computed on the plain double-and-add implementation before the endomorphism
+# kernels existed; any change to hashing, scalar multiplication, the pairing
+# or the wire encodings shows up here.
+
+_H2G_PINS = [
+    (
+        b"",
+        "a4f45c58e259321d2ea0c44bf8a1c16c5faf0a0701e1064fd1811d5924d1022f"
+        "fb7bfdea9b2aaecbe7e163abe9eafabf",
+        "a21fa4773786dc339b247542dc3fe4e56480197d1e8a2c2ef4ba1d90636ed8bc"
+        "f586624d63fd019ad2d179ff2d7fe31b001345340758459c81a705563c2cff1d"
+        "7ead7283e348d57c008f6916245c4269465af8734f8e0f7cef49dc0ead8e8372",
+    ),
+    (
+        bytes(range(32)),
+        "8d249e07712d5b41a064d27ddaac61ab9b01ac59f7cddc71332c015a70f1f058"
+        "a816bfc4ed96d82d171bb3717895c942",
+        "833beff7fdca14587311c1a8c434cae3d35670a985e1d9aea03514289eb0f2b1"
+        "70b46f2d574436bdc5e6719471b2f77e0fd3a4759a53785545f4e0e6a0e6a607"
+        "adbded708f1a064d6653ce7ad74aecf8e49bbe0238c44e3411e0f176040bfadd",
+    ),
+    (
+        b"pinned card secret",
+        "80d48632aa07cd588c8fdfdf8d454f1c742a4470bb7680d00a0268744874e781"
+        "e0d0f971948ff893e83bb29059c6a220",
+        "8513fa9352d73d51376234c4a187852386ace459a6b55e9cc5d50fd2bd459145"
+        "e6d14b63dd8e053d3851547b80fc9c7b0a2563c42a3682ad967439c1d93b85b4"
+        "277aec91b0f79ee2a8482d32a35704b09f0dbde9c34f738e60e93d8ed3d3ebf3",
+    ),
+]
+
+_U = -fields.X_PARAM  # |x|
+# k -> SHA-256 of (g0.exp(G1_GEN, k), g1.exp(G2_GEN, k)) encodings
+_EXP_PINS = [
+    (
+        1,
+        "7ccf478a431837728dcec3461f4f53b8749cdc4e03496dcaed459dea82b82eb8",
+        "2b3d241f6151e67cff8f054ea755bb72757b360f1a7754dd94af714b0cbf7f48",
+    ),
+    (
+        2,
+        "cbcf45213dd7b4716864d378f3c6d861467987e4d94b7f79a1f814a697e38637",
+        "62504967d51e27745ae24eb2a0cab6e94d30905d3626a4281852b41bbc3a7d5f",
+    ),
+    (
+        _U,
+        "b614f5666315f892a3b984e63be87e962431c5c979dfc6b95deea51b82c56d49",
+        "f15629149e9e85556644a60d41f9f14175dd738cbed91034d29e7f997223c729",
+    ),
+    (
+        N - 1,
+        "d1466f7b14f0722bd581cf49418cd43fa8f085ce16e09cd3cdf65b3dfbbcb8c0",
+        "a977c3f8d1d58ba4d69583951d29ce4256e305f00eadf467a8bd8e75f31d6c09",
+    ),
+    (
+        0x538DBDCA52B53BF70D45EAB0E93D1969A62553A6123B482664AF29C28E0AF9B7,
+        "0055fc3f3e71a68c76975c47dbe10d78b17692c1b5e9aa2ecba3fbce920d4833",
+        "fcab2d653c315c5c0c19af5453869c57c4278550d79de60c37e2d69a5453b557",
+    ),
+]
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("data, g1_hex, g2_hex", _H2G_PINS)
+def test_hash_to_curve_pinned(data, g1_hex, g2_hex):
+    assert g1_to_bytes(hash_to_g1(mergeable.TAG_CARD_HASH_G0, data)).hex() == g1_hex
+    assert g2_to_bytes(hash_to_g2(mergeable.TAG_CARD_HASH_G1, data)).hex() == g2_hex
+
+
+@pytest.mark.parametrize("k, g1_sha, g2_sha", _EXP_PINS)
+def test_generator_exp_pinned(bls, k, g1_sha, g2_sha):
+    g0, g1 = bls.g0, bls.g1
+    assert _sha256(g0.encode_element(g0.exp(g0.generator(), k))) == g1_sha
+    assert _sha256(g1.encode_element(g1.exp(g1.generator(), k))) == g2_sha
+
+
+def test_pairing_of_generators_pinned(bls):
+    blob = bls.gt.encode_element(bls.pair(G1_GEN, G2_GEN))
+    assert _sha256(blob) == (
+        "4bb3f049849e856bd6879346f3978c28b031a407701c01ebb19d74a35c645520"
+    )
+
+
+def test_seeded_merge_flow_pinned(bls):
+    rng = random.Random(2006)
+    sk, pk = mergeable.server_setup(bls, rng)
+    secret_a, card_a = mergeable.issue(bls, rng)
+    resp = mergeable.server_punch(bls, sk, card_a, rng)
+    secret_a, card_a = mergeable.client_punch(bls, pk, secret_a, card_a, resp, rng)
+    secret_b, card_b = mergeable.issue(bls, rng)
+    req = mergeable.client_merge_redeem(bls, secret_a, card_a, secret_b, card_b)
+    assert _sha256(resp.to_bytes(bls)) == (
+        "a252a2f5bda31f5c6260dcfe88417a5b899787ceb48c651e1c7f6ae4a9d0e369"
+    )
+    assert _sha256(req.to_bytes(bls)) == (
+        "018c39c32687a7c7cf1684d3812ec5f540ec5c075835b8fae77e872487616c6a"
+    )
+    status = mergeable.server_redeem(bls, sk, req, 1, RedeemDb())
+    assert status is RedeemStatus.ACCEPT

@@ -5,12 +5,13 @@ import stat
 
 import pytest
 
-from punchcard import core, service, wire
+from punchcard import core, mergeable, service, wire
 from punchcard.core import RedeemStatus
 from punchcard.db import RedeemDb
 from punchcard.errors import ConfigError, KeyStoreError
 from punchcard.faults import FaultInjected, FaultPlan
 from punchcard.groups import get_group
+from punchcard.groups.bls import fields as bls_fields
 from punchcard.service import (
     EXIT_BIND,
     EXIT_KEYSTORE,
@@ -192,6 +193,45 @@ def test_malformed_redeem_is_bad_card_not_error(tmp_path):
     out_type, body = svc.handle(wire.REDEEM_REQ, wire.pack_redeem_body(10, b"junk"))
     assert out_type == wire.REDEEM_RESP
     assert RedeemStatus(body[0]) is RedeemStatus.BAD_CARD
+
+
+def test_merge_redeem_rejects_bad_gt_bytes(tmp_path):
+    """Each kind of bad target-group value gets BAD_CARD: a coefficient
+    that is not reduced mod p, an Fq12 element outside the order-n
+    subgroup, and the right value presented for the wrong count."""
+    cfg = Config(
+        state_dir=str(tmp_path / "state"),
+        scheme="mergeable",
+        accepted_counts=(2, 3),
+    )
+    svc = PunchcardService(cfg, db=RedeemDb())
+    pg = svc.pairing
+    u_a, u_b = bytes([1]) * 32, bytes([2]) * 32
+    base0, _ = mergeable.card_bases(pg, u_a)
+    _, base1 = mergeable.card_bases(pg, u_b)
+    value = pg.pair(pg.g0.exp(base0, pow(svc.sk, 2, pg.order)), base1)
+    good = pg.gt.encode_element(value)
+
+    first = int.from_bytes(good[:48], "big") + int(bls_fields.P)
+    unreduced = first.to_bytes(48, "big") + good[48:]
+    rng = random.Random(179)
+    outside = b"".join(
+        rng.randrange(int(bls_fields.P)).to_bytes(48, "big") for _ in range(12)
+    )
+
+    def redeem(count, value_bytes):
+        out_type, body = svc.handle(
+            wire.MERGE_REDEEM_REQ, wire.pack_redeem_body(count, u_a + u_b + value_bytes)
+        )
+        assert out_type == wire.MERGE_REDEEM_RESP
+        return RedeemStatus(body[0])
+
+    assert redeem(2, unreduced) is RedeemStatus.BAD_CARD
+    assert redeem(2, outside) is RedeemStatus.BAD_CARD
+    assert redeem(3, good) is RedeemStatus.BAD_CARD
+    assert svc.stats.snapshot()["redeem_bad_card"] == 3
+    assert len(svc.db) == 0
+    assert redeem(2, good) is RedeemStatus.ACCEPT
 
 
 def test_wrong_scheme_message_is_error(tmp_path):
