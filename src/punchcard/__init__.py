@@ -22,7 +22,7 @@ from .core import (
 from .errors import PunchcardError
 from .groups import get_group, get_pairing
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "CardSecret",

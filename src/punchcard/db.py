@@ -30,6 +30,7 @@ _SNAP_MAGIC = b"PCDB\x01"
 _REC_INSERT = 1
 _REC_CLAIM_ADD = 2
 _REC_CLAIM_TAKE = 3
+_MAX_PER_RECORD = 255  # the insert record's count is one byte; 0 ends replay
 
 
 class RedeemDb:
@@ -57,7 +58,14 @@ class RedeemDb:
 
     def check_and_insert(self, *secrets: bytes) -> bool:
         """Insert all the secrets, or none of them. False (nothing written)
-        if any is malformed or already spent."""
+        if any is malformed or already spent. One log record holds 1 to 255
+        secrets; any other number raises ValueError before anything is
+        locked or written."""
+        if not 0 < len(secrets) <= _MAX_PER_RECORD:
+            raise ValueError(
+                f"check_and_insert takes 1 to {_MAX_PER_RECORD} secrets, "
+                f"got {len(secrets)}"
+            )
         for u in secrets:
             if len(u) != SECRET_SIZE:
                 return False

@@ -60,7 +60,10 @@ class BlsG0(_BlsScalars, Group):
         return curve.curve_g1.add(a, b)
 
     def exp(self, e, k: int):
-        return curve.curve_g1.mul(e, k % self.order)
+        """[k]e by the GLV split. e must lie in the order-n subgroup, as every
+        element this group hands out does: decoded with the subgroup check,
+        hashed and cofactor-cleared, or the generator."""
+        return curve.g1_mul(e, k % self.order)
 
     def eq(self, a, b) -> bool:
         return a == b
@@ -94,7 +97,10 @@ class BlsG1(_BlsScalars, Group):
         return curve.curve_g2.add(a, b)
 
     def exp(self, e, k: int):
-        return curve.curve_g2.mul(e, k % self.order)
+        """[k]e by the GLS split. e must lie in the order-n subgroup, as every
+        element this group hands out does: decoded with the subgroup check,
+        hashed and cofactor-cleared, or the generator."""
+        return curve.g2_mul(e, k % self.order)
 
     def eq(self, a, b) -> bool:
         return a == b

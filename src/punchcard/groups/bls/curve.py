@@ -1,10 +1,35 @@
-"""BLS12-381 curve arithmetic and point serialization.
+"""BLS12-381 curve arithmetic, endomorphisms and point serialization.
 
 Both curves are short Weierstrass y^2 = x^3 + b with a = 0: E over Fq with
 b = 4, and the twist E' over Fq2 with b = 4(1+i). The arithmetic is written
 once over a small field-ops shim and instantiated for both fields. Affine
 points are (x, y) tuples; None is the point at infinity. Scalar
-multiplication runs in Jacobian coordinates.
+multiplication runs in Jacobian coordinates; `Curve.mul` is the generic
+double-and-add, valid for any point on the curve.
+
+The hot group operations use two endomorphisms instead of long generic
+multiplications (x = -0xd201000000010000 is the curve parameter):
+
+* phi(x, y) = (beta x, y) on E, with beta a cube root of unity in Fq,
+  acts as [-x^2] on the order-n subgroup G1; psi (untwist, Frobenius,
+  twist) on E' acts as [x] on the order-n subgroup G2.
+* Subgroup checks: P is in G1 iff phi(P) == [-x^2]P, and in G2 iff
+  psi(P) == [x]P (Scott, "A note on group membership tests for G1, G2 and
+  GT on BLS pairing-friendly curves", 2021). One 128-bit or 64-bit ladder
+  replaces a 255-bit one.
+* Cofactor clearing in hash_to_g2: [x^2-x-1]P + [x-1]psi(P) + psi^2(2P),
+  which equals [H2_EFF]P on every point of E' (RFC 9380 appendix G.3,
+  after Budroni and Pintore, "Efficient hash maps to G2 on BLS curves",
+  2017), so hash outputs are unchanged. hash_to_g1 keeps [H1]: RFC 9380's
+  G1 multiplier 1-x is a different scalar and would change outputs.
+* Scalar multiplication (g1_mul, g2_mul) splits k into two digits in base
+  x^2 on G1 (GLV) or four digits in base |x| on G2 (GLS) and runs one
+  interleaved ladder over the subset sums of {P, phi(P)} or
+  {P, psi(P), psi^2(P), psi^3(P)}. They are correct only on subgroup
+  points: callers pass points decoded with the subgroup check, hashed and
+  cleared, or generators.
+
+No kernel here is constant-time: every ladder branches on scalar bits.
 
 Serialization follows the common compressed convention for this curve:
 big-endian x with three flag bits on the first byte (compressed, infinity,
@@ -22,10 +47,12 @@ from ..base import tagged
 from .fields import (
     F2_ONE,
     F2_ZERO,
-    N,
+    FROB_V,
+    FROB_W_V,
     P,
-    XI,
+    X_PARAM,
     f2_add,
+    f2_conj,
     f2_eq,
     f2_inv,
     f2_is_zero,
@@ -40,8 +67,8 @@ from .fields import (
     mpz,
 )
 
-# cofactors: h1 for E, and the effective cofactor used to clear E' into the
-# order-n subgroup (gcd with n is 1 for both; pinned by the import asserts)
+# cofactors: h1 for E, and the effective cofactor that clears E' into the
+# order-n subgroup (clear_cofactor_g2 computes [H2_EFF] with psi)
 H1 = mpz(0x396C8C005555E1568C00AAAB0000AAAB)
 H2_EFF = mpz(int(
     "BC69F08F2EE75B3584C6A0EA91B352888E2A8E9145AD7689986FF031508FFE13"
@@ -100,10 +127,7 @@ class _Fq2Ops:
     inv = staticmethod(f2_inv)
     eq = staticmethod(f2_eq)
     is_zero = staticmethod(f2_is_zero)
-
-    @staticmethod
-    def muls(a, s):
-        return f2_muls(a, s)
+    muls = staticmethod(f2_muls)
 
 
 class Curve:
@@ -150,69 +174,69 @@ class Curve:
         x3 = F.sub(F.sqr(lam), F.muls(x, 2))
         return (x3, F.sub(F.mul(lam, F.sub(x, x3)), y))
 
-    def mul(self, pt, k: int):
-        """Scalar multiplication, Jacobian double-and-add."""
-        k = int(k)
-        if k < 0:
-            return self.mul(self.neg(pt), -k)
-        if k == 0 or pt is None:
-            return None
+    def _double_jac(self, X, Y, Z):
+        # dbl-2009-l, a = 0
         F = self.F
-        x2, y2 = pt  # fixed affine addend
-        X = Y = Z = None  # accumulator starts at infinity
-        for bit in bin(k)[2:]:
-            if Z is not None:
-                # dbl-2009-l, a = 0
-                A = F.sqr(X)
-                B = F.sqr(Y)
-                C = F.sqr(B)
-                D = F.muls(F.sub(F.sub(F.sqr(F.add(X, B)), A), C), 2)
-                E = F.muls(A, 3)
-                Fv = F.sqr(E)
-                X3 = F.sub(Fv, F.muls(D, 2))
-                Y3 = F.sub(F.mul(E, F.sub(D, X3)), F.muls(C, 8))
-                Z3 = F.muls(F.mul(Y, Z), 2)
-                X, Y, Z = X3, Y3, Z3
-            if bit == "1":
-                if Z is None:
-                    X, Y, Z = x2, y2, F.one
-                elif F.is_zero(Z):
-                    X, Y, Z = x2, y2, F.one
-                else:
-                    # mixed Jacobian + affine addition
-                    Z1Z1 = F.sqr(Z)
-                    U2 = F.mul(x2, Z1Z1)
-                    S2 = F.mul(F.mul(y2, Z), Z1Z1)
-                    H = F.sub(U2, X)
-                    R = F.sub(S2, Y)
-                    if F.is_zero(H):
-                        if F.is_zero(R):
-                            # point doubling via the generic path
-                            A = F.sqr(X)
-                            B = F.sqr(Y)
-                            C = F.sqr(B)
-                            D = F.muls(F.sub(F.sub(F.sqr(F.add(X, B)), A), C), 2)
-                            E = F.muls(A, 3)
-                            Fv = F.sqr(E)
-                            X3 = F.sub(Fv, F.muls(D, 2))
-                            Y3 = F.sub(F.mul(E, F.sub(D, X3)), F.muls(C, 8))
-                            Z3 = F.muls(F.mul(Y, Z), 2)
-                            X, Y, Z = X3, Y3, Z3
-                        else:
-                            X, Y, Z = F.zero, F.one, F.zero  # infinity
-                    else:
-                        HH = F.sqr(H)
-                        HHH = F.mul(H, HH)
-                        V = F.mul(X, HH)
-                        X3 = F.sub(F.sub(F.sqr(R), HHH), F.muls(V, 2))
-                        Y3 = F.sub(F.mul(R, F.sub(V, X3)), F.mul(Y, HHH))
-                        Z3 = F.mul(Z, H)
-                        X, Y, Z = X3, Y3, Z3
-        if Z is None or F.is_zero(Z):
+        A = F.sqr(X)
+        B = F.sqr(Y)
+        C = F.sqr(B)
+        D = F.muls(F.sub(F.sub(F.sqr(F.add(X, B)), A), C), 2)
+        E = F.muls(A, 3)
+        X3 = F.sub(F.sqr(E), F.muls(D, 2))
+        Y3 = F.sub(F.mul(E, F.sub(D, X3)), F.muls(C, 8))
+        return X3, Y3, F.muls(F.mul(Y, Z), 2)
+
+    def _add_mixed(self, acc, pt):
+        """Jacobian accumulator (None or Z = 0 is infinity) plus affine pt."""
+        F = self.F
+        x2, y2 = pt
+        if acc is None or F.is_zero(acc[2]):
+            return x2, y2, F.one
+        X, Y, Z = acc
+        Z1Z1 = F.sqr(Z)
+        H = F.sub(F.mul(x2, Z1Z1), X)
+        R = F.sub(F.mul(F.mul(y2, Z), Z1Z1), Y)
+        if F.is_zero(H):
+            return self._double_jac(X, Y, Z) if F.is_zero(R) else None
+        HH = F.sqr(H)
+        HHH = F.mul(H, HH)
+        V = F.mul(X, HH)
+        X3 = F.sub(F.sub(F.sqr(R), HHH), F.muls(V, 2))
+        Y3 = F.sub(F.mul(R, F.sub(V, X3)), F.mul(Y, HHH))
+        return X3, Y3, F.mul(Z, H)
+
+    def lincomb(self, points, digits):
+        """sum of [digits[i]] points[i] for digits >= 0: one interleaved
+        double-and-add ladder (Straus) over a table of the 2^m subset sums
+        of the points, built per call in affine coordinates."""
+        F = self.F
+        digits = [int(d) for d in digits]
+        table = [None]
+        for pt in points:
+            table += [self.add(t, pt) for t in table]
+        acc = None  # Jacobian (X, Y, Z)
+        for bit in range(max(digits).bit_length() - 1, -1, -1):
+            if acc is not None:
+                acc = self._double_jac(*acc)
+            idx = 0
+            for d in reversed(digits):
+                idx = idx << 1 | (d >> bit) & 1
+            if table[idx] is not None:
+                acc = self._add_mixed(acc, table[idx])
+        if acc is None or F.is_zero(acc[2]):
             return None
+        X, Y, Z = acc
         zinv = F.inv(Z)
         zinv2 = F.sqr(zinv)
         return (F.mul(X, zinv2), F.mul(F.mul(Y, zinv2), zinv))
+
+    def mul(self, pt, k: int):
+        """Generic scalar multiplication: plain double-and-add, valid for any
+        point on the curve (the H1 clearing and the tests' oracle)."""
+        k = int(k)
+        if k < 0:
+            return self.mul(self.neg(pt), -k)
+        return self.lincomb((pt,), (k,))
 
 
 B1 = mpz(4)
@@ -252,12 +276,91 @@ assert curve_g1.is_on_curve(G1_GEN)
 assert curve_g2.is_on_curve(G2_GEN)
 
 
+# ---------------------------------------------------------------------------
+# endomorphisms: phi on E, psi on E'
+
+# psi = untwist, Frobenius, twist: (x, y) -> (conj(x) / xi^((p-1)/3),
+# conj(y) / xi^((p-1)/2)), with the constants fields.py derives for f12_frob
+_PSI_X = f2_inv(FROB_V)
+_PSI_Y = f2_inv(FROB_W_V)
+
+
+def psi(pt):
+    """The twist endomorphism; acts as [x] on the order-n subgroup of E'."""
+    if pt is None:
+        return None
+    x, y = pt
+    return (f2_mul(f2_conj(x), _PSI_X), f2_mul(f2_conj(y), _PSI_Y))
+
+
+# beta is a primitive cube root of unity in Fq: the norm of xi^((p-1)/3) is
+# xi^((p^2-1)/3), and xi is not a cube in Fq2 (the Fq6 tower needs that).
+# Of beta and beta^2, take the one for which phi acts as [-x^2] on G1.
+_U = mpz(-X_PARAM)  # |x|
+_X2 = _U * _U
+_OMEGA = (FROB_V[0] ** 2 + FROB_V[1] ** 2) % P
+_NEG_X2_G1 = curve_g1.mul(G1_GEN, -_X2)
+BETA = _OMEGA if G1_GEN[0] * _OMEGA % P == _NEG_X2_G1[0] else _OMEGA**2 % P
+assert _OMEGA != 1 and pow(_OMEGA, 3, P) == 1
+assert (G1_GEN[0] * BETA % P, G1_GEN[1]) == _NEG_X2_G1
+
+
+def phi(pt):
+    """(x, y) -> (beta x, y) on E; acts as [-x^2] on the order-n subgroup."""
+    if pt is None:
+        return None
+    return (pt[0] * BETA % P, pt[1])
+
+
 def in_subgroup_g1(pt) -> bool:
-    return curve_g1.mul(pt, N) is None
+    """phi(P) == [-x^2]P. phi + [x^2] has degree x^4 - x^2 + 1 = n, so its
+    kernel is exactly the order-n subgroup (Scott 2021)."""
+    return phi(pt) == curve_g1.mul(pt, -_X2)
 
 
 def in_subgroup_g2(pt) -> bool:
-    return curve_g2.mul(pt, N) is None
+    """psi(P) == [x]P (Scott 2021). The kernel of psi - [x] has h1 * n
+    points and E'(Fq2) has h2 * n, so with gcd(h1, h2) = 1 (pinned in the
+    tests) the points of E'(Fq2) in that kernel are exactly the order-n
+    subgroup."""
+    return psi(pt) == curve_g2.mul(pt, X_PARAM)
+
+
+def g1_mul(pt, k: int):
+    """[k]P for P in the order-n subgroup of E and 0 <= k < n (GLV).
+    k = k0 + k1 x^2 with both digits below 2^128, and [x^2]P = -phi(P), so
+    one 128-bit ladder over {P, -phi(P)} does it. On a point outside the
+    subgroup the result is not [k]P."""
+    k1, k0 = divmod(k, _X2)
+    return curve_g1.lincomb((pt, curve_g1.neg(phi(pt))), (k0, k1))
+
+
+def g2_mul(pt, k: int):
+    """[k]P for P in the order-n subgroup of E' and 0 <= k < n (GLS).
+    k has four digits below 2^64 in base |x| (n < x^4), and
+    [|x|^i]P = (-psi)^i(P), so one 64-bit ladder over the 16 subset sums
+    of those four points does it. On a point outside the subgroup the
+    result is not [k]P."""
+    digits = []
+    for _ in range(4):
+        k, d = divmod(k, _U)
+        digits.append(d)
+    points = [pt]
+    for _ in range(3):
+        points.append(curve_g2.neg(psi(points[-1])))
+    return curve_g2.lincomb(points, digits)
+
+
+def clear_cofactor_g2(pt):
+    """[H2_EFF]P for any P on E', as [x^2-x-1]P + [x-1]psi(P) + psi^2(2P)
+    (RFC 9380 appendix G.3, after Budroni and Pintore 2017): two 64-bit
+    ladders instead of one 636-bit one."""
+    c = curve_g2
+    t1 = c.mul(pt, X_PARAM)  # [x]P
+    t2 = psi(pt)
+    t3 = c.add(psi(psi(c.double(pt))), c.neg(t2))  # psi^2(2P) - psi(P)
+    t2 = c.mul(c.add(t1, t2), X_PARAM)  # [x^2]P + [x]psi(P)
+    return c.add(c.add(t3, t2), c.neg(c.add(t1, pt)))
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +492,7 @@ def hash_to_g2(tag: str, data: bytes):
             continue
         if hashlib.sha512(msg + bytes([ctr, 2])).digest()[0] & 1:
             y = f2_neg(y)
-        pt = curve_g2.mul((x, y), H2_EFF)
+        pt = clear_cofactor_g2((x, y))
         if pt is not None:
             return pt
     raise RuntimeError("hash_to_g2 failed to find a point (unreachable)")

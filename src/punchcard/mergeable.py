@@ -121,12 +121,24 @@ class MergePunchResponse:
 
 @dataclass(frozen=True)
 class MergeRedeemRequest:
+    """`value` is the merged pairing value in the target group, as the
+    client computed it. A request parsed from the wire carries the value's
+    bytes unchecked in `value_bytes` instead (and `value` is None): the
+    server only compares them with the encoding it expects, so it never
+    decodes them."""
+
     u_a: bytes
     u_b: bytes
-    value: Element  # in the target group
+    value: Element = None
+    value_bytes: Optional[bytes] = None
+
+    def encoded_value(self, pairing: PairingGroups) -> bytes:
+        if self.value_bytes is not None:
+            return self.value_bytes
+        return pairing.gt.encode_element(self.value)
 
     def to_bytes(self, pairing: PairingGroups) -> bytes:
-        return self.u_a + self.u_b + pairing.gt.encode_element(self.value)
+        return self.u_a + self.u_b + self.encoded_value(pairing)
 
     @classmethod
     def from_bytes(cls, pairing: PairingGroups, data: bytes) -> "MergeRedeemRequest":
@@ -135,7 +147,7 @@ class MergeRedeemRequest:
         return cls(
             u_a=data[:SECRET_SIZE],
             u_b=data[SECRET_SIZE : 2 * SECRET_SIZE],
-            value=pairing.gt.decode_element(data[2 * SECRET_SIZE :]),
+            value_bytes=data[2 * SECRET_SIZE :],
         )
 
 
@@ -238,6 +250,11 @@ def client_merge_redeem(
 def verify_card(
     pairing: PairingGroups, sk: int, req: MergeRedeemRequest, count: int
 ) -> bool:
+    """Compare the request's target-group bytes with the encoding of the
+    expected value. The expected value lies in the target group and its
+    encoding is canonical, so the bytes match exactly when they would
+    decode (membership check included) to the expected value; the bytes
+    are never decoded."""
     if req.u_a == req.u_b:
         return False
     if len(req.u_a) != SECRET_SIZE or len(req.u_b) != SECRET_SIZE:
@@ -247,7 +264,7 @@ def verify_card(
     expected = pairing.pair(
         pairing.g0.exp(base0, pow(sk, count, pairing.order)), base1
     )
-    return pairing.gt.eq(req.value, expected)
+    return req.encoded_value(pairing) == pairing.gt.encode_element(expected)
 
 
 def server_redeem(

@@ -28,6 +28,21 @@ def test_malformed_secret_rejected_without_write():
     assert len(db) == 0
 
 
+def test_insert_count_outside_one_record_raises(tmp_path):
+    path = tmp_path / "db"
+    db = RedeemDb(str(path))
+    rng = random.Random(137)
+    for bad in ([], _secrets(rng, 256)):
+        with pytest.raises(ValueError, match="1 to 255 secrets"):
+            db.check_and_insert(*bad)
+    assert len(db) == 0 and path.read_bytes() == b""
+    assert db.check_and_insert(*_secrets(rng, 255))
+    db.close()
+    reopened = RedeemDb(str(path))
+    assert len(reopened) == 255
+    reopened.close()
+
+
 def test_multi_insert_is_all_or_nothing():
     rng = random.Random(132)
     db = RedeemDb()
