@@ -9,11 +9,11 @@ import random
 
 import pytest
 
-from punchcard import mergeable
+from punchcard import core, extensions, mergeable
 from punchcard.core import RedeemStatus
 from punchcard.db import RedeemDb
 from punchcard.errors import InvalidEncoding
-from punchcard.groups import get_pairing
+from punchcard.groups import RistrettoGroup, get_pairing
 from punchcard.groups.bls import fields
 from punchcard.groups.bls.curve import (
     B1,
@@ -415,3 +415,29 @@ def test_seeded_merge_flow_pinned(bls):
     )
     status = mergeable.server_redeem(bls, sk, req, 1, RedeemDb())
     assert status is RedeemStatus.ACCEPT
+
+
+def _ristretto(backend):
+    try:
+        return RistrettoGroup(backend=backend)
+    except RuntimeError:
+        pytest.skip("libsodium with ristretto255 not available")
+
+
+@pytest.mark.parametrize("backend", ["python", "sodium"])
+def test_seeded_main_punch_pinned(backend):
+    """The main scheme's punch and t=3 multi-punch responses, nonces drawn
+    from a seeded stream: any change to the proofs' arithmetic shows here."""
+    group = _ristretto(backend)
+    rng = random.Random(2006)
+    sk, pk = core.server_setup(group, rng)
+    _, card = core.issue(group, rng)
+    resp = core.server_punch(group, sk, card, rng).to_bytes(group)
+    multi = extensions.server_multi_punch(group, sk, card, 3, rng=rng).to_bytes(group)
+    assert len(resp) == 128 and len(multi) == 385
+    assert _sha256(resp) == (
+        "022779d6f946d1a4f39ae5df2faa100e544cfd79894123c0a0edd5c026a6a37e"
+    )
+    assert _sha256(multi) == (
+        "ee44da96b6fcd7c660c1ffe83756994066e9bc386c210e0720715950e70ff520"
+    )
