@@ -35,9 +35,9 @@ class _Till:
         self.punches_performed = 0
         self.punches_redeemed = 0
 
-    def punch(self, group: Group, sk: int, card, rng) -> core.PunchResponse:
+    def punch(self, group: Group, sk: int, pk, card, rng) -> core.PunchResponse:
         self.punches_performed += 1
-        return core.server_punch(group, sk, card, rng)
+        return core.server_punch(group, sk, pk, card, rng)
 
     def redeem(self, group: Group, sk: int, req, count: int, db) -> RedeemStatus:
         status = core.server_redeem(group, sk, req, count, db)
@@ -52,7 +52,7 @@ class _Till:
 def _earn(group: Group, sk: int, pk, till: _Till, n: int, rng):
     secret, card = core.issue(group, rng)
     for _ in range(n):
-        resp = till.punch(group, sk, card, rng)
+        resp = till.punch(group, sk, pk, card, rng)
         secret, card = core.client_punch(group, pk, secret, card, resp, rng)
     return secret, card
 
@@ -111,7 +111,8 @@ def key_switch_attack(
             evil_sk = group.random_scalar(rng)
             while evil_sk == sk:
                 evil_sk = group.random_scalar(rng)
-            resp = core.server_punch(group, evil_sk, card, rng)
+            _, evil_pk = core.server_setup(group, sk=evil_sk)
+            resp = core.server_punch(group, evil_sk, evil_pk, card, rng)
         try:
             core.client_punch(group, pk, secret, card, resp, rng)
         except ProofRejected:
@@ -139,7 +140,7 @@ def eavesdropper_attack(
     secret, card = core.issue(group, rng)
     for _ in range(punches):
         transcript.append(group.encode_element(card))
-        resp = till.punch(group, sk, card, rng)
+        resp = till.punch(group, sk, pk, card, rng)
         transcript.append(resp.to_bytes(group))
         secret, card = core.client_punch(group, pk, secret, card, resp, rng)
     # victim has not redeemed; the attacker moves first

@@ -63,12 +63,12 @@ def bench_main(
         _time_op(
             "server_punch",
             lambda: core.issue(group)[1],
-            lambda card: core.server_punch(group, sk, card),
+            lambda card: core.server_punch(group, sk, pk, card),
             trials,
         ),
         _time_op(
             "client_punch",
-            lambda: (lambda s, c: (s, c, core.server_punch(group, sk, c)))(
+            lambda: (lambda s, c: (s, c, core.server_punch(group, sk, pk, c)))(
                 *core.issue(group)
             ),
             lambda a: core.client_punch(group, pk, a[0], a[1], a[2]),
@@ -78,7 +78,7 @@ def bench_main(
             "punch_round_trip",
             lambda: core.issue(group),
             lambda a: core.client_punch(
-                group, pk, a[0], a[1], core.server_punch(group, sk, a[1])
+                group, pk, a[0], a[1], core.server_punch(group, sk, pk, a[1])
             ),
             trials,
         ),
@@ -110,7 +110,7 @@ def bench_main(
     )
 
     secret, card = core.issue(group)
-    resp = core.server_punch(group, sk, card)
+    resp = core.server_punch(group, sk, pk, card)
     req = core.client_redeem(group, secret, card)
     sizes = {
         "public_key": len(group.encode_element(pk)),
@@ -131,19 +131,30 @@ def bench_mergeable(
     pairing_name: str = "bls12-381", trials: int = MIN_TRIALS
 ) -> Dict:
     pairing = get_pairing(pairing_name)
+    g0, g1 = pairing.g0, pairing.g1
     sk, pk = mergeable.server_setup(pairing)
     punches = 2
+    g0.exp_base(1)  # builds the fixed-base tables before any timing
+    g1.exp_base(1)
 
     def earned_pair():
         sa, ca = mergeable.issue(pairing)
         sb, cb = mergeable.issue(pairing)
         for _ in range(punches):
             sa, ca = mergeable.client_punch(
-                pairing, pk, sa, ca, mergeable.server_punch(pairing, sk, ca)
+                pairing, pk, sa, ca, mergeable.server_punch(pairing, sk, pk, ca)
             )
         return sa, ca, sb, cb
 
     rows = [
+        _time_op(
+            "pair",
+            lambda: (g0.exp_base(g0.random_scalar()), g1.exp_base(g1.random_scalar())),
+            lambda a: pairing.pair(a[0], a[1]),
+            trials,
+        ),
+        _time_op("g0_exp_base", g0.random_scalar, g0.exp_base, trials),
+        _time_op("g1_exp_base", g1.random_scalar, g1.exp_base, trials),
         _time_op(
             "issue",
             lambda: None,
@@ -153,14 +164,14 @@ def bench_mergeable(
         _time_op(
             "server_punch",
             lambda: mergeable.issue(pairing)[1],
-            lambda card: mergeable.server_punch(pairing, sk, card),
+            lambda card: mergeable.server_punch(pairing, sk, pk, card),
             trials,
         ),
         _time_op(
             "punch_round_trip",
             lambda: mergeable.issue(pairing),
             lambda a: mergeable.client_punch(
-                pairing, pk, a[0], a[1], mergeable.server_punch(pairing, sk, a[1])
+                pairing, pk, a[0], a[1], mergeable.server_punch(pairing, sk, pk, a[1])
             ),
             trials,
         ),
@@ -179,7 +190,7 @@ def bench_mergeable(
     ]
 
     secret, card = mergeable.issue(pairing)
-    resp = mergeable.server_punch(pairing, sk, card)
+    resp = mergeable.server_punch(pairing, sk, pk, card)
     sb, cb = mergeable.issue(pairing)
     req = mergeable.client_merge_redeem(pairing, secret, card, sb, cb)
     sizes = {

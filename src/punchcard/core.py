@@ -119,11 +119,12 @@ def issue(
 
 
 def server_punch(
-    group: Group, sk: int, card: Element, rng=None
+    group: Group, sk: int, pk: Element, card: Element, rng=None
 ) -> PunchResponse:
-    """Apply the key to whatever masked card the client sent, with proof."""
+    """Apply the key to whatever masked card the client sent, with proof
+    under pk = g^sk, the public key the server already holds."""
     punched = group.exp(card, sk)
-    proof = dleq.prove(group, TAG_PUNCH_PROOF, sk, card, punched, rng)
+    proof = dleq.prove(group, TAG_PUNCH_PROOF, sk, pk, card, punched, rng)
     return PunchResponse(punched=punched, proof=proof)
 
 

@@ -78,18 +78,22 @@ def prove(
     group: Group,
     tag: str,
     sk: int,
+    pk: Element,
     point: Element,
     image: Element,
     rng=None,
 ) -> DleqProof:
-    """Prove image = point^sk under the key pk = g^sk; fresh nonce k every
-    call, never reused across proofs."""
-    base = group.generator()
-    pk = group.exp(base, sk)
+    """Prove image = point^sk under the key pk, which must equal g^sk: the
+    caller passes the key it already holds, so no proof recomputes it. A
+    wrong pk gives a proof that does not verify. Fresh nonce k every call,
+    never reused across proofs; g^k goes through the group's fixed-base
+    exp_base."""
     k = group.random_scalar(rng)
-    commit_base = group.exp(base, k)
+    commit_base = group.exp_base(k)
     commit_point = group.exp(point, k)
-    c = challenge(group, tag, base, pk, point, image, commit_base, commit_point)
+    c = challenge(
+        group, tag, group.generator(), pk, point, image, commit_base, commit_point
+    )
     z = (k + c * sk) % group.order
     return DleqProof(commit_base, commit_point, z)
 
@@ -102,6 +106,8 @@ def verify(
     image: Element,
     proof: DleqProof,
 ) -> bool:
+    """Recompute the challenge and check both equations; g^z goes through
+    the group's fixed-base exp_base."""
     base = group.generator()
     c = challenge(
         group, tag, base, pk, point, image, proof.commit_base, proof.commit_point
@@ -122,8 +128,7 @@ def verify_transcript(
     response: int,
 ) -> bool:
     """The interactive verification equations, with the challenge supplied."""
-    base = group.generator()
-    lhs1 = group.exp(base, response)
+    lhs1 = group.exp_base(response)
     rhs1 = group.mul(commit_base, group.exp(pk, chal))
     lhs2 = group.exp(point, response)
     rhs2 = group.mul(commit_point, group.exp(image, chal))

@@ -85,6 +85,7 @@ class MultiPunchResponse:
 def server_multi_punch(
     group: Group,
     sk: int,
+    pk: Element,
     card: Element,
     t: int,
     t_max: int = DEFAULT_T_MAX,
@@ -96,7 +97,7 @@ def server_multi_punch(
     prev = card
     for _ in range(t):
         nxt = group.exp(prev, sk)
-        proof = dleq.prove(group, core.TAG_PUNCH_PROOF, sk, prev, nxt, rng)
+        proof = dleq.prove(group, core.TAG_PUNCH_PROOF, sk, pk, prev, nxt, rng)
         steps.append((nxt, proof))
         prev = nxt
     return MultiPunchResponse(steps=steps)
@@ -273,6 +274,7 @@ def issue_ticket(
 def server_punch_ticket(
     group: Group,
     sk: int,
+    pk: Element,
     card: TicketCard,
     plan: Dict[str, int],
     t_max: int = DEFAULT_T_MAX,
@@ -283,7 +285,9 @@ def server_punch_ticket(
     for name, t in plan.items():
         if name not in card.slots:
             raise ValueError(f"unknown slot {name!r}")
-        out[name] = server_multi_punch(group, sk, card.slots[name], t, t_max, rng)
+        out[name] = server_multi_punch(
+            group, sk, pk, card.slots[name], t, t_max, rng
+        )
     return out
 
 

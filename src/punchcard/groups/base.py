@@ -67,6 +67,11 @@ class Group:
         """e raised to the scalar k (k taken mod order)."""
         raise NotImplementedError
 
+    def exp_base(self, k: int) -> Element:
+        """The generator raised to k; backends with a faster fixed-base
+        method override it."""
+        return self.exp(self.generator(), k)
+
     def eq(self, a: Element, b: Element) -> bool:
         return self.encode_element(a) == self.encode_element(b)
 

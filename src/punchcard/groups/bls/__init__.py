@@ -47,6 +47,9 @@ class BlsG0(_BlsScalars, Group):
     name = "bls12-381-g0"
     element_size = 48
 
+    def __init__(self):
+        self._comb = curve.FixedBaseComb(curve.curve_g1, curve.G1_GEN)
+
     def generator(self):
         return curve.G1_GEN
 
@@ -64,6 +67,11 @@ class BlsG0(_BlsScalars, Group):
         element this group hands out does: decoded with the subgroup check,
         hashed and cofactor-cleared, or the generator."""
         return curve.g1_mul(e, k % self.order)
+
+    def exp_base(self, k: int):
+        """[k] times the generator by the fixed-base comb; its table is
+        built on the first call."""
+        return self._comb.mul(k % self.order)
 
     def eq(self, a, b) -> bool:
         return a == b
@@ -84,6 +92,9 @@ class BlsG1(_BlsScalars, Group):
     name = "bls12-381-g1"
     element_size = 96
 
+    def __init__(self):
+        self._comb = curve.FixedBaseComb(curve.curve_g2, curve.G2_GEN)
+
     def generator(self):
         return curve.G2_GEN
 
@@ -101,6 +112,11 @@ class BlsG1(_BlsScalars, Group):
         element this group hands out does: decoded with the subgroup check,
         hashed and cofactor-cleared, or the generator."""
         return curve.g2_mul(e, k % self.order)
+
+    def exp_base(self, k: int):
+        """[k] times the generator by the fixed-base comb; its table is
+        built on the first call."""
+        return self._comb.mul(k % self.order)
 
     def eq(self, a, b) -> bool:
         return a == b

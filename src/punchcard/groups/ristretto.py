@@ -213,6 +213,9 @@ class _PythonBackend:
     def exp(self, e: bytes, k: int) -> bytes:
         return _encode(_scalar_mult(_decode(e), k))
 
+    def exp_base(self, k: int) -> bytes:
+        return self.exp(_BASEPOINT, k)
+
     def from_hash(self, h: bytes) -> bytes:
         return _encode(_from_hash(h))
 
@@ -222,6 +225,9 @@ class _SodiumBackend:
 
     def __init__(self, lib: ctypes.CDLL):
         self._lib = lib
+        base = lib.crypto_scalarmult_ristretto255_base
+        base.argtypes = [ctypes.c_char_p, ctypes.c_char_p]
+        base.restype = ctypes.c_int
 
     def is_valid(self, e: bytes) -> bool:
         return self._lib.crypto_core_ristretto255_is_valid_point(e) == 1
@@ -239,6 +245,15 @@ class _SodiumBackend:
             raise InvalidEncoding("libsodium rejected an element in scalarmult")
         return out.raw
 
+    def exp_base(self, k: int) -> bytes:
+        """libsodium's fixed-base scalarmult; k must be nonzero mod L (the
+        call refuses to output the identity)."""
+        out = ctypes.create_string_buffer(32)
+        sc = (k % L).to_bytes(32, "little")
+        if self._lib.crypto_scalarmult_ristretto255_base(out, sc) != 0:
+            raise ValueError("libsodium base scalarmult gave the identity")
+        return out.raw
+
     def from_hash(self, h: bytes) -> bytes:
         out = ctypes.create_string_buffer(32)
         self._lib.crypto_core_ristretto255_from_hash(out, h)
@@ -250,6 +265,7 @@ _REQUIRED_SYMBOLS = (
     "crypto_core_ristretto255_from_hash",
     "crypto_core_ristretto255_add",
     "crypto_scalarmult_ristretto255",
+    "crypto_scalarmult_ristretto255_base",
 )
 
 
@@ -314,6 +330,12 @@ class RistrettoGroup(Group):
         if k == 0 or e == _IDENTITY:
             return _IDENTITY
         return self._backend.exp(e, k)
+
+    def exp_base(self, k: int) -> bytes:
+        k %= L
+        if k == 0:
+            return _IDENTITY
+        return self._backend.exp_base(k)
 
     def eq(self, a: bytes, b: bytes) -> bool:
         return a == b

@@ -188,15 +188,22 @@ def issue(
 
 
 def server_punch(
-    pairing: PairingGroups, sk: int, card: MergeCard, rng=None
+    pairing: PairingGroups, sk: int, pk: MergePublicKey, card: MergeCard, rng=None
 ) -> MergePunchResponse:
-    punched0 = pairing.g0.exp(card.side0, sk)
-    punched1 = pairing.g1.exp(card.side1, sk)
+    """Both sides exponentiated by sk, each with a proof under its half of
+    pk, the public key the server already holds."""
+    g0, g1 = pairing.g0, pairing.g1
+    punched0 = g0.exp(card.side0, sk)
+    punched1 = g1.exp(card.side1, sk)
     return MergePunchResponse(
         punched0=punched0,
         punched1=punched1,
-        proof0=dleq.prove(pairing.g0, TAG_PUNCH_PROOF_G0, sk, card.side0, punched0, rng),
-        proof1=dleq.prove(pairing.g1, TAG_PUNCH_PROOF_G1, sk, card.side1, punched1, rng),
+        proof0=dleq.prove(
+            g0, TAG_PUNCH_PROOF_G0, sk, pk.pk0, card.side0, punched0, rng
+        ),
+        proof1=dleq.prove(
+            g1, TAG_PUNCH_PROOF_G1, sk, pk.pk1, card.side1, punched1, rng
+        ),
     )
 
 

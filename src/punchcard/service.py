@@ -278,14 +278,14 @@ class PunchcardService:
         g = self.group
         if msg_type == wire.PUNCH_REQ:
             card = g.decode_element(body)
-            resp = core.server_punch(g, self.sk, card)
+            resp = core.server_punch(g, self.sk, self.pk, card)
             self.stats.bump("punches")
             return wire.PUNCH_RESP, resp.to_bytes(g)
         if msg_type == wire.MULTI_REQ:
             t, card_bytes = wire.unpack_multi_req(body)
             card = g.decode_element(card_bytes)
             resp = extensions.server_multi_punch(
-                g, self.sk, card, t, t_max=self.cfg.t_max
+                g, self.sk, self.pk, card, t, t_max=self.cfg.t_max
             )
             self.stats.bump("multi_punches")
             self.stats.bump("punches", t)
@@ -313,7 +313,7 @@ class PunchcardService:
         pg = self.pairing
         if msg_type == wire.MERGE_PUNCH_REQ:
             card = mergeable.MergeCard.from_bytes(pg, body)
-            resp = mergeable.server_punch(pg, self.sk, card)
+            resp = mergeable.server_punch(pg, self.sk, self.pk, card)
             self.stats.bump("punches")
             return wire.MERGE_PUNCH_RESP, resp.to_bytes(pg)
         if msg_type == wire.MERGE_REDEEM_REQ:

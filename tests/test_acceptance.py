@@ -27,7 +27,7 @@ def test_criterion_01_main_wire_sizes():
     rng = random.Random(201)
     sk, pk = core.server_setup(group, rng)
     secret, card = core.issue(group, rng)  # client-local: no message at all
-    resp = core.server_punch(group, sk, card, rng)
+    resp = core.server_punch(group, sk, pk, card, rng)
     req = core.client_redeem(group, secret, card)
     sizes = {
         "pk": len(group.encode_element(pk)),
@@ -51,7 +51,7 @@ def test_criterion_02_mergeable_wire_sizes():
     rng = random.Random(202)
     sk, pk = mergeable.server_setup(pairing, rng)
     secret, card = mergeable.issue(pairing, rng)
-    resp = mergeable.server_punch(pairing, sk, card, rng)
+    resp = mergeable.server_punch(pairing, sk, pk, card, rng)
     sb, cb = mergeable.issue(pairing, rng)
     req = mergeable.client_merge_redeem(pairing, secret, card, sb, cb)
     sizes = {
@@ -81,7 +81,7 @@ def test_criterion_03_thousand_full_cycles():
     for _ in range(cycles):
         secret, card = core.issue(group, rng)
         for _ in range(punches):
-            resp = core.server_punch(group, sk, card, rng)
+            resp = core.server_punch(group, sk, pk, card, rng)
             secret, card = core.client_punch(group, pk, secret, card, resp, rng)
         req = core.client_redeem(group, secret, card)
         raw = req.to_bytes(group)
@@ -111,7 +111,7 @@ def test_criterion_04_toy_oracle_equivalence():
             assert toy.dlog(card) == want
             checked += 1
             if k < 8:
-                resp = core.server_punch(toy, sk, card, rng)
+                resp = core.server_punch(toy, sk, pk, card, rng)
                 secret, card = core.client_punch(toy, pk, secret, card, resp, rng)
         req = core.client_redeem(toy, secret, card)
         assert toy.dlog(req.card) == base * pow(sk, 8, toy.order) % toy.order
@@ -139,7 +139,7 @@ def test_criterion_04_toy_oracle_equivalence():
                 assert pairing.g1.dlog(card.side1) == x1 * s % q * secret.mask1 % q
                 checked += 1
                 if k < punches:
-                    resp = mergeable.server_punch(pairing, sk, card, rng)
+                    resp = mergeable.server_punch(pairing, sk, pk, card, rng)
                     secret, card = mergeable.client_punch(
                         pairing, pk, secret, card, resp, rng
                     )
@@ -177,7 +177,7 @@ def test_criterion_05_adversarial_suite():
         sk, pk = core.server_setup(toy, rng)
         secret, card = core.issue(toy, rng)
         for _ in range(t):
-            resp = core.server_punch(toy, sk, card, rng)
+            resp = core.server_punch(toy, sk, pk, card, rng)
             secret, card = core.client_punch(toy, pk, secret, card, resp, rng)
         req = core.client_redeem(toy, secret, card)
         for n in range(t + 1, t + 6):
@@ -191,7 +191,7 @@ def test_criterion_06_proof_robustness():
     rng = random.Random(207)
     sk, pk = core.server_setup(group, rng)
     secret, card = core.issue(group, rng)
-    resp_bytes = core.server_punch(group, sk, card, rng).to_bytes(group)
+    resp_bytes = core.server_punch(group, sk, pk, card, rng).to_bytes(group)
     assert len(resp_bytes) == 128
     corruptions = survived = 0
     for pos in range(len(resp_bytes)):
@@ -212,7 +212,8 @@ def test_criterion_06_proof_robustness():
         evil = group.random_scalar(rng)
         while evil == sk:
             evil = group.random_scalar(rng)
-        resp = core.server_punch(group, evil, card, rng)
+        _, evil_pk = core.server_setup(group, sk=evil)
+        resp = core.server_punch(group, evil, evil_pk, card, rng)
         try:
             core.client_punch(group, pk, secret, card, resp, rng)
         except ProofRejected:
@@ -357,7 +358,7 @@ def test_criterion_10_extension_properties():
             secret, card = core.issue(toy, rng)
             base = toy.dlog(core.card_base(toy, secret.u))
             for t in chunks:
-                resp = ext.server_multi_punch(toy, sk, card, t, rng=rng)
+                resp = ext.server_multi_punch(toy, sk, pk, card, t, rng=rng)
                 secret, card, gained = ext.client_multi_punch(
                     toy, pk, secret, card, resp, rng
                 )
@@ -373,7 +374,7 @@ def test_criterion_10_extension_properties():
     issued_day = date(2026, 2, 10)
     boundary = ext.quarter_boundary_on_or_after(issued_day)  # 2026-04-01
     secret, card = ext.issue_expiring(toy, boundary, rng)
-    resp = core.server_punch(toy, svc_sk, card, rng)
+    resp = core.server_punch(toy, svc_sk, svc_pk, card, rng)
     secret, card = core.client_punch(toy, svc_pk, secret, card, resp, rng)
     req = core.client_redeem(toy, secret, card)
     raw = req.to_bytes(toy)

@@ -43,6 +43,8 @@ def test_bench_mergeable_toy_sizes():
         "punch_response": 32,
         "redeem_request": 68,
     }
+    ops = [row["op"] for row in result["rows"]]
+    assert {"pair", "g0_exp_base", "g1_exp_base"} <= set(ops)
 
 
 def test_render_table_and_csv():

@@ -403,7 +403,7 @@ def test_seeded_merge_flow_pinned(bls):
     rng = random.Random(2006)
     sk, pk = mergeable.server_setup(bls, rng)
     secret_a, card_a = mergeable.issue(bls, rng)
-    resp = mergeable.server_punch(bls, sk, card_a, rng)
+    resp = mergeable.server_punch(bls, sk, pk, card_a, rng)
     secret_a, card_a = mergeable.client_punch(bls, pk, secret_a, card_a, resp, rng)
     secret_b, card_b = mergeable.issue(bls, rng)
     req = mergeable.client_merge_redeem(bls, secret_a, card_a, secret_b, card_b)
@@ -432,8 +432,9 @@ def test_seeded_main_punch_pinned(backend):
     rng = random.Random(2006)
     sk, pk = core.server_setup(group, rng)
     _, card = core.issue(group, rng)
-    resp = core.server_punch(group, sk, card, rng).to_bytes(group)
-    multi = extensions.server_multi_punch(group, sk, card, 3, rng=rng).to_bytes(group)
+    resp = core.server_punch(group, sk, pk, card, rng).to_bytes(group)
+    multi = extensions.server_multi_punch(group, sk, pk, card, 3, rng=rng)
+    multi = multi.to_bytes(group)
     assert len(resp) == 128 and len(multi) == 385
     assert _sha256(resp) == (
         "022779d6f946d1a4f39ae5df2faa100e544cfd79894123c0a0edd5c026a6a37e"

@@ -1,21 +1,29 @@
-"""The endomorphism kernels against the plain double-and-add oracle.
+"""The BLS12-381 kernels against slow oracles that need no curve structure.
 
-Each fast path in curve.py has a slow twin that needs no curve structure:
-the subgroup checks against multiplying by n, the psi cofactor clearing
-against multiplying by H2_EFF, and the GLV/GLS scalar multiplications
-against Curve.mul by k. Inputs cover random points outside the subgroup,
-torsion points of every small prime order in the cofactors (found by trial
+Each fast path in curve.py has a slow twin: the subgroup checks against
+multiplying by n, the psi cofactor clearing against multiplying by H2_EFF,
+the GLV/GLS scalar multiplications and the fixed-base comb against
+Curve.mul by k. Inputs cover random points outside the subgroup, torsion
+points of every small prime order in the cofactors (found by trial
 division below 10^6), subgroup points with such torsion added, and the
-identity."""
+identity. The pairing's projective Miller loop is checked against the
+affine loop it replaced, and its sparse and cyclotomic field kernels
+against the dense products. Operation counts of the pairing and the comb
+are pinned by counting base-field inversions."""
 
+import functools
 import math
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from punchcard.groups.bls import fields
+from punchcard import mergeable
+from punchcard.groups import RistrettoGroup
+from punchcard.groups.bls import BlsG0, BlsG1, Bls12381, curve, fields
 from punchcard.groups.bls.curve import (
     B1,
     B2,
@@ -23,6 +31,7 @@ from punchcard.groups.bls.curve import (
     G2_GEN,
     H1,
     H2_EFF,
+    FixedBaseComb,
     clear_cofactor_g2,
     curve_g1,
     curve_g2,
@@ -32,6 +41,13 @@ from punchcard.groups.bls.curve import (
     hash_to_g2,
     in_subgroup_g1,
     in_subgroup_g2,
+)
+from punchcard.groups.bls.pairing import (
+    _U_BITS,
+    _easy_part,
+    _miller_loop,
+    final_exp,
+    pairing,
 )
 
 N = int(fields.N)
@@ -196,3 +212,217 @@ def test_g2_mul_matches_double_and_add(points, k, which):
 def test_special_scalars_on_generators(k):
     assert g1_mul(G1_GEN, k) == curve_g1.mul(G1_GEN, k)
     assert g2_mul(G2_GEN, k) == curve_g2.mul(G2_GEN, k)
+
+
+# --- pairing kernels -----------------------------------------------------------
+
+
+def _affine_miller_loop(p_pt, q_pt):
+    """The affine Miller loop the projective one replaced, as it was: an
+    Fq2 inversion and a dense f12_mul per line. Its value differs from
+    _miller_loop's by an Fq2 factor, which final_exp removes."""
+    f2_inv, f2_mul, f2_muls = fields.f2_inv, fields.f2_mul, fields.f2_muls
+    f2_neg, f2_sqr, f2_sub = fields.f2_neg, fields.f2_sqr, fields.f2_sub
+    xp, yp = p_pt
+    c0 = (yp, yp)  # xi * yp
+    xq, yq = q_pt
+    xt, yt = xq, yq
+    f = fields.F12_ONE
+    for bit in _U_BITS:
+        lam = f2_mul(f2_muls(f2_sqr(xt), 3), f2_inv(f2_muls(yt, 2)))
+        c3 = f2_sub(f2_mul(lam, xt), yt)
+        c5 = f2_neg(f2_muls(lam, xp))
+        f = fields.f12_mul(fields.f12_sqr(f), fields.f12_line(c0, c3, c5))
+        x_new = f2_sub(f2_sqr(lam), f2_muls(xt, 2))
+        yt = f2_sub(f2_mul(lam, f2_sub(xt, x_new)), yt)
+        xt = x_new
+        if bit == "1":
+            lam = f2_mul(f2_sub(yt, yq), f2_inv(f2_sub(xt, xq)))
+            c3 = f2_sub(f2_mul(lam, xq), yq)
+            c5 = f2_neg(f2_muls(lam, xp))
+            f = fields.f12_mul(f, fields.f12_line(c0, c3, c5))
+            x_new = f2_sub(f2_sub(f2_sqr(lam), xt), xq)
+            yt = f2_sub(f2_mul(lam, f2_sub(xt, x_new)), yt)
+            xt = x_new
+    return fields.f12_conj(f)
+
+
+def _rand_f2(rng):
+    return (rng.randrange(P), rng.randrange(P))
+
+
+def _rand_f12(rng):
+    return tuple(tuple(_rand_f2(rng) for _ in range(3)) for _ in range(2))
+
+
+def test_miller_loop_matches_affine_oracle(points):
+    multiples = [
+        (G1_GEN, G2_GEN),
+        (curve_g1.mul(G1_GEN, 2), G2_GEN),
+        (G1_GEN, curve_g2.mul(G2_GEN, N - 1)),
+        (curve_g1.mul(G1_GEN, 5), curve_g2.mul(G2_GEN, 7)),
+    ]
+    pairs = [(p, q) for p in points["g1_sub"] for q in points["g2_sub"][1:]]
+    for p, q in multiples + pairs:
+        want = final_exp(_affine_miller_loop(p, q))
+        assert fields.f12_eq(final_exp(_miller_loop(p, q)), want)
+
+
+def test_cyclotomic_sqr_matches_f12_sqr():
+    rng = random.Random(2010)
+    for _ in range(5):
+        x = _easy_part(_rand_f12(rng))
+        assert fields.f12_eq(fields.f12_cyclotomic_sqr(x), fields.f12_sqr(x))
+    gt = pairing(G1_GEN, G2_GEN)
+    assert fields.f12_eq(fields.f12_cyclotomic_sqr(gt), fields.f12_sqr(gt))
+
+
+def test_mul_by_line_matches_dense_product():
+    rng = random.Random(2011)
+    for _ in range(10):
+        f = _rand_f12(rng)
+        c0, c3, c5 = _rand_f2(rng), _rand_f2(rng), _rand_f2(rng)
+        want = fields.f12_mul(f, fields.f12_line(c0, c3, c5))
+        assert fields.f12_eq(fields.f12_mul_by_line(f, c0, c3, c5), want)
+
+
+def test_pairing_bilinear_on_random_points(points):
+    rng = random.Random(2012)
+    p, q = points["g1_sub"][2], points["g2_sub"][1]
+    a, b = rng.randrange(1, N), rng.randrange(1, N)
+    lhs = pairing(g1_mul(p, a), g2_mul(q, b))
+    assert fields.f12_eq(lhs, fields.f12_pow(pairing(p, q), a * b % N))
+
+
+# --- fixed-base comb -------------------------------------------------------------
+
+# every 32-bit digit of the comb is 0x0FFFFFFF, and k < n
+ALL_TEETH = sum(0x0FFFFFFF << (32 * j) for j in range(8))
+BASE_SCALARS = [1, 2, 2**32 - 1, 2**32, 2**224, N - 1, ALL_TEETH, 2**256 - 1]
+
+
+@functools.cache
+def _base_group(name):
+    if name == "ristretto-sodium":
+        try:
+            return RistrettoGroup(backend="sodium")
+        except RuntimeError:
+            pytest.skip("libsodium with ristretto255 not available")
+    return {
+        "g0": BlsG0,
+        "g1": BlsG1,
+        "ristretto-python": lambda: RistrettoGroup(backend="python"),
+    }[name]()
+
+
+BASE_GROUPS = ["g0", "g1", "ristretto-python", "ristretto-sodium"]
+
+
+@pytest.mark.parametrize("name", BASE_GROUPS)
+def test_exp_base_special_scalars(name):
+    group = _base_group(name)
+    for k in BASE_SCALARS:
+        assert group.exp_base(k) == group.exp(group.generator(), k), hex(k)
+    assert group.is_identity(group.exp_base(0))
+    assert group.is_identity(group.exp_base(group.order))
+
+
+@pytest.mark.parametrize("name", BASE_GROUPS)
+@BOUNDED
+@given(k=st.one_of(st.sampled_from(BASE_SCALARS), st.integers(0, 2**256 - 1)))
+def test_exp_base_matches_exp(name, k):
+    group = _base_group(name)
+    assert group.exp_base(k) == group.exp(group.generator(), k)
+
+
+def test_comb_matches_double_and_add_beyond_n():
+    """The comb itself, without the reduction mod n: every tooth all ones."""
+    for c, gen in ((curve_g1, G1_GEN), (curve_g2, G2_GEN)):
+        comb = FixedBaseComb(c, gen)
+        for k in (2**256 - 1, ALL_TEETH, 0):
+            assert comb.mul(k) == c.mul(gen, k)
+
+
+def _deep_size(obj):
+    size = sys.getsizeof(obj)
+    if isinstance(obj, (tuple, list)):
+        size += sum(_deep_size(x) for x in obj)
+    return size
+
+
+def test_comb_tables_are_lazy_and_small():
+    """Key set-up, fresh or from a stored sk, builds no table: a server pays
+    for them after it listens. Both tables together stay under 256 KB."""
+    pg = Bls12381()
+    sk, _ = mergeable.server_setup(pg, random.Random(3))
+    mergeable.server_setup(pg, sk=sk)
+    assert pg.g0._comb._table is None and pg.g1._comb._table is None
+    pg.g0.exp_base(1)
+    pg.g1.exp_base(1)
+    tables = [pg.g0._comb._table, pg.g1._comb._table]
+    assert [len(t) for t in tables] == [256, 256]
+    assert sum(map(_deep_size, tables)) <= 256 * 1024
+
+
+# --- operation counts --------------------------------------------------------------
+
+
+@pytest.fixture
+def inversions(monkeypatch):
+    """Counts base-field inversions, in the tower (fields.fq_inv, which
+    f2_inv looks up at each call) and on E (the _FqOps shim)."""
+    calls = []
+    real = fields.fq_inv
+
+    def counting(a):
+        calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr(fields, "fq_inv", counting)
+    monkeypatch.setattr(curve._FqOps, "inv", staticmethod(counting))
+    return calls
+
+
+def test_pairing_inverts_once(inversions):
+    """The Miller loop runs without inversions; the one left is the easy
+    part's f12_inv."""
+    p, q = curve_g1.mul(G1_GEN, 11), curve_g2.mul(G2_GEN, 13)
+    inversions.clear()
+    pairing(p, q)
+    assert len(inversions) == 1
+
+
+@pytest.mark.parametrize("cls", [BlsG0, BlsG1])
+def test_exp_base_inverts_once_after_table(inversions, cls):
+    group = cls()
+    group.exp_base(1)  # builds the table
+    for k in (2, N - 1, ALL_TEETH):
+        inversions.clear()
+        group.exp_base(k)
+        assert len(inversions) == 1  # the final normalisation
+
+
+def test_comb_tables_built_by_four_threads_agree():
+    groups = [BlsG0(), BlsG1()]
+    barrier = threading.Barrier(4)
+    results = [None] * 4
+
+    def build(i):
+        barrier.wait(timeout=60)
+        results[i] = [(g._comb.table(), g.exp_base(ALL_TEETH)) for g in groups]
+
+    threads = [threading.Thread(target=build, args=(i,)) for i in range(4)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert all(r == results[0] for r in results)
+    for g, (table, value) in zip(groups, results[0]):
+        assert g._comb._table == table
+        assert value == g.exp(g.generator(), ALL_TEETH)

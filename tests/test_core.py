@@ -18,7 +18,7 @@ def _full_cycle(group, rng, punches):
     sk, pk = core.server_setup(group, rng)
     secret, card = core.issue(group, rng)
     for _ in range(punches):
-        resp = core.server_punch(group, sk, card, rng)
+        resp = core.server_punch(group, sk, pk, card, rng)
         secret, card = core.client_punch(group, pk, secret, card, resp, rng)
     return sk, core.client_redeem(group, secret, card)
 
@@ -55,11 +55,12 @@ def test_bad_proof_rejected_and_state_unchanged(group):
     evil = group.random_scalar(rng)
     while evil == sk:
         evil = group.random_scalar(rng)
-    resp = core.server_punch(group, evil, card, rng)
+    _, evil_pk = core.server_setup(group, sk=evil)
+    resp = core.server_punch(group, evil, evil_pk, card, rng)
     with pytest.raises(ProofRejected):
         core.client_punch(group, pk, secret, card, resp, rng)
     # the honest path still works with the same untouched state
-    resp = core.server_punch(group, sk, card, rng)
+    resp = core.server_punch(group, sk, pk, card, rng)
     core.client_punch(group, pk, secret, card, resp, rng)
 
 
@@ -82,7 +83,7 @@ def test_remask_changes_wire_element_every_time():
     secret, card = core.issue(group, rng)
     seen = {group.encode_element(card)}
     for _ in range(20):
-        resp = core.server_punch(group, sk, card, rng)
+        resp = core.server_punch(group, sk, pk, card, rng)
         secret, card = core.client_punch(group, pk, secret, card, resp, rng)
         blob = group.encode_element(card)
         assert blob not in seen
@@ -103,9 +104,9 @@ def test_unlinkability_of_presented_cards():
     for _ in range(10):
         for sec_card in ((s1, c1), (s2, c2)):
             elements.add(group.encode_element(sec_card[1]))
-        r1 = core.server_punch(group, sk, c1, rng)
+        r1 = core.server_punch(group, sk, pk, c1, rng)
         s1, c1 = core.client_punch(group, pk, s1, c1, r1, rng)
-        r2 = core.server_punch(group, sk, c2, rng)
+        r2 = core.server_punch(group, sk, pk, c2, rng)
         s2, c2 = core.client_punch(group, pk, s2, c2, r2, rng)
     assert len(elements) == 20
     for u in (s1.u, s2.u):
@@ -128,7 +129,7 @@ def test_punch_response_serialization(group):
     rng = random.Random(69)
     sk, pk = core.server_setup(group, rng)
     _, card = core.issue(group, rng)
-    resp = core.server_punch(group, sk, card, rng)
+    resp = core.server_punch(group, sk, pk, card, rng)
     blob = resp.to_bytes(group)
     again = core.PunchResponse.from_bytes(group, blob)
     assert again.to_bytes(group) == blob
@@ -152,7 +153,7 @@ def test_card_state_matches_exponent_oracle():
         for k in range(9):  # punch counts 0..8
             want = base_log * pow(sk, k, toy.order) % toy.order * secret.mask % toy.order
             assert toy.dlog(card) == want, f"trial {trial}, punch {k}"
-            resp = core.server_punch(toy, sk, card, rng)
+            resp = core.server_punch(toy, sk, pk, card, rng)
             secret, card = core.client_punch(toy, pk, secret, card, resp, rng)
 
 
@@ -162,7 +163,7 @@ def test_redeem_unmask_matches_oracle():
     sk, pk = core.server_setup(toy, rng)
     secret, card = core.issue(toy, rng)
     for _ in range(4):
-        resp = core.server_punch(toy, sk, card, rng)
+        resp = core.server_punch(toy, sk, pk, card, rng)
         secret, card = core.client_punch(toy, pk, secret, card, resp, rng)
     req = core.client_redeem(toy, secret, card)
     base_log = toy.dlog(core.card_base(toy, secret.u))

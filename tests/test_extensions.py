@@ -30,7 +30,7 @@ def test_multi_punch_equals_repeated_single_punch():
     sk, pk = core.server_setup(toy, rng)
     for t in range(1, 9):
         secret, card = core.issue(toy, rng)
-        resp = ext.server_multi_punch(toy, sk, card, t, rng=rng)
+        resp = ext.server_multi_punch(toy, sk, pk, card, t, rng=rng)
         secret, card, gained = ext.client_multi_punch(toy, pk, secret, card, resp, rng)
         assert gained == t
         base_log = toy.dlog(core.card_base(toy, secret.u))
@@ -43,9 +43,9 @@ def test_multi_punch_then_redeem(group):
     sk, pk = core.server_setup(group, rng)
     db = RedeemDb()
     secret, card = core.issue(group, rng)
-    resp = ext.server_multi_punch(group, sk, card, 4, rng=rng)
+    resp = ext.server_multi_punch(group, sk, pk, card, 4, rng=rng)
     secret, card, _ = ext.client_multi_punch(group, pk, secret, card, resp, rng)
-    resp = core.server_punch(group, sk, card, rng)
+    resp = core.server_punch(group, sk, pk, card, rng)
     secret, card = core.client_punch(group, pk, secret, card, resp, rng)
     req = core.client_redeem(group, secret, card)
     assert core.server_redeem(group, sk, req, 5, db) is RedeemStatus.ACCEPT
@@ -53,21 +53,21 @@ def test_multi_punch_then_redeem(group):
 
 def test_multi_punch_bounds(group):
     rng = random.Random(103)
-    sk, _ = core.server_setup(group, rng)
+    sk, pk = core.server_setup(group, rng)
     _, card = core.issue(group, rng)
     for t in (0, -1, 11):
         with pytest.raises(PromotionTooLarge):
-            ext.server_multi_punch(group, sk, card, t, t_max=10, rng=rng)
-    ext.server_multi_punch(group, sk, card, 10, t_max=10, rng=rng)
+            ext.server_multi_punch(group, sk, pk, card, t, t_max=10, rng=rng)
+    ext.server_multi_punch(group, sk, pk, card, 10, t_max=10, rng=rng)
     with pytest.raises(PromotionTooLarge):
-        ext.server_multi_punch(group, sk, card, 256, t_max=1000, rng=rng)
+        ext.server_multi_punch(group, sk, pk, card, 256, t_max=1000, rng=rng)
 
 
 def test_multi_punch_serialization(group):
     rng = random.Random(104)
-    sk, _ = core.server_setup(group, rng)
+    sk, pk = core.server_setup(group, rng)
     _, card = core.issue(group, rng)
-    resp = ext.server_multi_punch(group, sk, card, 3, rng=rng)
+    resp = ext.server_multi_punch(group, sk, pk, card, 3, rng=rng)
     blob = resp.to_bytes(group)
     again = ext.MultiPunchResponse.from_bytes(group, blob)
     assert again.to_bytes(group) == blob
@@ -83,7 +83,7 @@ def test_multi_punch_tampered_chain_rejected(group):
     rng = random.Random(105)
     sk, pk = core.server_setup(group, rng)
     secret, card = core.issue(group, rng)
-    resp = ext.server_multi_punch(group, sk, card, 3, rng=rng)
+    resp = ext.server_multi_punch(group, sk, pk, card, 3, rng=rng)
     decoy = group.exp(group.generator(), group.random_scalar(rng))
     for i in range(3):
         steps = list(resp.steps)
@@ -101,7 +101,8 @@ def test_multi_punch_wrong_key_rejected(group):
     while evil == sk:
         evil = group.random_scalar(rng)
     secret, card = core.issue(group, rng)
-    resp = ext.server_multi_punch(group, evil, card, 2, rng=rng)
+    _, evil_pk = core.server_setup(group, sk=evil)
+    resp = ext.server_multi_punch(group, evil, evil_pk, card, 2, rng=rng)
     with pytest.raises(ProofRejected):
         ext.client_multi_punch(group, pk, secret, card, resp, rng)
 
@@ -177,7 +178,7 @@ def test_expiring_card_full_cycle(group):
     sk, pk = core.server_setup(group, rng)
     db = RedeemDb()
     secret, card = ext.issue_expiring(group, date(2026, 10, 1), rng)
-    resp = core.server_punch(group, sk, card, rng)
+    resp = core.server_punch(group, sk, pk, card, rng)
     secret, card = core.client_punch(group, pk, secret, card, resp, rng)
     req = core.client_redeem(group, secret, card)
     ext.check_expiry(req.u, date(2026, 8, 22))
@@ -203,7 +204,7 @@ def test_purged_replay_still_rejected_by_expiry_gate():
     sk, pk = core.server_setup(toy, rng)
     db = RedeemDb()
     secret, card = ext.issue_expiring(toy, date(2026, 4, 1), rng)
-    resp = core.server_punch(toy, sk, card, rng)
+    resp = core.server_punch(toy, sk, pk, card, rng)
     secret, card = core.client_punch(toy, pk, secret, card, resp, rng)
     req = core.client_redeem(toy, secret, card)
     ext.check_expiry(req.u, date(2026, 3, 1))
@@ -246,7 +247,7 @@ def test_claim_backed_card_redeems(group):
     db = RedeemDb()
     rs, u = ext.make_claim_secret(rng)
     secret, card = core.issue(group, rng, u=u)
-    resp = core.server_punch(group, sk, card, rng)
+    resp = core.server_punch(group, sk, pk, card, rng)
     secret, card = core.client_punch(group, pk, secret, card, resp, rng)
     req = core.client_redeem(group, secret, card)
     assert core.server_redeem(group, sk, req, 1, db) is RedeemStatus.ACCEPT
@@ -262,11 +263,10 @@ def test_ticket_lifecycle(group):
     sk, pk = core.server_setup(group, rng)
     db = RedeemDb()
     secret, card = ext.issue_ticket(group, ["adult", "child", "parking"], rng)
-    responses = ext.server_punch_ticket(
-        group, sk, card, {"adult": 2, "child": 3}, rng=rng
+    responses = ext.server_punch_ticket(group, sk, pk, card, {"adult": 2, "child": 3}, rng=rng
     )
     secret, card = ext.client_punch_ticket(group, pk, secret, card, responses, rng)
-    responses = ext.server_punch_ticket(group, sk, card, {"parking": 1}, rng=rng)
+    responses = ext.server_punch_ticket(group, sk, pk, card, {"parking": 1}, rng=rng)
     secret, card = ext.client_punch_ticket(group, pk, secret, card, responses, rng)
     assert secret.counts == {"adult": 2, "child": 3, "parking": 1}
     req = ext.client_redeem_ticket(group, secret, card)
@@ -284,7 +284,7 @@ def test_ticket_slots_match_oracle():
     rng = random.Random(117)
     sk, pk = core.server_setup(toy, rng)
     secret, card = ext.issue_ticket(toy, ["a", "b"], rng)
-    responses = ext.server_punch_ticket(toy, sk, card, {"a": 3, "b": 1}, rng=rng)
+    responses = ext.server_punch_ticket(toy, sk, pk, card, {"a": 3, "b": 1}, rng=rng)
     secret, card = ext.client_punch_ticket(toy, pk, secret, card, responses, rng)
     for name, punches in (("a", 3), ("b", 1)):
         base = toy.hash_to_group(ext.TAG_TICKET_PREFIX + name, secret.u)
@@ -305,7 +305,7 @@ def test_ticket_slot_tags_are_independent(group):
     sk, pk = core.server_setup(group, rng)
     db = RedeemDb()
     secret, card = ext.issue_ticket(group, ["a", "b"], rng)
-    responses = ext.server_punch_ticket(group, sk, card, {"a": 2}, rng=rng)
+    responses = ext.server_punch_ticket(group, sk, pk, card, {"a": 2}, rng=rng)
     secret, card = ext.client_punch_ticket(group, pk, secret, card, responses, rng)
     req = ext.client_redeem_ticket(group, secret, card)
     swapped = ext.TicketRedeemRequest(
@@ -325,8 +325,8 @@ def test_ticket_unknown_slot_raises(group):
     sk, pk = core.server_setup(group, rng)
     secret, card = ext.issue_ticket(group, ["a"], rng)
     with pytest.raises(ValueError):
-        ext.server_punch_ticket(group, sk, card, {"nope": 1}, rng=rng)
-    resp = ext.server_punch_ticket(group, sk, card, {"a": 1}, rng=rng)
+        ext.server_punch_ticket(group, sk, pk, card, {"nope": 1}, rng=rng)
+    resp = ext.server_punch_ticket(group, sk, pk, card, {"a": 1}, rng=rng)
     with pytest.raises(ProofRejected):
         ext.client_punch_ticket(group, pk, secret, card, {"nope": resp["a"]}, rng)
 
@@ -336,7 +336,7 @@ def test_ticket_inflated_count_rejected(group):
     sk, pk = core.server_setup(group, rng)
     db = RedeemDb()
     secret, card = ext.issue_ticket(group, ["a"], rng)
-    responses = ext.server_punch_ticket(group, sk, card, {"a": 1}, rng=rng)
+    responses = ext.server_punch_ticket(group, sk, pk, card, {"a": 1}, rng=rng)
     secret, card = ext.client_punch_ticket(group, pk, secret, card, responses, rng)
     req = ext.client_redeem_ticket(group, secret, card)
     inflated = ext.TicketRedeemRequest(

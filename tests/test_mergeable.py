@@ -17,7 +17,7 @@ def pairing(request):
 def _punched(pairing, sk, pk, rng, times, u=None):
     secret, card = mergeable.issue(pairing, rng, u=u)
     for _ in range(times):
-        resp = mergeable.server_punch(pairing, sk, card, rng)
+        resp = mergeable.server_punch(pairing, sk, pk, card, rng)
         secret, card = mergeable.client_punch(pairing, pk, secret, card, resp, rng)
     return secret, card
 
@@ -84,7 +84,7 @@ def test_punch_is_all_or_nothing(pairing):
     rng = random.Random(86)
     sk, pk = mergeable.server_setup(pairing, rng)
     secret, card = mergeable.issue(pairing, rng)
-    good = mergeable.server_punch(pairing, sk, card, rng)
+    good = mergeable.server_punch(pairing, sk, pk, card, rng)
     bad1 = _wrong_proof(pairing.g1, mergeable.TAG_PUNCH_PROOF_G1, rng)
     bad0 = _wrong_proof(pairing.g0, mergeable.TAG_PUNCH_PROOF_G0, rng)
     for bad in (
@@ -101,7 +101,8 @@ def _wrong_proof(group, tag, rng):
 
     k = group.random_scalar(rng)
     base = group.exp(group.generator(), group.random_scalar(rng))
-    return dleq.prove(group, tag, k, base, group.exp(base, k), rng)
+    pk = group.exp(group.generator(), k)
+    return dleq.prove(group, tag, k, pk, base, group.exp(base, k), rng)
 
 
 def test_wrong_key_punch_rejected(pairing):
@@ -111,7 +112,8 @@ def test_wrong_key_punch_rejected(pairing):
     while evil == sk:
         evil = pairing.g0.random_scalar(rng)
     secret, card = mergeable.issue(pairing, rng)
-    resp = mergeable.server_punch(pairing, evil, card, rng)
+    _, evil_pk = mergeable.server_setup(pairing, sk=evil)
+    resp = mergeable.server_punch(pairing, evil, evil_pk, card, rng)
     with pytest.raises(ProofRejected):
         mergeable.client_punch(pairing, pk, secret, card, resp, rng)
 
@@ -120,7 +122,7 @@ def test_serialization_round_trips(pairing):
     rng = random.Random(88)
     sk, pk = mergeable.server_setup(pairing, rng)
     secret, card = mergeable.issue(pairing, rng)
-    resp = mergeable.server_punch(pairing, sk, card, rng)
+    resp = mergeable.server_punch(pairing, sk, pk, card, rng)
     sb, cb = mergeable.issue(pairing, rng)
     req = mergeable.client_merge_redeem(pairing, secret, card, sb, cb)
     for obj, cls in (
@@ -142,7 +144,7 @@ def test_production_wire_sizes():
     rng = random.Random(89)
     sk, pk = mergeable.server_setup(pairing, rng)
     secret, card = mergeable.issue(pairing, rng)
-    resp = mergeable.server_punch(pairing, sk, card, rng)
+    resp = mergeable.server_punch(pairing, sk, pk, card, rng)
     sb, cb = mergeable.issue(pairing, rng)
     req = mergeable.client_merge_redeem(pairing, secret, card, sb, cb)
     assert len(pk.to_bytes(pairing)) == 144
@@ -184,7 +186,7 @@ def test_card_sides_match_exponent_oracle():
         s = pow(sk, k, pairing.order)
         assert pairing.g0.dlog(card.side0) == x0 * s % pairing.order * secret.mask0 % pairing.order
         assert pairing.g1.dlog(card.side1) == x1 * s % pairing.order * secret.mask1 % pairing.order
-        resp = mergeable.server_punch(pairing, sk, card, rng)
+        resp = mergeable.server_punch(pairing, sk, pk, card, rng)
         secret, card = mergeable.client_punch(pairing, pk, secret, card, resp, rng)
 
 
@@ -197,9 +199,9 @@ def test_pairing_value_independent_of_masks():
     sb, cb = _punched(pairing, sk, pk, rng, 1)
     first = mergeable.client_merge_redeem(pairing, sa, ca, sb, cb)
     # one more punch-and-remask round on each, then undo by redeeming at 5
-    ra = mergeable.server_punch(pairing, sk, ca, rng)
+    ra = mergeable.server_punch(pairing, sk, pk, ca, rng)
     sa, ca = mergeable.client_punch(pairing, pk, sa, ca, ra, rng)
-    rb = mergeable.server_punch(pairing, sk, cb, rng)
+    rb = mergeable.server_punch(pairing, sk, pk, cb, rng)
     sb, cb = mergeable.client_punch(pairing, pk, sb, cb, rb, rng)
     second = mergeable.client_merge_redeem(pairing, sa, ca, sb, cb)
     assert pairing.gt.dlog(second.value) == pairing.gt.dlog(first.value) * pow(

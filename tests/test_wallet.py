@@ -17,8 +17,8 @@ class FakeMainServer:
     def __init__(self, rng, group_name="ristretto255"):
         self.group = get_group(group_name)
         self.rng = rng
-        self.sk, pk = core.server_setup(self.group, rng)
-        self.pk_bytes = self.group.encode_element(pk)
+        self.sk, self.pk = core.server_setup(self.group, rng)
+        self.pk_bytes = self.group.encode_element(self.pk)
         self.db = RedeemDb()
 
     def fetch_pk(self):
@@ -28,12 +28,14 @@ class FakeMainServer:
         g = self.group
         if msg_type == wire.PUNCH_REQ:
             card = g.decode_element(body)
-            resp = core.server_punch(g, self.sk, card, self.rng)
+            resp = core.server_punch(g, self.sk, self.pk, card, self.rng)
             return wire.PUNCH_RESP, resp.to_bytes(g)
         if msg_type == wire.MULTI_REQ:
             t, blob = wire.unpack_multi_req(body)
             card = g.decode_element(blob)
-            resp = extensions.server_multi_punch(g, self.sk, card, t, rng=self.rng)
+            resp = extensions.server_multi_punch(
+                g, self.sk, self.pk, card, t, rng=self.rng
+            )
             return wire.MULTI_RESP, resp.to_bytes(g)
         if msg_type == wire.REDEEM_REQ:
             count, blob = wire.unpack_redeem_body(body)
@@ -47,8 +49,8 @@ class FakeMergeServer:
     def __init__(self, rng, pairing_name="toy-pairing"):
         self.pairing = get_pairing(pairing_name)
         self.rng = rng
-        self.sk, pk = mergeable.server_setup(self.pairing, rng)
-        self.pk_bytes = pk.to_bytes(self.pairing)
+        self.sk, self.pk = mergeable.server_setup(self.pairing, rng)
+        self.pk_bytes = self.pk.to_bytes(self.pairing)
         self.db = RedeemDb()
 
     def fetch_pk(self):
@@ -58,7 +60,7 @@ class FakeMergeServer:
         pg = self.pairing
         if msg_type == wire.MERGE_PUNCH_REQ:
             card = mergeable.MergeCard.from_bytes(pg, body)
-            resp = mergeable.server_punch(pg, self.sk, card, self.rng)
+            resp = mergeable.server_punch(pg, self.sk, self.pk, card, self.rng)
             return wire.MERGE_PUNCH_RESP, resp.to_bytes(pg)
         if msg_type == wire.MERGE_REDEEM_REQ:
             count, blob = wire.unpack_redeem_body(body)
