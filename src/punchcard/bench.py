@@ -150,7 +150,7 @@ def bench_mergeable(
         _time_op(
             "pair",
             lambda: (g0.exp_base(g0.random_scalar()), g1.exp_base(g1.random_scalar())),
-            lambda a: pairing.pair(a[0], a[1]),
+            lambda pts: pairing.pair(*pts),
             trials,
         ),
         _time_op("g0_exp_base", g0.random_scalar, g0.exp_base, trials),

@@ -383,7 +383,7 @@ class FixedBaseComb:
 
     The 256-entry affine table of the teeth's subset sums is built on the
     first call, not at import, so a server pays for it after it starts
-    listening, and only if it proves. Two threads may both build it; each
+    listening, on its first proof. Two threads may both build it; each
     builds into a local and publishes it with one assignment, and the
     tables they build are equal."""
 

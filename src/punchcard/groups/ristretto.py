@@ -251,7 +251,7 @@ class _SodiumBackend:
         out = ctypes.create_string_buffer(32)
         sc = (k % L).to_bytes(32, "little")
         if self._lib.crypto_scalarmult_ristretto255_base(out, sc) != 0:
-            raise ValueError("libsodium base scalarmult gave the identity")
+            raise RuntimeError("libsodium base scalarmult gave the identity")
         return out.raw
 
     def from_hash(self, h: bytes) -> bytes:

@@ -263,7 +263,8 @@ def test_ticket_lifecycle(group):
     sk, pk = core.server_setup(group, rng)
     db = RedeemDb()
     secret, card = ext.issue_ticket(group, ["adult", "child", "parking"], rng)
-    responses = ext.server_punch_ticket(group, sk, pk, card, {"adult": 2, "child": 3}, rng=rng
+    responses = ext.server_punch_ticket(
+        group, sk, pk, card, {"adult": 2, "child": 3}, rng=rng
     )
     secret, card = ext.client_punch_ticket(group, pk, secret, card, responses, rng)
     responses = ext.server_punch_ticket(group, sk, pk, card, {"parking": 1}, rng=rng)
