@@ -1,10 +1,12 @@
 """Optimal ate pairing for BLS12-381.
 
 The Miller loop keeps the running twist point T in homogeneous projective
-coordinates (X : Y : Z) on E', x = X/Z, y = Y/Z, so no step inverts: the
-doubling and the mixed addition of the affine Q are the formulas of
-Costello, Lange and Naehrig, "Faster pairing computations on curves with
-high-degree twists" (PKC 2010). With the tower w^6 = xi and the untwist
+coordinates (X : Y : Z) on E', x = X/Z, y = Y/Z, so no step inverts. The
+doubling is that of Costello, Lange and Naehrig, "Faster pairing
+computations on curves with high-degree twists" (PKC 2010), scaled by 4 so
+that nothing is halved: X' = 2XY(Y^2 - 9b'Z^2), Y' = (Y^2 + 9b'Z^2)^2 -
+108 b'^2 Z^4, Z' = 8Y^3 Z. Q is added in mixed coordinates, Q affine.
+With the tower w^6 = xi and the untwist
 (x, y) -> (x/w^2, y/w^3), the line through T with slope lam, evaluated at
 a base-curve point P = (xP, yP) and scaled by the subfield unit xi, is
 
@@ -78,7 +80,7 @@ def _miller_loop(p_pt, q_pt):
     X, Y, Z = xq, yq, F2_ONE
     f = F12_ONE
     for bit in _U_BITS:
-        # doubling: line scaled by H = 2YZ; T <- 2T (Costello-Lange-Naehrig)
+        # doubling: line scaled by H = 2YZ, then T <- 2T
         XX, YY, ZZ = f2_sqr(X), f2_sqr(Y), f2_sqr(Z)
         E = f2_mul_by_xi(f2_muls(ZZ, 12))  # 3 b' Z^2 with b' = 4 xi
         F = f2_muls(E, 3)
@@ -93,21 +95,21 @@ def _miller_loop(p_pt, q_pt):
         Y = f2_sub(f2_sqr(f2_add(YY, F)), f2_muls(f2_sqr(E), 12))
         Z = f2_muls(f2_mul(YY, H), 4)
         if bit == "1":
-            # addition of affine Q: line scaled by lam = X - xq Z
-            theta = f2_sub(Y, f2_mul(yq, Z))
-            lam = f2_sub(X, f2_mul(xq, Z))
+            # mixed addition of Q: slope num/den, line scaled by den
+            num = f2_sub(Y, f2_mul(yq, Z))
+            den = f2_sub(X, f2_mul(xq, Z))
             f = f12_mul_by_line(
                 f,
-                f2_mul_by_xi(f2_muls(lam, yp)),
-                f2_sub(f2_mul(theta, xq), f2_mul(lam, yq)),
-                f2_muls(theta, neg_xp),
+                f2_mul_by_xi(f2_muls(den, yp)),
+                f2_sub(f2_mul(num, xq), f2_mul(den, yq)),
+                f2_muls(num, neg_xp),
             )
-            D = f2_sqr(lam)
-            E = f2_mul(lam, D)
+            D = f2_sqr(den)
+            E = f2_mul(den, D)
             G = f2_mul(X, D)
-            H = f2_sub(f2_add(E, f2_mul(Z, f2_sqr(theta))), f2_muls(G, 2))
-            X = f2_mul(lam, H)
-            Y = f2_sub(f2_mul(theta, f2_sub(G, H)), f2_mul(Y, E))
+            H = f2_sub(f2_add(E, f2_mul(Z, f2_sqr(num))), f2_muls(G, 2))
+            X = f2_mul(den, H)
+            Y = f2_sub(f2_mul(num, f2_sub(G, H)), f2_mul(Y, E))
             Z = f2_mul(Z, E)
     return f12_conj(f)
 
