@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -289,3 +290,41 @@ def test_crash_after_redeem_accept_cannot_double_accept(tmp_path):
     again = _wallet(tmp_path)
     assert len(again.cards) == 1  # card still in the wallet
     assert again.redeem(server, idx) is RedeemStatus.DOUBLE_SPEND
+
+
+# --- pinned file bytes ----------------------------------------------------------
+
+
+_WALLET_PINS = {
+    "main": (
+        lambda rng: FakeMainServer(rng),
+        dict(scheme="main", group_name="ristretto255"),
+        "51ac5abe2e2b47eac7bb20bedebd4a80323747e58d12f0888e363753f652ae67",
+    ),
+    "mergeable": (
+        lambda rng: FakeMergeServer(rng, "bls12-381"),
+        dict(scheme="mergeable", pairing_name="bls12-381"),
+        "37b66d0b030e631ba888ad8fad42726b24ce023c3cb88bb5763d7f10069627f9",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WALLET_PINS))
+def test_seeded_wallet_file_pinned(tmp_path, name):
+    """A wallet file built from one seeded stream (a fixed server key, two
+    cards, the first punched twice) has pinned bytes, and reloading and
+    saving it writes the same bytes back."""
+    make_server, kwargs, expected = _WALLET_PINS[name]
+    rng = random.Random(2404)
+    server = make_server(rng)
+    w = _wallet(tmp_path, **kwargs)
+    w.new_card(rng)
+    w.new_card(rng)
+    w.punch(server, 0, rng)
+    w.punch(server, 0, rng)
+    data = (tmp_path / "wallet").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == expected
+    again = _wallet(tmp_path, **kwargs)
+    assert [c.count for c in again.cards] == [2, 0]
+    again.save()
+    assert (tmp_path / "wallet").read_bytes() == data
