@@ -14,9 +14,7 @@ import os
 import time
 from typing import Callable, Dict, List, Optional
 
-from . import core, mergeable
 from .db import RedeemDb
-from .groups import get_group, get_pairing
 
 MIN_TRIALS = 100
 
@@ -46,52 +44,59 @@ def _random_secrets(n: int) -> List[bytes]:
     return [blob[i * 32 : (i + 1) * 32] for i in range(n)]
 
 
-def bench_main(
-    group_name: str = "ristretto255", trials: int = MIN_TRIALS, db_size: int = 0
-) -> Dict:
-    group = get_group(group_name)
-    sk, pk = core.server_setup(group)
+def run(scheme, trials: int = MIN_TRIALS, db_size: int = 0) -> Dict:
+    """Time the operations of a scheme object (`schemes`) and measure its
+    messages."""
+    sk, pk = scheme.setup()
     punches = 10
+    for g in scheme.groups:
+        g.exp_base(1)  # builds any fixed-base table before timing
 
-    rows = [
-        _time_op(
-            "issue",
-            lambda: None,
-            lambda _: core.issue(group),
-            trials,
-        ),
+    def punched():
+        secret, card = scheme.issue()
+        return pk, secret, card, scheme.server_punch(sk, pk, card)
+
+    def issued_for_redeem():
+        return [scheme.issue() for _ in range(scheme.redeem_cards)]
+
+    def accepted_request():
+        return scheme.expected_request(sk, punches)
+
+    rows = []
+    pairing = scheme.pairing
+    if pairing is not None:
+        rows.append(
+            _time_op(
+                "pair",
+                lambda: tuple(g.exp_base(g.random_scalar()) for g in scheme.groups),
+                lambda pts: pairing.pair(*pts),
+                trials,
+            )
+        )
+    for i, g in enumerate(scheme.groups):
+        rows.append(_time_op(f"g{i}_exp_base", g.random_scalar, g.exp_base, trials))
+    rows += [
+        _time_op("issue", lambda: None, lambda _: scheme.issue(), trials),
         _time_op(
             "server_punch",
-            lambda: core.issue(group)[1],
-            lambda card: core.server_punch(group, sk, pk, card),
+            lambda: scheme.issue()[1],
+            lambda card: scheme.server_punch(sk, pk, card),
             trials,
         ),
-        _time_op(
-            "client_punch",
-            lambda: (lambda s, c: (s, c, core.server_punch(group, sk, pk, c)))(
-                *core.issue(group)
-            ),
-            lambda a: core.client_punch(group, pk, a[0], a[1], a[2]),
-            trials,
-        ),
+        _time_op("client_punch", punched, lambda a: scheme.client_punch(*a), trials),
         _time_op(
             "punch_round_trip",
-            lambda: core.issue(group),
-            lambda a: core.client_punch(
-                group, pk, a[0], a[1], core.server_punch(group, sk, pk, a[1])
+            scheme.issue,
+            lambda a: scheme.client_punch(
+                pk, a[0], a[1], scheme.server_punch(sk, pk, a[1])
             ),
             trials,
         ),
-        _time_op(
-            "client_redeem",
-            lambda: core.issue(group),
-            lambda a: core.client_redeem(group, a[0], a[1]),
-            trials,
-        ),
+        _time_op("client_redeem", issued_for_redeem, scheme.client_redeem, trials),
         _time_op(
             "server_verify",
-            lambda: _synth_main_request(group, sk, punches),
-            lambda req: core.verify_card(group, sk, req, punches),
+            accepted_request,
+            lambda req: scheme.verify_card(sk, req, punches),
             trials,
         ),
     ]
@@ -99,123 +104,24 @@ def bench_main(
     db = RedeemDb()
     if db_size:
         db.preload(_random_secrets(db_size))
-
     rows.append(
         _time_op(
             f"server_redeem(db={len(db)})",
-            lambda: _synth_main_request(group, sk, punches),
-            lambda req: core.server_redeem(group, sk, req, punches, db),
+            accepted_request,
+            lambda req: scheme.server_redeem(sk, req, punches, db),
             trials,
         )
     )
 
-    secret, card = core.issue(group)
-    resp = core.server_punch(group, sk, pk, card)
-    req = core.client_redeem(group, secret, card)
+    cards = issued_for_redeem()
+    card = cards[0][1]
     sizes = {
-        "public_key": len(group.encode_element(pk)),
-        "punch_request": len(group.encode_element(card)),
-        "punch_response": len(resp.to_bytes(group)),
-        "redeem_request": len(req.to_bytes(group)),
+        "public_key": len(scheme.encode_pk(pk)),
+        "punch_request": len(scheme.encode_card(card)),
+        "punch_response": len(scheme.encode(scheme.server_punch(sk, pk, card))),
+        "redeem_request": len(scheme.encode(scheme.client_redeem(cards))),
     }
-    return {"scheme": "main", "group": group_name, "rows": rows, "sizes": sizes}
-
-
-def _synth_main_request(group, sk: int, count: int) -> core.RedeemRequest:
-    """Accept-path request built server-side (skips the client punch loop)."""
-    u = os.urandom(32)
-    return core.RedeemRequest(u=u, card=core.expected_card(group, sk, u, count))
-
-
-def bench_mergeable(
-    pairing_name: str = "bls12-381", trials: int = MIN_TRIALS
-) -> Dict:
-    pairing = get_pairing(pairing_name)
-    g0, g1 = pairing.g0, pairing.g1
-    sk, pk = mergeable.server_setup(pairing)
-    punches = 2
-    g0.exp_base(1)  # builds the fixed-base tables before any timing
-    g1.exp_base(1)
-
-    def earned_pair():
-        sa, ca = mergeable.issue(pairing)
-        sb, cb = mergeable.issue(pairing)
-        for _ in range(punches):
-            sa, ca = mergeable.client_punch(
-                pairing, pk, sa, ca, mergeable.server_punch(pairing, sk, pk, ca)
-            )
-        return sa, ca, sb, cb
-
-    rows = [
-        _time_op(
-            "pair",
-            lambda: (g0.exp_base(g0.random_scalar()), g1.exp_base(g1.random_scalar())),
-            lambda pts: pairing.pair(*pts),
-            trials,
-        ),
-        _time_op("g0_exp_base", g0.random_scalar, g0.exp_base, trials),
-        _time_op("g1_exp_base", g1.random_scalar, g1.exp_base, trials),
-        _time_op(
-            "issue",
-            lambda: None,
-            lambda _: mergeable.issue(pairing),
-            trials,
-        ),
-        _time_op(
-            "server_punch",
-            lambda: mergeable.issue(pairing)[1],
-            lambda card: mergeable.server_punch(pairing, sk, pk, card),
-            trials,
-        ),
-        _time_op(
-            "punch_round_trip",
-            lambda: mergeable.issue(pairing),
-            lambda a: mergeable.client_punch(
-                pairing, pk, a[0], a[1], mergeable.server_punch(pairing, sk, pk, a[1])
-            ),
-            trials,
-        ),
-        _time_op(
-            "client_merge_redeem",
-            earned_pair,
-            lambda a: mergeable.client_merge_redeem(pairing, a[0], a[1], a[2], a[3]),
-            trials,
-        ),
-        _time_op(
-            "server_verify",
-            lambda: _synth_merge_request(pairing, sk, punches),
-            lambda req: mergeable.verify_card(pairing, sk, req, punches),
-            trials,
-        ),
-    ]
-
-    secret, card = mergeable.issue(pairing)
-    resp = mergeable.server_punch(pairing, sk, pk, card)
-    sb, cb = mergeable.issue(pairing)
-    req = mergeable.client_merge_redeem(pairing, secret, card, sb, cb)
-    sizes = {
-        "public_key": len(pk.to_bytes(pairing)),
-        "punch_request": len(card.to_bytes(pairing)),
-        "punch_response": len(resp.to_bytes(pairing)),
-        "redeem_request": len(req.to_bytes(pairing)),
-    }
-    return {
-        "scheme": "mergeable",
-        "group": pairing_name,
-        "rows": rows,
-        "sizes": sizes,
-    }
-
-
-def _synth_merge_request(pairing, sk: int, count: int):
-    """Accept-path request built server-side (no client punch loop)."""
-    u_a, u_b = os.urandom(32), os.urandom(32)
-    base0, _ = mergeable.card_bases(pairing, u_a)
-    _, base1 = mergeable.card_bases(pairing, u_b)
-    value = pairing.pair(
-        pairing.g0.exp(base0, pow(sk, count, pairing.order)), base1
-    )
-    return mergeable.MergeRedeemRequest(u_a=u_a, u_b=u_b, value=value)
+    return dict(scheme=scheme.name, group=scheme.backend, rows=rows, sizes=sizes)
 
 
 def render_table(result: Dict) -> str:

@@ -9,6 +9,10 @@
     punchcard wallet merge-redeem --wallet w.bin --card-a 0 [--card-b 1] --port 7907
     punchcard bench main|mergeable [--trials N] [--db-size N] [--csv out.csv]
     punchcard attacks run [--seed N] [--json out.json] [--quick]
+
+Wallet commands open the file as the scheme it holds. `new-card --scheme`
+sets the scheme of a new file and must match an existing one (exit 1
+otherwise). Scheme-specific work is done by the objects in `schemes`.
 """
 
 from __future__ import annotations
@@ -19,21 +23,11 @@ import os
 import sys
 from datetime import date
 
-from . import attacks, bench, extensions, service
+from . import attacks, bench, extensions, schemes, service
 from .core import RedeemStatus
 from .db import RedeemDb
 from .errors import ConfigError, PunchcardError
-from .wallet import Wallet, _MAGIC, _SCHEME_MAIN
-
-
-def _open_wallet(path: str, scheme: str = None) -> Wallet:
-    if os.path.exists(path):
-        with open(path, "rb") as f:
-            head = f.read(5)
-        if len(head) < 5 or head[:4] != _MAGIC:
-            raise PunchcardError(f"{path} is not a wallet file")
-        scheme = "main" if head[4] == _SCHEME_MAIN else "mergeable"
-    return Wallet(path, scheme=scheme or "main")
+from .wallet import Wallet
 
 
 def _client(args) -> service.Client:
@@ -46,20 +40,11 @@ def _print_status(status: RedeemStatus) -> int:
 
 
 def cmd_server_run(args) -> int:
-    try:
-        cfg = service.load_config(args.config)
-    except ConfigError as e:
-        print(f"config: {e}", file=sys.stderr)
-        return service.EXIT_CONFIG
-    return service.run_server(cfg)
+    return service.run_server(service.load_config(args.config))
 
 
 def cmd_server_purge(args) -> int:
-    try:
-        cfg = service.load_config(args.config)
-    except ConfigError as e:
-        print(f"config: {e}", file=sys.stderr)
-        return service.EXIT_CONFIG
+    cfg = service.load_config(args.config)
     db = RedeemDb(os.path.join(cfg.state_dir, "redeemed.db"), fsync=cfg.fsync)
     try:
         dropped = extensions.purge_expired(db, date.today())
@@ -70,14 +55,14 @@ def cmd_server_purge(args) -> int:
 
 
 def cmd_wallet_new_card(args) -> int:
-    wallet = _open_wallet(args.wallet, scheme=args.scheme)
+    wallet = Wallet(args.wallet, scheme=args.scheme)
     index = wallet.new_card()
     print(f"card #{index} created")
     return 0
 
 
 def cmd_wallet_list(args) -> int:
-    wallet = _open_wallet(args.wallet)
+    wallet = Wallet(args.wallet, scheme=None)
     if not wallet.cards:
         print("wallet is empty")
         return 0
@@ -88,7 +73,7 @@ def cmd_wallet_list(args) -> int:
 
 
 def cmd_wallet_punch(args) -> int:
-    wallet = _open_wallet(args.wallet)
+    wallet = Wallet(args.wallet, scheme=None)
     with _client(args) as client:
         if args.times > 1:
             gained = wallet.multi_punch(client, args.card, args.times)
@@ -101,13 +86,13 @@ def cmd_wallet_punch(args) -> int:
 
 
 def cmd_wallet_redeem(args) -> int:
-    wallet = _open_wallet(args.wallet)
+    wallet = Wallet(args.wallet, scheme=None)
     with _client(args) as client:
         return _print_status(wallet.redeem(client, args.card))
 
 
 def cmd_wallet_merge_redeem(args) -> int:
-    wallet = _open_wallet(args.wallet)
+    wallet = Wallet(args.wallet, scheme=None)
     with _client(args) as client:
         return _print_status(
             wallet.merge_redeem(client, args.card_a, args.card_b)
@@ -116,10 +101,9 @@ def cmd_wallet_merge_redeem(args) -> int:
 
 def cmd_bench(args) -> int:
     try:
-        if args.scheme == "main":
-            result = bench.bench_main(trials=args.trials, db_size=args.db_size)
-        else:
-            result = bench.bench_mergeable(trials=args.trials)
+        result = bench.run(
+            schemes.get_scheme(args.scheme), trials=args.trials, db_size=args.db_size
+        )
     except ValueError as e:
         print(f"bench: {e}", file=sys.stderr)
         return 1
@@ -175,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     new_card = wallet_sub.add_parser("new-card")
     wallet_common(new_card, network=False)
-    new_card.add_argument("--scheme", choices=("main", "mergeable"), default="main")
+    new_card.add_argument("--scheme", choices=schemes.NAMES, default=None)
     new_card.set_defaults(func=cmd_wallet_new_card)
 
     listing = wallet_sub.add_parser("list")
@@ -200,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     merge.set_defaults(func=cmd_wallet_merge_redeem)
 
     bench_p = sub.add_parser("bench", help="timing and size measurements")
-    bench_p.add_argument("scheme", choices=("main", "mergeable"))
+    bench_p.add_argument("scheme", choices=schemes.NAMES)
     bench_p.add_argument("--trials", type=int, default=bench.MIN_TRIALS)
     bench_p.add_argument("--db-size", type=int, default=0)
     bench_p.add_argument("--csv", default=None)
@@ -225,6 +209,9 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
+    except ConfigError as e:
+        print(f"config: {e}", file=sys.stderr)
+        return service.EXIT_CONFIG
     except PunchcardError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -19,6 +19,11 @@ H must be a proper hash onto the group: if clients could choose p with a
 known discrete log relative to older cards, one redeemed card would seed
 forgeries of others.
 
+The punch step itself (exponentiate, prove, verify, re-mask) is the
+chain primitive below: punch_chain, verify_chain and remask. The single
+punch here, multi-punch and ticket slots in `extensions`, and each side of
+the mergeable scheme all run it.
+
 Redemption double-spend protection is the (u, seen-set) check; it needs the
 atomic check-and-insert the db module provides.
 """
@@ -27,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Any, Optional, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from . import dleq
 from .errors import InvalidEncoding, ProofRejected
@@ -118,13 +123,52 @@ def issue(
     return CardSecret(u=u, mask=mask), group.exp(card_base(group, u), mask)
 
 
+def punch_chain(
+    group: Group, tag: str, sk: int, pk: Element, card: Element, t: int, rng=None
+) -> List[Tuple[Element, dleq.DleqProof]]:
+    """The server's punch step t times: raise the previous element (the
+    card first) to sk and prove it under the held pk = g^sk."""
+    steps = []
+    prev = card
+    for _ in range(t):
+        nxt = group.exp(prev, sk)
+        steps.append((nxt, dleq.prove(group, tag, sk, pk, prev, nxt, rng)))
+        prev = nxt
+    return steps
+
+
+def verify_chain(
+    group: Group,
+    tag: str,
+    pk: Element,
+    card: Element,
+    steps: Sequence[Tuple[Element, dleq.DleqProof]],
+) -> Element:
+    """The last element of a chain whose every proof ties its element to
+    the one before (the card first); else ProofRejected."""
+    if not steps:
+        raise ProofRejected("punch response contains no punches")
+    prev = card
+    for element, proof in steps:
+        if not dleq.verify(group, tag, pk, prev, element, proof):
+            raise ProofRejected("punch proof does not verify")
+        prev = element
+    return prev
+
+
+def remask(group: Group, mask: int, element: Element, rng=None) -> Tuple[int, Element]:
+    """Swap the mask of a punched element for a fresh one: (new mask,
+    element the server has never seen)."""
+    new_mask = group.random_scalar(rng)
+    update = new_mask * group.invert_scalar(mask) % group.order
+    return new_mask, group.exp(element, update)
+
+
 def server_punch(
     group: Group, sk: int, pk: Element, card: Element, rng=None
 ) -> PunchResponse:
-    """Apply the key to whatever masked card the client sent, with proof
-    under pk = g^sk, the public key the server already holds."""
-    punched = group.exp(card, sk)
-    proof = dleq.prove(group, TAG_PUNCH_PROOF, sk, pk, card, punched, rng)
+    """Apply the key to whatever masked card the client sent, with proof."""
+    [(punched, proof)] = punch_chain(group, TAG_PUNCH_PROOF, sk, pk, card, 1, rng)
     return PunchResponse(punched=punched, proof=proof)
 
 
@@ -141,14 +185,11 @@ def client_punch(
     Raises ProofRejected (and discards the response) on any mismatch, so a
     tampered or wrong-key punch never reaches the stored card state.
     """
-    if not dleq.verify(group, TAG_PUNCH_PROOF, pk, card, resp.punched, resp.proof):
-        raise ProofRejected("punch response proof does not verify")
-    new_mask = group.random_scalar(rng)
-    update = new_mask * group.invert_scalar(secret.mask) % group.order
-    return (
-        CardSecret(u=secret.u, mask=new_mask),
-        group.exp(resp.punched, update),
+    punched = verify_chain(
+        group, TAG_PUNCH_PROOF, pk, card, [(resp.punched, resp.proof)]
     )
+    mask, element = remask(group, secret.mask, punched, rng)
+    return CardSecret(u=secret.u, mask=mask), element
 
 
 def client_redeem(group: Group, secret: CardSecret, card: Element) -> RedeemRequest:

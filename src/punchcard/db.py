@@ -33,6 +33,20 @@ _REC_CLAIM_TAKE = 3
 _MAX_PER_RECORD = 255  # the insert record's count is one byte; 0 ends replay
 
 
+def replace_durably(tmp: str, path: str, point: str) -> None:
+    """os.replace(tmp, path), then fsync the directory so that the rename
+    itself survives a crash. Fault points `point`.replace and
+    `point`.dirsync come just before each step."""
+    fault_point(point + ".replace")
+    os.replace(tmp, path)
+    fault_point(point + ".dirsync")
+    fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 class RedeemDb:
     """path=None keeps everything in memory (tests, benches). Otherwise
     `path` is the log file and `path + '.snap'` the snapshot."""
@@ -147,8 +161,7 @@ class RedeemDb:
                 f.write(u)
             f.flush()
             os.fsync(f.fileno())
-        fault_point("db.snapshot.replace")
-        os.replace(tmp, self._snap_path())
+        replace_durably(tmp, self._snap_path(), "db.snapshot")
         # the log is now redundant; restart it
         if self._log is not None:
             self._log.close()

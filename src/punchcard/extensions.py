@@ -1,8 +1,9 @@
 """Extensions over the single-card scheme.
 
 * multi-punch: one response carries p^sk, p^(sk^2), ..., p^(sk^t), each
-  step proven against the previous element, so a purchase can earn t
-  punches in one round trip for the price of one message.
+  step proven against the previous element (core.punch_chain with t
+  steps), so a purchase can earn t punches in one round trip for the
+  price of one message.
 * expiring secrets: the first 4 bytes of u encode an expiry date (days
   since 1970-01-01, big-endian, always a calendar-quarter boundary), which
   lets the server refuse stale cards and purge the spent-secret set.
@@ -93,14 +94,9 @@ def server_multi_punch(
 ) -> MultiPunchResponse:
     if not 1 <= t <= min(t_max, 255):
         raise PromotionTooLarge(f"punch count {t} outside [1, {min(t_max, 255)}]")
-    steps = []
-    prev = card
-    for _ in range(t):
-        nxt = group.exp(prev, sk)
-        proof = dleq.prove(group, core.TAG_PUNCH_PROOF, sk, pk, prev, nxt, rng)
-        steps.append((nxt, proof))
-        prev = nxt
-    return MultiPunchResponse(steps=steps)
+    return MultiPunchResponse(
+        steps=core.punch_chain(group, core.TAG_PUNCH_PROOF, sk, pk, card, t, rng)
+    )
 
 
 def client_multi_punch(
@@ -113,20 +109,9 @@ def client_multi_punch(
 ) -> Tuple[CardSecret, Element, int]:
     """Verify the whole chain, then re-mask off the last element. Returns
     the new state plus how many punches were gained."""
-    if not resp.steps:
-        raise ProofRejected("multi-punch response contains no punches")
-    prev = card
-    for element, proof in resp.steps:
-        if not dleq.verify(group, core.TAG_PUNCH_PROOF, pk, prev, element, proof):
-            raise ProofRejected("multi-punch chain proof does not verify")
-        prev = element
-    new_mask = group.random_scalar(rng)
-    update = new_mask * group.invert_scalar(secret.mask) % group.order
-    return (
-        CardSecret(u=secret.u, mask=new_mask),
-        group.exp(prev, update),
-        len(resp.steps),
-    )
+    last = core.verify_chain(group, core.TAG_PUNCH_PROOF, pk, card, resp.steps)
+    mask, element = core.remask(group, secret.mask, last, rng)
+    return CardSecret(u=secret.u, mask=mask), element, len(resp.steps)
 
 
 # ---------------------------------------------------------------------------
@@ -307,13 +292,13 @@ def client_punch_ticket(
     for name, resp in responses.items():
         if name not in card.slots:
             raise ProofRejected(f"response for unknown slot {name!r}")
-        fake = CardSecret(u=secret.u, mask=secret.masks[name])
-        updated, element, gained = client_multi_punch(
-            group, pk, fake, card.slots[name], resp, rng
+        last = core.verify_chain(
+            group, core.TAG_PUNCH_PROOF, pk, card.slots[name], resp.steps
         )
-        new_masks[name] = updated.mask
-        new_counts[name] += gained
-        new_slots[name] = element
+        new_masks[name], new_slots[name] = core.remask(
+            group, secret.masks[name], last, rng
+        )
+        new_counts[name] += len(resp.steps)
     return (
         TicketSecret(u=secret.u, masks=new_masks, counts=new_counts),
         TicketCard(slots=new_slots),

@@ -14,36 +14,43 @@ from .base import Group, PairingGroups, random_bytes, tagged, wide_hash
 from .ristretto import RistrettoGroup
 from .toy import SchnorrGroup, ToyPairing, toy_group
 
+
+def _bls12_381() -> PairingGroups:
+    # imported on first use, so main-scheme processes never load BLS12-381
+    from .bls import Bls12381
+
+    return Bls12381()
+
+
+_GROUP_MAKERS = {"ristretto255": RistrettoGroup, "toy": toy_group}
+_PAIRING_MAKERS = {"bls12-381": _bls12_381, "toy-pairing": ToyPairing}
+GROUP_NAMES = tuple(_GROUP_MAKERS)
+PAIRING_NAMES = tuple(_PAIRING_MAKERS)
+
 _groups: dict[str, Group] = {}
 _pairings: dict[str, PairingGroups] = {}
 
 
 def get_group(name: str) -> Group:
     if name not in _groups:
-        if name == "ristretto255":
-            _groups[name] = RistrettoGroup()
-        elif name == "toy":
-            _groups[name] = toy_group()
-        else:
+        if name not in _GROUP_MAKERS:
             raise ValueError(f"unknown group {name!r}")
+        _groups[name] = _GROUP_MAKERS[name]()
     return _groups[name]
 
 
 def get_pairing(name: str) -> PairingGroups:
     if name not in _pairings:
-        if name == "bls12-381":
-            from .bls import Bls12381
-
-            _pairings[name] = Bls12381()
-        elif name == "toy-pairing":
-            _pairings[name] = ToyPairing()
-        else:
+        if name not in _PAIRING_MAKERS:
             raise ValueError(f"unknown pairing {name!r}")
+        _pairings[name] = _PAIRING_MAKERS[name]()
     return _pairings[name]
 
 
 __all__ = [
+    "GROUP_NAMES",
     "Group",
+    "PAIRING_NAMES",
     "PairingGroups",
     "RistrettoGroup",
     "SchnorrGroup",

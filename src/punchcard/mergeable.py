@@ -1,7 +1,8 @@
 """Mergeable punch-card scheme over a pairing.
 
-Same punch-and-remask dance as the single-card scheme, run in parallel in
-two groups that share one secret key:
+Same punch-and-remask step as the single-card scheme (core.punch_chain,
+verify_chain and remask with one step), run on each of two groups that
+share one secret key:
 
     pk = (g0^sk, g1^sk)
     card for secret u: (p0, p1) = (H0(u)^m0, H1(u)^m1)
@@ -24,9 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
-from . import dleq
+from . import core, dleq
 from .core import SECRET_SIZE, RedeemStatus
-from .errors import InvalidEncoding, ProofRejected
+from .errors import InvalidEncoding
 from .groups import PairingGroups, random_bytes
 
 Element = Any
@@ -190,21 +191,14 @@ def issue(
 def server_punch(
     pairing: PairingGroups, sk: int, pk: MergePublicKey, card: MergeCard, rng=None
 ) -> MergePunchResponse:
-    """Both sides exponentiated by sk, each with a proof under its half of
-    pk, the public key the server already holds."""
-    g0, g1 = pairing.g0, pairing.g1
-    punched0 = g0.exp(card.side0, sk)
-    punched1 = g1.exp(card.side1, sk)
-    return MergePunchResponse(
-        punched0=punched0,
-        punched1=punched1,
-        proof0=dleq.prove(
-            g0, TAG_PUNCH_PROOF_G0, sk, pk.pk0, card.side0, punched0, rng
-        ),
-        proof1=dleq.prove(
-            g1, TAG_PUNCH_PROOF_G1, sk, pk.pk1, card.side1, punched1, rng
-        ),
+    """The punch step on each side, under that side's half of pk."""
+    [(punched0, proof0)] = core.punch_chain(
+        pairing.g0, TAG_PUNCH_PROOF_G0, sk, pk.pk0, card.side0, 1, rng
     )
+    [(punched1, proof1)] = core.punch_chain(
+        pairing.g1, TAG_PUNCH_PROOF_G1, sk, pk.pk1, card.side1, 1, rng
+    )
+    return MergePunchResponse(punched0, punched1, proof0, proof1)
 
 
 def client_punch(
@@ -217,24 +211,19 @@ def client_punch(
 ) -> Tuple[MergeCardSecret, MergeCard]:
     """Both side proofs must verify or the whole response is discarded; a
     half-punched card would let the two sides drift apart."""
-    ok0 = dleq.verify(
-        pairing.g0, TAG_PUNCH_PROOF_G0, pk.pk0, card.side0, resp.punched0, resp.proof0
+    punched0 = core.verify_chain(
+        pairing.g0, TAG_PUNCH_PROOF_G0, pk.pk0, card.side0,
+        [(resp.punched0, resp.proof0)],
     )
-    ok1 = dleq.verify(
-        pairing.g1, TAG_PUNCH_PROOF_G1, pk.pk1, card.side1, resp.punched1, resp.proof1
+    punched1 = core.verify_chain(
+        pairing.g1, TAG_PUNCH_PROOF_G1, pk.pk1, card.side1,
+        [(resp.punched1, resp.proof1)],
     )
-    if not (ok0 and ok1):
-        raise ProofRejected("mergeable punch proof does not verify")
-    new0 = pairing.g0.random_scalar(rng)
-    new1 = pairing.g1.random_scalar(rng)
-    up0 = new0 * pairing.g0.invert_scalar(secret.mask0) % pairing.g0.order
-    up1 = new1 * pairing.g1.invert_scalar(secret.mask1) % pairing.g1.order
+    mask0, side0 = core.remask(pairing.g0, secret.mask0, punched0, rng)
+    mask1, side1 = core.remask(pairing.g1, secret.mask1, punched1, rng)
     return (
-        MergeCardSecret(u=secret.u, mask0=new0, mask1=new1),
-        MergeCard(
-            side0=pairing.g0.exp(resp.punched0, up0),
-            side1=pairing.g1.exp(resp.punched1, up1),
-        ),
+        MergeCardSecret(u=secret.u, mask0=mask0, mask1=mask1),
+        MergeCard(side0=side0, side1=side1),
     )
 
 
@@ -254,6 +243,16 @@ def client_merge_redeem(
     )
 
 
+def expected_value(
+    pairing: PairingGroups, sk: int, u_a: bytes, u_b: bytes, count: int
+) -> Element:
+    """e(H0(u_a)^(sk^count), H1(u_b)), what cards u_a and u_b with count
+    punches between them merge into."""
+    base0 = pairing.g0.hash_to_group(TAG_CARD_HASH_G0, u_a)
+    base1 = pairing.g1.hash_to_group(TAG_CARD_HASH_G1, u_b)
+    return pairing.pair(pairing.g0.exp(base0, pow(sk, count, pairing.order)), base1)
+
+
 def verify_card(
     pairing: PairingGroups, sk: int, req: MergeRedeemRequest, count: int
 ) -> bool:
@@ -266,11 +265,7 @@ def verify_card(
         return False
     if len(req.u_a) != SECRET_SIZE or len(req.u_b) != SECRET_SIZE:
         return False
-    base0 = pairing.g0.hash_to_group(TAG_CARD_HASH_G0, req.u_a)
-    base1 = pairing.g1.hash_to_group(TAG_CARD_HASH_G1, req.u_b)
-    expected = pairing.pair(
-        pairing.g0.exp(base0, pow(sk, count, pairing.order)), base1
-    )
+    expected = expected_value(pairing, sk, req.u_a, req.u_b, count)
     return req.encoded_value(pairing) == pairing.gt.encode_element(expected)
 
 

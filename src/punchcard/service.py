@@ -1,5 +1,8 @@
 """Server process: config, key storage, request dispatch, TCP loop.
 
+The configured scheme is an object from `schemes`, and each Config field
+carries the parser that checks its value when the config is loaded.
+
 The server holds one secret scalar and one growing set of spent secrets.
 Per request it does group arithmetic and answers; it learns nothing that
 links a punch to a redemption, so the logs and stats here are aggregate
@@ -14,11 +17,11 @@ import os
 import socket
 import socketserver
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import date
-from typing import Dict, Optional, Set, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
-from . import core, extensions, mergeable, wire
+from . import core, extensions, schemes, wire
 from .db import RedeemDb
 from .errors import (
     BadExpiry,
@@ -29,7 +32,7 @@ from .errors import (
     WireError,
 )
 from .faults import fault_point
-from .groups import get_group, get_pairing
+from .groups import GROUP_NAMES, PAIRING_NAMES
 
 log = logging.getLogger("punchcard.server")
 
@@ -50,22 +53,6 @@ _BOOL_WORDS = {
 }
 
 
-@dataclass
-class Config:
-    listen_host: str = "127.0.0.1"
-    listen_port: int = 7907
-    state_dir: str = "./punchcard-state"
-    scheme: str = "main"  # main | mergeable
-    group: str = "ristretto255"
-    pairing: str = "bls12-381"
-    accepted_counts: Tuple[int, ...] = (10,)
-    t_max: int = extensions.DEFAULT_T_MAX
-    fsync: bool = True
-    opaque_rejects: bool = False
-    expiry_check: bool = False
-    horizon_quarters: int = extensions.DEFAULT_HORIZON_QUARTERS
-
-
 def _parse_bool(key: str, raw: str) -> bool:
     try:
         return _BOOL_WORDS[raw.strip().lower()]
@@ -83,16 +70,60 @@ def _parse_int(key: str, raw: str, lo: int, hi: int) -> int:
     return value
 
 
-def _parse_counts(raw: str) -> Tuple[int, ...]:
+def _parse_counts(key: str, raw: str) -> Tuple[int, ...]:
     counts = []
     for part in raw.split(","):
         part = part.strip()
         if not part:
             continue
-        counts.append(_parse_int("accepted_counts", part, 1, 1 << 15))
+        counts.append(_parse_int(key, part, 1, 1 << 15))
     if not counts:
-        raise ConfigError("accepted_counts: need at least one punch count")
+        raise ConfigError(f"{key}: need at least one punch count")
     return tuple(sorted(set(counts)))
+
+
+def _text(key: str, raw: str) -> str:
+    return raw
+
+
+def _int_in(lo: int, hi: int) -> Callable[[str, str], int]:
+    return lambda key, raw: _parse_int(key, raw, lo, hi)
+
+
+def _one_of(names: Tuple[str, ...]) -> Callable[[str, str], str]:
+    def parse(key: str, raw: str) -> str:
+        if raw not in names:
+            raise ConfigError(f"{key}: {raw!r} is not one of {', '.join(names)}")
+        return raw
+
+    return parse
+
+
+def _option(default, parse: Callable[[str, str], object]):
+    """A Config field whose raw text from the file or environment goes
+    through parse(key, raw), which raises ConfigError on a bad value."""
+    return field(default=default, metadata={"parse": parse})
+
+
+@dataclass
+class Config:
+    listen_host: str = _option("127.0.0.1", _text)
+    listen_port: int = _option(7907, _int_in(0, 65535))
+    state_dir: str = _option("./punchcard-state", _text)
+    scheme: str = _option("main", _one_of(schemes.NAMES))
+    group: str = _option("ristretto255", _one_of(GROUP_NAMES))
+    pairing: str = _option("bls12-381", _one_of(PAIRING_NAMES))
+    accepted_counts: Tuple[int, ...] = _option((10,), _parse_counts)
+    t_max: int = _option(extensions.DEFAULT_T_MAX, _int_in(1, 255))
+    fsync: bool = _option(True, _parse_bool)
+    opaque_rejects: bool = _option(False, _parse_bool)
+    expiry_check: bool = _option(False, _parse_bool)
+    horizon_quarters: int = _option(
+        extensions.DEFAULT_HORIZON_QUARTERS, _int_in(1, 64)
+    )
+
+
+_PARSERS = {f.name: f.metadata["parse"] for f in fields(Config)}
 
 
 def load_config(path: Optional[str] = None, env: Optional[Dict[str, str]] = None) -> Config:
@@ -114,41 +145,16 @@ def load_config(path: Optional[str] = None, env: Optional[Dict[str, str]] = None
             key, _, value = line.partition("=")
             pairs[key.strip().lower()] = value.strip()
     env = os.environ if env is None else env
-    for key in list(Config.__dataclass_fields__):
+    for key in _PARSERS:
         env_key = "PUNCHCARD_" + key.upper()
         if env_key in env:
             pairs[key] = env[env_key]
 
     cfg = Config()
     for key, raw in pairs.items():
-        if key == "listen_host":
-            cfg.listen_host = raw
-        elif key == "listen_port":
-            cfg.listen_port = _parse_int(key, raw, 0, 65535)
-        elif key == "state_dir":
-            cfg.state_dir = raw
-        elif key == "scheme":
-            if raw not in ("main", "mergeable"):
-                raise ConfigError(f"scheme: {raw!r} is not main or mergeable")
-            cfg.scheme = raw
-        elif key == "group":
-            cfg.group = raw
-        elif key == "pairing":
-            cfg.pairing = raw
-        elif key == "accepted_counts":
-            cfg.accepted_counts = _parse_counts(raw)
-        elif key == "t_max":
-            cfg.t_max = _parse_int(key, raw, 1, 255)
-        elif key == "fsync":
-            cfg.fsync = _parse_bool(key, raw)
-        elif key == "opaque_rejects":
-            cfg.opaque_rejects = _parse_bool(key, raw)
-        elif key == "expiry_check":
-            cfg.expiry_check = _parse_bool(key, raw)
-        elif key == "horizon_quarters":
-            cfg.horizon_quarters = _parse_int(key, raw, 1, 64)
-        else:
+        if key not in _PARSERS:
             raise ConfigError(f"unknown config key {key!r}")
+        setattr(cfg, key, _PARSERS[key](key, raw))
     return cfg
 
 
@@ -222,21 +228,11 @@ class PunchcardService:
     def __init__(self, cfg: Config, db: Optional[RedeemDb] = None):
         self.cfg = cfg
         self.stats = Stats()
-        store = KeyStore(cfg.state_dir)
-        if cfg.scheme == "main":
-            self.group = get_group(cfg.group)
-            self.sk, self.pk = store.load_or_create(
-                lambda sk=None: core.server_setup(self.group, sk=sk),
-                self.group.encode_element,
-            )
-            self.pk_bytes = self.group.encode_element(self.pk)
-        else:
-            self.pairing = get_pairing(cfg.pairing)
-            self.sk, self.pk = store.load_or_create(
-                lambda sk=None: mergeable.server_setup(self.pairing, sk=sk),
-                lambda pk: pk.to_bytes(self.pairing),
-            )
-            self.pk_bytes = self.pk.to_bytes(self.pairing)
+        self.scheme = schemes.get_scheme(cfg.scheme, cfg.group, cfg.pairing)
+        self.sk, self.pk = KeyStore(cfg.state_dir).load_or_create(
+            self.scheme.setup, self.scheme.encode_pk
+        )
+        self.pk_bytes = self.scheme.encode_pk(self.pk)
         db_path = None if db is not None else os.path.join(cfg.state_dir, "redeemed.db")
         self.db = db if db is not None else RedeemDb(db_path, fsync=cfg.fsync)
 
@@ -247,89 +243,57 @@ class PunchcardService:
         text = "rejected" if self.cfg.opaque_rejects else reason
         return wire.ERROR, text.encode()
 
-    def _redeem_status(
-        self, status: core.RedeemStatus, resp_type: int = wire.REDEEM_RESP
-    ) -> Tuple[int, bytes]:
-        name = {
-            core.RedeemStatus.ACCEPT: "redeem_accept",
-            core.RedeemStatus.BAD_CARD: "redeem_bad_card",
-            core.RedeemStatus.DOUBLE_SPEND: "redeem_double_spend",
-            core.RedeemStatus.EXPIRED: "redeem_expired",
-        }[status]
-        self.stats.bump(name)
-        return resp_type, bytes([int(status)])
+    def _redeem_status(self, status: core.RedeemStatus) -> Tuple[int, bytes]:
+        self.stats.bump("redeem_" + status.name.lower())
+        return self.scheme.redeem_resp, bytes([int(status)])
 
     # -- dispatch ----------------------------------------------------------
 
     def handle(self, msg_type: int, body: bytes) -> Tuple[int, bytes]:
         fault_point("service.handle")
+        s = self.scheme
         try:
             if msg_type == wire.PK_REQ:
                 return wire.PK_RESP, self.pk_bytes
-            if self.cfg.scheme == "main":
-                return self._handle_main(msg_type, body)
-            return self._handle_mergeable(msg_type, body)
+            if msg_type == s.punch_req:
+                resp = s.server_punch(self.sk, self.pk, s.decode_card(body))
+                self.stats.bump("punches")
+                return s.punch_resp, s.encode(resp)
+            if msg_type == s.multi_req:
+                t, card_bytes = wire.unpack_multi_req(body)
+                resp = s.server_multi_punch(
+                    self.sk, self.pk, s.decode_card(card_bytes), t, self.cfg.t_max
+                )
+                self.stats.bump("multi_punches")
+                self.stats.bump("punches", t)
+                return s.multi_resp, s.encode(resp)
+            if msg_type == s.redeem_req:
+                return self._redeem(body)
+            return self._reject(
+                f"type 0x{msg_type:02x} not valid for the {s.name} scheme"
+            )
         except (InvalidEncoding, WireError) as e:
             return self._reject(f"bad request: {e}")
         except PromotionTooLarge as e:
             return self._reject(str(e))
 
-    def _handle_main(self, msg_type: int, body: bytes) -> Tuple[int, bytes]:
-        g = self.group
-        if msg_type == wire.PUNCH_REQ:
-            card = g.decode_element(body)
-            resp = core.server_punch(g, self.sk, self.pk, card)
-            self.stats.bump("punches")
-            return wire.PUNCH_RESP, resp.to_bytes(g)
-        if msg_type == wire.MULTI_REQ:
-            t, card_bytes = wire.unpack_multi_req(body)
-            card = g.decode_element(card_bytes)
-            resp = extensions.server_multi_punch(
-                g, self.sk, self.pk, card, t, t_max=self.cfg.t_max
-            )
-            self.stats.bump("multi_punches")
-            self.stats.bump("punches", t)
-            return wire.MULTI_RESP, resp.to_bytes(g)
-        if msg_type == wire.REDEEM_REQ:
-            count, message = wire.unpack_redeem_body(body)
+    def _redeem(self, body: bytes) -> Tuple[int, bytes]:
+        """Checks in order of cost: parse, accepted count, expiry, then the
+        redemption equation and the atomic spend."""
+        s = self.scheme
+        count, message = wire.unpack_redeem_body(body)
+        try:
+            req = s.decode(s.redeem_request, message)
+        except InvalidEncoding:
+            return self._redeem_status(core.RedeemStatus.BAD_CARD)
+        if count not in self.cfg.accepted_counts:
+            return self._redeem_status(core.RedeemStatus.BAD_CARD)
+        if self.cfg.expiry_check:
             try:
-                req = core.RedeemRequest.from_bytes(g, message)
-            except InvalidEncoding:
-                return self._redeem_status(core.RedeemStatus.BAD_CARD)
-            if count not in self.cfg.accepted_counts:
-                return self._redeem_status(core.RedeemStatus.BAD_CARD)
-            if self.cfg.expiry_check:
-                try:
-                    extensions.check_expiry(
-                        req.u, date.today(), self.cfg.horizon_quarters
-                    )
-                except BadExpiry:
-                    return self._redeem_status(core.RedeemStatus.EXPIRED)
-            status = core.server_redeem(g, self.sk, req, count, self.db)
-            return self._redeem_status(status)
-        return self._reject(f"type 0x{msg_type:02x} not valid for the main scheme")
-
-    def _handle_mergeable(self, msg_type: int, body: bytes) -> Tuple[int, bytes]:
-        pg = self.pairing
-        if msg_type == wire.MERGE_PUNCH_REQ:
-            card = mergeable.MergeCard.from_bytes(pg, body)
-            resp = mergeable.server_punch(pg, self.sk, self.pk, card)
-            self.stats.bump("punches")
-            return wire.MERGE_PUNCH_RESP, resp.to_bytes(pg)
-        if msg_type == wire.MERGE_REDEEM_REQ:
-            count, message = wire.unpack_redeem_body(body)
-            resp_type = wire.MERGE_REDEEM_RESP
-            try:
-                req = mergeable.MergeRedeemRequest.from_bytes(pg, message)
-            except InvalidEncoding:
-                return self._redeem_status(core.RedeemStatus.BAD_CARD, resp_type)
-            if count not in self.cfg.accepted_counts:
-                return self._redeem_status(core.RedeemStatus.BAD_CARD, resp_type)
-            status = mergeable.server_redeem(pg, self.sk, req, count, self.db)
-            return self._redeem_status(status, resp_type)
-        return self._reject(
-            f"type 0x{msg_type:02x} not valid for the mergeable scheme"
-        )
+                s.check_expiry(req, date.today(), self.cfg.horizon_quarters)
+            except BadExpiry:
+                return self._redeem_status(core.RedeemStatus.EXPIRED)
+        return self._redeem_status(s.server_redeem(self.sk, req, count, self.db))
 
 
 class _Handler(socketserver.BaseRequestHandler):

@@ -1,10 +1,12 @@
 """Client-side card store and the network flows that mutate it.
 
-One wallet file holds every card for one server: the card secret u, the
-current mask(s), the current group element(s), and the punch count. Updates
-go through a temp file and os.replace, and the in-memory state only moves
-forward after the bytes are durably on disk, so a crash at any point leaves
-either the old wallet or the new one, never a half-written file.
+One wallet file holds every card for one server, of one scheme: "PCW1",
+the scheme's code byte, the pinned key, then per card u || punch count ||
+mask(s) || element(s) in the scheme object's codecs, so this code runs
+either scheme unchanged. Updates go through a temp file, os.replace and a
+directory fsync, and the in-memory state only moves forward after the
+bytes are durably on disk, so a crash at any point leaves either the old
+wallet or the new one, never a half-written file.
 
 The wallet pins the server's public key on first contact. A later punch
 response is verified against the pinned key, so a server that rotates keys
@@ -17,94 +19,90 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
-from . import core, extensions, mergeable, wire
-from .core import CardSecret, RedeemStatus
+from . import schemes, wire
+from .core import SECRET_SIZE, RedeemStatus
+from .db import replace_durably
 from .errors import InvalidEncoding, WalletError, WireError
 from .faults import fault_point
-from .groups import Group, PairingGroups, get_group, get_pairing
 
 _MAGIC = b"PCW1"
-_SCHEME_MAIN = 0
-_SCHEME_MERGE = 1
 
 
 @dataclass
-class MainCard:
-    secret: CardSecret
-    element: object
-    count: int
-
-
-@dataclass
-class MergeCardState:
-    secret: mergeable.MergeCardSecret
-    card: mergeable.MergeCard
+class Card:
+    secret: Any  # the scheme's card secret: u and the mask(s)
+    element: Any  # the masked card: a group element, or both sides
     count: int
 
 
 class Wallet:
+    """scheme=None opens a wallet file as whatever scheme it holds, and
+    creates a main-scheme wallet when there is no file yet."""
+
     def __init__(
         self,
         path: str,
-        scheme: str = "main",
+        scheme: Optional[str] = "main",
         group_name: str = "ristretto255",
         pairing_name: str = "bls12-381",
     ):
         self.path = path
-        self.scheme = scheme
-        if scheme == "main":
-            self.group: Group = get_group(group_name)
-        elif scheme == "mergeable":
-            self.pairing: PairingGroups = get_pairing(pairing_name)
-        else:
-            raise WalletError(f"unknown scheme {scheme!r}")
         self.pk_bytes: Optional[bytes] = None
-        self.cards: List[object] = []
+        self.cards: List[Card] = []
+        stored = None
         if os.path.exists(path):
-            self._load()
+            with open(path, "rb") as f:
+                data = f.read()
+            stored = self._stored_scheme(data)
+        if scheme is None:
+            scheme = "main" if stored is None else stored.name
+        try:
+            self.scheme = schemes.get_scheme(scheme, group_name, pairing_name)
+        except ValueError as e:
+            raise WalletError(str(e)) from None
+        if stored is not None:
+            if stored.code != self.scheme.code:
+                raise WalletError(
+                    f"wallet holds {stored.name} cards, opened as {self.scheme.name}"
+                )
+            self._load(data)
 
     # -- persistence ---------------------------------------------------------
 
+    def _stored_scheme(self, data: bytes):
+        if len(data) < 5 or data[:4] != _MAGIC:
+            raise WalletError(f"{self.path} is not a wallet file")
+        try:
+            return schemes.BY_CODE[data[4]]
+        except KeyError:
+            raise WalletError(
+                f"wallet file {self.path} holds unknown scheme {data[4]}"
+            ) from None
+
     def _encode(self) -> bytes:
-        out = bytearray(_MAGIC)
-        out.append(_SCHEME_MAIN if self.scheme == "main" else _SCHEME_MERGE)
+        s = self.scheme
         pk = self.pk_bytes or b""
+        out = bytearray(_MAGIC)
+        out.append(s.code)
         out += struct.pack("<H", len(pk)) + pk
         out += struct.pack("<H", len(self.cards))
         for card in self.cards:
-            if self.scheme == "main":
-                g = self.group
-                out += card.secret.u
-                out += struct.pack("<I", card.count)
-                out += g.encode_scalar(card.secret.mask)
-                out += g.encode_element(card.element)
-            else:
-                pg = self.pairing
-                out += card.secret.u
-                out += struct.pack("<I", card.count)
-                out += pg.g0.encode_scalar(card.secret.mask0)
-                out += pg.g1.encode_scalar(card.secret.mask1)
-                out += card.card.to_bytes(pg)
+            out += card.secret.u
+            out += struct.pack("<I", card.count)
+            out += s.encode_masks(card.secret)
+            out += s.encode_card(card.element)
         return bytes(out)
 
-    def _load(self) -> None:
-        with open(self.path, "rb") as f:
-            data = f.read()
+    def _load(self, data: bytes) -> None:
         try:
             self._decode(data)
         except (IndexError, struct.error, InvalidEncoding) as e:
             raise WalletError(f"wallet file {self.path} is corrupt: {e}") from None
 
     def _decode(self, data: bytes) -> None:
-        if data[:4] != _MAGIC:
-            raise WalletError(f"{self.path} is not a wallet file")
-        stored_scheme = "main" if data[4] == _SCHEME_MAIN else "mergeable"
-        if stored_scheme != self.scheme:
-            raise WalletError(
-                f"wallet holds {stored_scheme} cards, opened as {self.scheme}"
-            )
+        s = self.scheme
         off = 5
         (pk_len,) = struct.unpack_from("<H", data, off)
         off += 2
@@ -114,37 +112,18 @@ class Wallet:
         off += pk_len
         (n,) = struct.unpack_from("<H", data, off)
         off += 2
-        cards: List[object] = []
+        masks_at = SECRET_SIZE + 4
+        card_at = masks_at + sum(g.scalar_size for g in s.groups)
+        size = card_at + sum(g.element_size for g in s.groups)
+        cards: List[Card] = []
         for _ in range(n):
-            u = data[off : off + core.SECRET_SIZE]
-            off += core.SECRET_SIZE
-            (count,) = struct.unpack_from("<I", data, off)
-            off += 4
-            if self.scheme == "main":
-                g = self.group
-                mask = g.decode_scalar(data[off : off + g.scalar_size])
-                off += g.scalar_size
-                element = g.decode_element(data[off : off + g.element_size])
-                off += g.element_size
-                cards.append(
-                    MainCard(secret=CardSecret(u=u, mask=mask), element=element, count=count)
-                )
-            else:
-                pg = self.pairing
-                mask0 = pg.g0.decode_scalar(data[off : off + pg.g0.scalar_size])
-                off += pg.g0.scalar_size
-                mask1 = pg.g1.decode_scalar(data[off : off + pg.g1.scalar_size])
-                off += pg.g1.scalar_size
-                size = pg.g0.element_size + pg.g1.element_size
-                card = mergeable.MergeCard.from_bytes(pg, data[off : off + size])
-                off += size
-                cards.append(
-                    MergeCardState(
-                        secret=mergeable.MergeCardSecret(u=u, mask0=mask0, mask1=mask1),
-                        card=card,
-                        count=count,
-                    )
-                )
+            record = data[off : off + size]
+            if len(record) != size:
+                raise InvalidEncoding("truncated card record")
+            off += size
+            (count,) = struct.unpack_from("<I", record, SECRET_SIZE)
+            secret = s.decode_secret(record[:SECRET_SIZE], record[masks_at:card_at])
+            cards.append(Card(secret, s.decode_card(record[card_at:]), count))
         if off != len(data):
             raise WalletError("trailing bytes after the last card")
         self.cards = cards
@@ -158,22 +137,17 @@ class Wallet:
             f.write(data)
             f.flush()
             os.fsync(f.fileno())
-        fault_point("wallet.save.replace")
-        os.replace(tmp, self.path)
+        replace_durably(tmp, self.path, "wallet.save")
 
     # -- card lifecycle ------------------------------------------------------
 
     def new_card(self, rng=None) -> int:
-        if self.scheme == "main":
-            secret, element = core.issue(self.group, rng)
-            self.cards.append(MainCard(secret=secret, element=element, count=0))
-        else:
-            secret, card = mergeable.issue(self.pairing, rng)
-            self.cards.append(MergeCardState(secret=secret, card=card, count=0))
+        secret, element = self.scheme.issue(rng)
+        self.cards.append(Card(secret=secret, element=element, count=0))
         self.save()
         return len(self.cards) - 1
 
-    def _card(self, index: int):
+    def _card(self, index: int) -> Card:
         try:
             return self.cards[index]
         except IndexError:
@@ -200,83 +174,59 @@ class Wallet:
     def _pk(self):
         if self.pk_bytes is None:
             raise WalletError("no server key pinned yet; fetch it first")
-        if self.scheme == "main":
-            return self.group.decode_element(self.pk_bytes)
-        return mergeable.MergePublicKey.from_bytes(self.pairing, self.pk_bytes)
+        return self.scheme.decode_pk(self.pk_bytes)
 
     # -- network flows -------------------------------------------------------
 
-    def punch(self, client, index: int, rng=None) -> None:
-        card = self._card(index)
-        self.ensure_pk(client)
-        if self.scheme == "main":
-            g = self.group
-            msg_type, body = client.call(
-                wire.PUNCH_REQ, g.encode_element(card.element)
-            )
-            if msg_type != wire.PUNCH_RESP:
-                raise WireError(body.decode(errors="replace"))
-            resp = core.PunchResponse.from_bytes(g, body)
-            new_secret, new_element = core.client_punch(
-                g, self._pk(), card.secret, card.element, resp, rng
-            )
-            fault_point("wallet.punch.commit")
-            card.secret, card.element = new_secret, new_element
-            card.count += 1
-        else:
-            pg = self.pairing
-            msg_type, body = client.call(
-                wire.MERGE_PUNCH_REQ, card.card.to_bytes(pg)
-            )
-            if msg_type != wire.MERGE_PUNCH_RESP:
-                raise WireError(body.decode(errors="replace"))
-            resp = mergeable.MergePunchResponse.from_bytes(pg, body)
-            new_secret, new_card = mergeable.client_punch(
-                pg, self._pk(), card.secret, card.card, resp, rng
-            )
-            fault_point("wallet.punch.commit")
-            card.secret, card.card = new_secret, new_card
-            card.count += 1
-        self.save()
+    @staticmethod
+    def _call(client, msg_type: int, body: bytes, resp_type: int) -> bytes:
+        got, reply = client.call(msg_type, body)
+        if got != resp_type:
+            raise WireError(reply.decode(errors="replace"))
+        return reply
 
-    def multi_punch(self, client, index: int, t: int, rng=None) -> int:
-        if self.scheme != "main":
-            raise WalletError("multi-punch runs on the main scheme only")
-        card = self._card(index)
-        self.ensure_pk(client)
-        g = self.group
-        msg_type, body = client.call(
-            wire.MULTI_REQ, wire.pack_multi_req(t, g.encode_element(card.element))
-        )
-        if msg_type != wire.MULTI_RESP:
-            raise WireError(body.decode(errors="replace"))
-        resp = extensions.MultiPunchResponse.from_bytes(g, body)
-        new_secret, new_element, gained = extensions.client_multi_punch(
-            g, self._pk(), card.secret, card.element, resp, rng
-        )
+    def _commit_punch(self, card: Card, secret, element, gained: int) -> None:
         fault_point("wallet.punch.commit")
-        card.secret, card.element = new_secret, new_element
+        card.secret, card.element = secret, element
         card.count += gained
         self.save()
+
+    def punch(self, client, index: int, rng=None) -> None:
+        s = self.scheme
+        card = self._card(index)
+        self.ensure_pk(client)
+        body = self._call(
+            client, s.punch_req, s.encode_card(card.element), s.punch_resp
+        )
+        resp = s.decode(s.punch_response, body)
+        secret, element = s.client_punch(
+            self._pk(), card.secret, card.element, resp, rng
+        )
+        self._commit_punch(card, secret, element, 1)
+
+    def multi_punch(self, client, index: int, t: int, rng=None) -> int:
+        s = self.scheme
+        if s.multi_req is None:
+            raise WalletError(f"the {s.name} scheme has no multi-punch")
+        card = self._card(index)
+        self.ensure_pk(client)
+        body = self._call(
+            client,
+            s.multi_req,
+            wire.pack_multi_req(t, s.encode_card(card.element)),
+            s.multi_resp,
+        )
+        resp = s.decode(s.multi_response, body)
+        secret, element, gained = s.client_multi_punch(
+            self._pk(), card.secret, card.element, resp, rng
+        )
+        self._commit_punch(card, secret, element, gained)
         return gained
 
     def redeem(self, client, index: int) -> RedeemStatus:
-        if self.scheme != "main":
+        if self.scheme.redeem_cards != 1:
             raise WalletError("use merge_redeem for mergeable cards")
-        card = self._card(index)
-        req = core.client_redeem(self.group, card.secret, card.element)
-        msg_type, body = client.call(
-            wire.REDEEM_REQ,
-            wire.pack_redeem_body(card.count, req.to_bytes(self.group)),
-        )
-        if msg_type != wire.REDEEM_RESP or not body:
-            raise WireError(body.decode(errors="replace"))
-        status = RedeemStatus(body[0])
-        if status is RedeemStatus.ACCEPT:
-            fault_point("wallet.redeem.commit")
-            del self.cards[index]
-            self.save()
-        return status
+        return self._redeem(client, [index])
 
     def merge_redeem(
         self, client, index_a: int, index_b: Optional[int] = None, rng=None
@@ -284,29 +234,33 @@ class Wallet:
         """Spend two cards as one. With no second card, a fresh zero-punch
         card is created on the spot so a single card can still be redeemed
         through the same message."""
-        if self.scheme != "mergeable":
+        if self.scheme.redeem_cards != 2:
             raise WalletError("merge_redeem needs a mergeable wallet")
-        pg = self.pairing
-        card_a = self._card(index_a)
+        self._card(index_a)
         if index_b is None:
             index_b = self.new_card(rng)
         if index_a == index_b:
             raise WalletError("cannot merge a card with itself")
-        card_b = self._card(index_b)
-        req = mergeable.client_merge_redeem(
-            pg, card_a.secret, card_a.card, card_b.secret, card_b.card
+        return self._redeem(client, [index_a, index_b])
+
+    def _redeem(self, client, indices: Sequence[int]) -> RedeemStatus:
+        """Send the cards' redemption at the sum of their punch counts; on
+        ACCEPT they leave the wallet."""
+        s = self.scheme
+        cards = [self._card(i) for i in indices]
+        req = s.client_redeem([(c.secret, c.element) for c in cards])
+        body = self._call(
+            client,
+            s.redeem_req,
+            wire.pack_redeem_body(sum(c.count for c in cards), s.encode(req)),
+            s.redeem_resp,
         )
-        total = card_a.count + card_b.count
-        msg_type, body = client.call(
-            wire.MERGE_REDEEM_REQ,
-            wire.pack_redeem_body(total, req.to_bytes(pg)),
-        )
-        if msg_type != wire.MERGE_REDEEM_RESP or not body:
-            raise WireError(body.decode(errors="replace"))
+        if not body:
+            raise WireError("empty redeem response")
         status = RedeemStatus(body[0])
         if status is RedeemStatus.ACCEPT:
             fault_point("wallet.redeem.commit")
-            for i in sorted((index_a, index_b), reverse=True):
+            for i in sorted(indices, reverse=True):
                 del self.cards[i]
             self.save()
         return status

@@ -18,6 +18,7 @@ from punchcard.db import RedeemDb
 from punchcard.errors import BadExpiry, InvalidEncoding, NoSuchRedemption, ProofRejected
 from punchcard.faults import FaultInjected, FaultPlan
 from punchcard.groups import get_group, get_pairing
+from punchcard.schemes import get_scheme
 from punchcard.service import Config, PunchcardService
 from punchcard.wallet import Wallet
 
@@ -258,7 +259,7 @@ def test_criterion_07_verify_scaling():
 
 
 def test_criterion_08_performance_smoke():
-    result = bench.bench_main(group_name="ristretto255", trials=200)
+    result = bench.run(get_scheme("main", group_name="ristretto255"), trials=200)
     rows = {row["op"]: row["mean_ms"] for row in result["rows"]}
     round_trip = rows["punch_round_trip"]
     verify = rows["server_verify"]

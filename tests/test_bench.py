@@ -4,6 +4,7 @@ import io
 import pytest
 
 from punchcard import bench
+from punchcard.schemes import get_scheme
 
 
 def test_minimum_trials_enforced():
@@ -19,7 +20,7 @@ def test_time_op_shape():
 
 
 def test_bench_main_sizes_come_from_real_messages():
-    result = bench.bench_main(group_name="toy", trials=bench.MIN_TRIALS)
+    result = bench.run(get_scheme("main", group_name="toy"), trials=bench.MIN_TRIALS)
     assert result["sizes"] == {
         "public_key": 4,
         "punch_request": 4,
@@ -31,12 +32,14 @@ def test_bench_main_sizes_come_from_real_messages():
 
 
 def test_bench_main_with_preloaded_db():
-    result = bench.bench_main(group_name="toy", trials=bench.MIN_TRIALS, db_size=500)
+    result = bench.run(get_scheme("main", group_name="toy"), trials=bench.MIN_TRIALS, db_size=500)
     assert "server_redeem(db=500)" in [row["op"] for row in result["rows"]]
 
 
 def test_bench_mergeable_toy_sizes():
-    result = bench.bench_mergeable(pairing_name="toy-pairing", trials=bench.MIN_TRIALS)
+    result = bench.run(
+        get_scheme("mergeable", pairing_name="toy-pairing"), trials=bench.MIN_TRIALS
+    )
     assert result["sizes"] == {
         "public_key": 8,
         "punch_request": 8,
@@ -48,7 +51,7 @@ def test_bench_mergeable_toy_sizes():
 
 
 def test_render_table_and_csv():
-    result = bench.bench_main(group_name="toy", trials=bench.MIN_TRIALS)
+    result = bench.run(get_scheme("main", group_name="toy"), trials=bench.MIN_TRIALS)
     table = bench.render_table(result)
     assert "punch_round_trip" in table and "message sizes" in table
     rows = list(csv.reader(io.StringIO(bench.render_csv(result))))

@@ -1,4 +1,5 @@
 import json
+import socket
 
 import pytest
 
@@ -155,3 +156,33 @@ def test_server_purge_cli(tmp_path, capsys):
     again = RedeemDb(str(state / "redeemed.db"))
     assert len(again) == 1
     again.close()
+
+
+def test_new_card_scheme_mismatch_is_an_error(tmp_path, capsys):
+    w = str(tmp_path / "w.bin")
+    assert cli.main(["wallet", "new-card", "--wallet", w]) == 0
+    before = open(w, "rb").read()
+    assert cli.main(["wallet", "new-card", "--wallet", w, "--scheme", "mergeable"]) == 1
+    assert "wallet holds main cards" in capsys.readouterr().err
+    assert open(w, "rb").read() == before
+    assert cli.main(["wallet", "new-card", "--wallet", w, "--scheme", "main"]) == 0
+    assert "card #1 created" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("line", ["group = nonsense", "pairing = nonsense"])
+def test_server_run_unknown_group_or_pairing(tmp_path, capsys, line):
+    # the port is taken, so a server that got past the config fails to bind
+    # instead of running on
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        conf = tmp_path / "server.conf"
+        conf.write_text(
+            f"state_dir = {tmp_path / 'srv'}\n"
+            f"listen_port = {taken.getsockname()[1]}\n{line}\n"
+        )
+        code = cli.main(["server", "run", "--config", str(conf)])
+    assert code == service.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config:" in err and "nonsense" in err
+    assert not (tmp_path / "srv").exists()

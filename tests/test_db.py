@@ -1,4 +1,6 @@
+import os
 import random
+import stat
 import threading
 
 import pytest
@@ -260,4 +262,39 @@ def test_crash_during_snapshot_replace_preserves_state(tmp_path):
     assert len(db2) == 8  # old snapshot+log still intact
     for u in secrets:
         assert not db2.check_and_insert(u)
+    db2.close()
+
+
+def test_snapshot_syncs_directory_after_replace(tmp_path, monkeypatch):
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        events.append("dirsync" if stat.S_ISDIR(os.fstat(fd).st_mode) else "fsync")
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append("replace")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    db = RedeemDb(str(tmp_path / "db"))
+    rng = random.Random(137)
+    with FaultPlan() as plan:
+        db.check_and_insert(*_secrets(rng, 2))
+        db.compact()
+        db.preload(_secrets(rng, 3))
+    assert [e for e in events if e != "fsync"] == ["replace", "dirsync"] * 2
+    for i, e in enumerate(events):
+        if e == "replace":
+            assert events[i + 1] == "dirsync"
+    assert plan.hits.count("db.snapshot.dirsync") == 2
+    # a crash before the directory sync leaves the new snapshot in place
+    with FaultPlan(fail_at=1) as plan:
+        with pytest.raises(FaultInjected):
+            db.compact()
+    assert plan.hits == ["db.snapshot.replace", "db.snapshot.dirsync"]
+    db2 = RedeemDb(str(tmp_path / "db"))
+    assert len(db2) == 5
     db2.close()

@@ -154,7 +154,7 @@ def _toy_service(tmp_path, **overrides):
 def test_pk_and_punch_dispatch(tmp_path):
     svc = _toy_service(tmp_path, accepted_counts=(2,))
     rng = random.Random(171)
-    g = svc.group
+    g = svc.scheme.group
     out_type, pk_bytes = svc.handle(wire.PK_REQ, b"")
     assert out_type == wire.PK_RESP
     pk = g.decode_element(pk_bytes)
@@ -177,7 +177,7 @@ def test_pk_and_punch_dispatch(tmp_path):
 def test_unaccepted_count_is_bad_card(tmp_path):
     svc = _toy_service(tmp_path, accepted_counts=(10,))
     rng = random.Random(172)
-    g = svc.group
+    g = svc.scheme.group
     secret, card = core.issue(g, rng)
     req = core.client_redeem(g, secret, card)
     out_type, body = svc.handle(
@@ -205,7 +205,7 @@ def test_merge_redeem_rejects_bad_gt_bytes(tmp_path):
         accepted_counts=(2, 3),
     )
     svc = PunchcardService(cfg, db=RedeemDb())
-    pg = svc.pairing
+    pg = svc.scheme.pairing
     u_a, u_b = bytes([1]) * 32, bytes([2]) * 32
     base0, _ = mergeable.card_bases(pg, u_a)
     _, base1 = mergeable.card_bases(pg, u_b)
@@ -255,7 +255,7 @@ def test_opaque_rejects_hide_details(tmp_path):
 def test_oversized_multi_punch_is_error(tmp_path):
     svc = _toy_service(tmp_path, t_max=5)
     rng = random.Random(173)
-    g = svc.group
+    g = svc.scheme.group
     _, card = core.issue(g, rng)
     out_type, body = svc.handle(
         wire.MULTI_REQ, wire.pack_multi_req(6, g.encode_element(card))
@@ -274,7 +274,7 @@ def test_expiry_gate(tmp_path):
 
     svc = _toy_service(tmp_path, expiry_check=True, accepted_counts=(0,))
     rng = random.Random(174)
-    g = svc.group
+    g = svc.scheme.group
     # non-expiring u: the 4-byte prefix is almost surely not a boundary code
     secret, card = core.issue(g, rng)
     req = core.client_redeem(g, secret, card)
@@ -298,7 +298,7 @@ def test_crash_in_handler_leaves_db_reloadable(tmp_path):
     cfg = Config(state_dir=state, group="toy")
     svc = PunchcardService(cfg)
     rng = random.Random(175)
-    g = svc.group
+    g = svc.scheme.group
     secret, card = core.issue(g, rng)
     with FaultPlan(fail_at=0):
         with pytest.raises(FaultInjected):
@@ -430,3 +430,25 @@ def test_exit_codes(tmp_path):
     with open(store.pk_path, "w") as f:
         f.write(g.encode_element(skewed).hex() + "\n")
     assert run_server(cfg3) == EXIT_KEYSTORE
+
+
+def test_main_scheme_never_imports_bls(tmp_path):
+    """A main-scheme server and wallet leave BLS12-381 unloaded, which keeps
+    their start-up time and memory as they are."""
+    import subprocess
+    import sys
+
+    code = f"""
+import sys
+from punchcard.db import RedeemDb
+from punchcard.service import PunchcardService, load_config
+from punchcard.wallet import Wallet
+cfg = load_config(env={{"PUNCHCARD_STATE_DIR": {str(tmp_path / "state")!r}}})
+PunchcardService(cfg, db=RedeemDb())
+Wallet({str(tmp_path / "w")!r}).new_card()
+Wallet({str(tmp_path / "w")!r}, scheme=None)
+sys.exit(any(m.startswith("punchcard.groups.bls") for m in sys.modules))
+"""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

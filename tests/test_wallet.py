@@ -1,7 +1,10 @@
 import hashlib
+import os
 import random
+import stat
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from punchcard import core, extensions, mergeable, wire
 from punchcard.core import RedeemStatus
@@ -9,7 +12,7 @@ from punchcard.db import RedeemDb
 from punchcard.faults import FaultInjected, FaultPlan
 from punchcard.errors import WalletError
 from punchcard.groups import get_group, get_pairing
-from punchcard.wallet import Wallet
+from punchcard.wallet import Card, Wallet
 
 
 class FakeMainServer:
@@ -86,7 +89,7 @@ def test_new_wallet_persists_cards(tmp_path):
     for a, b in zip(w.cards, again.cards):
         assert a.secret.u == b.secret.u
         assert a.secret.mask == b.secret.mask
-        assert w.group.eq(a.element, b.element)
+        assert w.scheme.group.eq(a.element, b.element)
         assert a.count == b.count == 0
 
 
@@ -328,3 +331,135 @@ def test_seeded_wallet_file_pinned(tmp_path, name):
     assert [c.count for c in again.cards] == [2, 0]
     again.save()
     assert (tmp_path / "wallet").read_bytes() == data
+
+
+# --- scheme byte ---------------------------------------------------------------
+
+
+def test_unknown_scheme_byte_rejected(tmp_path):
+    rng = random.Random(166)
+    path = tmp_path / "wallet"
+    w = Wallet(str(path), group_name="toy")
+    w.new_card(rng)
+    data = bytearray(path.read_bytes())
+    data[4] = 7
+    path.write_bytes(bytes(data))
+    for scheme in (None, "main", "mergeable"):
+        with pytest.raises(WalletError, match="unknown scheme 7"):
+            Wallet(str(path), scheme=scheme, group_name="toy", pairing_name="toy-pairing")
+
+
+def test_open_as_stored_scheme(tmp_path):
+    rng = random.Random(167)
+    w = _wallet(tmp_path, scheme="mergeable", pairing_name="toy-pairing")
+    w.new_card(rng)
+    again = _wallet(tmp_path, scheme=None, pairing_name="toy-pairing")
+    assert again.scheme.name == "mergeable" and again.cards == w.cards
+    assert _wallet(tmp_path / "none", scheme=None, group_name="toy").scheme.name == "main"
+
+
+# --- codec properties (toy backends) -----------------------------------------------
+
+
+_TOY = dict(group_name="toy", pairing_name="toy-pairing")
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    scheme=st.sampled_from(["main", "mergeable"]),
+    pk_seed=st.none() | st.integers(0, 2**32),
+    cards=st.lists(
+        st.tuples(st.integers(0, 2**32), st.integers(0, 2**32 - 1)), max_size=6
+    ),
+)
+def test_any_cards_round_trip(tmp_path, scheme, pk_seed, cards):
+    path = str(tmp_path / "prop-wallet")
+    if os.path.exists(path):
+        os.remove(path)
+    w = Wallet(path, scheme=scheme, **_TOY)
+    if pk_seed is not None:
+        _, pk = w.scheme.setup(random.Random(pk_seed))
+        w.pk_bytes = w.scheme.encode_pk(pk)
+    for seed, count in cards:
+        secret, element = w.scheme.issue(random.Random(seed))
+        w.cards.append(Card(secret, element, count))
+    w.save()
+    again = Wallet(path, scheme=None, **_TOY)
+    assert again.scheme.name == scheme
+    assert again.pk_bytes == w.pk_bytes
+    assert again.cards == w.cards
+
+
+def _valid_wallet_bytes(tmp_path, scheme):
+    path = tmp_path / f"valid-{scheme}"
+    if not path.exists():
+        rng = random.Random(168)
+        w = Wallet(str(path), scheme=scheme, **_TOY)
+        w.pk_bytes = w.scheme.encode_pk(w.scheme.setup(rng)[1])
+        w.new_card(rng)
+        w.new_card(rng)
+    return path.read_bytes()
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_loading_arbitrary_bytes_raises_only_wallet_error(tmp_path, data):
+    valid = _valid_wallet_bytes(tmp_path, data.draw(st.sampled_from(["main", "mergeable"])))
+    kind = data.draw(st.sampled_from(["any", "header", "flip", "cut"]))
+    if kind == "any":
+        blob = data.draw(st.binary(max_size=120))
+    elif kind == "header":
+        blob = b"PCW1" + data.draw(st.binary(max_size=120))
+    elif kind == "flip":
+        at = data.draw(st.integers(0, len(valid) - 1))
+        blob = bytearray(valid)
+        blob[at] ^= data.draw(st.integers(1, 255))
+        blob = bytes(blob)
+    else:
+        blob = valid[: data.draw(st.integers(0, len(valid) - 1))]
+    path = tmp_path / "arbitrary"
+    path.write_bytes(blob)
+    try:
+        Wallet(str(path), scheme=None, **_TOY)
+    except WalletError:
+        pass
+
+
+# --- durable replace -------------------------------------------------------------
+
+
+def test_save_syncs_directory_after_replace(tmp_path, monkeypatch):
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        events.append("dirsync" if stat.S_ISDIR(os.fstat(fd).st_mode) else "fsync")
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append("replace")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    rng = random.Random(169)
+    w = _wallet(tmp_path, group_name="toy")
+    with FaultPlan() as plan:
+        w.new_card(rng)
+        w.new_card(rng)
+    assert events == ["fsync", "replace", "dirsync"] * 2
+    assert plan.hits[-2:] == ["wallet.save.replace", "wallet.save.dirsync"]
+    # a crash before the directory sync still leaves the new file in place
+    w.cards[0].count = 3
+    with FaultPlan(fail_at=3):
+        with pytest.raises(FaultInjected):
+            w.save()
+    assert _wallet(tmp_path, group_name="toy").cards[0].count == 3
