@@ -12,7 +12,7 @@ import csv
 import io
 import os
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from .db import RedeemDb
 
