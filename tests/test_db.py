@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import stat
@@ -298,3 +299,52 @@ def test_snapshot_syncs_directory_after_replace(tmp_path, monkeypatch):
     db2 = RedeemDb(str(tmp_path / "db"))
     assert len(db2) == 5
     db2.close()
+
+
+# SHA-256 of the seeded store's files, written by the set-based store that
+# defined the formats: a 1000-secret snapshot with a log of 5 inserts and one
+# claim, then the snapshot after a purge
+_PIN_SNAP = "68aea77337a8dea00aa8614f6ab0a1e1ed87dcdc4d36184541ea44f5cb5083d1"
+_PIN_LOG = "2a8d79766aac7255a528c748d72bd386a82a3c33ae7f343cd0b7ce8414b5ead5"
+_PIN_PURGED_SNAP = "88bfe08aa829bbf59e034bb4a37b25e20b7f295d2349862dce1fd8665159d86a"
+
+
+def test_seeded_store_files_pinned(tmp_path):
+    rng = random.Random(150)
+    path = str(tmp_path / "db")
+    preloaded = _secrets(rng, 1000)
+    inserts = [_secrets(rng, k) for k in (1, 3, 1, 2, 1)]
+    claim = rng.randbytes(32)
+    db = RedeemDb(path, fsync=False)
+    db.preload(preloaded)
+    for group in inserts:
+        assert db.check_and_insert(*group)
+    db.add_claim(claim)
+    db.close()
+
+    def sha(name):
+        with open(name, "rb") as f:
+            return hashlib.sha256(f.read()).hexdigest()
+
+    assert sha(path + ".snap") == _PIN_SNAP
+    assert sha(path) == _PIN_LOG
+
+    members = set(preloaded).union(*inserts)
+    strangers = _secrets(rng, 50)
+    db = RedeemDb(path)
+    assert len(db) == len(members) == 1008
+    assert all(u in db for u in members)
+    assert not any(u in db for u in strangers)
+    assert db.pending_claims() == 1
+    assert db.purge(lambda u: u[0] < 64) == sum(u[0] < 64 for u in members)
+    db.close()
+    assert sha(path + ".snap") == _PIN_PURGED_SNAP
+    assert os.path.getsize(path) == 0
+
+    kept = {u for u in members if u[0] >= 64}
+    db = RedeemDb(path)
+    assert len(db) == len(kept)
+    assert all(u in db for u in kept)
+    assert not any(u in db for u in members - kept)
+    assert db.take_claim(claim)
+    db.close()
