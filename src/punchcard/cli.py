@@ -45,6 +45,11 @@ def cmd_server_run(args) -> int:
 
 def cmd_server_purge(args) -> int:
     cfg = service.load_config(args.config)
+    if not cfg.expiry_check:  # which load_config allows with scheme = main only
+        raise ConfigError(
+            "purge reads an expiry date from each spent secret, so it needs "
+            "scheme = main and expiry_check = on"
+        )
     db = RedeemDb(os.path.join(cfg.state_dir, "redeemed.db"), fsync=cfg.fsync)
     try:
         dropped = extensions.purge_expired(db, date.today())

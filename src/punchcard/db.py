@@ -11,15 +11,22 @@ append-only log with periodic snapshot compaction:
 * purge() drops entries by predicate, writes a fresh snapshot, and starts
   an empty log.
 
-All writes happen under one lock; lookups are set lookups.
+In memory the secrets of the last snapshot are one immutable bytes object
+of sorted 32-byte records (the snapshot body as read, checked to be strictly
+increasing), searched by bisection; secrets added since (log replay, new
+inserts) sit in a small set beside it. Compaction, purge and preload are one
+rebuild that merges the two into a new sorted blob. All writes happen under
+one lock; lookups take none.
 """
 
 from __future__ import annotations
 
+import bisect
+import operator
 import os
 import struct
 import threading
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from .errors import DbCorruption
 from .faults import fault_point
@@ -27,10 +34,74 @@ from .faults import fault_point
 SECRET_SIZE = 32
 
 _SNAP_MAGIC = b"PCDB\x01"
+_SNAP_HEAD = len(_SNAP_MAGIC) + 8  # magic, then <II: spent and claim counts
 _REC_INSERT = 1
 _REC_CLAIM_ADD = 2
 _REC_CLAIM_TAKE = 3
 _MAX_PER_RECORD = 255  # the insert record's count is one byte; 0 ends replay
+_CHUNK = 4096  # records unpacked at a time when a whole blob is walked
+_STEP = _CHUNK * SECRET_SIZE
+
+
+def _records(blob: bytes, off: int) -> Tuple[bytes, ...]:
+    """Up to _CHUNK records of `blob` from byte offset `off`."""
+    n = min(_STEP, len(blob) - off) // SECRET_SIZE
+    return struct.unpack_from("32s" * n, blob, off)
+
+
+def _find(blob: bytes, u: bytes) -> bool:
+    """Whether u is one of the sorted records of `blob` (bisection)."""
+    lo, hi = 0, len(blob) // SECRET_SIZE
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if blob[mid * SECRET_SIZE : (mid + 1) * SECRET_SIZE] < u:
+            lo = mid + 1
+        else:
+            hi = mid
+    return blob[lo * SECRET_SIZE : (lo + 1) * SECRET_SIZE] == u
+
+
+def _check_sorted(blob: bytes) -> None:
+    """Bisection over records out of order could miss a spent secret."""
+    prev = b""
+    for off in range(0, len(blob), _STEP):
+        recs = _records(blob, off)
+        if not (prev < recs[0] and all(map(operator.lt, recs, recs[1:]))):
+            raise DbCorruption("snapshot records are not strictly increasing")
+        prev = recs[-1]
+
+
+def _merge(
+    blob: bytes, new: List[bytes], drop: Optional[Callable[[bytes], bool]]
+) -> Tuple[bytes, int]:
+    """The records of `blob` and of the sorted list `new` in order, each
+    once, without those drop(u) accepts; and how many drop accepted. A
+    chunk of `blob` that no new record falls into and nothing is dropped
+    from is copied whole."""
+    view = memoryview(blob)
+    pieces = []
+    dropped = j = 0
+
+    def emit(recs) -> None:
+        nonlocal dropped
+        if drop is not None:
+            kept = [u for u in recs if not drop(u)]
+            dropped += len(recs) - len(kept)
+            recs = kept
+        pieces.append(b"".join(recs))
+
+    for off in range(0, len(blob), _STEP):
+        end = min(off + _STEP, len(blob))
+        k = bisect.bisect_right(new, blob[end - SECRET_SIZE : end], j)
+        if k == j and drop is None:
+            pieces.append(view[off:end])
+            continue
+        recs = _records(blob, off)
+        fresh = [u for u in new[j:k] if recs[bisect.bisect_left(recs, u)] != u]
+        emit(sorted(recs + tuple(fresh)) if fresh else recs)
+        j = k
+    emit(new[j:])
+    return b"".join(pieces), dropped
 
 
 def replace_durably(tmp: str, path: str, point: str) -> None:
@@ -53,7 +124,13 @@ class RedeemDb:
 
     def __init__(self, path: Optional[str] = None, fsync: bool = True):
         self._lock = threading.Lock()
-        self._spent = set()
+        self._base = b""  # sorted records, the spent secrets of the snapshot
+        self._overlay = set()  # spent secrets added since
+        # Replayed log records repeat snapshot records only after a crash
+        # between the snapshot replace and the log restart; until __len__
+        # has removed such repeats from the overlay, it would count them
+        # twice. Lookups are right either way.
+        self._replayed_over_base = False
         self._claims = set()
         self._path = path
         self._fsync = fsync
@@ -65,10 +142,17 @@ class RedeemDb:
     # -- public api --------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._spent)
+        with self._lock:
+            if self._replayed_over_base:
+                for off in range(0, len(self._base), _STEP):
+                    self._overlay.difference_update(_records(self._base, off))
+                self._replayed_over_base = False
+            return len(self._base) // SECRET_SIZE + len(self._overlay)
 
     def __contains__(self, u: bytes) -> bool:
-        return u in self._spent
+        # the overlay first: a rebuild swaps in the new base before it
+        # empties the overlay, so a secret is always in one or the other
+        return u in self._overlay or _find(self._base, u)
 
     def check_and_insert(self, *secrets: bytes) -> bool:
         """Insert all the secrets, or none of them. False (nothing written)
@@ -84,10 +168,10 @@ class RedeemDb:
             if len(u) != SECRET_SIZE:
                 return False
         with self._lock:
-            if any(u in self._spent for u in secrets):
+            if any(u in self for u in secrets):
                 return False
             self._append(bytes([_REC_INSERT, len(secrets)]) + b"".join(secrets))
-            self._spent.update(secrets)
+            self._overlay.update(secrets)
             return True
 
     def add_claim(self, u: bytes) -> None:
@@ -110,24 +194,17 @@ class RedeemDb:
         """Remove spent secrets for which predicate(u) is true; compacts
         to a snapshot. Claims are never purged here."""
         with self._lock:
-            doomed = [u for u in self._spent if predicate(u)]
-            self._spent.difference_update(doomed)
-            if self._path is not None:
-                self._write_snapshot()
-            return len(doomed)
+            return self._rebuild(drop=predicate)
 
     def preload(self, secrets: Iterable[bytes]) -> None:
         """Bulk-load without per-record logging (bench setup, migrations).
         On-disk stores get one snapshot at the end."""
         with self._lock:
-            self._spent.update(secrets)
-            if self._path is not None:
-                self._write_snapshot()
+            self._rebuild(extra=secrets)
 
     def compact(self) -> None:
         with self._lock:
-            if self._path is not None:
-                self._write_snapshot()
+            self._rebuild()
 
     def close(self) -> None:
         with self._lock:
@@ -136,6 +213,25 @@ class RedeemDb:
                 self._log = None
 
     # -- disk format -------------------------------------------------------
+
+    def _rebuild(
+        self,
+        drop: Optional[Callable[[bytes], bool]] = None,
+        extra: Iterable[bytes] = (),
+    ) -> int:
+        """Merge the overlay (and `extra`) into a new base without repeats
+        or records drop(u) accepts; on disk, write it as the snapshot and
+        restart the log. Returns how many records drop accepted."""
+        new = sorted(self._overlay.union(extra))
+        if any(len(u) != SECRET_SIZE for u in new):
+            raise ValueError(f"spent secrets are {SECRET_SIZE} bytes")
+        base, dropped = _merge(self._base, new, drop)
+        if self._path is not None:
+            self._write_snapshot(base)
+        self._base = base  # before the overlay goes; see __contains__
+        self._overlay = set()
+        self._replayed_over_base = False
+        return dropped
 
     def _append(self, record: bytes) -> None:
         if self._log is None:
@@ -150,13 +246,12 @@ class RedeemDb:
     def _snap_path(self) -> str:
         return self._path + ".snap"
 
-    def _write_snapshot(self) -> None:
+    def _write_snapshot(self, base: bytes) -> None:
         tmp = self._snap_path() + ".tmp"
         with open(tmp, "wb") as f:
             f.write(_SNAP_MAGIC)
-            f.write(struct.pack("<II", len(self._spent), len(self._claims)))
-            for u in sorted(self._spent):
-                f.write(u)
+            f.write(struct.pack("<II", len(base) // SECRET_SIZE, len(self._claims)))
+            f.write(base)
             for u in sorted(self._claims):
                 f.write(u)
             f.flush()
@@ -176,23 +271,24 @@ class RedeemDb:
             self._load_snapshot(snap)
         if os.path.exists(self._path):
             self._replay_log(self._path)
+        self._replayed_over_base = bool(self._base and self._overlay)
 
     def _load_snapshot(self, snap: str) -> None:
+        """Reads the spent records straight into the base; no copy is made."""
         with open(snap, "rb") as f:
-            data = f.read()
-        if len(data) < len(_SNAP_MAGIC) + 8 or not data.startswith(_SNAP_MAGIC):
-            raise DbCorruption("snapshot header is unreadable")
-        n_spent, n_claims = struct.unpack_from("<II", data, len(_SNAP_MAGIC))
-        off = len(_SNAP_MAGIC) + 8
-        need = off + (n_spent + n_claims) * SECRET_SIZE
-        if len(data) != need:
-            raise DbCorruption("snapshot length does not match its header")
-        for _ in range(n_spent):
-            self._spent.add(data[off : off + SECRET_SIZE])
-            off += SECRET_SIZE
-        for _ in range(n_claims):
-            self._claims.add(data[off : off + SECRET_SIZE])
-            off += SECRET_SIZE
+            head = f.read(_SNAP_HEAD)
+            if len(head) < _SNAP_HEAD or not head.startswith(_SNAP_MAGIC):
+                raise DbCorruption("snapshot header is unreadable")
+            n_spent, n_claims = struct.unpack_from("<II", head, len(_SNAP_MAGIC))
+            need = _SNAP_HEAD + (n_spent + n_claims) * SECRET_SIZE
+            if os.fstat(f.fileno()).st_size != need:
+                raise DbCorruption("snapshot length does not match its header")
+            base = f.read(n_spent * SECRET_SIZE)
+            claims = f.read(n_claims * SECRET_SIZE)
+        _check_sorted(base)
+        self._base = base
+        for off in range(0, len(claims), SECRET_SIZE):
+            self._claims.add(claims[off : off + SECRET_SIZE])
 
     def _replay_log(self, path: str) -> None:
         with open(path, "rb") as f:
@@ -210,7 +306,7 @@ class RedeemDb:
                     break
                 for i in range(count):
                     lo = off + 2 + i * SECRET_SIZE
-                    self._spent.add(data[lo : lo + SECRET_SIZE])
+                    self._overlay.add(data[lo : lo + SECRET_SIZE])
             elif kind in (_REC_CLAIM_ADD, _REC_CLAIM_TAKE):
                 end = off + 1 + SECRET_SIZE
                 if end > len(data):

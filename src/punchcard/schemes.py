@@ -165,7 +165,8 @@ class MergeableScheme(Scheme):
         )
 
     def check_expiry(self, req, today: date, horizon: int) -> None:
-        """Merge redemptions carry no expiry; the check passes them all."""
+        """Merge redemptions carry no expiry; the check passes them all.
+        load_config refuses expiry_check = on with this scheme."""
 
     def expected_request(self, sk: int, count: int, rng=None):
         """An accepted request made with the key, not by punching (bench)."""

@@ -155,6 +155,8 @@ def load_config(path: Optional[str] = None, env: Optional[Dict[str, str]] = None
         if key not in _PARSERS:
             raise ConfigError(f"unknown config key {key!r}")
         setattr(cfg, key, _PARSERS[key](key, raw))
+    if cfg.expiry_check and cfg.scheme != "main":
+        raise ConfigError(f"expiry_check: {cfg.scheme} cards carry no expiry date")
     return cfg
 
 

@@ -146,7 +146,7 @@ def test_server_purge_cli(tmp_path, capsys):
     state = tmp_path / "srv"
     state.mkdir()
     conf = tmp_path / "server.conf"
-    conf.write_text(f"state_dir = {state}\n")
+    conf.write_text(f"state_dir = {state}\nexpiry_check = on\n")
     db = RedeemDb(str(state / "redeemed.db"))
     db.check_and_insert(make_expiring_secret(date(2020, 1, 1)))
     db.check_and_insert(make_expiring_secret(date(2099, 1, 1)))
@@ -156,6 +156,26 @@ def test_server_purge_cli(tmp_path, capsys):
     again = RedeemDb(str(state / "redeemed.db"))
     assert len(again) == 1
     again.close()
+
+
+@pytest.mark.parametrize(
+    "lines", ["", "expiry_check = off", "scheme = mergeable\nexpiry_check = on"]
+)
+def test_server_purge_needs_expiring_cards(tmp_path, capsys, lines):
+    """Purge reads a date from each secret's first bytes; on random secrets
+    it would drop live entries and let their cards be spent again."""
+    state = tmp_path / "srv"
+    state.mkdir()
+    conf = tmp_path / "server.conf"
+    conf.write_text(f"state_dir = {state}\n{lines}\n")
+    db = RedeemDb(str(state / "redeemed.db"))
+    db.check_and_insert(make_expiring_secret(date(2020, 1, 1)))
+    db.close()
+    before = (state / "redeemed.db").read_bytes()
+    assert cli.main(["server", "purge", "--config", str(conf)]) == service.EXIT_CONFIG
+    assert "config:" in capsys.readouterr().err
+    assert (state / "redeemed.db").read_bytes() == before
+    assert not (state / "redeemed.db.snap").exists()
 
 
 def test_new_card_scheme_mismatch_is_an_error(tmp_path, capsys):

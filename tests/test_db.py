@@ -2,9 +2,13 @@ import hashlib
 import os
 import random
 import stat
+import sys
+import tempfile
 import threading
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from punchcard.db import RedeemDb
 from punchcard.errors import DbCorruption
@@ -348,3 +352,245 @@ def test_seeded_store_files_pinned(tmp_path):
     assert not any(u in db for u in members - kept)
     assert db.take_claim(claim)
     db.close()
+
+
+def _snapshot_records(path):
+    with open(path + ".snap", "rb") as f:
+        data = f.read()
+    n_spent = int.from_bytes(data[5:9], "little")
+    return [data[13 + 32 * i : 45 + 32 * i] for i in range(n_spent)]
+
+
+def test_reopen_memory_per_entry(tmp_path):
+    path = str(tmp_path / "db")
+    n = 10**5
+    db = RedeemDb(path, fsync=False)
+    db.preload(_secrets(random.Random(160), n))
+    db.close()
+    tracemalloc.start()
+    try:
+        db = RedeemDb(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(db) == n
+    db.close()
+    assert peak <= 48 * n, f"{peak / n:.1f} B per entry"
+
+
+@pytest.mark.parametrize(
+    "i, j",
+    [(4095, 4096), (10, 11), (4096, 4095)],  # swap across the first chunk's end,
+    # swap inside it, and a record repeated across that end
+    ids=["swap-chunk-boundary", "swap", "duplicate"],
+)
+def test_snapshot_out_of_order_raises(tmp_path, i, j):
+    path = str(tmp_path / "db")
+    db = RedeemDb(path, fsync=False)
+    db.preload(_secrets(random.Random(161), 5000))
+    db.close()
+    with open(path + ".snap", "rb") as f:
+        data = bytearray(f.read())
+    rec = lambda k: slice(13 + 32 * k, 45 + 32 * k)
+    a, b = bytes(data[rec(i)]), bytes(data[rec(j)])
+    if i < j:
+        data[rec(i)], data[rec(j)] = b, a
+    else:
+        data[rec(i)] = b
+    with open(path + ".snap", "wb") as f:
+        f.write(data)
+    with pytest.raises(DbCorruption, match="strictly increasing"):
+        RedeemDb(path)
+
+
+@pytest.mark.parametrize("first", ["len", "compact"])
+def test_crash_before_log_restart_keeps_len_exact(tmp_path, first):
+    """A crash after the snapshot replace but before the log restart leaves
+    a log whose records the snapshot already holds."""
+    rng = random.Random(162)
+    path = str(tmp_path / "db")
+    preloaded, logged = _secrets(rng, 50), _secrets(rng, 5)
+    db = RedeemDb(path)
+    db.preload(preloaded)
+    for u in logged:
+        assert db.check_and_insert(u)
+    with FaultPlan(fail_at=1) as plan:
+        with pytest.raises(FaultInjected):
+            db.compact()
+    assert plan.hits == ["db.snapshot.replace", "db.snapshot.dirsync"]
+    db.close()
+    assert os.path.getsize(path) == 5 * 34
+    assert len(_snapshot_records(path)) == 55
+
+    db = RedeemDb(path)
+    if first == "len":
+        assert len(db) == 55
+    db.compact()
+    assert len(db) == 55
+    records = _snapshot_records(path)
+    assert records == sorted(set(preloaded + logged))
+    assert all(u in db for u in records)
+    assert not db.check_and_insert(logged[0])
+    assert db.check_and_insert(rng.randbytes(32)) and len(db) == 56
+    db.close()
+
+
+def test_lookups_never_miss_while_compacting():
+    rng = random.Random(163)
+    db = RedeemDb()
+    db.preload(_secrets(rng, 5000))
+    fresh = _secrets(rng, 1500)
+    inserted = []
+    misses = []
+    done = threading.Event()
+
+    def writer():
+        try:
+            for i, u in enumerate(fresh):
+                assert db.check_and_insert(u)
+                inserted.append(u)
+                if i % 25 == 0:
+                    db.compact()
+        finally:
+            done.set()
+
+    def reader(seed):
+        r = random.Random(seed)
+        while not done.is_set():
+            if inserted:
+                u = inserted[r.randrange(len(inserted))]
+                if u not in db:
+                    misses.append(u)
+
+    threads = [threading.Thread(target=writer)]
+    threads += [threading.Thread(target=reader, args=(s,)) for s in range(4)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(inserted) == len(fresh) and not misses
+    assert len(db) == 6500
+
+
+def test_every_secret_found_at_every_step_of_a_rebuild():
+    """Lookups take no lock, so each spent secret must stay findable after
+    every statement of a rebuild, not only once it returns."""
+    rng = random.Random(165)
+    db = RedeemDb()
+    preloaded = _secrets(rng, 5000)
+    db.preload(preloaded)
+    logged = _secrets(rng, 20)
+    assert db.check_and_insert(*logged)
+    found = []
+
+    def each_line(frame, event, arg):
+        if event == "line":
+            found.append(all(u in db for u in logged + preloaded[::100]))
+        return each_line
+
+    def each_call(frame, event, arg):
+        return each_line if frame.f_code.co_name == "_rebuild" else None
+
+    sys.settrace(each_call)
+    try:
+        db.compact()
+    finally:
+        sys.settrace(None)
+    assert len(found) > 3 and all(found)
+
+_POOL = _secrets(random.Random(164), 12)
+_IDX = st.integers(0, len(_POOL) - 1)
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), st.lists(_IDX, min_size=1, max_size=3)),
+        st.tuples(st.just("purge"), st.frozensets(_IDX)),
+        st.tuples(st.just("preload"), st.lists(_IDX, max_size=5)),
+        st.tuples(st.sampled_from(["compact", "reopen"]), st.none()),
+    ),
+    max_size=20,
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(ops=_OPS)
+def test_store_behaves_like_a_set(ops):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "db")
+        db = RedeemDb(path, fsync=False)
+        model = set()
+        try:
+            for op, arg in ops:
+                if op == "insert":
+                    secrets = [_POOL[i] for i in arg]
+                    fresh = model.isdisjoint(secrets)
+                    assert db.check_and_insert(*secrets) == fresh
+                    if fresh:
+                        model.update(secrets)
+                elif op == "purge":
+                    doomed = {_POOL[i] for i in arg}
+                    assert db.purge(doomed.__contains__) == len(model & doomed)
+                    model -= doomed
+                elif op == "preload":
+                    db.preload(_POOL[i] for i in arg)
+                    model.update(_POOL[i] for i in arg)
+                elif op == "compact":
+                    db.compact()
+                else:
+                    db.close()
+                    db = RedeemDb(path, fsync=False)
+                assert [u in db for u in _POOL] == [u in model for u in _POOL]
+                assert len(db) == len(model)
+        finally:
+            db.close()
+
+
+def _insert(us):
+    return bytes([1, len(us)]) + b"".join(us)
+
+
+_RECORD = st.one_of(
+    st.lists(st.sampled_from(_POOL), min_size=1, max_size=3).map(_insert),
+    st.sampled_from(_POOL).map(lambda u: b"\x02" + u),  # claim added
+    st.sampled_from(_POOL).map(lambda u: b"\x03" + u),  # claim taken
+)
+# Tails that hold no complete record: a record cut short, an insert of zero
+# secrets, or an unknown record type, each followed by anything.
+_BAD_TAIL = st.one_of(
+    _RECORD.flatmap(lambda r: st.integers(1, len(r) - 1).map(lambda k: r[:k])),
+    st.binary(max_size=64).map(lambda b: b"\x01\x00" + b),
+    st.tuples(
+        st.integers(0, 255).filter(lambda t: t not in (1, 2, 3)), st.binary(max_size=64)
+    ).map(lambda t: bytes([t[0]]) + t[1]),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(records=st.lists(_RECORD, max_size=8), tail=st.one_of(st.just(b""), _BAD_TAIL))
+def test_log_replay_keeps_the_complete_records_before_a_bad_one(records, tail):
+    spent, claims = set(), set()
+    for r in records:
+        us = [r[i : i + 32] for i in range(2 if r[0] == 1 else 1, len(r), 32)]
+        if r[0] == 1:
+            spent.update(us)
+        elif r[0] == 2:
+            claims.update(us)
+        else:
+            claims.difference_update(us)
+    good = b"".join(records)
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "db")
+        with open(path, "wb") as f:
+            f.write(good + tail)
+        for _ in range(2):  # the second open finds the healed file
+            db = RedeemDb(path, fsync=False)
+            assert [u in db for u in _POOL] == [u in spent for u in _POOL]
+            assert len(db) == len(spent) and db.pending_claims() == len(claims)
+            db.close()
+            with open(path, "rb") as f:
+                assert f.read() == good

@@ -49,7 +49,7 @@ def test_config_file_parsing(tmp_path):
         t_max = 20
         fsync = off
         opaque_rejects = yes
-        expiry_check = true
+        expiry_check = no
         horizon_quarters = 4
         """
     )
@@ -61,7 +61,7 @@ def test_config_file_parsing(tmp_path):
     assert cfg.t_max == 20
     assert cfg.fsync is False
     assert cfg.opaque_rejects is True
-    assert cfg.expiry_check is True
+    assert cfg.expiry_check is False
     assert cfg.horizon_quarters == 4
 
 
@@ -88,6 +88,7 @@ def test_config_rejects_garbage(tmp_path):
         "horizon_quarters = 0",
         "mystery_key = 1",
         "no equals sign here",
+        "scheme = mergeable\nexpiry_check = on",  # merge cards carry no date
     ]
     for text in cases:
         path = tmp_path / "bad.conf"
