@@ -13,8 +13,9 @@ append-only log with periodic snapshot compaction:
 
 In memory the secrets of the last snapshot are one immutable bytes object
 of sorted 32-byte records (the snapshot body as read, checked to be strictly
-increasing), searched by bisection; secrets added since (log replay, new
-inserts) sit in a small set beside it. Compaction, purge and preload are one
+increasing), found by bisecting a list of every 64th record and scanning
+one block; secrets added since (log replay, new inserts) sit in a small set
+beside it. Compaction, purge and preload are one
 rebuild that merges the two into a new sorted blob. All writes happen under
 one lock; lookups take none.
 """
@@ -41,6 +42,8 @@ _REC_CLAIM_TAKE = 3
 _MAX_PER_RECORD = 255  # the insert record's count is one byte; 0 ends replay
 _CHUNK = 4096  # records unpacked at a time when a whole blob is walked
 _STEP = _CHUNK * SECRET_SIZE
+_BLOCK = 64  # records per fence entry of a _Sorted
+_BLOCK_BYTES = _BLOCK * SECRET_SIZE
 
 
 def _records(blob: bytes, off: int) -> Tuple[bytes, ...]:
@@ -49,20 +52,37 @@ def _records(blob: bytes, off: int) -> Tuple[bytes, ...]:
     return struct.unpack_from("32s" * n, blob, off)
 
 
-def _find(blob: bytes, u: bytes) -> bool:
-    """Whether u is one of the sorted records of `blob` (bisection)."""
-    lo, hi = 0, len(blob) // SECRET_SIZE
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if blob[mid * SECRET_SIZE : (mid + 1) * SECRET_SIZE] < u:
-            lo = mid + 1
-        else:
-            hi = mid
-    return blob[lo * SECRET_SIZE : (lo + 1) * SECRET_SIZE] == u
+class _Sorted:
+    """Spent secrets as one bytes object of sorted records, plus a fence:
+    the first record of each block of _BLOCK, which bisect searches in C
+    before one block is scanned. Immutable, so a rebuild swaps in a new
+    one and a lookup never sees half of each."""
+
+    __slots__ = ("blob", "fence")
+
+    def __init__(self, blob: bytes = b""):
+        self.blob = blob
+        self.fence = [
+            blob[i : i + SECRET_SIZE] for i in range(0, len(blob), _BLOCK_BYTES)
+        ]
+
+    def __len__(self) -> int:
+        return len(self.blob) // SECRET_SIZE
+
+    def __contains__(self, u: bytes) -> bool:
+        block = bisect.bisect_right(self.fence, u) - 1
+        if block < 0 or len(u) != SECRET_SIZE:
+            return False
+        lo = block * _BLOCK_BYTES
+        hi = lo + _BLOCK_BYTES
+        at = self.blob.find(u, lo, hi)
+        while at != -1 and at % SECRET_SIZE:  # a match across two records
+            at = self.blob.find(u, at + 1, hi)
+        return at != -1
 
 
 def _check_sorted(blob: bytes) -> None:
-    """Bisection over records out of order could miss a spent secret."""
+    """A search over records out of order could miss a spent secret."""
     prev = b""
     for off in range(0, len(blob), _STEP):
         recs = _records(blob, off)
@@ -124,7 +144,7 @@ class RedeemDb:
 
     def __init__(self, path: Optional[str] = None, fsync: bool = True):
         self._lock = threading.Lock()
-        self._base = b""  # sorted records, the spent secrets of the snapshot
+        self._base = _Sorted()  # the spent secrets of the snapshot
         self._overlay = set()  # spent secrets added since
         # Replayed log records repeat snapshot records only after a crash
         # between the snapshot replace and the log restart; until __len__
@@ -144,15 +164,16 @@ class RedeemDb:
     def __len__(self) -> int:
         with self._lock:
             if self._replayed_over_base:
-                for off in range(0, len(self._base), _STEP):
-                    self._overlay.difference_update(_records(self._base, off))
+                blob = self._base.blob
+                for off in range(0, len(blob), _STEP):
+                    self._overlay.difference_update(_records(blob, off))
                 self._replayed_over_base = False
-            return len(self._base) // SECRET_SIZE + len(self._overlay)
+            return len(self._base) + len(self._overlay)
 
     def __contains__(self, u: bytes) -> bool:
         # the overlay first: a rebuild swaps in the new base before it
         # empties the overlay, so a secret is always in one or the other
-        return u in self._overlay or _find(self._base, u)
+        return u in self._overlay or u in self._base
 
     def check_and_insert(self, *secrets: bytes) -> bool:
         """Insert all the secrets, or none of them. False (nothing written)
@@ -225,10 +246,10 @@ class RedeemDb:
         new = sorted(self._overlay.union(extra))
         if any(len(u) != SECRET_SIZE for u in new):
             raise ValueError(f"spent secrets are {SECRET_SIZE} bytes")
-        base, dropped = _merge(self._base, new, drop)
+        blob, dropped = _merge(self._base.blob, new, drop)
         if self._path is not None:
-            self._write_snapshot(base)
-        self._base = base  # before the overlay goes; see __contains__
+            self._write_snapshot(blob)
+        self._base = _Sorted(blob)  # before the overlay goes; see __contains__
         self._overlay = set()
         self._replayed_over_base = False
         return dropped
@@ -246,12 +267,12 @@ class RedeemDb:
     def _snap_path(self) -> str:
         return self._path + ".snap"
 
-    def _write_snapshot(self, base: bytes) -> None:
+    def _write_snapshot(self, blob: bytes) -> None:
         tmp = self._snap_path() + ".tmp"
         with open(tmp, "wb") as f:
             f.write(_SNAP_MAGIC)
-            f.write(struct.pack("<II", len(base) // SECRET_SIZE, len(self._claims)))
-            f.write(base)
+            f.write(struct.pack("<II", len(blob) // SECRET_SIZE, len(self._claims)))
+            f.write(blob)
             for u in sorted(self._claims):
                 f.write(u)
             f.flush()
@@ -271,7 +292,7 @@ class RedeemDb:
             self._load_snapshot(snap)
         if os.path.exists(self._path):
             self._replay_log(self._path)
-        self._replayed_over_base = bool(self._base and self._overlay)
+        self._replayed_over_base = bool(len(self._base) and self._overlay)
 
     def _load_snapshot(self, snap: str) -> None:
         """Reads the spent records straight into the base; no copy is made."""
@@ -283,10 +304,10 @@ class RedeemDb:
             need = _SNAP_HEAD + (n_spent + n_claims) * SECRET_SIZE
             if os.fstat(f.fileno()).st_size != need:
                 raise DbCorruption("snapshot length does not match its header")
-            base = f.read(n_spent * SECRET_SIZE)
+            blob = f.read(n_spent * SECRET_SIZE)
             claims = f.read(n_claims * SECRET_SIZE)
-        _check_sorted(base)
-        self._base = base
+        _check_sorted(blob)
+        self._base = _Sorted(blob)
         for off in range(0, len(claims), SECRET_SIZE):
             self._claims.add(claims[off : off + SECRET_SIZE])
 

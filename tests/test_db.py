@@ -435,6 +435,48 @@ def test_crash_before_log_restart_keeps_len_exact(tmp_path, first):
     db.close()
 
 
+def test_rebuild_across_chunks_matches_a_set(tmp_path):
+    """Merges span several 4096-record chunks: untouched chunks are copied
+    whole, touched ones merged, and purge filters every one."""
+    rng = random.Random(166)
+    path = str(tmp_path / "db")
+    db = RedeemDb(path, fsync=False)
+    model = set(_secrets(rng, 10000))
+    db.preload(model)
+    late = [b"\xff" + rng.randbytes(31) for _ in range(30)]  # last chunk only
+    for u in late:
+        assert db.check_and_insert(u)
+    db.compact()
+    model.update(late)
+    assert _snapshot_records(path) == sorted(model)
+    again = rng.sample(sorted(model), 100) + _secrets(rng, 100)
+    db.preload(again)
+    model.update(again)
+    assert _snapshot_records(path) == sorted(model)
+    extra = rng.randbytes(32)
+    assert db.check_and_insert(extra)
+    model.add(extra)
+    doomed = {u for u in model if u[0] < 16}
+    assert db.purge(lambda u: u[0] < 16) == len(doomed)
+    model -= doomed
+    assert _snapshot_records(path) == sorted(model)
+    db.close()
+    db = RedeemDb(path)
+    assert len(db) == len(model) and all(u in db for u in model)
+    assert not any(u in db for u in doomed)
+    db.close()
+
+def test_lookup_needs_a_whole_record():
+    rng = random.Random(167)
+    db = RedeemDb()
+    spent = sorted(_secrets(rng, 300))
+    db.preload(spent)
+    assert all(u in db for u in spent)
+    for k in (0, 63, 64, 150, 298):  # inside and across the 64-record blocks
+        assert spent[k][16:] + spent[k + 1][:16] not in db
+        assert spent[k][:31] not in db and spent[k] + b"x" not in db
+    assert b"" not in db and b"\x00" * 32 not in db and b"\xff" * 32 not in db
+
 def test_lookups_never_miss_while_compacting():
     rng = random.Random(163)
     db = RedeemDb()
