@@ -82,7 +82,8 @@ class _Sorted:
 
 
 def _check_sorted(blob: bytes) -> None:
-    """A search over records out of order could miss a spent secret."""
+    """DbCorruption unless the records of `blob` strictly increase: a
+    search over records out of order could miss a spent secret."""
     prev = b""
     for off in range(0, len(blob), _STEP):
         recs = _records(blob, off)
@@ -116,7 +117,7 @@ def _merge(
         if k == j and drop is None:
             pieces.append(view[off:end])
             continue
-        recs = _records(blob, off)
+        recs = _records(blob, off)  # new[j:k] are all <= recs[-1]
         fresh = [u for u in new[j:k] if recs[bisect.bisect_left(recs, u)] != u]
         emit(sorted(recs + tuple(fresh)) if fresh else recs)
         j = k
