@@ -243,7 +243,11 @@ class RedeemDb:
     ) -> int:
         """Merge the overlay (and `extra`) into a new base without repeats
         or records drop(u) accepts; on disk, write it as the snapshot and
-        restart the log. Returns how many records drop accepted."""
+        restart the log. Returns how many records drop accepted. With
+        nothing to merge or drop and an empty log (which also holds the
+        claim records) the snapshot is current, and nothing is written."""
+        if not (self._overlay or extra or drop or self._log_bytes()):
+            return 0
         new = sorted(self._overlay.union(extra))
         if any(len(u) != SECRET_SIZE for u in new):
             raise ValueError(f"spent secrets are {SECRET_SIZE} bytes")
@@ -264,6 +268,9 @@ class RedeemDb:
         fault_point("db.fsync")
         if self._fsync:
             os.fsync(self._log.fileno())
+
+    def _log_bytes(self) -> int:
+        return 0 if self._log is None else os.fstat(self._log.fileno()).st_size
 
     def _snap_path(self) -> str:
         return self._path + ".snap"

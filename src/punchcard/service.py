@@ -3,6 +3,15 @@
 The configured scheme is an object from `schemes`, and each Config field
 carries the parser that checks its value when the config is loaded.
 
+The TCP loop serves every connection on a reused worker thread: the
+accept loop hands each socket to a pool that starts threads on demand, up
+to MAX_WORKERS, and prefers an idle one. A whole frame must arrive within
+FRAME_DEADLINE_S of accept or of the previous reply, or the connection is
+closed, so a slow or silent peer holds a worker for a bounded time. Above
+MAX_CONNS accepted but unfinished connections a new one is closed at once.
+These are module constants, not config keys: no caller needs other values
+(tests patch them to reach the limits quickly).
+
 The server holds one secret scalar and one growing set of spent secrets.
 Per request it does group arithmetic and answers; it learns nothing that
 links a punch to a redemption, so the logs and stats here are aggregate
@@ -17,6 +26,8 @@ import os
 import socket
 import socketserver
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from datetime import date
 from typing import Callable, Dict, Optional, Tuple
@@ -31,7 +42,7 @@ from .errors import (
     PromotionTooLarge,
     WireError,
 )
-from .faults import fault_point
+from .faults import FaultInjected, fault_point
 from .groups import GROUP_NAMES, PAIRING_NAMES
 
 log = logging.getLogger("punchcard.server")
@@ -40,6 +51,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_KEYSTORE = 3
 EXIT_BIND = 4
+
+MAX_WORKERS = 64  # handler threads, started on demand and reused
+MAX_CONNS = 256  # accepted, unfinished connections; more are closed at once
+FRAME_DEADLINE_S = 10.0  # for each whole request frame
 
 _BOOL_WORDS = {
     "1": True,
@@ -209,6 +224,9 @@ class Stats:
         "redeem_double_spend",
         "redeem_expired",
         "protocol_errors",
+        "connections",
+        "connections_refused",
+        "connections_timed_out",
     )
 
     def __init__(self):
@@ -300,11 +318,17 @@ class PunchcardService:
 
 class _Handler(socketserver.BaseRequestHandler):
     def handle(self) -> None:
-        service = self.server.service  # type: ignore[attr-defined]
+        server: _Server = self.server  # type: ignore[assignment]
+        service = server.service
+        deadline = server.accepted[self.request] + FRAME_DEADLINE_S
         while True:
             try:
-                msg_type, body = wire.recv_frame(self.request)
+                msg_type, body = wire.recv_frame(self.request, deadline=deadline)
             except EOFError:
+                return
+            except TimeoutError:
+                service.stats.bump("connections_timed_out")
+                log.debug("connection timed out")
                 return
             except (WireError, OSError) as e:
                 log.debug("connection dropped: %s", e)
@@ -314,11 +338,60 @@ class _Handler(socketserver.BaseRequestHandler):
                 wire.send_frame(self.request, out_type, out_body)
             except OSError:
                 return
+            deadline = time.monotonic() + FRAME_DEADLINE_S
 
 
 class _Server(socketserver.ThreadingTCPServer):
+    """ThreadingTCPServer whose process_request hands the socket to a pool
+    of reused threads instead of a new thread. Each worker still runs the
+    inherited process_request_thread, which handles and then closes it."""
+
     allow_reuse_address = True
-    daemon_threads = True
+
+    def __init__(self, address, service: "PunchcardService"):
+        # before the bind, whose failure calls server_close
+        self.service = service
+        self.accepted: Dict[socket.socket, float] = {}  # open socket -> accept time
+        self._lock = threading.Lock()
+        self._pool = ThreadPoolExecutor(MAX_WORKERS, thread_name_prefix="punchcard-conn")
+        super().__init__(address, _Handler)
+
+    def process_request(self, request, client_address) -> None:
+        with self._lock:
+            full = len(self.accepted) >= MAX_CONNS
+            if not full:
+                self.accepted[request] = time.monotonic()
+        if full:
+            self.service.stats.bump("connections_refused")
+            self.shutdown_request(request)
+            return
+        self.service.stats.bump("connections")
+        self._pool.submit(self._serve, request, client_address)
+
+    def _serve(self, request, client_address) -> None:
+        try:
+            self.process_request_thread(request, client_address)
+        except FaultInjected as e:
+            # a simulated crash of this connection only; the socket is
+            # closed already and the worker goes on to the next one
+            log.error("connection handler crashed: %s", e)
+
+    def shutdown_request(self, request) -> None:
+        with self._lock:
+            self.accepted.pop(request, None)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        """Close the listener, wake every worker blocked on a connection,
+        and wait for the workers to finish."""
+        super().server_close()
+        with self._lock:
+            for request in self.accepted:
+                try:
+                    request.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
+        self._pool.shutdown()
 
 
 class ServerHandle:
@@ -328,13 +401,10 @@ class ServerHandle:
     def __init__(self, cfg: Config, db: Optional[RedeemDb] = None):
         self.service = PunchcardService(cfg, db=db)
         try:
-            self._server = _Server(
-                (cfg.listen_host, cfg.listen_port), _Handler
-            )
-        except OSError as e:
+            self._server = _Server((cfg.listen_host, cfg.listen_port), self.service)
+        except OSError:
             self.service.db.close()
             raise
-        self._server.service = self.service  # type: ignore[attr-defined]
         self._thread: Optional[threading.Thread] = None
 
     @property
@@ -342,20 +412,21 @@ class ServerHandle:
         return self._server.server_address[1]
 
     def start(self) -> "ServerHandle":
-        self._thread = threading.Thread(
+        thread = threading.Thread(
             target=self._server.serve_forever, kwargs={"poll_interval": 0.05}
         )
-        self._thread.daemon = True
-        self._thread.start()
+        thread.daemon = True
+        thread.start()
+        self._thread = thread  # only once serve_forever will run; see shutdown
         log.info("listening on %s:%d scheme=%s", self.service.cfg.listen_host,
                  self.port, self.service.cfg.scheme)
         return self
 
     def shutdown(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
+        if self._thread is not None:  # else _server.shutdown() would wait forever
+            self._server.shutdown()
             self._thread.join(timeout=5)
+        self._server.server_close()
         self.service.db.compact()
         self.service.db.close()
         for name, value in sorted(self.service.stats.snapshot().items()):
@@ -372,8 +443,10 @@ def run_server(cfg: Config) -> int:
     except OSError as e:
         log.error("cannot bind %s:%d: %s", cfg.listen_host, cfg.listen_port, e)
         return EXIT_BIND
-    handle.start()
     try:
+        # an interrupt as early as start() must still reach shutdown(), which
+        # wakes the pool's workers; the interpreter waits for them at exit
+        handle.start()
         handle._thread.join()
     except KeyboardInterrupt:
         pass

@@ -17,7 +17,8 @@ The framing layer knows nothing about group elements; bodies are opaque.
 from __future__ import annotations
 
 import struct
-from typing import Tuple
+import time
+from typing import Optional, Tuple
 
 from .errors import WireError
 
@@ -81,11 +82,21 @@ def send_frame(sock, msg_type: int, body: bytes) -> None:
     sock.sendall(pack_frame(msg_type, body))
 
 
-def _recv_exact(sock, n: int) -> bytes:
+def _recv(sock, n: int, deadline: Optional[float]) -> bytes:
+    if deadline is not None:
+        # once the deadline has passed, take only bytes that arrived before
+        sock.settimeout(max(deadline - time.monotonic(), 0.0))
+    try:
+        return sock.recv(n)
+    except BlockingIOError:  # the timeout was 0 and nothing had arrived
+        raise TimeoutError("frame deadline passed") from None
+
+
+def _recv_exact(sock, n: int, deadline: Optional[float]) -> bytes:
     chunks = []
     got = 0
     while got < n:
-        chunk = sock.recv(n - got)
+        chunk = _recv(sock, n - got, deadline)
         if not chunk:
             raise WireError("connection closed mid-frame")
         chunks.append(chunk)
@@ -93,18 +104,22 @@ def _recv_exact(sock, n: int) -> bytes:
     return b"".join(chunks)
 
 
-def recv_frame(sock) -> Tuple[int, bytes]:
+def recv_frame(sock, deadline: Optional[float] = None) -> Tuple[int, bytes]:
     """Blocking read of one frame. Raises WireError on a malformed or
-    oversized frame, EOFError on a clean close between frames."""
-    header = sock.recv(4)
+    oversized frame, EOFError on a clean close between frames. With a
+    deadline (a time.monotonic() value) the socket's timeout is re-armed
+    before each recv, so TimeoutError follows unless the whole frame, header
+    and body, has arrived by then; a frame that arrived in time is read
+    even after the deadline."""
+    header = _recv(sock, 4, deadline)
     if not header:
         raise EOFError
     if len(header) < 4:
-        header += _recv_exact(sock, 4 - len(header))
+        header += _recv_exact(sock, 4 - len(header), deadline)
     (length,) = struct.unpack("<I", header)
     if length < 1 or length > MAX_FRAME:
         raise WireError("bad frame length")
-    payload = _recv_exact(sock, length)
+    payload = _recv_exact(sock, length, deadline)
     msg_type = payload[0]
     if msg_type not in _KNOWN:
         raise WireError(f"unknown message type 0x{msg_type:02x}")

@@ -296,12 +296,13 @@ def test_snapshot_syncs_directory_after_replace(tmp_path, monkeypatch):
             assert events[i + 1] == "dirsync"
     assert plan.hits.count("db.snapshot.dirsync") == 2
     # a crash before the directory sync leaves the new snapshot in place
+    db.check_and_insert(*_secrets(rng, 1))  # else compact() has nothing to write
     with FaultPlan(fail_at=1) as plan:
         with pytest.raises(FaultInjected):
             db.compact()
     assert plan.hits == ["db.snapshot.replace", "db.snapshot.dirsync"]
     db2 = RedeemDb(str(tmp_path / "db"))
-    assert len(db2) == 5
+    assert len(db2) == 6
     db2.close()
 
 
@@ -351,6 +352,41 @@ def test_seeded_store_files_pinned(tmp_path):
     assert all(u in db for u in kept)
     assert not any(u in db for u in members - kept)
     assert db.take_claim(claim)
+    db.close()
+
+
+def test_compact_of_an_unchanged_store_writes_nothing(tmp_path):
+    """A clean server stop compacts; with nothing new since the snapshot it
+    leaves the snapshot (32 MB at 10^6 entries) and the log alone."""
+    rng = random.Random(151)
+    path = str(tmp_path / "db")
+    db = RedeemDb(path)
+    db.preload(_secrets(rng, 100))
+    db.close()
+    for name in (path, path + ".snap"):
+        os.utime(name, ns=(10**9, 10**9))  # any write moves the mtime
+
+    def files():
+        return [(s.st_ino, s.st_mtime_ns, s.st_size)
+                for s in map(os.stat, (path, path + ".snap"))]
+
+    before = files()
+    db = RedeemDb(path)
+    with FaultPlan() as plan:
+        db.compact()
+        db.preload([])
+    assert plan.hits == [] and files() == before
+    # a claim lives only in the log, so its compaction writes
+    claim = rng.randbytes(32)
+    db.add_claim(claim)
+    db.close()
+    db = RedeemDb(path)
+    db.compact()
+    after = files()
+    assert after[0][2] == 0 and after[1][0] != before[1][0]
+    db.close()
+    db = RedeemDb(path)
+    assert len(db) == 100 and db.take_claim(claim)
     db.close()
 
 

@@ -1,7 +1,13 @@
 import logging
 import os
 import re
+import signal
+import socket
 import stat
+import subprocess
+import sys
+import threading
+import time
 
 import pytest
 
@@ -9,7 +15,7 @@ from punchcard import core, mergeable, service, wire
 from punchcard.core import RedeemStatus
 from punchcard.db import RedeemDb
 from punchcard.errors import ConfigError, InvalidEncoding, KeyStoreError
-from punchcard.faults import FaultInjected, FaultPlan
+from punchcard.faults import FaultInjected, FaultPlan, install_hook
 from punchcard.groups import get_group
 from punchcard.groups.bls import fields as bls_fields
 from punchcard.service import (
@@ -397,17 +403,260 @@ def test_mergeable_over_tcp(tmp_path):
         handle.shutdown()
 
 
-def test_logs_never_carry_card_material(main_server, tmp_path, caplog):
+def test_logs_never_carry_card_material(tmp_path, caplog, monkeypatch):
     rng = random.Random(179)
+    cfg = Config(
+        state_dir=str(tmp_path / "state"),
+        listen_port=0,
+        accepted_counts=(5,),
+        fsync=False,
+    )
     with caplog.at_level(logging.DEBUG, logger="punchcard.server"):
-        w = Wallet(str(tmp_path / "w2"))
-        idx = w.new_card(rng)
-        with Client("127.0.0.1", main_server.port) as client:
-            for _ in range(5):
-                w.punch(client, idx, rng)
-            w.redeem(client, idx)
+        handle = ServerHandle(cfg).start()
+        try:
+            w = Wallet(str(tmp_path / "w2"))
+            idx = w.new_card(rng)
+            with Client("127.0.0.1", handle.port) as client:
+                for _ in range(5):
+                    w.punch(client, idx, rng)
+                w.redeem(client, idx)
+            # and a connection that sends nothing until its deadline
+            monkeypatch.setattr(service, "FRAME_DEADLINE_S", 0.2)
+            with _connect(handle) as idle:
+                assert _wait_for_close(idle) < 5
+        finally:
+            handle.shutdown()
     blob = "\n".join(r.getMessage() for r in caplog.records)
+    assert "stat connections=2" in blob and "stat connections_timed_out=1" in blob
+    assert "connection timed out" in blob
     assert not re.search(r"[0-9a-f]{64}", blob)
+
+
+# --- connection pool, deadline and cap --------------------------------------------
+
+
+def _toy_server(tmp_path) -> ServerHandle:
+    cfg = Config(
+        state_dir=str(tmp_path / "state"), listen_port=0, group="toy",
+        accepted_counts=(2,), fsync=False,
+    )
+    return ServerHandle(cfg).start()
+
+
+def _connect(handle) -> socket.socket:
+    return socket.create_connection(("127.0.0.1", handle.port), timeout=10)
+
+
+def _wait_for_close(sock) -> float:
+    """Seconds until the server closes `sock`, which must get no reply."""
+    t0 = time.monotonic()
+    try:
+        assert sock.recv(64) == b""
+    except ConnectionResetError:
+        pass
+    return time.monotonic() - t0
+
+
+def _wallet_session(handle, tmp_path, rng) -> None:
+    w = Wallet(str(tmp_path / "w"), group_name="toy")
+    idx = w.new_card(rng)
+    with Client("127.0.0.1", handle.port) as client:
+        w.punch(client, idx, rng)
+        w.punch(client, idx, rng)
+        assert w.redeem(client, idx) is RedeemStatus.ACCEPT
+
+
+def _workers():
+    return [t for t in threading.enumerate() if t.name.startswith("punchcard-conn")]
+
+
+def test_handler_crash_keeps_the_worker(tmp_path, monkeypatch, caplog):
+    monkeypatch.setattr(service, "MAX_WORKERS", 2)
+    rng = random.Random(180)
+    handle = _toy_server(tmp_path)
+    crashes = []
+
+    def crash(point):
+        if point == "service.handle" and len(crashes) < 5:
+            crashes.append(point)
+            raise FaultInjected(point, len(crashes))
+
+    try:
+        install_hook(crash)
+        for _ in range(5):  # more crashes than workers
+            with Client("127.0.0.1", handle.port) as client:
+                with pytest.raises((EOFError, OSError)):
+                    client.fetch_pk()
+        install_hook(None)
+        _wallet_session(handle, tmp_path, rng)
+        assert 1 <= len(_workers()) <= 2
+    finally:
+        install_hook(None)
+        handle.shutdown()
+    assert len(crashes) == 5
+    crashed = [r for r in caplog.records if "handler crashed" in r.getMessage()]
+    assert len(crashed) == 5
+    assert _workers() == []
+
+
+def test_dribbled_frame_is_cut_off_at_its_deadline(tmp_path, monkeypatch):
+    monkeypatch.setattr(service, "FRAME_DEADLINE_S", 0.4)
+    handle = _toy_server(tmp_path)
+    try:
+        with _connect(handle) as sock:
+            # a whole PK_REQ, one byte every 0.2 s: complete only after 0.8 s
+            for byte in wire.pack_frame(wire.PK_REQ, b""):
+                try:
+                    sock.sendall(bytes([byte]))
+                except OSError:
+                    break
+                time.sleep(0.2)
+            _wait_for_close(sock)
+        assert handle.service.stats.snapshot()["connections_timed_out"] == 1
+    finally:
+        handle.shutdown()
+
+
+def test_idle_connection_closed_at_its_deadline(tmp_path, monkeypatch):
+    monkeypatch.setattr(service, "FRAME_DEADLINE_S", 0.5)
+    handle = _toy_server(tmp_path)
+    try:
+        with _connect(handle) as sock:
+            wire.send_frame(sock, wire.PK_REQ, b"")
+            assert wire.recv_frame(sock)[0] == wire.PK_RESP
+            # the next frame was due within 0.5 s of that reply
+            assert 0.4 < _wait_for_close(sock) < 3
+        assert handle.service.stats.snapshot()["connections_timed_out"] == 1
+    finally:
+        handle.shutdown()
+
+
+@pytest.mark.parametrize("workers", [service.MAX_WORKERS, 4])
+def test_stalled_connections_do_not_block_a_fresh_client(tmp_path, monkeypatch, workers):
+    """24 peers that stall mid-header. With more workers than stalls the
+    fresh client is served at once; with 4, once the stalled connections
+    reach their deadline, which runs from accept, not from when a worker
+    picks a connection up (that would take 24 / 4 deadlines)."""
+    monkeypatch.setattr(service, "MAX_WORKERS", workers)
+    monkeypatch.setattr(service, "FRAME_DEADLINE_S", 1.0)
+    rng = random.Random(181)
+    handle = _toy_server(tmp_path)
+    stalled = []
+    try:
+        for _ in range(24):
+            sock = _connect(handle)
+            sock.sendall(b"\x01\x00")
+            stalled.append(sock)
+        t0 = time.monotonic()
+        _wallet_session(handle, tmp_path, rng)
+        waited = time.monotonic() - t0
+        if workers > 24:
+            assert waited < 0.9
+        else:
+            assert waited < 3
+        assert len(_workers()) <= workers
+    finally:
+        for sock in stalled:
+            sock.close()
+        handle.shutdown()
+
+
+def test_connections_over_the_cap_are_closed_at_once(tmp_path, monkeypatch):
+    monkeypatch.setattr(service, "MAX_CONNS", 2)
+    handle = _toy_server(tmp_path)
+    held = [Client("127.0.0.1", handle.port) for _ in range(2)]
+    try:
+        for client in held:  # both accepted and open, now idle
+            client.fetch_pk()
+        with _connect(handle) as extra:
+            assert _wait_for_close(extra) < 3
+        held.pop().close()
+        for _ in range(100):  # until the server has seen that close
+            try:
+                with Client("127.0.0.1", handle.port) as client:
+                    client.fetch_pk()
+                break
+            except (EOFError, OSError):
+                time.sleep(0.02)
+        else:
+            pytest.fail("no connection served after one closed")
+        stats = handle.service.stats.snapshot()
+        assert stats["connections"] == 3 and stats["connections_refused"] >= 1
+    finally:
+        for client in held:
+            client.close()
+        handle.shutdown()
+
+
+def test_concurrent_clients_leave_no_open_connection(tmp_path):
+    """8 client threads, 20 fresh connections each, with a short switch
+    interval: every connection is counted once and, once all are closed,
+    none is left registered as open (the cap counts those)."""
+    handle = _toy_server(tmp_path)
+    errors = []
+
+    def client_thread():
+        try:
+            for _ in range(20):
+                with Client("127.0.0.1", handle.port) as client:
+                    client.fetch_pk()
+        except Exception as e:  # reported below
+            errors.append(e)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=client_thread) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        for _ in range(250):  # until the workers have seen every close
+            if not handle._server.accepted:
+                break
+            time.sleep(0.02)
+        assert handle._server.accepted == {}
+        stats = handle.service.stats.snapshot()
+        assert stats["connections"] == 160 and stats["connections_refused"] == 0
+    finally:
+        sys.setswitchinterval(old)
+        handle.shutdown()
+
+
+def test_sigint_stops_server_with_an_idle_client(tmp_path):
+    conf = tmp_path / "server.conf"
+    conf.write_text(f"state_dir = {tmp_path / 'srv'}\nlisten_port = 0\ngroup = toy\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    code = (
+        "import sys; from punchcard.cli import main; "
+        f"sys.exit(main(['server', 'run', '--config', {str(conf)!r}]))"
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code], env=env, stdin=subprocess.DEVNULL,
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        for line in proc.stderr:
+            m = re.search(r"listening on \S+:(\d+)", line)
+            if m:
+                break
+        else:
+            pytest.fail("server did not start")
+        with Client("127.0.0.1", int(m.group(1))) as client:
+            client.fetch_pk()  # then idle, its worker blocked in recv
+            t0 = time.monotonic()
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=10) == 0
+            stopped = time.monotonic() - t0
+        assert stopped < 2
+        assert "stat connections=1" in proc.stderr.read()
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stderr.close()
 
 
 def test_exit_codes(tmp_path):

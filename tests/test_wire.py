@@ -1,8 +1,10 @@
 import socket
 import struct
 import threading
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from punchcard import wire
 from punchcard.errors import WireError
@@ -110,6 +112,74 @@ def test_recv_rejects_bad_length_before_reading_body():
         with pytest.raises(WireError):
             wire.recv_frame(b)
     finally:
+        a.close()
+        b.close()
+
+
+def test_recv_deadline_covers_the_whole_frame():
+    a, b = _pair()
+    try:
+        frame = wire.pack_frame(wire.PUNCH_REQ, b"q" * 64)
+        a.sendall(frame[:10])  # then nothing: the frame never completes
+        t0 = time.monotonic()
+        with pytest.raises(TimeoutError):
+            wire.recv_frame(b, deadline=t0 + 0.2)
+        assert 0.15 < time.monotonic() - t0 < 2
+        with pytest.raises(TimeoutError):  # a deadline already passed
+            wire.recv_frame(b, deadline=time.monotonic())
+        # a frame that arrived in time is read after its deadline
+        wire.send_frame(a, wire.PK_REQ, b"")
+        assert wire.recv_frame(b, deadline=t0) == (wire.PK_REQ, b"")
+    finally:
+        a.close()
+        b.close()
+
+
+_FRAMES = st.builds(
+    wire.pack_frame, st.sampled_from(sorted(wire._KNOWN)), st.binary(max_size=40)
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    stream=st.lists(st.one_of(_FRAMES, st.binary(max_size=9)), max_size=5).map(b"".join),
+    data=st.data(),
+)
+def test_recv_frame_agrees_with_unpack_frame(stream, data):
+    """Any byte stream, written in any pieces, gives the frames
+    unpack_frame finds in the whole stream, then EOFError if the stream
+    ends at a frame boundary, else WireError."""
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(stream)), max_size=6)))
+    with_deadline = data.draw(st.booleans())
+    expected, rest, end = [], stream, EOFError
+    while rest:
+        try:
+            msg_type, body, rest = wire.unpack_frame(rest)
+        except WireError:
+            end = WireError
+            break
+        expected.append((msg_type, body))
+
+    a, b = _pair()
+
+    def write():
+        for lo, hi in zip([0] + cuts, cuts + [len(stream)]):
+            a.sendall(stream[lo:hi])
+            time.sleep(0.001)
+        a.shutdown(socket.SHUT_WR)
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    got = []
+    try:
+        with pytest.raises(end):
+            while True:
+                deadline = time.monotonic() + 5 if with_deadline else None
+                got.append(wire.recv_frame(b, deadline=deadline))
+        assert got == expected
+    finally:
+        writer.join(timeout=5)
+        assert not writer.is_alive()
         a.close()
         b.close()
 
