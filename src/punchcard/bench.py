@@ -75,6 +75,16 @@ def run(scheme, trials: int = MIN_TRIALS, db_size: int = 0) -> Dict:
         )
     for i, g in enumerate(scheme.groups):
         rows.append(_time_op(f"g{i}_exp_base", g.random_scalar, g.exp_base, trials))
+        # a fresh element each trial, decoded with its subgroup check: what
+        # a server pays per element of every request it reads
+        rows.append(
+            _time_op(
+                f"g{i}_decode",
+                lambda g=g: g.encode_element(g.exp_base(g.random_scalar())),
+                g.decode_element,
+                trials,
+            )
+        )
     rows += [
         _time_op("issue", lambda: None, lambda _: scheme.issue(), trials),
         _time_op(

@@ -20,7 +20,6 @@ from .fields import (
     f12_mul,
     f12_pow,
     f12_to_flat,
-    mpz,
 )
 
 

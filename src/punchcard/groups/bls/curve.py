@@ -1,11 +1,18 @@
 """BLS12-381 curve arithmetic, endomorphisms and point serialization.
 
 Both curves are short Weierstrass y^2 = x^3 + b with a = 0: E over Fq with
-b = 4, and the twist E' over Fq2 with b = 4(1+i). The arithmetic is written
-once over a small field-ops shim and instantiated for both fields. Affine
-points are (x, y) tuples; None is the point at infinity. Scalar
-multiplication runs in Jacobian coordinates; `Curve.mul` is the generic
-double-and-add, valid for any point on the curve.
+b = 4, and the twist E' over Fq2 with b = 4(1+i). Affine points are (x, y)
+tuples; None is the point at infinity. The affine arithmetic (add, double,
+subset_sums, the end of straus) is written once over a small field-ops
+shim, _FqOps or _Fq2Ops, and instantiated for both fields. Scalar
+multiplication runs in Jacobian coordinates, and its two steps,
+_double_jac and _add_mixed, are written out twice: on ints for E
+(CurveFq) and on coefficient pairs for E' (CurveFq2). They reduce each
+output coefficient once, as fields.py's products do (lazy reduction,
+Aranha, Karabina, Longa, Gebotys and Lopez, EUROCRYPT 2011), so the
+ladders' field operations no longer pass through the shims; to count a
+ladder's work, count its steps. `Curve.mul` is the generic double-and-add,
+valid for any point on the curve.
 
 The hot group operations use two endomorphisms instead of long generic
 multiplications (x = -0xd201000000010000 is the curve parameter):
@@ -54,7 +61,6 @@ from ...errors import InvalidEncoding
 from ..base import tagged
 from .fields import (
     F2_ONE,
-    F2_ZERO,
     FROB_V,
     FROB_W_V,
     P,
@@ -86,9 +92,6 @@ H2_EFF = mpz(int(
 
 
 class _FqOps:
-    zero = mpz(0)
-    one = mpz(1)
-
     @staticmethod
     def add(a, b):
         return (a + b) % P
@@ -125,8 +128,6 @@ class _FqOps:
 
 
 class _Fq2Ops:
-    zero = F2_ZERO
-    one = F2_ONE
     add = staticmethod(f2_add)
     sub = staticmethod(f2_sub)
     neg = staticmethod(f2_neg)
@@ -139,7 +140,8 @@ class _Fq2Ops:
 
 
 class Curve:
-    """y^2 = x^3 + b over the field F; points affine (x, y) or None."""
+    """y^2 = x^3 + b over the field F; points affine (x, y) or None. The
+    subclasses supply the Jacobian steps the ladders run on."""
 
     def __init__(self, F, b):
         self.F = F
@@ -181,37 +183,6 @@ class Curve:
         lam = F.mul(F.muls(F.sqr(x), 3), F.inv(F.muls(y, 2)))
         x3 = F.sub(F.sqr(lam), F.muls(x, 2))
         return (x3, F.sub(F.mul(lam, F.sub(x, x3)), y))
-
-    def _double_jac(self, X, Y, Z):
-        # dbl-2009-l, a = 0
-        F = self.F
-        A = F.sqr(X)
-        B = F.sqr(Y)
-        C = F.sqr(B)
-        D = F.muls(F.sub(F.sub(F.sqr(F.add(X, B)), A), C), 2)
-        E = F.muls(A, 3)
-        X3 = F.sub(F.sqr(E), F.muls(D, 2))
-        Y3 = F.sub(F.mul(E, F.sub(D, X3)), F.muls(C, 8))
-        return X3, Y3, F.muls(F.mul(Y, Z), 2)
-
-    def _add_mixed(self, acc, pt):
-        """Jacobian accumulator (None or Z = 0 is infinity) plus affine pt."""
-        F = self.F
-        x2, y2 = pt
-        if acc is None or F.is_zero(acc[2]):
-            return x2, y2, F.one
-        X, Y, Z = acc
-        Z1Z1 = F.sqr(Z)
-        H = F.sub(F.mul(x2, Z1Z1), X)
-        R = F.sub(F.mul(F.mul(y2, Z), Z1Z1), Y)
-        if F.is_zero(H):
-            return self._double_jac(X, Y, Z) if F.is_zero(R) else None
-        HH = F.sqr(H)
-        HHH = F.mul(H, HH)
-        V = F.mul(X, HH)
-        X3 = F.sub(F.sub(F.sqr(R), HHH), F.muls(V, 2))
-        Y3 = F.sub(F.mul(R, F.sub(V, X3)), F.mul(Y, HHH))
-        return X3, Y3, F.mul(Z, H)
 
     def lincomb(self, points, digits):
         """sum of [digits[i]] points[i] for digits >= 0: one interleaved
@@ -258,11 +229,104 @@ class Curve:
         return self.lincomb((pt,), (k,))
 
 
+class CurveFq(Curve):
+    """E over Fq: the Jacobian steps written out on ints."""
+
+    def _double_jac(self, X, Y, Z):
+        # dbl-2009-l for a = 0, with D = 2((X + B)^2 - A - C) = 4XB
+        A = X * X % P
+        B = Y * Y % P
+        D = 4 * X * B % P
+        E = 3 * A
+        X3 = (E * E - 2 * D) % P
+        return X3, (E * (D - X3) - 8 * B * B) % P, 2 * Y * Z % P
+
+    def _add_mixed(self, acc, pt):
+        """Jacobian accumulator (None or Z = 0 is infinity) plus affine pt."""
+        x2, y2 = pt
+        if acc is None or acc[2] == 0:
+            return x2, y2, mpz(1)
+        X, Y, Z = acc
+        Z1Z1 = Z * Z % P
+        H = (x2 * Z1Z1 - X) % P
+        R = (y2 * (Z * Z1Z1 % P) - Y) % P
+        if H == 0:
+            return self._double_jac(X, Y, Z) if R == 0 else None
+        HH = H * H % P
+        HHH = H * HH % P
+        V = X * HH % P
+        X3 = (R * R - HHH - 2 * V) % P
+        return X3, (R * (V - X3) - Y * HHH) % P, Z * H % P
+
+
+class CurveFq2(Curve):
+    """E' over Fq2: the Jacobian steps written out on the coefficient pairs,
+    each Fq2 product by Karatsuba, (a + bi)(c + di) = (ac - bd) +
+    ((a + b)(c + d) - ac - bd) i, and each coefficient reduced once."""
+
+    def _double_jac(self, X, Y, Z):
+        # dbl-2009-l for a = 0, as CurveFq._double_jac
+        x0, x1 = X
+        y0, y1 = Y
+        z0, z1 = Z
+        a0, a1 = (x0 + x1) * (x0 - x1) % P, 2 * x0 * x1 % P  # A = X^2
+        b0, b1 = (y0 + y1) * (y0 - y1) % P, 2 * y0 * y1 % P  # B = Y^2
+        c0, c1 = (b0 + b1) * (b0 - b1), 2 * b0 * b1  # C = B^2, unreduced
+        m, n = x0 * b0, x1 * b1  # D = 4XB
+        d0, d1 = 4 * (m - n) % P, 4 * ((x0 + x1) * (b0 + b1) - m - n) % P
+        e0, e1 = 3 * a0, 3 * a1  # E = 3A
+        X3 = ((e0 + e1) * (e0 - e1) - 2 * d0) % P, (2 * e0 * e1 - 2 * d1) % P
+        u0, u1 = d0 - X3[0], d1 - X3[1]  # Y3 = E(D - X3) - 8C
+        m, n = e0 * u0, e1 * u1
+        Y3 = (m - n - 8 * c0) % P, ((e0 + e1) * (u0 + u1) - m - n - 8 * c1) % P
+        m, n = y0 * z0, y1 * z1  # Z3 = 2YZ
+        Z3 = 2 * (m - n) % P, 2 * ((y0 + y1) * (z0 + z1) - m - n) % P
+        return X3, Y3, Z3
+
+    def _add_mixed(self, acc, pt):
+        """Jacobian accumulator (None or Z = 0 is infinity) plus affine pt."""
+        if acc is None or acc[2] == (0, 0):
+            return pt[0], pt[1], F2_ONE
+        (X0, X1), (Y0, Y1), (Z0, Z1) = acc
+        (x0, x1), (y0, y1) = pt
+        zz0, zz1 = (Z0 + Z1) * (Z0 - Z1) % P, 2 * Z0 * Z1 % P  # Z1Z1 = Z^2
+        m, n = x0 * zz0, x1 * zz1  # H = x2 Z1Z1 - X
+        h0 = (m - n - X0) % P
+        h1 = ((x0 + x1) * (zz0 + zz1) - m - n - X1) % P
+        m, n = Z0 * zz0, Z1 * zz1  # Z^3
+        w0, w1 = (m - n) % P, ((Z0 + Z1) * (zz0 + zz1) - m - n) % P
+        m, n = y0 * w0, y1 * w1  # R = y2 Z^3 - Y
+        r0 = (m - n - Y0) % P
+        r1 = ((y0 + y1) * (w0 + w1) - m - n - Y1) % P
+        if h0 == 0 and h1 == 0:
+            return self._double_jac(*acc) if r0 == 0 and r1 == 0 else None
+        hh0, hh1 = (h0 + h1) * (h0 - h1) % P, 2 * h0 * h1 % P  # HH = H^2
+        m, n = h0 * hh0, h1 * hh1  # HHH = H HH
+        g0, g1 = (m - n) % P, ((h0 + h1) * (hh0 + hh1) - m - n) % P
+        m, n = X0 * hh0, X1 * hh1  # V = X HH
+        v0, v1 = (m - n) % P, ((X0 + X1) * (hh0 + hh1) - m - n) % P
+        # X3 = R^2 - HHH - 2V
+        X3 = (
+            ((r0 + r1) * (r0 - r1) - g0 - 2 * v0) % P,
+            (2 * r0 * r1 - g1 - 2 * v1) % P,
+        )
+        # Y3 = R (V - X3) - Y HHH
+        u0, u1 = v0 - X3[0], v1 - X3[1]
+        m, n = r0 * u0, r1 * u1
+        k, l = Y0 * g0, Y1 * g1
+        Y3 = (
+            (m - n - k + l) % P,
+            ((r0 + r1) * (u0 + u1) - m - n - (Y0 + Y1) * (g0 + g1) + k + l) % P,
+        )
+        m, n = Z0 * h0, Z1 * h1  # Z3 = Z H
+        return X3, Y3, ((m - n) % P, ((Z0 + Z1) * (h0 + h1) - m - n) % P)
+
+
 B1 = mpz(4)
 B2 = (mpz(4), mpz(4))  # 4 * (1 + i)
 
-curve_g1 = Curve(_FqOps, B1)
-curve_g2 = Curve(_Fq2Ops, B2)
+curve_g1 = CurveFq(_FqOps, B1)
+curve_g2 = CurveFq2(_Fq2Ops, B2)
 
 G1_GEN = (
     mpz(int(

@@ -7,6 +7,17 @@ Fq6 = (c0, c1, c2) over v with v^3 = xi = 1 + i, and Fq12 = (A, B) over w
 with w^2 = v (so w^6 = xi). This is the conventional tower for this curve;
 the Frobenius coefficients are computed at import time from xi rather than
 transcribed, and the asserts at the bottom pin the algebra.
+
+Every function takes and returns coefficients reduced into [0, p). The hot
+products (f6_mul, f12_mul, f12_sqr, f12_mul_by_line, f12_cyclotomic_sqr)
+reduce once per output coefficient: they work on the Fq coefficients
+directly, let sums, differences and products grow unreduced, and take
+each output mod p at the end. That is lazy reduction as in Aranha,
+Karabina, Longa, Gebotys and Lopez, "Faster explicit formulas for
+computing pairings over ordinary curves" (EUROCRYPT 2011). Unreduced
+values may be negative; Python's % (and gmpy2's, which follows it) still
+returns a value in [0, p). The small f2_* helpers reduce after every
+operation and serve the code off the hot path.
 """
 
 from __future__ import annotations
@@ -33,14 +44,6 @@ def fq_inv(a):
     if _gmpy_invert is not None:
         return _gmpy_invert(a, P)
     return pow(a, -1, P)
-
-
-def fq_legendre(a) -> int:
-    """1 for nonzero squares, -1 for non-squares, 0 for zero."""
-    a = a % P
-    if a == 0:
-        return 0
-    return 1 if pow(a, (P - 1) // 2, P) == 1 else -1
 
 
 def fq_sqrt(a):
@@ -127,35 +130,31 @@ def f2_pow(x, e: int):
     return acc
 
 
-def f2_legendre(x) -> int:
-    """Quadratic character of Fq2 via the norm map to Fq."""
-    a, b = x
-    return fq_legendre((a * a + b * b) % P)
+_INV2 = (P + 1) // 2  # 1/2 mod p
 
 
 def f2_sqrt(x):
-    """Square root in Fq2 by the complex method; ValueError if none."""
+    """Square root in Fq2 by the complex method; ValueError if none.
+
+    x = a + bi is a square in Fq2 exactly when its norm a^2 + b^2 is one in
+    Fq, and fq_sqrt raises on a non-square, so the root costs two or three
+    exponentiations and no Legendre symbols."""
     a, b = x
     if b == 0:
-        if fq_legendre(a) >= 0:
-            return (fq_sqrt(a), mpz(0))
-        # a is a non-square, so -a is a square (p = 3 mod 4) and
-        # sqrt(a) = sqrt(-a) * i
-        return (mpz(0), fq_sqrt((-a) % P))
-    norm = (a * a + b * b) % P
-    if fq_legendre(norm) != 1:
-        raise ValueError("not a square in Fq2")
-    s = fq_sqrt(norm)
-    inv2 = fq_inv(2)
-    t = (a + s) * inv2 % P
-    if fq_legendre(t) != 1:
-        t = (a - s) * inv2 % P
-    x0 = fq_sqrt(t)
-    y0 = b * fq_inv(2 * x0) % P
-    cand = (x0, y0)
-    if not f2_eq(f2_sqr(cand), (a % P, b % P)):
-        raise ValueError("not a square in Fq2")
-    return cand
+        r = pow(a, (P + 1) // 4, P)
+        if r * r % P == a:
+            return (r, mpz(0))
+        # a is a non-square, so -a is a square (p = 3 mod 4) and sqrt(a) =
+        # sqrt(-a) * i; (p + 1) / 4 is odd, so sqrt(-a) = -(a^((p+1)/4))
+        return (mpz(0), (-r) % P)
+    s = fq_sqrt(a * a + b * b)  # raises if x is not a square
+    # exactly one of (a + s)/2 and (a - s)/2 is a square, and neither is 0
+    # since b != 0: their product is -b^2/4, and -1 is not a square
+    try:
+        x0 = fq_sqrt((a + s) * _INV2)
+    except ValueError:
+        x0 = fq_sqrt((a - s) * _INV2)
+    return (x0, b * fq_inv(2 * x0) % P)
 
 
 # ---------------------------------------------------------------------------
@@ -163,10 +162,6 @@ def f2_sqrt(x):
 
 F6_ZERO = (F2_ZERO, F2_ZERO, F2_ZERO)
 F6_ONE = (F2_ONE, F2_ZERO, F2_ZERO)
-
-
-def f6_add(x, y):
-    return (f2_add(x[0], y[0]), f2_add(x[1], y[1]), f2_add(x[2], y[2]))
 
 
 def f6_sub(x, y):
@@ -177,21 +172,46 @@ def f6_neg(x):
     return (f2_neg(x[0]), f2_neg(x[1]), f2_neg(x[2]))
 
 
-def f6_mul(x, y):
-    a0, a1, a2 = x
-    b0, b1, b2 = y
-    v0 = f2_mul(a0, b0)
-    v1 = f2_mul(a1, b1)
-    v2 = f2_mul(a2, b2)
-    # Karatsuba-style interpolation, 6 Fq2 multiplications total
-    t0 = f2_sub(f2_sub(f2_mul(f2_add(a1, a2), f2_add(b1, b2)), v1), v2)
-    t1 = f2_sub(f2_sub(f2_mul(f2_add(a0, a1), f2_add(b0, b1)), v0), v1)
-    t2 = f2_sub(f2_sub(f2_mul(f2_add(a0, a2), f2_add(b0, b2)), v0), v2)
+def _f6_prod(a0, a1, a2, a3, a4, a5, b0, b1, b2, b3, b4, b5):
+    """x * y over Fq6 on flat Fq coefficients (x = (a0 + a1 i) + (a2 + a3 i) v
+    + (a4 + a5 i) v^2, y likewise), none of them reduced: Karatsuba with
+    6 Fq2 products, each Fq2 product Karatsuba with 3 Fq products. Inputs
+    may be any ints; the six outputs are unreduced."""
+    # v_j = x_j * y_j
+    m, n = a0 * b0, a1 * b1
+    v0r, v0i = m - n, (a0 + a1) * (b0 + b1) - m - n
+    m, n = a2 * b2, a3 * b3
+    v1r, v1i = m - n, (a2 + a3) * (b2 + b3) - m - n
+    m, n = a4 * b4, a5 * b5
+    v2r, v2i = m - n, (a4 + a5) * (b4 + b5) - m - n
+    # t0 = (x1 + x2)(y1 + y2) - v1 - v2
+    s0, s1, u0, u1 = a2 + a4, a3 + a5, b2 + b4, b3 + b5
+    m, n = s0 * u0, s1 * u1
+    t0r = m - n - v1r - v2r
+    t0i = (s0 + s1) * (u0 + u1) - m - n - v1i - v2i
+    # t1 = (x0 + x1)(y0 + y1) - v0 - v1
+    s0, s1, u0, u1 = a0 + a2, a1 + a3, b0 + b2, b1 + b3
+    m, n = s0 * u0, s1 * u1
+    t1r = m - n - v0r - v1r
+    t1i = (s0 + s1) * (u0 + u1) - m - n - v0i - v1i
+    # t2 = (x0 + x2)(y0 + y2) - v0 - v2
+    s0, s1, u0, u1 = a0 + a4, a1 + a5, b0 + b4, b1 + b5
+    m, n = s0 * u0, s1 * u1
+    t2r = m - n - v0r - v2r
+    t2i = (s0 + s1) * (u0 + u1) - m - n - v0i - v2i
+    # (v0 + xi t0, t1 + xi v2, t2 + v1), xi (r + s i) = (r - s) + (r + s) i
     return (
-        f2_add(v0, f2_mul_by_xi(t0)),
-        f2_add(t1, f2_mul_by_xi(v2)),
-        f2_add(t2, v1),
+        v0r + t0r - t0i, v0i + t0r + t0i,
+        t1r + v2r - v2i, t1i + v2r + v2i,
+        t2r + v1r, t2i + v1i,
     )
+
+
+def f6_mul(x, y):
+    (a0, a1), (a2, a3), (a4, a5) = x
+    (b0, b1), (b2, b3), (b4, b5) = y
+    c0, c1, c2, c3, c4, c5 = _f6_prod(a0, a1, a2, a3, a4, a5, b0, b1, b2, b3, b4, b5)
+    return ((c0 % P, c1 % P), (c2 % P, c3 % P), (c4 % P, c5 % P))
 
 
 def f6_sqr(x):
@@ -225,33 +245,49 @@ def f6_eq(x, y) -> bool:
 F12_ONE = (F6_ONE, F6_ZERO)
 
 
-def f12(a, b):
-    return (a, b)
-
-
-def f12_add(x, y):
-    return (f6_add(x[0], y[0]), f6_add(x[1], y[1]))
+def _f12_out(c0, c1, c2, c3, c4, c5, d0, d1, d2, d3, d4, d5):
+    """An Fq12 element from its 12 unreduced flat coefficients, first limb
+    c (over Fq6) then d, each reduced once."""
+    return (
+        ((c0 % P, c1 % P), (c2 % P, c3 % P), (c4 % P, c5 % P)),
+        ((d0 % P, d1 % P), (d2 % P, d3 % P), (d4 % P, d5 % P)),
+    )
 
 
 def f12_mul(x, y):
-    a, b = x
-    c, d = y
-    ac = f6_mul(a, c)
-    bd = f6_mul(b, d)
-    abcd = f6_mul(f6_add(a, b), f6_add(c, d))
-    return (
-        f6_add(ac, f6_mul_by_v(bd)),
-        f6_sub(f6_sub(abcd, ac), bd),
+    """Karatsuba over Fq6: (a + bw)(c + dw) = ac + v bd + ((a+b)(c+d) - ac
+    - bd) w, three Fq6 products; 54 Fq multiplications and 12 reductions."""
+    ((a0, a1), (a2, a3), (a4, a5)), ((b0, b1), (b2, b3), (b4, b5)) = x
+    ((c0, c1), (c2, c3), (c4, c5)), ((d0, d1), (d2, d3), (d4, d5)) = y
+    e0, e1, e2, e3, e4, e5 = _f6_prod(a0, a1, a2, a3, a4, a5, c0, c1, c2, c3, c4, c5)
+    g0, g1, g2, g3, g4, g5 = _f6_prod(b0, b1, b2, b3, b4, b5, d0, d1, d2, d3, d4, d5)
+    h0, h1, h2, h3, h4, h5 = _f6_prod(
+        a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4, a5 + b5,
+        c0 + d0, c1 + d1, c2 + d2, c3 + d3, c4 + d4, c5 + d5,
+    )
+    # ac + v bd, with v (g_0, g_1, g_2) = (xi g_2, g_0, g_1)
+    return _f12_out(
+        e0 + g4 - g5, e1 + g4 + g5, e2 + g0, e3 + g1, e4 + g2, e5 + g3,
+        h0 - e0 - g0, h1 - e1 - g1, h2 - e2 - g2,
+        h3 - e3 - g3, h4 - e4 - g4, h5 - e5 - g5,
     )
 
 
 def f12_sqr(x):
-    a, b = x
-    ab = f6_mul(a, b)
-    t = f6_mul(f6_add(a, b), f6_add(a, f6_mul_by_v(b)))
-    return (
-        f6_sub(f6_sub(t, ab), f6_mul_by_v(ab)),
-        f6_add(ab, ab),
+    """(a + bw)^2 = (a + b)(a + vb) - ab - v ab + 2ab w: two Fq6 products,
+    12 reductions."""
+    ((a0, a1), (a2, a3), (a4, a5)), ((b0, b1), (b2, b3), (b4, b5)) = x
+    e0, e1, e2, e3, e4, e5 = _f6_prod(a0, a1, a2, a3, a4, a5, b0, b1, b2, b3, b4, b5)
+    # (a + b)(a + v b), v b = (xi b_2, b_0, b_1)
+    h0, h1, h2, h3, h4, h5 = _f6_prod(
+        a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4, a5 + b5,
+        a0 + b4 - b5, a1 + b4 + b5, a2 + b0, a3 + b1, a4 + b2, a5 + b3,
+    )
+    # h - ab - v ab
+    return _f12_out(
+        h0 - e0 - e4 + e5, h1 - e1 - e4 - e5, h2 - e2 - e0,
+        h3 - e3 - e1, h4 - e4 - e2, h5 - e5 - e3,
+        2 * e0, 2 * e1, 2 * e2, 2 * e3, 2 * e4, 2 * e5,
     )
 
 
@@ -330,22 +366,47 @@ def f12_line(c0, c3, c5):
 
 def f12_mul_by_line(f, c0, c3, c5):
     """f * f12_line(c0, c3, c5) in 14 Fq2 multiplications (f12_mul takes
-    18, plus the additions of the zero coefficients). The line is
-    (c0, c3 v + c5 v^2) over w; its second limb costs 5 multiplications by
-    Karatsuba, the first 3, and the cross term one dense f6_mul."""
-    a, b = f
-    ac = (f2_mul(a[0], c0), f2_mul(a[1], c0), f2_mul(a[2], c0))
-    b0, b1, b2 = b
-    t1 = f2_mul(b1, c3)
-    t2 = f2_mul(b2, c5)
-    cross = f2_sub(f2_sub(f2_mul(f2_add(b1, b2), f2_add(c3, c5)), t1), t2)
-    bl = (  # b * (c3 v + c5 v^2), with v^3 = xi
-        f2_mul_by_xi(cross),
-        f2_add(f2_mul(b0, c3), f2_mul_by_xi(t2)),
-        f2_add(f2_mul(b0, c5), t1),
+    18, plus the additions of the zero coefficients) and 12 reductions.
+    The line is (c0, c3 v + c5 v^2) over w; with f = (a, b), the product
+    is (a c0 + v bl, (a + b)(c0, c3, c5) - a c0 - bl) for bl = b (c3 v +
+    c5 v^2). a c0 costs 3 multiplications, bl 5 by Karatsuba, and the
+    cross term one dense Fq6 product."""
+    ((a0, a1), (a2, a3), (a4, a5)), ((b0, b1), (b2, b3), (b4, b5)) = f
+    p0, p1 = c0
+    q0, q1 = c3
+    r0, r1 = c5
+    # a c0, one Fq2 product per coefficient of a
+    m, n = a0 * p0, a1 * p1
+    e0, e1 = m - n, (a0 + a1) * (p0 + p1) - m - n
+    m, n = a2 * p0, a3 * p1
+    e2, e3 = m - n, (a2 + a3) * (p0 + p1) - m - n
+    m, n = a4 * p0, a5 * p1
+    e4, e5 = m - n, (a4 + a5) * (p0 + p1) - m - n
+    # bl = (xi cross, b0 c3 + xi t2, b0 c5 + t1), v^3 = xi, where t1 =
+    # b1 c3, t2 = b2 c5 and cross = (b1 + b2)(c3 + c5) - t1 - t2
+    m, n = b2 * q0, b3 * q1
+    t1r, t1i = m - n, (b2 + b3) * (q0 + q1) - m - n
+    m, n = b4 * r0, b5 * r1
+    t2r, t2i = m - n, (b4 + b5) * (r0 + r1) - m - n
+    s0, s1, u0, u1 = b2 + b4, b3 + b5, q0 + r0, q1 + r1
+    m, n = s0 * u0, s1 * u1
+    xr = m - n - t1r - t2r
+    xi_ = (s0 + s1) * (u0 + u1) - m - n - t1i - t2i
+    m, n = b0 * q0, b1 * q1
+    l2, l3 = m - n + t2r - t2i, (b0 + b1) * (q0 + q1) - m - n + t2r + t2i
+    m, n = b0 * r0, b1 * r1
+    l4, l5 = m - n + t1r, (b0 + b1) * (r0 + r1) - m - n + t1i
+    l0, l1 = xr - xi_, xr + xi_
+    h0, h1, h2, h3, h4, h5 = _f6_prod(
+        a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4, a5 + b5,
+        p0, p1, q0, q1, r0, r1,
     )
-    t = f6_mul(f6_add(a, b), (c0, c3, c5))
-    return (f6_add(ac, f6_mul_by_v(bl)), f6_sub(f6_sub(t, ac), bl))
+    # a c0 + v bl, with v (l_0, l_1, l_2) = (xi l_2, l_0, l_1)
+    return _f12_out(
+        e0 + l4 - l5, e1 + l4 + l5, e2 + l0, e3 + l1, e4 + l2, e5 + l3,
+        h0 - e0 - l0, h1 - e1 - l1, h2 - e2 - l2,
+        h3 - e3 - l3, h4 - e4 - l4, h5 - e5 - l5,
+    )
 
 
 def _f4_sqr(a, b):

@@ -28,6 +28,14 @@ fields.f12_mul_by_line, a sparse product, instead of a dense f12_mul. The
 loop parameter is negative for this curve, so the Miller value is
 conjugated before the final exponentiation.
 
+The two steps, _dbl_step and _add_step, are written out on the Fq
+coefficients of X, Y and Z: each Fq2 product is Karatsuba on ints, sums
+and small multiples stay unreduced, and each coefficient of a line or of
+the new T is reduced once. fields.py's products follow the same
+convention (lazy reduction, after Aranha, Karabina, Longa, Gebotys and
+Lopez, "Faster explicit formulas for computing pairings over ordinary
+curves", EUROCRYPT 2011).
+
 The final exponentiation's hard part uses the chain
 (x-1)^2 (x+p) (x^2+p^2-1) + 3 == 3 (p^4-p^2+1)/n  (verified as integers in
 fields.py's pins), i.e. it computes the cube of the textbook pairing; that
@@ -48,12 +56,6 @@ from .fields import (
     N,
     P,
     X_PARAM,
-    f2_add,
-    f2_mul,
-    f2_mul_by_xi,
-    f2_muls,
-    f2_sqr,
-    f2_sub,
     f12_conj,
     f12_cyclotomic_sqr,
     f12_frob,
@@ -69,6 +71,85 @@ _U = -X_PARAM  # positive loop parameter
 _U_BITS = bin(int(_U))[3:]  # skip the leading bit
 
 
+def _dbl_step(X, Y, Z, yp, neg_3xp):
+    """T <- 2T and the tangent line at T, scaled by H = 2YZ: returns the
+    line's c0, c3, c5 and the new X, Y, Z. With E = 3b'Z^2 = 12 xi Z^2
+    and F = 3E, the line is (xi H yP, Y^2 - E, -3X^2 xP) and 2T =
+    (2XY(Y^2 - F), (Y^2 + F)^2 - 12E^2, 4Y^2 H)."""
+    x0, x1 = X
+    y0, y1 = Y
+    z0, z1 = Z
+    yy0, yy1 = (y0 + y1) * (y0 - y1) % P, 2 * y0 * y1 % P  # Y^2
+    zz0, zz1 = (z0 + z1) * (z0 - z1), 2 * z0 * z1  # Z^2, unreduced
+    e0, e1 = 12 * (zz0 - zz1) % P, 12 * (zz0 + zz1) % P  # E = 12 xi Z^2
+    f0, f1 = 3 * e0, 3 * e1  # F = 3E, unreduced
+    m, n = y0 * z0, y1 * z1  # H = 2YZ
+    h0, h1 = 2 * (m - n) % P, 2 * ((y0 + y1) * (z0 + z1) - m - n) % P
+    xx0, xx1 = (x0 + x1) * (x0 - x1) % P, 2 * x0 * x1 % P  # X^2
+    c0 = ((h0 - h1) * yp % P, (h0 + h1) * yp % P)  # xi H yP
+    c3 = ((yy0 - e0) % P, (yy1 - e1) % P)
+    c5 = (xx0 * neg_3xp % P, xx1 * neg_3xp % P)
+    m, n = x0 * y0, x1 * y1  # XY
+    xy0, xy1 = (m - n) % P, ((x0 + x1) * (y0 + y1) - m - n) % P
+    g0, g1 = yy0 - f0, yy1 - f1  # Y^2 - F, unreduced
+    m, n = xy0 * g0, xy1 * g1
+    X3 = (2 * (m - n) % P, 2 * ((xy0 + xy1) * (g0 + g1) - m - n) % P)
+    s0, s1 = yy0 + f0, yy1 + f1  # Y^2 + F, unreduced
+    Y3 = (
+        ((s0 + s1) * (s0 - s1) - 12 * (e0 + e1) * (e0 - e1)) % P,
+        (2 * s0 * s1 - 24 * e0 * e1) % P,
+    )
+    m, n = yy0 * h0, yy1 * h1
+    Z3 = (4 * (m - n) % P, 4 * ((yy0 + yy1) * (h0 + h1) - m - n) % P)
+    return c0, c3, c5, X3, Y3, Z3
+
+
+def _add_step(X, Y, Z, xq, yq, yp, neg_xp):
+    """T <- T + Q and the line through T and Q, scaled by den = X - xQ Z:
+    returns the line's c0, c3, c5 and the new X, Y, Z. With num = Y - yQ Z,
+    the line is (xi den yP, num xQ - den yQ, -num xP); with D = den^2,
+    E = den D, G = X D and H = E + Z num^2 - 2G, T + Q = (den H,
+    num (G - H) - Y E, Z E)."""
+    x0, x1 = X
+    y0, y1 = Y
+    z0, z1 = Z
+    p0, p1 = xq
+    q0, q1 = yq
+    m, n = q0 * z0, q1 * z1  # num = Y - yQ Z
+    u0 = (y0 - m + n) % P
+    u1 = (y1 - (q0 + q1) * (z0 + z1) + m + n) % P
+    m, n = p0 * z0, p1 * z1  # den = X - xQ Z
+    d0 = (x0 - m + n) % P
+    d1 = (x1 - (p0 + p1) * (z0 + z1) + m + n) % P
+    c0 = ((d0 - d1) * yp % P, (d0 + d1) * yp % P)  # xi den yP
+    m, n, k, l = u0 * p0, u1 * p1, d0 * q0, d1 * q1
+    c3 = (
+        (m - n - k + l) % P,
+        ((u0 + u1) * (p0 + p1) - m - n - (d0 + d1) * (q0 + q1) + k + l) % P,
+    )
+    c5 = (u0 * neg_xp % P, u1 * neg_xp % P)
+    D0, D1 = (d0 + d1) * (d0 - d1) % P, 2 * d0 * d1 % P  # D = den^2
+    m, n = d0 * D0, d1 * D1  # E = den D
+    E0, E1 = (m - n) % P, ((d0 + d1) * (D0 + D1) - m - n) % P
+    m, n = x0 * D0, x1 * D1  # G = X D
+    G0, G1 = (m - n) % P, ((x0 + x1) * (D0 + D1) - m - n) % P
+    v0, v1 = (u0 + u1) * (u0 - u1) % P, 2 * u0 * u1 % P  # num^2
+    m, n = z0 * v0, z1 * v1  # H = E + Z num^2 - 2G
+    H0 = (E0 + m - n - 2 * G0) % P
+    H1 = (E1 + (z0 + z1) * (v0 + v1) - m - n - 2 * G1) % P
+    m, n = d0 * H0, d1 * H1
+    X3 = ((m - n) % P, ((d0 + d1) * (H0 + H1) - m - n) % P)
+    w0, w1 = G0 - H0, G1 - H1  # Y3 = num (G - H) - Y E
+    m, n, k, l = u0 * w0, u1 * w1, y0 * E0, y1 * E1
+    Y3 = (
+        (m - n - k + l) % P,
+        ((u0 + u1) * (w0 + w1) - m - n - (y0 + y1) * (E0 + E1) + k + l) % P,
+    )
+    m, n = z0 * E0, z1 * E1
+    Z3 = ((m - n) % P, ((z0 + z1) * (E0 + E1) - m - n) % P)
+    return c0, c3, c5, X3, Y3, Z3
+
+
 def _miller_loop(p_pt, q_pt):
     """f_{u,Q}(P) conjugated, times an Fq2 factor that final_exp removes;
     p_pt on E(Fq), q_pt on the twist, both affine. T runs in homogeneous
@@ -80,37 +161,11 @@ def _miller_loop(p_pt, q_pt):
     X, Y, Z = xq, yq, F2_ONE
     f = F12_ONE
     for bit in _U_BITS:
-        # doubling: line scaled by H = 2YZ, then T <- 2T
-        XX, YY, ZZ = f2_sqr(X), f2_sqr(Y), f2_sqr(Z)
-        E = f2_mul_by_xi(f2_muls(ZZ, 12))  # 3 b' Z^2 with b' = 4 xi
-        F = f2_muls(E, 3)
-        H = f2_sub(f2_sqr(f2_add(Y, Z)), f2_add(YY, ZZ))
-        f = f12_mul_by_line(
-            f12_sqr(f),
-            f2_mul_by_xi(f2_muls(H, yp)),
-            f2_sub(YY, E),
-            f2_muls(XX, neg_3xp),
-        )
-        X = f2_muls(f2_mul(f2_mul(X, Y), f2_sub(YY, F)), 2)
-        Y = f2_sub(f2_sqr(f2_add(YY, F)), f2_muls(f2_sqr(E), 12))
-        Z = f2_muls(f2_mul(YY, H), 4)
+        c0, c3, c5, X, Y, Z = _dbl_step(X, Y, Z, yp, neg_3xp)
+        f = f12_mul_by_line(f12_sqr(f), c0, c3, c5)
         if bit == "1":
-            # mixed addition of Q: slope num/den, line scaled by den
-            num = f2_sub(Y, f2_mul(yq, Z))
-            den = f2_sub(X, f2_mul(xq, Z))
-            f = f12_mul_by_line(
-                f,
-                f2_mul_by_xi(f2_muls(den, yp)),
-                f2_sub(f2_mul(num, xq), f2_mul(den, yq)),
-                f2_muls(num, neg_xp),
-            )
-            D = f2_sqr(den)
-            E = f2_mul(den, D)
-            G = f2_mul(X, D)
-            H = f2_sub(f2_add(E, f2_mul(Z, f2_sqr(num))), f2_muls(G, 2))
-            X = f2_mul(den, H)
-            Y = f2_sub(f2_mul(num, f2_sub(G, H)), f2_mul(Y, E))
-            Z = f2_mul(Z, E)
+            c0, c3, c5, X, Y, Z = _add_step(X, Y, Z, xq, yq, yp, neg_xp)
+            f = f12_mul_by_line(f, c0, c3, c5)
     return f12_conj(f)
 
 

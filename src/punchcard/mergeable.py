@@ -13,6 +13,8 @@ share one secret key:
                  = e(H0(u_A), H1(u_B))^(sk^(n_a+n_b))
     verify at n = n_a+n_b:
            value == e(H0(u_A)^(sk^n), H1(u_B)), u_A != u_B, both unused
+           (the spent set is consulted first, so a replay never pays for
+           the pairing)
 
 The pairing moves the two cards' punch counts into one exponent, which is
 what lets two half-full cards combine into one reward. A single card
@@ -272,7 +274,17 @@ def verify_card(
 def server_redeem(
     pairing: PairingGroups, sk: int, req: MergeRedeemRequest, count: int, db
 ) -> RedeemStatus:
-    """Both secrets are spent together or not at all."""
+    """Both secrets are spent together or not at all.
+
+    A secret already in the spent set answers DOUBLE_SPEND before the
+    verify, whatever the value: a replay costs a set lookup, not two
+    hashes to the curve and a pairing. So a spent secret sent with a bad
+    value answers DOUBLE_SPEND, not BAD_CARD; only a holder of the secret
+    can send it, and it already knows the secret is spent. The lookup
+    takes no lock; check_and_insert still makes the atomic check and
+    insert."""
+    if req.u_a in db or req.u_b in db:
+        return RedeemStatus.DOUBLE_SPEND
     if not verify_card(pairing, sk, req, count):
         return RedeemStatus.BAD_CARD
     if not db.check_and_insert(req.u_a, req.u_b):

@@ -29,6 +29,7 @@ def test_bench_main_sizes_come_from_real_messages():
     }
     ops = [row["op"] for row in result["rows"]]
     assert "punch_round_trip" in ops and "server_redeem(db=0)" in ops
+    assert "g0_decode" in ops
 
 
 def test_bench_main_with_preloaded_db():
@@ -47,7 +48,7 @@ def test_bench_mergeable_toy_sizes():
         "redeem_request": 68,
     }
     ops = [row["op"] for row in result["rows"]]
-    assert {"pair", "g0_exp_base", "g1_exp_base"} <= set(ops)
+    assert {"pair", "g0_exp_base", "g1_exp_base", "g0_decode", "g1_decode"} <= set(ops)
 
 
 def test_render_table_and_csv():

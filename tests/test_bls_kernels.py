@@ -9,16 +9,24 @@ division below 10^6), subgroup points with such torsion added, and the
 identity. The pairing's projective Miller loop is checked against the
 affine loop it replaced, and its sparse and cyclotomic field kernels
 against the dense products. Operation counts of the pairing and the comb
-are pinned by counting base-field inversions."""
+are pinned by counting base-field inversions.
+
+The reduce-once field products and f2_sqrt are checked against the
+reduce-after-every-operation versions they replaced, kept below as
+references that share no code with fields.py. The Jacobian ladders are
+checked against an affine double-and-add built only from Curve.add and
+Curve.double, since Curve.mul runs the same Jacobian steps as the
+ladders it would check; their step counts are pinned per scalar."""
 
 import functools
 import math
+import operator
 import random
 import sys
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from punchcard import mergeable
@@ -31,7 +39,10 @@ from punchcard.groups.bls.curve import (
     G2_GEN,
     H1,
     H2_EFF,
+    COMB_SPACING,
     FixedBaseComb,
+    _U,
+    _X2,
     clear_cofactor_g2,
     curve_g1,
     curve_g2,
@@ -426,3 +437,373 @@ def test_comb_tables_built_by_four_threads_agree():
     for g, (table, value) in zip(groups, results[0]):
         assert g._comb._table == table
         assert value == g.exp(g.generator(), ALL_TEETH)
+
+
+# --- reduce-once field kernels ------------------------------------------------------
+
+# The tower products and the Fq2 square root as they were before they reduced
+# once per output coefficient: every Fq2 operation reduces mod p, and the
+# square root takes Legendre symbols. They share no code with fields.py.
+
+
+def _r2_add(x, y):
+    return ((x[0] + y[0]) % P, (x[1] + y[1]) % P)
+
+
+def _r2_sub(x, y):
+    return ((x[0] - y[0]) % P, (x[1] - y[1]) % P)
+
+
+def _r2_mul(x, y):
+    a, b = x
+    c, d = y
+    ac = a * c % P
+    bd = b * d % P
+    return ((ac - bd) % P, ((a + b) * (c + d) - ac - bd) % P)
+
+
+def _r2_mul_by_xi(x):
+    a, b = x
+    return ((a - b) % P, (a + b) % P)
+
+
+def _r6_add(x, y):
+    return tuple(_r2_add(a, b) for a, b in zip(x, y))
+
+
+def _r6_sub(x, y):
+    return tuple(_r2_sub(a, b) for a, b in zip(x, y))
+
+
+def _r6_mul_by_v(x):
+    return (_r2_mul_by_xi(x[2]), x[0], x[1])
+
+
+def _ref_f6_mul(x, y):
+    a0, a1, a2 = x
+    b0, b1, b2 = y
+    v0 = _r2_mul(a0, b0)
+    v1 = _r2_mul(a1, b1)
+    v2 = _r2_mul(a2, b2)
+    t0 = _r2_sub(_r2_sub(_r2_mul(_r2_add(a1, a2), _r2_add(b1, b2)), v1), v2)
+    t1 = _r2_sub(_r2_sub(_r2_mul(_r2_add(a0, a1), _r2_add(b0, b1)), v0), v1)
+    t2 = _r2_sub(_r2_sub(_r2_mul(_r2_add(a0, a2), _r2_add(b0, b2)), v0), v2)
+    return (
+        _r2_add(v0, _r2_mul_by_xi(t0)),
+        _r2_add(t1, _r2_mul_by_xi(v2)),
+        _r2_add(t2, v1),
+    )
+
+
+def _ref_f12_mul(x, y):
+    a, b = x
+    c, d = y
+    ac = _ref_f6_mul(a, c)
+    bd = _ref_f6_mul(b, d)
+    abcd = _ref_f6_mul(_r6_add(a, b), _r6_add(c, d))
+    return (_r6_add(ac, _r6_mul_by_v(bd)), _r6_sub(_r6_sub(abcd, ac), bd))
+
+
+def _ref_f12_sqr(x):
+    a, b = x
+    ab = _ref_f6_mul(a, b)
+    t = _ref_f6_mul(_r6_add(a, b), _r6_add(a, _r6_mul_by_v(b)))
+    return (_r6_sub(_r6_sub(t, ab), _r6_mul_by_v(ab)), _r6_add(ab, ab))
+
+
+def _ref_f12_mul_by_line(f, c0, c3, c5):
+    a, b = f
+    ac = (_r2_mul(a[0], c0), _r2_mul(a[1], c0), _r2_mul(a[2], c0))
+    b0, b1, b2 = b
+    t1 = _r2_mul(b1, c3)
+    t2 = _r2_mul(b2, c5)
+    cross = _r2_sub(_r2_sub(_r2_mul(_r2_add(b1, b2), _r2_add(c3, c5)), t1), t2)
+    bl = (
+        _r2_mul_by_xi(cross),
+        _r2_add(_r2_mul(b0, c3), _r2_mul_by_xi(t2)),
+        _r2_add(_r2_mul(b0, c5), t1),
+    )
+    t = _ref_f6_mul(_r6_add(a, b), (c0, c3, c5))
+    return (_r6_add(ac, _r6_mul_by_v(bl)), _r6_sub(_r6_sub(t, ac), bl))
+
+
+def _ref_legendre(a):
+    a %= P
+    if a == 0:
+        return 0
+    return 1 if pow(a, (P - 1) // 2, P) == 1 else -1
+
+
+def _ref_fq_sqrt(a):
+    a %= P
+    r = pow(a, (P + 1) // 4, P)
+    if r * r % P != a:
+        raise ValueError("not a square in Fq")
+    return r
+
+
+def _ref_f2_sqrt(x):
+    a, b = x
+    if b == 0:
+        if _ref_legendre(a) >= 0:
+            return (_ref_fq_sqrt(a), 0)
+        return (0, _ref_fq_sqrt(-a))
+    norm = (a * a + b * b) % P
+    if _ref_legendre(norm) != 1:
+        raise ValueError("not a square in Fq2")
+    s = _ref_fq_sqrt(norm)
+    inv2 = pow(2, -1, P)
+    t = (a + s) * inv2 % P
+    if _ref_legendre(t) != 1:
+        t = (a - s) * inv2 % P
+    x0 = _ref_fq_sqrt(t)
+    cand = (x0, b * pow(2 * x0, -1, P) % P)
+    if _r2_mul(cand, cand) != (a % P, b % P):
+        raise ValueError("not a square in Fq2")
+    return cand
+
+
+def _root_or_none(sqrt, x):
+    try:
+        return sqrt(x)
+    except ValueError:
+        return None
+
+
+def _reduced(x):
+    """Every Fq coefficient of a nested tuple lies in [0, p)."""
+    if isinstance(x, tuple):
+        return all(map(_reduced, x))
+    return 0 <= x < P
+
+
+fq = st.one_of(st.sampled_from([0, 1, P - 1]), st.integers(0, P - 1))
+fq2 = st.tuples(fq, fq)
+fq6 = st.tuples(fq2, fq2, fq2)
+fq12 = st.tuples(fq6, fq6)
+KERNEL = settings(max_examples=50, deadline=None)
+TOP2 = (P - 1, P - 1)
+TOP6 = (TOP2, TOP2, TOP2)
+TOP12 = (TOP6, TOP6)
+
+
+@KERNEL
+@given(x=fq6, y=fq6)
+@example(x=TOP6, y=TOP6)
+def test_f6_mul_matches_reference(x, y):
+    got = fields.f6_mul(x, y)
+    assert got == _ref_f6_mul(x, y) and _reduced(got)
+
+
+@KERNEL
+@given(x=fq12, y=fq12)
+@example(x=TOP12, y=TOP12)
+def test_f12_mul_matches_reference(x, y):
+    got = fields.f12_mul(x, y)
+    assert got == _ref_f12_mul(x, y) and _reduced(got)
+
+
+@KERNEL
+@given(x=fq12)
+@example(x=TOP12)
+def test_f12_sqr_matches_reference(x):
+    got = fields.f12_sqr(x)
+    assert got == _ref_f12_sqr(x) and _reduced(got)
+
+
+@KERNEL
+@given(f=fq12, c0=fq2, c3=fq2, c5=fq2)
+@example(f=TOP12, c0=TOP2, c3=TOP2, c5=TOP2)
+def test_f12_mul_by_line_matches_reference(f, c0, c3, c5):
+    got = fields.f12_mul_by_line(f, c0, c3, c5)
+    assert got == _ref_f12_mul_by_line(f, c0, c3, c5) and _reduced(got)
+
+
+@KERNEL
+@given(x=fq2)
+def test_f2_sqrt_matches_reference(x):
+    got = _root_or_none(fields.f2_sqrt, x)
+    assert got == _root_or_none(_ref_f2_sqrt, x)
+    if got is not None:
+        assert _reduced(got) and _r2_mul(got, got) == x
+
+
+@KERNEL
+@given(y=fq2)
+def test_f2_sqrt_of_squares_and_non_squares(y):
+    square = _r2_mul(y, y)
+    root = fields.f2_sqrt(square)
+    assert root == _ref_f2_sqrt(square) and _r2_mul(root, root) == square
+    non_square = _r2_mul(fields.XI, square)  # xi is not a square in Fq2
+    if non_square != (0, 0):
+        for sqrt in (fields.f2_sqrt, _ref_f2_sqrt):
+            with pytest.raises(ValueError):
+                sqrt(non_square)
+
+
+@KERNEL
+@given(c=fq)
+@example(c=2)
+def test_f2_sqrt_on_the_base_field(c):
+    """b = 0: a square of Fq, a non-square (-c^2, as -1 is none) and 0 all
+    have roots in Fq2."""
+    for a in (c * c % P, -c * c % P, 0):
+        root = fields.f2_sqrt((a, 0))
+        assert root == _ref_f2_sqrt((a, 0)) and _reduced(root)
+        assert _r2_mul(root, root) == (a, 0)
+
+
+# --- Jacobian ladders against affine double-and-add ------------------------------
+
+
+def _affine_mul(c, pt, k):
+    """[k]pt by left-to-right double-and-add on Curve.double and Curve.add
+    alone: affine, one inversion per step, no Jacobian step."""
+    acc = None
+    for bit in bin(k)[2:]:
+        acc = c.double(acc)
+        if bit == "1":
+            acc = c.add(acc, pt)
+    return acc
+
+
+@BOUNDED
+@given(k=scalars, which=st.integers(0, 2))
+def test_g1_mul_matches_affine_oracle(points, k, which):
+    pt = points["g1_sub"][which]
+    assert g1_mul(pt, k) == _affine_mul(curve_g1, pt, k)
+
+
+@BOUNDED
+@given(k=scalars, which=st.integers(0, 2))
+def test_g2_mul_matches_affine_oracle(points, k, which):
+    pt = points["g2_sub"][which]
+    assert g2_mul(pt, k) == _affine_mul(curve_g2, pt, k)
+
+
+@BOUNDED
+@given(
+    which=st.sampled_from(["g1", "g2"]),
+    picks=st.lists(st.integers(0, 20), min_size=1, max_size=4),
+    digits=st.lists(
+        st.one_of(st.sampled_from([0, 1, 2**64 - 1]), st.integers(0, 2**64)),
+        min_size=4,
+        max_size=4,
+    ),
+)
+def test_straus_matches_affine_oracle(points, which, picks, digits):
+    """Any points on the curve, in or out of the subgroup, repeats allowed."""
+    c = curve_g1 if which == "g1" else curve_g2
+    pool = points[which + "_sub"] + points[which + "_other"]
+    pts = [pool[i % len(pool)] for i in picks]
+    digits = digits[: len(pts)]
+    want = None
+    for pt, d in zip(pts, digits):
+        want = c.add(want, _affine_mul(c, pt, d))
+    assert c.lincomb(pts, digits) == want
+
+
+@functools.cache
+def _comb(c, gen):
+    return FixedBaseComb(c, gen)
+
+
+@BOUNDED
+@given(k=st.one_of(st.sampled_from(BASE_SCALARS), st.integers(0, 2**256 - 1)))
+def test_comb_matches_affine_oracle(k):
+    for c, gen in ((curve_g1, G1_GEN), (curve_g2, G2_GEN)):
+        assert _comb(c, gen).mul(k) == _affine_mul(c, gen, k)
+
+
+def _jacobian(c, pt, z):
+    F = c.F
+    zz = F.sqr(z)
+    return (F.mul(pt[0], zz), F.mul(F.mul(pt[1], zz), z), z)
+
+
+def _affine(c, acc):
+    F = c.F
+    if acc is None or F.is_zero(acc[2]):
+        return None
+    X, Y, Z = acc
+    zinv = F.inv(Z)
+    zz = F.sqr(zinv)
+    return (F.mul(X, zz), F.mul(F.mul(Y, zz), zinv))
+
+
+@pytest.mark.parametrize("which", ["g1", "g2"])
+def test_jacobian_steps_hit_every_branch(points, which):
+    """_add_mixed on acc == pt (the doubling), acc == -pt (the identity), a
+    Z = 0 or None accumulator (pt itself) and distinct points; _double_jac
+    against Curve.double. The accumulator's Z is not 1."""
+    if which == "g1":
+        c, gen, zero, one, z = curve_g1, G1_GEN, 0, 1, 7
+    else:
+        c, gen, zero, one, z = curve_g2, G2_GEN, (0, 0), (1, 0), (7, 3)
+    for pt in points[which + "_sub"] + points[which + "_other"][:4]:
+        acc = _jacobian(c, pt, z)
+        assert _affine(c, acc) == pt
+        assert _affine(c, c._add_mixed(acc, pt)) == c.double(pt)
+        assert c._add_mixed(acc, c.neg(pt)) is None
+        for empty in (None, (one, one, zero)):
+            assert c._add_mixed(empty, pt) == (pt[0], pt[1], one)
+        assert _affine(c, c._add_mixed(acc, gen)) == c.add(pt, gen)
+        assert _affine(c, c._double_jac(*acc)) == c.double(pt)
+
+
+@pytest.fixture
+def steps(monkeypatch):
+    """Counts the Jacobian steps of both curves; every ladder runs on them."""
+    counts = {"double": 0, "add": 0}
+    for cls in {type(curve_g1), type(curve_g2)}:
+        real_double, real_add = cls._double_jac, cls._add_mixed
+
+        def double(self, X, Y, Z, real=real_double):
+            counts["double"] += 1
+            return real(self, X, Y, Z)
+
+        def add(self, acc, pt, real=real_add):
+            counts["add"] += 1
+            return real(self, acc, pt)
+
+        monkeypatch.setattr(cls, "_double_jac", double)
+        monkeypatch.setattr(cls, "_add_mixed", add)
+    return counts
+
+
+def _ladder_steps(digits):
+    """(doublings, additions) of one Straus ladder over these digits: the
+    index of the top bit, and the number of bit positions (columns) where
+    some digit has a 1."""
+    return (
+        max(digits).bit_length() - 1,
+        bin(functools.reduce(operator.or_, digits)).count("1"),
+    )
+
+
+def _base_digits(k, base, count):
+    digits = []
+    for _ in range(count):
+        k, d = divmod(k, base)
+        digits.append(d)
+    return digits
+
+
+STEP_SCALARS = [1, 2, 3, 2**64, U * U + 1, 2**127 + 32, N - 1, ALL_TEETH, N // 3]
+
+
+@pytest.mark.parametrize("k", STEP_SCALARS)
+def test_ladder_step_counts(steps, k):
+    cases = [
+        (lambda: g1_mul(G1_GEN, k), _base_digits(k, _X2, 2)),
+        (lambda: g2_mul(G2_GEN, k), _base_digits(k, _U, 4)),
+    ]
+    for group in (BlsG0(), BlsG1()):
+        group.exp_base(1)  # the table, built outside the count
+        cases.append(
+            (lambda g=group: g.exp_base(k), _base_digits(k, 2**COMB_SPACING, 8))
+        )
+    for run, digits in cases:
+        steps.update(double=0, add=0)
+        run()
+        assert (steps["double"], steps["add"]) == _ladder_steps(digits)

@@ -7,6 +7,7 @@ from punchcard.core import RedeemStatus
 from punchcard.db import RedeemDb
 from punchcard.errors import InvalidEncoding, ProofRejected
 from punchcard.groups import get_pairing
+from punchcard.groups.bls import pairing as bls_pairing
 
 
 @pytest.fixture(params=["toy-pairing", "bls12-381"])
@@ -66,6 +67,54 @@ def test_double_spend_blocks_both_secrets(pairing):
     sc, cc = _punched(pairing, sk, pk, rng, 1)
     req2 = mergeable.client_merge_redeem(pairing, sa, ca, sc, cc)
     assert mergeable.server_redeem(pairing, sk, req2, 2, db) is RedeemStatus.DOUBLE_SPEND
+
+
+def test_spent_secret_answers_double_spend_before_the_value(pairing):
+    """Either secret already spent answers DOUBLE_SPEND whatever the value
+    and the count; the same bad value with unspent secrets is BAD_CARD."""
+    rng = random.Random(86)
+    sk, pk = mergeable.server_setup(pairing, rng)
+    db = RedeemDb()
+    sa, ca = _punched(pairing, sk, pk, rng, 1)
+    sb, cb = _punched(pairing, sk, pk, rng, 1)
+    req = mergeable.client_merge_redeem(pairing, sa, ca, sb, cb)
+    assert mergeable.server_redeem(pairing, sk, req, 2, db) is RedeemStatus.ACCEPT
+    bad_value = bytes(pairing.gt.element_size)
+    fresh_a, fresh_b = b"\x01" * 32, b"\x02" * 32
+    for u_a, u_b in ((req.u_a, fresh_b), (fresh_a, req.u_b), (req.u_a, req.u_b)):
+        bad = mergeable.MergeRedeemRequest(u_a=u_a, u_b=u_b, value_bytes=bad_value)
+        for count in (2, 3):
+            status = mergeable.server_redeem(pairing, sk, bad, count, db)
+            assert status is RedeemStatus.DOUBLE_SPEND
+    bad = mergeable.MergeRedeemRequest(u_a=fresh_a, u_b=fresh_b, value_bytes=bad_value)
+    assert mergeable.server_redeem(pairing, sk, bad, 2, db) is RedeemStatus.BAD_CARD
+    assert fresh_a not in db and fresh_b not in db
+
+
+def test_replay_runs_no_pairing(monkeypatch):
+    """A replayed merge-redeem is refused from the spent set before any
+    pairing; the first redeem's verify runs one."""
+    calls = []
+    real = bls_pairing.pairing
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(bls_pairing, "pairing", counting)
+    bls = get_pairing("bls12-381")
+    rng = random.Random(87)
+    sk, _ = mergeable.server_setup(bls, rng)
+    sa, ca = mergeable.issue(bls, rng)
+    sb, cb = mergeable.issue(bls, rng)
+    req = mergeable.client_merge_redeem(bls, sa, ca, sb, cb)
+    db = RedeemDb()
+    calls.clear()
+    assert mergeable.server_redeem(bls, sk, req, 0, db) is RedeemStatus.ACCEPT
+    assert len(calls) == 1
+    calls.clear()
+    assert mergeable.server_redeem(bls, sk, req, 0, db) is RedeemStatus.DOUBLE_SPEND
+    assert calls == []
 
 
 def test_same_secret_on_both_sides_rejected(pairing):
