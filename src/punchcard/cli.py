@@ -39,6 +39,12 @@ def _print_status(status: RedeemStatus) -> int:
     return 0 if status is RedeemStatus.ACCEPT else 1
 
 
+def punch_count(raw: str) -> int:
+    if int(raw) < 1:
+        raise argparse.ArgumentTypeError(f"punch count must be at least 1, got {raw}")
+    return int(raw)
+
+
 def cmd_server_run(args) -> int:
     return service.run_server(service.load_config(args.config))
 
@@ -174,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     punch = wallet_sub.add_parser("punch")
     wallet_common(punch)
     punch.add_argument("--card", type=int, required=True)
-    punch.add_argument("-t", "--times", type=int, default=1)
+    punch.add_argument("-t", "--times", type=punch_count, default=1)
     punch.set_defaults(func=cmd_wallet_punch)
 
     redeem = wallet_sub.add_parser("redeem")

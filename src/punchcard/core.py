@@ -8,8 +8,8 @@ One server holds sk with public key pk = g^sk. A card is a secret
                       S -> C: p' = p^sk, proof that log_g(pk) = log_p(p')
                       C: verify proof, pick fresh m', keep p'' = p'^(m'/m)
     Redeem:           C -> S: (u, p^(1/m)) after n punches
-                      S: accept iff p^(1/m) == H(u)^(sk^n) and u unused;
-                         remember u
+                      S: DOUBLE_SPEND if u was spent, else accept iff
+                         p^(1/m) == H(u)^(sk^n); remember u
 
 Each punch multiplies the hidden exponent by sk, so after n punches the
 unmasked card is H(u)^(sk^n). The fresh mask every round makes successive
@@ -24,15 +24,16 @@ chain primitive below: punch_chain, verify_chain and remask. The single
 punch here, multi-punch and ticket slots in `extensions`, and each side of
 the mergeable scheme all run it.
 
-Redemption double-spend protection is the (u, seen-set) check; it needs the
-atomic check-and-insert the db module provides.
+Every card type redeems through `spend`: the spent set is consulted before
+the redemption equation, and the db module's atomic check-and-insert
+remembers the secrets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from . import dleq
 from .errors import InvalidEncoding, ProofRejected
@@ -78,6 +79,10 @@ class RedeemRequest:
     u: bytes
     card: Element  # unmasked: H(u)^(sk^n)
 
+    @property
+    def secrets(self) -> Tuple[bytes, ...]:
+        return (self.u,)
+
     def to_bytes(self, group: Group) -> bytes:
         return self.u + group.encode_element(self.card)
 
@@ -101,9 +106,12 @@ class RedeemStatus(IntEnum):
 def server_setup(
     group: Group, rng=None, sk: Optional[int] = None
 ) -> Tuple[int, Element]:
-    """Fresh (sk, pk), or re-derive pk from a stored sk."""
+    """Fresh (sk, pk), or re-derive pk from a stored sk, which must lie in
+    [1, order) (else ValueError)."""
     if sk is None:
         sk = group.random_scalar(rng)
+    elif not 0 < sk < group.order:
+        raise ValueError("secret key outside [1, group order)")
     return sk, group.exp(group.generator(), sk)
 
 
@@ -211,12 +219,22 @@ def verify_card(group: Group, sk: int, req: RedeemRequest, count: int) -> bool:
     return group.eq(req.card, expected_card(group, sk, req.u, count))
 
 
+def spend(db, secrets: Sequence[bytes], valid: Callable[[], bool]) -> RedeemStatus:
+    """Every card type's redemption: DOUBLE_SPEND if a secret is spent,
+    else BAD_CARD unless valid(), else spend them all in one atomic
+    check_and_insert. A replay costs a lock-free lookup, not the group work
+    of valid(), whatever its value: only a holder of the secret can send
+    it, and it knows the secret is spent."""
+    if any(u in db for u in secrets):
+        return RedeemStatus.DOUBLE_SPEND
+    if not valid():
+        return RedeemStatus.BAD_CARD
+    if not db.check_and_insert(*secrets):
+        return RedeemStatus.DOUBLE_SPEND
+    return RedeemStatus.ACCEPT
+
+
 def server_redeem(
     group: Group, sk: int, req: RedeemRequest, count: int, db
 ) -> RedeemStatus:
-    """Full redemption: algebra check, then atomic spend of u."""
-    if not verify_card(group, sk, req, count):
-        return RedeemStatus.BAD_CARD
-    if not db.check_and_insert(req.u):
-        return RedeemStatus.DOUBLE_SPEND
-    return RedeemStatus.ACCEPT
+    return spend(db, req.secrets, lambda: verify_card(group, sk, req, count))

@@ -139,6 +139,18 @@ def replace_durably(tmp: str, path: str, point: str) -> None:
         os.close(fd)
 
 
+def write_durably(path: str, chunks: Iterable[bytes], point: str, mode=0o666) -> None:
+    """Write the chunks to path + '.tmp' (truncating one a crash left),
+    fsync it and replace_durably it over path, so that path holds either
+    its old content or all of the new."""
+    fd = os.open(path + ".tmp", os.O_WRONLY | os.O_CREAT | os.O_TRUNC, mode)
+    with os.fdopen(fd, "wb") as f:
+        f.writelines(chunks)
+        f.flush()
+        os.fsync(f.fileno())
+    replace_durably(path + ".tmp", path, point)
+
+
 class RedeemDb:
     """path=None keeps everything in memory (tests, benches). Otherwise
     `path` is the log file and `path + '.snap'` the snapshot."""
@@ -276,16 +288,11 @@ class RedeemDb:
         return self._path + ".snap"
 
     def _write_snapshot(self, blob: bytes) -> None:
-        tmp = self._snap_path() + ".tmp"
-        with open(tmp, "wb") as f:
-            f.write(_SNAP_MAGIC)
-            f.write(struct.pack("<II", len(blob) // SECRET_SIZE, len(self._claims)))
-            f.write(blob)
-            for u in sorted(self._claims):
-                f.write(u)
-            f.flush()
-            os.fsync(f.fileno())
-        replace_durably(tmp, self._snap_path(), "db.snapshot")
+        head = struct.pack("<II", len(blob) // SECRET_SIZE, len(self._claims))
+        write_durably(
+            self._snap_path(), [_SNAP_MAGIC, head, blob, *sorted(self._claims)],
+            "db.snapshot",
+        )
         # the log is now redundant; restart it
         if self._log is not None:
             self._log.close()

@@ -163,12 +163,12 @@ def check_expiry(
     """Raises BadExpiry unless u carries a quarter boundary in
     [today, today + horizon]."""
     expiry = embedded_expiry(u)
-    if expiry.day != 1 or expiry.month not in _QUARTER_MONTHS:
-        raise BadExpiry(f"embedded expiry {expiry} is not a quarter boundary")
+    expiry_code(expiry)  # BadExpiry unless it is a quarter boundary
     if expiry < today:
         raise BadExpiry(f"card expired on {expiry}")
-    limit = add_quarters(quarter_boundary_on_or_after(today), horizon_quarters)
-    if expiry > limit:
+    # count back from the expiry: counting on from today can pass date.max
+    first = quarter_boundary_on_or_after(today)
+    if add_quarters(expiry, -horizon_quarters) > first:
         raise BadExpiry(f"expiry {expiry} beyond the {horizon_quarters}-quarter horizon")
 
 
@@ -233,6 +233,10 @@ class TicketCard:
 class TicketRedeemRequest:
     u: bytes
     slots: List[Tuple[str, int, Element]]  # (name, claimed count, unmasked)
+
+    @property
+    def secrets(self) -> Tuple[bytes, ...]:
+        return (self.u,)
 
 
 def _slot_tag(name: str) -> str:
@@ -330,8 +334,4 @@ def verify_ticket(group: Group, sk: int, req: TicketRedeemRequest) -> bool:
 def server_redeem_ticket(
     group: Group, sk: int, req: TicketRedeemRequest, db
 ) -> RedeemStatus:
-    if not verify_ticket(group, sk, req):
-        return RedeemStatus.BAD_CARD
-    if not db.check_and_insert(req.u):
-        return RedeemStatus.DOUBLE_SPEND
-    return RedeemStatus.ACCEPT
+    return core.spend(db, req.secrets, lambda: verify_ticket(group, sk, req))

@@ -11,10 +11,9 @@ share one secret key:
     merge-redeem of card A (n_a punches) with card B (n_b punches):
            value = e(p0_A^(1/m0_A), p1_B^(1/m1_B))
                  = e(H0(u_A), H1(u_B))^(sk^(n_a+n_b))
-    verify at n = n_a+n_b:
-           value == e(H0(u_A)^(sk^n), H1(u_B)), u_A != u_B, both unused
-           (the spent set is consulted first, so a replay never pays for
-           the pairing)
+    redeem at n = n_a+n_b (core.spend): DOUBLE_SPEND if u_A or u_B was
+           spent, else accept iff u_A != u_B and
+           value == e(H0(u_A)^(sk^n), H1(u_B)); spend both
 
 The pairing moves the two cards' punch counts into one exponent, which is
 what lets two half-full cards combine into one reward. A single card
@@ -47,25 +46,30 @@ class MergeCardSecret:
     mask1: int
 
 
+def _sides_to_bytes(pairing: PairingGroups, e0: Element, e1: Element) -> bytes:
+    return pairing.g0.encode_element(e0) + pairing.g1.encode_element(e1)
+
+
+def _sides_from_bytes(
+    pairing: PairingGroups, data: bytes, what: str
+) -> Tuple[Element, Element]:
+    n0 = pairing.g0.element_size
+    if len(data) != n0 + pairing.g1.element_size:
+        raise InvalidEncoding(f"{what} has wrong length")
+    return pairing.g0.decode_element(data[:n0]), pairing.g1.decode_element(data[n0:])
+
+
 @dataclass(frozen=True)
 class MergeCard:
     side0: Element
     side1: Element
 
     def to_bytes(self, pairing: PairingGroups) -> bytes:
-        return pairing.g0.encode_element(self.side0) + pairing.g1.encode_element(
-            self.side1
-        )
+        return _sides_to_bytes(pairing, self.side0, self.side1)
 
     @classmethod
     def from_bytes(cls, pairing: PairingGroups, data: bytes) -> "MergeCard":
-        n0 = pairing.g0.element_size
-        if len(data) != n0 + pairing.g1.element_size:
-            raise InvalidEncoding("mergeable card has wrong length")
-        return cls(
-            side0=pairing.g0.decode_element(data[:n0]),
-            side1=pairing.g1.decode_element(data[n0:]),
-        )
+        return cls(*_sides_from_bytes(pairing, data, "mergeable card"))
 
 
 @dataclass(frozen=True)
@@ -74,19 +78,11 @@ class MergePublicKey:
     pk1: Element
 
     def to_bytes(self, pairing: PairingGroups) -> bytes:
-        return pairing.g0.encode_element(self.pk0) + pairing.g1.encode_element(
-            self.pk1
-        )
+        return _sides_to_bytes(pairing, self.pk0, self.pk1)
 
     @classmethod
     def from_bytes(cls, pairing: PairingGroups, data: bytes) -> "MergePublicKey":
-        n0 = pairing.g0.element_size
-        if len(data) != n0 + pairing.g1.element_size:
-            raise InvalidEncoding("public key has wrong length")
-        return cls(
-            pk0=pairing.g0.decode_element(data[:n0]),
-            pk1=pairing.g1.decode_element(data[n0:]),
-        )
+        return cls(*_sides_from_bytes(pairing, data, "public key"))
 
 
 @dataclass(frozen=True)
@@ -98,8 +94,7 @@ class MergePunchResponse:
 
     def to_bytes(self, pairing: PairingGroups) -> bytes:
         return (
-            pairing.g0.encode_element(self.punched0)
-            + pairing.g1.encode_element(self.punched1)
+            _sides_to_bytes(pairing, self.punched0, self.punched1)
             + self.proof0.to_bytes(pairing.g0)
             + self.proof1.to_bytes(pairing.g1)
         )
@@ -107,18 +102,13 @@ class MergePunchResponse:
     @classmethod
     def from_bytes(cls, pairing: PairingGroups, data: bytes) -> "MergePunchResponse":
         g0, g1 = pairing.g0, pairing.g1
-        n0, n1 = g0.element_size, g1.element_size
-        s0, s1 = dleq.proof_size(g0), dleq.proof_size(g1)
-        if len(data) != n0 + n1 + s0 + s1:
+        n = g0.element_size + g1.element_size
+        s0 = dleq.proof_size(g0)
+        if len(data) != n + s0 + dleq.proof_size(g1):
             raise InvalidEncoding("mergeable punch response has wrong length")
-        off = 0
-        punched0 = g0.decode_element(data[off : off + n0])
-        off += n0
-        punched1 = g1.decode_element(data[off : off + n1])
-        off += n1
-        proof0 = dleq.proof_from_bytes(g0, data[off : off + s0])
-        off += s0
-        proof1 = dleq.proof_from_bytes(g1, data[off:])
+        punched0, punched1 = _sides_from_bytes(pairing, data[:n], "punched card")
+        proof0 = dleq.proof_from_bytes(g0, data[n : n + s0])
+        proof1 = dleq.proof_from_bytes(g1, data[n + s0 :])
         return cls(punched0, punched1, proof0, proof1)
 
 
@@ -134,6 +124,10 @@ class MergeRedeemRequest:
     u_b: bytes
     value: Element = None
     value_bytes: Optional[bytes] = None
+
+    @property
+    def secrets(self) -> Tuple[bytes, ...]:
+        return (self.u_a, self.u_b)
 
     def encoded_value(self, pairing: PairingGroups) -> bytes:
         if self.value_bytes is not None:
@@ -157,12 +151,8 @@ class MergeRedeemRequest:
 def server_setup(
     pairing: PairingGroups, rng=None, sk: Optional[int] = None
 ) -> Tuple[int, MergePublicKey]:
-    if sk is None:
-        sk = pairing.g0.random_scalar(rng)
-    return sk, MergePublicKey(
-        pk0=pairing.g0.exp(pairing.g0.generator(), sk),
-        pk1=pairing.g1.exp(pairing.g1.generator(), sk),
-    )
+    sk, pk0 = core.server_setup(pairing.g0, rng, sk)
+    return sk, MergePublicKey(pk0=pk0, pk1=pairing.g1.exp(pairing.g1.generator(), sk))
 
 
 def card_bases(pairing: PairingGroups, u: bytes) -> Tuple[Element, Element]:
@@ -274,19 +264,4 @@ def verify_card(
 def server_redeem(
     pairing: PairingGroups, sk: int, req: MergeRedeemRequest, count: int, db
 ) -> RedeemStatus:
-    """Both secrets are spent together or not at all.
-
-    A secret already in the spent set answers DOUBLE_SPEND before the
-    verify, whatever the value: a replay costs a set lookup, not two
-    hashes to the curve and a pairing. So a spent secret sent with a bad
-    value answers DOUBLE_SPEND, not BAD_CARD; only a holder of the secret
-    can send it, and it already knows the secret is spent. The lookup
-    takes no lock; check_and_insert still makes the atomic check and
-    insert."""
-    if req.u_a in db or req.u_b in db:
-        return RedeemStatus.DOUBLE_SPEND
-    if not verify_card(pairing, sk, req, count):
-        return RedeemStatus.BAD_CARD
-    if not db.check_and_insert(req.u_a, req.u_b):
-        return RedeemStatus.DOUBLE_SPEND
-    return RedeemStatus.ACCEPT
+    return core.spend(db, req.secrets, lambda: verify_card(pairing, sk, req, count))

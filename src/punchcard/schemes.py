@@ -5,15 +5,15 @@ Both schemes punch with the chain primitive in `core`. A scheme object
 holds the rest: its wallet code byte and message types, key setup and
 codec, the card and mask codecs of a wallet record, issue, punch, redeem
 parsing and redeem. Only the main scheme has multi-punch (`multi_req` is
-None otherwise) and expiring secrets; a mergeable redemption spends two
-cards (`redeem_cards`). Methods look the functions of `core`,
-`extensions` and `mergeable` up on those modules at each call, so a
-wrapper installed on a module sees every call.
+None otherwise); a mergeable redemption spends two cards (`redeem_cards`),
+and a parsed redeem request names the secrets it spends in `secrets`.
+Methods look the functions of `core`, `extensions` and `mergeable` up on
+those modules at each call, so a wrapper installed on a module sees every
+call.
 """
 
 from __future__ import annotations
 
-from datetime import date
 from typing import Any, Optional, Sequence, Tuple
 
 from . import core, extensions, mergeable, wire
@@ -108,9 +108,6 @@ class MainScheme(Scheme):
         [(secret, card)] = cards
         return core.client_redeem(self.group, secret, card)
 
-    def check_expiry(self, req: core.RedeemRequest, today: date, horizon: int) -> None:
-        extensions.check_expiry(req.u, today, horizon)
-
     def expected_request(self, sk: int, count: int, rng=None) -> core.RedeemRequest:
         """An accepted request made with the key, not by punching (bench)."""
         u = random_bytes(SECRET_SIZE, rng)
@@ -163,10 +160,6 @@ class MergeableScheme(Scheme):
         return mergeable.client_merge_redeem(
             self.pairing, secret_a, card_a, secret_b, card_b
         )
-
-    def check_expiry(self, req, today: date, horizon: int) -> None:
-        """Merge redemptions carry no expiry; the check passes them all.
-        load_config refuses expiry_check = on with this scheme."""
 
     def expected_request(self, sk: int, count: int, rng=None):
         """An accepted request made with the key, not by punching (bench)."""

@@ -21,6 +21,7 @@ logged; the log-hygiene test greps for exactly that.
 
 from __future__ import annotations
 
+import fcntl
 import logging
 import os
 import socket
@@ -33,7 +34,7 @@ from datetime import date
 from typing import Callable, Dict, Optional, Tuple
 
 from . import core, extensions, schemes, wire
-from .db import RedeemDb
+from .db import RedeemDb, write_durably
 from .errors import (
     BadExpiry,
     ConfigError,
@@ -178,7 +179,9 @@ def load_config(path: Optional[str] = None, env: Optional[Dict[str, str]] = None
 class KeyStore:
     """server.key holds the secret scalar (hex, mode 0600); server.pk the
     public key bytes (hex). The pk file is re-derived and compared on load
-    so a swapped or bit-rotted key pair fails loudly."""
+    so a swapped or bit-rotted key pair fails loudly. A first start holds a
+    lock on the state directory (a second creator fails) and writes
+    server.pk, then server.key, which commits the pair, by write_durably."""
 
     def __init__(self, state_dir: str):
         self._dir = state_dir
@@ -189,22 +192,29 @@ class KeyStore:
         os.makedirs(self._dir, exist_ok=True)
         if os.path.exists(self.key_path):
             return self._load(setup, encode_pk)
-        sk, pk = setup()
-        fault_point("keystore.write")
-        fd = os.open(self.key_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
-        with os.fdopen(fd, "w") as f:
-            f.write(format(sk, "x") + "\n")
-        with open(self.pk_path, "w") as f:
-            f.write(encode_pk(pk).hex() + "\n")
-        return sk, pk
+        lock = os.open(self._dir, os.O_RDONLY)
+        try:
+            fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            if os.path.exists(self.key_path):  # created before we held the lock
+                return self._load(setup, encode_pk)
+            sk, pk = setup()
+            fault_point("keystore.write")
+            write_durably(self.pk_path, [b"%s\n" % encode_pk(pk).hex().encode()],
+                          "keystore.pk")
+            write_durably(self.key_path, [b"%x\n" % sk], "keystore.key", 0o600)
+            return sk, pk
+        except BlockingIOError:
+            raise KeyStoreError("another process is creating the key") from None
+        finally:
+            os.close(lock)  # and with it the lock
 
     def _load(self, setup, encode_pk) -> Tuple[int, object]:
         try:
             with open(self.key_path) as f:
                 sk = int(f.read().strip(), 16)
+            _, pk = setup(sk=sk)  # ValueError unless sk is in [1, order)
         except (OSError, ValueError) as e:
             raise KeyStoreError(f"cannot load {self.key_path}: {e}") from None
-        _, pk = setup(sk=sk)
         if os.path.exists(self.pk_path):
             with open(self.pk_path) as f:
                 stored = f.read().strip()
@@ -298,19 +308,21 @@ class PunchcardService:
             return self._reject(str(e))
 
     def _redeem(self, body: bytes) -> Tuple[int, bytes]:
-        """Checks in order of cost: parse, accepted count, expiry, then the
-        redemption equation and the atomic spend."""
+        """Checks in order of cost: parse, accepted count, decode, the expiry
+        of each secret, then the scheme's redeem (core.spend: spent set,
+        redemption equation, atomic spend)."""
         s = self.scheme
         count, message = wire.unpack_redeem_body(body)
+        if count not in self.cfg.accepted_counts:
+            return self._redeem_status(core.RedeemStatus.BAD_CARD)
         try:
             req = s.decode(s.redeem_request, message)
         except InvalidEncoding:
             return self._redeem_status(core.RedeemStatus.BAD_CARD)
-        if count not in self.cfg.accepted_counts:
-            return self._redeem_status(core.RedeemStatus.BAD_CARD)
         if self.cfg.expiry_check:
             try:
-                s.check_expiry(req, date.today(), self.cfg.horizon_quarters)
+                for u in req.secrets:
+                    extensions.check_expiry(u, date.today(), self.cfg.horizon_quarters)
             except BadExpiry:
                 return self._redeem_status(core.RedeemStatus.EXPIRED)
         return self._redeem_status(s.server_redeem(self.sk, req, count, self.db))

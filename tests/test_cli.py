@@ -7,6 +7,7 @@ from punchcard import cli, service
 from punchcard.db import RedeemDb
 from punchcard.extensions import make_expiring_secret
 from punchcard.service import Config, ServerHandle
+from punchcard.wallet import Wallet
 
 from datetime import date
 
@@ -45,6 +46,28 @@ def test_wallet_cli_full_cycle(main_server, tmp_path, capsys):
     assert "ACCEPT" in capsys.readouterr().out
     assert cli.main(["wallet", "list", "--wallet", w]) == 0
     assert "empty" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("times", ["0", "-3"])
+def test_wallet_cli_punch_refuses_fewer_than_one(main_server, tmp_path, capsys, times):
+    """-t below 1 is a usage error: nothing reaches the server and the
+    card keeps its count."""
+    w = str(tmp_path / "w.bin")
+    port = str(main_server.port)
+    cli.main(["wallet", "new-card", "--wallet", w])
+    cli.main(["wallet", "punch", "--wallet", w, "--card", "0", "--port", port])
+    capsys.readouterr()
+    before = main_server.service.stats.snapshot()
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(
+            ["wallet", "punch", "--wallet", w, "--card", "0", "--port", port, "-t", times]
+        )
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert "usage:" in captured.err and "at least 1" in captured.err
+    assert captured.out == ""
+    assert main_server.service.stats.snapshot() == before
+    assert Wallet(w, scheme=None).cards[0].count == 1
 
 
 def test_wallet_cli_redeem_rejects_short_card(main_server, tmp_path, capsys):

@@ -1,9 +1,10 @@
 import random
-from datetime import date
+from datetime import date, timedelta
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from punchcard import core, extensions as ext
+from punchcard import core, extensions as ext, wire
 from punchcard.core import RedeemStatus
 from punchcard.db import RedeemDb
 from punchcard.errors import (
@@ -14,6 +15,7 @@ from punchcard.errors import (
     ProofRejected,
 )
 from punchcard.groups import get_group
+from punchcard.service import Config, PunchcardService
 
 
 @pytest.fixture(params=["toy", "ristretto255"])
@@ -212,6 +214,148 @@ def test_purged_replay_still_rejected_by_expiry_gate():
     ext.purge_expired(db, date(2026, 8, 22))
     with pytest.raises(BadExpiry):
         ext.check_expiry(req.u, date(2026, 8, 22))
+
+
+# The expiry gate runs on the attacker's u before any verify, so it must
+# fail closed on every input. The model counts calendar quarters as
+# integers (4 * year + quarter), independent of the date arithmetic in
+# extensions.
+
+_EPOCH = date(1970, 1, 1)
+_LAST_CODE = (date.max - _EPOCH).days
+
+
+def _quarter_index(day):
+    return 4 * day.year + (day.month - 1) // 3
+
+
+def _is_boundary(day):
+    return day.day == 1 and day.month in (1, 4, 7, 10)
+
+
+def _gate_passes(code, today, horizon):
+    """A quarter boundary among the first horizon + 1 on or after today."""
+    if code > _LAST_CODE:
+        return False
+    day = _EPOCH + timedelta(days=code)
+    first = _quarter_index(today) + (0 if _is_boundary(today) else 1)
+    return _is_boundary(day) and first <= _quarter_index(day) <= first + horizon
+
+
+def _boundary_code(index):
+    """The code of quarter `index`, clamped to the 4-byte field."""
+    year, quarter = divmod(index, 4)
+    if not 1 <= year <= 9999:
+        return 0 if year < 1 else 2**32 - 1
+    return max((date(year, 3 * quarter + 1, 1) - _EPOCH).days, 0)
+
+
+@st.composite
+def _expiry_codes(draw, today, horizon):
+    """Any 4-byte code, or one near the window's quarter boundaries or
+    near today, where the gate's answer changes."""
+    near_window = st.builds(
+        lambda q, off: _boundary_code(_quarter_index(today) + q) + off,
+        st.integers(-2, horizon + 2),
+        st.integers(-1, 1),
+    )
+    near_today = st.builds(
+        lambda off: (today - _EPOCH).days + off, st.integers(-400, 400)
+    )
+    code = draw(st.one_of(st.integers(0, 2**32 - 1), near_window, near_today))
+    return min(max(code, 0), 2**32 - 1)
+
+
+@st.composite
+def _gate_inputs(draw):
+    # any date, and often one near either end of the code range
+    ends = st.dates(max_value=date(1975, 1, 1)) | st.dates(min_value=date(9990, 1, 1))
+    today = draw(st.dates() | ends)
+    horizon = draw(st.integers(1, 64))
+    code = draw(_expiry_codes(today, horizon))
+    u = code.to_bytes(4, "big") + draw(st.binary(min_size=28, max_size=28))
+    return u, today, horizon
+
+
+@settings(max_examples=500, deadline=None)
+@given(_gate_inputs())
+def test_check_expiry_passes_or_raises_bad_expiry(args):
+    u, today, horizon = args
+    try:
+        ext.check_expiry(u, today, horizon)
+        passed = True
+    except BadExpiry:
+        passed = False
+    assert passed == _gate_passes(int.from_bytes(u[:4], "big"), today, horizon)
+
+
+def test_check_expiry_at_the_end_of_the_calendar():
+    """A window that runs past date.max holds every boundary up to it."""
+    last = ext.expiry_code(date(9999, 10, 1)).to_bytes(4, "big") + bytes(28)
+    ext.check_expiry(last, date(9999, 9, 1), 8)
+    ext.check_expiry(last, date(9999, 10, 1), 64)
+    with pytest.raises(BadExpiry):
+        ext.check_expiry(last, date(9999, 10, 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    codes=st.lists(st.integers(0, 2**32 - 1), max_size=40),
+    today=st.dates(),
+    near=st.lists(st.integers(-3, 3), max_size=10),
+)
+def test_purge_expired_drops_exactly_the_codes_below_the_cutoff(codes, today, near):
+    cutoff = (today - _EPOCH).days
+    codes += [min(max(cutoff + d, 0), 2**32 - 1) for d in near]
+    secrets = {
+        c.to_bytes(4, "big") + i.to_bytes(28, "big") for i, c in enumerate(codes)
+    }
+    db = RedeemDb()
+    db.preload(secrets)
+    stale = {u for u in secrets if int.from_bytes(u[:4], "big") < cutoff}
+    assert ext.purge_expired(db, today) == len(stale)
+    assert len(db) == len(secrets) - len(stale)
+    assert all((u in db) != (u in stale) for u in secrets)
+
+
+@pytest.fixture(scope="module")
+def expiring_service(tmp_path_factory):
+    cfg = Config(
+        state_dir=str(tmp_path_factory.mktemp("expiring")),
+        group="toy",
+        accepted_counts=(1,),
+        expiry_check=True,
+    )
+    return PunchcardService(cfg, db=RedeemDb())
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_expiry_gate_runs_before_any_verify(expiring_service, data):
+    """A redeem whose u fails the gate answers EXPIRED without hashing to
+    the group or exponentiating; one that passes goes on to the verify."""
+    svc = expiring_service
+    svc.db = RedeemDb()  # a u that verifies by chance is not spent next time
+    group = svc.scheme.group
+    today = date.today()
+    code = data.draw(_expiry_codes(today, svc.cfg.horizon_quarters))
+    u = code.to_bytes(4, "big") + data.draw(st.binary(min_size=28, max_size=28))
+    card = group.encode_element(group.generator())
+    calls = []
+
+    def counting(name, real):
+        return lambda *args: calls.append(name) or real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("hash_to_group", "exp"):
+            mp.setattr(group, name, counting(name, getattr(group, name)))
+        body = wire.pack_redeem_body(1, u + card)
+        out_type, body = svc.handle(wire.REDEEM_REQ, body)
+    assert out_type == wire.REDEEM_RESP
+    if _gate_passes(code, today, svc.cfg.horizon_quarters):
+        assert body != bytes([RedeemStatus.EXPIRED]) and calls
+    else:
+        assert body == bytes([RedeemStatus.EXPIRED]) and calls == []
 
 
 # --- claim proofs ---------------------------------------------------------------

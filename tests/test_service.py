@@ -16,7 +16,7 @@ from punchcard.core import RedeemStatus
 from punchcard.db import RedeemDb
 from punchcard.errors import ConfigError, InvalidEncoding, KeyStoreError
 from punchcard.faults import FaultInjected, FaultPlan, install_hook
-from punchcard.groups import get_group
+from punchcard.groups import get_group, get_pairing
 from punchcard.groups.bls import fields as bls_fields
 from punchcard.service import (
     EXIT_BIND,
@@ -148,6 +148,119 @@ def test_keystore_rejects_garbage_key(tmp_path):
         f.write("not hex at all\n")
     with pytest.raises(KeyStoreError):
         KeyStore(str(tmp_path)).load_or_create(setup, enc)
+
+
+@pytest.mark.parametrize("scalar", [0, 1019, 1019 + 5, -1])
+def test_keystore_rejects_a_scalar_outside_the_group(tmp_path, scalar):
+    """Without a pk file to compare, a stored 0 or a scalar >= the order
+    (1019 in the toy groups) must not load as a key."""
+    group = get_group("toy")
+    setup, enc = _toy_setup_pair(group)
+    store = KeyStore(str(tmp_path))
+    store.load_or_create(setup, enc)
+    os.remove(store.pk_path)
+    with open(store.key_path, "w") as f:
+        f.write(format(scalar, "x") + "\n")
+    with pytest.raises(KeyStoreError):
+        KeyStore(str(tmp_path)).load_or_create(setup, enc)
+
+
+def test_mergeable_setup_rejects_a_scalar_outside_the_group():
+    pairing = get_pairing("toy-pairing")
+    for sk in (0, pairing.order):
+        with pytest.raises(ValueError):
+            mergeable.server_setup(pairing, sk=sk)
+    assert mergeable.server_setup(pairing, sk=pairing.order - 1)[0] == pairing.order - 1
+
+
+def test_keystore_first_start_survives_a_crash_at_every_point(tmp_path):
+    """A crash at any fault point of a first start leaves no server.key or
+    the complete pair of that start; the next start then loads or creates
+    a key as usual."""
+    group = get_group("toy")
+    setup, enc = _toy_setup_pair(group)
+    with FaultPlan() as plan:
+        KeyStore(str(tmp_path / "clean")).load_or_create(setup, enc)
+    assert plan.hits == [
+        "keystore.write",
+        "keystore.pk.replace", "keystore.pk.dirsync",
+        "keystore.key.replace", "keystore.key.dirsync",
+    ]
+    for fail_at, point in enumerate(plan.hits):
+        state = str(tmp_path / f"crash-{fail_at}")
+        drawn = []
+
+        def recording_setup(sk=None):
+            made = setup(sk)
+            drawn.append(made)
+            return made
+
+        with FaultPlan(fail_at=fail_at):
+            with pytest.raises(FaultInjected):
+                KeyStore(state).load_or_create(recording_setup, enc)
+        store = KeyStore(state)
+        committed = os.path.exists(store.key_path)
+        assert committed == (point == "keystore.key.dirsync"), point
+        sk, pk = store.load_or_create(setup, enc)
+        if committed:
+            assert sk == drawn[0][0], point
+        assert stat.S_IMODE(os.stat(store.key_path).st_mode) == 0o600
+        with open(store.pk_path) as f:
+            assert f.read() == enc(pk).hex() + "\n"
+        assert KeyStore(state).load_or_create(setup, enc)[0] == sk
+
+
+def test_keystore_overwrites_a_torn_temporary_file(tmp_path):
+    group = get_group("toy")
+    setup, enc = _toy_setup_pair(group)
+    store = KeyStore(str(tmp_path))
+    for path in (store.key_path, store.pk_path):
+        with open(path + ".tmp", "w") as f:
+            f.write("abc")
+    sk, pk = store.load_or_create(setup, enc)
+    assert KeyStore(str(tmp_path)).load_or_create(setup, enc)[0] == sk
+    assert not os.path.exists(store.key_path + ".tmp")
+
+
+def test_keystore_second_creator_fails_instead_of_replacing(tmp_path):
+    """Another process that starts while the first is between writing
+    server.pk and server.key fails; the first start's key stands."""
+    group = get_group("toy")
+    setup, enc = _toy_setup_pair(group)
+    state = str(tmp_path)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    code = f"""
+import sys
+from punchcard import core
+from punchcard.errors import KeyStoreError
+from punchcard.groups import get_group
+from punchcard.service import KeyStore
+g = get_group("toy")
+try:
+    KeyStore({state!r}).load_or_create(
+        lambda sk=None: core.server_setup(g, sk=sk), g.encode_element)
+except KeyStoreError as e:
+    sys.exit(f"refused: {{e}}")
+"""
+    second = []
+
+    def hook(name):
+        if name == "keystore.key.replace":
+            second.append(subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True
+            ))
+
+    install_hook(hook)
+    try:
+        sk, pk = KeyStore(state).load_or_create(setup, enc)
+    finally:
+        install_hook(None)
+    [proc] = second
+    assert proc.returncode == 1 and "refused" in proc.stderr
+    assert KeyStore(state).load_or_create(setup, enc)[0] == sk
+    with open(KeyStore(state).pk_path) as f:
+        assert f.read() == enc(pk).hex() + "\n"
 
 
 # --- dispatch without a socket ---------------------------------------------------
