@@ -289,10 +289,8 @@ class RedeemDb:
 
     def _write_snapshot(self, blob: bytes) -> None:
         head = struct.pack("<II", len(blob) // SECRET_SIZE, len(self._claims))
-        write_durably(
-            self._snap_path(), [_SNAP_MAGIC, head, blob, *sorted(self._claims)],
-            "db.snapshot",
-        )
+        chunks = [_SNAP_MAGIC, head, blob, *sorted(self._claims)]
+        write_durably(self._snap_path(), chunks, "db.snapshot")
         # the log is now redundant; restart it
         if self._log is not None:
             self._log.close()

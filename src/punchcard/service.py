@@ -194,7 +194,10 @@ class KeyStore:
             return self._load(setup, encode_pk)
         lock = os.open(self._dir, os.O_RDONLY)
         try:
-            fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            try:
+                fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                raise KeyStoreError("another process is creating the key") from None
             if os.path.exists(self.key_path):  # created before we held the lock
                 return self._load(setup, encode_pk)
             sk, pk = setup()
@@ -203,8 +206,6 @@ class KeyStore:
                           "keystore.pk")
             write_durably(self.key_path, [b"%x\n" % sk], "keystore.key", 0o600)
             return sk, pk
-        except BlockingIOError:
-            raise KeyStoreError("another process is creating the key") from None
         finally:
             os.close(lock)  # and with it the lock
 
