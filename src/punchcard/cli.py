@@ -23,15 +23,23 @@ import os
 import sys
 from datetime import date
 
-from . import attacks, bench, extensions, schemes, service
+from . import extensions, schemes, service
 from .core import RedeemStatus
 from .db import RedeemDb
 from .errors import ConfigError, PunchcardError
-from .wallet import Wallet
+
+# attacks, bench and wallet are imported by the commands that use them, so
+# that a server start does not load them
 
 
 def _client(args) -> service.Client:
     return service.Client(args.host, args.port)
+
+
+def _wallet(args, scheme=None):
+    from .wallet import Wallet
+
+    return Wallet(args.wallet, scheme=scheme)
 
 
 def _print_status(status: RedeemStatus) -> int:
@@ -66,14 +74,14 @@ def cmd_server_purge(args) -> int:
 
 
 def cmd_wallet_new_card(args) -> int:
-    wallet = Wallet(args.wallet, scheme=args.scheme)
+    wallet = _wallet(args, scheme=args.scheme)
     index = wallet.new_card()
     print(f"card #{index} created")
     return 0
 
 
 def cmd_wallet_list(args) -> int:
-    wallet = Wallet(args.wallet, scheme=None)
+    wallet = _wallet(args)
     if not wallet.cards:
         print("wallet is empty")
         return 0
@@ -84,7 +92,7 @@ def cmd_wallet_list(args) -> int:
 
 
 def cmd_wallet_punch(args) -> int:
-    wallet = Wallet(args.wallet, scheme=None)
+    wallet = _wallet(args)
     with _client(args) as client:
         if args.times > 1:
             gained = wallet.multi_punch(client, args.card, args.times)
@@ -97,13 +105,13 @@ def cmd_wallet_punch(args) -> int:
 
 
 def cmd_wallet_redeem(args) -> int:
-    wallet = Wallet(args.wallet, scheme=None)
+    wallet = _wallet(args)
     with _client(args) as client:
         return _print_status(wallet.redeem(client, args.card))
 
 
 def cmd_wallet_merge_redeem(args) -> int:
-    wallet = Wallet(args.wallet, scheme=None)
+    wallet = _wallet(args)
     with _client(args) as client:
         return _print_status(
             wallet.merge_redeem(client, args.card_a, args.card_b)
@@ -111,9 +119,12 @@ def cmd_wallet_merge_redeem(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from . import bench
+
+    trials = bench.MIN_TRIALS if args.trials is None else args.trials
     try:
         result = bench.run(
-            schemes.get_scheme(args.scheme), trials=args.trials, db_size=args.db_size
+            schemes.get_scheme(args.scheme), trials=trials, db_size=args.db_size
         )
     except ValueError as e:
         print(f"bench: {e}", file=sys.stderr)
@@ -127,6 +138,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_attacks_run(args) -> int:
+    from . import attacks
+
     kwargs = {}
     if args.quick:
         kwargs = {
@@ -196,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_p = sub.add_parser("bench", help="timing and size measurements")
     bench_p.add_argument("scheme", choices=schemes.NAMES)
-    bench_p.add_argument("--trials", type=int, default=bench.MIN_TRIALS)
+    bench_p.add_argument("--trials", type=int, default=None)
     bench_p.add_argument("--db-size", type=int, default=0)
     bench_p.add_argument("--csv", default=None)
     bench_p.set_defaults(func=cmd_bench)

@@ -6,7 +6,8 @@ append-only log with periodic snapshot compaction:
 
 * every accepted redemption appends one record and (by default) fsyncs
   before the caller sees True, so an accept survives a crash;
-* startup loads the newest snapshot, then replays the log; a torn final
+* startup loads the newest snapshot, then replays the log, each run of
+  inserts of the same number of secrets in one unpack; a torn final
   record (partial write at crash) is discarded by truncation;
 * purge() drops entries by predicate, writes a fresh snapshot, and starts
   an empty log.
@@ -27,7 +28,8 @@ import operator
 import os
 import struct
 import threading
-from typing import Callable, Iterable, List, Optional, Tuple
+import time
+from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
 
 from .errors import DbCorruption
 from .faults import fault_point
@@ -40,6 +42,7 @@ _REC_INSERT = 1
 _REC_CLAIM_ADD = 2
 _REC_CLAIM_TAKE = 3
 _MAX_PER_RECORD = 255  # the insert record's count is one byte; 0 ends replay
+_RUN = 1024  # like insert records replayed in one go; more costs peak memory
 _CHUNK = 4096  # records unpacked at a time when a whole blob is walked
 _STEP = _CHUNK * SECRET_SIZE
 _BLOCK = 64  # records per fence entry of a _Sorted
@@ -125,6 +128,17 @@ def _merge(
     return b"".join(pieces), dropped
 
 
+class Recovery(NamedTuple):
+    """What the last start-up of an on-disk store read: secrets in the
+    snapshot, complete log records replayed, bytes of a torn or bad log
+    tail truncated away, and the seconds it all took."""
+
+    snapshot_entries: int = 0
+    log_records: int = 0
+    torn_bytes: int = 0
+    seconds: float = 0.0
+
+
 def replace_durably(tmp: str, path: str, point: str) -> None:
     """os.replace(tmp, path), then fsync the directory so that the rename
     itself survives a crash. Fault points `point`.replace and
@@ -168,6 +182,7 @@ class RedeemDb:
         self._path = path
         self._fsync = fsync
         self._log = None
+        self.recovery = Recovery()
         if path is not None:
             self._recover()
             self._log = open(path, "ab")
@@ -300,12 +315,17 @@ class RedeemDb:
         self._log = open(self._path, "ab")
 
     def _recover(self) -> None:
+        t0 = time.perf_counter()
         snap = self._snap_path()
         if os.path.exists(snap):
             self._load_snapshot(snap)
+        records = torn = 0
         if os.path.exists(self._path):
-            self._replay_log(self._path)
+            records, torn = self._replay_log(self._path)
         self._replayed_over_base = bool(len(self._base) and self._overlay)
+        self.recovery = Recovery(
+            len(self._base), records, torn, time.perf_counter() - t0
+        )
 
     def _load_snapshot(self, snap: str) -> None:
         """Reads the spent records straight into the base; no copy is made."""
@@ -324,26 +344,44 @@ class RedeemDb:
         for off in range(0, len(claims), SECRET_SIZE):
             self._claims.add(claims[off : off + SECRET_SIZE])
 
-    def _replay_log(self, path: str) -> None:
+    def _replay_log(self, path: str) -> Tuple[int, int]:
+        """Replays the complete records of the log and truncates what
+        follows them; returns how many records it replayed and how many
+        bytes it dropped."""
         with open(path, "rb") as f:
             data = f.read()
-        off = 0
-        good = 0
-        while off < len(data):
+        n = len(data)
+        off = good = records = 0
+        window = _RUN
+        while off < n:
+            run = 1
             kind = data[off]
             if kind == _REC_INSERT:
-                if off + 2 > len(data):
+                if off + 2 > n:
                     break
                 count = data[off + 1]
-                end = off + 2 + count * SECRET_SIZE
-                if count == 0 or end > len(data):
+                size = 2 + count * SECRET_SIZE
+                end = off + size
+                if count == 0 or end > n:
                     break
-                for i in range(count):
-                    lo = off + 2 + i * SECRET_SIZE
-                    self._overlay.add(data[lo : lo + SECRET_SIZE])
+                if end + 1 < n and data[end] == kind and data[end + 1] == count:
+                    # a run of like records: slice the heads of up to
+                    # `window` whole records from here, and count those
+                    # that lead with this head
+                    stop = off + min((n - off) // size, window) * size
+                    kinds = data[off:stop:size].lstrip(data[off : off + 1])
+                    counts = data[off + 1 : stop : size].lstrip(data[off + 1 : off + 2])
+                    run = (stop - off) // size - max(len(kinds), len(counts))
+                    end = off + run * size
+                    # probe about twice this run next: a log of short runs
+                    # must not slice _RUN heads for each of them
+                    window = min(2 * run + 8, _RUN)
+                self._overlay.update(
+                    struct.unpack_from(("2x" + "32s" * count) * run, data, off)
+                )
             elif kind in (_REC_CLAIM_ADD, _REC_CLAIM_TAKE):
                 end = off + 1 + SECRET_SIZE
-                if end > len(data):
+                if end > n:
                     break
                 u = data[off + 1 : end]
                 if kind == _REC_CLAIM_ADD:
@@ -353,9 +391,10 @@ class RedeemDb:
             else:
                 # unknown type: everything from here on is untrustworthy
                 break
-            off = end
-            good = off
-        if good != len(data):
+            off = good = end
+            records += run
+        if good != n:
             # torn tail from a crash mid-append; drop it
             with open(path, "r+b") as f:
                 f.truncate(good)
+        return records, n - good

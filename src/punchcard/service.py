@@ -431,6 +431,10 @@ class ServerHandle:
         thread.daemon = True
         thread.start()
         self._thread = thread  # only once serve_forever will run; see shutdown
+        log.info(
+            "recovered snapshot_entries=%d log_records=%d torn_bytes=%d in %.3f s",
+            *self.service.db.recovery,
+        )
         log.info("listening on %s:%d scheme=%s", self.service.cfg.listen_host,
                  self.port, self.service.cfg.scheme)
         return self

@@ -10,7 +10,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from punchcard.db import RedeemDb
+from punchcard.db import _RUN, RedeemDb, Recovery
 from punchcard.errors import DbCorruption
 from punchcard.faults import FaultInjected, FaultPlan
 
@@ -672,3 +672,80 @@ def test_log_replay_keeps_the_complete_records_before_a_bad_one(records, tail):
             db.close()
             with open(path, "rb") as f:
                 assert f.read() == good
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+@pytest.mark.parametrize("length", [_RUN - 1, _RUN, _RUN + 1])
+@pytest.mark.parametrize("tail", ["none", "torn", "count-0"])
+def test_bulk_replay_at_run_boundaries(tmp_path, count, length, tail):
+    """Runs of like inserts a record shorter than, as long as and longer
+    than one bulk read, with the count changing and a claim record between
+    runs, and the log ending in a record torn where the last run stops or
+    in an insert of zero secrets. Replay must match a per-record model."""
+    rng = random.Random(168)
+    other = count % 3 + 1
+    # the claim follows a run of `other` inserts and starts with that count,
+    # so its kind byte alone ends the run
+    claimed = bytes([other]) + rng.randbytes(31)
+    spent, good, records = set(), [], 0
+
+    def run(n, c):
+        nonlocal records
+        for _ in range(n):
+            us = _secrets(rng, c)
+            spent.update(us)
+            good.append(_insert(us))
+        records += n
+
+    run(length, count)
+    run(length, other)  # the count changes at a run's end
+    good.append(b"\x02" + claimed)  # a claim between two runs
+    records += 1
+    run(length, count)
+    absent = _secrets(rng, count)
+    if tail == "torn":  # the record after the run, cut one byte short
+        cut = _insert(absent)[:-1]
+    elif tail == "count-0":  # right after the run, then a would-be record
+        cut = b"\x01\x00" + _insert(absent)
+    else:
+        cut = b""
+    good = b"".join(good)
+    path = str(tmp_path / "db")
+    with open(path, "wb") as f:
+        f.write(good + cut)
+    for dropped in (len(cut), 0):  # the second open finds the healed file
+        db = RedeemDb(path, fsync=False)
+        assert db.recovery[1:3] == (records, dropped)
+        assert all(u in db for u in spent) and len(db) == len(spent)
+        assert not any(u in db for u in absent)
+        assert db.pending_claims() == 1
+        db.close()
+        with open(path, "rb") as f:
+            assert f.read() == good
+
+
+def test_recovery_counts_snapshot_log_and_torn_tail(tmp_path):
+    rng = random.Random(169)
+    path = str(tmp_path / "db")
+    assert RedeemDb().recovery == Recovery()
+    db = RedeemDb(path, fsync=False)
+    db.preload(_secrets(rng, 300))  # the snapshot
+    for u in _secrets(rng, 7):
+        db.check_and_insert(u)
+    db.check_and_insert(*_secrets(rng, 2))
+    db.add_claim(rng.randbytes(32))
+    db.close()
+    with open(path, "ab") as f:
+        f.write(b"\x01\x02" + b"z" * 40)  # a torn two-secret insert
+    db = RedeemDb(path, fsync=False)
+    r = db.recovery
+    assert (r.snapshot_entries, r.log_records, r.torn_bytes) == (300, 9, 42)
+    assert 0 < r.seconds < 60
+    db.close()
+    db = RedeemDb(path, fsync=False)
+    assert db.recovery[:3] == (300, 9, 0)
+    db.compact()
+    db.close()
+    db = RedeemDb(path, fsync=False)
+    assert db.recovery[:3] == (309, 0, 0)
+    db.close()

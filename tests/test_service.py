@@ -541,6 +541,7 @@ def test_logs_never_carry_card_material(tmp_path, caplog, monkeypatch):
             handle.shutdown()
     blob = "\n".join(r.getMessage() for r in caplog.records)
     assert "stat connections=2" in blob and "stat connections_timed_out=1" in blob
+    assert "recovered snapshot_entries=0 log_records=0 torn_bytes=0 in " in blob
     assert "connection timed out" in blob
     assert not re.search(r"[0-9a-f]{64}", blob)
 
@@ -811,6 +812,22 @@ PunchcardService(cfg, db=RedeemDb())
 Wallet({str(tmp_path / "w")!r}).new_card()
 Wallet({str(tmp_path / "w")!r}, scheme=None)
 sys.exit(any(m.startswith("punchcard.groups.bls") for m in sys.modules))
+"""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_cli_import_leaves_attacks_bench_and_wallet_unloaded():
+    """`punchcard server run` loads only what a server needs."""
+    import subprocess
+    import sys
+
+    code = """
+import sys
+import punchcard.cli
+sys.exit(any(m in sys.modules for m in
+             ("punchcard.attacks", "punchcard.bench", "punchcard.wallet")))
 """
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
