@@ -9,16 +9,16 @@ append-only log with periodic snapshot compaction:
 * startup loads the newest snapshot, then replays the log, each run of
   inserts of the same number of secrets in one unpack; a torn final
   record (partial write at crash) is discarded by truncation;
-* purge() drops entries by predicate, writes a fresh snapshot, and starts
-  an empty log.
+* purge() compacts, then drops entries by predicate, writes a fresh
+  snapshot, and starts an empty log.
 
 In memory the secrets of the last snapshot are one immutable bytes object
 of sorted 32-byte records (the snapshot body as read, checked to be strictly
 increasing), found by bisecting a list of every 64th record and scanning
 one block; secrets added since (log replay, new inserts) sit in a small set
-beside it. Compaction, purge and preload are one
-rebuild that merges the two into a new sorted blob. All writes happen under
-one lock; lookups take none.
+beside it that never repeats one of the blob's. Compaction, purge and
+preload are one rebuild that merges the two into a new sorted blob. All
+writes happen under one lock; lookups take none.
 """
 
 from __future__ import annotations
@@ -172,12 +172,7 @@ class RedeemDb:
     def __init__(self, path: Optional[str] = None, fsync: bool = True):
         self._lock = threading.Lock()
         self._base = _Sorted()  # the spent secrets of the snapshot
-        self._overlay = set()  # spent secrets added since
-        # Replayed log records repeat snapshot records only after a crash
-        # between the snapshot replace and the log restart; until __len__
-        # has removed such repeats from the overlay, it would count them
-        # twice. Lookups are right either way.
-        self._replayed_over_base = False
+        self._overlay = set()  # spent secrets added since, none in the base
         self._claims = set()
         self._path = path
         self._fsync = fsync
@@ -190,13 +185,8 @@ class RedeemDb:
     # -- public api --------------------------------------------------------
 
     def __len__(self) -> int:
-        with self._lock:
-            if self._replayed_over_base:
-                blob = self._base.blob
-                for off in range(0, len(blob), _STEP):
-                    self._overlay.difference_update(_records(blob, off))
-                self._replayed_over_base = False
-            return len(self._base) + len(self._overlay)
+        # no lock: exact except while a rebuild swaps the base in
+        return len(self._base) + len(self._overlay)
 
     def __contains__(self, u: bytes) -> bool:
         # the overlay first: a rebuild swaps in the new base before it
@@ -243,6 +233,9 @@ class RedeemDb:
         """Remove spent secrets for which predicate(u) is true; compacts
         to a snapshot. Claims are never purged here."""
         with self._lock:
+            # empty the log first: a crash inside the dropping rebuild must
+            # leave no logged secret that its snapshot lacks (see _replay_log)
+            self._rebuild()
             return self._rebuild(drop=predicate)
 
     def preload(self, secrets: Iterable[bytes]) -> None:
@@ -283,7 +276,6 @@ class RedeemDb:
             self._write_snapshot(blob)
         self._base = _Sorted(blob)  # before the overlay goes; see __contains__
         self._overlay = set()
-        self._replayed_over_base = False
         return dropped
 
     def _append(self, record: bytes) -> None:
@@ -322,7 +314,6 @@ class RedeemDb:
         records = torn = 0
         if os.path.exists(self._path):
             records, torn = self._replay_log(self._path)
-        self._replayed_over_base = bool(len(self._base) and self._overlay)
         self.recovery = Recovery(
             len(self._base), records, torn, time.perf_counter() - t0
         )
@@ -352,6 +343,7 @@ class RedeemDb:
             data = f.read()
         n = len(data)
         off = good = records = 0
+        first = b""  # the first secret the log inserts
         window = _RUN
         while off < n:
             run = 1
@@ -364,6 +356,7 @@ class RedeemDb:
                 end = off + size
                 if count == 0 or end > n:
                     break
+                first = first or data[off + 2 : off + 2 + SECRET_SIZE]
                 if end + 1 < n and data[end] == kind and data[end + 1] == count:
                     # a run of like records: slice the heads of up to
                     # `window` whole records from here, and count those
@@ -393,6 +386,12 @@ class RedeemDb:
                 break
             off = good = end
             records += run
+        if first in self._base:
+            # A log repeats the snapshot only after a crash between a
+            # rebuild's snapshot replace and its log restart; that rebuild
+            # dropped nothing, so the snapshot holds every secret logged
+            # before the crash. Those after it are new.
+            self._overlay = {u for u in self._overlay if u not in self._base}
         if good != n:
             # torn tail from a crash mid-append; drop it
             with open(path, "r+b") as f:

@@ -132,7 +132,10 @@ class Wallet:
         data = self._encode()
         tmp = self.path + ".tmp"
         fault_point("wallet.save.open")
-        with open(tmp, "wb") as f:
+        # owner only: the file's u and masks are enough to redeem the cards
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
+        with os.fdopen(fd, "wb") as f:
+            os.fchmod(fd, 0o600)  # O_TRUNC keeps the mode of a leftover tmp
             fault_point("wallet.save.write")
             f.write(data)
             f.flush()

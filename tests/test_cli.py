@@ -204,10 +204,12 @@ def test_server_purge_needs_expiring_cards(tmp_path, capsys, lines):
 def test_new_card_scheme_mismatch_is_an_error(tmp_path, capsys):
     w = str(tmp_path / "w.bin")
     assert cli.main(["wallet", "new-card", "--wallet", w]) == 0
-    before = open(w, "rb").read()
+    with open(w, "rb") as f:
+        before = f.read()
     assert cli.main(["wallet", "new-card", "--wallet", w, "--scheme", "mergeable"]) == 1
     assert "wallet holds main cards" in capsys.readouterr().err
-    assert open(w, "rb").read() == before
+    with open(w, "rb") as f:
+        assert f.read() == before
     assert cli.main(["wallet", "new-card", "--wallet", w, "--scheme", "main"]) == 0
     assert "card #1 created" in capsys.readouterr().out
 

@@ -10,6 +10,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import punchcard.db
 from punchcard.db import _RUN, RedeemDb, Recovery
 from punchcard.errors import DbCorruption
 from punchcard.faults import FaultInjected, FaultPlan
@@ -135,11 +136,14 @@ def test_corrupt_snapshot_raises(tmp_path):
     db.compact()
     db.close()
     snap = path + ".snap"
-    data = open(snap, "rb").read()
-    open(snap, "wb").write(b"WRONG" + data[5:])
+    with open(snap, "rb") as f:
+        data = f.read()
+    with open(snap, "wb") as f:
+        f.write(b"WRONG" + data[5:])
     with pytest.raises(DbCorruption):
         RedeemDb(path)
-    open(snap, "wb").write(data[:-1])
+    with open(snap, "wb") as f:
+        f.write(data[:-1])
     with pytest.raises(DbCorruption):
         RedeemDb(path)
 
@@ -301,6 +305,7 @@ def test_snapshot_syncs_directory_after_replace(tmp_path, monkeypatch):
         with pytest.raises(FaultInjected):
             db.compact()
     assert plan.hits == ["db.snapshot.replace", "db.snapshot.dirsync"]
+    db.close()
     db2 = RedeemDb(str(tmp_path / "db"))
     assert len(db2) == 6
     db2.close()
@@ -468,6 +473,73 @@ def test_crash_before_log_restart_keeps_len_exact(tmp_path, first):
     assert all(u in db for u in records)
     assert not db.check_and_insert(logged[0])
     assert db.check_and_insert(rng.randbytes(32)) and len(db) == 56
+    db.close()
+
+
+@pytest.mark.parametrize("first", ["doomed", "kept"])
+def test_crash_at_each_point_of_a_purge_keeps_len_exact(tmp_path, first):
+    """A purge of a store with a snapshot and a log tail, crashed at each of
+    its fault points in turn: the reopened store holds its secrets before or
+    after the purge, and len counts exactly those, before and after a
+    compaction."""
+    rng = random.Random(170)
+    doomed = lambda u: u[0] < 128
+    preloaded = _secrets(rng, 50)
+    logged = [bytes([i]) + rng.randbytes(31) for i in (0, 200, 10, 100, 250)]
+    if first == "kept":
+        logged.reverse()
+    assert doomed(logged[0]) == (first == "doomed")
+    everything = set(preloaded + logged)
+    kept = {u for u in everything if not doomed(u)}
+    strangers = _secrets(rng, 20)
+    k = 0
+    while True:
+        path = str(tmp_path / f"db{k}")
+        db = RedeemDb(path)
+        db.preload(preloaded)
+        for u in logged:
+            assert db.check_and_insert(u)
+        with FaultPlan(fail_at=k) as plan:
+            try:
+                db.purge(doomed)
+            except FaultInjected:
+                crashed = True
+            else:
+                crashed = False
+        db.close()
+        if not crashed:
+            break
+        db = RedeemDb(path)
+        members = {u for u in everything | set(strangers) if u in db}
+        assert members in (everything, kept)
+        assert len(db) == len(members)
+        db.compact()
+        assert len(db) == len(members)
+        assert not any(db.check_and_insert(u) for u in kept)
+        db.close()
+        k += 1
+    assert k == len(plan.hits) == 4
+    db = RedeemDb(path)
+    assert len(db) == len(kept) and all(u in db for u in kept)
+    db.close()
+
+
+def test_first_len_after_reopen_reads_no_record(tmp_path, monkeypatch):
+    """len is two lengths: the overlay never repeats a snapshot record, so
+    no snapshot walk is needed after a restart with a log tail."""
+    rng = random.Random(171)
+    path = str(tmp_path / "db")
+    db = RedeemDb(path, fsync=False)
+    db.preload(_secrets(rng, 3 * 4096))
+    for u in _secrets(rng, 10):
+        assert db.check_and_insert(u)
+    db.close()
+    db = RedeemDb(path)
+    calls = []
+    real = punchcard.db._records
+    monkeypatch.setattr(punchcard.db, "_records", lambda *a: calls.append(a) or real(*a))
+    assert len(db) == 3 * 4096 + 10
+    assert calls == []
     db.close()
 
 

@@ -251,6 +251,27 @@ def test_crash_during_save_keeps_old_file(tmp_path):
     assert _wallet(tmp_path, group_name="toy").cards[0].count == 7
 
 
+def test_saved_wallet_is_readable_by_its_owner_only(tmp_path):
+    """A wallet's u and masks redeem its cards, so the file is 0600 however
+    it was left: new, chmod'ed open, or with an open temp file a crash left."""
+    rng = random.Random(170)
+    path = tmp_path / "wallet"
+    mode = lambda p: stat.S_IMODE(os.stat(p).st_mode)
+    old = os.umask(0o022)
+    try:
+        w = _wallet(tmp_path, group_name="toy")
+        w.new_card(rng)
+        assert mode(path) == 0o600
+        os.chmod(path, 0o644)
+        (tmp_path / "wallet.tmp").write_bytes(b"left by a crash")
+        os.chmod(tmp_path / "wallet.tmp", 0o644)
+        w.new_card(rng)
+        assert mode(path) == 0o600
+    finally:
+        os.umask(old)
+    assert len(_wallet(tmp_path, group_name="toy").cards) == 2
+
+
 def test_crash_before_punch_commit_preserves_spendable_card(tmp_path):
     """Crash after the server punched but before the wallet moved: the disk
     still holds the pre-punch card, which the server will happily punch
