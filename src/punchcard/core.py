@@ -20,9 +20,10 @@ known discrete log relative to older cards, one redeemed card would seed
 forgeries of others.
 
 The punch step itself (exponentiate, prove, verify, re-mask) is the
-chain primitive below: punch_chain, verify_chain and remask. The single
-punch here, multi-punch and ticket slots in `extensions`, and each side of
-the mergeable scheme all run it.
+chain primitive below: punch_chain, verify_chain and remask. The card
+around it is derived here too, under a hash tag: issue, unmask and
+expected_card. The single card here, multi-punch and ticket slots in
+`extensions`, and each side of the mergeable scheme all run them.
 
 Every card type redeems through `spend`: the spent set is consulted before
 the redemption equation, and the db module's atomic check-and-insert
@@ -115,20 +116,21 @@ def server_setup(
     return sk, group.exp(group.generator(), sk)
 
 
-def card_base(group: Group, u: bytes) -> Element:
-    return group.hash_to_group(TAG_CARD_HASH, u)
+def card_base(group: Group, u: bytes, tag: str = TAG_CARD_HASH) -> Element:
+    return group.hash_to_group(tag, u)
 
 
 def issue(
-    group: Group, rng=None, u: Optional[bytes] = None
+    group: Group, rng=None, u: Optional[bytes] = None, tag: str = TAG_CARD_HASH
 ) -> Tuple[CardSecret, Element]:
-    """Create a zero-punch card; no server involvement, nothing sent."""
+    """Create a zero-punch card H(u)^m, H hashing under tag; no server
+    involvement, nothing sent. Draws u (unless given), then the mask."""
     if u is None:
         u = random_bytes(SECRET_SIZE, rng)
     if len(u) != SECRET_SIZE:
         raise ValueError(f"card secret must be {SECRET_SIZE} bytes")
     mask = group.random_scalar(rng)
-    return CardSecret(u=u, mask=mask), group.exp(card_base(group, u), mask)
+    return CardSecret(u=u, mask=mask), group.exp(card_base(group, u, tag), mask)
 
 
 def punch_chain(
@@ -200,16 +202,21 @@ def client_punch(
     return CardSecret(u=secret.u, mask=mask), element
 
 
+def unmask(group: Group, mask: int, card: Element) -> Element:
+    """card^(1/mask): the card with its mask stripped."""
+    return group.exp(card, group.invert_scalar(mask))
+
+
 def client_redeem(group: Group, secret: CardSecret, card: Element) -> RedeemRequest:
     """Strip the mask and reveal the card secret; one-shot by design."""
-    return RedeemRequest(
-        u=secret.u, card=group.exp(card, group.invert_scalar(secret.mask))
-    )
+    return RedeemRequest(u=secret.u, card=unmask(group, secret.mask, card))
 
 
-def expected_card(group: Group, sk: int, u: bytes, count: int) -> Element:
-    """H(u)^(sk^count); pow() is the square-and-multiply in Z_q."""
-    return group.exp(card_base(group, u), pow(sk, count, group.order))
+def expected_card(
+    group: Group, sk: int, u: bytes, count: int, tag: str = TAG_CARD_HASH
+) -> Element:
+    """H(u)^(sk^count), H under tag; pow() is the square-and-multiply in Z_q."""
+    return group.exp(card_base(group, u, tag), pow(sk, count, group.order))
 
 
 def verify_card(group: Group, sk: int, req: RedeemRequest, count: int) -> bool:

@@ -272,14 +272,20 @@ class RedeemDb:
         if any(len(u) != SECRET_SIZE for u in new):
             raise ValueError(f"spent secrets are {SECRET_SIZE} bytes")
         blob, dropped = _merge(self._base.blob, new, drop)
-        if self._path is not None:
+        if self._on_disk():
             self._write_snapshot(blob)
         self._base = _Sorted(blob)  # before the overlay goes; see __contains__
         self._overlay = set()
         return dropped
 
+    def _on_disk(self) -> bool:
+        """Whether writes go to files; ValueError once close() closed them."""
+        if self._path is not None and self._log is None:
+            raise ValueError("the spent-secret store is closed")
+        return self._path is not None
+
     def _append(self, record: bytes) -> None:
-        if self._log is None:
+        if not self._on_disk():
             return
         fault_point("db.append")
         self._log.write(record)

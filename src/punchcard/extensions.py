@@ -251,9 +251,8 @@ def issue_ticket(
     u = random_bytes(SECRET_SIZE, rng)
     masks, slots = {}, {}
     for name in slot_names:
-        m = group.random_scalar(rng)
-        masks[name] = m
-        slots[name] = group.exp(group.hash_to_group(_slot_tag(name), u), m)
+        slot, slots[name] = core.issue(group, rng, u, _slot_tag(name))
+        masks[name] = slot.mask
     return (
         TicketSecret(u=u, masks=masks, counts={n: 0 for n in slot_names}),
         TicketCard(slots=slots),
@@ -296,13 +295,12 @@ def client_punch_ticket(
     for name, resp in responses.items():
         if name not in card.slots:
             raise ProofRejected(f"response for unknown slot {name!r}")
-        last = core.verify_chain(
-            group, core.TAG_PUNCH_PROOF, pk, card.slots[name], resp.steps
+        slot, new_slots[name], gained = client_multi_punch(
+            group, pk, CardSecret(secret.u, secret.masks[name]),
+            card.slots[name], resp, rng,
         )
-        new_masks[name], new_slots[name] = core.remask(
-            group, secret.masks[name], last, rng
-        )
-        new_counts[name] += len(resp.steps)
+        new_masks[name] = slot.mask
+        new_counts[name] += gained
     return (
         TicketSecret(u=secret.u, masks=new_masks, counts=new_counts),
         TicketCard(slots=new_slots),
@@ -314,10 +312,8 @@ def client_redeem_ticket(
 ) -> TicketRedeemRequest:
     slots = []
     for name in sorted(card.slots):
-        inv = group.invert_scalar(secret.masks[name])
-        slots.append(
-            (name, secret.counts[name], group.exp(card.slots[name], inv))
-        )
+        element = core.unmask(group, secret.masks[name], card.slots[name])
+        slots.append((name, secret.counts[name], element))
     return TicketRedeemRequest(u=secret.u, slots=slots)
 
 
@@ -325,8 +321,8 @@ def verify_ticket(group: Group, sk: int, req: TicketRedeemRequest) -> bool:
     if len(req.u) != SECRET_SIZE or not req.slots:
         return False
     for name, count, element in req.slots:
-        base = group.hash_to_group(_slot_tag(name), req.u)
-        if not group.eq(element, group.exp(base, pow(sk, count, group.order))):
+        expected = core.expected_card(group, sk, req.u, count, _slot_tag(name))
+        if not group.eq(element, expected):
             return False
     return True
 

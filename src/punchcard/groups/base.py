@@ -9,6 +9,11 @@ Two families implement this: production elliptic-curve groups (ristretto255,
 and the three BLS12-381 groups used by the mergeable scheme) and tiny
 Schnorr subgroups of Z_P^* used as test oracles, where discrete logs are
 recoverable by brute force.
+
+The base class supplies ``eq`` as ``==``, ``is_identity`` as equality with
+``identity()``, the scalar codec (``scalar_size`` bytes in
+``scalar_byteorder``, canonical below ``order``), ``exp_base``, random and
+inverted scalars, and ``hash_to_scalar``.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ class Group:
     order: int
     element_size: int
     scalar_size: int
+    scalar_byteorder = "big"  # ristretto255 and the toy groups use "little"
 
     # -- element ops -------------------------------------------------------
 
@@ -57,7 +63,7 @@ class Group:
         raise NotImplementedError
 
     def is_identity(self, e: Element) -> bool:
-        raise NotImplementedError
+        return self.eq(e, self.identity())
 
     def mul(self, a: Element, b: Element) -> Element:
         """Group operation."""
@@ -73,7 +79,7 @@ class Group:
         return self.exp(self.generator(), k)
 
     def eq(self, a: Element, b: Element) -> bool:
-        return self.encode_element(a) == self.encode_element(b)
+        return a == b
 
     # -- encodings ---------------------------------------------------------
 
@@ -85,10 +91,14 @@ class Group:
         raise NotImplementedError
 
     def encode_scalar(self, k: int) -> bytes:
-        raise NotImplementedError
+        return (k % self.order).to_bytes(self.scalar_size, self.scalar_byteorder)
 
     def decode_scalar(self, data: bytes) -> int:
-        raise NotImplementedError
+        check_length(data, self.scalar_size, f"{self.name} scalar")
+        k = int.from_bytes(data, self.scalar_byteorder)
+        if k >= self.order:
+            raise InvalidEncoding("non-canonical scalar (>= group order)")
+        return k
 
     # -- scalars -----------------------------------------------------------
 

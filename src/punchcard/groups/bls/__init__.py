@@ -23,57 +23,47 @@ from .fields import (
 )
 
 
-class _BlsScalars:
+class _BlsScalars(Group):
     """Shared scalar conventions: 32-byte big-endian, order n."""
 
     order = int(N)
     scalar_size = 32
 
-    def encode_scalar(self, k: int) -> bytes:
-        return (k % self.order).to_bytes(32, "big")
 
-    def decode_scalar(self, data: bytes) -> int:
-        check_length(data, 32, f"{self.name} scalar")
-        k = int.from_bytes(data, "big")
-        if k >= self.order:
-            raise InvalidEncoding("non-canonical scalar (>= group order)")
-        return k
-
-
-class BlsG0(_BlsScalars, Group):
-    """The base-curve group (48-byte compressed elements)."""
-
-    name = "bls12-381-g0"
-    element_size = 48
+class _BlsCurveGroup(_BlsScalars):
+    """The curve groups' identity None, addition and fixed-base comb (its
+    table built on first use). Each subclass names its _curve and _gen and
+    keeps exp, codec and hash, which call the curve module at call time."""
 
     def __init__(self):
-        self._comb = curve.FixedBaseComb(curve.curve_g1, curve.G1_GEN)
+        self._comb = curve.FixedBaseComb(self._curve, self._gen)
 
     def generator(self):
-        return curve.G1_GEN
+        return self._gen
 
     def identity(self):
         return None
 
-    def is_identity(self, e) -> bool:
-        return e is None
-
     def mul(self, a, b):
-        return curve.curve_g1.add(a, b)
+        return self._curve.add(a, b)
+
+    def exp_base(self, k: int):
+        return self._comb.mul(k % self.order)
+
+
+class BlsG0(_BlsCurveGroup):
+    """The base-curve group (48-byte compressed elements)."""
+
+    name = "bls12-381-g0"
+    element_size = 48
+    _curve = curve.curve_g1
+    _gen = curve.G1_GEN
 
     def exp(self, e, k: int):
         """[k]e by the GLV split. e must lie in the order-n subgroup, as every
         element this group hands out does: decoded with the subgroup check,
         hashed and cofactor-cleared, or the generator."""
         return curve.g1_mul(e, k % self.order)
-
-    def exp_base(self, k: int):
-        """[k] times the generator by the fixed-base comb; its table is
-        built on the first call."""
-        return self._comb.mul(k % self.order)
-
-    def eq(self, a, b) -> bool:
-        return a == b
 
     def encode_element(self, e) -> bytes:
         return curve.g1_to_bytes(e)
@@ -85,40 +75,17 @@ class BlsG0(_BlsScalars, Group):
         return curve.hash_to_g1(tag, data)
 
 
-class BlsG1(_BlsScalars, Group):
+class BlsG1(_BlsCurveGroup):
     """The twist group (96-byte compressed elements)."""
 
     name = "bls12-381-g1"
     element_size = 96
-
-    def __init__(self):
-        self._comb = curve.FixedBaseComb(curve.curve_g2, curve.G2_GEN)
-
-    def generator(self):
-        return curve.G2_GEN
-
-    def identity(self):
-        return None
-
-    def is_identity(self, e) -> bool:
-        return e is None
-
-    def mul(self, a, b):
-        return curve.curve_g2.add(a, b)
+    _curve = curve.curve_g2
+    _gen = curve.G2_GEN
 
     def exp(self, e, k: int):
-        """[k]e by the GLS split. e must lie in the order-n subgroup, as every
-        element this group hands out does: decoded with the subgroup check,
-        hashed and cofactor-cleared, or the generator."""
+        """[k]e by the GLS split, on the same terms as BlsG0.exp."""
         return curve.g2_mul(e, k % self.order)
-
-    def exp_base(self, k: int):
-        """[k] times the generator by the fixed-base comb; its table is
-        built on the first call."""
-        return self._comb.mul(k % self.order)
-
-    def eq(self, a, b) -> bool:
-        return a == b
 
     def encode_element(self, e) -> bytes:
         return curve.g2_to_bytes(e)
@@ -130,7 +97,7 @@ class BlsG1(_BlsScalars, Group):
         return curve.hash_to_g2(tag, data)
 
 
-class BlsGt(_BlsScalars, Group):
+class BlsGt(_BlsScalars):
     """The pairing target group: order-n subgroup of Fq12, 576-byte
     elements (12 base-field coefficients, big-endian)."""
 
@@ -142,9 +109,6 @@ class BlsGt(_BlsScalars, Group):
 
     def identity(self):
         return F12_ONE
-
-    def is_identity(self, e) -> bool:
-        return f12_eq(e, F12_ONE)
 
     def mul(self, a, b):
         return f12_mul(a, b)

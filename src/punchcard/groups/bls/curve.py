@@ -3,8 +3,10 @@
 Both curves are short Weierstrass y^2 = x^3 + b with a = 0: E over Fq with
 b = 4, and the twist E' over Fq2 with b = 4(1+i). Affine points are (x, y)
 tuples; None is the point at infinity. The affine arithmetic (add, double,
-subset_sums, the end of straus) is written once over a small field-ops
-shim, _FqOps or _Fq2Ops, and instantiated for both fields. Scalar
+subset_sums, the end of straus), the compressed-point codec and the
+hash to the curve are written once over a small field-ops shim, _FqOps or
+_Fq2Ops, and instantiated for both fields; g1_/g2_to_bytes,
+g1_/g2_from_bytes and hash_to_g1/g2 are thin entry points. Scalar
 multiplication runs in Jacobian coordinates, and its two steps,
 _double_jac and _add_mixed, are written out twice: on ints for E
 (CurveFq) and on coefficient pairs for E' (CurveFq2). They reduce each
@@ -92,6 +94,8 @@ H2_EFF = mpz(int(
 
 
 class _FqOps:
+    degree = 1
+
     @staticmethod
     def add(a, b):
         return (a + b) % P
@@ -117,6 +121,7 @@ class _FqOps:
         return a * s % P
 
     inv = staticmethod(fq_inv)
+    sqrt = staticmethod(fq_sqrt)
 
     @staticmethod
     def eq(a, b):
@@ -126,17 +131,37 @@ class _FqOps:
     def is_zero(a):
         return a == 0
 
+    # the coefficients as ints, in wire order, and back
+    @staticmethod
+    def coeffs(a):
+        return (int(a),)
+
+    @staticmethod
+    def from_coeffs(cs):
+        return mpz(cs[0])
+
 
 class _Fq2Ops:
+    degree = 2
     add = staticmethod(f2_add)
     sub = staticmethod(f2_sub)
     neg = staticmethod(f2_neg)
     mul = staticmethod(f2_mul)
     sqr = staticmethod(f2_sqr)
     inv = staticmethod(f2_inv)
+    sqrt = staticmethod(f2_sqrt)
     eq = staticmethod(f2_eq)
     is_zero = staticmethod(f2_is_zero)
     muls = staticmethod(f2_muls)
+
+    # the coefficients as ints, in wire order (c1 first), and back
+    @staticmethod
+    def coeffs(a):
+        return (int(a[1]), int(a[0]))
+
+    @staticmethod
+    def from_coeffs(cs):
+        return (mpz(cs[1]), mpz(cs[0]))
 
 
 class Curve:
@@ -147,12 +172,15 @@ class Curve:
         self.F = F
         self.b = b
 
+    def rhs(self, x):  # x^3 + b
+        F = self.F
+        return F.add(F.mul(F.sqr(x), x), self.b)
+
     def is_on_curve(self, pt) -> bool:
         if pt is None:
             return True
         x, y = pt
-        F = self.F
-        return F.eq(F.sqr(y), F.add(F.mul(F.sqr(x), x), self.b))
+        return self.F.eq(self.F.sqr(y), self.rhs(x))
 
     def neg(self, pt):
         if pt is None:
@@ -232,6 +260,8 @@ class Curve:
 class CurveFq(Curve):
     """E over Fq: the Jacobian steps written out on ints."""
 
+    name = "curve"
+
     def _double_jac(self, X, Y, Z):
         # dbl-2009-l for a = 0, with D = 2((X + B)^2 - A - C) = 4XB
         A = X * X % P
@@ -263,6 +293,8 @@ class CurveFq2(Curve):
     """E' over Fq2: the Jacobian steps written out on the coefficient pairs,
     each Fq2 product by Karatsuba, (a + bi)(c + di) = (ac - bd) +
     ((a + b)(c + d) - ac - bd) i, and each coefficient reduced once."""
+
+    name = "twist"
 
     def _double_jac(self, X, Y, Z):
         # dbl-2009-l for a = 0, as CurveFq._double_jac
@@ -485,101 +517,80 @@ def clear_cofactor_g2(pt):
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# serialization, written once for both curves over their field shims
 
 _FLAG_COMPRESSED = 0x80
 _FLAG_INFINITY = 0x40
 _FLAG_SIGN = 0x20
 
 
-def _y_is_larger_fq(y) -> bool:
-    return y > (P - y) % P
+def _y_is_larger(F, y) -> bool:
+    return F.coeffs(y) > F.coeffs(F.neg(y))
 
 
-def _y_is_larger_fq2(y) -> bool:
-    neg = f2_neg(y)
-    return (int(y[1]), int(y[0])) > (int(neg[1]), int(neg[0]))
+def _to_bytes(c, pt) -> bytes:
+    if pt is None:
+        return bytes([_FLAG_COMPRESSED | _FLAG_INFINITY]) + bytes(48 * c.F.degree - 1)
+    x, y = pt
+    out = bytearray(b"".join(k.to_bytes(48, "big") for k in c.F.coeffs(x)))
+    out[0] |= _FLAG_COMPRESSED
+    if _y_is_larger(c.F, y):
+        out[0] |= _FLAG_SIGN
+    return bytes(out)
+
+
+def _from_bytes(c, data: bytes, in_subgroup):
+    """The point on curve c that data encodes; in_subgroup is None or must hold."""
+    F = c.F
+    size = 48 * F.degree
+    if len(data) != size:
+        raise InvalidEncoding(f"compressed {c.name} point must be {size} bytes")
+    flags = data[0]
+    if not flags & _FLAG_COMPRESSED:
+        raise InvalidEncoding("uncompressed form not accepted")
+    if flags & _FLAG_INFINITY:
+        if flags != (_FLAG_COMPRESSED | _FLAG_INFINITY) or any(data[1:]):
+            raise InvalidEncoding("malformed infinity encoding")
+        return None
+    raw = bytes([flags & 0x1F]) + data[1:]
+    cs = [int.from_bytes(raw[i : i + 48], "big") for i in range(0, size, 48)]
+    if max(cs) >= P:
+        raise InvalidEncoding("x coordinate out of range")
+    x = F.from_coeffs(cs)
+    try:
+        y = F.sqrt(c.rhs(x))
+    except ValueError:
+        raise InvalidEncoding(f"x is not on the {c.name}") from None
+    if bool(flags & _FLAG_SIGN) != _y_is_larger(F, y):
+        y = F.neg(y)
+    pt = (x, y)
+    if in_subgroup is not None and not in_subgroup(pt):
+        raise InvalidEncoding("point not in the prime-order subgroup")
+    return pt
 
 
 def g1_to_bytes(pt) -> bytes:
-    if pt is None:
-        return bytes([_FLAG_COMPRESSED | _FLAG_INFINITY]) + bytes(47)
-    x, y = pt
-    out = bytearray(int(x).to_bytes(48, "big"))
-    out[0] |= _FLAG_COMPRESSED
-    if _y_is_larger_fq(y):
-        out[0] |= _FLAG_SIGN
-    return bytes(out)
+    return _to_bytes(curve_g1, pt)
 
 
 def g1_from_bytes(data: bytes, subgroup_check: bool = True):
-    if len(data) != 48:
-        raise InvalidEncoding("compressed E point must be 48 bytes")
-    flags = data[0]
-    if not flags & _FLAG_COMPRESSED:
-        raise InvalidEncoding("uncompressed form not accepted")
-    if flags & _FLAG_INFINITY:
-        if flags != (_FLAG_COMPRESSED | _FLAG_INFINITY) or any(data[1:]):
-            raise InvalidEncoding("malformed infinity encoding")
-        return None
-    x = mpz(int.from_bytes(bytes([flags & 0x1F]) + data[1:], "big"))
-    if x >= P:
-        raise InvalidEncoding("x coordinate out of range")
-    try:
-        y = fq_sqrt((x * x % P * x + B1) % P)
-    except ValueError:
-        raise InvalidEncoding("x is not on the curve") from None
-    if bool(flags & _FLAG_SIGN) != _y_is_larger_fq(y):
-        y = (-y) % P
-    pt = (x, y)
-    if subgroup_check and not in_subgroup_g1(pt):
-        raise InvalidEncoding("point not in the prime-order subgroup")
-    return pt
+    return _from_bytes(curve_g1, data, in_subgroup_g1 if subgroup_check else None)
 
 
 def g2_to_bytes(pt) -> bytes:
-    if pt is None:
-        return bytes([_FLAG_COMPRESSED | _FLAG_INFINITY]) + bytes(95)
-    (x0, x1), y = pt
-    out = bytearray(int(x1).to_bytes(48, "big") + int(x0).to_bytes(48, "big"))
-    out[0] |= _FLAG_COMPRESSED
-    if _y_is_larger_fq2(y):
-        out[0] |= _FLAG_SIGN
-    return bytes(out)
+    return _to_bytes(curve_g2, pt)
 
 
 def g2_from_bytes(data: bytes, subgroup_check: bool = True):
-    if len(data) != 96:
-        raise InvalidEncoding("compressed twist point must be 96 bytes")
-    flags = data[0]
-    if not flags & _FLAG_COMPRESSED:
-        raise InvalidEncoding("uncompressed form not accepted")
-    if flags & _FLAG_INFINITY:
-        if flags != (_FLAG_COMPRESSED | _FLAG_INFINITY) or any(data[1:]):
-            raise InvalidEncoding("malformed infinity encoding")
-        return None
-    x1 = int.from_bytes(bytes([flags & 0x1F]) + data[1:48], "big")
-    x0 = int.from_bytes(data[48:], "big")
-    if x0 >= P or x1 >= P:
-        raise InvalidEncoding("x coordinate out of range")
-    x = (mpz(x0), mpz(x1))
-    try:
-        y = f2_sqrt(f2_add(f2_mul(f2_sqr(x), x), B2))
-    except ValueError:
-        raise InvalidEncoding("x is not on the twist") from None
-    if bool(flags & _FLAG_SIGN) != _y_is_larger_fq2(y):
-        y = f2_neg(y)
-    pt = (x, y)
-    if subgroup_check and not in_subgroup_g2(pt):
-        raise InvalidEncoding("point not in the prime-order subgroup")
-    return pt
+    return _from_bytes(curve_g2, data, in_subgroup_g2 if subgroup_check else None)
 
 
 # ---------------------------------------------------------------------------
 # hash to curve: wide-digest try-and-increment, then cofactor clearing.
-# Each counter value derives fresh 512-bit field candidates; non-squares are
-# rejected and the counter bumped, so the output is deterministic, never the
-# identity, and its discrete log is not revealed.
+# Each counter value derives fresh 512-bit field candidates, one per
+# coefficient (index i for c_i); non-squares are rejected and the counter
+# bumped, so the output is deterministic, never the identity, and its
+# discrete log is not revealed. The sign bit comes from index `degree`.
 
 
 def _field_candidate(msg: bytes, ctr: int, idx: int):
@@ -587,33 +598,27 @@ def _field_candidate(msg: bytes, ctr: int, idx: int):
     return mpz(int.from_bytes(h, "big") % P)
 
 
-def hash_to_g1(tag: str, data: bytes):
+def _hash(c, tag: str, data: bytes, clear):
     msg = tagged(tag, data)
+    F = c.F
     for ctr in range(256):
-        x = _field_candidate(msg, ctr, 0)
+        cs = [_field_candidate(msg, ctr, i) for i in range(F.degree)]
+        x = F.from_coeffs(cs[::-1])
         try:
-            y = fq_sqrt((x * x % P * x + B1) % P)
+            y = F.sqrt(c.rhs(x))
         except ValueError:
             continue
-        if hashlib.sha512(msg + bytes([ctr, 1])).digest()[0] & 1:
-            y = (-y) % P
-        pt = curve_g1.mul((x, y), H1)
+        if hashlib.sha512(msg + bytes([ctr, F.degree])).digest()[0] & 1:
+            y = F.neg(y)
+        pt = clear((x, y))
         if pt is not None:
             return pt
-    raise RuntimeError("hash_to_g1 failed to find a point (unreachable)")
+    raise RuntimeError(f"hash to the {c.name} failed to find a point (unreachable)")
+
+
+def hash_to_g1(tag: str, data: bytes):
+    return _hash(curve_g1, tag, data, lambda pt: curve_g1.mul(pt, H1))
 
 
 def hash_to_g2(tag: str, data: bytes):
-    msg = tagged(tag, data)
-    for ctr in range(256):
-        x = (_field_candidate(msg, ctr, 0), _field_candidate(msg, ctr, 1))
-        try:
-            y = f2_sqrt(f2_add(f2_mul(f2_sqr(x), x), B2))
-        except ValueError:
-            continue
-        if hashlib.sha512(msg + bytes([ctr, 2])).digest()[0] & 1:
-            y = f2_neg(y)
-        pt = clear_cofactor_g2((x, y))
-        if pt is not None:
-            return pt
-    raise RuntimeError("hash_to_g2 failed to find a point (unreachable)")
+    return _hash(curve_g2, tag, data, clear_cofactor_g2)

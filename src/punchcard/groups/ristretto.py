@@ -291,6 +291,7 @@ class RistrettoGroup(Group):
     order = L
     element_size = 32
     scalar_size = 32
+    scalar_byteorder = "little"
 
     def __init__(self, backend: str = "auto"):
         if backend == "auto":
@@ -315,9 +316,6 @@ class RistrettoGroup(Group):
     def identity(self) -> bytes:
         return _IDENTITY
 
-    def is_identity(self, e: bytes) -> bool:
-        return e == _IDENTITY
-
     def mul(self, a: bytes, b: bytes) -> bytes:
         if a == _IDENTITY:
             return b
@@ -337,9 +335,6 @@ class RistrettoGroup(Group):
             return _IDENTITY
         return self._backend.exp_base(k)
 
-    def eq(self, a: bytes, b: bytes) -> bool:
-        return a == b
-
     def encode_element(self, e: bytes) -> bytes:
         return e
 
@@ -351,16 +346,6 @@ class RistrettoGroup(Group):
         if not self._backend.is_valid(data):
             raise InvalidEncoding("byte string is not a ristretto element")
         return data
-
-    def encode_scalar(self, k: int) -> bytes:
-        return (k % L).to_bytes(32, "little")
-
-    def decode_scalar(self, data: bytes) -> int:
-        check_length(data, 32, "ristretto scalar")
-        k = int.from_bytes(data, "little")
-        if k >= L:
-            raise InvalidEncoding("non-canonical scalar (>= group order)")
-        return k
 
     def element_from_uniform(self, h: bytes) -> bytes:
         """Map 64 uniform bytes to an element (the standard two-Elligator

@@ -23,6 +23,7 @@ class SchnorrGroup(Group):
 
     element_size = 4
     scalar_size = 4
+    scalar_byteorder = "little"
 
     def __init__(self, modulus: int, gen: int, name: str):
         self.name = name
@@ -37,17 +38,11 @@ class SchnorrGroup(Group):
     def identity(self) -> int:
         return 1
 
-    def is_identity(self, e: int) -> bool:
-        return e == 1
-
     def mul(self, a: int, b: int) -> int:
         return a * b % self.modulus
 
     def exp(self, e: int, k: int) -> int:
         return pow(e, k % Q, self.modulus)
-
-    def eq(self, a: int, b: int) -> bool:
-        return a == b
 
     def encode_element(self, e: int) -> bytes:
         return int(e).to_bytes(4, "little")
@@ -58,16 +53,6 @@ class SchnorrGroup(Group):
         if not 0 < e < self.modulus or pow(e, Q, self.modulus) != 1:
             raise InvalidEncoding(f"not an element of {self.name}")
         return e
-
-    def encode_scalar(self, k: int) -> bytes:
-        return (k % Q).to_bytes(4, "little")
-
-    def decode_scalar(self, data: bytes) -> int:
-        check_length(data, 4, f"{self.name} scalar")
-        k = int.from_bytes(data, "little")
-        if k >= Q:
-            raise InvalidEncoding("non-canonical scalar (>= group order)")
-        return k
 
     def hash_to_group(self, tag: str, data: bytes) -> int:
         # exponent in [1, q-1], so the result is never the identity; the

@@ -29,7 +29,7 @@ from typing import Any, Optional, Tuple
 from . import core, dleq
 from .core import SECRET_SIZE, RedeemStatus
 from .errors import InvalidEncoding
-from .groups import PairingGroups, random_bytes
+from .groups import PairingGroups
 
 Element = Any
 
@@ -157,26 +157,20 @@ def server_setup(
 
 def card_bases(pairing: PairingGroups, u: bytes) -> Tuple[Element, Element]:
     return (
-        pairing.g0.hash_to_group(TAG_CARD_HASH_G0, u),
-        pairing.g1.hash_to_group(TAG_CARD_HASH_G1, u),
+        core.card_base(pairing.g0, u, TAG_CARD_HASH_G0),
+        core.card_base(pairing.g1, u, TAG_CARD_HASH_G1),
     )
 
 
 def issue(
     pairing: PairingGroups, rng=None, u: Optional[bytes] = None
 ) -> Tuple[MergeCardSecret, MergeCard]:
-    if u is None:
-        u = random_bytes(SECRET_SIZE, rng)
-    if len(u) != SECRET_SIZE:
-        raise ValueError(f"card secret must be {SECRET_SIZE} bytes")
-    mask0 = pairing.g0.random_scalar(rng)
-    mask1 = pairing.g1.random_scalar(rng)
-    base0, base1 = card_bases(pairing, u)
+    """core.issue on each side over one u: u, then mask0, then mask1."""
+    secret0, side0 = core.issue(pairing.g0, rng, u, TAG_CARD_HASH_G0)
+    secret1, side1 = core.issue(pairing.g1, rng, secret0.u, TAG_CARD_HASH_G1)
     return (
-        MergeCardSecret(u=u, mask0=mask0, mask1=mask1),
-        MergeCard(
-            side0=pairing.g0.exp(base0, mask0), side1=pairing.g1.exp(base1, mask1)
-        ),
+        MergeCardSecret(u=secret0.u, mask0=secret0.mask, mask1=secret1.mask),
+        MergeCard(side0=side0, side1=side1),
     )
 
 
@@ -228,8 +222,8 @@ def client_merge_redeem(
 ) -> MergeRedeemRequest:
     """Combine card A's first side with card B's second side; punch counts
     add up inside the pairing."""
-    side0 = pairing.g0.exp(card_a.side0, pairing.g0.invert_scalar(secret_a.mask0))
-    side1 = pairing.g1.exp(card_b.side1, pairing.g1.invert_scalar(secret_b.mask1))
+    side0 = core.unmask(pairing.g0, secret_a.mask0, card_a.side0)
+    side1 = core.unmask(pairing.g1, secret_b.mask1, card_b.side1)
     return MergeRedeemRequest(
         u_a=secret_a.u, u_b=secret_b.u, value=pairing.pair(side0, side1)
     )
@@ -240,9 +234,8 @@ def expected_value(
 ) -> Element:
     """e(H0(u_a)^(sk^count), H1(u_b)), what cards u_a and u_b with count
     punches between them merge into."""
-    base0 = pairing.g0.hash_to_group(TAG_CARD_HASH_G0, u_a)
-    base1 = pairing.g1.hash_to_group(TAG_CARD_HASH_G1, u_b)
-    return pairing.pair(pairing.g0.exp(base0, pow(sk, count, pairing.order)), base1)
+    side0 = core.expected_card(pairing.g0, sk, u_a, count, TAG_CARD_HASH_G0)
+    return pairing.pair(side0, core.card_base(pairing.g1, u_b, TAG_CARD_HASH_G1))
 
 
 def verify_card(

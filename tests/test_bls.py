@@ -8,6 +8,7 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from punchcard import core, extensions, mergeable
 from punchcard.core import RedeemStatus
@@ -175,6 +176,40 @@ def test_g1_decode_never_confuses_points():
         # a flip may land on another valid encoding, never this point
         assert g1_to_bytes(decoded) != blob
     assert rejected > 0
+
+
+def _codec_inputs(size, encode, c, gen):
+    """Arbitrary strings of the encoding's size, encodings of subgroup
+    points, and those encodings with one byte flipped."""
+    points = st.integers(0, N - 1).map(lambda k: encode(c.mul(gen, k)))
+    flipped = st.tuples(points, st.integers(0, size - 1), st.integers(1, 255)).map(
+        lambda t: t[0][: t[1]] + bytes([t[0][t[1]] ^ t[2]]) + t[0][t[1] + 1 :]
+    )
+    return st.one_of(st.binary(min_size=size, max_size=size), points, flipped)
+
+
+@pytest.mark.parametrize(
+    "size, decode, encode, c, gen",
+    [
+        (48, g1_from_bytes, g1_to_bytes, curve_g1, G1_GEN),
+        (96, g2_from_bytes, g2_to_bytes, curve_g2, G2_GEN),
+    ],
+    ids=["g1", "g2"],
+)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), subgroup_check=st.booleans())
+def test_decode_accepts_only_what_it_would_encode(
+    size, decode, encode, c, gen, data, subgroup_check
+):
+    """Every accepted string is the canonical encoding of what it decodes
+    to, with or without the subgroup check."""
+    blob = data.draw(_codec_inputs(size, encode, c, gen))
+    try:
+        pt = decode(blob, subgroup_check=subgroup_check)
+    except InvalidEncoding:
+        return
+    assert encode(pt) == blob
+    assert c.is_on_curve(pt)
 
 
 def _curve_point_outside_subgroup():

@@ -821,3 +821,43 @@ def test_recovery_counts_snapshot_log_and_torn_tail(tmp_path):
     db = RedeemDb(path, fsync=False)
     assert db.recovery[:3] == (309, 0, 0)
     db.close()
+
+
+def test_closed_store_refuses_writes(tmp_path, monkeypatch):
+    """After close() a write raises instead of answering True for a secret a
+    reopen would not find, and it opens no file; a compact with nothing to
+    write stays a no-op, so a second shutdown still works."""
+    path = str(tmp_path / "db")
+    kept, late = _secrets(random.Random(1103), 2)
+    db = RedeemDb(path)
+    assert db.check_and_insert(kept)  # in the overlay and the log only
+    db.close()
+    opened = []
+
+    def tracking_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(punchcard.db, "open", tracking_open, raising=False)
+    for write in (
+        lambda: db.check_and_insert(late),
+        lambda: db.add_claim(late),
+        db.compact,
+        lambda: db.purge(lambda u: False),
+        lambda: db.preload([late]),
+    ):
+        with pytest.raises(ValueError, match="closed"):
+            write()
+    monkeypatch.undo()
+    assert opened == []
+    assert sorted(os.listdir(tmp_path)) == ["db"]
+    db2 = RedeemDb(path)
+    assert kept in db2 and late not in db2 and len(db2) == 1
+    assert db2.pending_claims() == 0
+    db2.compact()
+    db2.close()
+    db2.compact()
+    db2.close()
+    db3 = RedeemDb(path)
+    assert kept in db3 and len(db3) == 1
+    db3.close()

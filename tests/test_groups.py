@@ -31,8 +31,11 @@ def test_wide_hash_is_sha512_sized():
 # --- generic group contract, run on both production and toy ----------------
 
 
-@pytest.fixture(params=["toy", "ristretto255"])
+@pytest.fixture(params=["toy", "ristretto255", "bls12-381-g0", "bls12-381-g1"])
 def group(request):
+    if request.param.startswith("bls12-381-"):
+        pairing = get_pairing("bls12-381")
+        return {g.name: g for g in (pairing.g0, pairing.g1)}[request.param]
     return get_group(request.param)
 
 
