@@ -69,7 +69,8 @@ def replay_attack(
         secret, card = _earn(group, sk, pk, till, punches, rng)
         req = core.client_redeem(group, secret, card)
         raw = req.to_bytes(group)
-        assert till.redeem(group, sk, req, punches, db) is RedeemStatus.ACCEPT
+        if till.redeem(group, sk, req, punches, db) is not RedeemStatus.ACCEPT:
+            raise RuntimeError("an honest first redemption was refused")
         # byte-identical replay
         again = core.RedeemRequest.from_bytes(group, raw)
         if till.redeem(group, sk, again, punches, db) is not RedeemStatus.ACCEPT:

@@ -37,8 +37,8 @@ from enum import IntEnum
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from . import dleq
-from .errors import InvalidEncoding, ProofRejected
-from .groups import Group, random_bytes
+from .errors import ProofRejected
+from .groups.base import Group, element, random_bytes, unpack
 
 Element = Any
 
@@ -46,6 +46,7 @@ TAG_CARD_HASH = "punchcard/h2g/v1/main"
 TAG_PUNCH_PROOF = "punchcard/dleq/v1"
 
 SECRET_SIZE = 32
+SECRET = (SECRET_SIZE, bytes)  # a card secret as a field of groups.unpack
 
 
 @dataclass
@@ -66,13 +67,8 @@ class PunchResponse:
 
     @classmethod
     def from_bytes(cls, group: Group, data: bytes) -> "PunchResponse":
-        n = group.element_size
-        if len(data) != n + dleq.proof_size(group):
-            raise InvalidEncoding("punch response has wrong length")
-        return cls(
-            punched=group.decode_element(data[:n]),
-            proof=dleq.proof_from_bytes(group, data[n:]),
-        )
+        fields = [element(group), dleq.proof_field(group)]
+        return cls(*unpack(data, fields, "punch response"))
 
 
 @dataclass(frozen=True)
@@ -89,12 +85,7 @@ class RedeemRequest:
 
     @classmethod
     def from_bytes(cls, group: Group, data: bytes) -> "RedeemRequest":
-        if len(data) != SECRET_SIZE + group.element_size:
-            raise InvalidEncoding("redeem request has wrong length")
-        return cls(
-            u=data[:SECRET_SIZE],
-            card=group.decode_element(data[SECRET_SIZE:]),
-        )
+        return cls(*unpack(data, [SECRET, element(group)], "redeem request"))
 
 
 class RedeemStatus(IntEnum):

@@ -24,6 +24,7 @@ writes happen under one lock; lookups take none.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import operator
 import os
 import struct
@@ -139,10 +140,22 @@ class Recovery(NamedTuple):
     seconds: float = 0.0
 
 
-def replace_durably(tmp: str, path: str, point: str) -> None:
-    """os.replace(tmp, path), then fsync the directory so that the rename
-    itself survives a crash. Fault points `point`.replace and
-    `point`.dirsync come just before each step."""
+def write_durably(path: str, chunks: Iterable[bytes], point: str, mode=0o666) -> None:
+    """Write the chunks to path + '.tmp', fsync it, rename it over path and
+    fsync the directory, so that path holds either its old content or all
+    of the new, and the rename survives a crash. The temp file is always
+    created afresh with `mode` (less the umask): one a crash left is
+    removed first, so its mode never carries over. Fault points
+    `point`.replace and `point`.dirsync come just before the rename and
+    the directory fsync."""
+    tmp = path + ".tmp"
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(tmp)
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode)
+    with os.fdopen(fd, "wb") as f:
+        f.writelines(chunks)
+        f.flush()
+        os.fsync(f.fileno())
     fault_point(point + ".replace")
     os.replace(tmp, path)
     fault_point(point + ".dirsync")
@@ -151,18 +164,6 @@ def replace_durably(tmp: str, path: str, point: str) -> None:
         os.fsync(fd)
     finally:
         os.close(fd)
-
-
-def write_durably(path: str, chunks: Iterable[bytes], point: str, mode=0o666) -> None:
-    """Write the chunks to path + '.tmp' (truncating one a crash left),
-    fsync it and replace_durably it over path, so that path holds either
-    its old content or all of the new."""
-    fd = os.open(path + ".tmp", os.O_WRONLY | os.O_CREAT | os.O_TRUNC, mode)
-    with os.fdopen(fd, "wb") as f:
-        f.writelines(chunks)
-        f.flush()
-        os.fsync(f.fileno())
-    replace_durably(path + ".tmp", path, point)
 
 
 class RedeemDb:
@@ -304,13 +305,9 @@ class RedeemDb:
         head = struct.pack("<II", len(blob) // SECRET_SIZE, len(self._claims))
         chunks = [_SNAP_MAGIC, head, blob, *sorted(self._claims)]
         write_durably(self._snap_path(), chunks, "db.snapshot")
-        # the log is now redundant; restart it
-        if self._log is not None:
-            self._log.close()
-        with open(self._path, "wb") as f:
-            f.flush()
-            os.fsync(f.fileno())
-        self._log = open(self._path, "ab")
+        # the log is now redundant; restart it in place
+        self._log.truncate(0)
+        os.fsync(self._log.fileno())
 
     def _recover(self) -> None:
         t0 = time.perf_counter()

@@ -20,8 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Tuple
 
-from .errors import InvalidEncoding
-from .groups import Group
+from .groups.base import Field, Group, element, scalar, unpack
 
 Element = Any
 
@@ -45,16 +44,13 @@ def proof_size(group: Group) -> int:
 
 
 def proof_from_bytes(group: Group, data: bytes) -> DleqProof:
-    if len(data) != proof_size(group):
-        raise InvalidEncoding(
-            f"proof must be {proof_size(group)} bytes, got {len(data)}"
-        )
-    n = group.element_size
-    return DleqProof(
-        commit_base=group.decode_element(data[:n]),
-        commit_point=group.decode_element(data[n : 2 * n]),
-        response=group.decode_scalar(data[2 * n :]),
-    )
+    fields = [element(group), element(group), scalar(group)]
+    return DleqProof(*unpack(data, fields, "proof"))
+
+
+def proof_field(group: Group) -> Field:
+    """A proof as one field of groups.unpack."""
+    return proof_size(group), lambda data: proof_from_bytes(group, data)
 
 
 def challenge(

@@ -24,12 +24,11 @@ from . import core, dleq
 from .core import SECRET_SIZE, CardSecret, RedeemStatus
 from .errors import (
     BadExpiry,
-    InvalidEncoding,
     NoSuchRedemption,
     PromotionTooLarge,
     ProofRejected,
 )
-from .groups import Group, random_bytes, tagged
+from .groups.base import Group, element, random_bytes, tagged, unpack
 
 Element = Any
 
@@ -63,24 +62,11 @@ class MultiPunchResponse:
 
     @classmethod
     def from_bytes(cls, group: Group, data: bytes) -> "MultiPunchResponse":
-        if not data:
-            raise InvalidEncoding("empty multi-punch response")
-        t = data[0]
-        step = group.element_size + dleq.proof_size(group)
-        if len(data) != 1 + t * step:
-            raise InvalidEncoding("multi-punch response has wrong length")
-        steps = []
-        for i in range(t):
-            off = 1 + i * step
-            steps.append(
-                (
-                    group.decode_element(data[off : off + group.element_size]),
-                    dleq.proof_from_bytes(
-                        group, data[off + group.element_size : off + step]
-                    ),
-                )
-            )
-        return cls(steps=steps)
+        """A count byte t, then t times an element and its proof."""
+        t = data[0] if data else 0
+        fields = [(1, ord)] + [element(group), dleq.proof_field(group)] * t
+        _, *flat = unpack(data, fields, "multi-punch response")
+        return cls(steps=list(zip(flat[::2], flat[1::2])))
 
 
 def server_multi_punch(

@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import hashlib
 import secrets
-from typing import Any, Optional
+from typing import Any, Callable, List, Sequence, Tuple
 
 from ..errors import InvalidEncoding, ZeroInverse
 
 Element = Any
+Field = Tuple[int, Callable[[bytes], Any]]  # (size, decode) of one unpack field
 
 
 def tagged(tag: str, data: bytes) -> bytes:
@@ -147,3 +148,25 @@ class PairingGroups:
 def check_length(data: bytes, size: int, what: str) -> None:
     if len(data) != size:
         raise InvalidEncoding(f"{what}: expected {size} bytes, got {len(data)}")
+
+
+def element(group: Group) -> Field:
+    return group.element_size, group.decode_element
+
+
+def scalar(group: Group) -> Field:
+    return group.scalar_size, group.decode_scalar
+
+
+def unpack(data: bytes, fields: Sequence[Field], what: str) -> List[Any]:
+    """Decode `data` as the fields laid end to end, in order. Raises
+    InvalidEncoding before decoding anything unless their sizes add up to
+    len(data). Build the fields at each call: a wrapper installed on a
+    group's decode_element then sees it."""
+    if sum(size for size, _ in fields) != len(data):
+        raise InvalidEncoding(f"{what} has wrong length")
+    out, off = [], 0
+    for size, decode in fields:
+        out.append(decode(data[off : off + size]))
+        off += size
+    return out

@@ -24,12 +24,11 @@ only ever runs the one verify equation (and u != u' holds for free).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from . import core, dleq
-from .core import SECRET_SIZE, RedeemStatus
-from .errors import InvalidEncoding
-from .groups import PairingGroups
+from .core import SECRET, SECRET_SIZE, RedeemStatus
+from .groups.base import Field, PairingGroups, element, unpack
 
 Element = Any
 
@@ -50,13 +49,8 @@ def _sides_to_bytes(pairing: PairingGroups, e0: Element, e1: Element) -> bytes:
     return pairing.g0.encode_element(e0) + pairing.g1.encode_element(e1)
 
 
-def _sides_from_bytes(
-    pairing: PairingGroups, data: bytes, what: str
-) -> Tuple[Element, Element]:
-    n0 = pairing.g0.element_size
-    if len(data) != n0 + pairing.g1.element_size:
-        raise InvalidEncoding(f"{what} has wrong length")
-    return pairing.g0.decode_element(data[:n0]), pairing.g1.decode_element(data[n0:])
+def _side_fields(pairing: PairingGroups) -> List[Field]:
+    return [element(pairing.g0), element(pairing.g1)]
 
 
 @dataclass(frozen=True)
@@ -69,7 +63,7 @@ class MergeCard:
 
     @classmethod
     def from_bytes(cls, pairing: PairingGroups, data: bytes) -> "MergeCard":
-        return cls(*_sides_from_bytes(pairing, data, "mergeable card"))
+        return cls(*unpack(data, _side_fields(pairing), "mergeable card"))
 
 
 @dataclass(frozen=True)
@@ -82,7 +76,7 @@ class MergePublicKey:
 
     @classmethod
     def from_bytes(cls, pairing: PairingGroups, data: bytes) -> "MergePublicKey":
-        return cls(*_sides_from_bytes(pairing, data, "public key"))
+        return cls(*unpack(data, _side_fields(pairing), "public key"))
 
 
 @dataclass(frozen=True)
@@ -102,14 +96,8 @@ class MergePunchResponse:
     @classmethod
     def from_bytes(cls, pairing: PairingGroups, data: bytes) -> "MergePunchResponse":
         g0, g1 = pairing.g0, pairing.g1
-        n = g0.element_size + g1.element_size
-        s0 = dleq.proof_size(g0)
-        if len(data) != n + s0 + dleq.proof_size(g1):
-            raise InvalidEncoding("mergeable punch response has wrong length")
-        punched0, punched1 = _sides_from_bytes(pairing, data[:n], "punched card")
-        proof0 = dleq.proof_from_bytes(g0, data[n : n + s0])
-        proof1 = dleq.proof_from_bytes(g1, data[n + s0 :])
-        return cls(punched0, punched1, proof0, proof1)
+        fields = [element(g0), element(g1), dleq.proof_field(g0), dleq.proof_field(g1)]
+        return cls(*unpack(data, fields, "mergeable punch response"))
 
 
 @dataclass(frozen=True)
@@ -139,13 +127,9 @@ class MergeRedeemRequest:
 
     @classmethod
     def from_bytes(cls, pairing: PairingGroups, data: bytes) -> "MergeRedeemRequest":
-        if len(data) != 2 * SECRET_SIZE + pairing.gt.element_size:
-            raise InvalidEncoding("merge redeem request has wrong length")
-        return cls(
-            u_a=data[:SECRET_SIZE],
-            u_b=data[SECRET_SIZE : 2 * SECRET_SIZE],
-            value_bytes=data[2 * SECRET_SIZE :],
-        )
+        fields = [SECRET, SECRET, (pairing.gt.element_size, bytes)]
+        u_a, u_b, value_bytes = unpack(data, fields, "merge redeem request")
+        return cls(u_a=u_a, u_b=u_b, value_bytes=value_bytes)
 
 
 def server_setup(
@@ -153,13 +137,6 @@ def server_setup(
 ) -> Tuple[int, MergePublicKey]:
     sk, pk0 = core.server_setup(pairing.g0, rng, sk)
     return sk, MergePublicKey(pk0=pk0, pk1=pairing.g1.exp(pairing.g1.generator(), sk))
-
-
-def card_bases(pairing: PairingGroups, u: bytes) -> Tuple[Element, Element]:
-    return (
-        core.card_base(pairing.g0, u, TAG_CARD_HASH_G0),
-        core.card_base(pairing.g1, u, TAG_CARD_HASH_G1),
-    )
 
 
 def issue(

@@ -19,6 +19,7 @@ from typing import Any, Optional, Sequence, Tuple
 from . import core, extensions, mergeable, wire
 from .core import SECRET_SIZE, RedeemStatus
 from .groups import Group, PairingGroups, get_group, get_pairing, random_bytes
+from .groups.base import scalar, unpack
 
 Element = Any
 Cards = Sequence[Tuple[Any, Any]]  # (secret, card) pairs, as issue returns
@@ -149,11 +150,8 @@ class MergeableScheme(Scheme):
 
     def decode_secret(self, u: bytes, masks: bytes) -> mergeable.MergeCardSecret:
         g0, g1 = self.groups
-        return mergeable.MergeCardSecret(
-            u=u,
-            mask0=g0.decode_scalar(masks[: g0.scalar_size]),
-            mask1=g1.decode_scalar(masks[g0.scalar_size :]),
-        )
+        mask0, mask1 = unpack(masks, [scalar(g0), scalar(g1)], "card masks")
+        return mergeable.MergeCardSecret(u=u, mask0=mask0, mask1=mask1)
 
     def client_redeem(self, cards: Cards) -> mergeable.MergeRedeemRequest:
         (secret_a, card_a), (secret_b, card_b) = cards

@@ -3,10 +3,11 @@
 One wallet file holds every card for one server, of one scheme: "PCW1",
 the scheme's code byte, the pinned key, then per card u || punch count ||
 mask(s) || element(s) in the scheme object's codecs, so this code runs
-either scheme unchanged. Updates go through a temp file, os.replace and a
-directory fsync, and the in-memory state only moves forward after the
-bytes are durably on disk, so a crash at any point leaves either the old
-wallet or the new one, never a half-written file.
+either scheme unchanged. Updates go through db.write_durably (a fresh
+temp file, os.replace and a directory fsync), and the in-memory state
+only moves forward after the bytes are durably on disk, so a crash at any
+point leaves either the old wallet or the new one, never a half-written
+file.
 
 The wallet pins the server's public key on first contact. A later punch
 response is verified against the pinned key, so a server that rotates keys
@@ -23,7 +24,7 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 from . import schemes, wire
 from .core import SECRET_SIZE, RedeemStatus
-from .db import replace_durably
+from .db import write_durably
 from .errors import InvalidEncoding, WalletError, WireError
 from .faults import fault_point
 
@@ -130,17 +131,14 @@ class Wallet:
 
     def save(self) -> None:
         data = self._encode()
-        tmp = self.path + ".tmp"
+
+        def chunks():  # runs once write_durably has opened the temp file
+            fault_point("wallet.save.write")
+            yield data
+
         fault_point("wallet.save.open")
         # owner only: the file's u and masks are enough to redeem the cards
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
-        with os.fdopen(fd, "wb") as f:
-            os.fchmod(fd, 0o600)  # O_TRUNC keeps the mode of a leftover tmp
-            fault_point("wallet.save.write")
-            f.write(data)
-            f.flush()
-            os.fsync(f.fileno())
-        replace_durably(tmp, self.path, "wallet.save")
+        write_durably(self.path, chunks(), "wallet.save", 0o600)
 
     # -- card lifecycle ------------------------------------------------------
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 from punchcard import attacks
 from punchcard.groups import get_group
@@ -15,6 +18,26 @@ def test_replay_attack_defeated():
     assert r["defeated"]
     assert r["rejected"] == r["trials"] == 60
     assert r["value_conserved"]
+
+
+def test_replay_attack_defeated_under_python_O():
+    """python -O strips asserts, so the drill's honest first redemption must
+    not sit in one: the replays would then be first redemptions."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    code = """
+import json
+from punchcard import attacks
+from punchcard.groups import get_group
+print(json.dumps(attacks.replay_attack(get_group("ristretto255"), trials=10, seed=11)))
+"""
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    r = json.loads(out.stdout)
+    assert r["defeated"]
+    assert r["rejected"] == r["trials"] == 20
 
 
 def test_key_switch_attack_defeated():

@@ -1,7 +1,10 @@
+import contextlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from punchcard import core, dleq, extensions, mergeable
 from punchcard.errors import InvalidEncoding, ZeroInverse
 from punchcard.groups import get_group, get_pairing, tagged, wide_hash
 from punchcard.groups.ristretto import RistrettoGroup
@@ -289,3 +292,80 @@ def test_ristretto_hash_to_group_avoids_identity():
     rng = random.Random(19)
     for _ in range(100):
         assert not g.is_identity(g.hash_to_group(TAG, rng.randbytes(32)))
+
+
+# --- fixed message layouts, each read by groups.base.unpack -----------------
+
+
+def _layouts(backend, rng):
+    """(params, message, decoder) for every fixed layout on the backend:
+    the main scheme's on a group, the mergeable scheme's on a pairing."""
+    if backend == "toy-pairing":
+        pg = get_pairing(backend)
+        sk, pk = mergeable.server_setup(pg, rng)
+        (sa, ca), (sb, cb) = mergeable.issue(pg, rng), mergeable.issue(pg, rng)
+        punch = mergeable.server_punch(pg, sk, pk, ca, rng)
+        redeem = mergeable.client_merge_redeem(pg, sa, ca, sb, cb)
+        return [
+            (pg, ca, mergeable.MergeCard.from_bytes),
+            (pg, pk, mergeable.MergePublicKey.from_bytes),
+            (pg, punch, mergeable.MergePunchResponse.from_bytes),
+            (pg, redeem, mergeable.MergeRedeemRequest.from_bytes),
+        ]
+    g = get_group(backend)
+    sk, pk = core.server_setup(g, rng)
+    secret, card = core.issue(g, rng)
+    punch = core.server_punch(g, sk, pk, card, rng)
+    multi = extensions.server_multi_punch(g, sk, pk, card, rng.randint(1, 3), rng=rng)
+    return [
+        (g, punch.proof, dleq.proof_from_bytes),
+        (g, punch, core.PunchResponse.from_bytes),
+        (g, core.client_redeem(g, secret, card), core.RedeemRequest.from_bytes),
+        (g, multi, extensions.MultiPunchResponse.from_bytes),
+    ]
+
+
+@contextlib.contextmanager
+def _counting_decoders(groups):
+    """Count calls to each group's decode_element and decode_scalar."""
+    calls = []
+
+    def counting(name, decode):
+        def wrapper(data):
+            calls.append(name)
+            return decode(data)
+
+        return wrapper
+
+    for g in groups:
+        for name in ("decode_element", "decode_scalar"):
+            setattr(g, name, counting(name, getattr(g, name)))
+    try:
+        yield calls
+    finally:
+        for g in groups:
+            del g.decode_element, g.decode_scalar
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    backend=st.sampled_from(["toy", "toy-pairing", "ristretto255"]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_layouts_round_trip_and_check_length_before_any_decode(backend, seed, data):
+    """Every layout decodes its own encoding back to the same bytes; any
+    other length raises InvalidEncoding before a single element or scalar
+    is decoded, so a refusal for length costs no group work."""
+    rng = random.Random(seed)
+    for params, message, decode in _layouts(backend, rng):
+        raw = message.to_bytes(params)
+        assert decode(params, raw).to_bytes(params) == raw
+        size = data.draw(st.integers(0, len(raw) + 8).filter(lambda n: n != len(raw)))
+        bad = (raw + rng.randbytes(8))[:size]  # keeps a multi-punch count byte
+        pairing = backend == "toy-pairing"
+        groups = (params.g0, params.g1, params.gt) if pairing else (params,)
+        with _counting_decoders(groups) as calls:
+            with pytest.raises(InvalidEncoding):
+                decode(params, bad)
+        assert calls == []

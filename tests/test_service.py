@@ -217,7 +217,14 @@ def test_keystore_overwrites_a_torn_temporary_file(tmp_path):
     for path in (store.key_path, store.pk_path):
         with open(path + ".tmp", "w") as f:
             f.write("abc")
-    sk, pk = store.load_or_create(setup, enc)
+        os.chmod(path + ".tmp", 0o644)
+    old = os.umask(0o022)
+    try:
+        sk, pk = store.load_or_create(setup, enc)
+    finally:
+        os.umask(old)
+    # the key is written to a fresh temp file, never the leftover's mode
+    assert stat.S_IMODE(os.stat(store.key_path).st_mode) == 0o600
     assert KeyStore(str(tmp_path)).load_or_create(setup, enc)[0] == sk
     assert not os.path.exists(store.key_path + ".tmp")
 
@@ -327,8 +334,8 @@ def test_merge_redeem_rejects_bad_gt_bytes(tmp_path):
     svc = PunchcardService(cfg, db=RedeemDb())
     pg = svc.scheme.pairing
     u_a, u_b = bytes([1]) * 32, bytes([2]) * 32
-    base0, _ = mergeable.card_bases(pg, u_a)
-    _, base1 = mergeable.card_bases(pg, u_b)
+    base0 = core.card_base(pg.g0, u_a, mergeable.TAG_CARD_HASH_G0)
+    base1 = core.card_base(pg.g1, u_b, mergeable.TAG_CARD_HASH_G1)
     value = pg.pair(pg.g0.exp(base0, pow(svc.sk, 2, pg.order)), base1)
     good = pg.gt.encode_element(value)
 
