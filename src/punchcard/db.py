@@ -140,6 +140,16 @@ class Recovery(NamedTuple):
     seconds: float = 0.0
 
 
+def _sync_directory(path: str) -> None:
+    """fsync the directory holding path. A new file's name, or a rename,
+    survives a crash only after this."""
+    fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def write_durably(path: str, chunks: Iterable[bytes], point: str, mode=0o666) -> None:
     """Write the chunks to path + '.tmp', fsync it, rename it over path and
     fsync the directory, so that path holds either its old content or all
@@ -159,11 +169,7 @@ def write_durably(path: str, chunks: Iterable[bytes], point: str, mode=0o666) ->
     fault_point(point + ".replace")
     os.replace(tmp, path)
     fault_point(point + ".dirsync")
-    fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
+    _sync_directory(path)
 
 
 class RedeemDb:
@@ -181,7 +187,10 @@ class RedeemDb:
         self.recovery = Recovery()
         if path is not None:
             self._recover()
+            created = not os.path.exists(path)
             self._log = open(path, "ab")
+            if created:  # else the first accept could vanish with its log
+                _sync_directory(path)
 
     # -- public api --------------------------------------------------------
 

@@ -69,6 +69,12 @@ class MultiPunchResponse:
         return cls(steps=list(zip(flat[::2], flat[1::2])))
 
 
+def check_punch_count(t: int, t_max: int = DEFAULT_T_MAX) -> None:
+    """Raises PromotionTooLarge unless one response may carry t punches."""
+    if not 1 <= t <= min(t_max, 255):
+        raise PromotionTooLarge(f"punch count {t} outside [1, {min(t_max, 255)}]")
+
+
 def server_multi_punch(
     group: Group,
     sk: int,
@@ -78,8 +84,7 @@ def server_multi_punch(
     t_max: int = DEFAULT_T_MAX,
     rng=None,
 ) -> MultiPunchResponse:
-    if not 1 <= t <= min(t_max, 255):
-        raise PromotionTooLarge(f"punch count {t} outside [1, {min(t_max, 255)}]")
+    check_punch_count(t, t_max)
     return MultiPunchResponse(
         steps=core.punch_chain(group, core.TAG_PUNCH_PROOF, sk, pk, card, t, rng)
     )
@@ -186,13 +191,9 @@ def claim_to_secret(rs: bytes) -> bytes:
     return hashlib.sha256(tagged(TAG_CLAIM, rs)).digest()
 
 
-def register_claim(db, u: bytes) -> None:
-    """Record an accepted redemption as awaiting pickup."""
-    db.add_claim(u)
-
-
 def claim(db, rs: bytes) -> bytes:
-    """Present rs; consumes the pending claim or raises NoSuchRedemption."""
+    """Present rs; consumes the claim that db.add_claim(u) recorded for an
+    accepted redemption, or raises NoSuchRedemption."""
     u = claim_to_secret(rs)
     if not db.take_claim(u):
         raise NoSuchRedemption("no unclaimed redemption matches this secret")
@@ -304,7 +305,9 @@ def client_redeem_ticket(
 
 
 def verify_ticket(group: Group, sk: int, req: TicketRedeemRequest) -> bool:
-    if len(req.u) != SECRET_SIZE or not req.slots:
+    # each slot may be named once: a repeat would count its punches twice
+    names = [name for name, _, _ in req.slots]
+    if len(req.u) != SECRET_SIZE or not names or len(set(names)) != len(names):
         return False
     for name, count, element in req.slots:
         expected = core.expected_card(group, sk, req.u, count, _slot_tag(name))

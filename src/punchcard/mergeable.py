@@ -102,34 +102,25 @@ class MergePunchResponse:
 
 @dataclass(frozen=True)
 class MergeRedeemRequest:
-    """`value` is the merged pairing value in the target group, as the
-    client computed it. A request parsed from the wire carries the value's
-    bytes unchecked in `value_bytes` instead (and `value` is None): the
-    server only compares them with the encoding it expects, so it never
-    decodes them."""
+    """`value` is the merged pairing value's target-group encoding, as the
+    client encoded it or as it came off the wire. The server only compares
+    it with the encoding it expects, so it never decodes it."""
 
     u_a: bytes
     u_b: bytes
-    value: Element = None
-    value_bytes: Optional[bytes] = None
+    value: bytes
 
     @property
     def secrets(self) -> Tuple[bytes, ...]:
         return (self.u_a, self.u_b)
 
-    def encoded_value(self, pairing: PairingGroups) -> bytes:
-        if self.value_bytes is not None:
-            return self.value_bytes
-        return pairing.gt.encode_element(self.value)
-
     def to_bytes(self, pairing: PairingGroups) -> bytes:
-        return self.u_a + self.u_b + self.encoded_value(pairing)
+        return self.u_a + self.u_b + self.value
 
     @classmethod
     def from_bytes(cls, pairing: PairingGroups, data: bytes) -> "MergeRedeemRequest":
         fields = [SECRET, SECRET, (pairing.gt.element_size, bytes)]
-        u_a, u_b, value_bytes = unpack(data, fields, "merge redeem request")
-        return cls(u_a=u_a, u_b=u_b, value_bytes=value_bytes)
+        return cls(*unpack(data, fields, "merge redeem request"))
 
 
 def server_setup(
@@ -201,9 +192,8 @@ def client_merge_redeem(
     add up inside the pairing."""
     side0 = core.unmask(pairing.g0, secret_a.mask0, card_a.side0)
     side1 = core.unmask(pairing.g1, secret_b.mask1, card_b.side1)
-    return MergeRedeemRequest(
-        u_a=secret_a.u, u_b=secret_b.u, value=pairing.pair(side0, side1)
-    )
+    value = pairing.gt.encode_element(pairing.pair(side0, side1))
+    return MergeRedeemRequest(u_a=secret_a.u, u_b=secret_b.u, value=value)
 
 
 def expected_value(
@@ -228,7 +218,7 @@ def verify_card(
     if len(req.u_a) != SECRET_SIZE or len(req.u_b) != SECRET_SIZE:
         return False
     expected = expected_value(pairing, sk, req.u_a, req.u_b, count)
-    return req.encoded_value(pairing) == pairing.gt.encode_element(expected)
+    return req.value == pairing.gt.encode_element(expected)
 
 
 def server_redeem(

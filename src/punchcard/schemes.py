@@ -163,7 +163,8 @@ class MergeableScheme(Scheme):
         """An accepted request made with the key, not by punching (bench)."""
         u_a, u_b = random_bytes(SECRET_SIZE, rng), random_bytes(SECRET_SIZE, rng)
         value = mergeable.expected_value(self.pairing, sk, u_a, u_b, count)
-        return mergeable.MergeRedeemRequest(u_a=u_a, u_b=u_b, value=value)
+        encoded = self.pairing.gt.encode_element(value)
+        return mergeable.MergeRedeemRequest(u_a=u_a, u_b=u_b, value=encoded)
 
 
 SCHEMES = {cls.name: cls for cls in (MainScheme, MergeableScheme)}

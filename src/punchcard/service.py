@@ -292,6 +292,7 @@ class PunchcardService:
                 return s.punch_resp, s.encode(resp)
             if msg_type == s.multi_req:
                 t, card_bytes = wire.unpack_multi_req(body)
+                extensions.check_punch_count(t, self.cfg.t_max)  # before the decode
                 resp = s.server_multi_punch(
                     self.sk, self.pk, s.decode_card(card_bytes), t, self.cfg.t_max
                 )

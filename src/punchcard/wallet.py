@@ -9,10 +9,12 @@ only moves forward after the bytes are durably on disk, so a crash at any
 point leaves either the old wallet or the new one, never a half-written
 file.
 
-The wallet pins the server's public key on first contact. A later punch
-response is verified against the pinned key, so a server that rotates keys
-mid-card (to tag one customer's punches) produces a hard failure instead of
-a silently linkable card.
+The wallet pins the server's public key on first contact and asks for it
+only until then. Every punch response is verified against the pinned key,
+so a server that rotates keys mid-card (to tag one customer's punches)
+produces a hard failure (ProofRejected) instead of a silently linkable
+card. The card sent before that failure is freshly masked, so sending it
+reveals nothing.
 """
 
 from __future__ import annotations
@@ -162,19 +164,13 @@ class Wallet:
 
     # -- pinned server key ---------------------------------------------------
 
-    def ensure_pk(self, client) -> None:
-        fetched = client.fetch_pk()
+    def ensure_pk(self, client):
+        """The pinned key, decoded. Asks the server only while none is
+        pinned: each punch proof is then verified against the pin, which
+        refuses (ProofRejected) a server that punches under another key."""
         if self.pk_bytes is None:
-            self.pk_bytes = fetched
+            self.pk_bytes = client.fetch_pk()
             self.save()
-        elif self.pk_bytes != fetched:
-            raise WalletError(
-                "server public key changed since this wallet was created"
-            )
-
-    def _pk(self):
-        if self.pk_bytes is None:
-            raise WalletError("no server key pinned yet; fetch it first")
         return self.scheme.decode_pk(self.pk_bytes)
 
     # -- network flows -------------------------------------------------------
@@ -195,13 +191,13 @@ class Wallet:
     def punch(self, client, index: int, rng=None) -> None:
         s = self.scheme
         card = self._card(index)
-        self.ensure_pk(client)
+        pk = self.ensure_pk(client)
         body = self._call(
             client, s.punch_req, s.encode_card(card.element), s.punch_resp
         )
         resp = s.decode(s.punch_response, body)
         secret, element = s.client_punch(
-            self._pk(), card.secret, card.element, resp, rng
+            pk, card.secret, card.element, resp, rng
         )
         self._commit_punch(card, secret, element, 1)
 
@@ -210,7 +206,7 @@ class Wallet:
         if s.multi_req is None:
             raise WalletError(f"the {s.name} scheme has no multi-punch")
         card = self._card(index)
-        self.ensure_pk(client)
+        pk = self.ensure_pk(client)
         body = self._call(
             client,
             s.multi_req,
@@ -219,7 +215,7 @@ class Wallet:
         )
         resp = s.decode(s.multi_response, body)
         secret, element, gained = s.client_multi_punch(
-            self._pk(), card.secret, card.element, resp, rng
+            pk, card.secret, card.element, resp, rng
         )
         self._commit_punch(card, secret, element, gained)
         return gained

@@ -294,7 +294,7 @@ def test_snapshot_syncs_directory_after_replace(tmp_path, monkeypatch):
         db.check_and_insert(*_secrets(rng, 2))
         db.compact()
         db.preload(_secrets(rng, 3))
-    assert [e for e in events if e != "fsync"] == ["replace", "dirsync"] * 2
+    assert [e for e in events if e != "fsync"] == ["dirsync"] + ["replace", "dirsync"] * 2
     for i, e in enumerate(events):
         if e == "replace":
             assert events[i + 1] == "dirsync"
@@ -309,6 +309,31 @@ def test_snapshot_syncs_directory_after_replace(tmp_path, monkeypatch):
     db2 = RedeemDb(str(tmp_path / "db"))
     assert len(db2) == 6
     db2.close()
+
+
+def test_new_store_syncs_its_directory_before_the_first_accept(tmp_path, monkeypatch):
+    """A new log's directory entry is durable only once its directory is
+    fsynced, so that happens before the first insert can answer True.
+    Reopening an existing store syncs no directory."""
+    events = []
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        events.append("dirsync" if stat.S_ISDIR(os.fstat(fd).st_mode) else "fsync")
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    path = str(tmp_path / "db")
+    rng = random.Random(139)
+    db = RedeemDb(path)
+    assert db.check_and_insert(*_secrets(rng, 1))
+    assert events == ["dirsync", "fsync"]
+    db.close()
+    del events[:]
+    db = RedeemDb(path)
+    assert db.check_and_insert(*_secrets(rng, 1))
+    assert events == ["fsync"]
+    db.close()
 
 
 # SHA-256 of the seeded store's files, written by the set-based store that

@@ -367,7 +367,7 @@ def test_claim_flow():
     rs, u = ext.make_claim_secret(rng)
     assert len(rs) == 32 and len(u) == 32
     assert u == ext.claim_to_secret(rs)
-    ext.register_claim(db, u)
+    db.add_claim(u)
     assert ext.claim(db, rs) == u
     with pytest.raises(NoSuchRedemption):
         ext.claim(db, rs)  # consumed
@@ -377,7 +377,7 @@ def test_claim_wrong_secret_rejected():
     rng = random.Random(114)
     db = RedeemDb()
     rs, u = ext.make_claim_secret(rng)
-    ext.register_claim(db, u)
+    db.add_claim(u)
     for _ in range(50):
         with pytest.raises(NoSuchRedemption):
             ext.claim(db, rng.randbytes(32))
@@ -395,7 +395,7 @@ def test_claim_backed_card_redeems(group):
     secret, card = core.client_punch(group, pk, secret, card, resp, rng)
     req = core.client_redeem(group, secret, card)
     assert core.server_redeem(group, sk, req, 1, db) is RedeemStatus.ACCEPT
-    ext.register_claim(db, req.u)
+    db.add_claim(req.u)
     assert ext.claim(db, rs) == req.u
 
 
@@ -457,6 +457,23 @@ def test_ticket_slot_tags_are_independent(group):
         u=req.u, slots=[(n, {"a": 0, "b": 2}[n], e) for n, _, e in req.slots]
     )
     assert ext.server_redeem_ticket(group, sk, swapped, db) is RedeemStatus.BAD_CARD
+    assert ext.server_redeem_ticket(group, sk, req, db) is RedeemStatus.ACCEPT
+
+
+def test_ticket_redemption_naming_a_slot_twice_is_bad_card(group):
+    """A slot listed twice would count its punches twice; the request is
+    refused before anything is spent."""
+    rng = random.Random(121)
+    sk, pk = core.server_setup(group, rng)
+    db = RedeemDb()
+    secret, card = ext.issue_ticket(group, ["adult", "child"], rng)
+    responses = ext.server_punch_ticket(group, sk, pk, card, {"adult": 3}, rng=rng)
+    secret, card = ext.client_punch_ticket(group, pk, secret, card, responses, rng)
+    req = ext.client_redeem_ticket(group, secret, card)
+    adult = next(slot for slot in req.slots if slot[0] == "adult")
+    doubled = ext.TicketRedeemRequest(u=req.u, slots=[adult, adult])
+    assert ext.server_redeem_ticket(group, sk, doubled, db) is RedeemStatus.BAD_CARD
+    assert req.u not in db
     assert ext.server_redeem_ticket(group, sk, req, db) is RedeemStatus.ACCEPT
 
 

@@ -82,11 +82,11 @@ def test_spent_secret_answers_double_spend_before_the_value(pairing):
     bad_value = bytes(pairing.gt.element_size)
     fresh_a, fresh_b = b"\x01" * 32, b"\x02" * 32
     for u_a, u_b in ((req.u_a, fresh_b), (fresh_a, req.u_b), (req.u_a, req.u_b)):
-        bad = mergeable.MergeRedeemRequest(u_a=u_a, u_b=u_b, value_bytes=bad_value)
+        bad = mergeable.MergeRedeemRequest(u_a=u_a, u_b=u_b, value=bad_value)
         for count in (2, 3):
             status = mergeable.server_redeem(pairing, sk, bad, count, db)
             assert status is RedeemStatus.DOUBLE_SPEND
-    bad = mergeable.MergeRedeemRequest(u_a=fresh_a, u_b=fresh_b, value_bytes=bad_value)
+    bad = mergeable.MergeRedeemRequest(u_a=fresh_a, u_b=fresh_b, value=bad_value)
     assert mergeable.server_redeem(pairing, sk, bad, 2, db) is RedeemStatus.BAD_CARD
     assert fresh_a not in db and fresh_b not in db
 
@@ -220,7 +220,7 @@ def test_every_split_of_six_matches_oracle():
         x = pairing.g0.dlog(pairing.g0.hash_to_group(mergeable.TAG_CARD_HASH_G0, sa.u))
         y = pairing.g1.dlog(pairing.g1.hash_to_group(mergeable.TAG_CARD_HASH_G1, sb.u))
         want = x * pow(sk, 6, pairing.order) % pairing.order * y % pairing.order
-        assert pairing.gt.dlog(req.value) == want, f"split {a}+{b}"
+        assert pairing.gt.dlog(pairing.gt.decode_element(req.value)) == want, f"split {a}+{b}"
         assert mergeable.server_redeem(pairing, sk, req, 6, db) is RedeemStatus.ACCEPT
 
 
@@ -253,6 +253,7 @@ def test_pairing_value_independent_of_masks():
     rb = mergeable.server_punch(pairing, sk, pk, cb, rng)
     sb, cb = mergeable.client_punch(pairing, pk, sb, cb, rb, rng)
     second = mergeable.client_merge_redeem(pairing, sa, ca, sb, cb)
-    assert pairing.gt.dlog(second.value) == pairing.gt.dlog(first.value) * pow(
-        sk, 2, pairing.order
-    ) % pairing.order
+    gt = pairing.gt
+    assert gt.dlog(gt.decode_element(second.value)) == gt.dlog(
+        gt.decode_element(first.value)
+    ) * pow(sk, 2, pairing.order) % pairing.order

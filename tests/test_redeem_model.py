@@ -70,7 +70,7 @@ class MergeCards:
     def request(self, secrets, value, claimed):
         # as the server parses one: the value's bytes, never decoded
         return mergeable.MergeRedeemRequest(
-            u_a=secrets[0], u_b=secrets[1], value_bytes=self.key(value)
+            u_a=secrets[0], u_b=secrets[1], value=self.key(value)
         )
 
     def redeem(self, req, count, db):

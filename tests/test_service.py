@@ -8,10 +8,12 @@ import subprocess
 import sys
 import threading
 import time
+from datetime import date
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from punchcard import core, mergeable, service, wire
+from punchcard import core, extensions as ext, mergeable, service, wire
 from punchcard.core import RedeemStatus
 from punchcard.db import RedeemDb
 from punchcard.errors import ConfigError, InvalidEncoding, KeyStoreError
@@ -394,6 +396,21 @@ def test_oversized_multi_punch_is_error(tmp_path):
     assert out_type == wire.MULTI_RESP
 
 
+@pytest.mark.parametrize("t", [0, 4, 255])
+def test_multi_punch_count_out_of_range_decodes_nothing(tmp_path, monkeypatch, t):
+    svc = _toy_service(tmp_path, t_max=3)
+    g = svc.scheme.group
+    card = g.encode_element(core.issue(g, random.Random(178))[1])
+    decoded = []
+    real_decode = g.decode_element
+    monkeypatch.setattr(g, "decode_element", lambda d: decoded.append(d) or real_decode(d))
+    out_type, body = svc.handle(wire.MULTI_REQ, bytes([t]) + card)
+    assert (out_type, body) == (wire.ERROR, f"punch count {t} outside [1, 3]".encode())
+    assert decoded == []
+    out_type, _ = svc.handle(wire.MULTI_REQ, bytes([3]) + card)
+    assert out_type == wire.MULTI_RESP and decoded == [card]
+
+
 def test_expiry_gate(tmp_path):
     from datetime import date
 
@@ -435,6 +452,85 @@ def test_crash_in_handler_leaves_db_reloadable(tmp_path):
     assert svc2.sk == svc.sk
     assert len(svc2.db) == 0
     svc2.db.close()
+
+
+# --- fuzzed dispatch ----------------------------------------------------------------
+
+
+_FUZZ_COUNT = 2  # the one accepted punch count of the fuzzed services
+
+
+@pytest.fixture(scope="module", params=["main", "mergeable"])
+def fuzz_service(request, tmp_path_factory):
+    """Toy main with the expiry gate on, or toy-pairing mergeable."""
+    state = str(tmp_path_factory.mktemp(request.param))
+    if request.param == "main":
+        cfg = Config(state_dir=state, group="toy", expiry_check=True,
+                     accepted_counts=(_FUZZ_COUNT,), t_max=3)
+    else:
+        cfg = Config(state_dir=state, scheme="mergeable", pairing="toy-pairing",
+                     accepted_counts=(_FUZZ_COUNT,))
+    return PunchcardService(cfg, db=RedeemDb())
+
+
+def _accepted_redeem(svc, u_tail: bytes) -> bytes:
+    """A redeem body the service accepts unless its secrets are spent."""
+    s = svc.scheme
+    if s.name == "main":
+        boundary = ext.add_quarters(ext.quarter_boundary_on_or_after(date.today()), 1)
+        u = ext.expiry_code(boundary).to_bytes(4, "big") + u_tail[4:]
+        card = core.expected_card(s.group, svc.sk, u, _FUZZ_COUNT)
+        message = core.RedeemRequest(u=u, card=card).to_bytes(s.group)
+    else:
+        u_a, u_b = u_tail, bytes(b ^ 0xFF for b in u_tail)  # never equal
+        value = mergeable.expected_value(s.pairing, svc.sk, u_a, u_b, _FUZZ_COUNT)
+        message = u_a + u_b + s.pairing.gt.encode_element(value)
+    return wire.pack_redeem_body(_FUZZ_COUNT, message)
+
+
+@st.composite
+def _requests(draw, svc):
+    """(type, body) pairs: any type byte with any body, and each request
+    type with a body that fits it (an issued card, a valid redemption, or
+    one with another first secret) half the time; then, a quarter of the
+    time, one byte flipped."""
+    s = svc.scheme
+    types = [t for t in (wire.PK_REQ, s.punch_req, s.multi_req, s.redeem_req) if t]
+    msg_type = draw(st.one_of(st.sampled_from(types), st.integers(0, 255)))
+    card = s.encode_card(s.issue(random.Random(draw(st.integers(0, 2**32))))[1])
+    redeem = _accepted_redeem(svc, draw(st.binary(min_size=32, max_size=32)))
+    fitting = {
+        s.punch_req: st.just(card),
+        s.multi_req: st.integers(0, 255).map(lambda t: bytes([t]) + card),
+        s.redeem_req: st.one_of(
+            st.just(redeem),
+            # another first secret: most often expired on main
+            st.binary(min_size=32, max_size=32).map(lambda u: redeem[:2] + u + redeem[34:]),
+        ),
+    }.get(msg_type)
+    body = draw(st.binary(max_size=len(redeem) + 8))
+    if fitting is not None and draw(st.booleans()):
+        body = draw(fitting)
+    if body and draw(st.integers(0, 3)) == 0:
+        i = draw(st.integers(0, len(body) - 1))
+        body = body[:i] + bytes([body[i] ^ draw(st.integers(1, 255))]) + body[i + 1 :]
+    return msg_type, body
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_handle_fuzz_answers_every_request(fuzz_service, data):
+    """Any (type, body) pair gets a response type of the scheme or ERROR,
+    no exception escapes, and the spent set grows only on ACCEPT."""
+    svc, s = fuzz_service, fuzz_service.scheme
+    msg_type, body = data.draw(_requests(svc))
+    before = len(svc.db)
+    out_type, reply = svc.handle(msg_type, body)
+    answers = {wire.PK_RESP, s.punch_resp, s.multi_resp, s.redeem_resp, wire.ERROR}
+    assert out_type in answers - {None}
+    assert isinstance(reply, bytes)
+    accepted = out_type == s.redeem_resp and reply == bytes([RedeemStatus.ACCEPT])
+    assert len(svc.db) - before == (s.redeem_cards if accepted else 0)
 
 
 # --- full TCP loop ----------------------------------------------------------------
@@ -819,6 +915,19 @@ PunchcardService(cfg, db=RedeemDb())
 Wallet({str(tmp_path / "w")!r}).new_card()
 Wallet({str(tmp_path / "w")!r}, scheme=None)
 sys.exit(any(m.startswith("punchcard.groups.bls") for m in sys.modules))
+"""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_package_root_loads_no_submodule():
+    """`import punchcard` re-exports nothing, so it loads no submodule;
+    each name has one import path, its own module."""
+    code = """
+import sys
+import punchcard
+sys.exit(any(m.startswith("punchcard.") for m in sys.modules))
 """
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))

@@ -10,7 +10,7 @@ from punchcard import core, extensions, mergeable, wire
 from punchcard.core import RedeemStatus
 from punchcard.db import RedeemDb
 from punchcard.faults import FaultInjected, FaultPlan
-from punchcard.errors import WalletError
+from punchcard.errors import ProofRejected, WalletError
 from punchcard.groups import get_group, get_pairing
 from punchcard.wallet import Card, Wallet
 
@@ -139,11 +139,37 @@ def test_pk_pinning(tmp_path):
     # pin survives reload
     again = _wallet(tmp_path)
     assert again.pk_bytes == server.pk_bytes
-    # a different server key is a hard failure
+    # a server that punches under a different key is a hard failure, and
+    # the card stays as it was
     other = FakeMainServer(rng)
     assert other.pk_bytes != server.pk_bytes
-    with pytest.raises(WalletError):
-        again.ensure_pk(other)
+    idx = again.new_card(rng)
+    before = _wallet(tmp_path).cards[idx]
+    with pytest.raises(ProofRejected):
+        again.punch(other, idx, rng)
+    after = _wallet(tmp_path).cards[idx]
+    assert after.secret.mask == before.secret.mask
+    assert again.scheme.group.eq(after.element, before.element)
+    assert after.count == before.count == 0
+
+
+def test_pinned_wallet_punches_without_asking_for_the_key(tmp_path):
+    """Once a key is pinned, the punch proofs are the only key check: a
+    punch or multi-punch session is one request."""
+    rng = random.Random(160)
+    server = FakeMainServer(rng)
+    fetches = []
+    real_fetch = server.fetch_pk
+    server.fetch_pk = lambda: fetches.append(1) or real_fetch()
+    w = _wallet(tmp_path)
+    idx = w.new_card(rng)
+    w.ensure_pk(server)
+    assert len(fetches) == 1
+    w.punch(server, idx, rng)
+    assert w.multi_punch(server, idx, 2, rng) == 2
+    _wallet(tmp_path).punch(server, idx, rng)  # the pin is read back from disk
+    assert len(fetches) == 1
+    assert _wallet(tmp_path).cards[idx].count == 4
 
 
 def test_punch_and_redeem_through_fake_server(tmp_path):
