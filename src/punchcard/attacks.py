@@ -25,7 +25,8 @@ from . import core, dleq
 from .core import RedeemStatus
 from .db import RedeemDb
 from .errors import ProofRejected
-from .groups import Group, get_group
+from .groups import get_group
+from .groups.base import Group
 
 
 class _Till:
@@ -129,26 +130,23 @@ def key_switch_attack(
 def eavesdropper_attack(
     group: Group, guesses: int = 10000, punches: int = 3, seed: int = 3
 ) -> Dict[str, object]:
-    """The observer keeps every byte the victim sent or received, then
-    tries to spend. Lacking u (never transmitted before redemption) and the
-    mask, all they can do is guess."""
+    """The observer keeps every card the victim sent and every punched
+    element it got back, then tries to spend. Lacking u (never transmitted
+    before redemption) and the mask, all they can do is guess."""
     rng = random.Random(seed)
     sk, pk = core.server_setup(group, rng)
     db = RedeemDb()
     till = _Till()
 
-    transcript = []
+    sent, punched = [], []
     secret, card = core.issue(group, rng)
     for _ in range(punches):
-        transcript.append(group.encode_element(card))
+        sent.append(card)
         resp = till.punch(group, sk, pk, card, rng)
-        transcript.append(resp.to_bytes(group))
+        punched.append(resp.punched)
         secret, card = core.client_punch(group, pk, secret, card, resp, rng)
     # victim has not redeemed; the attacker moves first
-    seen_elements = [
-        group.decode_element(b) for b in transcript if len(b) == group.element_size
-    ] + [group.decode_element(b[: group.element_size]) for b in transcript
-         if len(b) > group.element_size]
+    seen_elements = sent + punched
 
     accepted = 0
     for i in range(guesses):

@@ -212,20 +212,19 @@ def expected_card(
 
 def verify_card(group: Group, sk: int, req: RedeemRequest, count: int) -> bool:
     """The redemption equation alone, no double-spend bookkeeping."""
-    if len(req.u) != SECRET_SIZE:
-        return False
     return group.eq(req.card, expected_card(group, sk, req.u, count))
 
 
 def spend(db, secrets: Sequence[bytes], valid: Callable[[], bool]) -> RedeemStatus:
     """Every card type's redemption: DOUBLE_SPEND if a secret is spent,
-    else BAD_CARD unless valid(), else spend them all in one atomic
-    check_and_insert. A replay costs a lock-free lookup, not the group work
-    of valid(), whatever its value: only a holder of the secret can send
-    it, and it knows the secret is spent."""
+    else BAD_CARD unless every secret is SECRET_SIZE bytes and valid(),
+    else spend them all in one atomic check_and_insert. A replay costs a
+    lock-free lookup, not the group work of valid(), whatever its value:
+    only a holder of the secret can send it, and it knows the secret is
+    spent."""
     if any(u in db for u in secrets):
         return RedeemStatus.DOUBLE_SPEND
-    if not valid():
+    if any(len(u) != SECRET_SIZE for u in secrets) or not valid():
         return RedeemStatus.BAD_CARD
     if not db.check_and_insert(*secrets):
         return RedeemStatus.DOUBLE_SPEND

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import bisect
 import contextlib
+import fcntl
 import operator
 import os
 import struct
@@ -32,7 +33,7 @@ import threading
 import time
 from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
 
-from .errors import DbCorruption
+from .errors import DbBusy, DbCorruption
 from .faults import fault_point
 
 SECRET_SIZE = 32
@@ -174,7 +175,9 @@ def write_durably(path: str, chunks: Iterable[bytes], point: str, mode=0o666) ->
 
 class RedeemDb:
     """path=None keeps everything in memory (tests, benches). Otherwise
-    `path` is the log file and `path + '.snap'` the snapshot."""
+    `path` is the log file and `path + '.snap'` the snapshot. The log stays
+    locked until close(): a second opener gets DbBusy before it reads a
+    byte, since two writers could each accept the same secret."""
 
     def __init__(self, path: Optional[str] = None, fsync: bool = True):
         self._lock = threading.Lock()
@@ -186,11 +189,18 @@ class RedeemDb:
         self._log = None
         self.recovery = Recovery()
         if path is not None:
-            self._recover()
             created = not os.path.exists(path)
             self._log = open(path, "ab")
-            if created:  # else the first accept could vanish with its log
-                _sync_directory(path)
+            try:
+                fcntl.flock(self._log, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                if created:  # else the first accept could vanish with its log
+                    _sync_directory(path)
+                self._recover()
+            except BaseException as e:
+                self._log.close()
+                if isinstance(e, BlockingIOError):
+                    raise DbBusy(f"{path} is in use by another server or purge") from None
+                raise
 
     # -- public api --------------------------------------------------------
 

@@ -41,6 +41,10 @@ class DbCorruption(PunchcardError):
     """Redemption database failed integrity checks beyond normal crash recovery."""
 
 
+class DbBusy(PunchcardError):
+    """Redemption database is already open, by another server or purge."""
+
+
 class WalletError(PunchcardError):
     """Wallet store is unreadable or an operation references a bad card."""
 

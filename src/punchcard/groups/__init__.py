@@ -10,9 +10,11 @@
 
 from __future__ import annotations
 
-from .base import Group, PairingGroups, random_bytes, tagged, wide_hash
+import functools
+
+from .base import Group, PairingGroups
 from .ristretto import RistrettoGroup
-from .toy import SchnorrGroup, ToyPairing, toy_group
+from .toy import ToyPairing, toy_group
 
 
 def _bls12_381() -> PairingGroups:
@@ -22,43 +24,24 @@ def _bls12_381() -> PairingGroups:
     return Bls12381()
 
 
-_GROUP_MAKERS = {"ristretto255": RistrettoGroup, "toy": toy_group}
-_PAIRING_MAKERS = {"bls12-381": _bls12_381, "toy-pairing": ToyPairing}
-GROUP_NAMES = tuple(_GROUP_MAKERS)
-PAIRING_NAMES = tuple(_PAIRING_MAKERS)
+_MAKERS = {
+    "group": {"ristretto255": RistrettoGroup, "toy": toy_group},
+    "pairing": {"bls12-381": _bls12_381, "toy-pairing": ToyPairing},
+}
+GROUP_NAMES = tuple(_MAKERS["group"])
+PAIRING_NAMES = tuple(_MAKERS["pairing"])
 
-_groups: dict[str, Group] = {}
-_pairings: dict[str, PairingGroups] = {}
+
+@functools.cache
+def _shared(kind: str, name: str):
+    if name not in _MAKERS[kind]:
+        raise ValueError(f"unknown {kind} {name!r}")
+    return _MAKERS[kind][name]()
 
 
 def get_group(name: str) -> Group:
-    if name not in _groups:
-        if name not in _GROUP_MAKERS:
-            raise ValueError(f"unknown group {name!r}")
-        _groups[name] = _GROUP_MAKERS[name]()
-    return _groups[name]
+    return _shared("group", name)
 
 
 def get_pairing(name: str) -> PairingGroups:
-    if name not in _pairings:
-        if name not in _PAIRING_MAKERS:
-            raise ValueError(f"unknown pairing {name!r}")
-        _pairings[name] = _PAIRING_MAKERS[name]()
-    return _pairings[name]
-
-
-__all__ = [
-    "GROUP_NAMES",
-    "Group",
-    "PAIRING_NAMES",
-    "PairingGroups",
-    "RistrettoGroup",
-    "SchnorrGroup",
-    "ToyPairing",
-    "get_group",
-    "get_pairing",
-    "random_bytes",
-    "tagged",
-    "toy_group",
-    "wide_hash",
-]
+    return _shared("pairing", name)

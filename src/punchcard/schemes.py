@@ -18,8 +18,8 @@ from typing import Any, Optional, Sequence, Tuple
 
 from . import core, extensions, mergeable, wire
 from .core import SECRET_SIZE, RedeemStatus
-from .groups import Group, PairingGroups, get_group, get_pairing, random_bytes
-from .groups.base import scalar, unpack
+from .groups import get_group, get_pairing
+from .groups.base import Group, PairingGroups, random_bytes, scalar, unpack
 
 Element = Any
 Cards = Sequence[Tuple[Any, Any]]  # (secret, card) pairs, as issue returns

@@ -10,11 +10,12 @@ point leaves either the old wallet or the new one, never a half-written
 file.
 
 The wallet pins the server's public key on first contact and asks for it
-only until then. Every punch response is verified against the pinned key,
-so a server that rotates keys mid-card (to tag one customer's punches)
-produces a hard failure (ProofRejected) instead of a silently linkable
-card. The card sent before that failure is freshly masked, so sending it
-reveals nothing.
+only until then. It pins only a key that decodes, and keeps it decoded:
+a file whose pinned key does not decode is corrupt. Every punch response
+is verified against the pinned key, so a server that rotates keys
+mid-card (to tag one customer's punches) produces a hard failure
+(ProofRejected) instead of a silently linkable card. The card sent before
+that failure is freshly masked, so sending it reveals nothing.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .errors import InvalidEncoding, WalletError, WireError
 from .faults import fault_point
 
 _MAGIC = b"PCW1"
+_REDEEM_REPLIES = {bytes([status]): status for status in RedeemStatus}
 
 
 @dataclass
@@ -53,6 +55,7 @@ class Wallet:
     ):
         self.path = path
         self.pk_bytes: Optional[bytes] = None
+        self.pk: Any = None  # pk_bytes decoded
         self.cards: List[Card] = []
         stored = None
         if os.path.exists(path):
@@ -112,6 +115,7 @@ class Wallet:
         self.pk_bytes = data[off : off + pk_len] or None
         if pk_len and len(self.pk_bytes or b"") != pk_len:
             raise WalletError("wallet file truncated in the key section")
+        self.pk = s.decode_pk(self.pk_bytes) if self.pk_bytes else None
         off += pk_len
         (n,) = struct.unpack_from("<H", data, off)
         off += 2
@@ -167,11 +171,14 @@ class Wallet:
     def ensure_pk(self, client):
         """The pinned key, decoded. Asks the server only while none is
         pinned: each punch proof is then verified against the pin, which
-        refuses (ProofRejected) a server that punches under another key."""
-        if self.pk_bytes is None:
-            self.pk_bytes = client.fetch_pk()
+        refuses (ProofRejected) a server that punches under another key.
+        A key that does not decode is not pinned (InvalidEncoding)."""
+        if self.pk is None:
+            pk_bytes = client.fetch_pk()
+            self.pk = self.scheme.decode_pk(pk_bytes)
+            self.pk_bytes = pk_bytes
             self.save()
-        return self.scheme.decode_pk(self.pk_bytes)
+        return self.pk
 
     # -- network flows -------------------------------------------------------
 
@@ -252,9 +259,9 @@ class Wallet:
             wire.pack_redeem_body(sum(c.count for c in cards), s.encode(req)),
             s.redeem_resp,
         )
-        if not body:
-            raise WireError("empty redeem response")
-        status = RedeemStatus(body[0])
+        status = _REDEEM_REPLIES.get(body)
+        if status is None:
+            raise WireError(f"bad redeem response {body[:8].hex()!r}")
         if status is RedeemStatus.ACCEPT:
             fault_point("wallet.redeem.commit")
             for i in sorted(indices, reverse=True):

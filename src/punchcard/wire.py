@@ -55,11 +55,20 @@ _KNOWN = {
 }
 
 
-def pack_frame(msg_type: int, body: bytes) -> bytes:
+def _check_length(length: int, error: str = "bad frame length") -> None:
+    if not 1 <= length <= MAX_FRAME:
+        raise WireError(error)
+
+
+def _check_type(msg_type: int) -> int:
     if msg_type not in _KNOWN:
         raise WireError(f"unknown message type 0x{msg_type:02x}")
-    if 1 + len(body) > MAX_FRAME:
-        raise WireError("frame too large")
+    return msg_type
+
+
+def pack_frame(msg_type: int, body: bytes) -> bytes:
+    _check_type(msg_type)
+    _check_length(1 + len(body), "frame too large")
     return struct.pack("<I", 1 + len(body)) + bytes([msg_type]) + body
 
 
@@ -68,14 +77,10 @@ def unpack_frame(data: bytes) -> Tuple[int, bytes, bytes]:
     if len(data) < 5:
         raise WireError("truncated frame header")
     (length,) = struct.unpack_from("<I", data)
-    if length < 1 or length > MAX_FRAME:
-        raise WireError("bad frame length")
+    _check_length(length)
     if len(data) < 4 + length:
         raise WireError("truncated frame body")
-    msg_type = data[4]
-    if msg_type not in _KNOWN:
-        raise WireError(f"unknown message type 0x{msg_type:02x}")
-    return msg_type, data[5 : 4 + length], data[4 + length :]
+    return _check_type(data[4]), data[5 : 4 + length], data[4 + length :]
 
 
 def send_frame(sock, msg_type: int, body: bytes) -> None:
@@ -117,13 +122,9 @@ def recv_frame(sock, deadline: Optional[float] = None) -> Tuple[int, bytes]:
     if len(header) < 4:
         header += _recv_exact(sock, 4 - len(header), deadline)
     (length,) = struct.unpack("<I", header)
-    if length < 1 or length > MAX_FRAME:
-        raise WireError("bad frame length")
+    _check_length(length)
     payload = _recv_exact(sock, length, deadline)
-    msg_type = payload[0]
-    if msg_type not in _KNOWN:
-        raise WireError(f"unknown message type 0x{msg_type:02x}")
-    return msg_type, payload[1:]
+    return _check_type(payload[0]), payload[1:]
 
 
 def pack_redeem_body(count: int, message: bytes) -> bytes:

@@ -76,6 +76,26 @@ def test_verify_rejects_malformed_secret(group):
     assert not core.verify_card(group, sk, req, 1)
 
 
+def test_spend_refuses_a_malformed_secret_before_valid(tmp_path):
+    """Every card type redeems through spend, so its length check is the
+    only one: a secret of the wrong length never reaches valid() or the
+    store."""
+    db = RedeemDb(str(tmp_path / "spent"))
+    calls = []
+
+    def valid():
+        calls.append(1)
+        return True
+
+    good = random.Random(66).randbytes(32)
+    for secrets in ([b"x" * 31], [b"x" * 33], [good, b"x" * 31]):
+        assert core.spend(db, secrets, valid) is RedeemStatus.BAD_CARD
+    assert calls == [] and len(db) == 0
+    assert (tmp_path / "spent").read_bytes() == b""
+    assert core.spend(db, [good], valid) is RedeemStatus.ACCEPT and calls == [1]
+    db.close()
+
+
 def test_remask_changes_wire_element_every_time():
     group = get_group("ristretto255")
     rng = random.Random(66)

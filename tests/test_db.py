@@ -12,12 +12,31 @@ from hypothesis import given, settings, strategies as st
 
 import punchcard.db
 from punchcard.db import _RUN, RedeemDb, Recovery
-from punchcard.errors import DbCorruption
+from punchcard.errors import DbBusy, DbCorruption
 from punchcard.faults import FaultInjected, FaultPlan
 
 
 def _secrets(rng, n):
     return [rng.randbytes(32) for _ in range(n)]
+
+
+def test_a_store_opens_once_until_closed(tmp_path):
+    """Two writers on one store could each accept the same secret, so a
+    second open is refused before it reads or writes anything."""
+    path = str(tmp_path / "db")
+    db = RedeemDb(path)
+    u = random.Random(130).randbytes(32)
+    assert db.check_and_insert(u)
+    db.compact()
+    assert db.check_and_insert(random.Random(131).randbytes(32))
+    files = {name: (tmp_path / name).read_bytes() for name in ("db", "db.snap")}
+    with pytest.raises(DbBusy, match="db is in use"):
+        RedeemDb(path)
+    assert {name: (tmp_path / name).read_bytes() for name in files} == files
+    db.close()
+    again = RedeemDb(path)
+    assert u in again and len(again) == 2
+    again.close()
 
 
 def test_insert_and_reject_duplicate(tmp_path):

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from punchcard import core, dleq, extensions, mergeable
 from punchcard.errors import InvalidEncoding, ZeroInverse
-from punchcard.groups import get_group, get_pairing, tagged, wide_hash
+from punchcard.groups import get_group, get_pairing
+from punchcard.groups.base import tagged, wide_hash
 from punchcard.groups.ristretto import RistrettoGroup
 from punchcard.groups.toy import SchnorrGroup, ToyPairing
 
@@ -152,6 +153,18 @@ def test_toy_membership_rejects_non_subgroup():
     for outsider in (7, 2038, 0, 2039):
         with pytest.raises(InvalidEncoding):
             toy.decode_element(outsider.to_bytes(4, "little"))
+
+
+def test_registry_refuses_the_other_kinds_names_and_shares_instances():
+    with pytest.raises(ValueError, match="unknown group 'bls12-381'"):
+        get_group("bls12-381")
+    with pytest.raises(ValueError, match="unknown pairing 'toy'"):
+        get_pairing("toy")
+    with pytest.raises(ValueError, match="unknown group 'nonsense'"):
+        get_group("nonsense")
+    assert get_group("toy") is get_group("toy")
+    assert get_group("ristretto255") is get_group("ristretto255")
+    assert get_pairing("toy-pairing") is get_pairing("toy-pairing")
 
 
 def test_toy_frozen_values():

@@ -876,6 +876,61 @@ def test_sigint_stops_server_with_an_idle_client(tmp_path):
         proc.stderr.close()
 
 
+def test_one_process_owns_a_state_dir(tmp_path):
+    """While a server runs on a state dir, a second server and a purge each
+    exit 1 and leave the store as it was; two writers could each accept
+    the same card. Once the server stops, purge works."""
+    state = tmp_path / "srv"
+    state.mkdir()
+    db = RedeemDb(str(state / "redeemed.db"))
+    db.check_and_insert(ext.make_expiring_secret(date(2020, 1, 1)))
+    db.check_and_insert(ext.make_expiring_secret(date(2099, 1, 1)))
+    db.close()
+    conf = tmp_path / "server.conf"
+    conf.write_text(
+        f"state_dir = {state}\nlisten_port = 0\ngroup = toy\nexpiry_check = on\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+
+    def cli(*argv):
+        code = f"import sys; from punchcard.cli import main; sys.exit(main({list(argv)!r}))"
+        return [sys.executable, "-c", code]
+
+    proc = subprocess.Popen(
+        cli("server", "run", "--config", str(conf)), env=env,
+        stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        for line in proc.stderr:
+            if "listening on" in line:
+                break
+        else:
+            pytest.fail("server did not start")
+        before = {p.name: p.read_bytes() for p in state.iterdir()}
+        for command in ("run", "purge"):
+            other = subprocess.run(
+                cli("server", command, "--config", str(conf)), env=env,
+                capture_output=True, text=True, timeout=60,
+            )
+            assert other.returncode == 1, other.stderr
+            assert "error:" in other.stderr and "in use" in other.stderr
+        assert {p.name: p.read_bytes() for p in state.iterdir()} == before
+        proc.send_signal(signal.SIGINT)
+        assert proc.wait(timeout=10) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stderr.close()
+    purge = subprocess.run(
+        cli("server", "purge", "--config", str(conf)), env=env,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert purge.returncode == 0 and "purged 1 expired" in purge.stdout
+
+
 def test_exit_codes(tmp_path):
     # bind failure: the port is already taken
     cfg = Config(state_dir=str(tmp_path / "s1"), listen_port=0, group="toy")

@@ -10,7 +10,7 @@ from punchcard import core, extensions, mergeable, wire
 from punchcard.core import RedeemStatus
 from punchcard.db import RedeemDb
 from punchcard.faults import FaultInjected, FaultPlan
-from punchcard.errors import ProofRejected, WalletError
+from punchcard.errors import InvalidEncoding, ProofRejected, WalletError, WireError
 from punchcard.groups import get_group, get_pairing
 from punchcard.wallet import Card, Wallet
 
@@ -170,6 +170,72 @@ def test_pinned_wallet_punches_without_asking_for_the_key(tmp_path):
     _wallet(tmp_path).punch(server, idx, rng)  # the pin is read back from disk
     assert len(fetches) == 1
     assert _wallet(tmp_path).cards[idx].count == 4
+
+
+def test_key_that_does_not_decode_is_not_pinned(tmp_path):
+    """A mergeable wallet whose first contact is a main server gets a key
+    of the wrong shape: nothing is pinned or saved, and the wallet then
+    punches against the right server."""
+    rng = random.Random(161)
+    wrong = FakeMainServer(rng, "toy")
+    right = FakeMergeServer(rng)
+    w = _wallet(tmp_path, scheme="mergeable", pairing_name="toy-pairing")
+    idx = w.new_card(rng)
+    before = (tmp_path / "wallet").read_bytes()
+    with pytest.raises(InvalidEncoding):
+        w.punch(wrong, idx, rng)
+    assert w.pk_bytes is None and w.pk is None
+    assert (tmp_path / "wallet").read_bytes() == before
+    w.punch(right, idx, rng)
+    assert w.pk_bytes == right.pk_bytes
+    again = _wallet(tmp_path, scheme="mergeable", pairing_name="toy-pairing")
+    assert again.pk == right.pk and again.cards[idx].count == 1
+
+
+def test_pinned_key_that_does_not_decode_makes_the_file_corrupt(tmp_path):
+    w = _wallet(tmp_path, scheme="mergeable", pairing_name="toy-pairing")
+    w.pk_bytes = b"\x00\x01"  # a toy main key, not a two-sided one
+    w.save()
+    with pytest.raises(WalletError, match="corrupt"):
+        _wallet(tmp_path, scheme="mergeable", pairing_name="toy-pairing")
+
+
+def test_loaded_wallet_never_decodes_its_key_again(tmp_path):
+    rng = random.Random(162)
+    server = FakeMainServer(rng)
+    w = _wallet(tmp_path)
+    idx = w.new_card(rng)
+    w.ensure_pk(server)
+    w = _wallet(tmp_path)
+    assert w.scheme.group.eq(w.pk, server.pk)
+    decodes = []
+    real_decode = w.scheme.decode_pk
+    w.scheme.decode_pk = lambda data: decodes.append(data) or real_decode(data)
+    w.punch(server, idx, rng)
+    assert w.multi_punch(server, idx, 2, rng) == 2
+    assert decodes == [] and w.cards[idx].count == 3
+
+
+class _RedeemReply(FakeMainServer):
+    def __init__(self, rng, reply):
+        super().__init__(rng)
+        self.reply = reply
+
+    def call(self, msg_type, body):
+        assert msg_type == wire.REDEEM_REQ
+        return wire.REDEEM_RESP, self.reply
+
+
+@pytest.mark.parametrize("reply", [b"\x09", b"", b"\x00\x00"])
+def test_malformed_redeem_reply_keeps_the_card(tmp_path, reply):
+    """A redeem reply is one byte holding a known status; anything else is
+    a WireError, and the card stays in the wallet."""
+    rng = random.Random(163)
+    w = _wallet(tmp_path)
+    idx = w.new_card(rng)
+    with pytest.raises(WireError, match="bad redeem response"):
+        w.redeem(_RedeemReply(rng, reply), idx)
+    assert len(w.cards) == 1 and len(_wallet(tmp_path).cards) == 1
 
 
 def test_punch_and_redeem_through_fake_server(tmp_path):
