@@ -12,7 +12,9 @@
 
 Wallet commands open the file as the scheme it holds. `new-card --scheme`
 sets the scheme of a new file and must match an existing one (exit 1
-otherwise). Scheme-specific work is done by the objects in `schemes`.
+otherwise). A server that hangs up or cannot be reached, or a file that
+cannot be opened, is reported as `error: ...` (exit 1). Scheme-specific
+work is done by the objects in `schemes`.
 """
 
 from __future__ import annotations
@@ -236,8 +238,9 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config: {e}", file=sys.stderr)
         return service.EXIT_CONFIG
-    except PunchcardError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (PunchcardError, EOFError, OSError) as e:
+        reason = str(e) or "the server closed the connection"  # a bare EOFError
+        print(f"error: {reason}", file=sys.stderr)
         return 1
 
 

@@ -5,7 +5,8 @@ secrets (plus a side namespace of redemptions awaiting pickup). This is an
 append-only log with periodic snapshot compaction:
 
 * every accepted redemption appends one record and (by default) fsyncs
-  before the caller sees True, so an accept survives a crash;
+  before the caller sees True, so an accept survives a crash; an append
+  that fails is cut off again, so a refused one never spends its secret;
 * startup loads the newest snapshot, then replays the log, each run of
   inserts of the same number of secrets in one unpack; a torn final
   record (partial write at crash) is discarded by truncation;
@@ -190,7 +191,9 @@ class RedeemDb:
         self.recovery = Recovery()
         if path is not None:
             created = not os.path.exists(path)
-            self._log = open(path, "ab")
+            # unbuffered: no byte of a failed append can linger to be
+            # written ahead of the next one
+            self._log = open(path, "a+b", buffering=0)
             try:
                 fcntl.flock(self._log, fcntl.LOCK_EX | fcntl.LOCK_NB)
                 if created:  # else the first accept could vanish with its log
@@ -308,11 +311,16 @@ class RedeemDb:
         if not self._on_disk():
             return
         fault_point("db.append")
-        self._log.write(record)
-        self._log.flush()
-        fault_point("db.fsync")
-        if self._fsync:
-            os.fsync(self._log.fileno())
+        size = self._log_bytes()
+        try:
+            if self._log.write(record) != len(record):
+                raise OSError(f"short write to {self._path}")
+            fault_point("db.fsync")
+            if self._fsync:
+                os.fsync(self._log.fileno())
+        except Exception:  # not FaultInjected: a simulated crash keeps its bytes
+            self._log.truncate(size)
+            raise
 
     def _log_bytes(self) -> int:
         return 0 if self._log is None else os.fstat(self._log.fileno()).st_size
@@ -333,9 +341,7 @@ class RedeemDb:
         snap = self._snap_path()
         if os.path.exists(snap):
             self._load_snapshot(snap)
-        records = torn = 0
-        if os.path.exists(self._path):
-            records, torn = self._replay_log(self._path)
+        records, torn = self._replay_log()
         self.recovery = Recovery(
             len(self._base), records, torn, time.perf_counter() - t0
         )
@@ -357,12 +363,12 @@ class RedeemDb:
         for off in range(0, len(claims), SECRET_SIZE):
             self._claims.add(claims[off : off + SECRET_SIZE])
 
-    def _replay_log(self, path: str) -> Tuple[int, int]:
+    def _replay_log(self) -> Tuple[int, int]:
         """Replays the complete records of the log and truncates what
         follows them; returns how many records it replayed and how many
         bytes it dropped."""
-        with open(path, "rb") as f:
-            data = f.read()
+        self._log.seek(0)
+        data = self._log.read()
         n = len(data)
         off = good = records = 0
         first = b""  # the first secret the log inserts
@@ -415,7 +421,5 @@ class RedeemDb:
             # before the crash. Those after it are new.
             self._overlay = {u for u in self._overlay if u not in self._base}
         if good != n:
-            # torn tail from a crash mid-append; drop it
-            with open(path, "r+b") as f:
-                f.truncate(good)
+            self._log.truncate(good)  # torn tail from a crash mid-append
         return records, n - good

@@ -459,6 +459,8 @@ def run_server(cfg: Config) -> int:
         log.error("keystore: %s", e)
         return EXIT_KEYSTORE
     except OSError as e:
+        if e.filename is not None:  # a file under state_dir, not the address
+            raise
         log.error("cannot bind %s:%d: %s", cfg.listen_host, cfg.listen_port, e)
         return EXIT_BIND
     try:

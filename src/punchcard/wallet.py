@@ -54,8 +54,7 @@ class Wallet:
         pairing_name: str = "bls12-381",
     ):
         self.path = path
-        self.pk_bytes: Optional[bytes] = None
-        self.pk: Any = None  # pk_bytes decoded
+        self.pk: Any = None  # the pinned server key, decoded; the only copy
         self.cards: List[Card] = []
         stored = None
         if os.path.exists(path):
@@ -89,7 +88,7 @@ class Wallet:
 
     def _encode(self) -> bytes:
         s = self.scheme
-        pk = self.pk_bytes or b""
+        pk = b"" if self.pk is None else s.encode_pk(self.pk)
         out = bytearray(_MAGIC)
         out.append(s.code)
         out += struct.pack("<H", len(pk)) + pk
@@ -112,10 +111,10 @@ class Wallet:
         off = 5
         (pk_len,) = struct.unpack_from("<H", data, off)
         off += 2
-        self.pk_bytes = data[off : off + pk_len] or None
-        if pk_len and len(self.pk_bytes or b"") != pk_len:
+        pk = data[off : off + pk_len]
+        if len(pk) != pk_len:
             raise WalletError("wallet file truncated in the key section")
-        self.pk = s.decode_pk(self.pk_bytes) if self.pk_bytes else None
+        self.pk = s.decode_pk(pk) if pk_len else None
         off += pk_len
         (n,) = struct.unpack_from("<H", data, off)
         off += 2
@@ -174,9 +173,7 @@ class Wallet:
         refuses (ProofRejected) a server that punches under another key.
         A key that does not decode is not pinned (InvalidEncoding)."""
         if self.pk is None:
-            pk_bytes = client.fetch_pk()
-            self.pk = self.scheme.decode_pk(pk_bytes)
-            self.pk_bytes = pk_bytes
+            self.pk = self.scheme.decode_pk(client.fetch_pk())
             self.save()
         return self.pk
 

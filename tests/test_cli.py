@@ -1,5 +1,7 @@
 import json
+import logging
 import socket
+import threading
 
 import pytest
 
@@ -231,3 +233,58 @@ def test_server_run_unknown_group_or_pairing(tmp_path, capsys, line):
     err = capsys.readouterr().err
     assert "config:" in err and "nonsense" in err
     assert not (tmp_path / "srv").exists()
+
+
+def test_server_run_reports_a_state_dir_error_as_a_file_error(tmp_path, capsys, caplog):
+    """Only a failed bind exits 4: a state_dir that is a regular file is an
+    error about that file (exit 1), not a bind failure."""
+    state = tmp_path / "not-a-dir"
+    state.write_text("")
+    conf = tmp_path / "server.conf"
+    conf.write_text(f"state_dir = {state}\nlisten_port = 0\n")
+    with caplog.at_level(logging.ERROR):
+        assert cli.main(["server", "run", "--config", str(conf)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(state) in err
+    assert "cannot bind" not in caplog.text
+
+
+def _hanging_up_port(listener):
+    """Serve one connection on `listener` by reading its request and
+    closing it unanswered."""
+    def serve():
+        conn, _ = listener.accept()
+        with conn:
+            conn.recv(65536)
+
+    thread = threading.Thread(target=serve)
+    thread.start()
+    return thread
+
+
+@pytest.mark.parametrize("server", ["hangs-up", "unreachable"])
+def test_wallet_cli_reports_a_lost_server_as_an_error(tmp_path, capsys, server):
+    w = str(tmp_path / "w.bin")
+    assert cli.main(["wallet", "new-card", "--wallet", w]) == 0
+    capsys.readouterr()
+    with socket.socket() as listener:
+        listener.bind(("127.0.0.1", 0))
+        port = str(listener.getsockname()[1])
+        if server == "hangs-up":
+            listener.listen()
+            thread = _hanging_up_port(listener)
+        else:
+            thread = None  # bound but not listening: connections are refused
+        code = cli.main(["wallet", "punch", "--wallet", w, "--card", "0", "--port", port])
+        if thread is not None:
+            thread.join(timeout=10)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert Wallet(w, scheme=None).cards[0].count == 0
+
+
+def test_wallet_cli_reports_a_wallet_it_cannot_write_as_an_error(tmp_path, capsys):
+    w = str(tmp_path / "missing-dir" / "w.bin")
+    assert cli.main(["wallet", "new-card", "--wallet", w]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "missing-dir" in err

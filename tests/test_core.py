@@ -69,13 +69,6 @@ def test_issue_validates_secret_length(group):
         core.issue(group, u=b"short")
 
 
-def test_verify_rejects_malformed_secret(group):
-    rng = random.Random(65)
-    sk, _ = core.server_setup(group, rng)
-    req = core.RedeemRequest(u=b"x" * 31, card=group.generator())
-    assert not core.verify_card(group, sk, req, 1)
-
-
 def test_spend_refuses_a_malformed_secret_before_valid(tmp_path):
     """Every card type redeems through spend, so its length check is the
     only one: a secret of the wrong length never reaches valid() or the

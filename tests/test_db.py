@@ -1,7 +1,10 @@
+import errno
 import hashlib
+import io
 import os
 import random
 import stat
+import subprocess
 import sys
 import tempfile
 import threading
@@ -905,3 +908,193 @@ def test_closed_store_refuses_writes(tmp_path, monkeypatch):
     db3 = RedeemDb(path)
     assert kept in db3 and len(db3) == 1
     db3.close()
+
+
+def test_failed_fsync_is_undone_so_the_refused_secret_stays_unspent(tmp_path, monkeypatch):
+    """An insert whose fsync fails raises, so the server refuses the
+    redemption; its record leaves the log, and the card stays redeemable
+    after a restart."""
+    path = str(tmp_path / "db")
+    a, b, c = _secrets(random.Random(1501), 3)
+    db = RedeemDb(path)
+    assert db.check_and_insert(a)
+    size = os.path.getsize(path)
+    real_fsync = os.fsync
+
+    def failing_fsync(fd):
+        monkeypatch.setattr(os, "fsync", real_fsync)
+        raise OSError(errno.EIO, "injected fsync error")
+
+    monkeypatch.setattr(os, "fsync", failing_fsync)
+    with pytest.raises(OSError, match="injected"):
+        db.check_and_insert(b)
+    assert os.path.getsize(path) == size and b not in db
+    assert db.check_and_insert(c)
+    db.close()
+    again = RedeemDb(path)
+    assert a in again and c in again and b not in again and len(again) == 2
+    again.close()
+
+
+_SHORT_WRITE = """
+import os, resource, signal, sys
+from punchcard.db import RedeemDb
+path = sys.argv[1]
+a, b, c = (bytes.fromhex(h) for h in sys.argv[2:])
+db = RedeemDb(path)
+assert db.check_and_insert(a)
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)  # a write past the limit fails
+soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+resource.setrlimit(resource.RLIMIT_FSIZE, (54, hard))  # 20 of b's 34 bytes fit
+try:
+    db.check_and_insert(b)
+except OSError as e:
+    print("refused:", e)
+print(os.path.getsize(path))
+resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+assert db.check_and_insert(c)
+print(os.path.getsize(path))
+db.close()
+"""
+
+
+def test_short_write_is_undone_so_the_refused_secret_stays_unspent(tmp_path):
+    """A write that stops part way (here at the file size limit, in a child
+    process that lowers its own limit) leaves no piece of its record behind
+    to be written ahead of the next one."""
+    path = str(tmp_path / "db")
+    a, b, c = _secrets(random.Random(1502), 3)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    child = subprocess.run(
+        [sys.executable, "-c", _SHORT_WRITE, path, a.hex(), b.hex(), c.hex()],
+        env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    refused, after_failure, after_next = child.stdout.splitlines()
+    assert refused.startswith("refused:")
+    assert (int(after_failure), int(after_next)) == (34, 68)
+    db = RedeemDb(path)
+    assert a in db and c in db and b not in db and len(db) == 2
+    assert db.recovery.torn_bytes == 0
+    db.close()
+
+
+def test_opening_a_store_opens_its_log_once(tmp_path, monkeypatch):
+    """Replay, the torn-tail repair and every append use the one locked
+    descriptor; no second handle of the log can hold other bytes."""
+    path = str(tmp_path / "db")
+    db = RedeemDb(path)
+    db.check_and_insert(_POOL[0])
+    db.compact()  # a snapshot too, which is opened under its own name
+    db.check_and_insert(_POOL[1])
+    db.close()
+    with open(path, "ab") as f:
+        f.write(_insert([_POOL[2]])[:10])  # a torn tail
+    opened = []
+    real_open, real_os_open = open, os.open
+
+    def tracking_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    def tracking_os_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_os_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(punchcard.db, "open", tracking_open, raising=False)
+    monkeypatch.setattr(os, "open", tracking_os_open)
+    db = RedeemDb(path)
+    assert db.recovery[:3] == (1, 1, 10)
+    assert db.check_and_insert(_POOL[2]) and db.check_and_insert(_POOL[3])
+    monkeypatch.undo()
+    db.close()
+    assert opened.count(path) == 1
+    again = RedeemDb(path)
+    assert [u in again for u in _POOL[:5]] == [True] * 4 + [False]
+    again.close()
+
+
+_FAULTY_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["insert", "claim", "take"]),
+        st.lists(_IDX, min_size=1, max_size=3, unique=True),
+        st.sampled_from([None, None, "short", "write", "fsync"]),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(ops=_FAULTY_OPS)
+def test_failed_appends_leave_no_trace_after_a_reopen(ops):
+    """Inserts and claim records, some of whose appends fail (a short write,
+    a write error or an fsync error): after a reopen the spent secrets are
+    those whose insert returned True, and the pending claims those whose
+    record went through."""
+    pending = []  # the failure the next append meets
+    real_open, real_fsync = open, os.fsync
+
+    class FlakyLog(io.FileIO):
+        def write(self, data):
+            if pending and pending[0] != "fsync":
+                if pending.pop() == "short":
+                    return super().write(data[: len(data) // 2])
+                raise OSError(errno.EIO, "injected write error")
+            return super().write(data)
+
+    def flaky_fsync(fd):
+        if pending == ["fsync"]:
+            pending.pop()
+            raise OSError(errno.EIO, "injected fsync error")
+        real_fsync(fd)
+
+    spent, claims = set(), set()
+    with tempfile.TemporaryDirectory() as d, pytest.MonkeyPatch.context() as mp:
+        path = os.path.join(d, "db")
+        mp.setattr(
+            punchcard.db, "open", raising=False,
+            value=lambda file, mode="r", *args, **kwargs: (
+                FlakyLog(file, mode.replace("b", "")) if file == path
+                else real_open(file, mode, *args, **kwargs)
+            ),
+        )
+        mp.setattr(os, "fsync", flaky_fsync)
+        db = RedeemDb(path)
+        try:
+            for op, idx, fault in ops:
+                us = [_POOL[i] for i in idx]
+                pending[:] = [fault] if fault else []
+                if op == "insert":
+                    appends = spent.isdisjoint(us)
+                    call = lambda: db.check_and_insert(*us)  # noqa: E731
+                elif op == "claim":
+                    appends = True
+                    call = lambda: db.add_claim(us[0])  # noqa: E731
+                else:
+                    appends = us[0] in claims
+                    call = lambda: db.take_claim(us[0])  # noqa: E731
+                if appends and fault:
+                    with pytest.raises(OSError, match="injected|short write"):
+                        call()
+                    continue
+                result = call()
+                if op == "insert":
+                    assert result == appends
+                    spent.update(us if result else ())
+                elif op == "claim":
+                    claims.add(us[0])
+                else:
+                    assert result == appends
+                    claims.discard(us[0])
+        finally:
+            db.close()
+        mp.undo()
+        db = RedeemDb(path, fsync=False)
+        try:
+            assert db.recovery.torn_bytes == 0
+            assert [u in db for u in _POOL] == [u in spent for u in _POOL]
+            assert len(db) == len(spent) and db.pending_claims() == len(claims)
+            assert [db.take_claim(u) for u in _POOL] == [u in claims for u in _POOL]
+        finally:
+            db.close()

@@ -135,10 +135,10 @@ def test_pk_pinning(tmp_path):
     server = FakeMainServer(rng)
     w = _wallet(tmp_path)
     w.ensure_pk(server)
-    assert w.pk_bytes == server.pk_bytes
+    assert w.scheme.encode_pk(w.pk) == server.pk_bytes
     # pin survives reload
     again = _wallet(tmp_path)
-    assert again.pk_bytes == server.pk_bytes
+    assert again.scheme.encode_pk(again.pk) == server.pk_bytes
     # a server that punches under a different key is a hard failure, and
     # the card stays as it was
     other = FakeMainServer(rng)
@@ -184,18 +184,22 @@ def test_key_that_does_not_decode_is_not_pinned(tmp_path):
     before = (tmp_path / "wallet").read_bytes()
     with pytest.raises(InvalidEncoding):
         w.punch(wrong, idx, rng)
-    assert w.pk_bytes is None and w.pk is None
+    assert w.pk is None
     assert (tmp_path / "wallet").read_bytes() == before
     w.punch(right, idx, rng)
-    assert w.pk_bytes == right.pk_bytes
+    assert w.scheme.encode_pk(w.pk) == right.pk_bytes
     again = _wallet(tmp_path, scheme="mergeable", pairing_name="toy-pairing")
     assert again.pk == right.pk and again.cards[idx].count == 1
 
 
 def test_pinned_key_that_does_not_decode_makes_the_file_corrupt(tmp_path):
     w = _wallet(tmp_path, scheme="mergeable", pairing_name="toy-pairing")
-    w.pk_bytes = b"\x00\x01"  # a toy main key, not a two-sided one
     w.save()
+    # pin a toy main key, not a two-sided one: the file's empty key section
+    # (length 0) becomes length 2 and its bytes
+    data = (tmp_path / "wallet").read_bytes()
+    assert data[5:7] == b"\x00\x00"
+    (tmp_path / "wallet").write_bytes(data[:5] + b"\x02\x00\x00\x01" + data[7:])
     with pytest.raises(WalletError, match="corrupt"):
         _wallet(tmp_path, scheme="mergeable", pairing_name="toy-pairing")
 
@@ -495,15 +499,16 @@ def test_any_cards_round_trip(tmp_path, scheme, pk_seed, cards):
         os.remove(path)
     w = Wallet(path, scheme=scheme, **_TOY)
     if pk_seed is not None:
-        _, pk = w.scheme.setup(random.Random(pk_seed))
-        w.pk_bytes = w.scheme.encode_pk(pk)
+        _, w.pk = w.scheme.setup(random.Random(pk_seed))
     for seed, count in cards:
         secret, element = w.scheme.issue(random.Random(seed))
         w.cards.append(Card(secret, element, count))
     w.save()
     again = Wallet(path, scheme=None, **_TOY)
     assert again.scheme.name == scheme
-    assert again.pk_bytes == w.pk_bytes
+    assert (again.pk is None) == (w.pk is None)
+    if w.pk is not None:
+        assert again.scheme.encode_pk(again.pk) == w.scheme.encode_pk(w.pk)
     assert again.cards == w.cards
 
 
@@ -512,7 +517,7 @@ def _valid_wallet_bytes(tmp_path, scheme):
     if not path.exists():
         rng = random.Random(168)
         w = Wallet(str(path), scheme=scheme, **_TOY)
-        w.pk_bytes = w.scheme.encode_pk(w.scheme.setup(rng)[1])
+        w.pk = w.scheme.setup(rng)[1]
         w.new_card(rng)
         w.new_card(rng)
     return path.read_bytes()
