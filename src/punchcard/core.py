@@ -46,7 +46,7 @@ TAG_CARD_HASH = "punchcard/h2g/v1/main"
 TAG_PUNCH_PROOF = "punchcard/dleq/v1"
 
 SECRET_SIZE = 32
-SECRET = (SECRET_SIZE, bytes)  # a card secret as a field of groups.unpack
+SECRET = (SECRET_SIZE, bytes, None)  # a card secret as a field of groups.unpack
 
 
 @dataclass
@@ -132,9 +132,8 @@ def punch_chain(
     steps = []
     prev = card
     for _ in range(t):
-        nxt = group.exp(prev, sk)
-        steps.append((nxt, dleq.prove(group, tag, sk, pk, prev, nxt, rng)))
-        prev = nxt
+        prev, proof = dleq.prove(group, tag, sk, pk, prev, rng)
+        steps.append((prev, proof))
     return steps
 
 

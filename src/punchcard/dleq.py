@@ -50,7 +50,7 @@ def proof_from_bytes(group: Group, data: bytes) -> DleqProof:
 
 def proof_field(group: Group) -> Field:
     """A proof as one field of groups.unpack."""
-    return proof_size(group), lambda data: proof_from_bytes(group, data)
+    return proof_size(group), lambda data: proof_from_bytes(group, data), None
 
 
 def challenge(
@@ -76,22 +76,23 @@ def prove(
     sk: int,
     pk: Element,
     point: Element,
-    image: Element,
     rng=None,
-) -> DleqProof:
-    """Prove image = point^sk under the key pk, which must equal g^sk: the
-    caller passes the key it already holds, so no proof recomputes it. A
-    wrong pk gives a proof that does not verify. Fresh nonce k every call,
-    never reused across proofs; g^k goes through the group's fixed-base
-    exp_base."""
+) -> Tuple[Element, DleqProof]:
+    """(image, proof): image = point^sk, and the proof of it under the key
+    pk, which must equal g^sk: the caller passes the key it already holds,
+    so no proof recomputes it. A wrong pk gives a proof that does not
+    verify. Fresh nonce k every call, never reused across proofs, drawn
+    before anything is computed. point^sk and point^k are one exp_many, so
+    a group can share its work on point between them; g^k goes through the
+    group's fixed-base exp_base."""
     k = group.random_scalar(rng)
+    image, commit_point = group.exp_many(point, (sk, k))
     commit_base = group.exp_base(k)
-    commit_point = group.exp(point, k)
     c = challenge(
         group, tag, group.generator(), pk, point, image, commit_base, commit_point
     )
     z = (k + c * sk) % group.order
-    return DleqProof(commit_base, commit_point, z)
+    return image, DleqProof(commit_base, commit_point, z)
 
 
 def verify(

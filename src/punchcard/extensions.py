@@ -64,7 +64,7 @@ class MultiPunchResponse:
     def from_bytes(cls, group: Group, data: bytes) -> "MultiPunchResponse":
         """A count byte t, then t times an element and its proof."""
         t = data[0] if data else 0
-        fields = [(1, ord)] + [element(group), dleq.proof_field(group)] * t
+        fields = [(1, ord, None)] + [element(group), dleq.proof_field(group)] * t
         _, *flat = unpack(data, fields, "multi-punch response")
         return cls(steps=list(zip(flat[::2], flat[1::2])))
 

@@ -11,7 +11,8 @@ Schnorr subgroups of Z_P^* used as test oracles, where discrete logs are
 recoverable by brute force.
 
 The base class supplies ``eq`` as ``==``, ``is_identity`` as equality with
-``identity()``, the scalar codec (``scalar_size`` bytes in
+``identity()``, ``exp_many`` as one ``exp`` per scalar, ``check_element``
+as no check, the scalar codec (``scalar_size`` bytes in
 ``scalar_byteorder``, canonical below ``order``), ``exp_base``, random and
 inverted scalars, and ``hash_to_scalar``.
 """
@@ -20,12 +21,14 @@ from __future__ import annotations
 
 import hashlib
 import secrets
-from typing import Any, Callable, List, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from ..errors import InvalidEncoding, ZeroInverse
 
 Element = Any
-Field = Tuple[int, Callable[[bytes], Any]]  # (size, decode) of one unpack field
+# one unpack field: (size, decode, check), where check (or None) raises
+# InvalidEncoding on some of what decode refuses, more cheaply
+Field = Tuple[int, Callable[[bytes], Any], Optional[Callable[[bytes], None]]]
 
 
 def tagged(tag: str, data: bytes) -> bytes:
@@ -74,6 +77,11 @@ class Group:
         """e raised to the scalar k (k taken mod order)."""
         raise NotImplementedError
 
+    def exp_many(self, e: Element, ks: Sequence[int]) -> List[Element]:
+        """[e^k for k in ks]; backends that can share work between the
+        powers of one element override it."""
+        return [self.exp(e, k) for k in ks]
+
     def exp_base(self, k: int) -> Element:
         """The generator raised to k; backends with a faster fixed-base
         method override it."""
@@ -90,6 +98,11 @@ class Group:
     def decode_element(self, data: bytes) -> Element:
         """Strict decode; raises InvalidEncoding on anything non-canonical."""
         raise NotImplementedError
+
+    def check_element(self, data: bytes) -> None:
+        """The checks of decode_element that need no field arithmetic, or
+        none: raises InvalidEncoding where decode_element would. unpack
+        runs them on every element of a message before it decodes any."""
 
     def encode_scalar(self, k: int) -> bytes:
         return (k % self.order).to_bytes(self.scalar_size, self.scalar_byteorder)
@@ -151,22 +164,26 @@ def check_length(data: bytes, size: int, what: str) -> None:
 
 
 def element(group: Group) -> Field:
-    return group.element_size, group.decode_element
+    return group.element_size, group.decode_element, group.check_element
 
 
 def scalar(group: Group) -> Field:
-    return group.scalar_size, group.decode_scalar
+    return group.scalar_size, group.decode_scalar, None
 
 
 def unpack(data: bytes, fields: Sequence[Field], what: str) -> List[Any]:
     """Decode `data` as the fields laid end to end, in order. Raises
     InvalidEncoding before decoding anything unless their sizes add up to
-    len(data). Build the fields at each call: a wrapper installed on a
-    group's decode_element then sees it."""
-    if sum(size for size, _ in fields) != len(data):
+    len(data) and every field with a check passes it, so a message with a
+    malformed last element costs no decode of the first. Build the fields
+    at each call: a wrapper installed on a group's decode_element then
+    sees it."""
+    if sum(size for size, _, _ in fields) != len(data):
         raise InvalidEncoding(f"{what} has wrong length")
-    out, off = [], 0
-    for size, decode in fields:
-        out.append(decode(data[off : off + size]))
+    chunks, off = [], 0
+    for size, _, check in fields:
+        chunks.append(data[off : off + size])
+        if check:
+            check(chunks[-1])
         off += size
-    return out
+    return [decode(chunk) for (_, decode, _), chunk in zip(fields, chunks)]

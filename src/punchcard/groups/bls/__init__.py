@@ -50,6 +50,9 @@ class _BlsCurveGroup(_BlsScalars):
     def exp_base(self, k: int):
         return self._comb.mul(k % self.order)
 
+    def check_element(self, data: bytes) -> None:
+        curve.parse_x(self._curve, bytes(data))
+
 
 class BlsG0(_BlsCurveGroup):
     """The base-curve group (48-byte compressed elements)."""
@@ -62,8 +65,13 @@ class BlsG0(_BlsCurveGroup):
     def exp(self, e, k: int):
         """[k]e by the GLV split. e must lie in the order-n subgroup, as every
         element this group hands out does: decoded with the subgroup check,
-        hashed and cofactor-cleared, or the generator."""
+        hashed and cofactor-cleared, or the generator. So must exp_many's."""
         return curve.g1_mul(e, k % self.order)
+
+    def exp_many(self, e, ks):
+        """[k]e for each k in ks, on one table of e's odd multiples."""
+        tables = curve.g1_tables(e)
+        return [curve.g1_ladder(tables, k % self.order) for k in ks]
 
     def encode_element(self, e) -> bytes:
         return curve.g1_to_bytes(e)
@@ -86,6 +94,11 @@ class BlsG1(_BlsCurveGroup):
     def exp(self, e, k: int):
         """[k]e by the GLS split, on the same terms as BlsG0.exp."""
         return curve.g2_mul(e, k % self.order)
+
+    def exp_many(self, e, ks):
+        """[k]e for each k in ks, on one set of e's tables."""
+        tables = curve.g2_tables(e)
+        return [curve.g2_ladder(tables, k % self.order) for k in ks]
 
     def encode_element(self, e) -> bytes:
         return curve.g2_to_bytes(e)

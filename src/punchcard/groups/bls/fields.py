@@ -9,8 +9,9 @@ the Frobenius coefficients are computed at import time from xi rather than
 transcribed, and the asserts at the bottom pin the algebra.
 
 Every function takes and returns coefficients reduced into [0, p). The hot
-products (f6_mul, f12_mul, f12_sqr, f12_mul_by_line, f12_cyclotomic_sqr)
-reduce once per output coefficient: they work on the Fq coefficients
+products (f6_mul, f12_mul, f12_sqr, f12_mul_by_line, f12_cyclotomic_sqr,
+and Karabina's f12_compressed_sqr and f12_decompress_many) reduce once
+per output coefficient: they work on the Fq coefficients
 directly, let sums, differences and products grow unreduced, and take
 each output mod p at the end. That is lazy reduction as in Aranha,
 Karabina, Longa, Gebotys and Lopez, "Faster explicit formulas for
@@ -452,6 +453,78 @@ def f12_cyclotomic_sqr(x):
             ((3 * b4r + 2 * z5[0]) % P, (3 * b4i + 2 * z5[1]) % P),
         ),
     )
+
+
+# Karabina's compressed squaring ("Squaring in cyclotomic subgroups", Math.
+# Comp. 2013). Granger-Scott's three Fq4 pairs never mix, and the pairs
+# (w^1, w^4) and (w^2, w^5) square on their own; the pair (w^0, w^3) can be
+# recomputed from them. In Karabina's numbering g0..g5 are the coefficients
+# of w^0, w^3, w^1, w^4, w^2, w^5, and the compressed form is (g2, g3, g4, g5).
+
+
+def f12_compress(x):
+    """(g2, g3, g4, g5) of a cyclotomic x: its w^1, w^4, w^2, w^5 coefficients."""
+    (_, z2, z4), (z1, _, z5) = x
+    return z1, z4, z2, z5
+
+
+def f12_compressed_sqr(c):
+    """The compressed form of x^2, from x's compressed form c: the two
+    Granger-Scott Fq4 squarings of f12_cyclotomic_sqr that feed g2..g5, 12 Fq
+    multiplications and 8 reductions against its 18 and 12."""
+    g2, g3, g4, g5 = c
+    s0r, s0i, p0r, p0i = _f4_sqr(g2, g3)  # g2^2 + xi g3^2, 2 g2 g3
+    s1r, s1i, p1r, p1i = _f4_sqr(g4, g5)  # g4^2 + xi g5^2, 2 g4 g5
+    return (
+        ((3 * (p1r - p1i) + 2 * g2[0]) % P, (3 * (p1r + p1i) + 2 * g2[1]) % P),
+        ((3 * s1r - 2 * g3[0]) % P, (3 * s1i - 2 * g3[1]) % P),
+        ((3 * s0r - 2 * g4[0]) % P, (3 * s0i - 2 * g4[1]) % P),
+        ((3 * p0r + 2 * g5[0]) % P, (3 * p0i + 2 * g5[1]) % P),
+    )
+
+
+def f12_decompress_many(cs):
+    """The cyclotomic elements with compressed forms cs, with one Fq
+    inversion for all of them, or None if some g2 is 0. With g2 != 0,
+    g1 = (xi g5^2 + 3 g4^2 - 2 g3) / 4 g2 and g0 = xi (2 g1^2 + g2 g5 -
+    3 g3 g4) + 1. The inverses of the 4 g2 come from their norms, which
+    Montgomery's trick inverts together: 1/d = conj(d) / (d0^2 + d1^2)."""
+    if any(g2[0] == 0 and g2[1] == 0 for g2, _, _, _ in cs):
+        return None
+    nums, dens, norms = [], [], []
+    for g2, g3, g4, g5 in cs:
+        a0, a1 = g5
+        b0, b1 = g4
+        A0, A1 = (a0 + a1) * (a0 - a1), 2 * a0 * a1  # g5^2
+        B0, B1 = (b0 + b1) * (b0 - b1), 2 * b0 * b1  # g4^2
+        nums.append((A0 - A1 + 3 * B0 - 2 * g3[0], A0 + A1 + 3 * B1 - 2 * g3[1]))
+        d0, d1 = 4 * g2[0], 4 * g2[1]
+        dens.append((d0, d1))
+        norms.append((d0 * d0 + d1 * d1) % P)
+    prefix = [norms[0]]
+    for n in norms[1:]:
+        prefix.append(prefix[-1] * n % P)
+    inv = fq_inv(prefix[-1])
+    out = [None] * len(cs)
+    for i in range(len(cs) - 1, -1, -1):
+        ninv = inv * prefix[i - 1] % P if i else inv
+        inv = inv * norms[i] % P
+        g2, g3, g4, g5 = cs[i]
+        (n0, n1), (d0, d1) = nums[i], dens[i]
+        m, n = n0 * d0, n1 * d1  # num conj(den)
+        g1 = ((m + n) * ninv % P, ((n0 + n1) * (d0 - d1) - m + n) * ninv % P)
+        e0, e1 = g1
+        m, n = g2[0] * g5[0], g2[1] * g5[1]  # t = 2 g1^2 + g2 g5 - 3 g3 g4
+        k, l = g3[0] * g4[0], g3[1] * g4[1]
+        t0 = 2 * (e0 + e1) * (e0 - e1) + m - n - 3 * (k - l)
+        t1 = (
+            4 * e0 * e1
+            + (g2[0] + g2[1]) * (g5[0] + g5[1]) - m - n
+            - 3 * ((g3[0] + g3[1]) * (g4[0] + g4[1]) - k - l)
+        )
+        g0 = ((t0 - t1 + 1) % P, (t0 + t1) % P)
+        out[i] = ((g0, g4, g3), (g2, g1, g5))
+    return out
 
 
 # sanity pins, evaluated once at import

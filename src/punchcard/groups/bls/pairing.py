@@ -40,11 +40,16 @@ The final exponentiation's hard part uses the chain
 (x-1)^2 (x+p) (x^2+p^2-1) + 3 == 3 (p^4-p^2+1)/n  (verified as integers in
 fields.py's pins), i.e. it computes the cube of the textbook pairing; that
 is still a bilinear non-degenerate map since gcd(3, n) = 1, and tests
-cross-check it against `final_exp_slow`, the literal pow() oracle. Its
-squarings are fields.f12_cyclotomic_sqr (Granger and Scott, PKC 2010),
-which is correct only on the cyclotomic subgroup: the easy part's output,
-f^((p^6-1)(p^2+1)), lies there, and so does every power and product of it
-the hard part forms.
+cross-check it against a literal pow() oracle. Its five powers by |x|
+(_exp_u) square in Karabina's compressed form (fields.f12_compressed_sqr,
+"Squaring in cyclotomic subgroups", Math. Comp. 2013): 63 squarings on 4
+of the 6 Fq2 coefficients, copies kept at the set bits of |x|, and the
+six copies decompressed with one batched inversion before the 5
+multiplications. The other squaring is fields.f12_cyclotomic_sqr
+(Granger and Scott, PKC 2010). Both are correct only on the cyclotomic
+subgroup: the easy part's output, f^((p^6-1)(p^2+1)), lies there, and so
+does every power and product of it the hard part forms. A pairing thus
+inverts six times: once in the easy part and once per _exp_u.
 """
 
 from __future__ import annotations
@@ -53,22 +58,26 @@ from .curve import G1_GEN, G2_GEN
 from .fields import (
     F2_ONE,
     F12_ONE,
-    N,
     P,
     X_PARAM,
+    f12_compress,
+    f12_compressed_sqr,
     f12_conj,
     f12_cyclotomic_sqr,
+    f12_decompress_many,
     f12_frob,
     f12_frob2,
     f12_inv,
     f12_mul,
     f12_mul_by_line,
-    f12_pow,
     f12_sqr,
 )
 
 _U = -X_PARAM  # positive loop parameter
 _U_BITS = bin(int(_U))[3:]  # skip the leading bit
+_U_TOP = int(_U).bit_length() - 1
+_U_SET = frozenset(i for i in range(_U_TOP + 1) if int(_U) >> i & 1)
+assert 0 not in _U_SET  # _exp_u keeps only squares
 
 
 def _dbl_step(X, Y, Z, yp, neg_3xp):
@@ -175,7 +184,28 @@ def _easy_part(f):
 
 
 def _exp_u(g):
-    """g^|x| by square-and-multiply (7 set bits)."""
+    """g^|x| for cyclotomic g, as the product of g^(2^i) over the set bits i
+    of |x| (16, 48, 57, 60, 62, 63): 63 compressed squarings, one batched
+    decompression of the six kept powers, 5 multiplications. A power with
+    g2 = 0 (as for g = +-1) cannot be decompressed; then the Granger-Scott
+    ladder runs instead."""
+    c = f12_compress(g)
+    kept = []
+    for i in range(1, _U_TOP + 1):
+        c = f12_compressed_sqr(c)
+        if i in _U_SET:
+            kept.append(c)
+    powers = f12_decompress_many(kept)
+    if powers is None:
+        return _exp_u_granger_scott(g)
+    acc = powers[0]
+    for power in powers[1:]:
+        acc = f12_mul(acc, power)
+    return acc
+
+
+def _exp_u_granger_scott(g):
+    """g^|x| by square-and-multiply on uncompressed elements."""
     acc = g
     for bit in _U_BITS:
         acc = f12_cyclotomic_sqr(acc)
@@ -200,12 +230,6 @@ def _hard_part(m):
 
 def final_exp(f):
     return _hard_part(_easy_part(f))
-
-
-def final_exp_slow(f):
-    """Oracle: the hard part as one literal exponentiation (cube root of
-    final_exp's output exponent)."""
-    return f12_pow(_easy_part(f), (P**4 - P**2 + 1) // N)
 
 
 def pairing(p_pt, q_pt):

@@ -119,7 +119,7 @@ class MergeRedeemRequest:
 
     @classmethod
     def from_bytes(cls, pairing: PairingGroups, data: bytes) -> "MergeRedeemRequest":
-        fields = [SECRET, SECRET, (pairing.gt.element_size, bytes)]
+        fields = [SECRET, SECRET, (pairing.gt.element_size, bytes, None)]
         return cls(*unpack(data, fields, "merge redeem request"))
 
 

@@ -5,9 +5,11 @@ the scheme's code byte, the pinned key, then per card u || punch count ||
 mask(s) || element(s) in the scheme object's codecs, so this code runs
 either scheme unchanged. Updates go through db.write_durably (a fresh
 temp file, os.replace and a directory fsync), and the in-memory state
-only moves forward after the bytes are durably on disk, so a crash at any
-point leaves either the old wallet or the new one, never a half-written
-file.
+only moves forward after the bytes are durably on disk: each update
+encodes the state it would make, saves it, and only then assigns it. So
+a crash at any point leaves either the old wallet or the new one, never
+a half-written file, and a save that fails leaves the object equal to
+its file.
 
 The wallet pins the server's public key on first contact and asks for it
 only until then. It pins only a key that decodes, and keeps it decoded:
@@ -86,14 +88,14 @@ class Wallet:
                 f"wallet file {self.path} holds unknown scheme {data[4]}"
             ) from None
 
-    def _encode(self) -> bytes:
+    def _encode(self, pk, cards: Sequence[Card]) -> bytes:
         s = self.scheme
-        pk = b"" if self.pk is None else s.encode_pk(self.pk)
+        pk = b"" if pk is None else s.encode_pk(pk)
         out = bytearray(_MAGIC)
         out.append(s.code)
         out += struct.pack("<H", len(pk)) + pk
-        out += struct.pack("<H", len(self.cards))
-        for card in self.cards:
+        out += struct.pack("<H", len(cards))
+        for card in cards:
             out += card.secret.u
             out += struct.pack("<I", card.count)
             out += s.encode_masks(card.secret)
@@ -134,8 +136,13 @@ class Wallet:
             raise WalletError("trailing bytes after the last card")
         self.cards = cards
 
-    def save(self) -> None:
-        data = self._encode()
+    def save(self, pk=None, cards: Optional[Sequence[Card]] = None) -> None:
+        """Write the wallet durably as it is, or as it would be with the
+        key pk or the cards given; the caller assigns them once this
+        returns."""
+        data = self._encode(
+            self.pk if pk is None else pk, self.cards if cards is None else cards
+        )
 
         def chunks():  # runs once write_durably has opened the temp file
             fault_point("wallet.save.write")
@@ -149,8 +156,9 @@ class Wallet:
 
     def new_card(self, rng=None) -> int:
         secret, element = self.scheme.issue(rng)
-        self.cards.append(Card(secret=secret, element=element, count=0))
-        self.save()
+        card = Card(secret=secret, element=element, count=0)
+        self.save(cards=self.cards + [card])
+        self.cards.append(card)
         return len(self.cards) - 1
 
     def _card(self, index: int) -> Card:
@@ -173,8 +181,9 @@ class Wallet:
         refuses (ProofRejected) a server that punches under another key.
         A key that does not decode is not pinned (InvalidEncoding)."""
         if self.pk is None:
-            self.pk = self.scheme.decode_pk(client.fetch_pk())
-            self.save()
+            pk = self.scheme.decode_pk(client.fetch_pk())
+            self.save(pk=pk)
+            self.pk = pk
         return self.pk
 
     # -- network flows -------------------------------------------------------
@@ -188,9 +197,10 @@ class Wallet:
 
     def _commit_punch(self, card: Card, secret, element, gained: int) -> None:
         fault_point("wallet.punch.commit")
-        card.secret, card.element = secret, element
-        card.count += gained
-        self.save()
+        new = Card(secret, element, card.count + gained)
+        self.save(cards=[new if c is card else c for c in self.cards])
+        # in place: a caller may hold the Card
+        card.secret, card.element, card.count = new.secret, new.element, new.count
 
     def punch(self, client, index: int, rng=None) -> None:
         s = self.scheme
@@ -237,10 +247,10 @@ class Wallet:
         through the same message."""
         if self.scheme.redeem_cards != 2:
             raise WalletError("merge_redeem needs a mergeable wallet")
-        self._card(index_a)
+        card_a = self._card(index_a)
         if index_b is None:
             index_b = self.new_card(rng)
-        if index_a == index_b:
+        if self._card(index_b) is card_a:
             raise WalletError("cannot merge a card with itself")
         return self._redeem(client, [index_a, index_b])
 
@@ -261,7 +271,7 @@ class Wallet:
             raise WireError(f"bad redeem response {body[:8].hex()!r}")
         if status is RedeemStatus.ACCEPT:
             fault_point("wallet.redeem.commit")
-            for i in sorted(indices, reverse=True):
-                del self.cards[i]
-            self.save()
+            keep = [c for c in self.cards if not any(c is d for d in cards)]
+            self.save(cards=keep)
+            self.cards[:] = keep
         return status

@@ -6,10 +6,13 @@ the GLV/GLS scalar multiplications and the fixed-base comb against
 Curve.mul by k. Inputs cover random points outside the subgroup, torsion
 points of every small prime order in the cofactors (found by trial
 division below 10^6), subgroup points with such torsion added, and the
-identity. The pairing's projective Miller loop is checked against the
-affine loop it replaced, and its sparse and cyclotomic field kernels
-against the dense products. Operation counts of the pairing and the comb
-are pinned by counting base-field inversions.
+identity. The wNAF recoding is checked against the textbook one, and
+exp_many against one exp per scalar. The pairing's projective Miller
+loop is checked against the affine loop it replaced, its sparse and
+cyclotomic field kernels against the dense products, and the compressed
+powers by |x| against the Granger-Scott ladder. Operation counts of the
+pairing, the wNAF ladders and the comb are pinned by counting base-field
+inversions.
 
 The reduce-once field products and f2_sqrt are checked against the
 reduce-after-every-operation versions they replaced, kept below as
@@ -26,10 +29,11 @@ import sys
 import threading
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from punchcard import mergeable
+from punchcard.errors import InvalidEncoding
 from punchcard.groups import RistrettoGroup
 from punchcard.groups.bls import BlsG0, BlsG1, Bls12381, curve, fields
 from punchcard.groups.bls.curve import (
@@ -40,22 +44,33 @@ from punchcard.groups.bls.curve import (
     H1,
     H2_EFF,
     COMB_SPACING,
+    WNAF_TABLE,
+    WNAF_WIDTH,
     FixedBaseComb,
     _U,
     _X2,
     clear_cofactor_g2,
     curve_g1,
     curve_g2,
+    g1_ladder,
     g1_mul,
+    g1_tables,
+    g1_to_bytes,
+    g2_ladder,
     g2_mul,
+    g2_tables,
+    g2_to_bytes,
     hash_to_g1,
     hash_to_g2,
     in_subgroup_g1,
     in_subgroup_g2,
+    wnaf,
 )
 from punchcard.groups.bls.pairing import (
     _U_BITS,
     _easy_part,
+    _exp_u,
+    _exp_u_granger_scott,
     _miller_loop,
     final_exp,
     pairing,
@@ -69,13 +84,28 @@ U = -X  # |x|
 H2 = (X**8 - 4 * X**7 + 5 * X**6 - 4 * X**4 + 6 * X**3 - 4 * X**2 - 4 * X + 13) // 9
 
 BOUNDED = settings(max_examples=20, deadline=None)
+KERNEL_FEW = settings(max_examples=10, deadline=None)
 
 SPECIAL_SCALARS = sorted(
     {0, 1, 2, N - 1, N - 2, U * U - 1, U * U, U * U + 1, U**3 - 1}
     | {U**i + d for i in (1, 2, 3) for d in (-1, 1)}
     | {(1 << b) - 1 for b in (64, 128, 192, 254)}
 )
-scalars = st.one_of(st.sampled_from(SPECIAL_SCALARS), st.integers(0, N - 1))
+# scalars at the edges of the width-5 NAF windows: values around 2^4 and 2^5
+# and runs of ones that carry into the next window, at several bit offsets,
+# and GLV and GLS digits at their largest values
+_EDGES = [15, 16, 17, 31, 32, 33, 0b10101, 0b11011]
+WINDOW_SCALARS = sorted(
+    k
+    for k in {0, 1, N - 1}
+    | {d << s for d in _EDGES for s in (0, 59, 64, 123, 128, 187, 192, 249)}
+    | {(1 << b) - 1 for b in (5, 63, 64, 127, 128, 129, 191, 192)}
+    | {(_X2 - 1) * (1 + _X2), _U - 1 + (_U - 1) * _U**2, _X2 - 16, _X2 + 15}
+    if k < N
+)
+scalars = st.one_of(
+    st.sampled_from(SPECIAL_SCALARS + WINDOW_SCALARS), st.integers(0, N - 1)
+)
 
 
 def _small_primes(limit=10**6):
@@ -223,6 +253,49 @@ def test_g2_mul_matches_double_and_add(points, k, which):
 def test_special_scalars_on_generators(k):
     assert g1_mul(G1_GEN, k) == curve_g1.mul(G1_GEN, k)
     assert g2_mul(G2_GEN, k) == curve_g2.mul(G2_GEN, k)
+
+
+# --- wNAF ladders -------------------------------------------------------------
+
+
+
+@KERNEL_FEW
+@given(k=st.one_of(st.sampled_from(WINDOW_SCALARS), st.integers(0, 2**300)))
+def test_wnaf_recoding(k):
+    digits = wnaf(k)
+    assert digits == _ref_wnaf(k, WNAF_WIDTH)
+    assert sum(d << i for i, d in enumerate(digits)) == k
+    assert all(d % 2 and abs(d) < 2 ** (WNAF_WIDTH - 1) for d in digits if d)
+    nonzero = [i for i, d in enumerate(digits) if d]
+    assert all(j - i >= WNAF_WIDTH for i, j in zip(nonzero, nonzero[1:]))
+    assert not digits or digits[-1] != 0
+
+
+def test_window_edge_scalars_on_generators():
+    for k in WINDOW_SCALARS:
+        assert g1_mul(G1_GEN, k) == curve_g1.mul(G1_GEN, k), hex(k)
+        assert g2_mul(G2_GEN, k) == curve_g2.mul(G2_GEN, k), hex(k)
+
+
+@pytest.mark.parametrize("name", ["g0", "g1", "ristretto-python"])
+@BOUNDED
+@given(ks=st.lists(scalars, max_size=3), which=st.integers(0, 2))
+def test_exp_many_matches_exp(name, ks, which):
+    group = _base_group(name)
+    e = [group.generator(), group.exp_base(7), group.identity()][which]
+    assert group.exp_many(e, ks) == [group.exp(e, k) for k in ks]
+
+
+def test_small_order_points_do_not_decode(points):
+    """A torsion point, or a subgroup point plus one, is refused by the
+    subgroup check (InvalidEncoding), not by an inversion of 0 in a table
+    of its odd multiples: decoding never runs the wNAF ladders."""
+    for pt in points["g1_other"]:
+        with pytest.raises(InvalidEncoding):
+            BlsG0().decode_element(g1_to_bytes(pt))
+    for pt in points["g2_other"]:
+        with pytest.raises(InvalidEncoding):
+            BlsG1().decode_element(g2_to_bytes(pt))
 
 
 # --- pairing kernels -----------------------------------------------------------
@@ -395,12 +468,26 @@ def inversions(monkeypatch):
 
 
 def test_pairing_inverts_once(inversions):
-    """The Miller loop runs without inversions; the one left is the easy
-    part's f12_inv."""
+    """The Miller loop runs without inversions; those left are the easy
+    part's f12_inv and one batched decompression in each of the hard
+    part's five _exp_u."""
     p, q = curve_g1.mul(G1_GEN, 11), curve_g2.mul(G2_GEN, 13)
     inversions.clear()
     pairing(p, q)
-    assert len(inversions) == 1
+    assert len(inversions) == 6
+
+
+@pytest.mark.parametrize("cls", [BlsG0, BlsG1])
+def test_exp_many_builds_one_table(inversions, cls):
+    """exp inverts twice, for the table and for the result; exp_many with
+    two scalars inverts three times, so it built one table."""
+    group = cls()
+    inversions.clear()
+    group.exp(group.generator(), N - 2)
+    assert len(inversions) == 2
+    inversions.clear()
+    group.exp_many(group.generator(), (N - 2, 12345))
+    assert len(inversions) == 3
 
 
 @pytest.mark.parametrize("cls", [BlsG0, BlsG1])
@@ -653,6 +740,41 @@ def test_f2_sqrt_on_the_base_field(c):
         assert _r2_mul(root, root) == (a, 0)
 
 
+MINUS_ONE = fields.f12_from_flat([(P - 1, 0)] + [(0, 0)] * 5)
+
+
+@KERNEL_FEW
+@given(x=st.one_of(st.sampled_from([fields.F12_ONE, MINUS_ONE]), fq12))
+def test_compressed_exp_u_matches_square_and_multiply(x):
+    """_exp_u squares compressed; it agrees with the Granger-Scott ladder on
+    every input, +-1 included (they take that ladder), and with f12_pow on
+    cyclotomic elements."""
+    if x in (fields.F12_ONE, MINUS_ONE):
+        g = x
+    else:
+        assume(any(c for f6 in x for f2 in f6 for c in f2))
+        g = _easy_part(x)  # cyclotomic
+    got = _exp_u(g)
+    assert got == _exp_u_granger_scott(g) and _reduced(got)
+    if g != MINUS_ONE:  # -1 has order 2 and is not in the cyclotomic subgroup
+        assert got == fields.f12_pow(g, U)
+
+
+@KERNEL_FEW
+@given(x=fq12)
+def test_compressed_sqr_and_decompression(x):
+    assume(any(c for f6 in x for f2 in f6 for c in f2))
+    g = _easy_part(x)  # cyclotomic
+    sq = fields.f12_cyclotomic_sqr(g)
+    cs = [fields.f12_compress(g), fields.f12_compress(sq)]
+    assert fields.f12_compressed_sqr(cs[0]) == cs[1]
+    if all(c[0] != (0, 0) for c in cs):
+        assert fields.f12_decompress_many(cs) == [g, sq]
+    else:  # g2 = 0: the coefficients left do not fix g1
+        assert fields.f12_decompress_many(cs) is None
+    assert fields.f12_decompress_many([fields.f12_compress(fields.F12_ONE)]) is None
+
+
 # --- Jacobian ladders against affine double-and-add ------------------------------
 
 
@@ -700,7 +822,7 @@ def test_straus_matches_affine_oracle(points, which, picks, digits):
     want = None
     for pt, d in zip(pts, digits):
         want = c.add(want, _affine_mul(c, pt, d))
-    assert c.lincomb(pts, digits) == want
+    assert c.straus(c.subset_sums(pts), digits) == want
 
 
 @functools.cache
@@ -792,18 +914,55 @@ def _base_digits(k, base, count):
 STEP_SCALARS = [1, 2, 3, 2**64, U * U + 1, 2**127 + 32, N - 1, ALL_TEETH, N // 3]
 
 
+def _ref_wnaf(k, w):
+    """Width-w NAF of k, least significant digit first, by the textbook
+    recoding with the signed residue mods 2^w (Hankerson, Menezes and
+    Vanstone, Guide to ECC, Algorithm 3.35)."""
+    out = []
+    while k > 0:
+        d = 0
+        if k % 2:
+            d = k % 2**w
+            if d >= 2 ** (w - 1):
+                d -= 2**w
+        out.append(d)
+        k = (k - d) // 2
+    return out
+
+
+def _wnaf_steps(digits):
+    """(doublings, additions) of one wNAF ladder over these digits: the
+    longest NAF's length less one, and the number of nonzero NAF digits."""
+    nafs = [_ref_wnaf(d, WNAF_WIDTH) for d in digits]
+    return max(map(len, nafs)) - 1, sum(1 for naf in nafs for d in naf if d)
+
+
+# the table of odd multiples: 2P, then 3P, 5P, ... by mixed additions
+TABLE_STEPS = (1, WNAF_TABLE - 1)
+
+
+def test_table_step_counts(steps):
+    for build in (lambda: g1_tables(G1_GEN), lambda: g2_tables(G2_GEN)):
+        steps.update(double=0, add=0)
+        build()
+        assert (steps["double"], steps["add"]) == TABLE_STEPS
+
+
 @pytest.mark.parametrize("k", STEP_SCALARS)
 def test_ladder_step_counts(steps, k):
+    t1, t2 = g1_tables(G1_GEN), g2_tables(G2_GEN)  # built outside the count
+    d1, d2 = _wnaf_steps(_base_digits(k, _X2, 2)), _wnaf_steps(_base_digits(k, _U, 4))
     cases = [
-        (lambda: g1_mul(G1_GEN, k), _base_digits(k, _X2, 2)),
-        (lambda: g2_mul(G2_GEN, k), _base_digits(k, _U, 4)),
+        (lambda: g1_ladder(t1, k), d1),
+        (lambda: g2_ladder(t2, k), d2),
+        (lambda: g1_mul(G1_GEN, k), tuple(map(operator.add, TABLE_STEPS, d1))),
+        (lambda: g2_mul(G2_GEN, k), tuple(map(operator.add, TABLE_STEPS, d2))),
     ]
     for group in (BlsG0(), BlsG1()):
         group.exp_base(1)  # the table, built outside the count
-        cases.append(
-            (lambda g=group: g.exp_base(k), _base_digits(k, 2**COMB_SPACING, 8))
-        )
-    for run, digits in cases:
+        comb_digits = _base_digits(k, 2**COMB_SPACING, 8)
+        cases.append((lambda g=group: g.exp_base(k), _ladder_steps(comb_digits)))
+    for run, want in cases:
         steps.update(double=0, add=0)
         run()
-        assert (steps["double"], steps["add"]) == _ladder_steps(digits)
+        assert (steps["double"], steps["add"]) == want

@@ -26,14 +26,15 @@ def test_prove_verify_round_trip(group):
     rng = random.Random(41)
     for _ in range(20):
         sk, pk, point, image = _instance(group, rng)
-        proof = dleq.prove(group, TAG, sk, pk, point, image, rng)
+        got, proof = dleq.prove(group, TAG, sk, pk, point, rng)
+        assert group.eq(got, image)
         assert dleq.verify(group, TAG, pk, point, image, proof)
 
 
 def test_proof_serialization_round_trip(group):
     rng = random.Random(42)
     sk, pk, point, image = _instance(group, rng)
-    proof = dleq.prove(group, TAG, sk, pk, point, image, rng)
+    _, proof = dleq.prove(group, TAG, sk, pk, point, rng)
     blob = proof.to_bytes(group)
     assert len(blob) == dleq.proof_size(group)
     again = dleq.proof_from_bytes(group, blob)
@@ -45,7 +46,7 @@ def test_proof_serialization_round_trip(group):
 def test_wrong_statement_rejected(group):
     rng = random.Random(43)
     sk, pk, point, image = _instance(group, rng)
-    proof = dleq.prove(group, TAG, sk, pk, point, image, rng)
+    _, proof = dleq.prove(group, TAG, sk, pk, point, rng)
     other = group.exp(point, group.random_scalar(rng))
     assert not dleq.verify(group, TAG, pk, point, other, proof)
     assert not dleq.verify(group, TAG, point, pk, image, proof)
@@ -58,7 +59,7 @@ def test_wrong_key_rejected(group):
     while evil == sk:
         evil = group.random_scalar(rng)
     evil_pk = group.exp(group.generator(), evil)
-    proof = dleq.prove(group, TAG, evil, evil_pk, point, group.exp(point, evil), rng)
+    _, proof = dleq.prove(group, TAG, evil, evil_pk, point, rng)
     # the attacker prepared a consistent proof for THEIR key; against the
     # advertised pk and honest image it must fail
     assert not dleq.verify(group, TAG, pk, point, image, proof)
@@ -67,7 +68,7 @@ def test_wrong_key_rejected(group):
 def test_tag_binds_proof(group):
     rng = random.Random(45)
     sk, pk, point, image = _instance(group, rng)
-    proof = dleq.prove(group, TAG, sk, pk, point, image, rng)
+    _, proof = dleq.prove(group, TAG, sk, pk, point, rng)
     assert not dleq.verify(group, "punchcard/dleq/v1/g0", pk, point, image, proof)
 
 
@@ -91,7 +92,7 @@ def test_every_single_byte_corruption_rejected():
     group = get_group("ristretto255")
     rng = random.Random(47)
     sk, pk, point, image = _instance(group, rng)
-    proof = dleq.prove(group, TAG, sk, pk, point, image, rng)
+    _, proof = dleq.prove(group, TAG, sk, pk, point, rng)
     blob = bytearray(proof.to_bytes(group))
     assert len(blob) == 96
     survived = 0
@@ -137,7 +138,7 @@ def test_simulated_and_real_transcripts_agree_shape(group):
     equations; nothing in a real proof distinguishes it structurally."""
     rng = random.Random(49)
     sk, pk, point, image = _instance(group, rng)
-    real = dleq.prove(group, TAG, sk, pk, point, image, rng)
+    _, real = dleq.prove(group, TAG, sk, pk, point, rng)
     c = dleq.challenge(
         group,
         TAG,
@@ -157,8 +158,8 @@ def test_proof_is_deterministic_only_with_seeded_rng(group):
     rng1 = random.Random(50)
     rng2 = random.Random(50)
     sk, pk, point, image = _instance(group, random.Random(51))
-    p1 = dleq.prove(group, TAG, sk, pk, point, image, rng1)
-    p2 = dleq.prove(group, TAG, sk, pk, point, image, rng2)
+    _, p1 = dleq.prove(group, TAG, sk, pk, point, rng1)
+    _, p2 = dleq.prove(group, TAG, sk, pk, point, rng2)
     assert p1.to_bytes(group) == p2.to_bytes(group)
-    p3 = dleq.prove(group, TAG, sk, pk, point, image, random.Random(52))
+    _, p3 = dleq.prove(group, TAG, sk, pk, point, random.Random(52))
     assert p3.to_bytes(group) != p1.to_bytes(group)

@@ -366,6 +366,53 @@ def test_merge_redeem_rejects_bad_gt_bytes(tmp_path):
     assert redeem(2, good) is RedeemStatus.ACCEPT
 
 
+def _bad_g1_g2_halves(g1_half, g2_half):
+    """Merge punch bodies with one half malformed before any square root:
+    the compressed flag cleared, a malformed infinity, or x >= p."""
+    def bad(half):
+        return [
+            bytes([half[0] & 0x7F]) + half[1:],
+            bytes([0xC0]) + half[1:],
+            bytes([0x9F]) + b"\xff" * (len(half) - 1),
+        ]
+    return [g1_half + b for b in bad(g2_half)] + [b + g2_half for b in bad(g1_half)]
+
+
+def test_bad_merge_punch_refused_before_any_square_root(tmp_path, monkeypatch):
+    """Each half's flags, infinity form and x < p are checked before either
+    half's square root or subgroup check, so a merge punch with a valid G1
+    half and a malformed G2 half (or the reverse) costs no decode."""
+    from punchcard.groups.bls import curve
+
+    cfg = Config(state_dir=str(tmp_path / "state"), scheme="mergeable")
+    svc = PunchcardService(cfg, db=RedeemDb())
+    _, card = mergeable.issue(svc.scheme.pairing, random.Random(5))
+    good = card.to_bytes(svc.scheme.pairing)
+    calls = []
+
+    def counting(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+
+        return staticmethod(wrapper) if isinstance(owner, type) else wrapper
+
+    for owner, name in [
+        (curve._FqOps, "sqrt"), (curve._Fq2Ops, "sqrt"), (bls_fields, "fq_sqrt"),
+        (curve, "in_subgroup_g1"), (curve, "in_subgroup_g2"),
+    ]:
+        monkeypatch.setattr(owner, name, counting(owner, name))
+    out_type, _ = svc.handle(wire.MERGE_PUNCH_REQ, good)
+    assert out_type == wire.MERGE_PUNCH_RESP and calls  # the counters count
+    for body in _bad_g1_g2_halves(good[:48], good[48:]):
+        calls.clear()
+        out_type, reply = svc.handle(wire.MERGE_PUNCH_REQ, body)
+        assert out_type == wire.ERROR and reply.startswith(b"bad request: ")
+        assert calls == []
+
+
 def test_wrong_scheme_message_is_error(tmp_path):
     svc = _toy_service(tmp_path)
     out_type, body = svc.handle(wire.MERGE_PUNCH_REQ, b"\x00" * 8)

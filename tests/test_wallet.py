@@ -12,6 +12,7 @@ from punchcard.db import RedeemDb
 from punchcard.faults import FaultInjected, FaultPlan
 from punchcard.errors import InvalidEncoding, ProofRejected, WalletError, WireError
 from punchcard.groups import get_group, get_pairing
+from punchcard import wallet as wallet_module
 from punchcard.wallet import Card, Wallet
 
 
@@ -259,6 +260,33 @@ def test_punch_and_redeem_through_fake_server(tmp_path):
     assert _wallet(tmp_path).cards == []
 
 
+def test_redeem_by_negative_index_removes_that_card(tmp_path):
+    rng = random.Random(164)
+    server = FakeMainServer(rng)
+    w = _wallet(tmp_path)
+    first, last = w.new_card(rng), w.new_card(rng)
+    w.punch(server, last, rng)
+    kept = w.cards[first]
+    assert w.redeem(server, -1) is RedeemStatus.ACCEPT
+    assert w.cards == [kept]
+    assert _wallet(tmp_path).cards == [kept]
+
+
+def test_merge_redeem_by_negative_index_removes_those_cards(tmp_path):
+    rng = random.Random(165)
+    server = FakeMergeServer(rng)
+    w = _wallet(tmp_path, scheme="mergeable", pairing_name="toy-pairing")
+    kept, a, b = w.new_card(rng), w.new_card(rng), w.new_card(rng)
+    w.punch(server, a, rng)
+    w.punch(server, b, rng)
+    with pytest.raises(WalletError):  # one card, named twice
+        w.merge_redeem(server, b, -1, rng)
+    kept = w.cards[kept]
+    assert w.merge_redeem(server, -2, -1, rng) is RedeemStatus.ACCEPT
+    assert w.cards == [kept]
+    assert _wallet(tmp_path, scheme="mergeable", pairing_name="toy-pairing").cards == [kept]
+
+
 def test_redeem_keeps_card_on_rejection(tmp_path):
     rng = random.Random(157)
     server = FakeMainServer(rng)
@@ -345,6 +373,45 @@ def test_crash_during_save_keeps_old_file(tmp_path):
     # no injection: the replace goes through
     w.save()
     assert _wallet(tmp_path, group_name="toy").cards[0].count == 7
+
+
+@pytest.mark.parametrize("scheme", ["main", "mergeable"])
+def test_failed_save_leaves_the_wallet_equal_to_its_file(tmp_path, monkeypatch, scheme):
+    """Each update encodes the state it would make, saves it, and only then
+    assigns it: with write_durably raising, new_card, ensure_pk, a punch and
+    a redemption each leave the object equal to a fresh load of its file."""
+    rng = random.Random(171)
+    if scheme == "main":
+        kw = dict(group_name="toy")
+        server = FakeMainServer(rng, "toy")
+    else:
+        kw = dict(scheme="mergeable", pairing_name="toy-pairing")
+        server = FakeMergeServer(rng)
+    w = _wallet(tmp_path, **kw)
+    w.new_card(rng)
+    w.new_card(rng)
+    real = wallet_module.write_durably
+
+    def failing(*args, **kwargs):
+        raise OSError("no space left on device")
+
+    def check(update):
+        monkeypatch.setattr(wallet_module, "write_durably", failing)
+        with pytest.raises(OSError):
+            update()
+        monkeypatch.setattr(wallet_module, "write_durably", real)
+        fresh = _wallet(tmp_path, **kw)
+        assert (w.pk, w.cards) == (fresh.pk, fresh.cards)
+
+    check(lambda: w.new_card(rng))
+    check(lambda: w.ensure_pk(server))
+    w.ensure_pk(server)
+    check(lambda: w.punch(server, 0, rng))
+    if scheme == "main":
+        check(lambda: w.redeem(server, 0))
+    else:
+        check(lambda: w.merge_redeem(server, 0, 1, rng))
+    assert len(w.cards) == 2 and w.pk is not None
 
 
 def test_saved_wallet_is_readable_by_its_owner_only(tmp_path):
