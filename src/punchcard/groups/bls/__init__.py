@@ -2,38 +2,26 @@
 
 The mergeable scheme sees three groups of prime order n: the 48-byte base
 curve group, the 96-byte twist group, and the 576-byte target group inside
-Fq12, tied together by the bilinear pairing.
+Fq12, tied together by the bilinear pairing. The target group only
+encodes: the server compares a merged value's bytes with the encoding it
+expects, so nothing decodes, multiplies or raises a target-group element.
 """
 
 from __future__ import annotations
 
-from ...errors import InvalidEncoding
-from ..base import Group, PairingGroups, check_length
+from ..base import Group, PairingGroups
 from . import curve, pairing
-from .fields import (
-    F12_ONE,
-    N,
-    P,
-    f2,
-    f12_eq,
-    f12_from_flat,
-    f12_mul,
-    f12_pow,
-    f12_to_flat,
-)
+from .fields import N, f12_to_flat
 
 
-class _BlsScalars(Group):
-    """Shared scalar conventions: 32-byte big-endian, order n."""
+class _BlsCurveGroup(Group):
+    """The curve groups' scalars (32-byte big-endian, order n), identity
+    None, addition, exp and fixed-base comb (its table built on first use).
+    Each subclass names its _curve and _gen and keeps exp_many, codec and
+    hash, which call the curve module at call time."""
 
     order = int(N)
     scalar_size = 32
-
-
-class _BlsCurveGroup(_BlsScalars):
-    """The curve groups' identity None, addition and fixed-base comb (its
-    table built on first use). Each subclass names its _curve and _gen and
-    keeps exp, codec and hash, which call the curve module at call time."""
 
     def __init__(self):
         self._comb = curve.FixedBaseComb(self._curve, self._gen)
@@ -46,6 +34,12 @@ class _BlsCurveGroup(_BlsScalars):
 
     def mul(self, a, b):
         return self._curve.add(a, b)
+
+    def exp(self, e, k: int):
+        """[k]e by the GLV or GLS split. e must lie in the order-n subgroup,
+        as every element these groups hand out does: decoded with the
+        subgroup check, hashed and cofactor-cleared, or the generator."""
+        return self.exp_many(e, (k,))[0]
 
     def exp_base(self, k: int):
         return self._comb.mul(k % self.order)
@@ -62,14 +56,8 @@ class BlsG0(_BlsCurveGroup):
     _curve = curve.curve_g1
     _gen = curve.G1_GEN
 
-    def exp(self, e, k: int):
-        """[k]e by the GLV split. e must lie in the order-n subgroup, as every
-        element this group hands out does: decoded with the subgroup check,
-        hashed and cofactor-cleared, or the generator. So must exp_many's."""
-        return curve.g1_mul(e, k % self.order)
-
     def exp_many(self, e, ks):
-        """[k]e for each k in ks, on one table of e's odd multiples."""
+        """[k]e for each k in ks (GLV), on one table of e's odd multiples."""
         tables = curve.g1_tables(e)
         return [curve.g1_ladder(tables, k % self.order) for k in ks]
 
@@ -91,12 +79,8 @@ class BlsG1(_BlsCurveGroup):
     _curve = curve.curve_g2
     _gen = curve.G2_GEN
 
-    def exp(self, e, k: int):
-        """[k]e by the GLS split, on the same terms as BlsG0.exp."""
-        return curve.g2_mul(e, k % self.order)
-
     def exp_many(self, e, ks):
-        """[k]e for each k in ks, on one set of e's tables."""
+        """[k]e for each k in ks (GLS), on one set of e's tables."""
         tables = curve.g2_tables(e)
         return [curve.g2_ladder(tables, k % self.order) for k in ks]
 
@@ -110,27 +94,12 @@ class BlsG1(_BlsCurveGroup):
         return curve.hash_to_g2(tag, data)
 
 
-class BlsGt(_BlsScalars):
-    """The pairing target group: order-n subgroup of Fq12, 576-byte
-    elements (12 base-field coefficients, big-endian)."""
+class BlsGt(Group):
+    """The pairing target group, encode only: an element of the order-n
+    subgroup of Fq12 as 576 bytes (12 base-field coefficients, big-endian)."""
 
     name = "bls12-381-gt"
     element_size = 576
-
-    def generator(self):
-        return pairing.gt_generator()
-
-    def identity(self):
-        return F12_ONE
-
-    def mul(self, a, b):
-        return f12_mul(a, b)
-
-    def exp(self, e, k: int):
-        return f12_pow(e, k % self.order)
-
-    def eq(self, a, b) -> bool:
-        return f12_eq(a, b)
 
     def encode_element(self, e) -> bytes:
         out = bytearray()
@@ -138,26 +107,6 @@ class BlsGt(_BlsScalars):
             out += int(c[0]).to_bytes(48, "big")
             out += int(c[1]).to_bytes(48, "big")
         return bytes(out)
-
-    def decode_element(self, data: bytes):
-        check_length(data, 576, "gt element")
-        coeffs = []
-        for off in range(0, 576, 96):
-            a = int.from_bytes(data[off : off + 48], "big")
-            b = int.from_bytes(data[off + 48 : off + 96], "big")
-            if a >= P or b >= P:
-                raise InvalidEncoding("gt coefficient out of range")
-            coeffs.append(f2(a, b))
-        e = f12_from_flat(coeffs)
-        # membership: the element's order must divide n
-        if not f12_eq(f12_pow(e, self.order), F12_ONE):
-            raise InvalidEncoding("element not in the order-n subgroup of Fq12")
-        return e
-
-    def hash_to_group(self, tag: str, data: bytes):
-        raise NotImplementedError(
-            "hashing into the target group is not defined for this scheme"
-        )
 
 
 class Bls12381(PairingGroups):

@@ -32,16 +32,16 @@ multiplications (x = -0xd201000000010000 is the curve parameter):
   after Budroni and Pintore, "Efficient hash maps to G2 on BLS curves",
   2017), so hash outputs are unchanged. hash_to_g1 keeps [H1]: RFC 9380's
   G1 multiplier 1-x is a different scalar and would change outputs.
-* Scalar multiplication (g1_mul, g2_mul) splits k into two digits in base
-  x^2 on G1 (GLV) or four digits in base |x| on G2 (GLS), recodes each
-  digit in width-5 NAF (WNAF_WIDTH), and runs one interleaved ladder
+* Scalar multiplication (g1_ladder, g2_ladder) splits k into two digits
+  in base x^2 on G1 (GLV) or four digits in base |x| on G2 (GLS), recodes
+  each digit in width-5 NAF (WNAF_WIDTH), and runs one interleaved ladder
   over the odd multiples [P, 3P, ..., 15P] and their phi or psi images
   (wnaf_ladder): a nonzero digit is one mixed addition, against one per
   bit column of the subset-sum ladder (about 43 against 96 additions on
   G1, 44 against 60 on G2). The table is built once per point
   (g1_tables, g2_tables) in Jacobian coordinates, normalised with one
-  inversion, and its images are taken entry by entry; exp_many runs
-  several scalars on one table. They are correct only on subgroup
+  inversion, and its images are taken entry by entry; BlsG0/BlsG1.exp_many
+  runs several scalars on one table. They are correct only on subgroup
   points: callers pass points decoded with the subgroup check, hashed and
   cleared, or generators. On a point of small order an odd multiple is
   the identity and the table's inversion fails, so Curve.mul, which
@@ -175,7 +175,7 @@ class _Fq2Ops:
         return (mpz(cs[1]), mpz(cs[0]))
 
 
-WNAF_WIDTH = 5  # g1_mul and g2_mul: tables of 2^(w-2) = 8 odd multiples
+WNAF_WIDTH = 5  # g1_tables and g2_tables: 2^(w-2) = 8 odd multiples
 WNAF_TABLE = 1 << (WNAF_WIDTH - 2)
 
 
@@ -554,12 +554,6 @@ def g1_ladder(tables, k: int):
     return curve_g1.wnaf_ladder(tables, (k0, k1))
 
 
-def g1_mul(pt, k: int):
-    """[k]P for P in the order-n subgroup of E and 0 <= k < n. On a point
-    outside the subgroup the result is not [k]P."""
-    return g1_ladder(g1_tables(pt), k)
-
-
 def g2_tables(pt):
     """The wnaf_ladder tables of [|x|^i]P = (-psi)^i(P), i = 0..3, for P in
     the order-n subgroup of E' (None for the identity): odd_multiples(P),
@@ -584,12 +578,6 @@ def g2_ladder(tables, k: int):
         k, d = divmod(k, _U)
         digits.append(d)
     return curve_g2.wnaf_ladder(tables, digits)
-
-
-def g2_mul(pt, k: int):
-    """[k]P for P in the order-n subgroup of E' and 0 <= k < n. On a point
-    outside the subgroup the result is not [k]P."""
-    return g2_ladder(g2_tables(pt), k)
 
 
 COMB_TEETH = 8

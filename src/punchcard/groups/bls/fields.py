@@ -64,10 +64,6 @@ F2_ONE = (mpz(1), mpz(0))
 XI = (mpz(1), mpz(1))  # the Fq6 non-residue 1 + i
 
 
-def f2(a: int, b: int = 0):
-    return (mpz(a) % P, mpz(b) % P)
-
-
 def f2_add(x, y):
     return ((x[0] + y[0]) % P, (x[1] + y[1]) % P)
 
@@ -346,13 +342,8 @@ def f12_frob2(x):
     return f12_frob(f12_frob(x))
 
 
-# flat view: coefficients of w^0..w^5 over Fq2, used by serialization and the
-# sparse line embedding (even indices sit in the first Fq6 limb, odd in the
-# second, at position index // 2)
-
-
-def f12_from_flat(c):
-    return ((c[0], c[2], c[4]), (c[1], c[3], c[5]))
+# flat view: coefficients of w^0..w^5 over Fq2, used by serialization (even
+# indices sit in the first Fq6 limb, odd in the second, at position index // 2)
 
 
 def f12_to_flat(x):

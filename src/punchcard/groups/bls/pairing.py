@@ -54,7 +54,6 @@ inverts six times: once in the easy part and once per _exp_u.
 
 from __future__ import annotations
 
-from .curve import G1_GEN, G2_GEN
 from .fields import (
     F2_ONE,
     F12_ONE,
@@ -239,12 +238,3 @@ def pairing(p_pt, q_pt):
         return F12_ONE
     return final_exp(_miller_loop(p_pt, q_pt))
 
-
-_GT_GEN = None
-
-
-def gt_generator():
-    global _GT_GEN
-    if _GT_GEN is None:
-        _GT_GEN = pairing(G1_GEN, G2_GEN)
-    return _GT_GEN

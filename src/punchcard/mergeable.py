@@ -24,11 +24,11 @@ only ever runs the one verify equation (and u != u' holds for free).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from . import core, dleq
 from .core import SECRET, RedeemStatus
-from .groups.base import Field, PairingGroups, element, unpack
+from .groups.base import PairingGroups, element, unpack
 
 Element = Any
 
@@ -49,12 +49,11 @@ def _sides_to_bytes(pairing: PairingGroups, e0: Element, e1: Element) -> bytes:
     return pairing.g0.encode_element(e0) + pairing.g1.encode_element(e1)
 
 
-def _side_fields(pairing: PairingGroups) -> List[Field]:
-    return [element(pairing.g0), element(pairing.g1)]
-
-
 @dataclass(frozen=True)
 class MergeCard:
+    """One element on each side: a masked card, or the server key
+    (g0^sk, g1^sk), which has the same layout and checks."""
+
     side0: Element
     side1: Element
 
@@ -63,20 +62,8 @@ class MergeCard:
 
     @classmethod
     def from_bytes(cls, pairing: PairingGroups, data: bytes) -> "MergeCard":
-        return cls(*unpack(data, _side_fields(pairing), "mergeable card"))
-
-
-@dataclass(frozen=True)
-class MergePublicKey:
-    pk0: Element
-    pk1: Element
-
-    def to_bytes(self, pairing: PairingGroups) -> bytes:
-        return _sides_to_bytes(pairing, self.pk0, self.pk1)
-
-    @classmethod
-    def from_bytes(cls, pairing: PairingGroups, data: bytes) -> "MergePublicKey":
-        return cls(*unpack(data, _side_fields(pairing), "public key"))
+        fields = [element(pairing.g0), element(pairing.g1)]
+        return cls(*unpack(data, fields, "mergeable card"))
 
 
 @dataclass(frozen=True)
@@ -125,9 +112,9 @@ class MergeRedeemRequest:
 
 def server_setup(
     pairing: PairingGroups, rng=None, sk: Optional[int] = None
-) -> Tuple[int, MergePublicKey]:
+) -> Tuple[int, MergeCard]:
     sk, pk0 = core.server_setup(pairing.g0, rng, sk)
-    return sk, MergePublicKey(pk0=pk0, pk1=pairing.g1.exp(pairing.g1.generator(), sk))
+    return sk, MergeCard(pk0, pairing.g1.exp(pairing.g1.generator(), sk))
 
 
 def issue(
@@ -143,21 +130,21 @@ def issue(
 
 
 def server_punch(
-    pairing: PairingGroups, sk: int, pk: MergePublicKey, card: MergeCard, rng=None
+    pairing: PairingGroups, sk: int, pk: MergeCard, card: MergeCard, rng=None
 ) -> MergePunchResponse:
     """The punch step on each side, under that side's half of pk."""
     [(punched0, proof0)] = core.punch_chain(
-        pairing.g0, TAG_PUNCH_PROOF_G0, sk, pk.pk0, card.side0, 1, rng
+        pairing.g0, TAG_PUNCH_PROOF_G0, sk, pk.side0, card.side0, 1, rng
     )
     [(punched1, proof1)] = core.punch_chain(
-        pairing.g1, TAG_PUNCH_PROOF_G1, sk, pk.pk1, card.side1, 1, rng
+        pairing.g1, TAG_PUNCH_PROOF_G1, sk, pk.side1, card.side1, 1, rng
     )
     return MergePunchResponse(punched0, punched1, proof0, proof1)
 
 
 def client_punch(
     pairing: PairingGroups,
-    pk: MergePublicKey,
+    pk: MergeCard,
     secret: MergeCardSecret,
     card: MergeCard,
     resp: MergePunchResponse,
@@ -166,11 +153,11 @@ def client_punch(
     """Both side proofs must verify or the whole response is discarded; a
     half-punched card would let the two sides drift apart."""
     punched0 = core.verify_chain(
-        pairing.g0, TAG_PUNCH_PROOF_G0, pk.pk0, card.side0,
+        pairing.g0, TAG_PUNCH_PROOF_G0, pk.side0, card.side0,
         [(resp.punched0, resp.proof0)],
     )
     punched1 = core.verify_chain(
-        pairing.g1, TAG_PUNCH_PROOF_G1, pk.pk1, card.side1,
+        pairing.g1, TAG_PUNCH_PROOF_G1, pk.side1, card.side1,
         [(resp.punched1, resp.proof1)],
     )
     mask0, side0 = core.remask(pairing.g0, secret.mask0, punched0, rng)

@@ -136,13 +136,12 @@ class MergeableScheme(Scheme):
         self.params = self.pairing
         self.groups = (self.pairing.g0, self.pairing.g1)
 
-    encode_pk = encode_card = Scheme.encode  # MergePublicKey, MergeCard
-
-    def decode_pk(self, data: bytes) -> mergeable.MergePublicKey:
-        return self.decode(mergeable.MergePublicKey, data)
+    encode_card = Scheme.encode
 
     def decode_card(self, data: bytes) -> mergeable.MergeCard:
         return self.decode(mergeable.MergeCard, data)
+
+    encode_pk, decode_pk = encode_card, decode_card  # the key is a MergeCard too
 
     def encode_masks(self, secret: mergeable.MergeCardSecret) -> bytes:
         g0, g1 = self.groups

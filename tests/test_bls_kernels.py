@@ -53,11 +53,9 @@ from punchcard.groups.bls.curve import (
     curve_g1,
     curve_g2,
     g1_ladder,
-    g1_mul,
     g1_tables,
     g1_to_bytes,
     g2_ladder,
-    g2_mul,
     g2_tables,
     g2_to_bytes,
     hash_to_g1,
@@ -239,20 +237,20 @@ def test_psi_clearing_on_random_points(x0, x1):
 @given(k=scalars, which=st.integers(0, 3))
 def test_g1_mul_matches_double_and_add(points, k, which):
     pt = (points["g1_sub"] + [None])[which]
-    assert g1_mul(pt, k) == curve_g1.mul(pt, k)
+    assert g1_ladder(g1_tables(pt), k) == curve_g1.mul(pt, k)
 
 
 @BOUNDED
 @given(k=scalars, which=st.integers(0, 3))
 def test_g2_mul_matches_double_and_add(points, k, which):
     pt = (points["g2_sub"] + [None])[which]
-    assert g2_mul(pt, k) == curve_g2.mul(pt, k)
+    assert g2_ladder(g2_tables(pt), k) == curve_g2.mul(pt, k)
 
 
 @pytest.mark.parametrize("k", SPECIAL_SCALARS)
 def test_special_scalars_on_generators(k):
-    assert g1_mul(G1_GEN, k) == curve_g1.mul(G1_GEN, k)
-    assert g2_mul(G2_GEN, k) == curve_g2.mul(G2_GEN, k)
+    assert g1_ladder(g1_tables(G1_GEN), k) == curve_g1.mul(G1_GEN, k)
+    assert g2_ladder(g2_tables(G2_GEN), k) == curve_g2.mul(G2_GEN, k)
 
 
 # --- wNAF ladders -------------------------------------------------------------
@@ -273,8 +271,8 @@ def test_wnaf_recoding(k):
 
 def test_window_edge_scalars_on_generators():
     for k in WINDOW_SCALARS:
-        assert g1_mul(G1_GEN, k) == curve_g1.mul(G1_GEN, k), hex(k)
-        assert g2_mul(G2_GEN, k) == curve_g2.mul(G2_GEN, k), hex(k)
+        assert g1_ladder(g1_tables(G1_GEN), k) == curve_g1.mul(G1_GEN, k), hex(k)
+        assert g2_ladder(g2_tables(G2_GEN), k) == curve_g2.mul(G2_GEN, k), hex(k)
 
 
 @pytest.mark.parametrize("name", ["g0", "g1", "ristretto-python"])
@@ -374,7 +372,7 @@ def test_pairing_bilinear_on_random_points(points):
     rng = random.Random(2012)
     p, q = points["g1_sub"][2], points["g2_sub"][1]
     a, b = rng.randrange(1, N), rng.randrange(1, N)
-    lhs = pairing(g1_mul(p, a), g2_mul(q, b))
+    lhs = pairing(g1_ladder(g1_tables(p), a), g2_ladder(g2_tables(q), b))
     assert fields.f12_eq(lhs, fields.f12_pow(pairing(p, q), a * b % N))
 
 
@@ -740,7 +738,7 @@ def test_f2_sqrt_on_the_base_field(c):
         assert _r2_mul(root, root) == (a, 0)
 
 
-MINUS_ONE = fields.f12_from_flat([(P - 1, 0)] + [(0, 0)] * 5)
+MINUS_ONE = (((P - 1, 0), (0, 0), (0, 0)), ((0, 0), (0, 0), (0, 0)))
 
 
 @KERNEL_FEW
@@ -793,14 +791,14 @@ def _affine_mul(c, pt, k):
 @given(k=scalars, which=st.integers(0, 2))
 def test_g1_mul_matches_affine_oracle(points, k, which):
     pt = points["g1_sub"][which]
-    assert g1_mul(pt, k) == _affine_mul(curve_g1, pt, k)
+    assert g1_ladder(g1_tables(pt), k) == _affine_mul(curve_g1, pt, k)
 
 
 @BOUNDED
 @given(k=scalars, which=st.integers(0, 2))
 def test_g2_mul_matches_affine_oracle(points, k, which):
     pt = points["g2_sub"][which]
-    assert g2_mul(pt, k) == _affine_mul(curve_g2, pt, k)
+    assert g2_ladder(g2_tables(pt), k) == _affine_mul(curve_g2, pt, k)
 
 
 @BOUNDED
@@ -955,8 +953,8 @@ def test_ladder_step_counts(steps, k):
     cases = [
         (lambda: g1_ladder(t1, k), d1),
         (lambda: g2_ladder(t2, k), d2),
-        (lambda: g1_mul(G1_GEN, k), tuple(map(operator.add, TABLE_STEPS, d1))),
-        (lambda: g2_mul(G2_GEN, k), tuple(map(operator.add, TABLE_STEPS, d2))),
+        (lambda: g1_ladder(g1_tables(G1_GEN), k), tuple(map(operator.add, TABLE_STEPS, d1))),
+        (lambda: g2_ladder(g2_tables(G2_GEN), k), tuple(map(operator.add, TABLE_STEPS, d2))),
     ]
     for group in (BlsG0(), BlsG1()):
         group.exp_base(1)  # the table, built outside the count

@@ -321,7 +321,7 @@ def _layouts(backend, rng):
         redeem = mergeable.client_merge_redeem(pg, sa, ca, sb, cb)
         return [
             (pg, ca, mergeable.MergeCard.from_bytes),
-            (pg, pk, mergeable.MergePublicKey.from_bytes),
+            (pg, pk, mergeable.MergeCard.from_bytes),
             (pg, punch, mergeable.MergePunchResponse.from_bytes),
             (pg, redeem, mergeable.MergeRedeemRequest.from_bytes),
         ]

@@ -175,7 +175,7 @@ def test_serialization_round_trips(pairing):
     sb, cb = mergeable.issue(pairing, rng)
     req = mergeable.client_merge_redeem(pairing, secret, card, sb, cb)
     for obj, cls in (
-        (pk, mergeable.MergePublicKey),
+        (pk, mergeable.MergeCard),
         (card, mergeable.MergeCard),
         (resp, mergeable.MergePunchResponse),
         (req, mergeable.MergeRedeemRequest),
