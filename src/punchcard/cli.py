@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
 from datetime import date
 
@@ -66,7 +65,7 @@ def cmd_server_purge(args) -> int:
             "purge reads an expiry date from each spent secret, so it needs "
             "scheme = main and expiry_check = on"
         )
-    db = RedeemDb(os.path.join(cfg.state_dir, "redeemed.db"), fsync=cfg.fsync)
+    db = RedeemDb(service.store_path(cfg), fsync=cfg.fsync)
     try:
         dropped = extensions.purge_expired(db, date.today())
     finally:

@@ -164,6 +164,15 @@ def remask(group: Group, mask: int, element: Element, rng=None) -> Tuple[int, El
     return new_mask, group.exp(element, update)
 
 
+def remask_card(
+    group: Group, secret: CardSecret, card: Element, rng=None
+) -> Tuple[CardSecret, Element]:
+    """The card under a fresh mask: the last step of a punch, and what a
+    wallet does to a card whose bytes it sent in a punch that failed."""
+    mask, element = remask(group, secret.mask, card, rng)
+    return CardSecret(u=secret.u, mask=mask), element
+
+
 def server_punch(
     group: Group, sk: int, pk: Element, card: Element, rng=None
 ) -> PunchResponse:
@@ -188,8 +197,7 @@ def client_punch(
     punched = verify_chain(
         group, TAG_PUNCH_PROOF, pk, card, [(resp.punched, resp.proof)]
     )
-    mask, element = remask(group, secret.mask, punched, rng)
-    return CardSecret(u=secret.u, mask=mask), element
+    return remask_card(group, secret, punched, rng)
 
 
 def unmask(group: Group, mask: int, card: Element) -> Element:

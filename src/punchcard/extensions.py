@@ -101,8 +101,8 @@ def client_multi_punch(
     """Verify the whole chain, then re-mask off the last element. Returns
     the new state plus how many punches were gained."""
     last = core.verify_chain(group, core.TAG_PUNCH_PROOF, pk, card, resp.steps)
-    mask, element = core.remask(group, secret.mask, last, rng)
-    return CardSecret(u=secret.u, mask=mask), element, len(resp.steps)
+    secret, element = core.remask_card(group, secret, last, rng)
+    return secret, element, len(resp.steps)
 
 
 # ---------------------------------------------------------------------------

@@ -160,8 +160,15 @@ def client_punch(
         pairing.g1, TAG_PUNCH_PROOF_G1, pk.side1, card.side1,
         [(resp.punched1, resp.proof1)],
     )
-    mask0, side0 = core.remask(pairing.g0, secret.mask0, punched0, rng)
-    mask1, side1 = core.remask(pairing.g1, secret.mask1, punched1, rng)
+    return remask_card(pairing, secret, MergeCard(punched0, punched1), rng)
+
+
+def remask_card(
+    pairing: PairingGroups, secret: MergeCardSecret, card: MergeCard, rng=None
+) -> Tuple[MergeCardSecret, MergeCard]:
+    """core.remask on each side: mask0, then mask1."""
+    mask0, side0 = core.remask(pairing.g0, secret.mask0, card.side0, rng)
+    mask1, side1 = core.remask(pairing.g1, secret.mask1, card.side1, rng)
     return (
         MergeCardSecret(u=secret.u, mask0=mask0, mask1=mask1),
         MergeCard(side0=side0, side1=side1),

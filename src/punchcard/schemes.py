@@ -48,6 +48,10 @@ class Scheme:
     def client_punch(self, pk, secret, card, resp, rng=None):
         return self.module.client_punch(self.params, pk, secret, card, resp, rng)
 
+    def remask(self, secret, card, rng=None):
+        """(secret, card) under fresh masks: client_punch's last step."""
+        return self.module.remask_card(self.params, secret, card, rng)
+
     def verify_card(self, sk: int, req, count: int) -> bool:
         return self.module.verify_card(self.params, sk, req, count)
 

@@ -224,6 +224,11 @@ class KeyStore:
         return sk, pk
 
 
+def store_path(cfg: Config) -> str:
+    """The spent-secret store's log; its snapshot sits beside it."""
+    return os.path.join(cfg.state_dir, "redeemed.db")
+
+
 class Stats:
     """Aggregate counters, safe across handler threads."""
 
@@ -234,6 +239,7 @@ class Stats:
         "redeem_bad_card",
         "redeem_double_spend",
         "redeem_expired",
+        "store_errors",
         "protocol_errors",
         "connections",
         "connections_refused",
@@ -254,7 +260,14 @@ class Stats:
 
 
 class PunchcardService:
-    """Protocol dispatch, independent of the transport."""
+    """Protocol dispatch, independent of the transport.
+
+    A store write that fails (an OSError from the append or its fsync)
+    gets an ERROR reply, and from then on every redemption does, without
+    touching the store, until a restart re-reads the log from disk: after
+    a failed fsync a later one that succeeds proves nothing about the
+    pages the first left behind (Rebello et al., "Can Applications Recover
+    from fsync Failures?", USENIX ATC 2020). Punches go on."""
 
     def __init__(self, cfg: Config, db: Optional[RedeemDb] = None):
         self.cfg = cfg
@@ -264,8 +277,8 @@ class PunchcardService:
             self.scheme.setup, self.scheme.encode_pk
         )
         self.pk_bytes = self.scheme.encode_pk(self.pk)
-        db_path = None if db is not None else os.path.join(cfg.state_dir, "redeemed.db")
-        self.db = db if db is not None else RedeemDb(db_path, fsync=cfg.fsync)
+        self.db = db if db is not None else RedeemDb(store_path(cfg), fsync=cfg.fsync)
+        self.store_failed = False
 
     # -- helpers -----------------------------------------------------------
 
@@ -314,6 +327,8 @@ class PunchcardService:
         of each secret, then the scheme's redeem (core.spend: spent set,
         redemption equation, atomic spend)."""
         s = self.scheme
+        if self.store_failed:
+            return self._reject("store unavailable")
         count, message = wire.unpack_redeem_body(body)
         if count not in self.cfg.accepted_counts:
             return self._redeem_status(core.RedeemStatus.BAD_CARD)
@@ -327,7 +342,15 @@ class PunchcardService:
                     extensions.check_expiry(u, date.today(), self.cfg.horizon_quarters)
             except BadExpiry:
                 return self._redeem_status(core.RedeemStatus.EXPIRED)
-        return self._redeem_status(s.server_redeem(self.sk, req, count, self.db))
+        try:
+            status = s.server_redeem(self.sk, req, count, self.db)
+        except OSError as e:
+            self.store_failed = True
+            self.stats.bump("store_errors")
+            log.error("store %s failed, refusing redemptions until a restart: %s",
+                      store_path(self.cfg), e)
+            return self._reject("store unavailable")
+        return self._redeem_status(status)
 
 
 class _Handler(socketserver.BaseRequestHandler):

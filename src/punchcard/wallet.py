@@ -16,12 +16,19 @@ only until then. It pins only a key that decodes, and keeps it decoded:
 a file whose pinned key does not decode is corrupt. Every punch response
 is verified against the pinned key, so a server that rotates keys
 mid-card (to tag one customer's punches) produces a hard failure
-(ProofRejected) instead of a silently linkable card. The card sent before
-that failure is freshly masked, so sending it reveals nothing.
+(ProofRejected) instead of a silently linkable card.
+
+A punch sends the card's bytes, and the server sees them. So a punch that
+fails after its request is sent (a lost or cut reply, an ERROR, a bad
+response, a proof that does not verify) re-masks the card and saves it
+before it re-raises: a retry sends bytes the server has never seen, and a
+server that hangs up cannot link two visits of one card. A wallet that
+crashes between the send and the reply still resends the same bytes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 from dataclasses import dataclass
@@ -202,17 +209,32 @@ class Wallet:
         # in place: a caller may hold the Card
         card.secret, card.element, card.count = new.secret, new.element, new.count
 
+    @contextlib.contextmanager
+    def _remask_on_failure(self, card: Card, rng):
+        """Around a punch from its send to the end of its proof check: on
+        any Exception, re-mask the card and save it, then re-raise that
+        error (also when the save fails). A FaultInjected crash passes."""
+        try:
+            yield
+        except Exception:
+            try:
+                secret, element = self.scheme.remask(card.secret, card.element, rng)
+                self._commit_punch(card, secret, element, 0)
+            except Exception:
+                pass
+            raise
+
     def punch(self, client, index: int, rng=None) -> None:
         s = self.scheme
         card = self._card(index)
         pk = self.ensure_pk(client)
-        body = self._call(
-            client, s.punch_req, s.encode_card(card.element), s.punch_resp
-        )
-        resp = s.decode(s.punch_response, body)
-        secret, element = s.client_punch(
-            pk, card.secret, card.element, resp, rng
-        )
+        request = s.encode_card(card.element)
+        with self._remask_on_failure(card, rng):
+            body = self._call(client, s.punch_req, request, s.punch_resp)
+            resp = s.decode(s.punch_response, body)
+            secret, element = s.client_punch(
+                pk, card.secret, card.element, resp, rng
+            )
         self._commit_punch(card, secret, element, 1)
 
     def multi_punch(self, client, index: int, t: int, rng=None) -> int:
@@ -221,16 +243,13 @@ class Wallet:
             raise WalletError(f"the {s.name} scheme has no multi-punch")
         card = self._card(index)
         pk = self.ensure_pk(client)
-        body = self._call(
-            client,
-            s.multi_req,
-            wire.pack_multi_req(t, s.encode_card(card.element)),
-            s.multi_resp,
-        )
-        resp = s.decode(s.multi_response, body)
-        secret, element, gained = s.client_multi_punch(
-            pk, card.secret, card.element, resp, rng
-        )
+        request = wire.pack_multi_req(t, s.encode_card(card.element))
+        with self._remask_on_failure(card, rng):
+            body = self._call(client, s.multi_req, request, s.multi_resp)
+            resp = s.decode(s.multi_response, body)
+            secret, element, gained = s.client_multi_punch(
+                pk, card.secret, card.element, resp, rng
+            )
         self._commit_punch(card, secret, element, gained)
         return gained
 

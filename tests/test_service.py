@@ -1,3 +1,4 @@
+import errno
 import logging
 import os
 import re
@@ -16,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from punchcard import core, extensions as ext, mergeable, service, wire
 from punchcard.core import RedeemStatus
 from punchcard.db import RedeemDb
-from punchcard.errors import ConfigError, KeyStoreError
+from punchcard.errors import ConfigError, KeyStoreError, WireError
 from punchcard.faults import FaultInjected, FaultPlan, install_hook
 from punchcard.groups import get_group, get_pairing
 from punchcard.groups.bls import fields as bls_fields
@@ -561,13 +562,11 @@ def _requests(draw, svc):
     return msg_type, body
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_handle_fuzz_answers_every_request(fuzz_service, data):
-    """Any (type, body) pair gets a response type of the scheme or ERROR,
-    no exception escapes, and the spent set grows only on ACCEPT."""
-    svc, s = fuzz_service, fuzz_service.scheme
-    msg_type, body = data.draw(_requests(svc))
+def _answer(svc, msg_type, body):
+    """svc's answer to one request, after checking that it is a response
+    type of the scheme or ERROR and that the spent set grew only on
+    ACCEPT (so never on an ERROR)."""
+    s = svc.scheme
     before = len(svc.db)
     out_type, reply = svc.handle(msg_type, body)
     answers = {wire.PK_RESP, s.punch_resp, s.multi_resp, s.redeem_resp, wire.ERROR}
@@ -575,9 +574,106 @@ def test_handle_fuzz_answers_every_request(fuzz_service, data):
     assert isinstance(reply, bytes)
     accepted = out_type == s.redeem_resp and reply == bytes([RedeemStatus.ACCEPT])
     assert len(svc.db) - before == (s.redeem_cards if accepted else 0)
+    return out_type, reply
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_handle_fuzz_answers_every_request(fuzz_service, data):
+    """Any (type, body) pair gets a response type of the scheme or ERROR,
+    no exception escapes, and the spent set grows only on ACCEPT."""
+    _answer(fuzz_service, *data.draw(_requests(fuzz_service)))
+
+
+class _FailingAppends(RedeemDb):
+    """An in-memory store whose appends raise OSError as `fails` says, one
+    entry per append in turn (then none)."""
+
+    def __init__(self, fails):
+        super().__init__()
+        self._fails = list(fails)
+
+    def _append(self, record):
+        if self._fails and self._fails.pop(0):
+            raise OSError(errno.EIO, "injected append failure")
+        super()._append(record)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_handle_fuzz_over_a_failing_store(fuzz_service, data):
+    """The fuzz above, a few requests at a time (half of them redemptions
+    the service accepts unless spent), on a fresh service whose store fails
+    appends at random: every reply is still a response type or ERROR, no
+    exception escapes, and an ERROR spends nothing. From the first failed
+    append on, every redemption is refused with ERROR."""
+    fails = data.draw(st.lists(st.booleans(), max_size=3))
+    svc = PunchcardService(fuzz_service.cfg, db=_FailingAppends(fails))
+    s = svc.scheme
+    accepted_redeem = st.binary(min_size=32, max_size=32).map(
+        lambda u: (s.redeem_req, _accepted_redeem(svc, u))
+    )
+    for _ in range(data.draw(st.integers(1, 4))):
+        failed_before = svc.store_failed
+        msg_type, body = data.draw(st.one_of(_requests(svc), accepted_redeem))
+        out_type, reply = _answer(svc, msg_type, body)
+        if failed_before and msg_type == s.redeem_req:
+            assert (out_type, reply) == (wire.ERROR, b"store unavailable")
+    assert svc.stats.snapshot()["store_errors"] == int(svc.store_failed)
 
 
 # --- full TCP loop ----------------------------------------------------------------
+
+
+def test_store_that_cannot_write_answers_error_until_a_restart(
+    tmp_path, monkeypatch, caplog
+):
+    """os.fsync fails once, during card A's redemption. The wallet hears
+    ERROR (WireError, not a hang-up) and keeps card A; card B's redemption
+    gets the same ERROR without touching the store; punches go on. After a
+    restart on the same state_dir both cards redeem."""
+    cfg = Config(state_dir=str(tmp_path / "state"), listen_port=0, group="toy",
+                 accepted_counts=(1, 2))
+    rng = random.Random(180)
+    w = Wallet(str(tmp_path / "w"), group_name="toy")
+    a, b = w.new_card(rng), w.new_card(rng)
+    real_fsync, fsyncs = os.fsync, []
+
+    def fsync_failing_once(fd):
+        fsyncs.append(fd)
+        if len(fsyncs) == 1:
+            raise OSError(errno.EIO, "injected fsync failure")
+        real_fsync(fd)
+
+    handle = ServerHandle(cfg).start()
+    try:
+        with Client("127.0.0.1", handle.port) as client:
+            w.punch(client, a, rng)
+            w.punch(client, b, rng)
+            with caplog.at_level(logging.ERROR, logger="punchcard.server"):
+                monkeypatch.setattr(os, "fsync", fsync_failing_once)
+                with pytest.raises(WireError, match="store unavailable"):
+                    w.redeem(client, a)
+                monkeypatch.setattr(os, "fsync", real_fsync)
+            assert [c.count for c in w.cards] == [1, 1]
+            assert len(fsyncs) == 1 and len(handle.service.db) == 0
+            with pytest.raises(WireError, match="store unavailable"):
+                w.redeem(client, b)
+            w.punch(client, b, rng)
+            assert [c.count for c in w.cards] == [1, 2]
+        snap = handle.service.stats.snapshot()
+        assert snap["store_errors"] == 1 and snap["redeem_accept"] == 0
+    finally:
+        handle.shutdown()
+    assert service.store_path(cfg) in caplog.text
+    handle = ServerHandle(cfg).start()
+    try:
+        with Client("127.0.0.1", handle.port) as client:
+            assert w.redeem(client, 0) is RedeemStatus.ACCEPT
+            assert w.redeem(client, 0) is RedeemStatus.ACCEPT
+        assert w.cards == []
+    finally:
+        handle.shutdown()
 
 
 @pytest.fixture

@@ -12,6 +12,7 @@ from punchcard.db import RedeemDb
 from punchcard.faults import FaultInjected, FaultPlan
 from punchcard.errors import InvalidEncoding, ProofRejected, WalletError, WireError
 from punchcard.groups import get_group, get_pairing
+from punchcard.service import Config, PunchcardService
 from punchcard import wallet as wallet_module
 from punchcard.wallet import Card, Wallet
 
@@ -141,7 +142,8 @@ def test_pk_pinning(tmp_path):
     again = _wallet(tmp_path)
     assert again.scheme.encode_pk(again.pk) == server.pk_bytes
     # a server that punches under a different key is a hard failure, and
-    # the card stays as it was
+    # the card stays the same card, under a fresh mask (the server saw the
+    # old bytes)
     other = FakeMainServer(rng)
     assert other.pk_bytes != server.pk_bytes
     idx = again.new_card(rng)
@@ -149,8 +151,13 @@ def test_pk_pinning(tmp_path):
     with pytest.raises(ProofRejected):
         again.punch(other, idx, rng)
     after = _wallet(tmp_path).cards[idx]
-    assert after.secret.mask == before.secret.mask
-    assert again.scheme.group.eq(after.element, before.element)
+    g = again.scheme.group
+    assert after.secret.u == before.secret.u
+    assert not g.eq(after.element, before.element)
+    assert g.eq(
+        core.unmask(g, after.secret.mask, after.element),
+        core.unmask(g, before.secret.mask, before.element),
+    )
     assert after.count == before.count == 0
 
 
@@ -454,6 +461,94 @@ def test_crash_before_punch_commit_preserves_spendable_card(tmp_path):
     assert again.cards[idx].count == 2  # the interrupted punch never landed
     again.punch(server, idx, rng)
     assert again.redeem(server, idx) is RedeemStatus.ACCEPT
+
+
+class _FailingPunchClient:
+    """The wallet's client over an in-process PunchcardService. It records
+    every punch request, and the first one fails as `failure` says: the
+    server punches and the reply is lost ("hangup", EOFError), the reply
+    is an ERROR ("error"), or the punch is made under another server's key
+    ("wrong_key", so ProofRejected)."""
+
+    def __init__(self, svc, other, failure):
+        self.svc, self.other, self.failure = svc, other, failure
+        self.sent = []
+
+    def fetch_pk(self):
+        return self.svc.pk_bytes
+
+    def call(self, msg_type, body):
+        s = self.svc.scheme
+        if msg_type not in (s.punch_req, s.multi_req):
+            return self.svc.handle(msg_type, body)
+        self.sent.append(body)
+        failure, self.failure = self.failure, None
+        if failure == "error":
+            return wire.ERROR, b"try again later"
+        reply = (self.other if failure == "wrong_key" else self.svc).handle(msg_type, body)
+        if failure == "hangup":
+            raise EOFError("connection closed")
+        return reply
+
+
+_PUNCH_FAILURES = {"hangup": EOFError, "error": WireError, "wrong_key": ProofRejected}
+
+
+def _toy_service(state, scheme):
+    cfg = Config(state_dir=str(state), scheme=scheme, group="toy",
+                 pairing="toy-pairing", accepted_counts=(2,))
+    return PunchcardService(cfg, db=RedeemDb())
+
+
+@pytest.mark.parametrize("failure", sorted(_PUNCH_FAILURES))
+@pytest.mark.parametrize("scheme,multi", [("main", False), ("main", True), ("mergeable", False)])
+def test_failed_punch_remasks_the_card(tmp_path, scheme, multi, failure):
+    """A punch that fails after its request left re-masks and saves the
+    card, so the retry sends other bytes; the card then punches on and
+    redeems ACCEPT at its true count."""
+    rng = random.Random(190)
+    svc = _toy_service(tmp_path / "state", scheme)
+    client = _FailingPunchClient(svc, _toy_service(tmp_path / "other", scheme), failure)
+    w = _wallet(tmp_path, scheme=scheme, group_name="toy", pairing_name="toy-pairing")
+    idx = w.new_card(rng)
+    punch = (lambda: w.multi_punch(client, idx, 1, rng)) if multi else (
+        lambda: w.punch(client, idx, rng)
+    )
+    with pytest.raises(_PUNCH_FAILURES[failure]):
+        punch()
+    encode = w.scheme.encode_card
+    saved = _wallet(tmp_path, scheme=None, group_name="toy", pairing_name="toy-pairing")
+    assert encode(saved.cards[idx].element) == encode(w.cards[idx].element)
+    assert w.cards[idx].count == 0
+    punch()
+    assert client.sent[1] != client.sent[0]
+    punch()
+    assert w.cards[idx].count == 2
+    if scheme == "main":
+        assert w.redeem(client, idx) is RedeemStatus.ACCEPT
+    else:
+        assert w.merge_redeem(client, idx, rng=rng) is RedeemStatus.ACCEPT
+    assert w.cards == []
+
+
+def test_failed_remask_save_raises_the_punch_error(tmp_path, monkeypatch):
+    """If the re-mask cannot be saved, the caller still sees why the punch
+    failed, and the wallet stays equal to its file."""
+    rng = random.Random(191)
+    svc = _toy_service(tmp_path / "state", "main")
+    client = _FailingPunchClient(svc, None, "hangup")
+    w = _wallet(tmp_path, group_name="toy")
+    idx = w.new_card(rng)
+    w.ensure_pk(client)
+    before = w.scheme.encode_card(w.cards[idx].element)
+
+    def failing_save(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(w, "save", failing_save)
+    with pytest.raises(EOFError):
+        w.punch(client, idx, rng)
+    assert w.scheme.encode_card(w.cards[idx].element) == before
 
 
 def test_crash_after_redeem_accept_cannot_double_accept(tmp_path):
