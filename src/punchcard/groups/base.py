@@ -6,9 +6,10 @@ mod ``order``. Elements are backend-specific opaque values; only
 ``encode_element``/``decode_element`` define their byte form.
 
 Two families implement this: production elliptic-curve groups (ristretto255,
-and the three BLS12-381 groups used by the mergeable scheme) and tiny
-Schnorr subgroups of Z_P^* used as test oracles, where discrete logs are
-recoverable by brute force.
+and the two BLS12-381 curve groups used by the mergeable scheme, whose
+target group implements only the encoding) and tiny Schnorr subgroups of
+Z_P^* used as test oracles, where discrete logs are recoverable by brute
+force.
 
 The base class supplies ``eq`` as ``==``, ``is_identity`` as equality with
 ``identity()``, ``exp_many`` as one ``exp`` per scalar, ``check_element``

@@ -217,11 +217,11 @@ class Wallet:
         try:
             yield
         except Exception:
+            secret, element = self.scheme.remask(card.secret, card.element, rng)
             try:
-                secret, element = self.scheme.remask(card.secret, card.element, rng)
                 self._commit_punch(card, secret, element, 0)
-            except Exception:
-                pass
+            except OSError:
+                pass  # the caller learns why the punch failed, not the save
             raise
 
     def punch(self, client, index: int, rng=None) -> None:

@@ -287,7 +287,7 @@ def test_pairing_bilinear(bls):
     rng = random.Random(28)
     a = rng.randrange(1, N)
     b = rng.randrange(1, N)
-    g0, g1, gt = bls.g0, bls.g1, bls.gt
+    g0, g1 = bls.g0, bls.g1
     lhs = bls.pair(g0.exp(g0.generator(), a), g1.exp(g1.generator(), b))
     rhs = fields.f12_pow(bls.pair(g0.generator(), g1.generator()), a * b % N)
     assert fields.f12_eq(lhs, rhs)
