@@ -9,10 +9,9 @@ the Frobenius coefficients are computed at import time from xi rather than
 transcribed, and the asserts at the bottom pin the algebra.
 
 Every function takes and returns coefficients reduced into [0, p). The hot
-products (f6_mul, f12_mul, f12_sqr, f12_mul_by_line, f12_cyclotomic_sqr,
-and Karabina's f12_compressed_sqr and f12_decompress_many) reduce once
-per output coefficient: they work on the Fq coefficients
-directly, let sums, differences and products grow unreduced, and take
+products (f6_mul, f12_mul, f12_sqr, f12_mul_by_line, and Karabina's
+f12_compressed_sqr and f12_decompress_many) reduce once per output
+coefficient: they work on the Fq coefficients directly, let sums, differences and products grow unreduced, and take
 each output mod p at the end. That is lazy reduction as in Aranha,
 Karabina, Longa, Gebotys and Lopez, "Faster explicit formulas for
 computing pairings over ordinary curves" (EUROCRYPT 2011). Unreduced
@@ -417,40 +416,16 @@ def _f4_sqr(a, b):
     )
 
 
-def f12_cyclotomic_sqr(x):
-    """x^2 for x in the cyclotomic subgroup (x^(p^6+1) == 1), by Granger and
-    Scott, "Faster squaring in the cyclotomic subgroup of sixth degree
-    extensions" (PKC 2010): three Fq4 squarings, 18 Fq multiplications,
-    against f12_sqr's 12 Fq2 multiplications (36). x is read as three
-    elements of Fq4 = Fq2[s], s = w^3, paired by power of w: (w^0, w^3),
-    (w^1, w^4), (w^2, w^5); each output coefficient is 3t - 2z or 3t + 2z
-    for a square's coefficient t and an input coefficient z, reduced once.
-    The formula relies on x being unitary; on any other element the result
-    is not x^2."""
-    (z0, z2, z4), (z1, z3, z5) = x  # z_i is the coefficient of w^i
-    a0r, a0i, a3r, a3i = _f4_sqr(z0, z3)
-    b1r, b1i, b4r, b4i = _f4_sqr(z1, z4)
-    c2r, c2i, c5r, c5i = _f4_sqr(z2, z5)
-    x5r, x5i = c5r - c5i, c5r + c5i  # xi * c5
-    return (
-        (
-            ((3 * a0r - 2 * z0[0]) % P, (3 * a0i - 2 * z0[1]) % P),
-            ((3 * b1r - 2 * z2[0]) % P, (3 * b1i - 2 * z2[1]) % P),
-            ((3 * c2r - 2 * z4[0]) % P, (3 * c2i - 2 * z4[1]) % P),
-        ),
-        (
-            ((3 * x5r + 2 * z1[0]) % P, (3 * x5i + 2 * z1[1]) % P),
-            ((3 * a3r + 2 * z3[0]) % P, (3 * a3i + 2 * z3[1]) % P),
-            ((3 * b4r + 2 * z5[0]) % P, (3 * b4i + 2 * z5[1]) % P),
-        ),
-    )
-
-
 # Karabina's compressed squaring ("Squaring in cyclotomic subgroups", Math.
-# Comp. 2013). Granger-Scott's three Fq4 pairs never mix, and the pairs
-# (w^1, w^4) and (w^2, w^5) square on their own; the pair (w^0, w^3) can be
-# recomputed from them. In Karabina's numbering g0..g5 are the coefficients
-# of w^0, w^3, w^1, w^4, w^2, w^5, and the compressed form is (g2, g3, g4, g5).
+# Comp. 2013). On the cyclotomic subgroup (x^(p^6+1) == 1) x reads as three
+# elements of Fq4 = Fq2[s], s = w^3, paired by power of w: (w^0, w^3),
+# (w^1, w^4), (w^2, w^5). Each coefficient of x^2 is 3t - 2z or 3t + 2z,
+# for z the coefficient of x at the same power of w and t one of the
+# square of a pair (Granger and Scott, PKC 2010). The pairs (w^1, w^4) and
+# (w^2, w^5) of x^2 need only the squares of those two pairs, and the pair
+# (w^0, w^3) can be recomputed from them. In Karabina's numbering g0..g5 are
+# the coefficients of w^0, w^3, w^1, w^4, w^2, w^5, and the compressed form
+# is (g2, g3, g4, g5).
 
 
 def f12_compress(x):
@@ -460,9 +435,9 @@ def f12_compress(x):
 
 
 def f12_compressed_sqr(c):
-    """The compressed form of x^2, from x's compressed form c: the two
-    Granger-Scott Fq4 squarings of f12_cyclotomic_sqr that feed g2..g5, 12 Fq
-    multiplications and 8 reductions against its 18 and 12."""
+    """The compressed form of x^2, from x's compressed form c: two Fq4
+    squarings, 12 Fq multiplications and 8 reductions, against f12_sqr's
+    36 Fq multiplications and 12 reductions. Correct only for cyclotomic x."""
     g2, g3, g4, g5 = c
     s0r, s0i, p0r, p0i = _f4_sqr(g2, g3)  # g2^2 + xi g3^2, 2 g2 g3
     s1r, s1i, p1r, p1i = _f4_sqr(g4, g5)  # g4^2 + xi g5^2, 2 g4 g5

@@ -45,11 +45,13 @@ cross-check it against a literal pow() oracle. Its five powers by |x|
 "Squaring in cyclotomic subgroups", Math. Comp. 2013): 63 squarings on 4
 of the 6 Fq2 coefficients, copies kept at the set bits of |x|, and the
 six copies decompressed with one batched inversion before the 5
-multiplications. The other squaring is fields.f12_cyclotomic_sqr
-(Granger and Scott, PKC 2010). Both are correct only on the cyclotomic
+multiplications. That squaring is correct only on the cyclotomic
 subgroup: the easy part's output, f^((p^6-1)(p^2+1)), lies there, and so
-does every power and product of it the hard part forms. A pairing thus
-inverts six times: once in the easy part and once per _exp_u.
+does every power and product of it the hard part forms. The hard part's
+one other squaring (for m^3) is the generic f12_sqr, and so is the
+fallback f12_pow for a kept power that cannot be decompressed, which no
+pairing output takes. A pairing thus inverts six times: once in the easy
+part and once per _exp_u.
 """
 
 from __future__ import annotations
@@ -62,13 +64,13 @@ from .fields import (
     f12_compress,
     f12_compressed_sqr,
     f12_conj,
-    f12_cyclotomic_sqr,
     f12_decompress_many,
     f12_frob,
     f12_frob2,
     f12_inv,
     f12_mul,
     f12_mul_by_line,
+    f12_pow,
     f12_sqr,
 )
 
@@ -186,8 +188,8 @@ def _exp_u(g):
     """g^|x| for cyclotomic g, as the product of g^(2^i) over the set bits i
     of |x| (16, 48, 57, 60, 62, 63): 63 compressed squarings, one batched
     decompression of the six kept powers, 5 multiplications. A power with
-    g2 = 0 (as for g = +-1) cannot be decompressed; then the Granger-Scott
-    ladder runs instead."""
+    g2 = 0 (as for g = +-1) cannot be decompressed; then the generic
+    f12_pow, correct on every input, runs instead."""
     c = f12_compress(g)
     kept = []
     for i in range(1, _U_TOP + 1):
@@ -196,20 +198,10 @@ def _exp_u(g):
             kept.append(c)
     powers = f12_decompress_many(kept)
     if powers is None:
-        return _exp_u_granger_scott(g)
+        return f12_pow(g, _U)
     acc = powers[0]
     for power in powers[1:]:
         acc = f12_mul(acc, power)
-    return acc
-
-
-def _exp_u_granger_scott(g):
-    """g^|x| by square-and-multiply on uncompressed elements."""
-    acc = g
-    for bit in _U_BITS:
-        acc = f12_cyclotomic_sqr(acc)
-        if bit == "1":
-            acc = f12_mul(acc, g)
     return acc
 
 
@@ -223,7 +215,7 @@ def _hard_part(m):
     a = f12_mul(_exp_x(a), f12_conj(a))  # m^((x-1)^2)
     b = f12_mul(_exp_x(a), f12_frob(a))  # a^(x+p)
     c = f12_mul(_exp_x(_exp_x(b)), f12_mul(f12_frob2(b), f12_conj(b)))
-    m3 = f12_mul(f12_cyclotomic_sqr(m), m)
+    m3 = f12_mul(f12_sqr(m), m)
     return f12_mul(c, m3)
 
 

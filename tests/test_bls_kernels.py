@@ -9,8 +9,8 @@ division below 10^6), subgroup points with such torsion added, and the
 identity. The wNAF recoding is checked against the textbook one, and
 exp_many against one exp per scalar. The pairing's projective Miller
 loop is checked against the affine loop it replaced, its sparse and
-cyclotomic field kernels against the dense products, and the compressed
-powers by |x| against the Granger-Scott ladder. Operation counts of the
+compressed field kernels against the dense products, and the compressed
+powers by |x| against f12_pow. Operation counts of the
 pairing, the wNAF ladders and the comb are pinned by counting base-field
 inversions.
 
@@ -68,7 +68,6 @@ from punchcard.groups.bls.pairing import (
     _U_BITS,
     _easy_part,
     _exp_u,
-    _exp_u_granger_scott,
     _miller_loop,
     final_exp,
     pairing,
@@ -348,15 +347,6 @@ def test_miller_loop_matches_affine_oracle(points):
     for p, q in multiples + pairs:
         want = final_exp(_affine_miller_loop(p, q))
         assert fields.f12_eq(final_exp(_miller_loop(p, q)), want)
-
-
-def test_cyclotomic_sqr_matches_f12_sqr():
-    rng = random.Random(2010)
-    for _ in range(5):
-        x = _easy_part(_rand_f12(rng))
-        assert fields.f12_eq(fields.f12_cyclotomic_sqr(x), fields.f12_sqr(x))
-    gt = pairing(G1_GEN, G2_GEN)
-    assert fields.f12_eq(fields.f12_cyclotomic_sqr(gt), fields.f12_sqr(gt))
 
 
 def test_mul_by_line_matches_dense_product():
@@ -744,18 +734,16 @@ MINUS_ONE = (((P - 1, 0), (0, 0), (0, 0)), ((0, 0), (0, 0), (0, 0)))
 @KERNEL_FEW
 @given(x=st.one_of(st.sampled_from([fields.F12_ONE, MINUS_ONE]), fq12))
 def test_compressed_exp_u_matches_square_and_multiply(x):
-    """_exp_u squares compressed; it agrees with the Granger-Scott ladder on
-    every input, +-1 included (they take that ladder), and with f12_pow on
-    cyclotomic elements."""
+    """_exp_u squares compressed; it agrees with f12_pow on every input:
+    cyclotomic elements, and +-1 (which take f12_pow itself; |x| is even,
+    so (-1)^|x| = 1)."""
     if x in (fields.F12_ONE, MINUS_ONE):
         g = x
     else:
         assume(any(c for f6 in x for f2 in f6 for c in f2))
         g = _easy_part(x)  # cyclotomic
     got = _exp_u(g)
-    assert got == _exp_u_granger_scott(g) and _reduced(got)
-    if g != MINUS_ONE:  # -1 has order 2 and is not in the cyclotomic subgroup
-        assert got == fields.f12_pow(g, U)
+    assert got == fields.f12_pow(g, U) and _reduced(got)
 
 
 @KERNEL_FEW
@@ -763,7 +751,7 @@ def test_compressed_exp_u_matches_square_and_multiply(x):
 def test_compressed_sqr_and_decompression(x):
     assume(any(c for f6 in x for f2 in f6 for c in f2))
     g = _easy_part(x)  # cyclotomic
-    sq = fields.f12_cyclotomic_sqr(g)
+    sq = fields.f12_sqr(g)
     cs = [fields.f12_compress(g), fields.f12_compress(sq)]
     assert fields.f12_compressed_sqr(cs[0]) == cs[1]
     if all(c[0] != (0, 0) for c in cs):
