@@ -256,28 +256,29 @@ class Wallet:
     def redeem(self, client, index: int) -> RedeemStatus:
         if self.scheme.redeem_cards != 1:
             raise WalletError("use merge_redeem for mergeable cards")
-        return self._redeem(client, [index])
+        return self._redeem(client, [self._card(index)])
 
     def merge_redeem(
         self, client, index_a: int, index_b: Optional[int] = None, rng=None
     ) -> RedeemStatus:
         """Spend two cards as one. With no second card, a fresh zero-punch
-        card is created on the spot so a single card can still be redeemed
-        through the same message."""
+        partner is issued in memory and never saved, so a single card can
+        still be redeemed through the same message."""
         if self.scheme.redeem_cards != 2:
             raise WalletError("merge_redeem needs a mergeable wallet")
         card_a = self._card(index_a)
         if index_b is None:
-            index_b = self.new_card(rng)
-        if self._card(index_b) is card_a:
+            card_b = Card(*self.scheme.issue(rng), count=0)
+        else:
+            card_b = self._card(index_b)
+        if card_b is card_a:
             raise WalletError("cannot merge a card with itself")
-        return self._redeem(client, [index_a, index_b])
+        return self._redeem(client, [card_a, card_b])
 
-    def _redeem(self, client, indices: Sequence[int]) -> RedeemStatus:
+    def _redeem(self, client, cards: Sequence[Card]) -> RedeemStatus:
         """Send the cards' redemption at the sum of their punch counts; on
-        ACCEPT they leave the wallet."""
+        ACCEPT those of them that the wallet holds leave it."""
         s = self.scheme
-        cards = [self._card(i) for i in indices]
         req = s.client_redeem([(c.secret, c.element) for c in cards])
         body = self._call(
             client,

@@ -354,6 +354,34 @@ def test_merge_redeem_single_card_makes_partner(tmp_path):
     assert w.cards == []  # the implicit partner is consumed too
 
 
+def test_merge_redeem_last_card_alone(tmp_path):
+    """-1 names the wallet's last card even with no second card: the
+    partner is issued in memory, so no index names it."""
+    rng = random.Random(166)
+    server = FakeMergeServer(rng)
+    w = _wallet(tmp_path, scheme="mergeable", pairing_name="toy-pairing")
+    kept, last = w.new_card(rng), w.new_card(rng)
+    w.punch(server, last, rng)
+    kept = w.cards[kept]
+    assert w.merge_redeem(server, -1, rng=rng) is RedeemStatus.ACCEPT
+    assert w.cards == [kept]
+    assert _wallet(tmp_path, scheme="mergeable", pairing_name="toy-pairing").cards == [kept]
+
+
+def test_refused_single_card_merge_redeem_leaves_no_partner(tmp_path):
+    """The server has seen the partner's secret, so a refused redemption
+    must not leave it in the wallet, in memory or on disk."""
+    rng = random.Random(167)
+    server = FakeMergeServer(rng)
+    w = _wallet(tmp_path, scheme="mergeable", pairing_name="toy-pairing")
+    idx = w.new_card(rng)
+    w.punch(server, idx, rng)
+    w.cards[idx].count = 2  # a count the card does not hold
+    assert w.merge_redeem(server, idx, rng=rng) is RedeemStatus.BAD_CARD
+    assert len(w.cards) == 1
+    assert len(_wallet(tmp_path, scheme="mergeable", pairing_name="toy-pairing").cards) == 1
+
+
 def test_merge_redeem_self_merge_rejected(tmp_path):
     rng = random.Random(162)
     w = _wallet(tmp_path, scheme="mergeable", pairing_name="toy-pairing")
