@@ -83,6 +83,8 @@ def cmd_wallet_new_card(args) -> int:
 
 def cmd_wallet_list(args) -> int:
     wallet = _wallet(args)
+    if wallet.pk is not None:  # the pin, as the server's server.pk holds it
+        print(f"server key {wallet.scheme.encode_pk(wallet.pk).hex()}")
     if not wallet.cards:
         print("wallet is empty")
         return 0

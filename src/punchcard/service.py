@@ -459,8 +459,9 @@ class ServerHandle:
             "recovered snapshot_entries=%d log_records=%d torn_bytes=%d in %.3f s",
             *self.service.db.recovery,
         )
-        log.info("listening on %s:%d scheme=%s", self.service.cfg.listen_host,
-                 self.port, self.service.cfg.scheme)
+        log.info("listening on %s:%d scheme=%s backend=%s",
+                 self.service.cfg.listen_host, self.port,
+                 self.service.cfg.scheme, self.service.scheme.backend)
         return self
 
     def shutdown(self) -> None:

@@ -42,12 +42,27 @@ def test_wallet_cli_full_cycle(main_server, tmp_path, capsys):
     )
     assert "+2 punches" in capsys.readouterr().out
     assert cli.main(["wallet", "list", "--wallet", w]) == 0
-    out = capsys.readouterr().out
-    assert "3" in out  # punch count column
+    index, prefix, count = capsys.readouterr().out.splitlines()[-1].split()
+    assert (index, count) == ("0", "3")  # the card row's punch count
     assert cli.main(["wallet", "redeem", "--wallet", w, "--card", "0", "--port", port]) == 0
     assert "ACCEPT" in capsys.readouterr().out
     assert cli.main(["wallet", "list", "--wallet", w]) == 0
     assert "empty" in capsys.readouterr().out
+
+
+def test_wallet_list_prints_the_pinned_key_as_server_pk_holds_it(
+    main_server, tmp_path, capsys
+):
+    w = str(tmp_path / "w.bin")
+    cli.main(["wallet", "new-card", "--wallet", w])
+    assert cli.main(["wallet", "list", "--wallet", w]) == 0
+    assert "server key" not in capsys.readouterr().out  # nothing pinned yet
+    port = str(main_server.port)
+    cli.main(["wallet", "punch", "--wallet", w, "--card", "0", "--port", port])
+    capsys.readouterr()
+    assert cli.main(["wallet", "list", "--wallet", w]) == 0
+    published = (tmp_path / "srv" / "server.pk").read_text().strip()
+    assert f"server key {published}" in capsys.readouterr().out.splitlines()
 
 
 @pytest.mark.parametrize("times", ["0", "-3"])

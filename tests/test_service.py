@@ -789,6 +789,21 @@ def test_logs_never_carry_card_material(tmp_path, caplog, monkeypatch):
     assert not re.search(r"[0-9a-f]{64}", blob)
 
 
+@pytest.mark.parametrize("scheme,backend", [("main", "toy"), ("mergeable", "toy-pairing")])
+def test_listening_line_names_the_group(tmp_path, caplog, scheme, backend):
+    """An operator sees from the log alone that a server runs on a test
+    group."""
+    cfg = Config(
+        state_dir=str(tmp_path / "state"), listen_port=0, scheme=scheme,
+        group="toy", pairing="toy-pairing", fsync=False,
+    )
+    with caplog.at_level(logging.INFO, logger="punchcard.server"):
+        ServerHandle(cfg).start().shutdown()
+    [line] = [r.getMessage() for r in caplog.records if "listening on" in r.getMessage()]
+    assert re.search(r"listening on (\S+):(\d+)", line)
+    assert f"scheme={scheme} backend={backend}" in line
+
+
 # --- connection pool, deadline and cap --------------------------------------------
 
 
