@@ -34,10 +34,9 @@ import threading
 import time
 from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
 
+from .core import SECRET_SIZE
 from .errors import DbBusy, DbCorruption
 from .faults import fault_point
-
-SECRET_SIZE = 32
 
 _SNAP_MAGIC = b"PCDB\x01"
 _SNAP_HEAD = len(_SNAP_MAGIC) + 8  # magic, then <II: spent and claim counts

@@ -676,7 +676,7 @@ def parse_x(c, data: bytes):
 
 
 def _from_bytes(c, data: bytes, in_subgroup):
-    """The point on curve c that data encodes; in_subgroup is None or must hold."""
+    """The point on curve c that data encodes, which in_subgroup must hold."""
     F = c.F
     x = parse_x(c, data)
     if x is None:
@@ -688,7 +688,7 @@ def _from_bytes(c, data: bytes, in_subgroup):
     if bool(data[0] & _FLAG_SIGN) != _y_is_larger(F, y):
         y = F.neg(y)
     pt = (x, y)
-    if in_subgroup is not None and not in_subgroup(pt):
+    if not in_subgroup(pt):
         raise InvalidEncoding("point not in the prime-order subgroup")
     return pt
 
@@ -697,16 +697,16 @@ def g1_to_bytes(pt) -> bytes:
     return _to_bytes(curve_g1, pt)
 
 
-def g1_from_bytes(data: bytes, subgroup_check: bool = True):
-    return _from_bytes(curve_g1, data, in_subgroup_g1 if subgroup_check else None)
+def g1_from_bytes(data: bytes):
+    return _from_bytes(curve_g1, data, in_subgroup_g1)
 
 
 def g2_to_bytes(pt) -> bytes:
     return _to_bytes(curve_g2, pt)
 
 
-def g2_from_bytes(data: bytes, subgroup_check: bool = True):
-    return _from_bytes(curve_g2, data, in_subgroup_g2 if subgroup_check else None)
+def g2_from_bytes(data: bytes):
+    return _from_bytes(curve_g2, data, in_subgroup_g2)
 
 
 # ---------------------------------------------------------------------------

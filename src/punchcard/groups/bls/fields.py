@@ -350,15 +350,10 @@ def f12_to_flat(x):
     return [a0, b0, a1, b1, a2, b2]
 
 
-def f12_line(c0, c3, c5):
-    """Sparse element c0 + c3*w^3 + c5*w^5."""
-    return ((c0, F2_ZERO, F2_ZERO), (F2_ZERO, c3, c5))
-
-
 def f12_mul_by_line(f, c0, c3, c5):
-    """f * f12_line(c0, c3, c5) in 14 Fq2 multiplications (f12_mul takes
-    18, plus the additions of the zero coefficients) and 12 reductions.
-    The line is (c0, c3 v + c5 v^2) over w; with f = (a, b), the product
+    """f times the sparse line c0 + c3 w^3 + c5 w^5 in 14 Fq2
+    multiplications (f12_mul takes 18, plus the additions of the zero
+    coefficients) and 12 reductions. The line is (c0, c3 v + c5 v^2) over w; with f = (a, b), the product
     is (a c0 + v bl, (a + b)(c0, c3, c5) - a c0 - bl) for bl = b (c3 v +
     c5 v^2). a c0 costs 3 multiplications, bl 5 by Karatsuba, and the
     cross term one dense Fq6 product."""

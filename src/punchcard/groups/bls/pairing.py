@@ -23,7 +23,7 @@ xi*yP*(X - xQ Z) + ((Y - yQ Z) xQ - (X - xQ Z) yQ) w^3 - (Y - yQ Z) xP w^5.
 The scale factors are harmless: every element of Fq2 satisfies
 c^(p^6) = c, so the p^6 - 1 step of the final exponentiation sends them to
 1 and pairing() outputs are unchanged. The line's coefficients c0, c3, c5
-(of w^0, w^3, w^5; see fields.f12_line) go straight into
+(of w^0, w^3, w^5) go straight into
 fields.f12_mul_by_line, a sparse product, instead of a dense f12_mul. The
 loop parameter is negative for this curve, so the Miller value is
 conjugated before the final exponentiation.

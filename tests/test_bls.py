@@ -200,15 +200,13 @@ def _codec_inputs(size, encode, c, gen):
     ids=["g1", "g2"],
 )
 @settings(max_examples=100, deadline=None)
-@given(data=st.data(), subgroup_check=st.booleans())
-def test_decode_accepts_only_what_it_would_encode(
-    size, decode, encode, c, gen, data, subgroup_check
-):
+@given(data=st.data())
+def test_decode_accepts_only_what_it_would_encode(size, decode, encode, c, gen, data):
     """Every accepted string is the canonical encoding of what it decodes
-    to, with or without the subgroup check."""
+    to."""
     blob = data.draw(_codec_inputs(size, encode, c, gen))
     try:
-        pt = decode(blob, subgroup_check=subgroup_check)
+        pt = decode(blob)
     except InvalidEncoding:
         return
     assert encode(pt) == blob
@@ -234,9 +232,6 @@ def test_g1_decode_rejects_non_subgroup_point():
     blob = g1_to_bytes(pt)
     with pytest.raises(InvalidEncoding):
         g1_from_bytes(blob)
-    # explicit opt-out still parses the curve point
-    again = g1_from_bytes(blob, subgroup_check=False)
-    assert curve_g1.is_on_curve(again)
 
 
 def _twist_point_outside_subgroup():
@@ -258,8 +253,6 @@ def test_g2_decode_rejects_non_subgroup_point():
     blob = g2_to_bytes(pt)
     with pytest.raises(InvalidEncoding):
         g2_from_bytes(blob)
-    again = g2_from_bytes(blob, subgroup_check=False)
-    assert curve_g2.is_on_curve(again)
 
 
 def test_hash_to_curve_deterministic_and_separated():
