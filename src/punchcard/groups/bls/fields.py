@@ -11,8 +11,9 @@ transcribed, and the asserts at the bottom pin the algebra.
 Every function takes and returns coefficients reduced into [0, p). The hot
 products (f6_mul, f12_mul, f12_sqr, f12_mul_by_line, and Karabina's
 f12_compressed_sqr and f12_decompress_many) reduce once per output
-coefficient: they work on the Fq coefficients directly, let sums, differences and products grow unreduced, and take
-each output mod p at the end. That is lazy reduction as in Aranha,
+coefficient: they work on the Fq coefficients directly, let sums,
+differences and products grow unreduced, and take each output mod p at
+the end. That is lazy reduction as in Aranha,
 Karabina, Longa, Gebotys and Lopez, "Faster explicit formulas for
 computing pairings over ordinary curves" (EUROCRYPT 2011). Unreduced
 values may be negative; Python's % (and gmpy2's, which follows it) still
@@ -353,10 +354,11 @@ def f12_to_flat(x):
 def f12_mul_by_line(f, c0, c3, c5):
     """f times the sparse line c0 + c3 w^3 + c5 w^5 in 14 Fq2
     multiplications (f12_mul takes 18, plus the additions of the zero
-    coefficients) and 12 reductions. The line is (c0, c3 v + c5 v^2) over w; with f = (a, b), the product
-    is (a c0 + v bl, (a + b)(c0, c3, c5) - a c0 - bl) for bl = b (c3 v +
-    c5 v^2). a c0 costs 3 multiplications, bl 5 by Karatsuba, and the
-    cross term one dense Fq6 product."""
+    coefficients) and 12 reductions. The line is (c0, c3 v + c5 v^2) over
+    w; with f = (a, b), the product is (a c0 + v bl, (a + b)(c0, c3, c5)
+    - a c0 - bl) for bl = b (c3 v + c5 v^2). a c0 costs 3
+    multiplications, bl 5 by Karatsuba, and the cross term one dense Fq6
+    product."""
     ((a0, a1), (a2, a3), (a4, a5)), ((b0, b1), (b2, b3), (b4, b5)) = f
     p0, p1 = c0
     q0, q1 = c3

@@ -48,10 +48,10 @@ six copies decompressed with one batched inversion before the 5
 multiplications. That squaring is correct only on the cyclotomic
 subgroup: the easy part's output, f^((p^6-1)(p^2+1)), lies there, and so
 does every power and product of it the hard part forms. The hard part's
-one other squaring (for m^3) is the generic f12_sqr, and so is the
-fallback f12_pow for a kept power that cannot be decompressed, which no
-pairing output takes. A pairing thus inverts six times: once in the easy
-part and once per _exp_u.
+one other squaring (for m^3) is the generic f12_sqr, and a kept power
+that cannot be decompressed, which no pairing forms, falls back to the
+generic f12_pow. A pairing thus inverts six times: once in the easy part
+and once per _exp_u.
 """
 
 from __future__ import annotations
