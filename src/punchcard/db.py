@@ -49,12 +49,13 @@ _CHUNK = 4096  # records unpacked at a time when a whole blob is walked
 _STEP = _CHUNK * SECRET_SIZE
 _BLOCK = 64  # records per fence entry of a _Sorted
 _BLOCK_BYTES = _BLOCK * SECRET_SIZE
+_SECRET_FMT = f"{SECRET_SIZE}s"  # one record, as a struct field
 
 
 def _records(blob: bytes, off: int) -> Tuple[bytes, ...]:
     """Up to _CHUNK records of `blob` from byte offset `off`."""
     n = min(_STEP, len(blob) - off) // SECRET_SIZE
-    return struct.unpack_from("32s" * n, blob, off)
+    return struct.unpack_from(_SECRET_FMT * n, blob, off)
 
 
 class _Sorted:
@@ -397,7 +398,7 @@ class RedeemDb:
                     # must not slice _RUN heads for each of them
                     window = min(2 * run + 8, _RUN)
                 self._overlay.update(
-                    struct.unpack_from(("2x" + "32s" * count) * run, data, off)
+                    struct.unpack_from(("2x" + _SECRET_FMT * count) * run, data, off)
                 )
             elif kind in (_REC_CLAIM_ADD, _REC_CLAIM_TAKE):
                 end = off + 1 + SECRET_SIZE
