@@ -219,7 +219,7 @@ def expected_card(
 
 def verify_card(group: Group, sk: int, req: RedeemRequest, count: int) -> bool:
     """The redemption equation alone, no double-spend bookkeeping."""
-    return group.eq(req.card, expected_card(group, sk, req.u, count))
+    return req.card == expected_card(group, sk, req.u, count)
 
 
 def spend(db, secrets: Sequence[bytes], valid: Callable[[], bool]) -> RedeemStatus:

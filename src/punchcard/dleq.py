@@ -129,7 +129,7 @@ def verify_transcript(
     rhs1 = group.mul(commit_base, group.exp(pk, chal))
     lhs2 = group.exp(point, response)
     rhs2 = group.mul(commit_point, group.exp(image, chal))
-    return group.eq(lhs1, rhs1) and group.eq(lhs2, rhs2)
+    return lhs1 == rhs1 and lhs2 == rhs2
 
 
 def simulate(

@@ -11,8 +11,9 @@ target group implements only the encoding) and tiny Schnorr subgroups of
 Z_P^* used as test oracles, where discrete logs are recoverable by brute
 force.
 
-The base class supplies ``eq`` as ``==``, ``is_identity`` as equality with
-``identity()``, ``exp_many`` as one ``exp`` per scalar, ``check_element``
+Every backend holds an element as one value with one byte form and
+decodes only that form, so ``==`` on elements is group equality. The base
+class supplies ``exp_many`` as one ``exp`` per scalar, ``check_element``
 as no check, the scalar codec (``scalar_size`` bytes in
 ``scalar_byteorder``, canonical below ``order``), ``exp_base``, random and
 inverted scalars, and ``hash_to_scalar``.
@@ -64,12 +65,6 @@ class Group:
     def generator(self) -> Element:
         raise NotImplementedError
 
-    def identity(self) -> Element:
-        raise NotImplementedError
-
-    def is_identity(self, e: Element) -> bool:
-        return self.eq(e, self.identity())
-
     def mul(self, a: Element, b: Element) -> Element:
         """Group operation."""
         raise NotImplementedError
@@ -87,9 +82,6 @@ class Group:
         """The generator raised to k; backends with a faster fixed-base
         method override it."""
         return self.exp(self.generator(), k)
-
-    def eq(self, a: Element, b: Element) -> bool:
-        return a == b
 
     # -- encodings ---------------------------------------------------------
 

@@ -29,9 +29,6 @@ class _BlsCurveGroup(Group):
     def generator(self):
         return self._gen
 
-    def identity(self):
-        return None
-
     def mul(self, a, b):
         return self._curve.add(a, b)
 

@@ -9,9 +9,13 @@ implement the arithmetic behind that interface:
   decode / map-from-uniform-bytes construction over the twisted Edwards
   curve, used as fallback and as a cross-check oracle in tests.
 
-libsodium's scalarmult refuses to output the identity (returns -1), so the
-wrapper short-circuits zero scalars and identity inputs before calling C;
-everything else is passed through untouched.
+Both backends decode only RFC 9496's canonical encodings, the all-zero
+identity among them, so an element has one byte form and equal elements
+have equal bytes. libsodium 1.0.18 ignores bit 255 when it decodes, which
+would give every element a second form, so the sodium backend refuses
+that bit itself. libsodium's scalarmult refuses to output the identity
+(returns -1), so the wrapper short-circuits zero scalars and identity
+inputs before calling C; everything else is passed through untouched.
 """
 
 from __future__ import annotations
@@ -121,10 +125,9 @@ def _scalar_mult(p: _Point, k: int) -> _Point:
     for _ in range(14):
         window.append(_add(window[-1], p))
     for shift in range(252, -4, -4):
-        acc = _dbl(_dbl(_dbl(_dbl(acc))))
-        nib = (k >> shift) & 0xF
-        if nib:
-            acc = _add(acc, window[nib])
+        # window[0] is the identity and _add is complete, so every nibble,
+        # zero or not, costs one addition
+        acc = _add(_dbl(_dbl(_dbl(_dbl(acc)))), window[(k >> shift) & 0xF])
     return acc
 
 
@@ -230,6 +233,9 @@ class _SodiumBackend:
         base.restype = ctypes.c_int
 
     def is_valid(self, e: bytes) -> bool:
+        # bit 255 set means s >= p, but libsodium 1.0.18 masks it off
+        if e[31] & 0x80:
+            return False
         return self._lib.crypto_core_ristretto255_is_valid_point(e) == 1
 
     def add(self, a: bytes, b: bytes) -> bytes:
@@ -313,14 +319,7 @@ class RistrettoGroup(Group):
     def generator(self) -> bytes:
         return _BASEPOINT
 
-    def identity(self) -> bytes:
-        return _IDENTITY
-
     def mul(self, a: bytes, b: bytes) -> bytes:
-        if a == _IDENTITY:
-            return b
-        if b == _IDENTITY:
-            return a
         return self._backend.add(a, b)
 
     def exp(self, e: bytes, k: int) -> bytes:
@@ -341,8 +340,6 @@ class RistrettoGroup(Group):
     def decode_element(self, data: bytes) -> bytes:
         check_length(data, 32, "ristretto element")
         data = bytes(data)
-        if data == _IDENTITY:
-            return data
         if not self._backend.is_valid(data):
             raise InvalidEncoding("byte string is not a ristretto element")
         return data

@@ -35,9 +35,6 @@ class SchnorrGroup(Group):
     def generator(self) -> int:
         return self._gen
 
-    def identity(self) -> int:
-        return 1
-
     def mul(self, a: int, b: int) -> int:
         return a * b % self.modulus
 

@@ -296,8 +296,8 @@ def test_pairing_non_degenerate(bls):
 
 def test_pairing_identity_absorbing(bls):
     one = fields.F12_ONE
-    assert fields.f12_eq(bls.pair(bls.g0.identity(), bls.g1.generator()), one)
-    assert fields.f12_eq(bls.pair(bls.g0.generator(), bls.g1.identity()), one)
+    assert fields.f12_eq(bls.pair(None, bls.g1.generator()), one)
+    assert fields.f12_eq(bls.pair(bls.g0.generator(), None), one)
 
 
 def test_final_exp_oracle():
@@ -331,8 +331,8 @@ def test_gt_exp_matches_pairing_structure(bls):
 
 def test_g1_group_wrapper_rejects_identity_free_encodings(bls):
     g0 = bls.g0
-    blob = g0.encode_element(g0.identity())
-    assert g0.is_identity(g0.decode_element(blob))
+    blob = g0.encode_element(None)
+    assert g0.decode_element(blob) is None
     with pytest.raises(InvalidEncoding):
         g0.decode_element(b"\x00" * 48)
 

@@ -89,6 +89,29 @@ def test_spend_refuses_a_malformed_secret_before_valid(tmp_path):
     db.close()
 
 
+class _LostRace:
+    """A store whose lock-free look-up misses a secret that another
+    redemption spends before this one's check_and_insert."""
+
+    def __contains__(self, u):
+        return False
+
+    def check_and_insert(self, *secrets):
+        return False
+
+
+def test_spend_that_loses_the_race_is_double_spend():
+    calls = []
+
+    def valid():
+        calls.append(1)
+        return True
+
+    secret = bytes(core.SECRET_SIZE)
+    assert core.spend(_LostRace(), [secret], valid) is RedeemStatus.DOUBLE_SPEND
+    assert calls == [1]
+
+
 def test_remask_changes_wire_element_every_time():
     group = get_group("ristretto255")
     rng = random.Random(66)
@@ -133,7 +156,7 @@ def test_redeem_request_serialization(group):
     assert len(blob) == core.SECRET_SIZE + group.element_size
     again = core.RedeemRequest.from_bytes(group, blob)
     assert again.u == req.u
-    assert group.eq(again.card, req.card)
+    assert again.card == req.card
     with pytest.raises(InvalidEncoding):
         core.RedeemRequest.from_bytes(group, blob[:-1])
 

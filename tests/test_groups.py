@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from punchcard import core, dleq, extensions, mergeable
 from punchcard.errors import InvalidEncoding, ZeroInverse
-from punchcard.groups import get_group, get_pairing
+from punchcard.groups import get_group, get_pairing, ristretto
 from punchcard.groups.base import tagged, wide_hash
 from punchcard.groups.ristretto import RistrettoGroup
 from punchcard.groups.toy import SchnorrGroup, ToyPairing
@@ -35,17 +35,37 @@ def test_wide_hash_is_sha512_sized():
 # --- generic group contract, run on both production and toy ----------------
 
 
-@pytest.fixture(params=["toy", "ristretto255", "bls12-381-g0", "bls12-381-g1"])
+@pytest.fixture(
+    params=[
+        "toy",
+        "ristretto255",
+        "ristretto255-python",
+        "bls12-381-g0",
+        "bls12-381-g1",
+    ]
+)
 def group(request):
     if request.param.startswith("bls12-381-"):
         pairing = get_pairing("bls12-381")
         return {g.name: g for g in (pairing.g0, pairing.g1)}[request.param]
+    if request.param == "ristretto255-python":
+        return RistrettoGroup(backend="python")
     return get_group(request.param)
 
 
+# each group's identity element, written out
+IDENTITY = {
+    "toy": 1,
+    "ristretto255": bytes(32),
+    "bls12-381-g0": None,
+    "bls12-381-g1": None,
+}
+
+
 def test_identity_round_trip(group):
-    e = group.identity()
-    assert group.is_identity(e)
+    e = IDENTITY[group.name]
+    g = group.generator()
+    assert group.mul(e, e) == e and group.mul(e, g) == g == group.mul(g, e)
     assert group.decode_element(group.encode_element(e)) == e
 
 
@@ -53,23 +73,44 @@ def test_generator_encode_decode(group):
     g = group.generator()
     data = group.encode_element(g)
     assert len(data) == group.element_size
-    assert group.eq(group.decode_element(data), g)
+    assert group.decode_element(data) == g
+
+
+def test_an_encoding_that_decodes_is_canonical(group):
+    """Each element has one byte form, so == on elements is group
+    equality: among a few elements' encodings and every one-bit flip of
+    them, whatever decodes re-encodes to the same bytes after a group
+    operation."""
+    decoded = 0
+    for k in (0, 5):
+        good = group.encode_element(group.exp_base(k))
+        for bit in range(-1, 8 * len(good)):
+            blob = bytearray(good)
+            if bit >= 0:
+                blob[bit // 8] ^= 1 << (bit % 8)
+            try:
+                e = group.decode_element(bytes(blob))
+            except InvalidEncoding:
+                continue
+            decoded += 1
+            assert group.encode_element(group.exp(e, 1)) == blob, (k, bit)
+    assert decoded >= 2
 
 
 def test_exp_matches_repeated_mul(group):
     g = group.generator()
-    acc = group.identity()
+    acc = IDENTITY[group.name]
     for k in range(8):
-        assert group.eq(acc, group.exp(g, k))
+        assert acc == group.exp(g, k)
         acc = group.mul(acc, g)
 
 
 def test_exp_mod_order(group):
     g = group.generator()
     k = 123456789
-    assert group.eq(group.exp(g, k), group.exp(g, k % group.order))
-    assert group.is_identity(group.exp(g, group.order))
-    assert group.is_identity(group.exp(g, 0))
+    assert group.exp(g, k) == group.exp(g, k % group.order)
+    assert group.exp(g, group.order) == IDENTITY[group.name]
+    assert group.exp(g, 0) == IDENTITY[group.name]
 
 
 def test_exponent_arithmetic(group):
@@ -80,7 +121,7 @@ def test_exponent_arithmetic(group):
         b = group.random_scalar(rng)
         left = group.exp(group.exp(g, a), b)
         right = group.exp(g, a * b % group.order)
-        assert group.eq(left, right)
+        assert left == right
 
 
 def test_invert_scalar(group):
@@ -123,10 +164,10 @@ def test_scalar_decode_never_yields_the_order(group):
 
 def test_hash_to_group_deterministic_and_tag_separated(group):
     a = group.hash_to_group(TAG, b"u")
-    assert group.eq(a, group.hash_to_group(TAG, b"u"))
-    assert not group.eq(a, group.hash_to_group(TAG, b"v"))
-    assert not group.eq(a, group.hash_to_group(TAG + "x", b"u"))
-    assert not group.is_identity(a)
+    assert a == group.hash_to_group(TAG, b"u")
+    assert a != group.hash_to_group(TAG, b"v")
+    assert a != group.hash_to_group(TAG + "x", b"u")
+    assert a != IDENTITY[group.name]
 
 
 def test_hash_to_scalar_range(group):
@@ -192,7 +233,7 @@ def test_toy_pairing_bilinear_by_dlog():
         b = tp.g1.random_scalar(rng)
         lhs = tp.pair(tp.g0.exp(tp.g0.generator(), a), tp.g1.exp(tp.g1.generator(), b))
         rhs = tp.gt.exp(tp.gt.generator(), a * b % tp.order)
-        assert tp.gt.eq(lhs, rhs)
+        assert lhs == rhs
     assert tp.pair(tp.g0.generator(), tp.g1.generator()) == 19557
 
 
@@ -270,6 +311,10 @@ def test_ristretto_backends_agree():
     assert sod.mul(a, b) == py.mul(a, b)
 
 
+def _with_bit_255(blob: bytes) -> bytes:
+    return blob[:31] + bytes([blob[31] | 0x80])
+
+
 def test_ristretto_rejects_non_canonical():
     g = get_group("ristretto255")
     bad = [
@@ -278,10 +323,15 @@ def test_ristretto_rejects_non_canonical():
         bytes.fromhex(
             "f3ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f"
         ),  # p - 12, negative s
+        # elements, the identity among them, with bit 255 set (s >= p):
+        # libsodium 1.0.18 masks that bit off, which would give every
+        # element a second byte form
+        *(_with_bit_255(g.exp_base(k)) for k in (0, 1, 7)),
     ]
-    for blob in bad:
-        with pytest.raises(InvalidEncoding):
-            g.decode_element(blob)
+    for g in _both_backends():
+        for blob in bad:
+            with pytest.raises(InvalidEncoding):
+                g.decode_element(blob)
 
 
 def test_ristretto_scalar_decode_strict():
@@ -293,18 +343,53 @@ def test_ristretto_scalar_decode_strict():
 
 
 def test_ristretto_exp_identity_short_circuits():
-    g = get_group("ristretto255")
-    e = g.identity()
-    assert g.is_identity(g.exp(e, 5))
-    assert g.is_identity(g.exp(g.generator(), 0))
-    assert g.is_identity(g.mul(e, e))
+    e = bytes(32)
+    for g in _both_backends():
+        assert g.exp(e, 5) == e
+        assert g.exp(g.generator(), 0) == e
+        assert g.mul(e, e) == e
 
 
 def test_ristretto_hash_to_group_avoids_identity():
     g = get_group("ristretto255")
     rng = random.Random(19)
     for _ in range(100):
-        assert not g.is_identity(g.hash_to_group(TAG, rng.randbytes(32)))
+        assert g.hash_to_group(TAG, rng.randbytes(32)) != bytes(32)
+
+
+def test_ristretto_backends_agree_on_decoding():
+    """The two backends accept exactly the same 32-byte strings: random
+    ones, and every one-bit flip of the encodings of k*B for k = 1..100."""
+    backends = _both_backends()
+    if len(backends) < 2:
+        pytest.skip("libsodium not available")
+    sod, py = (g._backend for g in backends)
+    rng = random.Random(1)
+    blobs = [rng.randbytes(32) for _ in range(20_000)]
+    for k in range(1, 101):
+        good = int.from_bytes(sod.exp_base(k), "little")
+        blobs += [(good ^ (1 << bit)).to_bytes(32, "little") for bit in range(256)]
+    accepted = [py.is_valid(b) for b in blobs]
+    assert [sod.is_valid(b) for b in blobs] == accepted
+    assert sum(accepted[:20_000]) > 1000
+
+
+def test_python_ladder_adds_on_every_nibble(monkeypatch):
+    """The pure-Python ladder adds its table entry for every nibble of the
+    scalar, window[0] (the identity) for a zero one: 14 additions build the
+    table and 64 run the ladder, whatever the scalar. Its outputs stay
+    those of the sodium backend where that is present."""
+    py = RistrettoGroup(backend="python")
+    sodium = _both_backends()[0]
+    calls = []
+    add = ristretto._add
+    monkeypatch.setattr(ristretto, "_add", lambda p, q: calls.append(1) or add(p, q))
+    sparse, dense = 2**200 + 1, 2**252 - 1
+    for k in (1, 2, ristretto.L - 1, 2**252, sparse, dense):
+        calls.clear()
+        out = py.exp(py.generator(), k)
+        assert len(calls) == 78, k
+        assert out == sodium.exp(sodium.generator(), k)
 
 
 # --- fixed message layouts, each read by groups.base.unpack -----------------

@@ -45,6 +45,17 @@ def test_defaults_without_file_or_env():
     assert cfg == Config()
 
 
+def test_readme_example_config_loads_as_the_defaults(tmp_path):
+    """The example server.conf in README.md loads, and every value it shows
+    is the default."""
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as f:
+        readme = f.read()
+    block = re.search(r"```\n(listen_host = .*?)```", readme, re.S).group(1)
+    path = tmp_path / "server.conf"
+    path.write_text(block)
+    assert load_config(str(path), env={}) == Config()
+
+
 def test_config_file_parsing(tmp_path):
     path = tmp_path / "server.conf"
     path.write_text(
@@ -127,7 +138,7 @@ def test_keystore_create_then_load(tmp_path):
     assert mode == 0o600
     sk2, pk2 = KeyStore(str(tmp_path)).load_or_create(setup, enc)
     assert sk1 == sk2
-    assert group.eq(pk1, pk2)
+    assert pk1 == pk2
 
 
 def test_keystore_detects_mismatched_pk(tmp_path):
@@ -302,6 +313,21 @@ def test_pk_and_punch_dispatch(tmp_path):
     assert RedeemStatus(body[0]) is RedeemStatus.ACCEPT
     snap = svc.stats.snapshot()
     assert snap["punches"] == 2 and snap["redeem_accept"] == 1
+
+
+def test_punch_with_bit_255_set_is_error(tmp_path):
+    """A ristretto255 card with bit 255 set (s >= p) is refused on every
+    backend, libsodium's included, whose own check ignores that bit: the
+    second byte form gets ERROR, the card's canonical bytes a punch."""
+    cfg = Config(state_dir=str(tmp_path / "state"))
+    svc = PunchcardService(cfg, db=RedeemDb())
+    g = svc.scheme.group
+    _, card = core.issue(g, random.Random(178))
+    body = g.encode_element(card)
+    out_type, _ = svc.handle(wire.PUNCH_REQ, body[:31] + bytes([body[31] | 0x80]))
+    assert out_type == wire.ERROR
+    out_type, _ = svc.handle(wire.PUNCH_REQ, body)
+    assert out_type == wire.PUNCH_RESP
 
 
 def test_unaccepted_count_is_bad_card(tmp_path):

@@ -91,7 +91,7 @@ def test_new_wallet_persists_cards(tmp_path):
     for a, b in zip(w.cards, again.cards):
         assert a.secret.u == b.secret.u
         assert a.secret.mask == b.secret.mask
-        assert w.scheme.group.eq(a.element, b.element)
+        assert a.element == b.element
         assert a.count == b.count == 0
 
 
@@ -153,10 +153,9 @@ def test_pk_pinning(tmp_path):
     after = _wallet(tmp_path).cards[idx]
     g = again.scheme.group
     assert after.secret.u == before.secret.u
-    assert not g.eq(after.element, before.element)
-    assert g.eq(
-        core.unmask(g, after.secret.mask, after.element),
-        core.unmask(g, before.secret.mask, before.element),
+    assert after.element != before.element
+    assert core.unmask(g, after.secret.mask, after.element) == core.unmask(
+        g, before.secret.mask, before.element
     )
     assert after.count == before.count == 0
 
@@ -200,6 +199,26 @@ def test_key_that_does_not_decode_is_not_pinned(tmp_path):
     assert again.pk == right.pk and again.cards[idx].count == 1
 
 
+def test_key_with_bit_255_set_is_not_pinned(tmp_path):
+    """A ristretto255 key with bit 255 set would be a second byte form of
+    the server's key; it does not decode, so nothing is pinned or saved,
+    and the wallet then pins the canonical key."""
+    rng = random.Random(172)
+    server = FakeMainServer(rng)
+    canonical = server.pk_bytes
+    w = _wallet(tmp_path)
+    idx = w.new_card(rng)
+    before = (tmp_path / "wallet").read_bytes()
+    server.pk_bytes = canonical[:31] + bytes([canonical[31] | 0x80])
+    with pytest.raises(InvalidEncoding):
+        w.punch(server, idx, rng)
+    assert w.pk is None
+    assert (tmp_path / "wallet").read_bytes() == before
+    server.pk_bytes = canonical
+    w.punch(server, idx, rng)
+    assert w.scheme.encode_pk(w.pk) == canonical
+
+
 def test_pinned_key_that_does_not_decode_makes_the_file_corrupt(tmp_path):
     w = _wallet(tmp_path, scheme="mergeable", pairing_name="toy-pairing")
     w.save()
@@ -219,7 +238,7 @@ def test_loaded_wallet_never_decodes_its_key_again(tmp_path):
     idx = w.new_card(rng)
     w.ensure_pk(server)
     w = _wallet(tmp_path)
-    assert w.scheme.group.eq(w.pk, server.pk)
+    assert w.pk == server.pk
     decodes = []
     real_decode = w.scheme.decode_pk
     w.scheme.decode_pk = lambda data: decodes.append(data) or real_decode(data)
