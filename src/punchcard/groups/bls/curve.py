@@ -2,9 +2,14 @@
 
 Both curves are short Weierstrass y^2 = x^3 + b with a = 0: E over Fq with
 b = 4, and the twist E' over Fq2 with b = 4(1+i). Affine points are (x, y)
-tuples; None is the point at infinity. The affine arithmetic (add, double,
-subset_sums, the normalisations of the ladders and of odd_multiples),
-the compressed-point codec and the
+tuples of reduced field values, so == compares them. None is the point
+at infinity, and its only form, in Jacobian coordinates too: x^3 = -b has
+no root in Fq or Fq2, so no point has y = 0 (order 2), a finite Jacobian
+point has Y = y Z^3 != 0, and doubling (Z' = 2YZ) and mixed addition
+(Z' = Z H, H != 0) never give Z = 0; P + (-P) returns None.
+
+The affine arithmetic (add, double, subset_sums, the normalisations of
+the ladders and of odd_multiples), the compressed-point codec and the
 hash to the curve are written once over a small field-ops shim, _FqOps or
 _Fq2Ops, and instantiated for both fields; g1_/g2_to_bytes,
 g1_/g2_from_bytes and hash_to_g1/g2 are thin entry points. Scalar
@@ -80,9 +85,7 @@ from .fields import (
     X_PARAM,
     f2_add,
     f2_conj,
-    f2_eq,
     f2_inv,
-    f2_is_zero,
     f2_mul,
     f2_muls,
     f2_neg,
@@ -127,20 +130,9 @@ class _FqOps:
     def sqr(a):
         return a * a % P
 
-    @staticmethod
-    def muls(a, s):
-        return a * s % P
-
+    muls = mul  # the scalars are Fq elements too
     inv = staticmethod(fq_inv)
     sqrt = staticmethod(fq_sqrt)
-
-    @staticmethod
-    def eq(a, b):
-        return a == b
-
-    @staticmethod
-    def is_zero(a):
-        return a == 0
 
     # the coefficients as ints, in wire order, and back
     @staticmethod
@@ -161,8 +153,6 @@ class _Fq2Ops:
     sqr = staticmethod(f2_sqr)
     inv = staticmethod(f2_inv)
     sqrt = staticmethod(f2_sqrt)
-    eq = staticmethod(f2_eq)
-    is_zero = staticmethod(f2_is_zero)
     muls = staticmethod(f2_muls)
 
     # the coefficients as ints, in wire order (c1 first), and back
@@ -215,7 +205,7 @@ class Curve:
         if pt is None:
             return True
         x, y = pt
-        return self.F.eq(self.F.sqr(y), self.rhs(x))
+        return self.F.sqr(y) == self.rhs(x)
 
     def neg(self, pt):
         if pt is None:
@@ -230,16 +220,14 @@ class Curve:
         F = self.F
         x1, y1 = p1
         x2, y2 = p2
-        if F.eq(x1, x2):
-            if F.eq(y1, y2) and not F.is_zero(y1):
-                return self.double(p1)
-            return None
+        if x1 == x2:  # p2 is p1 or -p1
+            return self.double(p1) if y1 == y2 else None
         lam = F.mul(F.sub(y2, y1), F.inv(F.sub(x2, x1)))
         x3 = F.sub(F.sub(F.sqr(lam), x1), x2)
         return (x3, F.sub(F.mul(lam, F.sub(x1, x3)), y1))
 
     def double(self, pt):
-        if pt is None or self.F.is_zero(pt[1]):
+        if pt is None:
             return None
         F = self.F
         x, y = pt
@@ -273,9 +261,9 @@ class Curve:
         return self._affine(acc)
 
     def _affine(self, acc):
-        """The affine point of a Jacobian accumulator (None or Z = 0 is
-        infinity), by one inversion."""
-        if acc is None or self.F.is_zero(acc[2]):
+        """The affine point of a Jacobian accumulator (None is infinity), by
+        one inversion."""
+        if acc is None:
             return None
         return self._scaled(acc, self.F.inv(acc[2]))
 
@@ -288,12 +276,12 @@ class Curve:
         """The affine table [P, 3P, 5P, ..., (2^(w-1) - 1)P] for w =
         WNAF_WIDTH, built in Jacobian coordinates with one inversion, for a
         point P of order above 2^(w-1) (no entry may be the identity; on a
-        point of small order some Z is 0). 2P = (X, Y, Z) is the affine point
-        (X, Y) of the isomorphic curve y^2 = x^3 + b Z^6, on which P is
-        (x Z^2, y Z^3); _add_mixed and _double_jac never read b (a = 0), so
-        the odd multiples are mixed additions of (X, Y) there, and each Z
-        on E is its Z there times Z. Montgomery's trick inverts all of them
-        with one inversion."""
+        point of small order some mixed addition returns None). 2P =
+        (X, Y, Z) is the affine point (X, Y) of the isomorphic curve
+        y^2 = x^3 + b Z^6, on which P is (x Z^2, y Z^3); _add_mixed and
+        _double_jac never read b (a = 0), so the odd multiples are mixed
+        additions of (X, Y) there, and each Z on E is its Z there times Z.
+        Montgomery's trick inverts all of them with one inversion."""
         F = self.F
         X, Y, Z = self._double_jac(pt[0], pt[1], self.one)
         zz = F.sqr(Z)
@@ -358,9 +346,9 @@ class CurveFq(Curve):
         return X3, (E * (D - X3) - 8 * B * B) % P, 2 * Y * Z % P
 
     def _add_mixed(self, acc, pt):
-        """Jacobian accumulator (None or Z = 0 is infinity) plus affine pt."""
+        """Jacobian accumulator (None is infinity) plus affine pt."""
         x2, y2 = pt
-        if acc is None or acc[2] == 0:
+        if acc is None:
             return x2, y2, self.one
         X, Y, Z = acc
         Z1Z1 = Z * Z % P
@@ -403,8 +391,8 @@ class CurveFq2(Curve):
         return X3, Y3, Z3
 
     def _add_mixed(self, acc, pt):
-        """Jacobian accumulator (None or Z = 0 is infinity) plus affine pt."""
-        if acc is None or acc[2] == (0, 0):
+        """Jacobian accumulator (None is infinity) plus affine pt."""
+        if acc is None:
             return pt[0], pt[1], self.one
         (X0, X1), (Y0, Y1), (Z0, Z1) = acc
         (x0, x1), (y0, y1) = pt

@@ -8,7 +8,8 @@ with w^2 = v (so w^6 = xi). This is the conventional tower for this curve;
 the Frobenius coefficients are computed at import time from xi rather than
 transcribed, and the asserts at the bottom pin the algebra.
 
-Every function takes and returns coefficients reduced into [0, p). The hot
+Every function takes and returns coefficients reduced into [0, p), so an
+element has one form and == on the tuples is field equality. The hot
 products (f6_mul, f12_mul, f12_sqr, f12_mul_by_line, and Karabina's
 f12_compressed_sqr and f12_decompress_many) reduce once per output
 coefficient: they work on the Fq coefficients directly, let sums,
@@ -110,14 +111,6 @@ def f2_inv(x):
     return (a * d % P, (-b) * d % P)
 
 
-def f2_eq(x, y) -> bool:
-    return x[0] == y[0] and x[1] == y[1]
-
-
-def f2_is_zero(x) -> bool:
-    return x[0] == 0 and x[1] == 0
-
-
 def f2_pow(x, e: int):
     acc = F2_ONE
     for bit in bin(int(e))[2:]:
@@ -211,10 +204,6 @@ def f6_mul(x, y):
     return ((c0 % P, c1 % P), (c2 % P, c3 % P), (c4 % P, c5 % P))
 
 
-def f6_sqr(x):
-    return f6_mul(x, x)
-
-
 def f6_mul_by_v(x):
     return (f2_mul_by_xi(x[2]), x[0], x[1])
 
@@ -230,10 +219,6 @@ def f6_inv(x):
     )
     dinv = f2_inv(d)
     return (f2_mul(t0, dinv), f2_mul(t1, dinv), f2_mul(t2, dinv))
-
-
-def f6_eq(x, y) -> bool:
-    return all(f2_eq(a, b) for a, b in zip(x, y))
 
 
 # ---------------------------------------------------------------------------
@@ -290,17 +275,13 @@ def f12_sqr(x):
 
 def f12_inv(x):
     a, b = x
-    t = f6_inv(f6_sub(f6_sqr(a), f6_mul_by_v(f6_sqr(b))))
+    t = f6_inv(f6_sub(f6_mul(a, a), f6_mul_by_v(f6_mul(b, b))))
     return (f6_mul(a, t), f6_neg(f6_mul(b, t)))
 
 
 def f12_conj(x):
     """x^(p^6); equals x^-1 on the cyclotomic subgroup."""
     return (x[0], f6_neg(x[1]))
-
-
-def f12_eq(x, y) -> bool:
-    return f6_eq(x[0], y[0]) and f6_eq(x[1], y[1])
 
 
 def f12_pow(x, e: int):
@@ -494,9 +475,8 @@ def f12_decompress_many(cs):
 assert N == X_PARAM**4 - X_PARAM**2 + 1
 assert P == (X_PARAM - 1) ** 2 * N // 3 + X_PARAM
 assert (P**4 - P**2 + 1) % N == 0
-assert f2_eq(f2_pow(XI, (P * P - 1) // 2), (P - 1, 0))  # xi is a non-square
+assert f2_pow(XI, (P * P - 1) // 2) == (P - 1, 0)  # xi is a non-square
 # w^6 == xi in the tower coordinates
-assert f12_eq(
-    f12_pow((F6_ZERO, (F2_ONE, F2_ZERO, F2_ZERO)), 6),
-    ((XI, F2_ZERO, F2_ZERO), F6_ZERO),
+assert f12_pow((F6_ZERO, (F2_ONE, F2_ZERO, F2_ZERO)), 6) == (
+    (XI, F2_ZERO, F2_ZERO), F6_ZERO
 )

@@ -83,7 +83,7 @@ def test_fq12_mul_inverse_round_trip():
     rng = random.Random(22)
     for _ in range(10):
         x = _rand_f12(rng)
-        assert fields.f12_eq(fields.f12_mul(x, fields.f12_inv(x)), fields.F12_ONE)
+        assert fields.f12_mul(x, fields.f12_inv(x)) == fields.F12_ONE
 
 
 def test_fq12_pow_agrees_with_repeated_mul():
@@ -91,15 +91,15 @@ def test_fq12_pow_agrees_with_repeated_mul():
     x = _rand_f12(rng)
     acc = fields.F12_ONE
     for k in range(6):
-        assert fields.f12_eq(fields.f12_pow(x, k), acc)
+        assert fields.f12_pow(x, k) == acc
         acc = fields.f12_mul(acc, x)
 
 
 def test_frobenius_is_p_power():
     rng = random.Random(24)
     x = _rand_f12(rng)
-    assert fields.f12_eq(fields.f12_frob(x), fields.f12_pow(x, P))
-    assert fields.f12_eq(fields.f12_frob2(x), fields.f12_pow(x, P * P))
+    assert fields.f12_frob(x) == fields.f12_pow(x, P)
+    assert fields.f12_frob2(x) == fields.f12_pow(x, P * P)
 
 
 def test_f12_flat_round_trip():
@@ -109,7 +109,7 @@ def test_f12_flat_round_trip():
     flat = fields.f12_to_flat(x)
     assert len(flat) == 6
     even, odd = flat[0::2], flat[1::2]  # the two Fq6 limbs, in order
-    assert fields.f12_eq((tuple(even), tuple(odd)), x)
+    assert (tuple(even), tuple(odd)) == x
 
 
 # --- curve and serialization -------------------------------------------------
@@ -283,21 +283,21 @@ def test_pairing_bilinear(bls):
     g0, g1 = bls.g0, bls.g1
     lhs = bls.pair(g0.exp(g0.generator(), a), g1.exp(g1.generator(), b))
     rhs = fields.f12_pow(bls.pair(g0.generator(), g1.generator()), a * b % N)
-    assert fields.f12_eq(lhs, rhs)
+    assert lhs == rhs
     lhs2 = bls.pair(g0.exp(g0.generator(), b), g1.exp(g1.generator(), a))
-    assert fields.f12_eq(lhs, lhs2)
+    assert lhs == lhs2
 
 
 def test_pairing_non_degenerate(bls):
     e = bls.pair(bls.g0.generator(), bls.g1.generator())
-    assert not fields.f12_eq(e, fields.F12_ONE)
-    assert fields.f12_eq(fields.f12_pow(e, N), fields.F12_ONE)
+    assert e != fields.F12_ONE
+    assert fields.f12_pow(e, N) == fields.F12_ONE
 
 
 def test_pairing_identity_absorbing(bls):
     one = fields.F12_ONE
-    assert fields.f12_eq(bls.pair(None, bls.g1.generator()), one)
-    assert fields.f12_eq(bls.pair(bls.g0.generator(), None), one)
+    assert bls.pair(None, bls.g1.generator()) == one
+    assert bls.pair(bls.g0.generator(), None) == one
 
 
 def test_final_exp_oracle():
@@ -310,7 +310,7 @@ def test_final_exp_oracle():
     f = _miller_loop(p_pt, q_pt)
     fast = final_exp(f)
     slow = final_exp_slow(f)
-    assert fields.f12_eq(fast, fields.f12_mul(fields.f12_mul(slow, slow), slow))
+    assert fast == fields.f12_mul(fields.f12_mul(slow, slow), slow)
 
 
 def test_gt_serialization(bls):
@@ -326,7 +326,7 @@ def test_gt_exp_matches_pairing_structure(bls):
     g0, g1 = bls.g0, bls.g1
     via_g0 = bls.pair(g0.exp(g0.generator(), k), g1.generator())
     via_gt = fields.f12_pow(bls.pair(g0.generator(), g1.generator()), k)
-    assert fields.f12_eq(via_g0, via_gt)
+    assert via_g0 == via_gt
 
 
 def test_g1_group_wrapper_rejects_identity_free_encodings(bls):

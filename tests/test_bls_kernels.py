@@ -347,7 +347,7 @@ def test_miller_loop_matches_affine_oracle(points):
     pairs = [(p, q) for p in points["g1_sub"] for q in points["g2_sub"][1:]]
     for p, q in multiples + pairs:
         want = final_exp(_affine_miller_loop(p, q))
-        assert fields.f12_eq(final_exp(_miller_loop(p, q)), want)
+        assert final_exp(_miller_loop(p, q)) == want
 
 
 def test_mul_by_line_matches_dense_product():
@@ -356,7 +356,7 @@ def test_mul_by_line_matches_dense_product():
         f = _rand_f12(rng)
         c0, c3, c5 = _rand_f2(rng), _rand_f2(rng), _rand_f2(rng)
         want = fields.f12_mul(f, _f12_line(c0, c3, c5))
-        assert fields.f12_eq(fields.f12_mul_by_line(f, c0, c3, c5), want)
+        assert fields.f12_mul_by_line(f, c0, c3, c5) == want
 
 
 def test_pairing_bilinear_on_random_points(points):
@@ -364,7 +364,7 @@ def test_pairing_bilinear_on_random_points(points):
     p, q = points["g1_sub"][2], points["g2_sub"][1]
     a, b = rng.randrange(1, N), rng.randrange(1, N)
     lhs = pairing(g1_ladder(g1_tables(p), a), g2_ladder(g2_tables(q), b))
-    assert fields.f12_eq(lhs, fields.f12_pow(pairing(p, q), a * b % N))
+    assert lhs == fields.f12_pow(pairing(p, q), a * b % N)
 
 
 # --- fixed-base comb -------------------------------------------------------------
@@ -839,7 +839,7 @@ def _jacobian(c, pt, z):
 
 def _affine(c, acc):
     F = c.F
-    if acc is None or F.is_zero(acc[2]):
+    if acc is None:
         return None
     X, Y, Z = acc
     zinv = F.inv(Z)
@@ -850,21 +850,59 @@ def _affine(c, acc):
 @pytest.mark.parametrize("which", ["g1", "g2"])
 def test_jacobian_steps_hit_every_branch(points, which):
     """_add_mixed on acc == pt (the doubling), acc == -pt (the identity), a
-    Z = 0 or None accumulator (pt itself) and distinct points; _double_jac
-    against Curve.double. The accumulator's Z is not 1."""
+    None accumulator (pt itself) and distinct points; _double_jac against
+    Curve.double. The accumulator's Z is not 1."""
     if which == "g1":
-        c, gen, zero, one, z = curve_g1, G1_GEN, 0, 1, 7
+        c, gen, one, z = curve_g1, G1_GEN, 1, 7
     else:
-        c, gen, zero, one, z = curve_g2, G2_GEN, (0, 0), (1, 0), (7, 3)
+        c, gen, one, z = curve_g2, G2_GEN, (1, 0), (7, 3)
     for pt in points[which + "_sub"] + points[which + "_other"][:4]:
         acc = _jacobian(c, pt, z)
         assert _affine(c, acc) == pt
         assert _affine(c, c._add_mixed(acc, pt)) == c.double(pt)
         assert c._add_mixed(acc, c.neg(pt)) is None
-        for empty in (None, (one, one, zero)):
-            assert c._add_mixed(empty, pt) == (pt[0], pt[1], one)
+        assert c._add_mixed(None, pt) == (pt[0], pt[1], one)
         assert _affine(c, c._add_mixed(acc, gen)) == c.add(pt, gen)
         assert _affine(c, c._double_jac(*acc)) == c.double(pt)
+
+
+def test_no_point_of_order_2_so_z_is_never_0(points, monkeypatch):
+    """None is the only form of infinity. x^3 = -b has no root (-4 is not a
+    cube in Fq, nor -4(1+i) in Fq2), so neither curve has a point with
+    y = 0, and every finite output of the Jacobian steps has Z != 0: over
+    the subgroup and non-subgroup points, multiplied by small scalars, by
+    n and by the curve's order (which ends in P + (-P)), and through the
+    wNAF ladders' tables. Fails if a curve constant ever allows a point of
+    order 2."""
+    assert pow(-B1 % P, (P - 1) // 3, P) != 1
+    assert fields.f2_pow(fields.f2_neg(B2), (P * P - 1) // 3) != fields.F2_ONE
+    outputs = []
+    for cls in {type(curve_g1), type(curve_g2)}:
+        real_double, real_add = cls._double_jac, cls._add_mixed
+
+        def double(self, X, Y, Z, real=real_double):
+            outputs.append(real(self, X, Y, Z))
+            return outputs[-1]
+
+        def add(self, acc, pt, real=real_add):
+            outputs.append(real(self, acc, pt))
+            return outputs[-1]
+
+        monkeypatch.setattr(cls, "_double_jac", double)
+        monkeypatch.setattr(cls, "_add_mixed", add)
+    curves = [
+        ("g1", curve_g1, 0, H1 * N, lambda pt, k: g1_ladder(g1_tables(pt), k)),
+        ("g2", curve_g2, (0, 0), H2 * N, lambda pt, k: g2_ladder(g2_tables(pt), k)),
+    ]
+    for which, c, zero, order, ladder in curves:
+        for pt in points[which + "_sub"] + points[which + "_other"]:
+            for k in (2, 3, N - 1, N, order):
+                c.mul(pt, k)
+        for pt in points[which + "_sub"]:
+            ladder(pt, N - 1)
+        assert None in outputs
+        assert all(out[2] != zero for out in outputs if out is not None)
+        outputs.clear()
 
 
 @pytest.fixture
