@@ -866,6 +866,26 @@ def test_jacobian_steps_hit_every_branch(points, which):
         assert _affine(c, c._double_jac(*acc)) == c.double(pt)
 
 
+def _watch_steps(monkeypatch, record):
+    """Calls record(kind, output) after every Jacobian step of both curves,
+    kind "double" or "add"; every ladder runs on these steps."""
+    for cls in {type(curve_g1), type(curve_g2)}:
+        real_double, real_add = cls._double_jac, cls._add_mixed
+
+        def double(self, X, Y, Z, real=real_double):
+            out = real(self, X, Y, Z)
+            record("double", out)
+            return out
+
+        def add(self, acc, pt, real=real_add):
+            out = real(self, acc, pt)
+            record("add", out)
+            return out
+
+        monkeypatch.setattr(cls, "_double_jac", double)
+        monkeypatch.setattr(cls, "_add_mixed", add)
+
+
 def test_no_point_of_order_2_so_z_is_never_0(points, monkeypatch):
     """None is the only form of infinity. x^3 = -b has no root (-4 is not a
     cube in Fq, nor -4(1+i) in Fq2), so neither curve has a point with
@@ -877,19 +897,7 @@ def test_no_point_of_order_2_so_z_is_never_0(points, monkeypatch):
     assert pow(-B1 % P, (P - 1) // 3, P) != 1
     assert fields.f2_pow(fields.f2_neg(B2), (P * P - 1) // 3) != fields.F2_ONE
     outputs = []
-    for cls in {type(curve_g1), type(curve_g2)}:
-        real_double, real_add = cls._double_jac, cls._add_mixed
-
-        def double(self, X, Y, Z, real=real_double):
-            outputs.append(real(self, X, Y, Z))
-            return outputs[-1]
-
-        def add(self, acc, pt, real=real_add):
-            outputs.append(real(self, acc, pt))
-            return outputs[-1]
-
-        monkeypatch.setattr(cls, "_double_jac", double)
-        monkeypatch.setattr(cls, "_add_mixed", add)
+    _watch_steps(monkeypatch, lambda kind, out: outputs.append(out))
     curves = [
         ("g1", curve_g1, 0, H1 * N, lambda pt, k: g1_ladder(g1_tables(pt), k)),
         ("g2", curve_g2, (0, 0), H2 * N, lambda pt, k: g2_ladder(g2_tables(pt), k)),
@@ -907,21 +915,13 @@ def test_no_point_of_order_2_so_z_is_never_0(points, monkeypatch):
 
 @pytest.fixture
 def steps(monkeypatch):
-    """Counts the Jacobian steps of both curves; every ladder runs on them."""
+    """Counts the Jacobian steps of both curves."""
     counts = {"double": 0, "add": 0}
-    for cls in {type(curve_g1), type(curve_g2)}:
-        real_double, real_add = cls._double_jac, cls._add_mixed
 
-        def double(self, X, Y, Z, real=real_double):
-            counts["double"] += 1
-            return real(self, X, Y, Z)
+    def count(kind, out):
+        counts[kind] += 1
 
-        def add(self, acc, pt, real=real_add):
-            counts["add"] += 1
-            return real(self, acc, pt)
-
-        monkeypatch.setattr(cls, "_double_jac", double)
-        monkeypatch.setattr(cls, "_add_mixed", add)
+    _watch_steps(monkeypatch, count)
     return counts
 
 
