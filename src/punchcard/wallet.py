@@ -16,7 +16,10 @@ only until then. It pins only a key that decodes, and keeps it decoded:
 a file whose pinned key does not decode is corrupt. Every punch response
 is verified against the pinned key, so a server that rotates keys
 mid-card (to tag one customer's punches) produces a hard failure
-(ProofRejected) instead of a silently linkable card.
+(ProofRejected) instead of a silently linkable card. So does a
+multi-punch reply whose chain is not exactly the t steps asked for: the
+punch count reaches the server in clear at redemption, and an unusual
+total granted at one visit would link that redemption to the visit.
 
 A punch sends the card's bytes, and the server sees them. So a punch that
 fails after its request is sent (a lost or cut reply, an ERROR, a bad
@@ -37,7 +40,7 @@ from typing import Any, List, Optional, Sequence, Tuple
 from . import schemes, wire
 from .core import SECRET_SIZE, RedeemStatus
 from .db import write_durably
-from .errors import InvalidEncoding, WalletError, WireError
+from .errors import InvalidEncoding, ProofRejected, WalletError, WireError
 from .faults import fault_point
 
 _MAGIC = b"PCW1"
@@ -247,6 +250,8 @@ class Wallet:
         with self._remask_on_failure(card, rng):
             body = self._call(client, s.multi_req, request, s.multi_resp)
             resp = s.decode(s.multi_response, body)
+            if len(resp.steps) != t:
+                raise ProofRejected(f"asked for {t} punches, got {len(resp.steps)}")
             secret, element, gained = s.client_multi_punch(
                 pk, card.secret, card.element, resp, rng
             )

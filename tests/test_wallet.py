@@ -598,6 +598,40 @@ def test_failed_remask_save_raises_the_punch_error(tmp_path, monkeypatch):
     assert w.scheme.encode_card(w.cards[idx].element) == before
 
 
+class _ChainLength(FakeMainServer):
+    """Answers a multi-punch of t with a valid chain of t + extra steps."""
+
+    def __init__(self, rng, extra):
+        super().__init__(rng)
+        self.extra = extra
+
+    def call(self, msg_type, body):
+        if msg_type == wire.MULTI_REQ:
+            t, blob = wire.unpack_multi_req(body)
+            body = wire.pack_multi_req(t + self.extra, blob)
+        return super().call(msg_type, body)
+
+
+@pytest.mark.parametrize("extra", [1, -1])
+def test_multi_punch_refuses_a_chain_of_another_length(tmp_path, extra):
+    """A reply to a multi-punch of t must carry t steps, or it is refused
+    before any proof is checked, even when every step verifies: the count
+    reaches the server in clear at redemption, so an unusual total would
+    mark the card. The card is re-masked and saved, and its count stays."""
+    rng = random.Random(192)
+    server = _ChainLength(rng, extra)
+    w = _wallet(tmp_path)
+    idx = w.new_card(rng)
+    w.punch(server, idx, rng)
+    before = w.scheme.encode_card(w.cards[idx].element)
+    with pytest.raises(ProofRejected, match="asked for 2 punches"):
+        w.multi_punch(server, idx, 2, rng)
+    assert w.cards[idx].count == 1
+    assert w.scheme.encode_card(w.cards[idx].element) != before
+    fresh = _wallet(tmp_path)
+    assert (w.pk, w.cards) == (fresh.pk, fresh.cards)
+
+
 def test_crash_after_redeem_accept_cannot_double_accept(tmp_path):
     """Crash between the server's accept and the wallet delete: a replay of
     the same card must come back DOUBLE_SPEND, never a second accept."""
