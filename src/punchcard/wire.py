@@ -22,7 +22,12 @@ from typing import Optional, Tuple
 
 from .errors import WireError
 
-MAX_FRAME = 1 << 20
+# The largest message is a main MULTI_RESP at t = 255, the ceiling of t_max:
+# 1 + 255 * (32 + 96) B of body, 32,642 B with the type byte; every other
+# message is under 1 KiB. A reader keeps a frame's bytes until it completes,
+# up to FRAME_DEADLINE_S, so this bound caps what each connection can make
+# the server hold.
+MAX_FRAME = 1 << 16
 
 PUNCH_REQ = 0x01
 PUNCH_RESP = 0x02

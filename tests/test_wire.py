@@ -1,3 +1,4 @@
+import random
 import socket
 import struct
 import threading
@@ -6,8 +7,9 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from punchcard import wire
+from punchcard import core, extensions, wire
 from punchcard.errors import WireError
+from punchcard.groups import get_group
 
 
 def test_pack_unpack_round_trip():
@@ -114,6 +116,30 @@ def test_recv_rejects_bad_length_before_reading_body():
     finally:
         a.close()
         b.close()
+
+
+def test_largest_message_fits_a_frame():
+    """A main MULTI_RESP of 255 steps, the most t_max allows, packs into a
+    frame and reads back whole."""
+    g = get_group("ristretto255")
+    rng = random.Random(20)
+    sk, pk = core.server_setup(g, rng)
+    _, card = core.issue(g, rng)
+    step = core.punch_chain(g, core.TAG_PUNCH_PROOF, sk, pk, card, 1, rng)[0]
+    body = extensions.MultiPunchResponse(steps=[step] * 255).to_bytes(g)
+    frame = wire.pack_frame(wire.MULTI_RESP, body)
+    assert len(frame) == 4 + 32_642
+    a, b = _pair()
+    # from a thread: the frame may exceed the socket's buffer
+    sender = threading.Thread(target=a.sendall, args=(frame,))
+    sender.start()
+    try:
+        assert wire.recv_frame(b) == (wire.MULTI_RESP, body)
+    finally:
+        sender.join(5)
+        a.close()
+        b.close()
+    assert not sender.is_alive()
 
 
 def test_recv_deadline_covers_the_whole_frame():
