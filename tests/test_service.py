@@ -508,6 +508,59 @@ def test_expiry_gate(tmp_path):
     assert svc.stats.snapshot()["redeem_expired"] == 1
 
 
+_REFUSALS = {
+    # row: (scheme, expiry_check, expected status, the calls it may make)
+    "count not accepted": ("main", False, RedeemStatus.BAD_CARD, []),
+    "expired": ("main", True, RedeemStatus.EXPIRED, ["decode_element"]),
+    "one secret on both sides": ("mergeable", False, RedeemStatus.BAD_CARD, []),
+}
+_COUNTED = ("decode_element", "hash_to_group", "exp", "exp_many", "exp_base")
+
+
+@pytest.mark.parametrize("row", sorted(_REFUSALS))
+def test_refusal_costs(tmp_path, monkeypatch, row):
+    """Rows of README's refusal-cost table: each refused redemption answers
+    its status having made only the calls listed (to decode_element,
+    hash_to_group, exp, exp_many, exp_base and pair) and without touching
+    the store. A valid redemption afterwards shows that the counters count."""
+    scheme, expiry_check, status, allowed = _REFUSALS[row]
+    svc = _toy_service(tmp_path, scheme=scheme, pairing="toy-pairing",
+                       accepted_counts=(2,), expiry_check=expiry_check)
+    s, rng = svc.scheme, random.Random(180)
+    if scheme == "main":
+        g = s.group
+        stale = ext.make_expiring_secret(date(2020, 1, 1), rng)
+        req = core.RedeemRequest(stale, core.expected_card(g, svc.sk, stale, 2))
+        count = 3 if row == "count not accepted" else 2
+        refused = wire.pack_redeem_body(count, req.to_bytes(g))
+        boundary = ext.add_quarters(ext.quarter_boundary_on_or_after(date.today()), 2)
+        u = ext.make_expiring_secret(boundary, rng)
+        valid = core.RedeemRequest(u, core.expected_card(g, svc.sk, u, 2))
+        owners = [(g, name) for name in _COUNTED]
+    else:
+        pg = s.pairing
+        u = rng.randbytes(core.SECRET_SIZE)
+        refused = wire.pack_redeem_body(2, u + u + bytes(pg.gt.element_size))
+        valid = s.expected_request(svc.sk, 2, rng)
+        owners = [(g, name) for g in (pg.g0, pg.g1, pg.gt) for name in _COUNTED]
+        owners.append((pg, "pair"))
+    calls = []
+    for owner, name in owners + [(svc.db, "check_and_insert")]:
+        real = getattr(owner, name)
+
+        def counting(*args, real=real, name=name, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+    assert svc.handle(s.redeem_req, refused) == (s.redeem_resp, bytes([status]))
+    assert calls == allowed
+    calls.clear()
+    accept = (s.redeem_resp, bytes([RedeemStatus.ACCEPT]))
+    assert svc.handle(s.redeem_req, wire.pack_redeem_body(2, s.encode(valid))) == accept
+    assert "hash_to_group" in calls and "check_and_insert" in calls
+
+
 def test_crash_in_handler_leaves_db_reloadable(tmp_path):
     state = str(tmp_path / "state")
     cfg = Config(state_dir=state, group="toy")
