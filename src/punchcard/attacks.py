@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import random
-from typing import Dict, Optional
+from typing import Dict
 
 from . import core, dleq
 from .core import RedeemStatus

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from datetime import date, timedelta
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from . import core, dleq
 from .core import SECRET_SIZE, CardSecret, RedeemStatus
