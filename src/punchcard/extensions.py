@@ -271,23 +271,31 @@ def client_punch_ticket(
     pk: Element,
     secret: TicketSecret,
     card: TicketCard,
+    plan: Dict[str, int],
     responses: Dict[str, MultiPunchResponse],
     rng=None,
 ) -> Tuple[TicketSecret, TicketCard]:
-    """Per-slot chain verification and re-masking; untouched slots keep
-    their old mask and value."""
+    """Per-slot chain verification and re-masking for the punches asked in
+    plan (as server_punch_ticket takes it): each slot is credited the count
+    asked, and a reply whose slots or chain lengths differ from the plan is
+    refused whole. Untouched slots keep their old mask and value."""
+    if set(responses) != set(plan):
+        raise ProofRejected(f"asked for slots {sorted(plan)}, got {sorted(responses)}")
     new_masks = dict(secret.masks)
     new_counts = dict(secret.counts)
     new_slots = dict(card.slots)
-    for name, resp in responses.items():
+    for name, t in plan.items():
         if name not in card.slots:
             raise ProofRejected(f"response for unknown slot {name!r}")
-        slot, new_slots[name], gained = client_multi_punch(
+        resp = responses[name]
+        if len(resp.steps) != t:
+            raise ProofRejected(f"asked for {t} punches on {name!r}, got {len(resp.steps)}")
+        slot, new_slots[name], _ = client_multi_punch(
             group, pk, CardSecret(secret.u, secret.masks[name]),
             card.slots[name], resp, rng,
         )
         new_masks[name] = slot.mask
-        new_counts[name] += gained
+        new_counts[name] += t
     return (
         TicketSecret(u=secret.u, masks=new_masks, counts=new_counts),
         TicketCard(slots=new_slots),

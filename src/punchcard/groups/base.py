@@ -59,6 +59,7 @@ class Group:
     element_size: int
     scalar_size: int
     scalar_byteorder = "big"  # ristretto255 and the toy groups use "little"
+    kernel = "int"  # the arithmetic under the group, for the start-up log
 
     # -- element ops -------------------------------------------------------
 
@@ -142,6 +143,7 @@ class PairingGroups:
     g0: Group
     g1: Group
     gt: Group
+    kernel = "int"  # the arithmetic under the groups, for the start-up log
 
     @property
     def order(self) -> int:

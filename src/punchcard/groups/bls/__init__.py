@@ -10,7 +10,7 @@ expects, so nothing decodes, multiplies or raises a target-group element.
 from __future__ import annotations
 
 from ..base import Group, PairingGroups
-from . import curve, pairing
+from . import curve, fields, pairing
 from .fields import N, f12_to_flat
 
 
@@ -113,6 +113,11 @@ class Bls12381(PairingGroups):
         self.g0 = BlsG0()
         self.g1 = BlsG1()
         self.gt = BlsGt()
+
+    @property
+    def kernel(self) -> str:
+        """The Fq exponentiation and inversion kernel: gmpy2, libgmp or int."""
+        return fields.KERNEL.name
 
     def pair(self, a, b):
         return pairing.pairing(a, b)

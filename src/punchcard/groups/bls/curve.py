@@ -52,17 +52,24 @@ multiplications (x = -0xd201000000010000 is the curve parameter):
   the identity and the table's inversion fails, so Curve.mul, which
   serves arbitrary points, keeps the subset-sum ladder.
 * Powers of the generators (BlsG0/BlsG1.exp_base: DLEQ nonces and
-  responses) use FixedBaseComb: 8 teeth at a 32-bit spacing, one 32-bit
-  Straus ladder over a 256-entry affine table of subset sums per
-  generator, about 54 KB for G1 and 120 KB for G2 as Python objects. The
-  tables are built on the first exp_base call, never at import or by key
-  set-up, so a server builds them after it starts listening.
+  responses) use FixedBaseComb on the same splits: two 128-bit GLV digits
+  on G1, four 64-bit GLS digits on G2, each cut into 8 teeth (16-bit
+  spacing on G1, 8-bit on G2). Every digit looks up one 256-entry affine
+  table of subset sums of the teeth and maps the entry by -phi, or by
+  -psi, psi^2 or -psi^3, so one ladder of 15 doublings on G1 or 7 on G2
+  serves all digits (31 before the split). psi^2 scales by two constants
+  of Fq (psi2). The tables take about 54 KB for G1 and 120 KB for G2 as
+  Python objects; they are built on the first exp_base call, never at
+  import or by key set-up, so a server builds them after it starts
+  listening.
 
 No kernel here is constant-time: every ladder branches on scalar bits.
 The wNAF ladders branch on the NAF digits of sk and of the nonce k, and
 so does the comb, which in a proof runs on k; since the response is
 z = k + c*sk, k is as secret as sk. A regular recoding (fixed digit
-count, no zero digits) can run on the same table of odd multiples.
+count, no zero digits) can run on the same table of odd multiples. The
+square roots and inversions under these curves (fields.KERNEL) are not
+constant-time either.
 
 Serialization follows the common compressed convention for this curve:
 big-endian x with three flag bits on the first byte (compressed, infinity,
@@ -81,10 +88,10 @@ from .fields import (
     F2_ONE,
     FROB_V,
     FROB_W_V,
+    N,
     P,
     X_PARAM,
     f2_add,
-    f2_conj,
     f2_inv,
     f2_mul,
     f2_muls,
@@ -475,12 +482,47 @@ _PSI_X = f2_inv(FROB_V)
 _PSI_Y = f2_inv(FROB_W_V)
 
 
+def _conj_scaled(cx, cy):
+    """(x, y) -> (conj(x) cx, conj(y) cy) on affine points of E' (not None):
+    psi and its odd powers, each with its constants, in 8 Fq products."""
+    (a0, a1), (b0, b1) = cx, cy
+
+    def image(pt):
+        (x0, x1), (y0, y1) = pt
+        return (
+            ((x0 * a0 + x1 * a1) % P, (x0 * a1 - x1 * a0) % P),
+            ((y0 * b0 + y1 * b1) % P, (y0 * b1 - y1 * b0) % P),
+        )
+
+    return image
+
+
+def _norm(c):
+    return (c[0] * c[0] + c[1] * c[1]) % P
+
+
+# psi^2(x, y) = (x conj(cx) cx, y conj(cy) cy) = (x N(cx), y N(cy)): a scaling
+# by two elements of Fq, 4 Fq products instead of psi's 8
+_PSI2_X, _PSI2_Y = _norm(_PSI_X), _norm(_PSI_Y)
+_psi_affine = _conj_scaled(_PSI_X, _PSI_Y)
+
+
+def _psi2_affine(pt):
+    (x0, x1), (y0, y1) = pt
+    return (
+        (x0 * _PSI2_X % P, x1 * _PSI2_X % P),
+        (y0 * _PSI2_Y % P, y1 * _PSI2_Y % P),
+    )
+
+
 def psi(pt):
     """The twist endomorphism; acts as [x] on the order-n subgroup of E'."""
-    if pt is None:
-        return None
-    x, y = pt
-    return (f2_mul(f2_conj(x), _PSI_X), f2_mul(f2_conj(y), _PSI_Y))
+    return None if pt is None else _psi_affine(pt)
+
+
+def psi2(pt):
+    """psi(psi(P)), as a scaling by Fq constants; [x^2] on the subgroup."""
+    return None if pt is None else _psi2_affine(pt)
 
 
 # beta is a primitive cube root of unity in Fq: the norm of xi^((p-1)/3) is
@@ -488,7 +530,7 @@ def psi(pt):
 # Of beta and beta^2, take the one for which phi acts as [-x^2] on G1.
 _U = mpz(-X_PARAM)  # |x|
 _X2 = _U * _U
-_OMEGA = (FROB_V[0] ** 2 + FROB_V[1] ** 2) % P
+_OMEGA = _norm(FROB_V)
 _NEG_X2_G1 = curve_g1.mul(G1_GEN, -_X2)
 BETA = _OMEGA if G1_GEN[0] * _OMEGA % P == _NEG_X2_G1[0] else _OMEGA**2 % P
 assert _OMEGA != 1 and pow(_OMEGA, 3, P) == 1
@@ -522,6 +564,22 @@ def _signed(c, table, negate):
     return (neg, table) if negate else (table, neg)
 
 
+def glv_digits(k: int):
+    """(k0, k1) with k = k0 + k1 x^2, both below 2^128 for 0 <= k < n."""
+    k1, k0 = divmod(k, _X2)
+    return k0, k1
+
+
+def gls_digits(k: int):
+    """k's four digits in base |x|, least significant first, each below
+    2^64 for 0 <= k < n (n < x^4)."""
+    digits = []
+    for _ in range(4):
+        k, d = divmod(k, _U)
+        digits.append(d)
+    return digits
+
+
 def g1_tables(pt):
     """The wnaf_ladder tables of P and [x^2]P = -phi(P), for P in the
     order-n subgroup of E (None for the identity): odd_multiples(P), and
@@ -538,22 +596,19 @@ def g1_ladder(tables, k: int):
     both digits below 2^128, so one 128-bit ladder over P and [x^2]P."""
     if tables is None:
         return None
-    k1, k0 = divmod(k, _X2)
-    return curve_g1.wnaf_ladder(tables, (k0, k1))
+    return curve_g1.wnaf_ladder(tables, glv_digits(k))
 
 
 def g2_tables(pt):
     """The wnaf_ladder tables of [|x|^i]P = (-psi)^i(P), i = 0..3, for P in
     the order-n subgroup of E' (None for the identity): odd_multiples(P),
-    and psi of each entry, three times over."""
+    and its images under psi, psi^2 and psi^3 = psi^2 psi, entry by entry."""
     if pt is None:
         return None
     table = curve_g2.odd_multiples(pt)
-    tables = [_signed(curve_g2, table, False)]
-    for i in range(1, 4):
-        table = list(map(psi, table))
-        tables.append(_signed(curve_g2, table, i % 2 == 1))
-    return tables
+    image1 = list(map(_psi_affine, table))
+    images = [table, image1, list(map(_psi2_affine, table)), list(map(_psi2_affine, image1))]
+    return [_signed(curve_g2, t, i % 2 == 1) for i, t in enumerate(images)]
 
 
 def g2_ladder(tables, k: int):
@@ -561,33 +616,51 @@ def g2_ladder(tables, k: int):
     2^64 in base |x| (n < x^4), so one 64-bit ladder over the four points."""
     if tables is None:
         return None
-    digits = []
-    for _ in range(4):
-        k, d = divmod(k, _U)
-        digits.append(d)
-    return curve_g2.wnaf_ladder(tables, digits)
+    return curve_g2.wnaf_ladder(tables, gls_digits(k))
+
+
+def _neg_phi(pt):
+    return (pt[0] * BETA % P, (-pt[1]) % P)
 
 
 COMB_TEETH = 8
-COMB_SPACING = 32  # 8 teeth of 32 bits cover every scalar below 2^256 > n
+# Per curve, the comb's split of k mod n into digits worth [|x|^i] (GLS on
+# E') or [x^(2i)] (GLV on E), the bits in each of a digit's 8 teeth, and the
+# map from the table's entry for [d]B to the one for [d x^2]B or [d |x|^i]B:
+# [x^2] = -phi, and [|x|] = -psi, so [|x|^3] = -psi^3, whose constants are
+# psi's times psi^2's.
+_COMB_SPLITS = {
+    curve_g1: (glv_digits, 16, (None, _neg_phi)),
+    curve_g2: (gls_digits, 8, (
+        None,
+        _conj_scaled(_PSI_X, f2_neg(_PSI_Y)),
+        _psi2_affine,
+        _conj_scaled(f2_muls(_PSI_X, _PSI2_X), f2_neg(f2_muls(_PSI_Y, _PSI2_Y))),
+    )),
+}
 
 
 class FixedBaseComb:
-    """[k]B for one fixed point B and 0 <= k < 2^256, by a fixed-base comb.
-    k's eight 32-bit digits d_j give [k]B = sum [d_j] [2^(32 j)]B, one
-    32-bit Straus ladder over the eight teeth [2^(32 j)]B: 31 doublings and
-    at most 32 mixed additions, against 127 doublings for GLV on G1 and 63
-    for GLS on G2, plus a table of odd multiples per point.
+    """[k]B for one fixed point B of order n on E or E' and any k >= 0, by
+    a fixed-base comb on the GLV or GLS split of k mod n. Each digit d has
+    8 teeth of s bits, so [d]B = sum [d_j] [2^(s j)]B is one s-bit Straus
+    ladder over a 256-entry affine table of subset sums of the teeth
+    [2^(s j)]B. The digits worth [x^2] on E, or [|x|^i] on E', look up the
+    same table and map each entry by the endomorphism (-phi, -psi, psi^2 or
+    -psi^3), so all digits share one ladder: on E two 128-bit digits at
+    s = 16, 15 doublings; on E' four 64-bit digits at s = 8, 7 doublings;
+    one mixed addition per digit and bit position where that digit has a 1,
+    at most 32 on either curve.
 
-    The 256-entry affine table of the teeth's subset sums is built on the
-    first call, not at import, so a server pays for it after it starts
-    listening, on its first proof. Two threads may both build it; each
-    builds into a local and publishes it with one assignment, and the
-    tables they build are equal."""
+    The table is built on the first call, not at import, so a server pays
+    for it after it starts listening, on its first proof. Two threads may
+    both build it; each builds into a local and publishes it with one
+    assignment, and the tables they build are equal."""
 
     def __init__(self, curve, base):
         self.curve = curve
         self.base = base
+        self.split, self.spacing, self.images = _COMB_SPLITS[curve]
         self._table = None
 
     def table(self):
@@ -595,15 +668,29 @@ class FixedBaseComb:
         if table is None:
             teeth = [self.base]
             for _ in range(COMB_TEETH - 1):
-                teeth.append(self.curve.mul(teeth[-1], 1 << COMB_SPACING))
+                teeth.append(self.curve.mul(teeth[-1], 1 << self.spacing))
             table = self.curve.subset_sums(teeth)
             self._table = table
         return table
 
     def mul(self, k: int):
-        mask = (1 << COMB_SPACING) - 1
-        digits = [k >> (COMB_SPACING * j) & mask for j in range(COMB_TEETH)]
-        return self.curve.straus(self.table(), digits)
+        c, table, s = self.curve, self.table(), self.spacing
+        # each digit as its teeth's bit columns, most significant first: the
+        # column's bit from tooth j is bit j of its table index
+        cols = []
+        for d in self.split(int(k) % N):
+            bits = format(d, f"0{s * COMB_TEETH}b")
+            teeth = [bits[i : i + s] for i in range(0, len(bits), s)]
+            cols.append([int("".join(col), 2) for col in zip(*teeth)])
+        acc = None  # Jacobian (X, Y, Z)
+        for i in range(s):
+            if acc is not None:
+                acc = c._double_jac(*acc)
+            for col, image in zip(cols, self.images):
+                j = col[i]
+                if j:
+                    acc = c._add_mixed(acc, table[j] if image is None else image(table[j]))
+        return c._affine(acc)
 
 
 def clear_cofactor_g2(pt):
@@ -613,7 +700,7 @@ def clear_cofactor_g2(pt):
     c = curve_g2
     t1 = c.mul(pt, X_PARAM)  # [x]P
     t2 = psi(pt)
-    t3 = c.add(psi(psi(c.double(pt))), c.neg(t2))  # psi^2(2P) - psi(P)
+    t3 = c.add(psi2(c.double(pt)), c.neg(t2))  # psi^2(2P) - psi(P)
     t2 = c.mul(c.add(t1, t2), X_PARAM)  # [x^2]P + [x]psi(P)
     return c.add(c.add(t3, t2), c.neg(c.add(t1, pt)))
 

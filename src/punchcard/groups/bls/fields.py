@@ -20,15 +20,27 @@ computing pairings over ordinary curves" (EUROCRYPT 2011). Unreduced
 values may be negative; Python's % (and gmpy2's, which follows it) still
 returns a value in [0, p). The small f2_* helpers reduce after every
 operation and serve the code off the hot path.
+
+The two Fq operations that Python's ints do slowly, exponentiation (the
+square roots of fq_sqrt and f2_sqrt) and inversion (fq_inv), go through
+one FqKernel, chosen once at import: gmpy2 when it is installed; else
+mpz_powm and mpz_invert of the system libgmp, bound through ctypes
+(gmp.py); else the builtin pow. All three give the same values, so no
+output byte depends on the choice; KERNEL.name says which one runs. None
+of them is constant-time (libgmp's mpz_powm and mpz_invert branch on
+their inputs, like pow), and neither is any other code here.
 """
 
 from __future__ import annotations
 
 try:
-    from gmpy2 import invert as _gmpy_invert, mpz
+    import gmpy2
+    from gmpy2 import mpz
 except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+    gmpy2 = None
     mpz = int
-    _gmpy_invert = None
+
+from . import gmp
 
 # base field prime and curve parameter (generator of the BLS family)
 X_PARAM = -0xD201000000010000
@@ -37,21 +49,45 @@ P = mpz(int(
     "1EABFFFEB153FFFFB9FEFFFFFFFFAAAB", 16
 ))
 N = mpz(0x73EDA753299D7D483339D80809A1D80553BDA402FFFE5BFEFFFFFFFF00000001)
+_SQRT_EXP = (P + 1) // 4  # a^((p+1)/4) is a root of a square a, as p = 3 mod 4
+
+
+class FqKernel:
+    """Exponentiation and inversion modulo p on reduced values: the only
+    Fq operations too slow for Python's int arithmetic. name is gmpy2,
+    libgmp or int."""
+
+    def __init__(self, name, powm, invert):
+        self.name = name
+        self.powm = powm
+        self.invert = invert
+
+
+def select_kernel() -> FqKernel:
+    """gmpy2 when installed, else the system libgmp through ctypes, else
+    the builtin pow."""
+    if gmpy2 is not None:
+        return FqKernel("gmpy2", lambda a, e: pow(a, e, P), lambda a: gmpy2.invert(a, P))
+    lib = gmp.load(int(P))
+    if lib is not None:
+        return FqKernel("libgmp", lib.powm, lib.invert)
+    return FqKernel("int", lambda a, e: pow(a, e, P), lambda a: pow(a, -1, P))
+
+
+KERNEL = select_kernel()
 
 
 def fq_inv(a):
     a = a % P
     if a == 0:
         raise ZeroDivisionError("inverse of 0 in Fq")
-    if _gmpy_invert is not None:
-        return _gmpy_invert(a, P)
-    return pow(a, -1, P)
+    return KERNEL.invert(a)
 
 
 def fq_sqrt(a):
     """Square root in Fq (p = 3 mod 4); raises ValueError if none exists."""
     a = a % P
-    r = pow(a, (P + 1) // 4, P)
+    r = KERNEL.powm(a, _SQRT_EXP)
     if r * r % P != a:
         raise ValueError("not a square in Fq")
     return r
@@ -131,7 +167,7 @@ def f2_sqrt(x):
     exponentiations and no Legendre symbols."""
     a, b = x
     if b == 0:
-        r = pow(a, (P + 1) // 4, P)
+        r = KERNEL.powm(a, _SQRT_EXP)
         if r * r % P == a:
             return (r, mpz(0))
         # a is a non-square, so -a is a square (p = 3 mod 4) and sqrt(a) =

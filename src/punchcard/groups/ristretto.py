@@ -316,6 +316,8 @@ class RistrettoGroup(Group):
     def backend_name(self) -> str:
         return self._backend.name
 
+    kernel = backend_name  # sodium or python
+
     def generator(self) -> bytes:
         return _BASEPOINT
 

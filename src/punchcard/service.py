@@ -459,9 +459,10 @@ class ServerHandle:
             "recovered snapshot_entries=%d log_records=%d torn_bytes=%d in %.3f s",
             *self.service.db.recovery,
         )
-        log.info("listening on %s:%d scheme=%s backend=%s",
+        scheme = self.service.scheme
+        log.info("listening on %s:%d scheme=%s backend=%s kernel=%s",
                  self.service.cfg.listen_host, self.port,
-                 self.service.cfg.scheme, self.service.scheme.backend)
+                 self.service.cfg.scheme, scheme.backend, scheme.params.kernel)
         return self
 
     def shutdown(self) -> None:

@@ -35,7 +35,7 @@ from hypothesis import strategies as st
 from punchcard import mergeable
 from punchcard.errors import InvalidEncoding
 from punchcard.groups import RistrettoGroup
-from punchcard.groups.bls import BlsG0, BlsG1, Bls12381, curve, fields
+from punchcard.groups.bls import BlsG0, BlsG1, Bls12381, curve, fields, gmp
 from punchcard.groups.bls.curve import (
     B1,
     B2,
@@ -43,7 +43,6 @@ from punchcard.groups.bls.curve import (
     G2_GEN,
     H1,
     H2_EFF,
-    COMB_SPACING,
     WNAF_TABLE,
     WNAF_WIDTH,
     FixedBaseComb,
@@ -769,6 +768,123 @@ def test_compressed_sqr_and_decompression(x):
     assert fields.f12_decompress_many([fields.f12_compress(fields.F12_ONE)]) is None
 
 
+# --- the Fq exponentiation and inversion kernel ------------------------------------
+
+# fields.KERNEL is gmpy2 when it is installed, else the system libgmp through
+# ctypes (gmp.py), else the builtin pow. The libgmp cases below bind the
+# library themselves, so they run on every leg where it loads.
+
+SQRT_EXP = (P + 1) // 4
+
+
+LIBGMP = gmp.load(P)
+needs_libgmp = pytest.mark.skipif(LIBGMP is None, reason="libgmp not available")
+
+
+def _no_libgmp(monkeypatch):
+    """The kernel chosen when gmpy2 is absent and libgmp does not load."""
+    def fail(name, *args, **kwargs):
+        raise OSError(f"{name}: cannot open shared object file")
+
+    monkeypatch.setattr(gmp.ctypes, "CDLL", fail)
+    monkeypatch.setattr(fields, "gmpy2", None)
+    assert gmp.load(P) is None
+    return fields.select_kernel()
+
+
+@needs_libgmp
+@KERNEL
+@given(a=fq)
+@example(a=4)  # a square
+@example(a=P - 4)  # -4, a non-square: -1 is none
+def test_libgmp_kernel_matches_builtin_pow(a):
+    lib = LIBGMP
+    for x in (a, a * a % P, -a * a % P):
+        assert lib.powm(x, SQRT_EXP) == pow(x, SQRT_EXP, P)
+        assert lib.powm(x, P - 2) == pow(x, P - 2, P)
+        if x:
+            assert lib.invert(x) == pow(x, -1, P)
+
+
+@needs_libgmp
+def test_libgmp_kernel_edges():
+    lib = LIBGMP
+    for a in (0, 1, 2, P - 1):
+        assert lib.powm(a, 0) == 1
+        assert lib.powm(a, SQRT_EXP) == pow(a, SQRT_EXP, P)
+    assert lib.invert(1) == 1 and lib.invert(P - 1) == P - 1
+    with pytest.raises(ZeroDivisionError):
+        lib.invert(0)
+
+
+def test_fq_kernel_entry_points():
+    """fq_inv refuses 0 and p on every kernel, and fq_sqrt still refuses
+    a non-square: the root is checked, not trusted."""
+    assert fields.KERNEL.name in ("gmpy2", "libgmp", "int")
+    for zero in (0, P, -P):
+        with pytest.raises(ZeroDivisionError):
+            fields.fq_inv(zero)
+    with pytest.raises(ValueError):
+        fields.fq_sqrt(-4)
+    assert fields.fq_sqrt(4) in (2, P - 2)
+    assert fields.fq_inv(P + 2) * 2 % P == 1
+
+
+def _bls_outputs():
+    """Bytes of decodes, hashes and a pairing: every path through fq_sqrt,
+    fq_inv and f2_sqrt."""
+    pg = Bls12381()
+    out = []
+    for k in (1, 7, N - 1):
+        out.append(g1_to_bytes(pg.g0.decode_element(g1_to_bytes(curve_g1.mul(G1_GEN, k)))))
+        out.append(g2_to_bytes(pg.g1.decode_element(g2_to_bytes(curve_g2.mul(G2_GEN, k)))))
+    for msg in (b"", b"kernel"):
+        out.append(g1_to_bytes(hash_to_g1("test", msg)))
+        out.append(g2_to_bytes(hash_to_g2("test", msg)))
+    out.append(pg.gt.encode_element(pg.pair(G1_GEN, G2_GEN)))
+    return out
+
+
+@needs_libgmp
+def test_outputs_without_libgmp_match_libgmp(monkeypatch):
+    monkeypatch.setattr(fields, "KERNEL", fields.FqKernel("libgmp", LIBGMP.powm, LIBGMP.invert))
+    with_libgmp = _bls_outputs()
+    kernel = _no_libgmp(monkeypatch)
+    assert kernel.name == "int"
+    monkeypatch.setattr(fields, "KERNEL", kernel)
+    assert _bls_outputs() == with_libgmp
+
+
+@needs_libgmp
+def test_libgmp_kernel_from_four_threads():
+    """ctypes drops the GIL inside libgmp, so four threads run the kernel
+    at once, each on its own temporaries."""
+    lib = LIBGMP
+    barrier = threading.Barrier(4)
+    errors = []
+
+    def run(seed):
+        rng = random.Random(seed)
+        barrier.wait(timeout=60)
+        for _ in range(200):
+            a = rng.randrange(1, P)
+            if lib.powm(a, SQRT_EXP) != pow(a, SQRT_EXP, P) or lib.invert(a) * a % P != 1:
+                errors.append(a)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+
+
 # --- Jacobian ladders against affine double-and-add ------------------------------
 
 
@@ -980,6 +1096,27 @@ def test_table_step_counts(steps):
         assert (steps["double"], steps["add"]) == TABLE_STEPS
 
 
+def _comb_steps(digits, spacing):
+    """(doublings, additions) of the comb over these GLV or GLS digits, each
+    cut into 8 teeth of `spacing` bits: one shared ladder, so the doublings
+    are the top bit index over every tooth; the additions are, per digit,
+    the bit positions where one of its teeth has a 1."""
+    teeth = [_base_digits(d, 2**spacing, 8) for d in digits]
+    return (
+        max(_ladder_steps(t)[0] for t in teeth),
+        sum(_ladder_steps(t)[1] for t in teeth),
+    )
+
+
+def _exp_base_steps(k):
+    """The comb's steps for [k]G1 (GLV, 16-bit teeth) and [k]G2 (GLS, 8-bit
+    teeth)."""
+    return (
+        _comb_steps(_base_digits(k % N, _X2, 2), 16),
+        _comb_steps(_base_digits(k % N, _U, 4), 8),
+    )
+
+
 @pytest.mark.parametrize("k", STEP_SCALARS)
 def test_ladder_step_counts(steps, k):
     t1, t2 = g1_tables(G1_GEN), g2_tables(G2_GEN)  # built outside the count
@@ -990,11 +1127,57 @@ def test_ladder_step_counts(steps, k):
         (lambda: g1_ladder(g1_tables(G1_GEN), k), tuple(map(operator.add, TABLE_STEPS, d1))),
         (lambda: g2_ladder(g2_tables(G2_GEN), k), tuple(map(operator.add, TABLE_STEPS, d2))),
     ]
-    for group in (BlsG0(), BlsG1()):
+    for group, want in zip((BlsG0(), BlsG1()), _exp_base_steps(k)):
         group.exp_base(1)  # the table, built outside the count
-        comb_digits = _base_digits(k, 2**COMB_SPACING, 8)
-        cases.append((lambda g=group: g.exp_base(k), _ladder_steps(comb_digits)))
+        cases.append((lambda g=group: g.exp_base(k), want))
     for run, want in cases:
         steps.update(double=0, add=0)
         run()
         assert (steps["double"], steps["add"]) == want
+
+
+# the comb's digits at their edges: teeth of 8 bits (G2) and 16 bits (G1)
+# full, or carried into the next tooth, in every GLV and GLS digit; and the
+# largest digits (N - 2 = (x^2 - 2) x^2 + x^2 - 1, and |x|^4 - |x|^3 - 1 has
+# the GLS digits |x| - 1, |x| - 1, |x| - 1, |x| - 2)
+COMB_SCALARS = sorted(
+    k
+    for k in {
+        d * base**i
+        for d in (2**8 - 1, 2**8, 2**16 - 1, 2**16, 2**56 - 1, 2**112 - 1)
+        for base, count in ((_X2, 2), (_U, 4))
+        for i in range(count)
+    }
+    | {_X2 - 1, _U - 1, N - 2, _U**4 - _U**3 - 1}
+    if k < N
+)
+
+# (doublings, additions) on G1 and on G2, for a few of them
+COMB_STEP_PINS = {
+    1: ((0, 1), (0, 1)),
+    2**8 - 1: ((7, 8), (7, 8)),
+    2**8: ((8, 1), (0, 1)),
+    2**16 - 1: ((15, 16), (7, 8)),
+    2**16: ((0, 1), (0, 1)),
+    _X2 - 1: ((15, 16), (7, 16)),
+    N - 2: ((15, 32), (7, 32)),
+    _U**4 - _U**3 - 1: ((15, 32), (7, 32)),
+}
+
+
+def test_comb_edge_scalars():
+    for group in (BlsG0(), BlsG1()):
+        for k in COMB_SCALARS:
+            assert group.exp_base(k) == group.exp(group.generator(), k), hex(k)
+
+
+@pytest.mark.parametrize("k", sorted(COMB_STEP_PINS))
+def test_comb_step_counts(steps, k):
+    """The counts of _exp_base_steps, and those pinned as numbers: 15
+    doublings at most on G1 and 7 on G2, 32 additions at most on either."""
+    for group, want in zip((BlsG0(), BlsG1()), _exp_base_steps(k)):
+        group.exp_base(1)  # the table, built outside the count
+        steps.update(double=0, add=0)
+        group.exp_base(k)
+        assert (steps["double"], steps["add"]) == want
+    assert _exp_base_steps(k) == COMB_STEP_PINS[k]

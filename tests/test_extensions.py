@@ -407,12 +407,13 @@ def test_ticket_lifecycle(group):
     sk, pk = core.server_setup(group, rng)
     db = RedeemDb()
     secret, card = ext.issue_ticket(group, ["adult", "child", "parking"], rng)
-    responses = ext.server_punch_ticket(
-        group, sk, pk, card, {"adult": 2, "child": 3}, rng=rng
-    )
-    secret, card = ext.client_punch_ticket(group, pk, secret, card, responses, rng)
+    plan = {"adult": 2, "child": 3}
+    responses = ext.server_punch_ticket(group, sk, pk, card, plan, rng=rng)
+    secret, card = ext.client_punch_ticket(group, pk, secret, card, plan, responses, rng)
     responses = ext.server_punch_ticket(group, sk, pk, card, {"parking": 1}, rng=rng)
-    secret, card = ext.client_punch_ticket(group, pk, secret, card, responses, rng)
+    secret, card = ext.client_punch_ticket(
+        group, pk, secret, card, {"parking": 1}, responses, rng
+    )
     assert secret.counts == {"adult": 2, "child": 3, "parking": 1}
     req = ext.client_redeem_ticket(group, secret, card)
     assert [(n, c) for n, c, _ in req.slots] == [
@@ -429,8 +430,9 @@ def test_ticket_slots_match_oracle():
     rng = random.Random(117)
     sk, pk = core.server_setup(toy, rng)
     secret, card = ext.issue_ticket(toy, ["a", "b"], rng)
-    responses = ext.server_punch_ticket(toy, sk, pk, card, {"a": 3, "b": 1}, rng=rng)
-    secret, card = ext.client_punch_ticket(toy, pk, secret, card, responses, rng)
+    plan = {"a": 3, "b": 1}
+    responses = ext.server_punch_ticket(toy, sk, pk, card, plan, rng=rng)
+    secret, card = ext.client_punch_ticket(toy, pk, secret, card, plan, responses, rng)
     for name, punches in (("a", 3), ("b", 1)):
         base = toy.hash_to_group(ext.TAG_TICKET_PREFIX + name, secret.u)
         want = (
@@ -451,7 +453,7 @@ def test_ticket_slot_tags_are_independent(group):
     db = RedeemDb()
     secret, card = ext.issue_ticket(group, ["a", "b"], rng)
     responses = ext.server_punch_ticket(group, sk, pk, card, {"a": 2}, rng=rng)
-    secret, card = ext.client_punch_ticket(group, pk, secret, card, responses, rng)
+    secret, card = ext.client_punch_ticket(group, pk, secret, card, {"a": 2}, responses, rng)
     req = ext.client_redeem_ticket(group, secret, card)
     swapped = ext.TicketRedeemRequest(
         u=req.u, slots=[(n, {"a": 0, "b": 2}[n], e) for n, _, e in req.slots]
@@ -468,7 +470,9 @@ def test_ticket_redemption_naming_a_slot_twice_is_bad_card(group):
     db = RedeemDb()
     secret, card = ext.issue_ticket(group, ["adult", "child"], rng)
     responses = ext.server_punch_ticket(group, sk, pk, card, {"adult": 3}, rng=rng)
-    secret, card = ext.client_punch_ticket(group, pk, secret, card, responses, rng)
+    secret, card = ext.client_punch_ticket(
+        group, pk, secret, card, {"adult": 3}, responses, rng
+    )
     req = ext.client_redeem_ticket(group, secret, card)
     adult = next(slot for slot in req.slots if slot[0] == "adult")
     doubled = ext.TicketRedeemRequest(u=req.u, slots=[adult, adult])
@@ -490,7 +494,27 @@ def test_ticket_unknown_slot_raises(group):
         ext.server_punch_ticket(group, sk, pk, card, {"nope": 1}, rng=rng)
     resp = ext.server_punch_ticket(group, sk, pk, card, {"a": 1}, rng=rng)
     with pytest.raises(ProofRejected):
-        ext.client_punch_ticket(group, pk, secret, card, {"nope": resp["a"]}, rng)
+        ext.client_punch_ticket(group, pk, secret, card, {"nope": 1}, {"nope": resp["a"]}, rng)
+
+
+def test_ticket_chain_of_another_length_rejected(group):
+    """A slot is credited the count the wallet asked for, never the length
+    of the server's chain: a chain one step longer or shorter than asked is
+    refused, and so is a reply that leaves out or adds a slot."""
+    rng = random.Random(122)
+    sk, pk = core.server_setup(group, rng)
+    secret, card = ext.issue_ticket(group, ["a", "b"], rng)
+    asked = {"a": 3, "b": 1}
+    for served in ({"a": 4, "b": 1}, {"a": 2, "b": 1}, {"a": 3}, {"a": 3, "b": 1, "c": 1}):
+        plan = {name: t for name, t in served.items() if name in card.slots}
+        responses = ext.server_punch_ticket(group, sk, pk, card, plan, rng=rng)
+        if "c" in served:
+            responses["c"] = responses["b"]
+        with pytest.raises(ProofRejected):
+            ext.client_punch_ticket(group, pk, secret, card, asked, responses, rng)
+    responses = ext.server_punch_ticket(group, sk, pk, card, asked, rng=rng)
+    secret, card = ext.client_punch_ticket(group, pk, secret, card, asked, responses, rng)
+    assert secret.counts == asked
 
 
 def test_ticket_inflated_count_rejected(group):
@@ -499,7 +523,7 @@ def test_ticket_inflated_count_rejected(group):
     db = RedeemDb()
     secret, card = ext.issue_ticket(group, ["a"], rng)
     responses = ext.server_punch_ticket(group, sk, pk, card, {"a": 1}, rng=rng)
-    secret, card = ext.client_punch_ticket(group, pk, secret, card, responses, rng)
+    secret, card = ext.client_punch_ticket(group, pk, secret, card, {"a": 1}, responses, rng)
     req = ext.client_redeem_ticket(group, secret, card)
     inflated = ext.TicketRedeemRequest(
         u=req.u, slots=[(n, c + 1, e) for n, c, e in req.slots]

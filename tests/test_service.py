@@ -883,6 +883,23 @@ def test_listening_line_names_the_group(tmp_path, caplog, scheme, backend):
     assert f"scheme={scheme} backend={backend}" in line
 
 
+@pytest.mark.parametrize(
+    "scheme,kernels", [("main", {"sodium", "python"}), ("mergeable", {"gmpy2", "libgmp", "int"})]
+)
+def test_listening_line_names_the_kernel(tmp_path, caplog, scheme, kernels):
+    """The production groups name the arithmetic they run on: libsodium or
+    Python for ristretto255, and gmpy2, libgmp or Python ints for the Fq
+    exponentiations and inversions of BLS12-381."""
+    cfg = Config(state_dir=str(tmp_path / "state"), listen_port=0, scheme=scheme, fsync=False)
+    with caplog.at_level(logging.INFO, logger="punchcard.server"):
+        handle = ServerHandle(cfg).start()
+        kernel = handle.service.scheme.params.kernel
+        handle.shutdown()
+    [line] = [r.getMessage() for r in caplog.records if "listening on" in r.getMessage()]
+    assert kernel in kernels
+    assert line.endswith(f" kernel={kernel}")
+
+
 # --- connection pool, deadline and cap --------------------------------------------
 
 
