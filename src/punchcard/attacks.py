@@ -91,6 +91,19 @@ def replay_attack(
     }
 
 
+def simulate_dleq(group: Group, pk, point, image, chal: int, rng=None):
+    """An accepting DLEQ transcript (A1, A2, z) for a given challenge,
+    without the key: sample z, then set A1 = g^z * pk^-c, A2 = p^z * q^-c.
+    For the zero-knowledge tests and the key-switch drill; no protocol
+    path calls it."""
+    base = group.generator()
+    z = group.random_scalar(rng)
+    neg_c = (-chal) % group.order
+    commit_base = group.mul(group.exp(base, z), group.exp(pk, neg_c))
+    commit_point = group.mul(group.exp(point, z), group.exp(image, neg_c))
+    return commit_base, commit_point, z
+
+
 def key_switch_attack(
     group: Group, trials: int = 1000, seed: int = 2
 ) -> Dict[str, object]:
@@ -106,7 +119,7 @@ def key_switch_attack(
             # forged proof for the honest key, without knowing it
             punched = group.exp(card, group.random_scalar(rng))
             chal = group.random_scalar(rng)
-            a1, a2, z = dleq.simulate(group, pk, card, punched, chal, rng)
+            a1, a2, z = simulate_dleq(group, pk, card, punched, chal, rng)
             proof = dleq.DleqProof(commit_base=a1, commit_point=a2, response=z)
             resp = core.PunchResponse(punched=punched, proof=proof)
         else:

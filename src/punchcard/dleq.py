@@ -10,9 +10,9 @@ the group order, response z = k + c*sk. Verification checks
 
     g^z == A1 * pk^c        p^z == A2 * q^c
 
-after recomputing c. The challenge-programmed simulator used by the
-zero-knowledge tests lives here too, as does the interactive-transcript
-checker it is tested against.
+after recomputing c. verify_transcript checks the same equations for a
+given challenge; the challenge-programmed simulator that passes it
+without the key lives with the drills, in attacks.py.
 """
 
 from __future__ import annotations
@@ -131,21 +131,3 @@ def verify_transcript(
     rhs2 = group.mul(commit_point, group.exp(image, chal))
     return lhs1 == rhs1 and lhs2 == rhs2
 
-
-def simulate(
-    group: Group,
-    pk: Element,
-    point: Element,
-    image: Element,
-    chal: int,
-    rng=None,
-) -> Tuple[Element, Element, int]:
-    """Produce an accepting transcript for a given challenge without the
-    key: sample z, then set A1 = g^z * pk^-c, A2 = p^z * q^-c. Exists for
-    the zero-knowledge tests; no protocol path calls it."""
-    base = group.generator()
-    z = group.random_scalar(rng)
-    neg_c = (-chal) % group.order
-    commit_base = group.mul(group.exp(base, z), group.exp(pk, neg_c))
-    commit_point = group.mul(group.exp(point, z), group.exp(image, neg_c))
-    return commit_base, commit_point, z

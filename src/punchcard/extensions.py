@@ -95,14 +95,19 @@ def client_multi_punch(
     pk: Element,
     secret: CardSecret,
     card: Element,
+    t: int,
     resp: MultiPunchResponse,
     rng=None,
-) -> Tuple[CardSecret, Element, int]:
-    """Verify the whole chain, then re-mask off the last element. Returns
-    the new state plus how many punches were gained."""
+) -> Tuple[CardSecret, Element]:
+    """Verify the whole chain of the t punches asked for, then re-mask off
+    the last element. A chain of any other length is refused
+    (ProofRejected) before any proof is checked, even when every step
+    verifies: the count reaches the server in clear at redemption, so an
+    unusual total would mark the card."""
+    if len(resp.steps) != t:
+        raise ProofRejected(f"asked for {t} punches, got {len(resp.steps)}")
     last = core.verify_chain(group, core.TAG_PUNCH_PROOF, pk, card, resp.steps)
-    secret, element = core.remask_card(group, secret, last, rng)
-    return secret, element, len(resp.steps)
+    return core.remask_card(group, secret, last, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -287,12 +292,9 @@ def client_punch_ticket(
     for name, t in plan.items():
         if name not in card.slots:
             raise ProofRejected(f"response for unknown slot {name!r}")
-        resp = responses[name]
-        if len(resp.steps) != t:
-            raise ProofRejected(f"asked for {t} punches on {name!r}, got {len(resp.steps)}")
-        slot, new_slots[name], _ = client_multi_punch(
+        slot, new_slots[name] = client_multi_punch(
             group, pk, CardSecret(secret.u, secret.masks[name]),
-            card.slots[name], resp, rng,
+            card.slots[name], t, responses[name], rng,
         )
         new_masks[name] = slot.mask
         new_counts[name] += t

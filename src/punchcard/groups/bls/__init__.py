@@ -16,9 +16,10 @@ from .fields import N, f12_to_flat
 
 class _BlsCurveGroup(Group):
     """The curve groups' scalars (32-byte big-endian, order n), identity
-    None, addition, exp and fixed-base comb (its table built on first use).
-    Each subclass names its _curve and _gen and keeps exp_many, codec and
-    hash, which call the curve module at call time."""
+    None, addition, exp_many (one set of tables per element) and the
+    fixed-base comb (its table built on first use). Each subclass names
+    its _curve and _gen and keeps codec and hash, which call the curve
+    module at call time."""
 
     order = int(N)
     scalar_size = 32
@@ -38,6 +39,11 @@ class _BlsCurveGroup(Group):
         subgroup check, hashed and cofactor-cleared, or the generator."""
         return self.exp_many(e, (k,))[0]
 
+    def exp_many(self, e, ks):
+        """[k]e for each k in ks (GLV or GLS), on one set of e's tables."""
+        tables = curve.tables(self._curve, e)
+        return [curve.table_mul(self._curve, tables, k % self.order) for k in ks]
+
     def exp_base(self, k: int):
         return self._comb.mul(k % self.order)
 
@@ -52,11 +58,6 @@ class BlsG0(_BlsCurveGroup):
     element_size = 48
     _curve = curve.curve_g1
     _gen = curve.G1_GEN
-
-    def exp_many(self, e, ks):
-        """[k]e for each k in ks (GLV), on one table of e's odd multiples."""
-        tables = curve.g1_tables(e)
-        return [curve.g1_ladder(tables, k % self.order) for k in ks]
 
     def encode_element(self, e) -> bytes:
         return curve.g1_to_bytes(e)
@@ -75,11 +76,6 @@ class BlsG1(_BlsCurveGroup):
     element_size = 96
     _curve = curve.curve_g2
     _gen = curve.G2_GEN
-
-    def exp_many(self, e, ks):
-        """[k]e for each k in ks (GLS), on one set of e's tables."""
-        tables = curve.g2_tables(e)
-        return [curve.g2_ladder(tables, k % self.order) for k in ks]
 
     def encode_element(self, e) -> bytes:
         return curve.g2_to_bytes(e)

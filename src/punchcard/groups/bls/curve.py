@@ -8,19 +8,20 @@ no root in Fq or Fq2, so no point has y = 0 (order 2), a finite Jacobian
 point has Y = y Z^3 != 0, and doubling (Z' = 2YZ) and mixed addition
 (Z' = Z H, H != 0) never give Z = 0; P + (-P) returns None.
 
-The affine arithmetic (add, double, subset_sums, the normalisations of
-the ladders and of odd_multiples), the compressed-point codec and the
-hash to the curve are written once over a small field-ops shim, _FqOps or
-_Fq2Ops, and instantiated for both fields; g1_/g2_to_bytes,
-g1_/g2_from_bytes and hash_to_g1/g2 are thin entry points. Scalar
-multiplication runs in Jacobian coordinates, and its two steps,
-_double_jac and _add_mixed, are written out twice: on ints for E
-(CurveFq) and on coefficient pairs for E' (CurveFq2). They reduce each
-output coefficient once, as fields.py's products do (lazy reduction,
-Aranha, Karabina, Longa, Gebotys and Lopez, EUROCRYPT 2011), so the
-ladders' field operations no longer pass through the shims; to count a
-ladder's work, count its steps. `Curve.mul` is the generic double-and-add,
-valid for any point on the curve.
+The affine arithmetic (add, double, subset_sums and the normalisations),
+the compressed-point codec and the hash to the curve are written once over
+a small field-ops shim, _FqOps or _Fq2Ops, and instantiated for both
+fields; g1_/g2_to_bytes, g1_/g2_from_bytes and hash_to_g1/g2 are thin
+entry points. The two Jacobian steps, _double_jac and _add_mixed, are
+written out on ints for E (CurveFq) and on coefficient pairs for E'
+(CurveFq2), each output coefficient reduced once, as fields.py's products
+do (lazy reduction, Aranha, Karabina, Longa, Gebotys and Lopez,
+EUROCRYPT 2011). Every scalar multiplication is one Curve.ladder over
+columns of affine points, most significant first: one doubling per
+column, one mixed addition per point and one inversion. The callers only
+turn digits into columns, so to count a multiplication's work, count its
+steps. Curve.mul is double-and-add on it, one column per bit of k, valid
+for any point on the curve.
 
 The hot group operations use two endomorphisms instead of long generic
 multiplications (x = -0xd201000000010000 is the curve parameter):
@@ -37,39 +38,33 @@ multiplications (x = -0xd201000000010000 is the curve parameter):
   after Budroni and Pintore, "Efficient hash maps to G2 on BLS curves",
   2017), so hash outputs are unchanged. hash_to_g1 keeps [H1]: RFC 9380's
   G1 multiplier 1-x is a different scalar and would change outputs.
-* Scalar multiplication (g1_ladder, g2_ladder) splits k into two digits
-  in base x^2 on G1 (GLV) or four digits in base |x| on G2 (GLS), recodes
-  each digit in width-5 NAF (WNAF_WIDTH), and runs one interleaved ladder
-  over the odd multiples [P, 3P, ..., 15P] and their phi or psi images
-  (wnaf_ladder): a nonzero digit is one mixed addition, against one per
-  bit column of the subset-sum ladder (about 43 against 96 additions on
-  G1, 44 against 60 on G2). The table is built once per point
-  (g1_tables, g2_tables) in Jacobian coordinates, normalised with one
-  inversion, and its images are taken entry by entry; BlsG0/BlsG1.exp_many
-  runs several scalars on one table. They are correct only on subgroup
-  points: callers pass points decoded with the subgroup check, hashed and
-  cleared, or generators. On a point of small order an odd multiple is
-  the identity and the table's inversion fails, so Curve.mul, which
-  serves arbitrary points, keeps the subset-sum ladder.
+* SPLITS, one entry per curve, splits k mod n into two digits in base x^2
+  on G1 (GLV) or four in base |x| on G2 (GLS), and maps a point worth [d]
+  to the one worth [d x^2] (-phi) or [d |x|^i] (-psi, psi^2, -psi^3).
+  table_mul recodes each digit in width-5 NAF (WNAF_WIDTH) and runs one
+  ladder over tables(P): the odd multiples [P, 3P, ..., 15P], built in
+  Jacobian coordinates with one inversion, and their images. A nonzero
+  digit is one mixed addition, against one per bit column of a binary
+  ladder (about 43 against 96 on G1, 44 against 60 on G2), and
+  BlsG0/BlsG1.exp_many runs several scalars on one set of tables. Only
+  subgroup points may be passed (decoded with the subgroup check, hashed
+  and cleared, or generators): on a point of small order an odd multiple
+  is the identity and the table's inversion fails.
 * Powers of the generators (BlsG0/BlsG1.exp_base: DLEQ nonces and
-  responses) use FixedBaseComb on the same splits: two 128-bit GLV digits
-  on G1, four 64-bit GLS digits on G2, each cut into 8 teeth (16-bit
-  spacing on G1, 8-bit on G2). Every digit looks up one 256-entry affine
-  table of subset sums of the teeth and maps the entry by -phi, or by
-  -psi, psi^2 or -psi^3, so one ladder of 15 doublings on G1 or 7 on G2
-  serves all digits (31 before the split). psi^2 scales by two constants
-  of Fq (psi2). The tables take about 54 KB for G1 and 120 KB for G2 as
-  Python objects; they are built on the first exp_base call, never at
-  import or by key set-up, so a server builds them after it starts
-  listening.
+  responses) use FixedBaseComb on the same splits, each digit cut into 8
+  teeth (16-bit spacing on G1, 8-bit on G2): every digit looks up one
+  256-entry affine table of subset sums of the teeth and maps the entry,
+  so one ladder of 15 doublings on G1 or 7 on G2 serves all digits. The
+  tables take about 54 KB for G1 and 120 KB for G2 as Python objects and
+  are built on the first exp_base call, never at import or by key set-up,
+  so a server builds them after it starts listening.
 
-No kernel here is constant-time: every ladder branches on scalar bits.
-The wNAF ladders branch on the NAF digits of sk and of the nonce k, and
-so does the comb, which in a proof runs on k; since the response is
-z = k + c*sk, k is as secret as sk. A regular recoding (fixed digit
-count, no zero digits) can run on the same table of odd multiples. The
-square roots and inversions under these curves (fields.KERNEL) are not
-constant-time either.
+No kernel here is constant-time: the columns follow the scalar's digits,
+for sk and for the nonce k alike, and since the response is z = k + c*sk,
+k is as secret as sk. A regular recoding (fixed digit count, no zero
+digits) can run on the same table of odd multiples, as one more producer
+of columns. The square roots and inversions under these curves
+(fields.KERNEL) are not constant-time either.
 
 Serialization follows the common compressed convention for this curve:
 big-endian x with three flag bits on the first byte (compressed, infinity,
@@ -172,7 +167,7 @@ class _Fq2Ops:
         return (mpz(cs[1]), mpz(cs[0]))
 
 
-WNAF_WIDTH = 5  # g1_tables and g2_tables: 2^(w-2) = 8 odd multiples
+WNAF_WIDTH = 5  # tables: 2^(w-2) = 8 odd multiples
 WNAF_TABLE = 1 << (WNAF_WIDTH - 2)
 
 
@@ -198,7 +193,7 @@ def wnaf(k: int):
 
 class Curve:
     """y^2 = x^3 + b over the field F; points affine (x, y) or None. The
-    subclasses supply the Jacobian steps the ladders run on."""
+    subclasses supply the Jacobian steps the ladder runs on."""
 
     def __init__(self, F, b):
         self.F = F
@@ -250,21 +245,19 @@ class Curve:
             table += [self.add(t, pt) for t in table]
         return table
 
-    def straus(self, table, digits):
-        """sum of [digits[i]] points[i], for table = subset_sums(points) and
-        digits >= 0: one doubling per digit bit, one mixed addition per bit
-        position where some digit has a 1, and one inversion at the end."""
-        F = self.F
-        digits = [int(d) for d in digits]
+    def ladder(self, columns):
+        """The sum over columns, most significant first, of 2^i times the sum
+        of column i's affine points (not None), i counted from the last
+        column: acc = 2 acc + sum(column) in Jacobian coordinates, one
+        doubling per column once acc holds a point, one mixed addition per
+        point, and one inversion at the end. Every scalar multiplication
+        runs here; what differs is how its digits become columns."""
         acc = None  # Jacobian (X, Y, Z)
-        for bit in range(max(digits).bit_length() - 1, -1, -1):
+        for column in columns:
             if acc is not None:
                 acc = self._double_jac(*acc)
-            idx = 0
-            for d in reversed(digits):
-                idx = idx << 1 | (d >> bit) & 1
-            if table[idx] is not None:
-                acc = self._add_mixed(acc, table[idx])
+            for pt in column:
+                acc = self._add_mixed(acc, pt)
         return self._affine(acc)
 
     def _affine(self, acc):
@@ -312,29 +305,25 @@ class Curve:
         """sum of [digits[i]] points[i] for digits >= 0, where tables[i] is
         (odd_multiples(points[i]), the negations of those): one interleaved
         ladder over the digits' width-w NAFs, one doubling per NAF position
-        below the top, one mixed addition per nonzero NAF digit, and one
-        inversion at the end."""
+        below the top, one mixed addition per nonzero NAF digit."""
         nafs = [wnaf(int(d)) for d in digits]
         top = max(map(len, nafs))
         cols = list(zip(*(naf + [0] * (top - len(naf)) for naf in nafs)))
-        acc = None  # Jacobian (X, Y, Z)
-        for i in range(top - 1, -1, -1):
-            if acc is not None:
-                acc = self._double_jac(*acc)
-            for d, (pos, neg) in zip(cols[i], tables):
-                if d > 0:
-                    acc = self._add_mixed(acc, pos[d >> 1])
-                elif d < 0:
-                    acc = self._add_mixed(acc, neg[-d >> 1])
-        return self._affine(acc)
+        return self.ladder(
+            [pos[d >> 1] if d > 0 else neg[-d >> 1] for d, (pos, neg) in zip(col, tables) if d]
+            for col in reversed(cols)
+        )
 
     def mul(self, pt, k: int):
         """Generic scalar multiplication: plain double-and-add, valid for any
-        point on the curve (the H1 clearing and the tests' oracle)."""
+        point on the curve (subgroup checks, cofactor clearing, the comb's
+        teeth and the tests' oracle)."""
         k = int(k)
         if k < 0:
             return self.mul(self.neg(pt), -k)
-        return self.straus([None, pt], (k,))
+        if pt is None:
+            return None
+        return self.ladder((pt,) if bit == "1" else () for bit in bin(k)[2:])
 
 
 class CurveFq(Curve):
@@ -507,14 +496,6 @@ _PSI2_X, _PSI2_Y = _norm(_PSI_X), _norm(_PSI_Y)
 _psi_affine = _conj_scaled(_PSI_X, _PSI_Y)
 
 
-def _psi2_affine(pt):
-    (x0, x1), (y0, y1) = pt
-    return (
-        (x0 * _PSI2_X % P, x1 * _PSI2_X % P),
-        (y0 * _PSI2_Y % P, y1 * _PSI2_Y % P),
-    )
-
-
 def psi(pt):
     """The twist endomorphism; acts as [x] on the order-n subgroup of E'."""
     return None if pt is None else _psi_affine(pt)
@@ -522,7 +503,13 @@ def psi(pt):
 
 def psi2(pt):
     """psi(psi(P)), as a scaling by Fq constants; [x^2] on the subgroup."""
-    return None if pt is None else _psi2_affine(pt)
+    if pt is None:
+        return None
+    (x0, x1), (y0, y1) = pt
+    return (
+        (x0 * _PSI2_X % P, x1 * _PSI2_X % P),
+        (y0 * _PSI2_Y % P, y1 * _PSI2_Y % P),
+    )
 
 
 # beta is a primitive cube root of unity in Fq: the norm of xi^((p-1)/3) is
@@ -558,12 +545,6 @@ def in_subgroup_g2(pt) -> bool:
     return psi(pt) == curve_g2.mul(pt, X_PARAM)
 
 
-def _signed(c, table, negate):
-    """(table, its negations), swapped when negate."""
-    neg = [c.neg(t) for t in table]
-    return (neg, table) if negate else (table, neg)
-
-
 def glv_digits(k: int):
     """(k0, k1) with k = k0 + k1 x^2, both below 2^128 for 0 <= k < n."""
     k1, k0 = divmod(k, _X2)
@@ -580,70 +561,53 @@ def gls_digits(k: int):
     return digits
 
 
-def g1_tables(pt):
-    """The wnaf_ladder tables of P and [x^2]P = -phi(P), for P in the
-    order-n subgroup of E (None for the identity): odd_multiples(P), and
-    phi of each entry."""
-    if pt is None:
-        return None
-    table = curve_g1.odd_multiples(pt)
-    images = list(map(phi, table))
-    return [_signed(curve_g1, table, False), _signed(curve_g1, images, True)]
-
-
-def g1_ladder(tables, k: int):
-    """[k]P from g1_tables(P), for 0 <= k < n (GLV): k = k0 + k1 x^2 with
-    both digits below 2^128, so one 128-bit ladder over P and [x^2]P."""
-    if tables is None:
-        return None
-    return curve_g1.wnaf_ladder(tables, glv_digits(k))
-
-
-def g2_tables(pt):
-    """The wnaf_ladder tables of [|x|^i]P = (-psi)^i(P), i = 0..3, for P in
-    the order-n subgroup of E' (None for the identity): odd_multiples(P),
-    and its images under psi, psi^2 and psi^3 = psi^2 psi, entry by entry."""
-    if pt is None:
-        return None
-    table = curve_g2.odd_multiples(pt)
-    image1 = list(map(_psi_affine, table))
-    images = [table, image1, list(map(_psi2_affine, table)), list(map(_psi2_affine, image1))]
-    return [_signed(curve_g2, t, i % 2 == 1) for i, t in enumerate(images)]
-
-
-def g2_ladder(tables, k: int):
-    """[k]P from g2_tables(P), for 0 <= k < n (GLS): k has four digits below
-    2^64 in base |x| (n < x^4), so one 64-bit ladder over the four points."""
-    if tables is None:
-        return None
-    return curve_g2.wnaf_ladder(tables, gls_digits(k))
-
-
 def _neg_phi(pt):
     return (pt[0] * BETA % P, (-pt[1]) % P)
 
 
 COMB_TEETH = 8
-# Per curve, the comb's split of k mod n into digits worth [|x|^i] (GLS on
-# E') or [x^(2i)] (GLV on E), the bits in each of a digit's 8 teeth, and the
-# map from the table's entry for [d]B to the one for [d x^2]B or [d |x|^i]B:
-# [x^2] = -phi, and [|x|] = -psi, so [|x|^3] = -psi^3, whose constants are
-# psi's times psi^2's.
-_COMB_SPLITS = {
+# Per curve, the split of k mod n into digits worth [x^(2i)] (GLV on E) or
+# [|x|^i] (GLS on E'), the bits in each of a digit's 8 comb teeth, and the
+# maps from a point worth [d] to the one worth [d x^2] or [d |x|^i], on the
+# order-n subgroup: [x^2] = -phi, and [|x|] = -psi, so [|x|^3] = -psi^3,
+# whose constants are psi's times psi^2's. The wNAF tables and the comb
+# both map their entries by these.
+SPLITS = {
     curve_g1: (glv_digits, 16, (None, _neg_phi)),
     curve_g2: (gls_digits, 8, (
         None,
         _conj_scaled(_PSI_X, f2_neg(_PSI_Y)),
-        _psi2_affine,
+        psi2,
         _conj_scaled(f2_muls(_PSI_X, _PSI2_X), f2_neg(f2_muls(_PSI_Y, _PSI2_Y))),
     )),
 }
 
 
+def tables(c, pt):
+    """The wnaf_ladder tables of P and of its images under SPLITS[c]'s maps,
+    for P in the order-n subgroup of c (None for the identity):
+    odd_multiples(P) and its images entry by entry, each with its
+    negations."""
+    if pt is None:
+        return None
+    table = c.odd_multiples(pt)
+    images = [table if f is None else list(map(f, table)) for f in SPLITS[c][2]]
+    return [(t, [c.neg(e) for e in t]) for t in images]
+
+
+def table_mul(c, tabs, k: int):
+    """[k]P from tabs = tables(c, P), for 0 <= k < n: one ladder over k's
+    GLV digits (two below 2^128) on E, or GLS digits (four below 2^64) on
+    E'."""
+    if tabs is None:
+        return None
+    return c.wnaf_ladder(tabs, SPLITS[c][0](k))
+
+
 class FixedBaseComb:
     """[k]B for one fixed point B of order n on E or E' and any k >= 0, by
     a fixed-base comb on the GLV or GLS split of k mod n. Each digit d has
-    8 teeth of s bits, so [d]B = sum [d_j] [2^(s j)]B is one s-bit Straus
+    8 teeth of s bits, so [d]B = sum [d_j] [2^(s j)]B is one s-bit
     ladder over a 256-entry affine table of subset sums of the teeth
     [2^(s j)]B. The digits worth [x^2] on E, or [|x|^i] on E', look up the
     same table and map each entry by the endomorphism (-phi, -psi, psi^2 or
@@ -660,7 +624,7 @@ class FixedBaseComb:
     def __init__(self, curve, base):
         self.curve = curve
         self.base = base
-        self.split, self.spacing, self.images = _COMB_SPLITS[curve]
+        self.split, self.spacing, self.images = SPLITS[curve]
         self._table = None
 
     def table(self):
@@ -674,7 +638,7 @@ class FixedBaseComb:
         return table
 
     def mul(self, k: int):
-        c, table, s = self.curve, self.table(), self.spacing
+        table, s = self.table(), self.spacing
         # each digit as its teeth's bit columns, most significant first: the
         # column's bit from tooth j is bit j of its table index
         cols = []
@@ -682,15 +646,10 @@ class FixedBaseComb:
             bits = format(d, f"0{s * COMB_TEETH}b")
             teeth = [bits[i : i + s] for i in range(0, len(bits), s)]
             cols.append([int("".join(col), 2) for col in zip(*teeth)])
-        acc = None  # Jacobian (X, Y, Z)
-        for i in range(s):
-            if acc is not None:
-                acc = c._double_jac(*acc)
-            for col, image in zip(cols, self.images):
-                j = col[i]
-                if j:
-                    acc = c._add_mixed(acc, table[j] if image is None else image(table[j]))
-        return c._affine(acc)
+        return self.curve.ladder(
+            [table[j] if f is None else f(table[j]) for j, f in zip(col, self.images) if j]
+            for col in zip(*cols)
+        )
 
 
 def clear_cofactor_g2(pt):

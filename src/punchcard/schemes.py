@@ -106,8 +106,8 @@ class MainScheme(Scheme):
     def server_multi_punch(self, sk: int, pk: Element, card, t: int, t_max: int):
         return extensions.server_multi_punch(self.group, sk, pk, card, t, t_max)
 
-    def client_multi_punch(self, pk: Element, secret, card, resp, rng=None):
-        return extensions.client_multi_punch(self.group, pk, secret, card, resp, rng)
+    def client_multi_punch(self, pk: Element, secret, card, t: int, resp, rng=None):
+        return extensions.client_multi_punch(self.group, pk, secret, card, t, resp, rng)
 
     def client_redeem(self, cards: Cards) -> core.RedeemRequest:
         [(secret, card)] = cards

@@ -39,10 +39,12 @@ from punchcard.groups.bls import BlsG0, BlsG1, Bls12381, curve, fields, gmp
 from punchcard.groups.bls.curve import (
     B1,
     B2,
+    COMB_TEETH,
     G1_GEN,
     G2_GEN,
     H1,
     H2_EFF,
+    SPLITS,
     WNAF_TABLE,
     WNAF_WIDTH,
     FixedBaseComb,
@@ -51,16 +53,14 @@ from punchcard.groups.bls.curve import (
     clear_cofactor_g2,
     curve_g1,
     curve_g2,
-    g1_ladder,
-    g1_tables,
     g1_to_bytes,
-    g2_ladder,
-    g2_tables,
     g2_to_bytes,
     hash_to_g1,
     hash_to_g2,
     in_subgroup_g1,
     in_subgroup_g2,
+    table_mul,
+    tables,
     wnaf,
 )
 from punchcard.groups.bls.pairing import (
@@ -231,24 +231,67 @@ def test_psi_clearing_on_random_points(x0, x1):
 # --- GLV / GLS scalar multiplication -------------------------------------------
 
 
+def _fast_mul(c, pt, k):
+    """[k]P through P's wNAF tables and the GLV or GLS ladder."""
+    return table_mul(c, tables(c, pt), k)
+
+
+# the weight of digit i in SPLITS[c] is SPLIT_BASES[c]^i: x^(2i) or |x|^i
+SPLIT_BASES = {curve_g1: _X2, curve_g2: _U}
+
+
+@pytest.mark.parametrize("which", ["g1", "g2"])
+def test_splits_maps_multiply_by_the_digit_weights(points, which):
+    """Map i of SPLITS[c] is [x^(2i)] on G1 and [|x|^i] on G2, on every
+    subgroup point (the generator first); k's digits recombine to k, one
+    per map, each within the comb's 8 teeth."""
+    c = curve_g1 if which == "g1" else curve_g2
+    digits, spacing, maps = SPLITS[c]
+    base = SPLIT_BASES[c]
+    for pt in points[which + "_sub"]:
+        for i, f in enumerate(maps):
+            assert (pt if f is None else f(pt)) == c.mul(pt, base**i), i
+    for k in SPECIAL_SCALARS:
+        ds = digits(k)
+        assert len(ds) == len(maps)
+        assert sum(d * base**i for i, d in enumerate(ds)) == k
+        assert all(0 <= d < 2 ** (spacing * COMB_TEETH) for d in ds)
+
+
+@pytest.mark.parametrize("which", ["g1", "g2"])
+def test_tables_hold_odd_multiples_of_the_digit_weights(points, which):
+    """Entry j of tables(c, P)[i] is [(2j + 1) s_i]P, s_i the weight of
+    digit i, and its partner list holds the negations."""
+    c = curve_g1 if which == "g1" else curve_g2
+    base = SPLIT_BASES[c]
+    for pt in points[which + "_sub"]:
+        tabs = tables(c, pt)
+        assert len(tabs) == len(SPLITS[c][2])
+        for i, (pos, neg) in enumerate(tabs):
+            assert len(pos) == len(neg) == WNAF_TABLE
+            for j, (entry, minus) in enumerate(zip(pos, neg)):
+                assert entry == c.mul(pt, (2 * j + 1) * base**i), (i, j)
+                assert minus == c.neg(entry)
+
+
 @BOUNDED
 @given(k=scalars, which=st.integers(0, 3))
 def test_g1_mul_matches_double_and_add(points, k, which):
     pt = (points["g1_sub"] + [None])[which]
-    assert g1_ladder(g1_tables(pt), k) == curve_g1.mul(pt, k)
+    assert _fast_mul(curve_g1, pt, k) == curve_g1.mul(pt, k)
 
 
 @BOUNDED
 @given(k=scalars, which=st.integers(0, 3))
 def test_g2_mul_matches_double_and_add(points, k, which):
     pt = (points["g2_sub"] + [None])[which]
-    assert g2_ladder(g2_tables(pt), k) == curve_g2.mul(pt, k)
+    assert _fast_mul(curve_g2, pt, k) == curve_g2.mul(pt, k)
 
 
 @pytest.mark.parametrize("k", SPECIAL_SCALARS)
 def test_special_scalars_on_generators(k):
-    assert g1_ladder(g1_tables(G1_GEN), k) == curve_g1.mul(G1_GEN, k)
-    assert g2_ladder(g2_tables(G2_GEN), k) == curve_g2.mul(G2_GEN, k)
+    assert _fast_mul(curve_g1, G1_GEN, k) == curve_g1.mul(G1_GEN, k)
+    assert _fast_mul(curve_g2, G2_GEN, k) == curve_g2.mul(G2_GEN, k)
 
 
 # --- wNAF ladders -------------------------------------------------------------
@@ -269,8 +312,8 @@ def test_wnaf_recoding(k):
 
 def test_window_edge_scalars_on_generators():
     for k in WINDOW_SCALARS:
-        assert g1_ladder(g1_tables(G1_GEN), k) == curve_g1.mul(G1_GEN, k), hex(k)
-        assert g2_ladder(g2_tables(G2_GEN), k) == curve_g2.mul(G2_GEN, k), hex(k)
+        assert _fast_mul(curve_g1, G1_GEN, k) == curve_g1.mul(G1_GEN, k), hex(k)
+        assert _fast_mul(curve_g2, G2_GEN, k) == curve_g2.mul(G2_GEN, k), hex(k)
 
 
 @pytest.mark.parametrize("name", ["g0", "g1", "ristretto-python"])
@@ -362,7 +405,7 @@ def test_pairing_bilinear_on_random_points(points):
     rng = random.Random(2012)
     p, q = points["g1_sub"][2], points["g2_sub"][1]
     a, b = rng.randrange(1, N), rng.randrange(1, N)
-    lhs = pairing(g1_ladder(g1_tables(p), a), g2_ladder(g2_tables(q), b))
+    lhs = pairing(_fast_mul(curve_g1, p, a), _fast_mul(curve_g2, q, b))
     assert lhs == fields.f12_pow(pairing(p, q), a * b % N)
 
 
@@ -903,14 +946,14 @@ def _affine_mul(c, pt, k):
 @given(k=scalars, which=st.integers(0, 2))
 def test_g1_mul_matches_affine_oracle(points, k, which):
     pt = points["g1_sub"][which]
-    assert g1_ladder(g1_tables(pt), k) == _affine_mul(curve_g1, pt, k)
+    assert _fast_mul(curve_g1, pt, k) == _affine_mul(curve_g1, pt, k)
 
 
 @BOUNDED
 @given(k=scalars, which=st.integers(0, 2))
 def test_g2_mul_matches_affine_oracle(points, k, which):
     pt = points["g2_sub"][which]
-    assert g2_ladder(g2_tables(pt), k) == _affine_mul(curve_g2, pt, k)
+    assert _fast_mul(curve_g2, pt, k) == _affine_mul(curve_g2, pt, k)
 
 
 @BOUNDED
@@ -923,8 +966,11 @@ def test_g2_mul_matches_affine_oracle(points, k, which):
         max_size=4,
     ),
 )
-def test_straus_matches_affine_oracle(points, which, picks, digits):
-    """Any points on the curve, in or out of the subgroup, repeats allowed."""
+@example(which="g1", picks=[0, 0], digits=[1, 1, 0, 0])  # P + P in one column
+@example(which="g1", picks=[6, 6], digits=[1, 2, 0, 0])  # order 3: 2T + T = 0
+def test_ladder_matches_affine_oracle(points, which, picks, digits):
+    """Binary columns over any points on the curve, in or out of the
+    subgroup, repeats allowed: Curve.ladder's P + P and P + (-P) branches."""
     c = curve_g1 if which == "g1" else curve_g2
     pool = points[which + "_sub"] + points[which + "_other"]
     pts = [pool[i % len(pool)] for i in picks]
@@ -932,7 +978,11 @@ def test_straus_matches_affine_oracle(points, which, picks, digits):
     want = None
     for pt, d in zip(pts, digits):
         want = c.add(want, _affine_mul(c, pt, d))
-    assert c.straus(c.subset_sums(pts), digits) == want
+    columns = [
+        [pt for pt, d in zip(pts, digits) if d >> bit & 1]
+        for bit in range(max(digits).bit_length() - 1, -1, -1)
+    ]
+    assert c.ladder(columns) == want
 
 
 @functools.cache
@@ -1015,8 +1065,8 @@ def test_no_point_of_order_2_so_z_is_never_0(points, monkeypatch):
     outputs = []
     _watch_steps(monkeypatch, lambda kind, out: outputs.append(out))
     curves = [
-        ("g1", curve_g1, 0, H1 * N, lambda pt, k: g1_ladder(g1_tables(pt), k)),
-        ("g2", curve_g2, (0, 0), H2 * N, lambda pt, k: g2_ladder(g2_tables(pt), k)),
+        ("g1", curve_g1, 0, H1 * N, lambda pt, k: _fast_mul(curve_g1, pt, k)),
+        ("g2", curve_g2, (0, 0), H2 * N, lambda pt, k: _fast_mul(curve_g2, pt, k)),
     ]
     for which, c, zero, order, ladder in curves:
         for pt in points[which + "_sub"] + points[which + "_other"]:
@@ -1090,7 +1140,7 @@ TABLE_STEPS = (1, WNAF_TABLE - 1)
 
 
 def test_table_step_counts(steps):
-    for build in (lambda: g1_tables(G1_GEN), lambda: g2_tables(G2_GEN)):
+    for build in (lambda: tables(curve_g1, G1_GEN), lambda: tables(curve_g2, G2_GEN)):
         steps.update(double=0, add=0)
         build()
         assert (steps["double"], steps["add"]) == TABLE_STEPS
@@ -1119,13 +1169,13 @@ def _exp_base_steps(k):
 
 @pytest.mark.parametrize("k", STEP_SCALARS)
 def test_ladder_step_counts(steps, k):
-    t1, t2 = g1_tables(G1_GEN), g2_tables(G2_GEN)  # built outside the count
+    t1, t2 = tables(curve_g1, G1_GEN), tables(curve_g2, G2_GEN)  # built outside the count
     d1, d2 = _wnaf_steps(_base_digits(k, _X2, 2)), _wnaf_steps(_base_digits(k, _U, 4))
     cases = [
-        (lambda: g1_ladder(t1, k), d1),
-        (lambda: g2_ladder(t2, k), d2),
-        (lambda: g1_ladder(g1_tables(G1_GEN), k), tuple(map(operator.add, TABLE_STEPS, d1))),
-        (lambda: g2_ladder(g2_tables(G2_GEN), k), tuple(map(operator.add, TABLE_STEPS, d2))),
+        (lambda: table_mul(curve_g1, t1, k), d1),
+        (lambda: table_mul(curve_g2, t2, k), d2),
+        (lambda: _fast_mul(curve_g1, G1_GEN, k), tuple(map(operator.add, TABLE_STEPS, d1))),
+        (lambda: _fast_mul(curve_g2, G2_GEN, k), tuple(map(operator.add, TABLE_STEPS, d2))),
     ]
     for group, want in zip((BlsG0(), BlsG1()), _exp_base_steps(k)):
         group.exp_base(1)  # the table, built outside the count

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from punchcard import dleq
+from punchcard import attacks, dleq
 from punchcard.errors import InvalidEncoding
 from punchcard.groups import get_group
 
@@ -117,7 +117,7 @@ def test_simulator_passes_programmed_transcript_only(group):
     sk, pk, point, image = _instance(group, rng)
     for _ in range(10):
         chal = group.random_scalar(rng)
-        a1, a2, z = dleq.simulate(group, pk, point, image, chal, rng)
+        a1, a2, z = attacks.simulate_dleq(group, pk, point, image, chal, rng)
         assert dleq.verify_transcript(group, pk, point, image, a1, a2, chal, z)
         hashed = dleq.challenge(
             group, TAG, group.generator(), pk, point, image, a1, a2

@@ -4,7 +4,7 @@ from datetime import date, timedelta
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from punchcard import core, extensions as ext, wire
+from punchcard import core, dleq, extensions as ext, wire
 from punchcard.core import RedeemStatus
 from punchcard.db import RedeemDb
 from punchcard.errors import (
@@ -33,8 +33,7 @@ def test_multi_punch_equals_repeated_single_punch():
     for t in range(1, 9):
         secret, card = core.issue(toy, rng)
         resp = ext.server_multi_punch(toy, sk, pk, card, t, rng=rng)
-        secret, card, gained = ext.client_multi_punch(toy, pk, secret, card, resp, rng)
-        assert gained == t
+        secret, card = ext.client_multi_punch(toy, pk, secret, card, t, resp, rng)
         base_log = toy.dlog(core.card_base(toy, secret.u))
         want = base_log * pow(sk, t, toy.order) % toy.order * secret.mask % toy.order
         assert toy.dlog(card) == want
@@ -46,7 +45,7 @@ def test_multi_punch_then_redeem(group):
     db = RedeemDb()
     secret, card = core.issue(group, rng)
     resp = ext.server_multi_punch(group, sk, pk, card, 4, rng=rng)
-    secret, card, _ = ext.client_multi_punch(group, pk, secret, card, resp, rng)
+    secret, card = ext.client_multi_punch(group, pk, secret, card, 4, resp, rng)
     resp = core.server_punch(group, sk, pk, card, rng)
     secret, card = core.client_punch(group, pk, secret, card, resp, rng)
     req = core.client_redeem(group, secret, card)
@@ -92,7 +91,7 @@ def test_multi_punch_tampered_chain_rejected(group):
         steps[i] = (decoy, steps[i][1])
         with pytest.raises(ProofRejected):
             ext.client_multi_punch(
-                group, pk, secret, card, ext.MultiPunchResponse(steps), rng
+                group, pk, secret, card, 3, ext.MultiPunchResponse(steps), rng
             )
 
 
@@ -106,7 +105,7 @@ def test_multi_punch_wrong_key_rejected(group):
     _, evil_pk = core.server_setup(group, sk=evil)
     resp = ext.server_multi_punch(group, evil, evil_pk, card, 2, rng=rng)
     with pytest.raises(ProofRejected):
-        ext.client_multi_punch(group, pk, secret, card, resp, rng)
+        ext.client_multi_punch(group, pk, secret, card, 2, resp, rng)
 
 
 def test_empty_response_rejected(group):
@@ -115,8 +114,23 @@ def test_empty_response_rejected(group):
     secret, card = core.issue(group, rng)
     with pytest.raises(ProofRejected):
         ext.client_multi_punch(
-            group, pk, secret, card, ext.MultiPunchResponse(steps=[]), rng
+            group, pk, secret, card, 0, ext.MultiPunchResponse(steps=[]), rng
         )
+
+
+@pytest.mark.parametrize("extra", [1, -1])
+def test_multi_punch_chain_of_another_length_rejected(group, monkeypatch, extra):
+    """A valid chain of t + 1 or t - 1 steps answering a request for t is
+    refused before any proof is checked."""
+    rng = random.Random(108)
+    sk, pk = core.server_setup(group, rng)
+    secret, card = core.issue(group, rng)
+    resp = ext.server_multi_punch(group, sk, pk, card, 3 + extra, rng=rng)
+    checked = []
+    monkeypatch.setattr(dleq, "verify", lambda *a: checked.append(a) or True)
+    with pytest.raises(ProofRejected, match="asked for 3 punches"):
+        ext.client_multi_punch(group, pk, secret, card, 3, resp, rng)
+    assert checked == []
 
 
 # --- expiring secrets ---------------------------------------------------------
