@@ -3,10 +3,11 @@ run either scheme through the same calls.
 
 Both schemes punch with the chain primitive in `core`. A scheme object
 holds the rest: its wallet code byte and message types, key setup and
-codec, the card and mask codecs of a wallet record, issue, punch, redeem
-parsing and redeem. Only the main scheme has multi-punch (`multi_req` is
-None otherwise); a mergeable redemption spends two cards (`redeem_cards`),
-and a parsed redeem request names the secrets it spends in `secrets`.
+codec, the card codec, the card secret's class (u, then one mask per
+group of `groups`), issue, punch, redeem parsing and redeem. Only the
+main scheme has multi-punch (`multi_req` is None otherwise); a mergeable
+redemption spends two cards (`redeem_cards`), and a parsed redeem
+request names the secrets it spends in `secrets`.
 Methods look the functions of `core`, `extensions` and `mergeable` up on
 those modules at each call, so a wrapper installed on a module sees every
 call.
@@ -19,7 +20,7 @@ from typing import Any, Optional, Sequence, Tuple
 from . import core, extensions, mergeable, wire
 from .core import SECRET_SIZE, RedeemStatus
 from .groups import get_group, get_pairing
-from .groups.base import Group, PairingGroups, random_bytes, scalar, unpack
+from .groups.base import Group, PairingGroups, random_bytes
 
 Element = Any
 Cards = Sequence[Tuple[Any, Any]]  # (secret, card) pairs, as issue returns
@@ -33,6 +34,7 @@ class Scheme:
     params: Any  # the group or pairing its functions take first
     punch_response: Any  # message classes
     redeem_request: Any
+    card_secret: Any  # a dataclass: u, then one mask per group of `groups`
     pairing: Optional[PairingGroups] = None
     multi_req = multi_resp = multi_response = None
 
@@ -79,6 +81,7 @@ class MainScheme(Scheme):
     punch_response = core.PunchResponse
     multi_response = extensions.MultiPunchResponse
     redeem_request = core.RedeemRequest
+    card_secret = core.CardSecret
     redeem_cards = 1
 
     def __init__(
@@ -96,12 +99,6 @@ class MainScheme(Scheme):
         return self.group.decode_element(data)
 
     encode_card, decode_card = encode_pk, decode_pk
-
-    def encode_masks(self, secret: core.CardSecret) -> bytes:
-        return self.group.encode_scalar(secret.mask)
-
-    def decode_secret(self, u: bytes, masks: bytes) -> core.CardSecret:
-        return core.CardSecret(u=u, mask=self.group.decode_scalar(masks))
 
     def server_multi_punch(self, sk: int, pk: Element, card, t: int, t_max: int):
         return extensions.server_multi_punch(self.group, sk, pk, card, t, t_max)
@@ -130,6 +127,7 @@ class MergeableScheme(Scheme):
     redeem_req, redeem_resp = wire.MERGE_REDEEM_REQ, wire.MERGE_REDEEM_RESP
     punch_response = mergeable.MergePunchResponse
     redeem_request = mergeable.MergeRedeemRequest
+    card_secret = mergeable.MergeCardSecret
     redeem_cards = 2
 
     def __init__(
@@ -146,15 +144,6 @@ class MergeableScheme(Scheme):
         return self.decode(mergeable.MergeCard, data)
 
     encode_pk, decode_pk = encode_card, decode_card  # the key is a MergeCard too
-
-    def encode_masks(self, secret: mergeable.MergeCardSecret) -> bytes:
-        g0, g1 = self.groups
-        return g0.encode_scalar(secret.mask0) + g1.encode_scalar(secret.mask1)
-
-    def decode_secret(self, u: bytes, masks: bytes) -> mergeable.MergeCardSecret:
-        g0, g1 = self.groups
-        mask0, mask1 = unpack(masks, [scalar(g0), scalar(g1)], "card masks")
-        return mergeable.MergeCardSecret(u=u, mask0=mask0, mask1=mask1)
 
     def client_redeem(self, cards: Cards) -> mergeable.MergeRedeemRequest:
         (secret_a, card_a), (secret_b, card_b) = cards

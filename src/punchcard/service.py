@@ -99,6 +99,8 @@ def _parse_counts(key: str, raw: str) -> Tuple[int, ...]:
 
 
 def _text(key: str, raw: str) -> str:
+    if not raw.strip():
+        raise ConfigError(f"{key}: empty value")
     return raw
 
 
@@ -150,7 +152,7 @@ def load_config(path: Optional[str] = None, env: Optional[Dict[str, str]] = None
         try:
             with open(path, "r", encoding="utf-8") as f:
                 lines = f.readlines()
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             raise ConfigError(f"cannot read config {path}: {e}") from None
         for lineno, line in enumerate(lines, 1):
             line = line.strip()
@@ -355,7 +357,7 @@ class PunchcardService:
 
 class _Handler(socketserver.BaseRequestHandler):
     def handle(self) -> None:
-        server: _Server = self.server  # type: ignore[assignment]
+        server: ServerHandle = self.server  # type: ignore[assignment]
         service = server.service
         deadline = server.accepted[self.request] + FRAME_DEADLINE_S
         while True:
@@ -378,20 +380,49 @@ class _Handler(socketserver.BaseRequestHandler):
             deadline = time.monotonic() + FRAME_DEADLINE_S
 
 
-class _Server(socketserver.ThreadingTCPServer):
-    """ThreadingTCPServer whose process_request hands the socket to a pool
-    of reused threads instead of a new thread. Each worker still runs the
-    inherited process_request_thread, which handles and then closes it."""
+class ServerHandle(socketserver.ThreadingTCPServer):
+    """A TCP server plus its service. start() runs the accept loop on a
+    thread, shutdown() stops it and closes the redemption store.
+
+    process_request hands each socket to a pool of reused threads instead
+    of a new thread; each worker still runs the inherited
+    process_request_thread, which handles and then closes it."""
 
     allow_reuse_address = True
 
-    def __init__(self, address, service: "PunchcardService"):
+    def __init__(self, cfg: Config, db: Optional[RedeemDb] = None):
         # before the bind, whose failure calls server_close
-        self.service = service
+        self.service = PunchcardService(cfg, db=db)
         self.accepted: Dict[socket.socket, float] = {}  # open socket -> accept time
         self._lock = threading.Lock()
         self._pool = ThreadPoolExecutor(MAX_WORKERS, thread_name_prefix="punchcard-conn")
-        super().__init__(address, _Handler)
+        self._thread: Optional[threading.Thread] = None
+        try:
+            super().__init__((cfg.listen_host, cfg.listen_port), _Handler)
+        except OSError:
+            self.service.db.close()
+            raise
+
+    @property
+    def port(self) -> int:
+        return self.server_address[1]
+
+    def start(self) -> "ServerHandle":
+        thread = threading.Thread(
+            target=self.serve_forever, kwargs={"poll_interval": 0.05}
+        )
+        thread.daemon = True
+        thread.start()
+        self._thread = thread  # only once serve_forever will run; see shutdown
+        log.info(
+            "recovered snapshot_entries=%d log_records=%d torn_bytes=%d in %.3f s",
+            *self.service.db.recovery,
+        )
+        scheme = self.service.scheme
+        log.info("listening on %s:%d scheme=%s backend=%s kernel=%s",
+                 self.service.cfg.listen_host, self.port,
+                 self.service.cfg.scheme, scheme.backend, scheme.params.kernel)
+        return self
 
     def process_request(self, request, client_address) -> None:
         with self._lock:
@@ -430,46 +461,11 @@ class _Server(socketserver.ThreadingTCPServer):
                     pass
         self._pool.shutdown()
 
-
-class ServerHandle:
-    """A running TCP server plus its service; start() binds, shutdown()
-    stops the accept loop and closes the redemption store."""
-
-    def __init__(self, cfg: Config, db: Optional[RedeemDb] = None):
-        self.service = PunchcardService(cfg, db=db)
-        try:
-            self._server = _Server((cfg.listen_host, cfg.listen_port), self.service)
-        except OSError:
-            self.service.db.close()
-            raise
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def port(self) -> int:
-        return self._server.server_address[1]
-
-    def start(self) -> "ServerHandle":
-        thread = threading.Thread(
-            target=self._server.serve_forever, kwargs={"poll_interval": 0.05}
-        )
-        thread.daemon = True
-        thread.start()
-        self._thread = thread  # only once serve_forever will run; see shutdown
-        log.info(
-            "recovered snapshot_entries=%d log_records=%d torn_bytes=%d in %.3f s",
-            *self.service.db.recovery,
-        )
-        scheme = self.service.scheme
-        log.info("listening on %s:%d scheme=%s backend=%s kernel=%s",
-                 self.service.cfg.listen_host, self.port,
-                 self.service.cfg.scheme, scheme.backend, scheme.params.kernel)
-        return self
-
     def shutdown(self) -> None:
-        if self._thread is not None:  # else _server.shutdown() would wait forever
-            self._server.shutdown()
+        if self._thread is not None:  # else super().shutdown() would wait forever
+            super().shutdown()
             self._thread.join(timeout=5)
-        self._server.server_close()
+        self.server_close()
         self.service.db.compact()
         self.service.db.close()
         for name, value in sorted(self.service.stats.snapshot().items()):

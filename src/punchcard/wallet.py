@@ -2,7 +2,8 @@
 
 One wallet file holds every card for one server, of one scheme: "PCW1",
 the scheme's code byte, the pinned key, then per card u || punch count ||
-mask(s) || element(s) in the scheme object's codecs, so this code runs
+one mask per group || the card, read with the message field decoder
+(groups.base.unpack) over the scheme object's groups, so this code runs
 either scheme unchanged. Updates go through db.write_durably (a fresh
 temp file, os.replace and a directory fsync), and the in-memory state
 only moves forward after the bytes are durably on disk: each update
@@ -32,22 +33,24 @@ crashes between the send and the reply still resends the same bytes.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import os
 import struct
-from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
 from . import schemes, wire
-from .core import SECRET_SIZE, RedeemStatus
+from .core import SECRET, RedeemStatus
 from .db import write_durably
 from .errors import InvalidEncoding, WalletError, WireError
 from .faults import fault_point
+from .groups.base import scalar, unpack
 
 _MAGIC = b"PCW1"
+_COUNT = (4, lambda b: int.from_bytes(b, "little"), None)  # a card's punches
 _REDEEM_REPLIES = {bytes([status]): status for status in RedeemStatus}
 
 
-@dataclass
+@dataclasses.dataclass
 class Card:
     secret: Any  # the scheme's card secret: u and the mask(s)
     element: Any  # the masked card: a group element, or both sides
@@ -106,9 +109,9 @@ class Wallet:
         out += struct.pack("<H", len(pk)) + pk
         out += struct.pack("<H", len(cards))
         for card in cards:
-            out += card.secret.u
-            out += struct.pack("<I", card.count)
-            out += s.encode_masks(card.secret)
+            u, *masks = dataclasses.astuple(card.secret)
+            out += u + struct.pack("<I", card.count)
+            out += b"".join(g.encode_scalar(m) for g, m in zip(s.groups, masks))
             out += s.encode_card(card.element)
         return bytes(out)
 
@@ -120,31 +123,21 @@ class Wallet:
 
     def _decode(self, data: bytes) -> None:
         s = self.scheme
-        off = 5
-        (pk_len,) = struct.unpack_from("<H", data, off)
-        off += 2
-        pk = data[off : off + pk_len]
+        (pk_len,) = struct.unpack_from("<H", data, 5)
+        pk, rest = data[7 : 7 + pk_len], data[7 + pk_len :]
         if len(pk) != pk_len:
             raise WalletError("wallet file truncated in the key section")
         self.pk = s.decode_pk(pk) if pk_len else None
-        off += pk_len
-        (n,) = struct.unpack_from("<H", data, off)
-        off += 2
-        masks_at = SECRET_SIZE + 4
-        card_at = masks_at + sum(g.scalar_size for g in s.groups)
-        size = card_at + sum(g.element_size for g in s.groups)
-        cards: List[Card] = []
-        for _ in range(n):
-            record = data[off : off + size]
-            if len(record) != size:
-                raise InvalidEncoding("truncated card record")
-            off += size
-            (count,) = struct.unpack_from("<I", record, SECRET_SIZE)
-            secret = s.decode_secret(record[:SECRET_SIZE], record[masks_at:card_at])
-            cards.append(Card(secret, s.decode_card(record[card_at:]), count))
-        if off != len(data):
-            raise WalletError("trailing bytes after the last card")
-        self.cards = cards
+        (n,) = struct.unpack_from("<H", rest)
+        card = (sum(g.element_size for g in s.groups), s.decode_card, None)
+        fields = [SECRET, _COUNT, *map(scalar, s.groups), card]
+
+        def read(record: bytes) -> Card:
+            u, count, *masks, element = unpack(record, fields, "card record")
+            return Card(s.card_secret(u, *masks), element, count)
+
+        record = (sum(size for size, _, _ in fields), read, None)
+        self.cards = unpack(rest[2:], [record] * n, "card records")
 
     def save(self, pk=None, cards: Optional[Sequence[Card]] = None) -> None:
         """Write the wallet durably as it is, or as it would be with the

@@ -1,4 +1,5 @@
-"""No module in src/punchcard imports a name it never reads.
+"""No module in src/punchcard imports a name it never reads, and an
+installed package holds every module that the tests import.
 
 A change that deletes code can leave an import behind that nothing reads
 any more; this finds such imports with the standard library's ast alone.
@@ -7,9 +8,12 @@ module (the head of an attribute chain included) or in a string
 annotation."""
 
 import ast
+import importlib
 import pathlib
+import re
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "punchcard"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "punchcard"
 
 
 def _imported(tree):
@@ -56,3 +60,23 @@ def test_the_check_sees_an_unused_import():
     )
     read = _read(tree)
     assert [name for name in _imported(tree) if name not in read] == ["Optional"]
+
+
+def test_every_source_directory_is_a_package():
+    """`pip install .` ([tool.setuptools.packages.find]) leaves out a
+    directory without an __init__.py. With PYTHONPATH=src the tests would
+    still import it, as a namespace package."""
+    dirs = {path.parent for path in SRC.rglob("*.py")}
+    missing = [d for d in dirs if not (d / "__init__.py").exists()]
+    assert sorted(str(d.relative_to(SRC)) for d in missing) == []
+
+
+def test_console_script_target_is_callable():
+    """The [project.scripts] entry of pyproject.toml, read without tomllib
+    (Python 3.10 has none), names a function that imports."""
+    text = (ROOT / "pyproject.toml").read_text()
+    section = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    targets = re.findall(r'^[\w-]+\s*=\s*"([\w.]+):(\w+)"', section, re.M)
+    assert targets == [("punchcard.cli", "main")]
+    for module, name in targets:
+        assert callable(getattr(importlib.import_module(module), name))

@@ -14,7 +14,7 @@ from datetime import date
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from punchcard import core, extensions as ext, mergeable, service, wire
+from punchcard import cli, core, extensions as ext, mergeable, service, wire
 from punchcard.core import RedeemStatus
 from punchcard.db import RedeemDb
 from punchcard.errors import ConfigError, KeyStoreError, WireError
@@ -117,6 +117,35 @@ def test_config_rejects_garbage(tmp_path):
             load_config(str(path), env={})
     with pytest.raises(ConfigError):
         load_config(str(tmp_path / "missing.conf"), env={})
+
+
+@pytest.mark.parametrize("key", ["listen_host", "state_dir"])
+def test_config_refuses_an_empty_text_value(tmp_path, key):
+    """An empty listen_host would listen on every interface, an empty
+    state_dir fails only at its first file: both stop the load, from the
+    file and from the environment, naming the key."""
+    path = tmp_path / "server.conf"
+    path.write_text(f"{key} =\n")
+    with pytest.raises(ConfigError, match=key):
+        load_config(str(path), env={})
+    for blank in ("", "  "):
+        with pytest.raises(ConfigError, match=key):
+            load_config(env={"PUNCHCARD_" + key.upper(): blank})
+
+
+def test_config_file_that_is_not_utf8_is_a_config_error(tmp_path):
+    path = tmp_path / "server.conf"
+    path.write_bytes(b"# caf\xe9\nlisten_port = 9000\n")
+    with pytest.raises(ConfigError, match="cannot read config"):
+        load_config(str(path), env={})
+
+
+@pytest.mark.parametrize("text", [b"state_dir =\n", b"# caf\xe9\n"])
+def test_server_run_stops_on_a_config_that_cannot_work(tmp_path, capsys, text):
+    path = tmp_path / "server.conf"
+    path.write_bytes(b"listen_port = 0\n" + text)
+    assert cli.main(["server", "run", "--config", str(path)]) == service.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config: ")
 
 
 # --- keystore -------------------------------------------------------------------
@@ -513,6 +542,8 @@ _REFUSALS = {
     "count not accepted": ("main", False, RedeemStatus.BAD_CARD, []),
     "expired": ("main", True, RedeemStatus.EXPIRED, ["decode_element"]),
     "one secret on both sides": ("mergeable", False, RedeemStatus.BAD_CARD, []),
+    "wrong length, main": ("main", False, RedeemStatus.BAD_CARD, []),
+    "wrong length, mergeable": ("mergeable", False, RedeemStatus.BAD_CARD, []),
 }
 _COUNTED = ("decode_element", "hash_to_group", "exp", "exp_many", "exp_base")
 
@@ -544,6 +575,8 @@ def test_refusal_costs(tmp_path, monkeypatch, row):
         valid = s.expected_request(svc.sk, 2, rng)
         owners = [(g, name) for g in (pg.g0, pg.g1, pg.gt) for name in _COUNTED]
         owners.append((pg, "pair"))
+    if row.startswith("wrong length"):  # an accepted redemption, one byte short
+        refused = wire.pack_redeem_body(2, s.encode(valid))[:-1]
     calls = []
     for owner, name in owners + [(svc.db, "check_and_insert")]:
         real = getattr(owner, name)
@@ -1081,10 +1114,10 @@ def test_concurrent_clients_leave_no_open_connection(tmp_path):
             t.join(timeout=30)
         assert not any(t.is_alive() for t in threads) and errors == []
         for _ in range(250):  # until the workers have seen every close
-            if not handle._server.accepted:
+            if not handle.accepted:
                 break
             time.sleep(0.02)
-        assert handle._server.accepted == {}
+        assert handle.accepted == {}
         stats = handle.service.stats.snapshot()
         assert stats["connections"] == 160 and stats["connections_refused"] == 0
     finally:
