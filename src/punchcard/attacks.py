@@ -77,9 +77,8 @@ def replay_attack(
         if till.redeem(group, sk, again, punches, db) is not RedeemStatus.ACCEPT:
             rejected += 1
         # same u, re-randomized card value: still the same spent secret
-        forged = core.RedeemRequest(
-            u=req.u, card=group.exp(req.card, group.random_scalar(rng))
-        )
+        revalued = group.exp(group.decode_element(req.card), group.random_scalar(rng))
+        forged = core.RedeemRequest(u=req.u, card=group.encode_element(revalued))
         if till.redeem(group, sk, forged, punches, db) is not RedeemStatus.ACCEPT:
             rejected += 1
     return {
@@ -174,7 +173,7 @@ def eavesdropper_attack(
             guess_card = group.exp(
                 seen_elements[i % len(seen_elements)], group.random_scalar(rng)
             )
-        req = core.RedeemRequest(u=guess_u, card=guess_card)
+        req = core.RedeemRequest(u=guess_u, card=group.encode_element(guess_card))
         if till.redeem(group, sk, req, punches, db) is RedeemStatus.ACCEPT:
             accepted += 1
     # the victim's own redemption still goes through afterwards

@@ -9,7 +9,7 @@ One server holds sk with public key pk = g^sk. A card is a secret
                       C: verify proof, pick fresh m', keep p'' = p'^(m'/m)
     Redeem:           C -> S: (u, p^(1/m)) after n punches
                       S: DOUBLE_SPEND if u was spent, else accept iff
-                         p^(1/m) == H(u)^(sk^n); remember u
+                         bytes(p^(1/m)) == bytes(H(u)^(sk^n)); remember u
 
 Each punch multiplies the hidden exponent by sk, so after n punches the
 unmasked card is H(u)^(sk^n). The fresh mask every round makes successive
@@ -32,6 +32,7 @@ remembers the secrets.
 
 from __future__ import annotations
 
+import hmac
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Any, Callable, List, Optional, Sequence, Tuple
@@ -74,18 +75,19 @@ class PunchResponse:
 @dataclass(frozen=True)
 class RedeemRequest:
     u: bytes
-    card: Element  # unmasked: H(u)^(sk^n)
+    card: bytes  # the encoding of H(u)^(sk^n), compared and never decoded
 
     @property
     def secrets(self) -> Tuple[bytes, ...]:
         return (self.u,)
 
     def to_bytes(self, group: Group) -> bytes:
-        return self.u + group.encode_element(self.card)
+        return self.u + self.card
 
     @classmethod
     def from_bytes(cls, group: Group, data: bytes) -> "RedeemRequest":
-        return cls(*unpack(data, [SECRET, element(group)], "redeem request"))
+        fields = [SECRET, (group.element_size, bytes, None)]
+        return cls(*unpack(data, fields, "redeem request"))
 
 
 class RedeemStatus(IntEnum):
@@ -207,19 +209,23 @@ def unmask(group: Group, mask: int, card: Element) -> Element:
 
 def client_redeem(group: Group, secret: CardSecret, card: Element) -> RedeemRequest:
     """Strip the mask and reveal the card secret; one-shot by design."""
-    return RedeemRequest(u=secret.u, card=unmask(group, secret.mask, card))
+    return RedeemRequest(secret.u, group.encode_element(unmask(group, secret.mask, card)))
 
 
 def expected_card(
     group: Group, sk: int, u: bytes, count: int, tag: str = TAG_CARD_HASH
-) -> Element:
-    """H(u)^(sk^count), H under tag; pow() is the square-and-multiply in Z_q."""
-    return group.exp(card_base(group, u, tag), pow(sk, count, group.order))
+) -> bytes:
+    """The encoding of H(u)^(sk^count), H under tag: the bytes a redemption
+    of u at count must carry. pow() is the square-and-multiply in Z_q."""
+    punched = group.exp(card_base(group, u, tag), pow(sk, count, group.order))
+    return group.encode_element(punched)
 
 
 def verify_card(group: Group, sk: int, req: RedeemRequest, count: int) -> bool:
-    """The redemption equation alone, no double-spend bookkeeping."""
-    return req.card == expected_card(group, sk, req.u, count)
+    """The redemption equation alone, on bytes: an element has one encoding,
+    so they match exactly when the card would decode to the expected one.
+    The comparison takes the same time wherever they differ."""
+    return hmac.compare_digest(req.card, expected_card(group, sk, req.u, count))
 
 
 def spend(db, secrets: Sequence[bytes], valid: Callable[[], bool]) -> RedeemStatus:

@@ -16,6 +16,7 @@
 from __future__ import annotations
 
 import hashlib
+import hmac
 from dataclasses import dataclass
 from datetime import date, timedelta
 from typing import Any, Dict, List, Tuple
@@ -224,7 +225,7 @@ class TicketCard:
 @dataclass(frozen=True)
 class TicketRedeemRequest:
     u: bytes
-    slots: List[Tuple[str, int, Element]]  # (name, claimed count, unmasked)
+    slots: List[Tuple[str, int, bytes]]  # (name, claimed count, unmasked slot bytes)
 
     @property
     def secrets(self) -> Tuple[bytes, ...]:
@@ -310,7 +311,7 @@ def client_redeem_ticket(
     slots = []
     for name in sorted(card.slots):
         element = core.unmask(group, secret.masks[name], card.slots[name])
-        slots.append((name, secret.counts[name], element))
+        slots.append((name, secret.counts[name], group.encode_element(element)))
     return TicketRedeemRequest(u=secret.u, slots=slots)
 
 
@@ -319,9 +320,9 @@ def verify_ticket(group: Group, sk: int, req: TicketRedeemRequest) -> bool:
     names = [name for name, _, _ in req.slots]
     if not names or len(set(names)) != len(names):
         return False
-    for name, count, element in req.slots:
+    for name, count, encoded in req.slots:
         expected = core.expected_card(group, sk, req.u, count, _slot_tag(name))
-        if element != expected:
+        if not hmac.compare_digest(encoded, expected):
             return False
     return True
 

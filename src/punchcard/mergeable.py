@@ -12,8 +12,8 @@ share one secret key:
            value = e(p0_A^(1/m0_A), p1_B^(1/m1_B))
                  = e(H0(u_A), H1(u_B))^(sk^(n_a+n_b))
     redeem at n = n_a+n_b (core.spend): DOUBLE_SPEND if u_A or u_B was
-           spent, else accept iff u_A != u_B and
-           value == e(H0(u_A)^(sk^n), H1(u_B)); spend both
+           spent, else accept iff u_A != u_B and the bytes of value are
+           those of e(H0(u_A)^(sk^n), H1(u_B)); spend both
 
 The pairing moves the two cards' punch counts into one exponent, which is
 what lets two half-full cards combine into one reward. A single card
@@ -23,6 +23,7 @@ only ever runs the one verify equation (and u != u' holds for free).
 
 from __future__ import annotations
 
+import hmac
 from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
@@ -192,25 +193,26 @@ def client_merge_redeem(
 
 def expected_value(
     pairing: PairingGroups, sk: int, u_a: bytes, u_b: bytes, count: int
-) -> Element:
-    """e(H0(u_a)^(sk^count), H1(u_b)), what cards u_a and u_b with count
-    punches between them merge into."""
-    side0 = core.expected_card(pairing.g0, sk, u_a, count, TAG_CARD_HASH_G0)
-    return pairing.pair(side0, core.card_base(pairing.g1, u_b, TAG_CARD_HASH_G1))
+) -> bytes:
+    """The encoding of e(H0(u_a)^(sk^count), H1(u_b)): the bytes that cards
+    u_a and u_b with count punches between them merge into."""
+    g0 = pairing.g0
+    side0 = g0.exp(core.card_base(g0, u_a, TAG_CARD_HASH_G0), pow(sk, count, g0.order))
+    side1 = core.card_base(pairing.g1, u_b, TAG_CARD_HASH_G1)
+    return pairing.gt.encode_element(pairing.pair(side0, side1))
 
 
 def verify_card(
     pairing: PairingGroups, sk: int, req: MergeRedeemRequest, count: int
 ) -> bool:
-    """Compare the request's target-group bytes with the encoding of the
-    expected value. The expected value lies in the target group and its
-    encoding is canonical, so the bytes match exactly when they would
-    decode (membership check included) to the expected value; the bytes
-    are never decoded."""
+    """Compare the request's target-group bytes with the expected value's
+    (core.verify_card's rule). The expected value lies in the target group
+    and its encoding is canonical, so the bytes match exactly when they
+    would decode (membership check included) to the expected value."""
     if req.u_a == req.u_b:
         return False
     expected = expected_value(pairing, sk, req.u_a, req.u_b, count)
-    return req.value == pairing.gt.encode_element(expected)
+    return hmac.compare_digest(req.value, expected)
 
 
 def server_redeem(

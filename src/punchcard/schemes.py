@@ -35,6 +35,7 @@ class Scheme:
     punch_response: Any  # message classes
     redeem_request: Any
     card_secret: Any  # a dataclass: u, then one mask per group of `groups`
+    expected: str  # the module's function for a redemption's expected bytes
     pairing: Optional[PairingGroups] = None
     multi_req = multi_resp = multi_response = None
 
@@ -60,6 +61,12 @@ class Scheme:
     def server_redeem(self, sk: int, req, count: int, db) -> RedeemStatus:
         return self.module.server_redeem(self.params, sk, req, count, db)
 
+    def expected_request(self, sk: int, count: int, rng=None):
+        """An accepted request made with the key, not by punching (bench)."""
+        secrets = [random_bytes(SECRET_SIZE, rng) for _ in range(self.redeem_cards)]
+        expected = getattr(self.module, self.expected)
+        return self.redeem_request(*secrets, expected(self.params, sk, *secrets, count))
+
     def encode(self, message) -> bytes:
         return message.to_bytes(self.params)
 
@@ -82,6 +89,7 @@ class MainScheme(Scheme):
     multi_response = extensions.MultiPunchResponse
     redeem_request = core.RedeemRequest
     card_secret = core.CardSecret
+    expected = "expected_card"
     redeem_cards = 1
 
     def __init__(
@@ -110,12 +118,6 @@ class MainScheme(Scheme):
         [(secret, card)] = cards
         return core.client_redeem(self.group, secret, card)
 
-    def expected_request(self, sk: int, count: int, rng=None) -> core.RedeemRequest:
-        """An accepted request made with the key, not by punching (bench)."""
-        u = random_bytes(SECRET_SIZE, rng)
-        card = core.expected_card(self.group, sk, u, count)
-        return core.RedeemRequest(u=u, card=card)
-
 
 class MergeableScheme(Scheme):
     """Two-sided cards over a pairing, redeemed two at a time."""
@@ -128,6 +130,7 @@ class MergeableScheme(Scheme):
     punch_response = mergeable.MergePunchResponse
     redeem_request = mergeable.MergeRedeemRequest
     card_secret = mergeable.MergeCardSecret
+    expected = "expected_value"
     redeem_cards = 2
 
     def __init__(
@@ -150,13 +153,6 @@ class MergeableScheme(Scheme):
         return mergeable.client_merge_redeem(
             self.pairing, secret_a, card_a, secret_b, card_b
         )
-
-    def expected_request(self, sk: int, count: int, rng=None):
-        """An accepted request made with the key, not by punching (bench)."""
-        u_a, u_b = random_bytes(SECRET_SIZE, rng), random_bytes(SECRET_SIZE, rng)
-        value = mergeable.expected_value(self.pairing, sk, u_a, u_b, count)
-        encoded = self.pairing.gt.encode_element(value)
-        return mergeable.MergeRedeemRequest(u_a=u_a, u_b=u_b, value=encoded)
 
 
 SCHEMES = {cls.name: cls for cls in (MainScheme, MergeableScheme)}

@@ -71,14 +71,14 @@ _BOOL_WORDS = {
 
 def _parse_bool(key: str, raw: str) -> bool:
     try:
-        return _BOOL_WORDS[raw.strip().lower()]
+        return _BOOL_WORDS[raw.lower()]
     except KeyError:
         raise ConfigError(f"{key}: expected a boolean, got {raw!r}") from None
 
 
 def _parse_int(key: str, raw: str, lo: int, hi: int) -> int:
     try:
-        value = int(raw.strip(), 10)
+        value = int(raw, 10)
     except ValueError:
         raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
     if not lo <= value <= hi:
@@ -99,7 +99,7 @@ def _parse_counts(key: str, raw: str) -> Tuple[int, ...]:
 
 
 def _text(key: str, raw: str) -> str:
-    if not raw.strip():
+    if not raw:
         raise ConfigError(f"{key}: empty value")
     return raw
 
@@ -118,8 +118,8 @@ def _one_of(names: Tuple[str, ...]) -> Callable[[str, str], str]:
 
 
 def _option(default, parse: Callable[[str, str], object]):
-    """A Config field whose raw text from the file or environment goes
-    through parse(key, raw), which raises ConfigError on a bad value."""
+    """A Config field: its raw text from the file or environment goes,
+    stripped, through parse(key, raw), which raises ConfigError if bad."""
     return field(default=default, metadata={"parse": parse})
 
 
@@ -161,7 +161,7 @@ def load_config(path: Optional[str] = None, env: Optional[Dict[str, str]] = None
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key = value")
             key, _, value = line.partition("=")
-            pairs[key.strip().lower()] = value.strip()
+            pairs[key.strip().lower()] = value
     env = os.environ if env is None else env
     for key in _PARSERS:
         env_key = "PUNCHCARD_" + key.upper()
@@ -172,7 +172,7 @@ def load_config(path: Optional[str] = None, env: Optional[Dict[str, str]] = None
     for key, raw in pairs.items():
         if key not in _PARSERS:
             raise ConfigError(f"unknown config key {key!r}")
-        setattr(cfg, key, _PARSERS[key](key, raw))
+        setattr(cfg, key, _PARSERS[key](key, raw.strip()))
     if cfg.expiry_check and cfg.scheme != "main":
         raise ConfigError(f"expiry_check: {cfg.scheme} cards carry no expiry date")
     return cfg
@@ -325,18 +325,18 @@ class PunchcardService:
             return self._reject(str(e))
 
     def _redeem(self, body: bytes) -> Tuple[int, bytes]:
-        """Checks in order of cost: parse, accepted count, decode, the expiry
-        of each secret, then the scheme's redeem (core.spend: spent set,
-        redemption equation, atomic spend)."""
+        """Checks in order of cost: parse (lengths only), accepted count, the
+        expiry of each secret, then the scheme's redeem (core.spend: spent
+        set, the equation on the card's bytes, which are never decoded)."""
         s = self.scheme
         if self.store_failed:
             return self._reject("store unavailable")
         count, message = wire.unpack_redeem_body(body)
-        if count not in self.cfg.accepted_counts:
-            return self._redeem_status(core.RedeemStatus.BAD_CARD)
         try:
             req = s.decode(s.redeem_request, message)
         except InvalidEncoding:
+            return self._redeem_status(core.RedeemStatus.BAD_CARD)
+        if count not in self.cfg.accepted_counts:
             return self._redeem_status(core.RedeemStatus.BAD_CARD)
         if self.cfg.expiry_check:
             try:

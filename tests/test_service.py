@@ -95,6 +95,12 @@ def test_env_overrides_file(tmp_path):
     assert cfg.listen_port == 9001
     assert cfg.scheme == "main"
     assert cfg.t_max == 3
+    # an environment value is stripped as a file value is
+    padded = {"STATE_DIR": " st ", "LISTEN_HOST": " 127.0.0.1 ",
+              "SCHEME": " mergeable", "LISTEN_PORT": "9001 ", "FSYNC": "\toff "}
+    cfg = load_config(str(path), env={"PUNCHCARD_" + k: v for k, v in padded.items()})
+    assert (cfg.state_dir, cfg.listen_host, cfg.scheme) == ("st", "127.0.0.1", "mergeable")
+    assert (cfg.listen_port, cfg.fsync) == (9001, False)
 
 
 def test_config_rejects_garbage(tmp_path):
@@ -540,10 +546,17 @@ def test_expiry_gate(tmp_path):
 _REFUSALS = {
     # row: (scheme, expiry_check, expected status, the calls it may make)
     "count not accepted": ("main", False, RedeemStatus.BAD_CARD, []),
-    "expired": ("main", True, RedeemStatus.EXPIRED, ["decode_element"]),
+    "expired": ("main", True, RedeemStatus.EXPIRED, []),
     "one secret on both sides": ("mergeable", False, RedeemStatus.BAD_CARD, []),
     "wrong length, main": ("main", False, RedeemStatus.BAD_CARD, []),
     "wrong length, mergeable": ("mergeable", False, RedeemStatus.BAD_CARD, []),
+    "spent, main": ("main", False, RedeemStatus.DOUBLE_SPEND, []),
+    "spent, mergeable": ("mergeable", False, RedeemStatus.DOUBLE_SPEND, []),
+    # the redemption equation, on bytes: no decode (the toy pairing's pair
+    # raises a GT generator, hence its exp)
+    "wrong value, main": ("main", False, RedeemStatus.BAD_CARD, ["hash_to_group", "exp"]),
+    "wrong value, mergeable": ("mergeable", False, RedeemStatus.BAD_CARD,
+                               ["hash_to_group", "exp", "hash_to_group", "pair", "exp"]),
 }
 _COUNTED = ("decode_element", "hash_to_group", "exp", "exp_many", "exp_base")
 
@@ -553,7 +566,8 @@ def test_refusal_costs(tmp_path, monkeypatch, row):
     """Rows of README's refusal-cost table: each refused redemption answers
     its status having made only the calls listed (to decode_element,
     hash_to_group, exp, exp_many, exp_base and pair) and without touching
-    the store. A valid redemption afterwards shows that the counters count."""
+    the store. A valid redemption afterwards shows that the counters count,
+    and that an accepted redemption decodes nothing either."""
     scheme, expiry_check, status, allowed = _REFUSALS[row]
     svc = _toy_service(tmp_path, scheme=scheme, pairing="toy-pairing",
                        accepted_counts=(2,), expiry_check=expiry_check)
@@ -577,6 +591,13 @@ def test_refusal_costs(tmp_path, monkeypatch, row):
         owners.append((pg, "pair"))
     if row.startswith("wrong length"):  # an accepted redemption, one byte short
         refused = wire.pack_redeem_body(2, s.encode(valid))[:-1]
+    if row.startswith("wrong value"):  # an accepted redemption, last bit flipped
+        message = s.encode(valid)
+        refused = wire.pack_redeem_body(2, message[:-1] + bytes([message[-1] ^ 1]))
+    if row.startswith("spent"):  # an accepted redemption, replayed
+        refused = wire.pack_redeem_body(2, s.encode(valid))
+        assert svc.handle(s.redeem_req, refused)[1] == bytes([RedeemStatus.ACCEPT])
+        valid = s.expected_request(svc.sk, 2, rng)
     calls = []
     for owner, name in owners + [(svc.db, "check_and_insert")]:
         real = getattr(owner, name)
@@ -592,6 +613,7 @@ def test_refusal_costs(tmp_path, monkeypatch, row):
     accept = (s.redeem_resp, bytes([RedeemStatus.ACCEPT]))
     assert svc.handle(s.redeem_req, wire.pack_redeem_body(2, s.encode(valid))) == accept
     assert "hash_to_group" in calls and "check_and_insert" in calls
+    assert "decode_element" not in calls
 
 
 def test_crash_in_handler_leaves_db_reloadable(tmp_path):
@@ -641,7 +663,7 @@ def _accepted_redeem(svc, u_tail: bytes) -> bytes:
     else:
         u_a, u_b = u_tail, bytes(b ^ 0xFF for b in u_tail)  # never equal
         value = mergeable.expected_value(s.pairing, svc.sk, u_a, u_b, _FUZZ_COUNT)
-        message = u_a + u_b + s.pairing.gt.encode_element(value)
+        message = u_a + u_b + value
     return wire.pack_redeem_body(_FUZZ_COUNT, message)
 
 
