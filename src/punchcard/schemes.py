@@ -52,7 +52,8 @@ class Scheme:
         return self.module.client_punch(self.params, pk, secret, card, resp, rng)
 
     def remask(self, secret, card, rng=None):
-        """(secret, card) under fresh masks: client_punch's last step."""
+        """(secret, card) under fresh masks: client_punch's last step, and
+        what a wallet sends in place of a card the server has received."""
         return self.module.remask_card(self.params, secret, card, rng)
 
     def verify_card(self, sk: int, req, count: int) -> bool:

@@ -22,17 +22,19 @@ multi-punch reply whose chain is not exactly the t steps asked for: the
 punch count reaches the server in clear at redemption, and an unusual
 total granted at one visit would link that redemption to the visit.
 
-A punch sends the card's bytes, and the server sees them. So a punch that
-fails after its request is sent (a lost or cut reply, an ERROR, a bad
-response, a proof that does not verify) re-masks the card and saves it
-before it re-raises: a retry sends bytes the server has never seen, and a
-server that hangs up cannot link two visits of one card. A wallet that
-crashes between the send and the reply still resends the same bytes.
+A punch sends the card's bytes and the server sees them, so no punch
+request carries bytes that an earlier one carried. Card.seen, kept in
+memory only, is False just after new_card or a committed punch; every
+card read from the file is seen. A punch marks an unseen card seen and
+sends it as stored; it sends a seen card under a fresh mask
+(scheme.remask) and verifies the reply against that. Only a committed
+punch changes the file. So a failed punch writes nothing, a retry after
+any failure or a crash sends new bytes, and a long-lived wallet never
+re-masks.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import os
 import struct
@@ -55,6 +57,8 @@ class Card:
     secret: Any  # the scheme's card secret: u and the mask(s)
     element: Any  # the masked card: a group element, or both sides
     count: int
+    # in memory only: False while the server has never received the element
+    seen: bool = dataclasses.field(default=True, compare=False)
 
 
 class Wallet:
@@ -159,7 +163,7 @@ class Wallet:
 
     def new_card(self, rng=None) -> int:
         secret, element = self.scheme.issue(rng)
-        card = Card(secret=secret, element=element, count=0)
+        card = Card(secret=secret, element=element, count=0, seen=False)
         self.save(cards=self.cards + [card])
         self.cards.append(card)
         return len(self.cards) - 1
@@ -204,33 +208,24 @@ class Wallet:
         self.save(cards=[new if c is card else c for c in self.cards])
         # in place: a caller may hold the Card
         card.secret, card.element, card.count = new.secret, new.element, new.count
+        card.seen = False
 
-    @contextlib.contextmanager
-    def _remask_on_failure(self, card: Card, rng):
-        """Around a punch from its send to the end of its proof check: on
-        any Exception, re-mask the card and save it, then re-raise that
-        error (also when the save fails). A FaultInjected crash passes."""
-        try:
-            yield
-        except Exception:
-            secret, element = self.scheme.remask(card.secret, card.element, rng)
-            try:
-                self._commit_punch(card, secret, element, 0)
-            except OSError:
-                pass  # the caller learns why the punch failed, not the save
-            raise
+    def _fresh(self, card: Card, rng):
+        """The (secret, element) to send: the card as stored, marked seen,
+        if the server has never received it, else under a fresh mask."""
+        if card.seen:
+            return self.scheme.remask(card.secret, card.element, rng)
+        card.seen = True
+        return card.secret, card.element
 
     def punch(self, client, index: int, rng=None) -> None:
         s = self.scheme
         card = self._card(index)
         pk = self.ensure_pk(client)
-        request = s.encode_card(card.element)
-        with self._remask_on_failure(card, rng):
-            body = self._call(client, s.punch_req, request, s.punch_resp)
-            resp = s.decode(s.punch_response, body)
-            secret, element = s.client_punch(
-                pk, card.secret, card.element, resp, rng
-            )
+        secret, element = self._fresh(card, rng)
+        body = self._call(client, s.punch_req, s.encode_card(element), s.punch_resp)
+        resp = s.decode(s.punch_response, body)
+        secret, element = s.client_punch(pk, secret, element, resp, rng)
         self._commit_punch(card, secret, element, 1)
 
     def multi_punch(self, client, index: int, t: int, rng=None) -> int:
@@ -239,13 +234,11 @@ class Wallet:
             raise WalletError(f"the {s.name} scheme has no multi-punch")
         card = self._card(index)
         pk = self.ensure_pk(client)
-        request = wire.pack_multi_req(t, s.encode_card(card.element))
-        with self._remask_on_failure(card, rng):
-            body = self._call(client, s.multi_req, request, s.multi_resp)
-            resp = s.decode(s.multi_response, body)
-            secret, element = s.client_multi_punch(
-                pk, card.secret, card.element, t, resp, rng
-            )
+        secret, element = self._fresh(card, rng)
+        request = wire.pack_multi_req(t, s.encode_card(element))
+        body = self._call(client, s.multi_req, request, s.multi_resp)
+        resp = s.decode(s.multi_response, body)
+        secret, element = s.client_multi_punch(pk, secret, element, t, resp, rng)
         self._commit_punch(card, secret, element, t)
         return t
 

@@ -2,7 +2,8 @@
 here, so it is checked three ways: algebraic identities that pin the tower
 and curve constants (they run at import), bilinearity/non-degeneracy of the
 pairing itself, and a literal pow()-based final exponentiation as an
-independent oracle for the optimized chain."""
+independent oracle for the optimized chain. The generators' encodings are
+pinned to the published Zcash serialization, the one external anchor."""
 
 import hashlib
 import random
@@ -120,6 +121,20 @@ def test_generators_have_group_order():
     assert curve_g2.mul(G2_GEN, N) is None
     assert in_subgroup_g1(G1_GEN)
     assert in_subgroup_g2(G2_GEN)
+
+
+def test_generators_encode_as_the_zcash_serialization():
+    """External anchors: the standard compressed G1 and G2 generators of
+    the Zcash BLS12-381 serialization, which this code did not produce."""
+    assert g1_to_bytes(G1_GEN).hex() == (
+        "97f1d3a73197d7942695638c4fa9ac0fc3688c4f9774b905a14e3a3f171bac58"
+        "6c55e83ff97a1aeffb3af00adb22c6bb"
+    )
+    assert g2_to_bytes(G2_GEN).hex() == (
+        "93e02b6052719f607dacd3a088274f65596bd0d09920b61ab5da61bbdc7f5049"
+        "334cf11213945d57e5ac7d055d042b7e024aa2b2f08f0a91260805272dc51051"
+        "c6e47ad4fa403b02b4510b647ae3d1770bac0326a805bbefd48056c8c121bdb8"
+    )
 
 
 def test_add_double_consistency():

@@ -2,9 +2,11 @@ import random
 
 import pytest
 
-from punchcard import attacks, dleq
-from punchcard.errors import InvalidEncoding
-from punchcard.groups import get_group
+from punchcard import attacks, core, dleq
+from punchcard.errors import InvalidEncoding, ProofRejected
+from punchcard.groups import get_group, get_pairing
+
+from forgery import forge
 
 TAG = "punchcard/dleq/v1"
 
@@ -163,3 +165,49 @@ def test_proof_is_deterministic_only_with_seeded_rng(group):
     assert p1.to_bytes(group) == p2.to_bytes(group)
     _, p3 = dleq.prove(group, TAG, sk, pk, point, random.Random(52))
     assert p3.to_bytes(group) != p1.to_bytes(group)
+
+
+# --- a key holder's one-equation forgeries ------------------------------------
+
+FORGERY_GROUPS = {
+    "toy": lambda: get_group("toy"),
+    "ristretto255": lambda: get_group("ristretto255"),
+    "bls12-381-g0": lambda: get_pairing("bls12-381").g0,
+    "bls12-381-g1": lambda: get_pairing("bls12-381").g1,
+}
+
+
+def _forgeries(name, seed):
+    """The group, its key and a point, and for each verification equation
+    a forgery that passes it and not the other (checked here by hand)."""
+    group = FORGERY_GROUPS[name]()
+    rng = random.Random(seed)
+    sk, pk, point, _ = _instance(group, rng)
+    forged = []
+    for equation in (1, 2):
+        image, proof = forge(group, TAG, sk, pk, point, equation, rng)
+        c = dleq.challenge(group, TAG, group.generator(), pk, point, image,
+                           proof.commit_base, proof.commit_point)
+        z = proof.response
+        first = group.exp(group.generator(), z) == group.mul(proof.commit_base, group.exp(pk, c))
+        second = group.exp(point, z) == group.mul(proof.commit_point, group.exp(image, c))
+        assert (first, second) == (equation == 1, equation == 2)
+        forged.append((image, proof))
+    return group, pk, point, forged
+
+
+@pytest.mark.parametrize("name", sorted(FORGERY_GROUPS))
+def test_one_equation_forgeries_rejected(name):
+    """Only a holder of sk can pass one equation and fail the other, with
+    the image point^(sk+1) of a tagging server; verify must check both."""
+    group, pk, point, forged = _forgeries(name, 50)
+    for image, proof in forged:
+        assert not dleq.verify(group, TAG, pk, point, image, proof)
+
+
+@pytest.mark.parametrize("name", sorted(FORGERY_GROUPS))
+def test_verify_chain_refuses_one_equation_forgeries(name):
+    group, pk, point, forged = _forgeries(name, 51)
+    for image, proof in forged:
+        with pytest.raises(ProofRejected):
+            core.verify_chain(group, TAG, pk, point, [(image, proof)])

@@ -16,6 +16,8 @@ from punchcard.service import Config, PunchcardService
 from punchcard import wallet as wallet_module
 from punchcard.wallet import Card, Wallet
 
+from forgery import forge
+
 
 class FakeMainServer:
     """In-process stand-in that speaks the wallet's client interface."""
@@ -74,6 +76,24 @@ class FakeMergeServer:
             status = mergeable.server_redeem(pg, self.sk, req, count, self.db)
             return wire.MERGE_REDEEM_RESP, bytes([status.value])
         raise AssertionError(f"unexpected message type {msg_type}")
+
+
+class _Sent:
+    """A client that keeps the card bytes of every punch and multi-punch
+    request it forwards."""
+
+    def __init__(self, client):
+        self.client, self.cards = client, []
+
+    def fetch_pk(self):
+        return self.client.fetch_pk()
+
+    def call(self, msg_type, body):
+        if msg_type == wire.MULTI_REQ:
+            self.cards.append(wire.unpack_multi_req(body)[1])
+        elif msg_type in (wire.PUNCH_REQ, wire.MERGE_PUNCH_REQ):
+            self.cards.append(body)
+        return self.client.call(msg_type, body)
 
 
 def _wallet(tmp_path, **kw):
@@ -142,18 +162,19 @@ def test_pk_pinning(tmp_path):
     again = _wallet(tmp_path)
     assert again.scheme.encode_pk(again.pk) == server.pk_bytes
     # a server that punches under a different key is a hard failure, and
-    # the card stays the same card, under a fresh mask (the server saw the
-    # old bytes)
-    other = FakeMainServer(rng)
-    assert other.pk_bytes != server.pk_bytes
+    # the card stays the same card; the server saw its bytes, so the next
+    # request, also from a reloaded wallet, sends it under a fresh mask
+    other = _Sent(FakeMainServer(rng))
+    assert other.fetch_pk() != server.pk_bytes
     idx = again.new_card(rng)
     before = _wallet(tmp_path).cards[idx]
-    with pytest.raises(ProofRejected):
-        again.punch(other, idx, rng)
+    for reload in (False, False, True):
+        with pytest.raises(ProofRejected):
+            (_wallet(tmp_path) if reload else again).punch(other, idx, rng)
+    assert len(set(other.cards)) == len(other.cards) == 3
     after = _wallet(tmp_path).cards[idx]
     g = again.scheme.group
     assert after.secret.u == before.secret.u
-    assert after.element != before.element
     assert core.unmask(g, after.secret.mask, after.element) == core.unmask(
         g, before.secret.mask, before.element
     )
@@ -550,9 +571,9 @@ def _toy_service(state, scheme):
 @pytest.mark.parametrize("failure", sorted(_PUNCH_FAILURES))
 @pytest.mark.parametrize("scheme,multi", [("main", False), ("main", True), ("mergeable", False)])
 def test_failed_punch_remasks_the_card(tmp_path, scheme, multi, failure):
-    """A punch that fails after its request left re-masks and saves the
-    card, so the retry sends other bytes; the card then punches on and
-    redeems ACCEPT at its true count."""
+    """A punch that fails after its request left leaves the card as its
+    file holds it, and the retry sends it under a fresh mask; the card then
+    punches on and redeems ACCEPT at its true count."""
     rng = random.Random(190)
     svc = _toy_service(tmp_path / "state", scheme)
     client = _FailingPunchClient(svc, _toy_service(tmp_path / "other", scheme), failure)
@@ -579,8 +600,8 @@ def test_failed_punch_remasks_the_card(tmp_path, scheme, multi, failure):
 
 
 def test_failed_remask_save_raises_the_punch_error(tmp_path, monkeypatch):
-    """If the re-mask cannot be saved, the caller still sees why the punch
-    failed, and the wallet stays equal to its file."""
+    """A failed punch saves nothing: with every save failing, the caller
+    still sees why the punch failed, and the card stays as it was."""
     rng = random.Random(191)
     svc = _toy_service(tmp_path / "state", "main")
     client = _FailingPunchClient(svc, None, "hangup")
@@ -617,17 +638,71 @@ def test_multi_punch_refuses_a_chain_of_another_length(tmp_path, extra):
     """A reply to a multi-punch of t must carry t steps, or it is refused
     before any proof is checked, even when every step verifies: the count
     reaches the server in clear at redemption, so an unusual total would
-    mark the card. The card is re-masked and saved, and its count stays."""
+    mark the card. The card and its count stay, and every later request
+    sends it under a fresh mask."""
     rng = random.Random(192)
-    server = _ChainLength(rng, extra)
+    server = _Sent(_ChainLength(rng, extra))
     w = _wallet(tmp_path)
     idx = w.new_card(rng)
     w.punch(server, idx, rng)
-    before = w.scheme.encode_card(w.cards[idx].element)
-    with pytest.raises(ProofRejected, match="asked for 2 punches"):
-        w.multi_punch(server, idx, 2, rng)
-    assert w.cards[idx].count == 1
-    assert w.scheme.encode_card(w.cards[idx].element) != before
+    u = w.cards[idx].secret.u
+    for reload in (False, False, True):
+        w = _wallet(tmp_path) if reload else w
+        with pytest.raises(ProofRejected, match="asked for 2 punches"):
+            w.multi_punch(server, idx, 2, rng)
+    assert len(set(server.cards)) == len(server.cards) == 4
+    assert (w.cards[idx].secret.u, w.cards[idx].count) == (u, 1)
+    fresh = _wallet(tmp_path)
+    assert (w.pk, w.cards) == (fresh.pk, fresh.cards)
+
+
+class _Forger(FakeMainServer):
+    """Answers a punch with a one-equation forgery (forgery.forge) of the
+    punch under sk + 1, and a multi-punch with an honest chain whose last
+    step is that forgery."""
+
+    equation = 1
+
+    def _forge(self, card):
+        return forge(self.group, core.TAG_PUNCH_PROOF, self.sk, self.pk, card,
+                     self.equation, self.rng)
+
+    def call(self, msg_type, body):
+        g = self.group
+        if msg_type == wire.PUNCH_REQ:
+            resp = core.PunchResponse(*self._forge(g.decode_element(body)))
+            return wire.PUNCH_RESP, resp.to_bytes(g)
+        if msg_type == wire.MULTI_REQ:
+            t, blob = wire.unpack_multi_req(body)
+            card = g.decode_element(blob)
+            steps = core.punch_chain(g, core.TAG_PUNCH_PROOF, self.sk, self.pk,
+                                     card, t - 1, self.rng)
+            steps.append(self._forge(steps[-1][0] if steps else card))
+            return wire.MULTI_RESP, extensions.MultiPunchResponse(steps).to_bytes(g)
+        return super().call(msg_type, body)
+
+
+@pytest.mark.parametrize("multi", [False, True])
+def test_one_equation_forgery_is_refused(tmp_path, multi):
+    """A server that holds the key can pass one proof equation and fail
+    the other, to punch a card under a second exponent that tags it. A
+    punch or multi-punch refuses either forgery (ProofRejected), keeps the
+    count and the file, and sends new card bytes every time."""
+    rng = random.Random(193)
+    forger = _Sent(_Forger(rng))
+    w = _wallet(tmp_path)
+    idx = w.new_card(rng)
+    for equation in (1, 2):
+        forger.client.equation = equation
+        for reload in (False, False, True):
+            w = _wallet(tmp_path) if reload else w
+            with pytest.raises(ProofRejected):
+                if multi:
+                    w.multi_punch(forger, idx, 2, rng)
+                else:
+                    w.punch(forger, idx, rng)
+    assert len(set(forger.cards)) == len(forger.cards) == 6
+    assert w.cards[idx].count == 0
     fresh = _wallet(tmp_path)
     assert (w.pk, w.cards) == (fresh.pk, fresh.cards)
 
