@@ -170,7 +170,7 @@ def remask_card(
     group: Group, secret: CardSecret, card: Element, rng=None
 ) -> Tuple[CardSecret, Element]:
     """The card under a fresh mask: the last step of a punch, and what a
-    wallet does to a card whose bytes it sent in a punch that failed."""
+    wallet sends in place of a card the server may have seen."""
     mask, element = remask(group, secret.mask, card, rng)
     return CardSecret(u=secret.u, mask=mask), element
 

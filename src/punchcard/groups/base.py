@@ -16,11 +16,14 @@ decodes only that form, so ``==`` on elements is group equality. The base
 class supplies ``exp_many`` as one ``exp`` per scalar, ``check_element``
 as no check, the scalar codec (``scalar_size`` bytes in
 ``scalar_byteorder``, canonical below ``order``), ``exp_base``, random and
-inverted scalars, and ``hash_to_scalar``.
+inverted scalars, and ``hash_to_scalar``. ``load_library`` binds the
+native libraries under ristretto255 (libsodium) and the BLS12-381 field
+(libgmp).
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import secrets
 from typing import Any, Callable, List, Optional, Sequence, Tuple
@@ -182,3 +185,24 @@ def unpack(data: bytes, fields: Sequence[Field], what: str) -> List[Any]:
             check(chunks[-1])
         off += size
     return [decode(chunk) for (_, decode, _), chunk in zip(fields, chunks)]
+
+
+def _library_names(sonames: Sequence[str], name: str):
+    yield from sonames
+    from ctypes.util import find_library  # runs ldconfig in a child process
+
+    yield find_library(name)
+
+
+def load_library(sonames: Sequence[str], name: str, bind: Callable[[ctypes.CDLL], Any]) -> Any:
+    """bind(ctypes.CDLL(path)) for the first path that loads and binds:
+    each of `sonames`, then what ctypes.util.find_library(name) names,
+    which is imported and asked only when no soname serves. A library
+    that lacks a symbol bind looks up (AttributeError) counts as absent.
+    None when nothing serves."""
+    for path in _library_names(sonames, name):
+        try:
+            return None if path is None else bind(ctypes.CDLL(path))
+        except (OSError, AttributeError):
+            continue
+    return None

@@ -21,12 +21,10 @@ inputs before calling C; everything else is passed through untouched.
 from __future__ import annotations
 
 import ctypes
-import ctypes.util
 import hashlib
-from typing import Optional
 
 from ..errors import InvalidEncoding
-from .base import Group, check_length, tagged
+from .base import Group, check_length, load_library, tagged
 
 # field and group parameters (curve25519 / ristretto255)
 P = 2**255 - 19
@@ -227,27 +225,36 @@ class _SodiumBackend:
     name = "sodium"
 
     def __init__(self, lib: ctypes.CDLL):
-        self._lib = lib
-        base = lib.crypto_scalarmult_ristretto255_base
-        base.argtypes = [ctypes.c_char_p, ctypes.c_char_p]
-        base.restype = ctypes.c_int
+        if lib.sodium_init() < 0:
+            raise OSError("sodium_init failed")
+        p = ctypes.c_char_p
+        for attr, name, args in (
+            ("_is_valid", "crypto_core_ristretto255_is_valid_point", [p]),
+            ("_from_hash", "crypto_core_ristretto255_from_hash", [p, p]),
+            ("_add", "crypto_core_ristretto255_add", [p, p, p]),
+            ("_exp", "crypto_scalarmult_ristretto255", [p, p, p]),
+            ("_exp_base", "crypto_scalarmult_ristretto255_base", [p, p]),
+        ):
+            fn = getattr(lib, name)
+            fn.argtypes, fn.restype = args, ctypes.c_int
+            setattr(self, attr, fn)
 
     def is_valid(self, e: bytes) -> bool:
         # bit 255 set means s >= p, but libsodium 1.0.18 masks it off
         if e[31] & 0x80:
             return False
-        return self._lib.crypto_core_ristretto255_is_valid_point(e) == 1
+        return self._is_valid(e) == 1
 
     def add(self, a: bytes, b: bytes) -> bytes:
         out = ctypes.create_string_buffer(32)
-        if self._lib.crypto_core_ristretto255_add(out, a, b) != 0:
+        if self._add(out, a, b) != 0:
             raise InvalidEncoding("libsodium rejected an element in add")
         return out.raw
 
     def exp(self, e: bytes, k: int) -> bytes:
         out = ctypes.create_string_buffer(32)
         sc = (k % L).to_bytes(32, "little")
-        if self._lib.crypto_scalarmult_ristretto255(out, sc, e) != 0:
+        if self._exp(out, sc, e) != 0:
             raise InvalidEncoding("libsodium rejected an element in scalarmult")
         return out.raw
 
@@ -256,38 +263,18 @@ class _SodiumBackend:
         call refuses to output the identity)."""
         out = ctypes.create_string_buffer(32)
         sc = (k % L).to_bytes(32, "little")
-        if self._lib.crypto_scalarmult_ristretto255_base(out, sc) != 0:
+        if self._exp_base(out, sc) != 0:
             raise RuntimeError("libsodium base scalarmult gave the identity")
         return out.raw
 
     def from_hash(self, h: bytes) -> bytes:
         out = ctypes.create_string_buffer(32)
-        self._lib.crypto_core_ristretto255_from_hash(out, h)
+        self._from_hash(out, h)
         return out.raw
 
 
-_REQUIRED_SYMBOLS = (
-    "crypto_core_ristretto255_is_valid_point",
-    "crypto_core_ristretto255_from_hash",
-    "crypto_core_ristretto255_add",
-    "crypto_scalarmult_ristretto255",
-    "crypto_scalarmult_ristretto255_base",
-)
-
-
-def _load_sodium() -> Optional[_SodiumBackend]:
-    name = ctypes.util.find_library("sodium")
-    if name is None:
-        return None
-    try:
-        lib = ctypes.cdll.LoadLibrary(name)
-    except OSError:
-        return None
-    if any(not hasattr(lib, sym) for sym in _REQUIRED_SYMBOLS):
-        return None
-    if lib.sodium_init() < 0:
-        return None
-    return _SodiumBackend(lib)
+# libsodium up to 1.0.18 (the first with ristretto255), then 1.0.19 on
+SONAMES = ("libsodium.so.23", "libsodium.so.26")
 
 
 class RistrettoGroup(Group):
@@ -300,17 +287,12 @@ class RistrettoGroup(Group):
     scalar_byteorder = "little"
 
     def __init__(self, backend: str = "auto"):
-        if backend == "auto":
-            self._backend = _load_sodium() or _PythonBackend()
-        elif backend == "sodium":
-            loaded = _load_sodium()
-            if loaded is None:
-                raise RuntimeError("libsodium with ristretto255 not available")
-            self._backend = loaded
-        elif backend == "python":
-            self._backend = _PythonBackend()
-        else:
+        if backend not in ("auto", "sodium", "python"):
             raise ValueError(f"unknown backend {backend!r}")
+        sodium = backend != "python" and load_library(SONAMES, "sodium", _SodiumBackend)
+        if not sodium and backend == "sodium":
+            raise RuntimeError("libsodium with ristretto255 not available")
+        self._backend = sodium or _PythonBackend()
 
     @property
     def backend_name(self) -> str:

@@ -88,6 +88,8 @@ MUTANTS = [
     # a log record that inserts no secret is corrupt
     (DB, "                if count == 0 or end > n:\n", "                if end > n:\n",
      ["tests/test_db.py"]),
+    # native libraries load by soname, so no start runs ldconfig
+    ("src/punchcard/groups/base.py", "    yield from sonames\n", "", ["tests/test_groups.py"]),
     # t never exceeds 255, whatever t_max says
     (EXT, "    if not 1 <= t <= min(t_max, 255):\n", "    if not 1 <= t <= t_max:\n",
      ["tests/test_extensions.py", "tests/test_service.py"]),

@@ -1,13 +1,20 @@
 import contextlib
+import ctypes
+import ctypes.util
+import os
 import random
+import subprocess
+import sys
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from punchcard import core, dleq, extensions, mergeable
 from punchcard.errors import InvalidEncoding, ZeroInverse
-from punchcard.groups import get_group, get_pairing, ristretto
+from punchcard.groups import base, get_group, get_pairing, ristretto
 from punchcard.groups.base import tagged, wide_hash
+from punchcard.groups.bls import fields, gmp
 from punchcard.groups.ristretto import RistrettoGroup
 from punchcard.groups.toy import SchnorrGroup, ToyPairing
 
@@ -390,6 +397,124 @@ def test_python_ladder_adds_on_every_nibble(monkeypatch):
         out = py.exp(py.generator(), k)
         assert len(calls) == 78, k
         assert out == sodium.exp(sodium.generator(), k)
+
+
+# --- loading libsodium and libgmp -------------------------------------------
+
+
+def _loads(soname):
+    try:
+        ctypes.CDLL(soname)
+        return True
+    except OSError:
+        return False
+
+
+needs_sonames = pytest.mark.skipif(
+    not (any(map(_loads, ristretto.SONAMES)) and all(map(_loads, gmp.SONAMES))),
+    reason=f"libsodium {ristretto.SONAMES} or libgmp {gmp.SONAMES} does not load by "
+    "soname, so the loader looks it up through ctypes.util, which imports subprocess",
+)
+
+_START_SCRIPT = """
+import os, sys
+from punchcard import cli
+from punchcard.service import Config, ServerHandle
+from punchcard.wallet import Wallet
+for scheme in ("main", "mergeable"):
+    cfg = Config(state_dir=os.path.join(sys.argv[1], scheme), scheme=scheme, listen_port=0)
+    ServerHandle(cfg).start().shutdown()
+assert Wallet(os.path.join(sys.argv[1], "wallet")).scheme.params.kernel == "sodium"
+print(sorted({"subprocess", "ctypes.util"} & set(sys.modules)))
+"""
+
+
+@needs_sonames
+def test_starts_import_no_subprocess(tmp_path):
+    """A server of each scheme and a main-scheme wallet load their native
+    libraries by soname: ctypes.util, which runs ldconfig in a child
+    process, is never imported, and neither is subprocess."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    out = subprocess.run(
+        [sys.executable, "-c", _START_SCRIPT, str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
+
+
+@needs_sonames
+def test_libraries_load_where_find_library_finds_none(monkeypatch):
+    """A host without ldconfig, gcc or ld: find_library finds nothing, and
+    the sonames still load."""
+    monkeypatch.setattr(ctypes.util, "find_library", lambda name: None)
+    monkeypatch.setattr(fields, "gmpy2", None)
+    assert RistrettoGroup().kernel == "sodium"
+    assert fields.select_kernel().name == "libgmp"
+
+
+def test_loader_asks_find_library_only_when_no_soname_serves(monkeypatch):
+    opened, asked = [], []
+
+    def cdll(name):
+        opened.append(name)
+        if name == "/lib/libx.so":
+            return types.SimpleNamespace(fn=lambda: 7)
+        if name == "libx.so.0":
+            return types.SimpleNamespace()  # loads, but lacks fn
+        raise OSError(f"{name}: cannot open shared object file")
+
+    def find_library(name):
+        asked.append(name)
+        return found
+
+    def bind(lib):
+        return lib.fn()
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    monkeypatch.setattr(ctypes.util, "find_library", find_library)
+    found = "/lib/libx.so"
+    assert base.load_library(("libx.so.1", "libx.so.0"), "x", bind) == 7
+    assert (opened, asked) == (["libx.so.1", "libx.so.0", "/lib/libx.so"], ["x"])
+    del opened[:], asked[:]
+    assert base.load_library(("/lib/libx.so", "libx.so.1"), "x", bind) == 7
+    assert (opened, asked) == (["/lib/libx.so"], [])
+    del opened[:], asked[:]
+    found = None  # and CDLL(None) would open the running program itself
+    assert base.load_library(("libx.so.1",), "x", bind) is None
+    assert (opened, asked) == (["libx.so.1"], ["x"])
+
+
+def test_ristretto_backend_is_python_when_no_library_loads(monkeypatch):
+    def refuse(name, *args, **kwargs):
+        raise OSError(f"{name}: cannot open shared object file")
+
+    monkeypatch.setattr(ctypes, "CDLL", refuse)
+    monkeypatch.setattr(ctypes.util, "find_library", lambda name: "/lib/libsodium.so")
+    assert RistrettoGroup().kernel == "python"
+    with pytest.raises(RuntimeError):
+        RistrettoGroup(backend="sodium")
+
+
+SODIUM_FUNCTIONS = (
+    "crypto_core_ristretto255_is_valid_point",
+    "crypto_core_ristretto255_from_hash",
+    "crypto_core_ristretto255_add",
+    "crypto_scalarmult_ristretto255",
+    "crypto_scalarmult_ristretto255_base",
+)
+
+
+@pytest.mark.parametrize("missing", [None, *SODIUM_FUNCTIONS])
+def test_libsodium_without_a_ristretto255_function_is_not_used(monkeypatch, missing):
+    """libsodium before 1.0.18 has no ristretto255."""
+    lib = types.SimpleNamespace(sodium_init=lambda: 0)
+    for fn in SODIUM_FUNCTIONS:
+        if fn != missing:
+            setattr(lib, fn, lambda *args: 0)
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: lib)
+    assert RistrettoGroup().kernel == ("sodium" if missing is None else "python")
 
 
 # --- fixed message layouts, each read by groups.base.unpack -----------------

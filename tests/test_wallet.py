@@ -12,7 +12,8 @@ from punchcard.db import RedeemDb
 from punchcard.faults import FaultInjected, FaultPlan
 from punchcard.errors import InvalidEncoding, ProofRejected, WalletError, WireError
 from punchcard.groups import get_group, get_pairing
-from punchcard.service import Config, PunchcardService
+from punchcard.schemes import get_scheme
+from punchcard.service import Config, KeyStore, PunchcardService
 from punchcard import wallet as wallet_module
 from punchcard.wallet import Card, Wallet
 
@@ -562,9 +563,13 @@ class _FailingPunchClient:
 _PUNCH_FAILURES = {"hangup": EOFError, "error": WireError, "wrong_key": ProofRejected}
 
 
-def _toy_service(state, scheme):
+def _toy_service(state, scheme, sk):
+    """A service on the toy groups under the secret key sk: random keys in
+    a group of order 1019 would be equal one time in 1018."""
     cfg = Config(state_dir=str(state), scheme=scheme, group="toy",
                  pairing="toy-pairing", accepted_counts=(2,))
+    s = get_scheme(scheme, "toy", "toy-pairing")
+    KeyStore(str(state)).load_or_create(lambda: s.setup(sk=sk), s.encode_pk)
     return PunchcardService(cfg, db=RedeemDb())
 
 
@@ -575,8 +580,8 @@ def test_failed_punch_remasks_the_card(tmp_path, scheme, multi, failure):
     file holds it, and the retry sends it under a fresh mask; the card then
     punches on and redeems ACCEPT at its true count."""
     rng = random.Random(190)
-    svc = _toy_service(tmp_path / "state", scheme)
-    client = _FailingPunchClient(svc, _toy_service(tmp_path / "other", scheme), failure)
+    svc = _toy_service(tmp_path / "state", scheme, sk=5)
+    client = _FailingPunchClient(svc, _toy_service(tmp_path / "other", scheme, sk=7), failure)
     w = _wallet(tmp_path, scheme=scheme, group_name="toy", pairing_name="toy-pairing")
     idx = w.new_card(rng)
     punch = (lambda: w.multi_punch(client, idx, 1, rng)) if multi else (
@@ -603,7 +608,7 @@ def test_failed_remask_save_raises_the_punch_error(tmp_path, monkeypatch):
     """A failed punch saves nothing: with every save failing, the caller
     still sees why the punch failed, and the card stays as it was."""
     rng = random.Random(191)
-    svc = _toy_service(tmp_path / "state", "main")
+    svc = _toy_service(tmp_path / "state", "main", sk=5)
     client = _FailingPunchClient(svc, None, "hangup")
     w = _wallet(tmp_path, group_name="toy")
     idx = w.new_card(rng)
