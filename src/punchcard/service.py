@@ -316,6 +316,7 @@ class PunchcardService:
                 return s.multi_resp, s.encode(resp)
             if msg_type == s.redeem_req:
                 return self._redeem(body)
+            # every other type byte; the frame layer passes all 256 on
             return self._reject(
                 f"type 0x{msg_type:02x} not valid for the {s.name} scheme"
             )
@@ -516,7 +517,4 @@ class Client:
         return wire.recv_frame(self._sock)
 
     def fetch_pk(self) -> bytes:
-        msg_type, body = self.call(wire.PK_REQ, b"")
-        if msg_type != wire.PK_RESP:
-            raise WireError(body.decode(errors="replace"))
-        return body
+        return wire.reply_body(self.call(wire.PK_REQ, b""), wire.PK_RESP)

@@ -195,13 +195,6 @@ class Wallet:
 
     # -- network flows -------------------------------------------------------
 
-    @staticmethod
-    def _call(client, msg_type: int, body: bytes, resp_type: int) -> bytes:
-        got, reply = client.call(msg_type, body)
-        if got != resp_type:
-            raise WireError(reply.decode(errors="replace"))
-        return reply
-
     def _commit_punch(self, card: Card, secret, element, gained: int) -> None:
         fault_point("wallet.punch.commit")
         new = Card(secret, element, card.count + gained)
@@ -223,7 +216,8 @@ class Wallet:
         card = self._card(index)
         pk = self.ensure_pk(client)
         secret, element = self._fresh(card, rng)
-        body = self._call(client, s.punch_req, s.encode_card(element), s.punch_resp)
+        request = s.encode_card(element)
+        body = wire.reply_body(client.call(s.punch_req, request), s.punch_resp)
         resp = s.decode(s.punch_response, body)
         secret, element = s.client_punch(pk, secret, element, resp, rng)
         self._commit_punch(card, secret, element, 1)
@@ -236,7 +230,7 @@ class Wallet:
         pk = self.ensure_pk(client)
         secret, element = self._fresh(card, rng)
         request = wire.pack_multi_req(t, s.encode_card(element))
-        body = self._call(client, s.multi_req, request, s.multi_resp)
+        body = wire.reply_body(client.call(s.multi_req, request), s.multi_resp)
         resp = s.decode(s.multi_response, body)
         secret, element = s.client_multi_punch(pk, secret, element, t, resp, rng)
         self._commit_punch(card, secret, element, t)
@@ -269,12 +263,8 @@ class Wallet:
         ACCEPT those of them that the wallet holds leave it."""
         s = self.scheme
         req = s.client_redeem([(c.secret, c.element) for c in cards])
-        body = self._call(
-            client,
-            s.redeem_req,
-            wire.pack_redeem_body(sum(c.count for c in cards), s.encode(req)),
-            s.redeem_resp,
-        )
+        request = wire.pack_redeem_body(sum(c.count for c in cards), s.encode(req))
+        body = wire.reply_body(client.call(s.redeem_req, request), s.redeem_resp)
         status = _REDEEM_REPLIES.get(body)
         if status is None:
             raise WireError(f"bad redeem response {body[:8].hex()!r}")

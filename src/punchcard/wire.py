@@ -11,7 +11,10 @@ length counts the type byte plus the body. Request/response pairs:
     0x10 PK_REQ         empty                   -> 0x11 PK_RESP (public key)
     0x7f ERROR          utf-8 text (server to client, fatal for the request)
 
-The framing layer knows nothing about group elements; bodies are opaque.
+The framing layer checks only a frame's length (1..MAX_FRAME) and hands
+on whatever type byte the frame carries: which types a server serves is
+the service's decision, and it answers ERROR to every other one. The
+layer knows nothing about group elements; bodies are opaque.
 """
 
 from __future__ import annotations
@@ -43,36 +46,13 @@ PK_REQ = 0x10
 PK_RESP = 0x11
 ERROR = 0x7F
 
-_KNOWN = {
-    PUNCH_REQ,
-    PUNCH_RESP,
-    REDEEM_REQ,
-    REDEEM_RESP,
-    MULTI_REQ,
-    MULTI_RESP,
-    MERGE_PUNCH_REQ,
-    MERGE_PUNCH_RESP,
-    MERGE_REDEEM_REQ,
-    MERGE_REDEEM_RESP,
-    PK_REQ,
-    PK_RESP,
-    ERROR,
-}
-
 
 def _check_length(length: int, error: str = "bad frame length") -> None:
     if not 1 <= length <= MAX_FRAME:
         raise WireError(error)
 
 
-def _check_type(msg_type: int) -> int:
-    if msg_type not in _KNOWN:
-        raise WireError(f"unknown message type 0x{msg_type:02x}")
-    return msg_type
-
-
 def pack_frame(msg_type: int, body: bytes) -> bytes:
-    _check_type(msg_type)
     _check_length(1 + len(body), "frame too large")
     return struct.pack("<I", 1 + len(body)) + bytes([msg_type]) + body
 
@@ -85,7 +65,7 @@ def unpack_frame(data: bytes) -> Tuple[int, bytes, bytes]:
     _check_length(length)
     if len(data) < 4 + length:
         raise WireError("truncated frame body")
-    return _check_type(data[4]), data[5 : 4 + length], data[4 + length :]
+    return data[4], data[5 : 4 + length], data[4 + length :]
 
 
 def send_frame(sock, msg_type: int, body: bytes) -> None:
@@ -129,7 +109,18 @@ def recv_frame(sock, deadline: Optional[float] = None) -> Tuple[int, bytes]:
     (length,) = struct.unpack("<I", header)
     _check_length(length)
     payload = _recv_exact(sock, length, deadline)
-    return _check_type(payload[0]), payload[1:]
+    return payload[0], payload[1:]
+
+
+def reply_body(reply: Tuple[int, bytes], want: int) -> bytes:
+    """The body of a (type, body) reply of type want. Any other type raises
+    WireError: with the server's text for ERROR, else naming the type."""
+    got, body = reply
+    if got == want:
+        return body
+    if got == ERROR:
+        raise WireError(body.decode(errors="replace"))
+    raise WireError(f"unexpected reply type 0x{got:02x}")
 
 
 def pack_redeem_body(count: int, message: bytes) -> bytes:

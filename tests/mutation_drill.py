@@ -90,6 +90,11 @@ MUTANTS = [
      ["tests/test_db.py"]),
     # native libraries load by soname, so no start runs ldconfig
     ("src/punchcard/groups/base.py", "    yield from sonames\n", "", ["tests/test_groups.py"]),
+    # a type the scheme does not serve gets ERROR, not another type's answer
+    ("src/punchcard/service.py", "            return self._reject(\n"
+     '                f"type 0x{msg_type:02x} not valid for the {s.name} scheme"\n'
+     "            )\n", "            return wire.PK_RESP, self.pk_bytes\n",
+     ["tests/test_service.py"]),
     # t never exceeds 255, whatever t_max says
     (EXT, "    if not 1 <= t <= min(t_max, 255):\n", "    if not 1 <= t <= t_max:\n",
      ["tests/test_extensions.py", "tests/test_service.py"]),

@@ -21,6 +21,7 @@ checked against an affine double-and-add built only from Curve.add and
 Curve.double, since Curve.mul runs the same Jacobian steps as the
 ladders it would check; their step counts are pinned per scalar."""
 
+import ctypes.util
 import functools
 import math
 import operator
@@ -830,6 +831,7 @@ def _no_libgmp(monkeypatch):
         raise OSError(f"{name}: cannot open shared object file")
 
     monkeypatch.setattr(gmp.ctypes, "CDLL", fail)
+    monkeypatch.setattr(ctypes.util, "find_library", lambda name: None)  # no ldconfig
     monkeypatch.setattr(fields, "gmpy2", None)
     assert gmp.load(P) is None
     return fields.select_kernel()

@@ -5,6 +5,7 @@ import re
 import signal
 import socket
 import stat
+import struct
 import subprocess
 import sys
 import threading
@@ -561,6 +562,28 @@ _REFUSALS = {
 _COUNTED = ("decode_element", "hash_to_group", "exp", "exp_many", "exp_base")
 
 
+def _count_calls(monkeypatch, svc):
+    """A list that gets the name of each call, from now on, to a counted
+    method of svc's groups, to pair, and to the store's check_and_insert."""
+    s = svc.scheme
+    if s.name == "main":
+        owners = [(s.group, name) for name in _COUNTED]
+    else:
+        pg = s.pairing
+        owners = [(g, name) for g in (pg.g0, pg.g1, pg.gt) for name in _COUNTED]
+        owners.append((pg, "pair"))
+    calls = []
+    for owner, name in owners + [(svc.db, "check_and_insert")]:
+        real = getattr(owner, name)
+
+        def counting(*args, real=real, name=name, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
 @pytest.mark.parametrize("row", sorted(_REFUSALS))
 def test_refusal_costs(tmp_path, monkeypatch, row):
     """Rows of README's refusal-cost table: each refused redemption answers
@@ -581,14 +604,10 @@ def test_refusal_costs(tmp_path, monkeypatch, row):
         boundary = ext.add_quarters(ext.quarter_boundary_on_or_after(date.today()), 2)
         u = ext.make_expiring_secret(boundary, rng)
         valid = core.RedeemRequest(u, core.expected_card(g, svc.sk, u, 2))
-        owners = [(g, name) for name in _COUNTED]
     else:
-        pg = s.pairing
         u = rng.randbytes(core.SECRET_SIZE)
-        refused = wire.pack_redeem_body(2, u + u + bytes(pg.gt.element_size))
+        refused = wire.pack_redeem_body(2, u + u + bytes(s.pairing.gt.element_size))
         valid = s.expected_request(svc.sk, 2, rng)
-        owners = [(g, name) for g in (pg.g0, pg.g1, pg.gt) for name in _COUNTED]
-        owners.append((pg, "pair"))
     if row.startswith("wrong length"):  # an accepted redemption, one byte short
         refused = wire.pack_redeem_body(2, s.encode(valid))[:-1]
     if row.startswith("wrong value"):  # an accepted redemption, last bit flipped
@@ -598,15 +617,7 @@ def test_refusal_costs(tmp_path, monkeypatch, row):
         refused = wire.pack_redeem_body(2, s.encode(valid))
         assert svc.handle(s.redeem_req, refused)[1] == bytes([RedeemStatus.ACCEPT])
         valid = s.expected_request(svc.sk, 2, rng)
-    calls = []
-    for owner, name in owners + [(svc.db, "check_and_insert")]:
-        real = getattr(owner, name)
-
-        def counting(*args, real=real, name=name, **kwargs):
-            calls.append(name)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, counting)
+    calls = _count_calls(monkeypatch, svc)
     assert svc.handle(s.redeem_req, refused) == (s.redeem_resp, bytes([status]))
     assert calls == allowed
     calls.clear()
@@ -614,6 +625,44 @@ def test_refusal_costs(tmp_path, monkeypatch, row):
     assert svc.handle(s.redeem_req, wire.pack_redeem_body(2, s.encode(valid))) == accept
     assert "hash_to_group" in calls and "check_and_insert" in calls
     assert "decode_element" not in calls
+
+
+_UNSERVED = "type 0x{:02x} not valid for the {} scheme"
+_DISPATCH_REFUSALS = {
+    # row: (scheme, type, body ("card": an issued card), ERROR text, calls)
+    "unserved 0x42": ("main", 0x42, "card", _UNSERVED.format(0x42, "main"), []),
+    "unserved reply type": ("main", wire.PUNCH_RESP, "card",
+                            _UNSERVED.format(wire.PUNCH_RESP, "main"), []),
+    "unserved mergeable request": ("main", wire.MERGE_PUNCH_REQ, "card",
+                                   _UNSERVED.format(wire.MERGE_PUNCH_REQ, "main"), []),
+    "unserved main request": ("mergeable", wire.PUNCH_REQ, "card",
+                              _UNSERVED.format(wire.PUNCH_REQ, "mergeable"), []),
+    "card not an element": ("main", wire.PUNCH_REQ, bytes(4),
+                            "bad request: not an element of toy", ["decode_element"]),
+    "redeem body too short, main": ("main", wire.REDEEM_REQ, b"\x02",
+                                    "bad request: redeem body too short", []),
+    "redeem body too short, mergeable": ("mergeable", wire.MERGE_REDEEM_REQ, b"\x02",
+                                         "bad request: redeem body too short", []),
+}
+
+
+@pytest.mark.parametrize("row", sorted(_DISPATCH_REFUSALS))
+def test_dispatch_refusal_costs(tmp_path, monkeypatch, row):
+    """Rows of README's refusal-cost table for requests refused before any
+    check of a card or redemption: a type the scheme does not serve, a
+    punch whose card is not an element, a redeem body without its count.
+    Each answers ERROR with its text and counts one protocol error, having
+    made only the calls listed and without touching the store; the service
+    then still serves its key."""
+    scheme, msg_type, body, text, allowed = _DISPATCH_REFUSALS[row]
+    svc = _toy_service(tmp_path, scheme=scheme, pairing="toy-pairing")
+    if body == "card":  # what the scheme would punch, had the type been its own
+        body = svc.scheme.encode_card(svc.scheme.issue(random.Random(181))[1])
+    calls = _count_calls(monkeypatch, svc)
+    assert svc.handle(msg_type, body) == (wire.ERROR, text.encode())
+    assert calls == allowed
+    assert svc.stats.snapshot()["protocol_errors"] == 1
+    assert svc.handle(wire.PK_REQ, b"") == (wire.PK_RESP, svc.pk_bytes)
 
 
 def test_crash_in_handler_leaves_db_reloadable(tmp_path):
@@ -864,6 +913,48 @@ def test_garbage_frames_get_error_responses(main_server):
         # the connection stays usable afterwards
         out_type, _ = client.call(wire.PK_REQ, b"")
         assert out_type == wire.PK_RESP
+
+
+def test_unserved_types_get_error_and_the_connection_serves_on(main_server):
+    """A type no scheme uses, a reply type and the mergeable scheme's request
+    each get ERROR naming the type from a main server, on one connection,
+    which then still serves the key. The frames are written by hand, so
+    the client's own framing decides nothing here."""
+    with _connect(main_server) as sock:
+        for msg_type in (0x42, wire.PUNCH_RESP, wire.MERGE_PUNCH_REQ):
+            sock.sendall(struct.pack("<I", 1) + bytes([msg_type]))
+            assert wire.recv_frame(sock) == (
+                wire.ERROR, _UNSERVED.format(msg_type, "main").encode()
+            )
+        sock.sendall(struct.pack("<I", 1) + bytes([wire.PK_REQ]))
+        assert wire.recv_frame(sock) == (wire.PK_RESP, main_server.service.pk_bytes)
+    assert main_server.service.stats.snapshot()["protocol_errors"] == 3
+
+
+def test_client_names_an_unexpected_reply_type():
+    """fetch_pk raises WireError naming a reply type other than PK_RESP,
+    and with the server's text for an ERROR reply."""
+    replies = [(0x42, bytes(32)), (wire.ERROR, b"store unavailable")]
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        listener.settimeout(10)
+
+        def answer():
+            for reply in replies:
+                conn, _ = listener.accept()
+                with conn:
+                    wire.recv_frame(conn)
+                    wire.send_frame(conn, *reply)
+
+        server = threading.Thread(target=answer)
+        server.start()
+        try:
+            for text in ("unexpected reply type 0x42", "store unavailable"):
+                with Client("127.0.0.1", listener.getsockname()[1]) as client:
+                    with pytest.raises(WireError, match=text):
+                        client.fetch_pk()
+        finally:
+            server.join(10)
+    assert not server.is_alive()
 
 
 def test_mergeable_over_tcp(tmp_path):

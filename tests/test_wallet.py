@@ -291,6 +291,32 @@ def test_malformed_redeem_reply_keeps_the_card(tmp_path, reply):
     assert len(w.cards) == 1 and len(_wallet(tmp_path).cards) == 1
 
 
+class _ReplyType(FakeMainServer):
+    """Answers every request with the right body under type reply_type."""
+
+    def __init__(self, rng, reply_type):
+        super().__init__(rng)
+        self.reply_type = reply_type
+
+    def call(self, msg_type, body):
+        return self.reply_type, super().call(msg_type, body)[1]
+
+
+@pytest.mark.parametrize("reply_type", [0x42, wire.MULTI_RESP],
+                         ids=["0x42", "MULTI_RESP"])
+def test_reply_of_another_type_is_named(tmp_path, reply_type):
+    """A reply whose type is neither the one asked for nor ERROR is a
+    WireError naming the type, and the card stays as its file holds it."""
+    rng = random.Random(164)
+    w = _wallet(tmp_path)
+    idx = w.new_card(rng)
+    server = _ReplyType(rng, reply_type)
+    for flow in (lambda: w.punch(server, idx, rng), lambda: w.redeem(server, idx)):
+        with pytest.raises(WireError, match=f"^unexpected reply type 0x{reply_type:02x}$"):
+            flow()
+    assert w.cards[idx].count == 0 and len(_wallet(tmp_path).cards) == 1
+
+
 def test_punch_and_redeem_through_fake_server(tmp_path):
     rng = random.Random(156)
     server = FakeMainServer(rng)

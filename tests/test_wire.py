@@ -30,9 +30,7 @@ def test_unpack_leaves_trailing_frames():
     assert t2 == wire.PK_REQ and b2 == b"" and rest == b""
 
 
-def test_pack_rejects_unknown_type_and_oversize():
-    with pytest.raises(WireError):
-        wire.pack_frame(0x42, b"")
+def test_pack_rejects_oversize():
     with pytest.raises(WireError):
         wire.pack_frame(wire.PUNCH_REQ, b"\x00" * wire.MAX_FRAME)
     wire.pack_frame(wire.PUNCH_REQ, b"\x00" * (wire.MAX_FRAME - 1))
@@ -48,10 +46,6 @@ def test_unpack_rejects_malformed():
         wire.unpack_frame(struct.pack("<I", 0) + b"\x01")  # zero length
     with pytest.raises(WireError):
         wire.unpack_frame(struct.pack("<I", wire.MAX_FRAME + 1) + b"\x01" * 10)
-    bad_type = bytearray(good)
-    bad_type[4] = 0x42
-    with pytest.raises(WireError):
-        wire.unpack_frame(bytes(bad_type))
 
 
 def _pair():
@@ -161,9 +155,7 @@ def test_recv_deadline_covers_the_whole_frame():
         b.close()
 
 
-_FRAMES = st.builds(
-    wire.pack_frame, st.sampled_from(sorted(wire._KNOWN)), st.binary(max_size=40)
-)
+_FRAMES = st.builds(wire.pack_frame, st.integers(0, 255), st.binary(max_size=40))
 
 
 @settings(max_examples=50, deadline=None)
