@@ -21,7 +21,6 @@ logged; the log-hygiene test greps for exactly that.
 
 from __future__ import annotations
 
-import fcntl
 import logging
 import os
 import socket
@@ -181,48 +180,39 @@ def load_config(path: Optional[str] = None, env: Optional[Dict[str, str]] = None
 class KeyStore:
     """server.key holds the secret scalar (hex, mode 0600); server.pk the
     public key bytes (hex). The pk file is re-derived and compared on load
-    so a swapped or bit-rotted key pair fails loudly. A first start holds a
-    lock on the state directory (a second creator fails) and writes
-    server.pk, then server.key, which commits the pair, by write_durably."""
+    so a swapped or bit-rotted key pair fails loudly. A first start writes
+    server.pk, then server.key, which commits the pair, by write_durably.
+    It takes no lock: a server opens its store, whose lock owns the state
+    directory, before it loads or creates the key."""
 
     def __init__(self, state_dir: str):
-        self._dir = state_dir
+        os.makedirs(state_dir, exist_ok=True)
         self.key_path = os.path.join(state_dir, "server.key")
         self.pk_path = os.path.join(state_dir, "server.pk")
 
     def load_or_create(self, setup, encode_pk) -> Tuple[int, object]:
-        os.makedirs(self._dir, exist_ok=True)
         if os.path.exists(self.key_path):
             return self._load(setup, encode_pk)
-        lock = os.open(self._dir, os.O_RDONLY)
-        try:
-            try:
-                fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
-            except BlockingIOError:
-                raise KeyStoreError("another process is creating the key") from None
-            if os.path.exists(self.key_path):  # created before we held the lock
-                return self._load(setup, encode_pk)
-            sk, pk = setup()
-            fault_point("keystore.write")
-            write_durably(self.pk_path, [b"%s\n" % encode_pk(pk).hex().encode()],
-                          "keystore.pk")
-            write_durably(self.key_path, [b"%x\n" % sk], "keystore.key", 0o600)
-            return sk, pk
-        finally:
-            os.close(lock)  # and with it the lock
+        sk, pk = setup()
+        fault_point("keystore.write")
+        write_durably(self.pk_path, [b"%s\n" % encode_pk(pk).hex().encode()],
+                      "keystore.pk")
+        write_durably(self.key_path, [b"%x\n" % sk], "keystore.key", 0o600)
+        return sk, pk
 
     def _load(self, setup, encode_pk) -> Tuple[int, object]:
+        path = self.key_path
         try:
-            with open(self.key_path) as f:
+            with open(path) as f:
                 sk = int(f.read().strip(), 16)
             _, pk = setup(sk=sk)  # ValueError unless sk is in [1, order)
+            path = self.pk_path
+            if os.path.exists(path):
+                with open(path) as f:
+                    if f.read().strip() != encode_pk(pk).hex():
+                        raise KeyStoreError("server.pk does not match server.key")
         except (OSError, ValueError) as e:
-            raise KeyStoreError(f"cannot load {self.key_path}: {e}") from None
-        if os.path.exists(self.pk_path):
-            with open(self.pk_path) as f:
-                stored = f.read().strip()
-            if stored != encode_pk(pk).hex():
-                raise KeyStoreError("server.pk does not match server.key")
+            raise KeyStoreError(f"cannot load {path}: {e}") from None
         return sk, pk
 
 
@@ -275,11 +265,16 @@ class PunchcardService:
         self.cfg = cfg
         self.stats = Stats()
         self.scheme = schemes.get_scheme(cfg.scheme, cfg.group, cfg.pairing)
-        self.sk, self.pk = KeyStore(cfg.state_dir).load_or_create(
-            self.scheme.setup, self.scheme.encode_pk
-        )
-        self.pk_bytes = self.scheme.encode_pk(self.pk)
+        keys = KeyStore(cfg.state_dir)
+        # the store's lock owns state_dir, so it is taken before the key
         self.db = db if db is not None else RedeemDb(store_path(cfg), fsync=cfg.fsync)
+        try:
+            self.sk, self.pk = keys.load_or_create(self.scheme.setup, self.scheme.encode_pk)
+        except BaseException:
+            if db is None:
+                self.db.close()
+            raise
+        self.pk_bytes = self.scheme.encode_pk(self.pk)
         self.store_failed = False
 
     # -- helpers -----------------------------------------------------------
@@ -393,15 +388,16 @@ class ServerHandle(socketserver.ThreadingTCPServer):
 
     def __init__(self, cfg: Config, db: Optional[RedeemDb] = None):
         # before the bind, whose failure calls server_close
-        self.service = PunchcardService(cfg, db=db)
         self.accepted: Dict[socket.socket, float] = {}  # open socket -> accept time
         self._lock = threading.Lock()
         self._pool = ThreadPoolExecutor(MAX_WORKERS, thread_name_prefix="punchcard-conn")
         self._thread: Optional[threading.Thread] = None
+        # the address first, so a refused one leaves state_dir untouched
+        super().__init__((cfg.listen_host, cfg.listen_port), _Handler)
         try:
-            super().__init__((cfg.listen_host, cfg.listen_port), _Handler)
-        except OSError:
-            self.service.db.close()
+            self.service = PunchcardService(cfg, db=db)
+        except BaseException:
+            self.server_close()
             raise
 
     @property

@@ -98,6 +98,14 @@ MUTANTS = [
     # t never exceeds 255, whatever t_max says
     (EXT, "    if not 1 <= t <= min(t_max, 255):\n", "    if not 1 <= t <= t_max:\n",
      ["tests/test_extensions.py", "tests/test_service.py"]),
+    # the store's lock owns state_dir: a start takes it before the key
+    ("src/punchcard/service.py", "        self.db = db if db is not None else RedeemDb(",
+     "        keys.load_or_create(self.scheme.setup, self.scheme.encode_pk)\n"
+     "        self.db = db if db is not None else RedeemDb(",
+     ["tests/test_service.py"]),
+    # a clean stop wakes every worker still waiting on a client
+    ("src/punchcard/service.py", "request.shutdown(socket.SHUT_RDWR)", "pass",
+     ["tests/test_service.py"]),
 ]
 
 # Same behaviour as the original: checked for their old text, never run.

@@ -18,10 +18,10 @@ from hypothesis import given, settings, strategies as st
 from punchcard import cli, core, extensions as ext, mergeable, service, wire
 from punchcard.core import RedeemStatus
 from punchcard.db import RedeemDb
-from punchcard.errors import ConfigError, KeyStoreError, WireError
+from punchcard.errors import ConfigError, DbBusy, InvalidEncoding, KeyStoreError, WireError
 from punchcard.faults import FaultInjected, FaultPlan, install_hook
 from punchcard.groups import get_group, get_pairing
-from punchcard.groups.bls import fields as bls_fields
+from punchcard.groups.bls import curve as bls_curve, fields as bls_fields
 from punchcard.service import (
     EXIT_BIND,
     EXIT_KEYSTORE,
@@ -279,45 +279,15 @@ def test_keystore_overwrites_a_torn_temporary_file(tmp_path):
     assert not os.path.exists(store.key_path + ".tmp")
 
 
-def test_keystore_second_creator_fails_instead_of_replacing(tmp_path):
-    """Another process that starts while the first is between writing
-    server.pk and server.key fails; the first start's key stands."""
-    group = get_group("toy")
-    setup, enc = _toy_setup_pair(group)
-    state = str(tmp_path)
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    code = f"""
-import sys
-from punchcard import core
-from punchcard.errors import KeyStoreError
-from punchcard.groups import get_group
-from punchcard.service import KeyStore
-g = get_group("toy")
-try:
-    KeyStore({state!r}).load_or_create(
-        lambda sk=None: core.server_setup(g, sk=sk), g.encode_element)
-except KeyStoreError as e:
-    sys.exit(f"refused: {{e}}")
-"""
-    second = []
-
-    def hook(name):
-        if name == "keystore.key.replace":
-            second.append(subprocess.run(
-                [sys.executable, "-c", code], env=env, capture_output=True, text=True
-            ))
-
-    install_hook(hook)
-    try:
-        sk, pk = KeyStore(state).load_or_create(setup, enc)
-    finally:
-        install_hook(None)
-    [proc] = second
-    assert proc.returncode == 1 and "refused" in proc.stderr
-    assert KeyStore(state).load_or_create(setup, enc)[0] == sk
-    with open(KeyStore(state).pk_path) as f:
-        assert f.read() == enc(pk).hex() + "\n"
+def test_keystore_unreadable_pk_is_a_keystore_error(tmp_path, caplog):
+    """A server.pk that is not text stops the start as a key-store error
+    (exit 3) that names the file, not as a traceback."""
+    cfg = Config(state_dir=str(tmp_path / "state"), listen_port=0, group="toy")
+    PunchcardService(cfg, db=RedeemDb())  # creates the key pair
+    with open(KeyStore(cfg.state_dir).pk_path, "wb") as f:
+        f.write(b"\xff\xfe\n")
+    assert run_server(cfg) == EXIT_KEYSTORE
+    assert "server.pk" in caplog.text
 
 
 # --- dispatch without a socket ---------------------------------------------------
@@ -564,14 +534,15 @@ _COUNTED = ("decode_element", "hash_to_group", "exp", "exp_many", "exp_base")
 
 def _count_calls(monkeypatch, svc):
     """A list that gets the name of each call, from now on, to a counted
-    method of svc's groups, to pair, and to the store's check_and_insert."""
+    method of svc's groups, to pair and the BLS12-381 subgroup checks, and
+    to the store's check_and_insert."""
     s = svc.scheme
     if s.name == "main":
         owners = [(s.group, name) for name in _COUNTED]
     else:
         pg = s.pairing
         owners = [(g, name) for g in (pg.g0, pg.g1, pg.gt) for name in _COUNTED]
-        owners.append((pg, "pair"))
+        owners += [(pg, "pair"), (bls_curve, "in_subgroup_g1"), (bls_curve, "in_subgroup_g2")]
     calls = []
     for owner, name in owners + [(svc.db, "check_and_insert")]:
         real = getattr(owner, name)
@@ -643,6 +614,8 @@ _DISPATCH_REFUSALS = {
                                     "bad request: redeem body too short", []),
     "redeem body too short, mergeable": ("mergeable", wire.MERGE_REDEEM_REQ, b"\x02",
                                          "bad request: redeem body too short", []),
+    "multi-punch request too short": ("main", wire.MULTI_REQ, b"\x01",
+                                      "bad request: multi-punch request too short", []),
 }
 
 
@@ -661,6 +634,33 @@ def test_dispatch_refusal_costs(tmp_path, monkeypatch, row):
     calls = _count_calls(monkeypatch, svc)
     assert svc.handle(msg_type, body) == (wire.ERROR, text.encode())
     assert calls == allowed
+    assert svc.stats.snapshot()["protocol_errors"] == 1
+    assert svc.handle(wire.PK_REQ, b"") == (wire.PK_RESP, svc.pk_bytes)
+
+
+def test_merge_punch_off_the_twist_costs_one_g1_decode(tmp_path, monkeypatch):
+    """Row of README's refusal-cost table, on BLS12-381: a merge punch whose
+    G1 half is a valid element and whose G2 half has an x on no point of
+    the twist. The G1 half is decoded in full, subgroup check included,
+    before the G2 half's square root fails; nothing else runs."""
+    cfg = Config(state_dir=str(tmp_path / "state"), scheme="mergeable")
+    svc = PunchcardService(cfg, db=RedeemDb())
+    card = svc.scheme.encode_card(svc.scheme.issue(random.Random(181))[1])
+
+    def off_the_twist(half):
+        try:
+            svc.scheme.pairing.g1.decode_element(half)
+        except InvalidEncoding as e:
+            return "not on the twist" in str(e)
+        return False
+
+    halves = (bytes([0x80]) + bytes(94) + bytes([k]) for k in range(1, 256))
+    body = card[:48] + next(h for h in halves if off_the_twist(h))
+    calls = _count_calls(monkeypatch, svc)
+    assert svc.handle(wire.MERGE_PUNCH_REQ, body) == (
+        wire.ERROR, b"bad request: x is not on the twist"
+    )
+    assert calls == ["decode_element", "in_subgroup_g1", "decode_element"]
     assert svc.stats.snapshot()["protocol_errors"] == 1
     assert svc.handle(wire.PK_REQ, b"") == (wire.PK_RESP, svc.pk_bytes)
 
@@ -1145,6 +1145,24 @@ def test_idle_connection_closed_at_its_deadline(tmp_path, monkeypatch):
         handle.shutdown()
 
 
+def test_a_stop_wakes_a_worker_waiting_on_a_client(tmp_path, monkeypatch):
+    """A clean stop shuts down each open connection, so a worker blocked
+    on a half-sent header returns at once, not at its frame deadline."""
+    monkeypatch.setattr(service, "FRAME_DEADLINE_S", 5.0)
+    handle = _toy_server(tmp_path)
+    with _connect(handle) as sock:
+        try:
+            sock.sendall(wire.pack_frame(wire.PK_REQ, b"")[:2])
+            deadline = time.monotonic() + 5
+            while not handle.accepted and time.monotonic() < deadline:
+                time.sleep(0.01)  # until the server holds the connection
+        finally:
+            t0 = time.monotonic()
+            handle.shutdown()
+        assert time.monotonic() - t0 < 1
+        assert sock.recv(64) == b""
+
+
 @pytest.mark.parametrize("workers", [service.MAX_WORKERS, 4])
 def test_stalled_connections_do_not_block_a_fresh_client(tmp_path, monkeypatch, workers):
     """24 peers that stall mid-header. With more workers than stalls the
@@ -1326,6 +1344,49 @@ def test_one_process_owns_a_state_dir(tmp_path):
         capture_output=True, text=True, timeout=60,
     )
     assert purge.returncode == 0 and "purged 1 expired" in purge.stdout
+
+
+def test_a_second_start_meets_the_store_lock_before_the_key(tmp_path):
+    """A second server on the same state dir, started while the first is
+    between writing server.pk and server.key, gets DbBusy from the store's
+    lock and changes nothing there; the first start's key stands."""
+    state = tmp_path / "state"
+    cfg = Config(state_dir=str(state), listen_port=0, group="toy")
+    second = []
+
+    def listing():
+        return {p.name: p.read_bytes() for p in state.iterdir()}
+
+    def start_another(point):
+        if point == "keystore.key.replace":
+            install_hook(None)
+            before = listing()
+            try:
+                ServerHandle(cfg).shutdown()
+            except Exception as e:
+                second.append(type(e))
+            second.append(listing() == before)
+
+    install_hook(start_another)
+    try:
+        handle = ServerHandle(cfg)
+    finally:
+        install_hook(None)
+    handle.shutdown()
+    assert second == [DbBusy, True]
+    keys = KeyStore(str(state))
+    with open(keys.key_path) as f:
+        assert int(f.read(), 16) == handle.service.sk
+    with open(keys.pk_path) as f:
+        assert f.read() == handle.service.pk_bytes.hex() + "\n"
+
+
+def test_a_refused_address_leaves_state_dir_untouched(tmp_path):
+    state = tmp_path / "state"
+    with socket.create_server(("127.0.0.1", 0)) as taken:
+        cfg = Config(state_dir=str(state), listen_port=taken.getsockname()[1], group="toy")
+        assert run_server(cfg) == EXIT_BIND
+    assert not state.exists()
 
 
 def test_exit_codes(tmp_path):
