@@ -3,14 +3,17 @@
 The configured scheme is an object from `schemes`, and each Config field
 carries the parser that checks its value when the config is loaded.
 
-The TCP loop serves every connection on a reused worker thread: the
-accept loop hands each socket to a pool that starts threads on demand, up
-to MAX_WORKERS, and prefers an idle one. A whole frame must arrive within
-FRAME_DEADLINE_S of accept or of the previous reply, or the connection is
-closed, so a slow or silent peer holds a worker for a bounded time. Above
-MAX_CONNS accepted but unfinished connections a new one is closed at once.
-These are module constants, not config keys: no caller needs other values
-(tests patch them to reach the limits quickly).
+The TCP server serves every connection on a reused worker thread. Idle
+workers block in accept() themselves, so the thread the kernel wakes for
+a connection serves it, with no hand-off; workers start on demand, up to
+MAX_WORKERS. Only while all of them are busy does an accept thread accept,
+and it queues each connection for the next worker that frees. A whole
+frame must arrive within FRAME_DEADLINE_S of accept or of the previous
+reply, or the connection is closed, so a slow or silent peer holds a
+worker for a bounded time. Above MAX_CONNS accepted but unfinished
+connections a new one is closed at once. These are module constants, not
+config keys: no caller needs other values (tests patch them to reach the
+limits quickly).
 
 The server holds one secret scalar and one growing set of spent secrets.
 Per request it does group arithmetic and answers; it learns nothing that
@@ -23,14 +26,15 @@ from __future__ import annotations
 
 import logging
 import os
+import select
 import socket
 import socketserver
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
 from dataclasses import dataclass, field, fields
 from datetime import date
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from . import core, extensions, schemes, wire
 from .db import RedeemDb, write_durably
@@ -236,6 +240,7 @@ class Stats:
         "connections",
         "connections_refused",
         "connections_timed_out",
+        "connections_queued",
     )
 
     def __init__(self):
@@ -377,12 +382,17 @@ class _Handler(socketserver.BaseRequestHandler):
 
 
 class ServerHandle(socketserver.ThreadingTCPServer):
-    """A TCP server plus its service. start() runs the accept loop on a
-    thread, shutdown() stops it and closes the redemption store.
+    """A TCP server plus its service. start() starts the first worker and
+    the accept thread, shutdown() stops them and closes the redemption
+    store.
 
-    process_request hands each socket to a pool of reused threads instead
-    of a new thread; each worker still runs the inherited
-    process_request_thread, which handles and then closes it."""
+    Idle workers block in accept() (leader/followers); the one that takes
+    the last idle slot starts another. With all MAX_WORKERS busy the
+    accept thread accepts and queues; a worker that frees takes the
+    queue's head or waits for one, and the next connection to arrive while
+    one waits makes the accept thread hand accepting back, so the two
+    never both block in accept(). Each connection runs through the
+    inherited process_request_thread, which handles and then closes it."""
 
     allow_reuse_address = True
 
@@ -390,7 +400,13 @@ class ServerHandle(socketserver.ThreadingTCPServer):
         # before the bind, whose failure calls server_close
         self.accepted: Dict[socket.socket, float] = {}  # open socket -> accept time
         self._lock = threading.Lock()
-        self._pool = ThreadPoolExecutor(MAX_WORKERS, thread_name_prefix="punchcard-conn")
+        self._overflowing = threading.Condition(self._lock)  # the accept thread waits
+        self._queued = threading.Condition(self._lock)  # free workers wait, in overflow
+        self._queue: Deque[Tuple[socket.socket, object]] = deque()
+        self._workers: List[threading.Thread] = []
+        self._idle = 0  # workers not serving; in an overflow, those wait
+        self._overflow = False  # every worker busy: the accept thread accepts
+        self._stopping = False
         self._thread: Optional[threading.Thread] = None
         # the address first, so a refused one leaves state_dir untouched
         super().__init__((cfg.listen_host, cfg.listen_port), _Handler)
@@ -405,12 +421,12 @@ class ServerHandle(socketserver.ThreadingTCPServer):
         return self.server_address[1]
 
     def start(self) -> "ServerHandle":
-        thread = threading.Thread(
-            target=self.serve_forever, kwargs={"poll_interval": 0.05}
+        with self._lock:
+            self._spawn()
+        self._thread = threading.Thread(
+            target=self._accept_overflow, name="punchcard-accept", daemon=True
         )
-        thread.daemon = True
-        thread.start()
-        self._thread = thread  # only once serve_forever will run; see shutdown
+        self._thread.start()
         log.info(
             "recovered snapshot_entries=%d log_records=%d torn_bytes=%d in %.3f s",
             *self.service.db.recovery,
@@ -421,47 +437,140 @@ class ServerHandle(socketserver.ThreadingTCPServer):
                  self.service.cfg.scheme, scheme.backend, scheme.params.kernel)
         return self
 
-    def process_request(self, request, client_address) -> None:
+    def _spawn(self) -> None:
+        """Under the lock: start one more worker, idle."""
+        worker = threading.Thread(
+            target=self._work, name=f"punchcard-conn-{len(self._workers)}", daemon=True
+        )
+        self._workers.append(worker)
+        self._idle += 1
+        worker.start()
+
+    def _took(self) -> None:
+        """Under the lock: a worker took a connection. If it was the last
+        idle one, start another, or past MAX_WORKERS hand accepting to the
+        accept thread."""
+        self._idle -= 1
+        if self._idle:
+            return
+        if len(self._workers) < MAX_WORKERS:
+            self._spawn()
+        else:
+            self._overflow = True
+            self._overflowing.notify()
+
+    def _admit(self, request, client_address, queued: bool) -> bool:
+        """Note a fresh connection's accept time, then queue it or count
+        its worker busy; or close it at once, over MAX_CONNS or in a stop."""
         with self._lock:
             full = len(self.accepted) >= MAX_CONNS
-            if not full:
+            admitted = not (full or self._stopping)
+            if admitted:
                 self.accepted[request] = time.monotonic()
-        if full:
-            self.service.stats.bump("connections_refused")
+                if queued:
+                    self._queue.append((request, client_address))
+                    self._queued.notify()
+                else:
+                    self._took()
+        if not admitted:
+            if full:
+                self.service.stats.bump("connections_refused")
             self.shutdown_request(request)
-            return
+            return False
         self.service.stats.bump("connections")
-        self._pool.submit(self._serve, request, client_address)
+        if queued:
+            self.service.stats.bump("connections_queued")
+        return True
 
-    def _serve(self, request, client_address) -> None:
-        try:
-            self.process_request_thread(request, client_address)
-        except FaultInjected as e:
-            # a simulated crash of this connection only; the socket is
-            # closed already and the worker goes on to the next one
-            log.error("connection handler crashed: %s", e)
+    def _work(self) -> None:
+        """A worker: accept a connection and serve it, then the next. In an
+        overflow it takes the queue's head instead, or waits for one."""
+        job = None
+        while True:
+            with self._lock:
+                if job is not None:  # served and closed
+                    del self.accepted[job[0]]
+                    self._idle += 1
+                    job = None
+                while self._overflow and not self._queue and not self._stopping:
+                    self._queued.wait()
+                if self._stopping:
+                    return
+                if self._queue:
+                    job = self._queue.popleft()
+                    self._took()
+            if job is None:
+                try:
+                    job = self.socket.accept()
+                except OSError:  # the stop's wake-up, or a peer gone first
+                    continue
+                if not self._admit(*job, queued=False):
+                    job = None
+                    continue
+            try:
+                self.process_request_thread(*job)
+            except FaultInjected as e:
+                # a simulated crash of this connection only; the socket is
+                # closed already and the worker goes on to the next one
+                log.error("connection handler crashed: %s", e)
 
-    def shutdown_request(self, request) -> None:
-        with self._lock:
-            self.accepted.pop(request, None)
-        super().shutdown_request(request)
+    def _accept_overflow(self) -> None:
+        """The accept thread: it accepts only while every worker is busy,
+        and queues each connection. A connection that finds a worker
+        waiting is left to that worker, which accepts again."""
+        poller = select.poll()
+        poller.register(self.socket, select.POLLIN)
+        while True:
+            with self._lock:
+                while not (self._overflow or self._stopping):
+                    self._overflowing.wait()
+            poller.poll()  # a connection, or the stop's wake-up
+            with self._lock:
+                if self._stopping:
+                    return
+                if self._idle:  # a worker waits: it takes this connection
+                    self._overflow = False
+                    self._queued.notify_all()
+                    continue
+            try:
+                job = self.socket.accept()
+            except OSError:
+                continue
+            self._admit(*job, queued=True)
 
     def server_close(self) -> None:
-        """Close the listener, wake every worker blocked on a connection,
-        and wait for the workers to finish."""
-        super().server_close()
+        """Stop: wake every thread blocked in accept() (shutting down the
+        listener does that), on a connection or on the queue, wait for
+        them, then close the listener and every connection still queued."""
         with self._lock:
+            self._stopping = True
+            self._overflowing.notify_all()
+            self._queued.notify_all()
             for request in self.accepted:
                 try:
                     request.shutdown(socket.SHUT_RDWR)
                 except OSError:
                     pass
-        self._pool.shutdown()
+            threads = list(self._workers)
+        if self._thread is not None:
+            threads.append(self._thread)
+        try:
+            self.socket.shutdown(socket.SHUT_RDWR)
+        except OSError:  # it never listened
+            pass
+        deadline = time.monotonic() + 5
+        for thread in threads:
+            thread.join(max(deadline - time.monotonic(), 0))
+        left = sum(thread.is_alive() for thread in threads)
+        if left:
+            log.warning("%d server threads did not stop", left)
+        super().server_close()
+        while self._queue:
+            request, _ = self._queue.popleft()
+            self.accepted.pop(request, None)
+            self.shutdown_request(request)
 
     def shutdown(self) -> None:
-        if self._thread is not None:  # else super().shutdown() would wait forever
-            super().shutdown()
-            self._thread.join(timeout=5)
         self.server_close()
         self.service.db.compact()
         self.service.db.close()
@@ -483,7 +592,7 @@ def run_server(cfg: Config) -> int:
         return EXIT_BIND
     try:
         # an interrupt as early as start() must still reach shutdown(), which
-        # wakes the pool's workers; the interpreter waits for them at exit
+        # stops the workers and compacts and closes the store
         handle.start()
         handle._thread.join()
     except KeyboardInterrupt:

@@ -1,7 +1,7 @@
 """Mutation drill: every mutant below must fail a test.
 
-Each mutant is (file, old text, new text, test files): the old text must
-occur exactly once in the file. The drill copies src/ and tests/ (with
+Each mutant is (file, old text, new text, tests), where a test is a file
+or one test's id: the old text must occur exactly once in the file. The drill copies src/ and tests/ (with
 README.md and pyproject.toml, which some tests read) into a temporary
 directory outside the checkout, applies one mutant there, runs
 `pytest -x` on its test files and prints the test that killed it. A
@@ -106,6 +106,20 @@ MUTANTS = [
     # a clean stop wakes every worker still waiting on a client
     ("src/punchcard/service.py", "request.shutdown(socket.SHUT_RDWR)", "pass",
      ["tests/test_service.py"]),
+    # the worker the kernel wakes in accept() serves that connection itself
+    ("src/punchcard/service.py", "                if not self._admit(*job, queued=False):\n"
+     "                    job = None\n                    continue\n",
+     "                self._admit(*job, queued=True)\n"
+     "                job = None\n                continue\n",
+     ["tests/test_service.py::test_sequential_sessions_queue_no_connection"]),
+    # the accept thread hands accepting back once a worker waits for the queue
+    ("src/punchcard/service.py", "                if self._idle:  # a worker waits",
+     "                if False:  # a worker waits",
+     ["tests/test_service.py::test_workers_accept_again_after_an_overflow"]),
+    # a stop shuts the listener down, which wakes every worker in accept()
+    ("src/punchcard/service.py", "            self.socket.shutdown(socket.SHUT_RDWR)\n",
+     "            pass\n",
+     ["tests/test_service.py::test_a_stop_wakes_every_worker_idle_in_accept"]),
 ]
 
 # Same behaviour as the original: checked for their old text, never run.

@@ -1256,6 +1256,148 @@ def test_concurrent_clients_leave_no_open_connection(tmp_path):
         handle.shutdown()
 
 
+def _queued(handle) -> int:
+    return handle.service.stats.snapshot()["connections_queued"]
+
+
+def _wait_until(check, seconds: float = 5) -> None:
+    deadline = time.monotonic() + seconds
+    while not check():
+        if time.monotonic() > deadline:
+            pytest.fail("timed out waiting for the server")
+        time.sleep(0.005)
+
+
+def _pk_sessions(handle, n: int) -> None:
+    """n sessions, each opened once the server has seen the last one
+    close: a client that reconnects at once can find every worker still
+    busy with its previous connection, and that one is queued rightly."""
+    for _ in range(n):
+        with Client("127.0.0.1", handle.port) as client:
+            client.fetch_pk()
+        _wait_until(lambda: not handle.accepted)
+
+
+def _overflow_episode(handle) -> None:
+    """With MAX_WORKERS = 2: two idle clients hold both workers, so a third
+    client's connection is queued. Closing one holder must get the third
+    its PK_RESP within 0.5 s, with no further connection arriving."""
+    holders = [Client("127.0.0.1", handle.port) for _ in range(2)]
+    try:
+        for client in holders:
+            client.fetch_pk()  # each now held by a worker, idle in recv
+        with _connect(handle) as third:
+            wire.send_frame(third, wire.PK_REQ, b"")
+            _wait_until(lambda: _queued(handle) == 1)
+            holders.pop().close()
+            t0 = time.monotonic()
+            assert wire.recv_frame(third) == (wire.PK_RESP, handle.service.pk_bytes)
+            assert time.monotonic() - t0 < 0.5
+    finally:
+        for client in holders:
+            client.close()
+    _wait_until(lambda: not handle.accepted)  # every worker has seen its close
+    assert len(_workers()) == 2
+
+
+def test_sequential_sessions_queue_no_connection(tmp_path):
+    """On an idle server the worker the kernel wakes in accept() serves the
+    connection itself: none goes through the overflow queue."""
+    handle = _toy_server(tmp_path)
+    try:
+        _pk_sessions(handle, 50)
+        stats = handle.service.stats.snapshot()
+        assert stats["connections"] == 50 and stats["connections_queued"] == 0
+    finally:
+        handle.shutdown()
+
+
+def test_a_queued_connection_is_served_as_soon_as_a_worker_frees(tmp_path, monkeypatch):
+    monkeypatch.setattr(service, "MAX_WORKERS", 2)
+    handle = _toy_server(tmp_path)
+    try:
+        _overflow_episode(handle)
+        assert _queued(handle) >= 1
+    finally:
+        handle.shutdown()
+
+
+def test_workers_accept_again_after_an_overflow(tmp_path, monkeypatch):
+    """Once the overflow is over, a free worker takes accepting back from
+    the accept thread, so later connections are not queued."""
+    monkeypatch.setattr(service, "MAX_WORKERS", 2)
+    handle = _toy_server(tmp_path)
+    try:
+        _overflow_episode(handle)
+        queued = _queued(handle)
+        _pk_sessions(handle, 20)
+        assert _queued(handle) == queued
+        assert handle.service.stats.snapshot()["connections"] == 23
+    finally:
+        handle.shutdown()
+
+
+def test_concurrent_clients_through_the_overflow_queue(tmp_path, monkeypatch):
+    """8 client threads, 20 fresh connections each, on 2 workers with a
+    short switch interval, so connections keep going through the queue
+    and accepting keeps changing hands: every connection is served and
+    counted once, and none is left open or stranded in the queue."""
+    monkeypatch.setattr(service, "MAX_WORKERS", 2)
+    handle = _toy_server(tmp_path)
+    errors = []
+
+    def client_thread():
+        try:
+            for _ in range(20):
+                with Client("127.0.0.1", handle.port) as client:
+                    client.fetch_pk()
+        except Exception as e:  # reported below
+            errors.append(e)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=client_thread) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        _wait_until(lambda: not handle.accepted)
+        stats = handle.service.stats.snapshot()
+        assert stats["connections"] == 160 and stats["connections_refused"] == 0
+        assert stats["connections_queued"] > 0
+        assert len(_workers()) == 2
+    finally:
+        sys.setswitchinterval(old)
+        handle.shutdown()
+
+
+def test_a_stop_wakes_every_worker_idle_in_accept(tmp_path, caplog):
+    """After 8 concurrent sessions, several workers block in accept(). A
+    stop wakes them all by shutting the listener down: it returns within
+    1 s, leaves no worker thread, and the port refuses connections."""
+    handle = _toy_server(tmp_path)
+    port = handle.port
+    clients = [Client("127.0.0.1", port) for _ in range(8)]
+    try:
+        for client in clients:
+            client.fetch_pk()
+    finally:
+        for client in clients:
+            client.close()
+    _wait_until(lambda: not handle.accepted)
+    assert len(_workers()) == 9  # the 8 that served, and the idle one
+    t0 = time.monotonic()
+    with caplog.at_level(logging.INFO, logger="punchcard.server"):
+        handle.shutdown()
+    assert time.monotonic() - t0 < 1
+    assert _workers() == []
+    assert "stat connections_queued=0" in caplog.text
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection(("127.0.0.1", port), timeout=5).close()
+
+
 def test_sigint_stops_server_with_an_idle_client(tmp_path):
     conf = tmp_path / "server.conf"
     conf.write_text(f"state_dir = {tmp_path / 'srv'}\nlisten_port = 0\ngroup = toy\n")
