@@ -13,25 +13,33 @@ append-only log with periodic snapshot compaction:
 * purge() compacts, then drops entries by predicate, writes a fresh
   snapshot, and starts an empty log.
 
-In memory the secrets of the last snapshot are one immutable bytes object
-of sorted 32-byte records (the snapshot body as read, checked to be strictly
-increasing), found by bisecting a list of every 64th record and scanning
-one block; secrets added since (log replay, new inserts) sit in a small set
-beside it that never repeats one of the blob's. Compaction, purge and
-preload are one rebuild that merges the two into a new sorted blob. All
-writes happen under one lock; lookups take none.
+The secrets of the last snapshot are sorted 32-byte records, found by
+bisecting a list of every 64th record (the fence) and scanning one block;
+secrets added since (log replay, new inserts) sit in a small set beside
+them that never repeats one of theirs. An on-disk store keeps only the
+fence in memory and reads a block with one pread of the snapshot file
+it loaded (whose records the load checked to be strictly increasing, in
+one pass) or last wrote; an in-memory store keeps the records in one bytes object.
+Only this store replaces the snapshot, by rename under its lock, so the
+descriptor a lookup reads keeps the bytes the load checked; a block
+that reads back otherwise fails the lookup with OSError. Compaction,
+purge and preload are one rebuild that reads the old records a chunk at
+a time and merges the set into them. All writes happen under one lock;
+lookups take none.
 """
 
 from __future__ import annotations
 
 import bisect
 import contextlib
+import errno
 import fcntl
 import operator
 import os
 import struct
 import threading
 import time
+import weakref
 from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
 
 from .core import SECRET_SIZE
@@ -45,67 +53,95 @@ _REC_CLAIM_ADD = 2
 _REC_CLAIM_TAKE = 3
 _MAX_PER_RECORD = 255  # the insert record's count is one byte; 0 ends replay
 _RUN = 1024  # like insert records replayed in one go; more costs peak memory
-_CHUNK = 4096  # records unpacked at a time when a whole blob is walked
+_CHUNK = 4096  # records read at a time when the whole base is walked
 _STEP = _CHUNK * SECRET_SIZE
 _BLOCK = 64  # records per fence entry of a _Sorted
 _BLOCK_BYTES = _BLOCK * SECRET_SIZE
 _SECRET_FMT = f"{SECRET_SIZE}s"  # one record, as a struct field
 
 
-def _records(blob: bytes, off: int) -> Tuple[bytes, ...]:
-    """Up to _CHUNK records of `blob` from byte offset `off`."""
-    n = min(_STEP, len(blob) - off) // SECRET_SIZE
-    return struct.unpack_from(_SECRET_FMT * n, blob, off)
+def _records(chunk: bytes) -> Tuple[bytes, ...]:
+    """The records of `chunk`, one bytes object each."""
+    return struct.unpack(_SECRET_FMT * (len(chunk) // SECRET_SIZE), chunk)
+
+
+def _fence(pieces: Iterable[bytes]) -> List[bytes]:
+    """Every _BLOCK-th record of the pieces' records, taken in order."""
+    fence = []
+    at = 0  # byte offset of the piece in the whole
+    for piece in pieces:
+        first = -at % _BLOCK_BYTES
+        fence += [piece[i : i + SECRET_SIZE] for i in range(first, len(piece), _BLOCK_BYTES)]
+        at += len(piece)
+    return fence
 
 
 class _Sorted:
-    """Spent secrets as one bytes object of sorted records, plus a fence:
-    the first record of each block of _BLOCK, which bisect searches in C
-    before one block is scanned. Immutable, so a rebuild swaps in a new
-    one and a lookup never sees half of each."""
+    """Spent secrets as sorted records, plus a fence: the first record of
+    each block of _BLOCK, which bisect searches in C before one block is
+    read and scanned. The records are a bytes object (an in-memory store)
+    or the body of a snapshot file, read through the descriptor opened on
+    it when it was loaded or written, so only the fence (about 1.3 B per
+    secret) is kept. The file is trusted to hold the bytes that were
+    checked (see the module docstring); a block that reads back short or
+    without its fence record raises OSError, as a read error does.
+    Immutable, so a rebuild swaps in a new one and a lookup never sees
+    half of each; the descriptor closes once nothing holds the object,
+    or at close()."""
 
-    __slots__ = ("blob", "fence")
+    __slots__ = ("fence", "size", "_blob", "_fd", "_closer", "__weakref__")
 
-    def __init__(self, blob: bytes = b""):
-        self.blob = blob
-        self.fence = [
-            blob[i : i + SECRET_SIZE] for i in range(0, len(blob), _BLOCK_BYTES)
-        ]
+    def __init__(self, fence: List[bytes], size: int, blob: bytes = b"",
+                 fd: Optional[int] = None):
+        self.fence = fence
+        self.size = size  # bytes of records
+        self._blob = blob
+        self._fd = fd
+        self._closer = None if fd is None else weakref.finalize(self, os.close, fd)
+
+    @classmethod
+    def from_blob(cls, blob: bytes = b"") -> "_Sorted":
+        return cls(_fence([blob]), len(blob), blob)
 
     def __len__(self) -> int:
-        return len(self.blob) // SECRET_SIZE
+        return self.size // SECRET_SIZE
 
     def __contains__(self, u: bytes) -> bool:
         block = bisect.bisect_right(self.fence, u) - 1
         if block < 0 or len(u) != SECRET_SIZE:
             return False
-        lo = block * _BLOCK_BYTES
-        hi = lo + _BLOCK_BYTES
-        at = self.blob.find(u, lo, hi)
+        data = self.read(block * _BLOCK_BYTES, _BLOCK_BYTES)
+        at = data.find(u)
         while at != -1 and at % SECRET_SIZE:  # a match across two records
-            at = self.blob.find(u, at + 1, hi)
+            at = data.find(u, at + 1)
         return at != -1
 
+    def read(self, offset: int, size: int) -> bytes:
+        """Up to `size` bytes of records from `offset`, the start of a
+        block; from a file, checked against the fence."""
+        size = min(size, self.size - offset)
+        if self._fd is None:
+            return self._blob[offset : offset + size]
+        data = os.pread(self._fd, size, _SNAP_HEAD + offset)
+        if len(data) != size or not data.startswith(self.fence[offset // _BLOCK_BYTES]):
+            raise OSError(errno.EIO, "snapshot block does not read back as loaded")
+        return data
 
-def _check_sorted(blob: bytes) -> None:
-    """DbCorruption unless the records of `blob` strictly increase: a
-    search over records out of order could miss a spent secret."""
-    prev = b""
-    for off in range(0, len(blob), _STEP):
-        recs = _records(blob, off)
-        if not (prev < recs[0] and all(map(operator.lt, recs, recs[1:]))):
-            raise DbCorruption("snapshot records are not strictly increasing")
-        prev = recs[-1]
+    def close(self) -> None:
+        """Close the descriptor now; a later read fails with EBADF."""
+        if self._closer is not None:
+            self._fd = -1  # never a number the next open reuses
+            self._closer()
 
 
 def _merge(
-    blob: bytes, new: List[bytes], drop: Optional[Callable[[bytes], bool]]
-) -> Tuple[bytes, int]:
-    """The records of `blob` and of the sorted list `new` in order, each
-    once, without those drop(u) accepts; and how many drop accepted. A
-    chunk of `blob` that no new record falls into and nothing is dropped
-    from is copied whole."""
-    view = memoryview(blob)
+    base: _Sorted, new: List[bytes], drop: Optional[Callable[[bytes], bool]]
+) -> Tuple[List[bytes], int]:
+    """The records of `base` and of the sorted list `new` in order, each
+    once, without those drop(u) accepts, as a list of pieces; and how
+    many drop accepted. `base` is read a chunk at a time, and a chunk
+    that no new record falls into and nothing is dropped from is kept
+    whole."""
     pieces = []
     dropped = j = 0
 
@@ -117,18 +153,18 @@ def _merge(
             recs = kept
         pieces.append(b"".join(recs))
 
-    for off in range(0, len(blob), _STEP):
-        end = min(off + _STEP, len(blob))
-        k = bisect.bisect_right(new, blob[end - SECRET_SIZE : end], j)
+    for off in range(0, base.size, _STEP):
+        chunk = base.read(off, _STEP)
+        k = bisect.bisect_right(new, chunk[-SECRET_SIZE:], j)
         if k == j and drop is None:
-            pieces.append(view[off:end])
+            pieces.append(chunk)
             continue
-        recs = _records(blob, off)  # new[j:k] are all <= recs[-1]
+        recs = _records(chunk)  # new[j:k] are all <= recs[-1]
         fresh = [u for u in new[j:k] if recs[bisect.bisect_left(recs, u)] != u]
         emit(sorted(recs + tuple(fresh)) if fresh else recs)
         j = k
     emit(new[j:])
-    return b"".join(pieces), dropped
+    return pieces, dropped
 
 
 class Recovery(NamedTuple):
@@ -182,12 +218,13 @@ class RedeemDb:
 
     def __init__(self, path: Optional[str] = None, fsync: bool = True):
         self._lock = threading.Lock()
-        self._base = _Sorted()  # the spent secrets of the snapshot
+        self._base = _Sorted.from_blob()  # the spent secrets of the snapshot
         self._overlay = set()  # spent secrets added since, none in the base
         self._claims = set()
         self._path = path
         self._fsync = fsync
         self._log = None
+        self._log_size = 0  # bytes in the log; only this store writes it
         self.recovery = Recovery()
         if path is not None:
             created = not os.path.exists(path)
@@ -201,6 +238,7 @@ class RedeemDb:
                 self._recover()
             except BaseException as e:
                 self._log.close()
+                self._base.close()
                 if isinstance(e, BlockingIOError):
                     raise DbBusy(f"{path} is in use by another server or purge") from None
                 raise
@@ -276,6 +314,8 @@ class RedeemDb:
             if self._log is not None:
                 self._log.close()
                 self._log = None
+                self._log_size = 0
+                self._base.close()
 
     # -- disk format -------------------------------------------------------
 
@@ -289,15 +329,19 @@ class RedeemDb:
         restart the log. Returns how many records drop accepted. With
         nothing to merge or drop and an empty log (which also holds the
         claim records) the snapshot is current, and nothing is written."""
-        if not (self._overlay or extra or drop or self._log_bytes()):
+        if not (self._overlay or extra or drop or self._log_size):
             return 0
+        on_disk = self._on_disk()
         new = sorted(self._overlay.union(extra))
         if any(len(u) != SECRET_SIZE for u in new):
             raise ValueError(f"spent secrets are {SECRET_SIZE} bytes")
-        blob, dropped = _merge(self._base.blob, new, drop)
-        if self._on_disk():
-            self._write_snapshot(blob)
-        self._base = _Sorted(blob)  # before the overlay goes; see __contains__
+        pieces, dropped = _merge(self._base, new, drop)
+        if on_disk:
+            base = self._write_snapshot(pieces)
+        else:
+            base = _Sorted.from_blob(b"".join(pieces))
+        # the old base's descriptor closes once no lookup holds it
+        self._base = base  # before the overlay goes; see __contains__
         self._overlay = set()
         return dropped
 
@@ -311,7 +355,8 @@ class RedeemDb:
         if not self._on_disk():
             return
         fault_point("db.append")
-        size = self._log_bytes()
+        size = self._log_size
+        self._log_size += len(record)
         try:
             if self._log.write(record) != len(record):
                 raise OSError(f"short write to {self._path}")
@@ -320,21 +365,25 @@ class RedeemDb:
                 os.fsync(self._log.fileno())
         except Exception:  # not FaultInjected: a simulated crash keeps its bytes
             self._log.truncate(size)
+            self._log_size = size
             raise
-
-    def _log_bytes(self) -> int:
-        return 0 if self._log is None else os.fstat(self._log.fileno()).st_size
 
     def _snap_path(self) -> str:
         return self._path + ".snap"
 
-    def _write_snapshot(self, blob: bytes) -> None:
-        head = struct.pack("<II", len(blob) // SECRET_SIZE, len(self._claims))
-        chunks = [_SNAP_MAGIC, head, blob, *sorted(self._claims)]
+    def _write_snapshot(self, pieces: List[bytes]) -> _Sorted:
+        """Write the records as the snapshot, restart the log, and return
+        the base that reads them from the new file."""
+        size = sum(map(len, pieces))
+        head = struct.pack("<II", size // SECRET_SIZE, len(self._claims))
+        chunks = [_SNAP_MAGIC, head, *pieces, *sorted(self._claims)]
         write_durably(self._snap_path(), chunks, "db.snapshot")
+        base = _Sorted(_fence(pieces), size, fd=os.open(self._snap_path(), os.O_RDONLY))
         # the log is now redundant; restart it in place
         self._log.truncate(0)
+        self._log_size = 0
         os.fsync(self._log.fileno())
+        return base
 
     def _recover(self) -> None:
         t0 = time.perf_counter()
@@ -347,19 +396,35 @@ class RedeemDb:
         )
 
     def _load_snapshot(self, snap: str) -> None:
-        """Reads the spent records straight into the base; no copy is made."""
-        with open(snap, "rb") as f:
-            head = f.read(_SNAP_HEAD)
+        """Checks in one pass of chunk reads that the spent records
+        strictly increase, and keeps their fence and the descriptor; a
+        search over records out of order could miss a spent secret."""
+        fd = os.open(snap, os.O_RDONLY)
+        try:
+            head = os.pread(fd, _SNAP_HEAD, 0)
             if len(head) < _SNAP_HEAD or not head.startswith(_SNAP_MAGIC):
                 raise DbCorruption("snapshot header is unreadable")
             n_spent, n_claims = struct.unpack_from("<II", head, len(_SNAP_MAGIC))
-            need = _SNAP_HEAD + (n_spent + n_claims) * SECRET_SIZE
-            if os.fstat(f.fileno()).st_size != need:
+            size = n_spent * SECRET_SIZE
+            if os.fstat(fd).st_size != _SNAP_HEAD + size + n_claims * SECRET_SIZE:
                 raise DbCorruption("snapshot length does not match its header")
-            blob = f.read(n_spent * SECRET_SIZE)
-            claims = f.read(n_claims * SECRET_SIZE)
-        _check_sorted(blob)
-        self._base = _Sorted(blob)
+            fence = []
+            prev = b""
+            for off in range(0, size, _STEP):
+                want = min(_STEP, size - off)
+                chunk = os.pread(fd, want, _SNAP_HEAD + off)
+                if len(chunk) != want:
+                    raise OSError(errno.EIO, f"short read of {snap}")
+                recs = _records(chunk)
+                if not (prev < recs[0] and all(map(operator.lt, recs, recs[1:]))):
+                    raise DbCorruption("snapshot records are not strictly increasing")
+                fence += recs[::_BLOCK]  # a chunk is whole blocks
+                prev = recs[-1]
+            claims = os.pread(fd, n_claims * SECRET_SIZE, _SNAP_HEAD + size)
+        except BaseException:
+            os.close(fd)
+            raise
+        self._base = _Sorted(fence, size, fd=fd)
         for off in range(0, len(claims), SECRET_SIZE):
             self._claims.add(claims[off : off + SECRET_SIZE])
 
@@ -422,4 +487,5 @@ class RedeemDb:
             self._overlay = {u for u in self._overlay if u not in self._base}
         if good != n:
             self._log.truncate(good)  # torn tail from a crash mid-append
+        self._log_size = good
         return records, n - good

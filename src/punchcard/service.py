@@ -395,6 +395,9 @@ class ServerHandle(socketserver.ThreadingTCPServer):
     inherited process_request_thread, which handles and then closes it."""
 
     allow_reuse_address = True
+    # the listen backlog: a burst of connects waits in the kernel's accept
+    # queue, not for a SYN retransmit (a second or more)
+    request_queue_size = MAX_CONNS
 
     def __init__(self, cfg: Config, db: Optional[RedeemDb] = None):
         # before the bind, whose failure calls server_close

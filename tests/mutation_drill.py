@@ -120,6 +120,18 @@ MUTANTS = [
     ("src/punchcard/service.py", "            self.socket.shutdown(socket.SHUT_RDWR)\n",
      "            pass\n",
      ["tests/test_service.py::test_a_stop_wakes_every_worker_idle_in_accept"]),
+    # a snapshot block that reads back short or changed fails the lookup
+    (DB, "        if len(data) != size or not data.startswith(self.fence[offset // _BLOCK_BYTES]):\n"
+     '            raise OSError(errno.EIO, "snapshot block does not read back as loaded")\n',
+     "", ["tests/test_service.py::test_a_snapshot_read_that_fails_answers_error_until_a_restart"
+          "[truncated]"]),
+    # the listen backlog holds a burst of connects
+    ("src/punchcard/service.py", "    request_queue_size = MAX_CONNS\n",
+     "    request_queue_size = 5\n",
+     ["tests/test_service.py::test_a_burst_of_16_connections_is_answered_within_half_a_second"]),
+    # a failed append gives back the log size it took
+    (DB, "            self._log_size = size\n", "",
+     ["tests/test_db.py::test_a_failed_append_leaves_the_next_one_cut_at_the_right_size"]),
 ]
 
 # Same behaviour as the original: checked for their old text, never run.

@@ -466,6 +466,26 @@ def test_reopen_memory_per_entry(tmp_path):
     assert peak <= 48 * n, f"{peak / n:.1f} B per entry"
 
 
+def test_reopen_holds_the_fence_not_the_records(tmp_path):
+    """An on-disk store reads the snapshot's records from the file, so a
+    reopened 10^5-entry store holds about one record per block of 64
+    (the fence): at most 5 B per entry, where the records take 32."""
+    path = str(tmp_path / "db")
+    n = 10**5
+    db = RedeemDb(path, fsync=False)
+    db.preload(_secrets(random.Random(160), n))
+    db.close()
+    tracemalloc.start()
+    try:
+        db = RedeemDb(path)
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(db) == n
+    db.close()
+    assert current <= 5 * n, f"{current / n:.1f} B per entry"
+
+
 @pytest.mark.parametrize(
     "i, j",
     [(4095, 4096), (10, 11), (4096, 4095)],  # swap across the first chunk's end,
@@ -632,13 +652,13 @@ def test_lookup_needs_a_whole_record():
         assert spent[k][:31] not in db and spent[k] + b"x" not in db
     assert b"" not in db and b"\x00" * 32 not in db and b"\xff" * 32 not in db
 
-def test_lookups_never_miss_while_compacting():
+def _lookups_never_miss_while_compacting(db):
     rng = random.Random(163)
-    db = RedeemDb()
     db.preload(_secrets(rng, 5000))
     fresh = _secrets(rng, 1500)
     inserted = []
     misses = []
+    errors = []
     done = threading.Event()
 
     def writer():
@@ -653,11 +673,14 @@ def test_lookups_never_miss_while_compacting():
 
     def reader(seed):
         r = random.Random(seed)
-        while not done.is_set():
-            if inserted:
-                u = inserted[r.randrange(len(inserted))]
-                if u not in db:
-                    misses.append(u)
+        try:
+            while not done.is_set():
+                if inserted:
+                    u = inserted[r.randrange(len(inserted))]
+                    if u not in db:
+                        misses.append(u)
+        except Exception as e:  # reported below
+            errors.append(e)
 
     threads = [threading.Thread(target=writer)]
     threads += [threading.Thread(target=reader, args=(s,)) for s in range(4)]
@@ -671,8 +694,57 @@ def test_lookups_never_miss_while_compacting():
     finally:
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
-    assert len(inserted) == len(fresh) and not misses
+    assert errors == [] and len(inserted) == len(fresh) and not misses
     assert len(db) == 6500
+
+
+def test_lookups_never_miss_while_compacting():
+    _lookups_never_miss_while_compacting(RedeemDb())
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd")
+def test_lookups_never_miss_while_compacting_on_disk(tmp_path):
+    """Each compaction swaps in a base that reads the new snapshot while
+    lookups may still read the old one through its descriptor, which
+    closes once none holds it; close() leaves no descriptor open."""
+    fds = _open_fds()
+    db = RedeemDb(str(tmp_path / "db"), fsync=False)
+    _lookups_never_miss_while_compacting(db)
+    db.close()
+    assert _open_fds() == fds
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd")
+def test_snapshot_descriptors_close_with_the_store(tmp_path):
+    """Every rebuild opens the snapshot it wrote and lets the old one go;
+    a refused open (DbBusy, DbCorruption) and close() close theirs."""
+    rng = random.Random(172)
+    path = str(tmp_path / "db")
+    fds = _open_fds()
+    db = RedeemDb(path)
+    db.preload(_secrets(rng, 5000))
+    for u in _secrets(rng, 10):
+        assert db.check_and_insert(u)
+        db.compact()
+    assert db.purge(lambda u: u[0] < 16) > 0
+    db.preload(_secrets(rng, 10))
+    with pytest.raises(DbBusy):
+        RedeemDb(path)
+    assert _open_fds() == fds + 2  # the log and the snapshot
+    db.close()
+    db = RedeemDb(path)
+    assert len(db) == len(_snapshot_records(path)) and db.check_and_insert(rng.randbytes(32))
+    db.close()
+    with open(path + ".snap", "r+b") as f:
+        f.seek(13 + 32 * 100)
+        f.write(b"\x00" * 32)  # record 100 now sorts first
+    with pytest.raises(DbCorruption):
+        RedeemDb(path)
+    assert _open_fds() == fds
 
 
 def test_every_secret_found_at_every_step_of_a_rebuild():
@@ -1012,6 +1084,35 @@ def test_opening_a_store_opens_its_log_once(tmp_path, monkeypatch):
     assert opened.count(path) == 1
     again = RedeemDb(path)
     assert [u in again for u in _POOL[:5]] == [True] * 4 + [False]
+    again.close()
+
+
+def test_a_failed_append_leaves_the_next_one_cut_at_the_right_size(tmp_path, monkeypatch):
+    """The store tracks its log's size to know where to cut a failed
+    append off. A failed fsync, a good insert, then another failed fsync:
+    the log holds exactly the good record, and a reopen finds it alone,
+    with no torn bytes."""
+    path = str(tmp_path / "db")
+    a, b, c = _secrets(random.Random(1503), 3)
+    db = RedeemDb(path)
+    real_fsync = os.fsync
+
+    def failing_fsync(fd):
+        raise OSError(errno.EIO, "injected fsync error")
+
+    for u, fsync in ((a, failing_fsync), (b, real_fsync), (c, failing_fsync)):
+        monkeypatch.setattr(os, "fsync", fsync)
+        if fsync is real_fsync:
+            assert db.check_and_insert(u)
+        else:
+            with pytest.raises(OSError, match="injected"):
+                db.check_and_insert(u)
+    monkeypatch.undo()
+    db.close()
+    assert os.path.getsize(path) == 34
+    again = RedeemDb(path)
+    assert again.recovery[1:3] == (1, 0)
+    assert [u in again for u in (a, b, c)] == [False, True, False] and len(again) == 1
     again.close()
 
 

@@ -859,6 +859,53 @@ def test_store_that_cannot_write_answers_error_until_a_restart(
         handle.shutdown()
 
 
+@pytest.mark.parametrize("fault", ["eio", "truncated"])
+def test_a_snapshot_read_that_fails_answers_error_until_a_restart(
+    tmp_path, monkeypatch, fault
+):
+    """A lookup reads one block of the snapshot file. A read error, or a
+    block that reads back short because the file was cut under the open
+    store, answers ERROR "store unavailable" and sets store_failed, and
+    the secret stays unspent: after a restart on the intact file the same
+    redemption is accepted."""
+    cfg = Config(state_dir=str(tmp_path / "state"), group="toy", accepted_counts=(2,),
+                 fsync=False)
+    rng = random.Random(185)
+    os.makedirs(cfg.state_dir)
+    db = RedeemDb(service.store_path(cfg))
+    db.preload(rng.randbytes(32) for _ in range(1000))
+    db.close()
+    snap = service.store_path(cfg) + ".snap"
+    with open(snap, "rb") as f:
+        intact = f.read()
+    svc = PunchcardService(cfg)
+    s = svc.scheme
+    u = b"\xff" * 4 + rng.randbytes(28)  # past the first fence record, so its block is read
+    card = core.expected_card(s.group, svc.sk, u, 2)
+    body = wire.pack_redeem_body(2, core.RedeemRequest(u=u, card=card).to_bytes(s.group))
+    if fault == "eio":
+        def failing_pread(*args):
+            raise OSError(errno.EIO, "injected read error")
+
+        monkeypatch.setattr(os, "pread", failing_pread)
+    else:
+        os.truncate(snap, 1000)
+    assert svc.handle(s.redeem_req, body) == (wire.ERROR, b"store unavailable")
+    assert svc.store_failed and svc.stats.snapshot()["store_errors"] == 1
+    monkeypatch.undo()
+    assert svc.handle(s.redeem_req, body) == (wire.ERROR, b"store unavailable")
+    svc.db.close()
+    if fault == "truncated":
+        with open(snap, "wb") as f:
+            f.write(intact)
+    svc = PunchcardService(cfg)
+    try:
+        assert u not in svc.db and len(svc.db) == 1000
+        assert svc.handle(s.redeem_req, body) == (s.redeem_resp, bytes([RedeemStatus.ACCEPT]))
+    finally:
+        svc.db.close()
+
+
 @pytest.fixture
 def main_server(tmp_path):
     cfg = Config(
@@ -1370,6 +1417,31 @@ def test_concurrent_clients_through_the_overflow_queue(tmp_path, monkeypatch):
         assert len(_workers()) == 2
     finally:
         sys.setswitchinterval(old)
+        handle.shutdown()
+
+
+def test_a_burst_of_16_connections_is_answered_within_half_a_second(tmp_path):
+    """16 clients connect at once, faster than the workers accept: the
+    listen backlog holds every connection, so none waits for a SYN
+    retransmit (1 s) and each gets its PK_RESP within 0.5 s."""
+    handle = _toy_server(tmp_path)
+    socks = []
+    try:
+        t0 = time.monotonic()
+        for _ in range(16):
+            socks.append(socket.socket())
+            socks[-1].setblocking(False)
+            socks[-1].connect_ex(("127.0.0.1", handle.port))
+        for sock in socks:
+            sock.settimeout(10)  # a send waits for the connect to finish
+            wire.send_frame(sock, wire.PK_REQ, b"")
+        for sock in socks:
+            assert wire.recv_frame(sock) == (wire.PK_RESP, handle.service.pk_bytes)
+        took = time.monotonic() - t0
+        assert took < 0.5, f"{took:.2f} s"
+    finally:
+        for sock in socks:
+            sock.close()
         handle.shutdown()
 
 
