@@ -17,15 +17,18 @@ The secrets of the last snapshot are sorted 32-byte records, found by
 bisecting a list of every 64th record (the fence) and scanning one block;
 secrets added since (log replay, new inserts) sit in a small set beside
 them that never repeats one of theirs. An on-disk store keeps only the
-fence in memory and reads a block with one pread of the snapshot file
-it loaded (whose records the load checked to be strictly increasing, in
-one pass) or last wrote; an in-memory store keeps the records in one bytes object.
-Only this store replaces the snapshot, by rename under its lock, so the
-descriptor a lookup reads keeps the bytes the load checked; a block
-that reads back otherwise fails the lookup with OSError. Compaction,
-purge and preload are one rebuild that reads the old records a chunk at
-a time and merges the set into them. All writes happen under one lock;
-lookups take none.
+fence in memory and reads a block with one pread of the snapshot file;
+an in-memory store keeps the records in one bytes object. Every on-disk
+base comes from one loader, which checks in one pass that the records
+strictly increase: at start-up, and after each rebuild, before the new
+snapshot becomes the base. Only this store replaces the snapshot, by
+rename under its lock, so the descriptor a lookup reads keeps the bytes
+the load checked; a block that reads back otherwise fails the lookup
+with OSError. Compaction, purge and preload are one rebuild: it reads
+the old records a chunk at a time, merges the set into them and streams
+each merged chunk into the new snapshot, whose header, holding the
+record count, is written last; so it holds a few chunks, never the
+whole snapshot. All writes happen under one lock; lookups take none.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import bisect
 import contextlib
 import errno
 import fcntl
+import itertools
 import operator
 import os
 import struct
@@ -65,26 +69,15 @@ def _records(chunk: bytes) -> Tuple[bytes, ...]:
     return struct.unpack(_SECRET_FMT * (len(chunk) // SECRET_SIZE), chunk)
 
 
-def _fence(pieces: Iterable[bytes]) -> List[bytes]:
-    """Every _BLOCK-th record of the pieces' records, taken in order."""
-    fence = []
-    at = 0  # byte offset of the piece in the whole
-    for piece in pieces:
-        first = -at % _BLOCK_BYTES
-        fence += [piece[i : i + SECRET_SIZE] for i in range(first, len(piece), _BLOCK_BYTES)]
-        at += len(piece)
-    return fence
-
-
 class _Sorted:
     """Spent secrets as sorted records, plus a fence: the first record of
     each block of _BLOCK, which bisect searches in C before one block is
     read and scanned. The records are a bytes object (an in-memory store)
-    or the body of a snapshot file, read through the descriptor opened on
-    it when it was loaded or written, so only the fence (about 1.3 B per
-    secret) is kept. The file is trusted to hold the bytes that were
-    checked (see the module docstring); a block that reads back short or
-    without its fence record raises OSError, as a read error does.
+    or the body of a snapshot file, read through the descriptor the
+    loader opened on it, so only the fence (about 1.3 B per secret) is
+    kept. The file is trusted to hold the bytes the loader checked (see
+    the module docstring); a block that reads back short or without its
+    fence record raises OSError, as a read error does.
     Immutable, so a rebuild swaps in a new one and a lookup never sees
     half of each; the descriptor closes once nothing holds the object,
     or at close()."""
@@ -101,7 +94,8 @@ class _Sorted:
 
     @classmethod
     def from_blob(cls, blob: bytes = b"") -> "_Sorted":
-        return cls(_fence([blob]), len(blob), blob)
+        fence = [blob[i : i + SECRET_SIZE] for i in range(0, len(blob), _BLOCK_BYTES)]
+        return cls(fence, len(blob), blob)
 
     def __len__(self) -> int:
         return self.size // SECRET_SIZE
@@ -136,35 +130,27 @@ class _Sorted:
 
 def _merge(
     base: _Sorted, new: List[bytes], drop: Optional[Callable[[bytes], bool]]
-) -> Tuple[List[bytes], int]:
+) -> Iterable[bytes]:
     """The records of `base` and of the sorted list `new` in order, each
-    once, without those drop(u) accepts, as a list of pieces; and how
-    many drop accepted. `base` is read a chunk at a time, and a chunk
-    that no new record falls into and nothing is dropped from is kept
-    whole."""
-    pieces = []
-    dropped = j = 0
+    once, without those drop(u) accepts, yielded as pieces. `base` is
+    read a chunk at a time, as the pieces are taken, and a chunk that no
+    new record falls into and nothing is dropped from is yielded whole."""
 
-    def emit(recs) -> None:
-        nonlocal dropped
-        if drop is not None:
-            kept = [u for u in recs if not drop(u)]
-            dropped += len(recs) - len(kept)
-            recs = kept
-        pieces.append(b"".join(recs))
+    def kept(recs) -> bytes:
+        return b"".join(recs if drop is None else itertools.filterfalse(drop, recs))
 
+    j = 0
     for off in range(0, base.size, _STEP):
         chunk = base.read(off, _STEP)
         k = bisect.bisect_right(new, chunk[-SECRET_SIZE:], j)
         if k == j and drop is None:
-            pieces.append(chunk)
+            yield chunk
             continue
         recs = _records(chunk)  # new[j:k] are all <= recs[-1]
         fresh = [u for u in new[j:k] if recs[bisect.bisect_left(recs, u)] != u]
-        emit(sorted(recs + tuple(fresh)) if fresh else recs)
+        yield kept(sorted(recs + tuple(fresh)) if fresh else recs)
         j = k
-    emit(new[j:])
-    return pieces, dropped
+    yield kept(new[j:])
 
 
 class Recovery(NamedTuple):
@@ -188,10 +174,11 @@ def _sync_directory(path: str) -> None:
         os.close(fd)
 
 
-def write_durably(path: str, chunks: Iterable[bytes], point: str, mode=0o666) -> None:
-    """Write the chunks to path + '.tmp', fsync it, rename it over path and
-    fsync the directory, so that path holds either its old content or all
-    of the new, and the rename survives a crash. The temp file is always
+def write_durably(path: str, write: Callable, point: str, mode=0o666) -> None:
+    """Call write(f) on a buffered binary file f (which it may seek) open
+    on path + '.tmp', fsync that, rename it over path and fsync the
+    directory, so that path holds either its old content or all of the
+    new, and the rename survives a crash. The temp file is always
     created afresh with `mode` (less the umask): one a crash left is
     removed first, so its mode never carries over. Fault points
     `point`.replace and `point`.dirsync come just before the rename and
@@ -201,7 +188,7 @@ def write_durably(path: str, chunks: Iterable[bytes], point: str, mode=0o666) ->
         os.remove(tmp)
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode)
     with os.fdopen(fd, "wb") as f:
-        f.writelines(chunks)
+        write(f)
         f.flush()
         os.fsync(f.fileno())
     fault_point(point + ".replace")
@@ -297,7 +284,9 @@ class RedeemDb:
             # empty the log first: a crash inside the dropping rebuild must
             # leave no logged secret that its snapshot lacks (see _replay_log)
             self._rebuild()
-            return self._rebuild(drop=predicate)
+            before = len(self._base)
+            self._rebuild(drop=predicate)
+            return before - len(self._base)
 
     def preload(self, secrets: Iterable[bytes]) -> None:
         """Bulk-load without per-record logging (bench setup, migrations).
@@ -323,19 +312,19 @@ class RedeemDb:
         self,
         drop: Optional[Callable[[bytes], bool]] = None,
         extra: Iterable[bytes] = (),
-    ) -> int:
+    ) -> None:
         """Merge the overlay (and `extra`) into a new base without repeats
-        or records drop(u) accepts; on disk, write it as the snapshot and
-        restart the log. Returns how many records drop accepted. With
-        nothing to merge or drop and an empty log (which also holds the
-        claim records) the snapshot is current, and nothing is written."""
+        or records drop(u) accepts; on disk, stream it into the snapshot,
+        load that back as the base and restart the log. With nothing to
+        merge or drop and an empty log (which also holds the claim
+        records) the snapshot is current, and nothing is written."""
         if not (self._overlay or extra or drop or self._log_size):
-            return 0
+            return
         on_disk = self._on_disk()
         new = sorted(self._overlay.union(extra))
         if any(len(u) != SECRET_SIZE for u in new):
             raise ValueError(f"spent secrets are {SECRET_SIZE} bytes")
-        pieces, dropped = _merge(self._base, new, drop)
+        pieces = _merge(self._base, new, drop)
         if on_disk:
             base = self._write_snapshot(pieces)
         else:
@@ -343,7 +332,6 @@ class RedeemDb:
         # the old base's descriptor closes once no lookup holds it
         self._base = base  # before the overlay goes; see __contains__
         self._overlay = set()
-        return dropped
 
     def _on_disk(self) -> bool:
         """Whether writes go to files; ValueError once close() closed them."""
@@ -371,14 +359,22 @@ class RedeemDb:
     def _snap_path(self) -> str:
         return self._path + ".snap"
 
-    def _write_snapshot(self, pieces: List[bytes]) -> _Sorted:
-        """Write the records as the snapshot, restart the log, and return
-        the base that reads them from the new file."""
-        size = sum(map(len, pieces))
-        head = struct.pack("<II", size // SECRET_SIZE, len(self._claims))
-        chunks = [_SNAP_MAGIC, head, *pieces, *sorted(self._claims)]
-        write_durably(self._snap_path(), chunks, "db.snapshot")
-        base = _Sorted(_fence(pieces), size, fd=os.open(self._snap_path(), os.O_RDONLY))
+    def _write_snapshot(self, pieces: Iterable[bytes]) -> _Sorted:
+        """Stream the records into the snapshot, then the claims; the
+        header's spent count is known only then, so it is written last.
+        Returns the base the loader checks the new file into, before the
+        log restarts: a snapshot it refuses is never installed."""
+        claims = sorted(self._claims)
+
+        def write(f) -> None:
+            f.write(bytes(_SNAP_HEAD))
+            size = sum(map(f.write, pieces))
+            f.writelines(claims)
+            f.seek(0)
+            f.write(_SNAP_MAGIC + struct.pack("<II", size // SECRET_SIZE, len(claims)))
+
+        write_durably(self._snap_path(), write, "db.snapshot")
+        base = self._load_snapshot(self._snap_path())
         # the log is now redundant; restart it in place
         self._log.truncate(0)
         self._log_size = 0
@@ -389,17 +385,25 @@ class RedeemDb:
         t0 = time.perf_counter()
         snap = self._snap_path()
         if os.path.exists(snap):
-            self._load_snapshot(snap)
+            self._base = self._load_snapshot(snap)
         records, torn = self._replay_log()
         self.recovery = Recovery(
             len(self._base), records, torn, time.perf_counter() - t0
         )
 
-    def _load_snapshot(self, snap: str) -> None:
+    def _load_snapshot(self, snap: str) -> _Sorted:
         """Checks in one pass of chunk reads that the spent records
-        strictly increase, and keeps their fence and the descriptor; a
-        search over records out of order could miss a spent secret."""
+        strictly increase, adds the claims, and returns the base of their
+        fence and the descriptor; a search over records out of order
+        could miss a spent secret. Every on-disk base is built here."""
         fd = os.open(snap, os.O_RDONLY)
+
+        def read(size: int, offset: int) -> bytes:
+            data = os.pread(fd, size, offset)
+            if len(data) != size:
+                raise OSError(errno.EIO, f"short read of {snap}")
+            return data
+
         try:
             head = os.pread(fd, _SNAP_HEAD, 0)
             if len(head) < _SNAP_HEAD or not head.startswith(_SNAP_MAGIC):
@@ -411,22 +415,17 @@ class RedeemDb:
             fence = []
             prev = b""
             for off in range(0, size, _STEP):
-                want = min(_STEP, size - off)
-                chunk = os.pread(fd, want, _SNAP_HEAD + off)
-                if len(chunk) != want:
-                    raise OSError(errno.EIO, f"short read of {snap}")
-                recs = _records(chunk)
+                recs = _records(read(min(_STEP, size - off), _SNAP_HEAD + off))
                 if not (prev < recs[0] and all(map(operator.lt, recs, recs[1:]))):
                     raise DbCorruption("snapshot records are not strictly increasing")
                 fence += recs[::_BLOCK]  # a chunk is whole blocks
                 prev = recs[-1]
-            claims = os.pread(fd, n_claims * SECRET_SIZE, _SNAP_HEAD + size)
+            claims = read(n_claims * SECRET_SIZE, _SNAP_HEAD + size)
         except BaseException:
             os.close(fd)
             raise
-        self._base = _Sorted(fence, size, fd=fd)
-        for off in range(0, len(claims), SECRET_SIZE):
-            self._claims.add(claims[off : off + SECRET_SIZE])
+        self._claims.update(_records(claims))
+        return _Sorted(fence, size, fd=fd)
 
     def _replay_log(self) -> Tuple[int, int]:
         """Replays the complete records of the log and truncates what

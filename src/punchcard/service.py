@@ -199,9 +199,9 @@ class KeyStore:
             return self._load(setup, encode_pk)
         sk, pk = setup()
         fault_point("keystore.write")
-        write_durably(self.pk_path, [b"%s\n" % encode_pk(pk).hex().encode()],
-                      "keystore.pk")
-        write_durably(self.key_path, [b"%x\n" % sk], "keystore.key", 0o600)
+        pk_line = b"%s\n" % encode_pk(pk).hex().encode()
+        write_durably(self.pk_path, lambda f: f.write(pk_line), "keystore.pk")
+        write_durably(self.key_path, lambda f: f.write(b"%x\n" % sk), "keystore.key", 0o600)
         return sk, pk
 
     def _load(self, setup, encode_pk) -> Tuple[int, object]:

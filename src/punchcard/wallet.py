@@ -151,13 +151,13 @@ class Wallet:
             self.pk if pk is None else pk, self.cards if cards is None else cards
         )
 
-        def chunks():  # runs once write_durably has opened the temp file
+        def write(f):  # runs once write_durably has opened the temp file
             fault_point("wallet.save.write")
-            yield data
+            f.write(data)
 
         fault_point("wallet.save.open")
         # owner only: the file's u and masks are enough to redeem the cards
-        write_durably(self.path, chunks(), "wallet.save", 0o600)
+        write_durably(self.path, write, "wallet.save", 0o600)
 
     # -- card lifecycle ------------------------------------------------------
 

@@ -132,6 +132,12 @@ MUTANTS = [
     # a failed append gives back the log size it took
     (DB, "            self._log_size = size\n", "",
      ["tests/test_db.py::test_a_failed_append_leaves_the_next_one_cut_at_the_right_size"]),
+    # a snapshot's header, written once its records are, holds their count
+    (DB, '            f.write(_SNAP_MAGIC + struct.pack("<II", size // SECRET_SIZE, len(claims)))\n',
+     "", ["tests/test_db.py::test_seeded_store_files_pinned"]),
+    # purge returns how many secrets its dropping rebuild removed
+    (DB, "            return before - len(self._base)\n", "            return 0\n",
+     ["tests/test_db.py::test_purge_and_replay"]),
 ]
 
 # Same behaviour as the original: checked for their old text, never run.

@@ -486,6 +486,91 @@ def test_reopen_holds_the_fence_not_the_records(tmp_path):
     assert current <= 5 * n, f"{current / n:.1f} B per entry"
 
 
+def test_compaction_streams_the_merge_into_the_snapshot(tmp_path):
+    """A compaction writes each merged chunk as it makes it and the header
+    last, so its peak is a few chunks, not the new snapshot: at most 16 B
+    per entry of a 10^5-entry snapshot plus a 10^4-record log, where
+    holding the merged records would take over 32."""
+    path = str(tmp_path / "db")
+    n = 10**5
+    rng = random.Random(175)
+    db = RedeemDb(path, fsync=False)
+    db.preload(_secrets(rng, n))
+    for u in _secrets(rng, n // 10):
+        assert db.check_and_insert(u)
+    tracemalloc.start()
+    try:
+        db.compact()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(db) == n + n // 10
+    db.close()
+    assert peak <= 16 * n, f"{peak / n:.1f} B per entry"
+
+
+def test_a_rebuild_never_installs_a_base_the_loader_refuses(tmp_path, monkeypatch):
+    """The new snapshot is loaded back, with its order checked, before it
+    becomes the base: a merge that yields a record out of order fails the
+    compaction, and the store keeps answering from its old base and the
+    secrets logged since."""
+    rng = random.Random(176)
+    path = str(tmp_path / "db")
+    db = RedeemDb(path)
+    preloaded, logged = _secrets(rng, 5000), _secrets(rng, 5)
+    db.preload(preloaded)
+    assert db.check_and_insert(*logged)
+    real = punchcard.db._merge
+
+    def merge(*args):
+        yield from real(*args)
+        yield bytes(32)  # sorts before every record yielded before it
+
+    monkeypatch.setattr(punchcard.db, "_merge", merge)
+    with pytest.raises(DbCorruption, match="strictly increasing"):
+        db.compact()
+    assert len(db) == 5005 and bytes(32) not in db
+    assert all(u in db for u in preloaded + logged)
+    assert not db.check_and_insert(logged[0])
+    fresh = rng.randbytes(32)
+    assert db.check_and_insert(fresh)
+    monkeypatch.setattr(punchcard.db, "_merge", real)
+    db.compact()
+    db.close()
+    db = RedeemDb(path)
+    assert len(db) == 5006 and all(u in db for u in preloaded + logged + [fresh])
+    db.close()
+
+
+def test_a_short_read_of_the_claims_fails_the_open(tmp_path, monkeypatch):
+    """A claims section that reads back short raises EIO, as a short body
+    chunk does: a claim dropped in silence would refuse a reward that was
+    already paid for."""
+    rng = random.Random(177)
+    path = str(tmp_path / "db")
+    claim = rng.randbytes(32)
+    db = RedeemDb(path)
+    db.preload(_secrets(rng, 100))
+    db.add_claim(claim)
+    db.compact()
+    db.close()
+    claims_at = 13 + 100 * 32
+    real = os.pread
+
+    def pread(fd, size, offset):
+        data = real(fd, size, offset)
+        return data[:-1] if offset == claims_at else data
+
+    monkeypatch.setattr(os, "pread", pread)
+    with pytest.raises(OSError) as e:
+        RedeemDb(path)
+    assert e.value.errno == errno.EIO
+    monkeypatch.setattr(os, "pread", real)
+    db = RedeemDb(path)
+    assert db.pending_claims() == 1 and db.take_claim(claim)
+    db.close()
+
+
 @pytest.mark.parametrize(
     "i, j",
     [(4095, 4096), (10, 11), (4096, 4095)],  # swap across the first chunk's end,
