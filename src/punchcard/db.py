@@ -20,15 +20,17 @@ them that never repeats one of theirs. An on-disk store keeps only the
 fence in memory and reads a block with one pread of the snapshot file;
 an in-memory store keeps the records in one bytes object. Every on-disk
 base comes from one loader, which checks in one pass that the records
-strictly increase: at start-up, and after each rebuild, before the new
-snapshot becomes the base. Only this store replaces the snapshot, by
-rename under its lock, so the descriptor a lookup reads keeps the bytes
-the load checked; a block that reads back otherwise fails the lookup
-with OSError. Compaction, purge and preload are one rebuild: it reads
-the old records a chunk at a time, merges the set into them and streams
-each merged chunk into the new snapshot, whose header, holding the
-record count, is written last; so it holds a few chunks, never the
-whole snapshot. All writes happen under one lock; lookups take none.
+strictly increase: at start-up, and in each rebuild, on the temp file
+before it is renamed over the snapshot, so a snapshot the loader refuses
+never replaces the one on disk. Only this store replaces the snapshot,
+by rename under its lock, and the loaded descriptor follows the file
+through it, so a lookup reads the bytes the load checked; a block that
+reads back otherwise fails the lookup with OSError. Compaction, purge
+and preload are one rebuild: it reads the old records a chunk at a time,
+merges the set into them and streams each merged chunk into the new
+snapshot, whose header, holding the record count, is written last; so it
+holds a few chunks, never the whole snapshot. All writes happen under
+one lock; lookups take none.
 """
 
 from __future__ import annotations
@@ -174,27 +176,30 @@ def _sync_directory(path: str) -> None:
         os.close(fd)
 
 
-def write_durably(path: str, write: Callable, point: str, mode=0o666) -> None:
+def write_durably(path: str, write: Callable, point: str, mode=0o666):
     """Call write(f) on a buffered binary file f (which it may seek) open
     on path + '.tmp', fsync that, rename it over path and fsync the
-    directory, so that path holds either its old content or all of the
-    new, and the rename survives a crash. The temp file is always
-    created afresh with `mode` (less the umask): one a crash left is
-    removed first, so its mode never carries over. Fault points
-    `point`.replace and `point`.dirsync come just before the rename and
-    the directory fsync."""
+    directory, and return what write returned: path holds its old content
+    or all of the new, and the rename survives a crash. A writer that
+    raises leaves path as it was; the snapshot's loads the temp file
+    before the rename, so a snapshot its loader refuses never replaces
+    path. The temp file is always created afresh with `mode` (less the
+    umask): one a crash left is removed first, so its mode never carries
+    over. Fault points `point`.replace and `point`.dirsync come just
+    before the rename and the directory fsync."""
     tmp = path + ".tmp"
     with contextlib.suppress(FileNotFoundError):
         os.remove(tmp)
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode)
     with os.fdopen(fd, "wb") as f:
-        write(f)
+        written = write(f)
         f.flush()
         os.fsync(f.fileno())
     fault_point(point + ".replace")
     os.replace(tmp, path)
     fault_point(point + ".dirsync")
     _sync_directory(path)
+    return written
 
 
 class RedeemDb:
@@ -209,6 +214,7 @@ class RedeemDb:
         self._overlay = set()  # spent secrets added since, none in the base
         self._claims = set()
         self._path = path
+        self._snap = None if path is None else path + ".snap"
         self._fsync = fsync
         self._log = None
         self._log_size = 0  # bytes in the log; only this store writes it
@@ -314,10 +320,11 @@ class RedeemDb:
         extra: Iterable[bytes] = (),
     ) -> None:
         """Merge the overlay (and `extra`) into a new base without repeats
-        or records drop(u) accepts; on disk, stream it into the snapshot,
-        load that back as the base and restart the log. With nothing to
-        merge or drop and an empty log (which also holds the claim
-        records) the snapshot is current, and nothing is written."""
+        or records drop(u) accepts; on disk, stream it into a temp file,
+        load that as the base and rename it over the snapshot, then restart
+        the log. With nothing to merge or drop and an empty log (which also
+        holds the claim records) the snapshot is current, and nothing is
+        written."""
         if not (self._overlay or extra or drop or self._log_size):
             return
         on_disk = self._on_disk()
@@ -326,7 +333,24 @@ class RedeemDb:
             raise ValueError(f"spent secrets are {SECRET_SIZE} bytes")
         pieces = _merge(self._base, new, drop)
         if on_disk:
-            base = self._write_snapshot(pieces)
+            claims = sorted(self._claims)
+
+            def write(f) -> _Sorted:
+                # the header's spent count is known only once the records
+                # are written, so it goes last
+                f.write(bytes(_SNAP_HEAD))
+                size = sum(map(f.write, pieces))
+                f.writelines(claims)
+                f.seek(0)
+                f.write(_SNAP_MAGIC + struct.pack("<II", size // SECRET_SIZE, len(claims)))
+                f.flush()
+                return self._load_snapshot(self._snap + ".tmp")
+
+            base = write_durably(self._snap, write, "db.snapshot")
+            # the log is now redundant; restart it in place
+            self._log.truncate(0)
+            self._log_size = 0
+            os.fsync(self._log.fileno())
         else:
             base = _Sorted.from_blob(b"".join(pieces))
         # the old base's descriptor closes once no lookup holds it
@@ -356,36 +380,10 @@ class RedeemDb:
             self._log_size = size
             raise
 
-    def _snap_path(self) -> str:
-        return self._path + ".snap"
-
-    def _write_snapshot(self, pieces: Iterable[bytes]) -> _Sorted:
-        """Stream the records into the snapshot, then the claims; the
-        header's spent count is known only then, so it is written last.
-        Returns the base the loader checks the new file into, before the
-        log restarts: a snapshot it refuses is never installed."""
-        claims = sorted(self._claims)
-
-        def write(f) -> None:
-            f.write(bytes(_SNAP_HEAD))
-            size = sum(map(f.write, pieces))
-            f.writelines(claims)
-            f.seek(0)
-            f.write(_SNAP_MAGIC + struct.pack("<II", size // SECRET_SIZE, len(claims)))
-
-        write_durably(self._snap_path(), write, "db.snapshot")
-        base = self._load_snapshot(self._snap_path())
-        # the log is now redundant; restart it in place
-        self._log.truncate(0)
-        self._log_size = 0
-        os.fsync(self._log.fileno())
-        return base
-
     def _recover(self) -> None:
         t0 = time.perf_counter()
-        snap = self._snap_path()
-        if os.path.exists(snap):
-            self._base = self._load_snapshot(snap)
+        if os.path.exists(self._snap):
+            self._base = self._load_snapshot(self._snap)
         records, torn = self._replay_log()
         self.recovery = Recovery(
             len(self._base), records, torn, time.perf_counter() - t0
@@ -395,7 +393,8 @@ class RedeemDb:
         """Checks in one pass of chunk reads that the spent records
         strictly increase, adds the claims, and returns the base of their
         fence and the descriptor; a search over records out of order
-        could miss a spent secret. Every on-disk base is built here."""
+        could miss a spent secret. Every on-disk base is built here: at
+        start-up, and in a rebuild from its temp file, before the rename."""
         fd = os.open(snap, os.O_RDONLY)
 
         def read(size: int, offset: int) -> bytes:

@@ -610,6 +610,7 @@ class Client:
 
     def __init__(self, host: str, port: int, timeout: float = 10.0):
         self._sock = socket.create_connection((host, port), timeout=timeout)
+        self._timeout = timeout
 
     def close(self) -> None:
         self._sock.close()
@@ -621,8 +622,11 @@ class Client:
         self.close()
 
     def call(self, msg_type: int, body: bytes) -> Tuple[int, bytes]:
+        self._sock.settimeout(self._timeout)  # the last reply's deadline re-armed it
         wire.send_frame(self._sock, msg_type, body)
-        return wire.recv_frame(self._sock)
+        # the whole reply within `timeout` of the request, as the server
+        # reads a request: one dribbled a byte at a time times out too
+        return wire.recv_frame(self._sock, deadline=time.monotonic() + self._timeout)
 
     def fetch_pk(self) -> bytes:
         return wire.reply_body(self.call(wire.PK_REQ, b""), wire.PK_RESP)

@@ -72,25 +72,22 @@ def send_frame(sock, msg_type: int, body: bytes) -> None:
     sock.sendall(pack_frame(msg_type, body))
 
 
-def _recv(sock, n: int, deadline: Optional[float]) -> bytes:
-    if deadline is not None:
-        # once the deadline has passed, take only bytes that arrived before
-        sock.settimeout(max(deadline - time.monotonic(), 0.0))
-    try:
-        return sock.recv(n)
-    except BlockingIOError:  # the timeout was 0 and nothing had arrived
-        raise TimeoutError("frame deadline passed") from None
-
-
 def _recv_exact(sock, n: int, deadline: Optional[float]) -> bytes:
+    """n bytes from sock. EOFError if the peer closes before the first of
+    them, WireError if it closes after."""
     chunks = []
-    got = 0
-    while got < n:
-        chunk = _recv(sock, n - got, deadline)
+    while n:
+        if deadline is not None:
+            # once the deadline has passed, take only bytes that arrived before
+            sock.settimeout(max(deadline - time.monotonic(), 0.0))
+        try:
+            chunk = sock.recv(n)
+        except BlockingIOError:  # the timeout was 0 and nothing had arrived
+            raise TimeoutError("frame deadline passed") from None
         if not chunk:
-            raise WireError("connection closed mid-frame")
+            raise WireError("connection closed mid-frame") if chunks else EOFError
         chunks.append(chunk)
-        got += len(chunk)
+        n -= len(chunk)
     return b"".join(chunks)
 
 
@@ -101,14 +98,12 @@ def recv_frame(sock, deadline: Optional[float] = None) -> Tuple[int, bytes]:
     before each recv, so TimeoutError follows unless the whole frame, header
     and body, has arrived by then; a frame that arrived in time is read
     even after the deadline."""
-    header = _recv(sock, 4, deadline)
-    if not header:
-        raise EOFError
-    if len(header) < 4:
-        header += _recv_exact(sock, 4 - len(header), deadline)
-    (length,) = struct.unpack("<I", header)
+    (length,) = struct.unpack("<I", _recv_exact(sock, 4, deadline))
     _check_length(length)
-    payload = _recv_exact(sock, length, deadline)
+    try:
+        payload = _recv_exact(sock, length, deadline)
+    except EOFError:  # the header came, so the frame had begun
+        raise WireError("connection closed mid-frame") from None
     return payload[0], payload[1:]
 
 

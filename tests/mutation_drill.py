@@ -133,8 +133,16 @@ MUTANTS = [
     (DB, "            self._log_size = size\n", "",
      ["tests/test_db.py::test_a_failed_append_leaves_the_next_one_cut_at_the_right_size"]),
     # a snapshot's header, written once its records are, holds their count
-    (DB, '            f.write(_SNAP_MAGIC + struct.pack("<II", size // SECRET_SIZE, len(claims)))\n',
-     "", ["tests/test_db.py::test_seeded_store_files_pinned"]),
+    # (the leading newline anchors it at the start of its line)
+    (DB, "\n                "
+     'f.write(_SNAP_MAGIC + struct.pack("<II", size // SECRET_SIZE, len(claims)))\n',
+     "\n", ["tests/test_db.py::test_seeded_store_files_pinned"]),
+    # a rebuild loads its temp file before the rename, not the snapshot after
+    (DB, '                return self._load_snapshot(self._snap + ".tmp")\n\n'
+     '            base = write_durably(self._snap, write, "db.snapshot")\n',
+     '\n            write_durably(self._snap, write, "db.snapshot")\n'
+     "            base = self._load_snapshot(self._snap)\n",
+     ["tests/test_db.py::test_a_refused_compaction_leaves_the_old_snapshot_for_the_next_start"]),
     # purge returns how many secrets its dropping rebuild removed
     (DB, "            return before - len(self._base)\n", "            return 0\n",
      ["tests/test_db.py::test_purge_and_replay"]),

@@ -542,6 +542,45 @@ def test_a_rebuild_never_installs_a_base_the_loader_refuses(tmp_path, monkeypatc
     db.close()
 
 
+_REAL_MERGE = punchcard.db._merge
+
+
+def _merge_out_of_order(*args):
+    """_merge, then one record that sorts before every record before it."""
+    yield from _REAL_MERGE(*args)
+    yield bytes(32)
+
+
+def test_a_refused_compaction_leaves_the_old_snapshot_for_the_next_start(
+    tmp_path, monkeypatch
+):
+    """The loader checks the new snapshot in its temp file, before the
+    rename: a compaction it refuses leaves the snapshot on disk byte for
+    byte, and the log with it, so a store closed straight after opens
+    again with every secret and claim."""
+    rng = random.Random(178)
+    path = str(tmp_path / "db")
+    db = RedeemDb(path)
+    preloaded, logged, claim = _secrets(rng, 5000), _secrets(rng, 5), rng.randbytes(32)
+    db.preload(preloaded)
+    assert db.check_and_insert(*logged)
+    db.add_claim(claim)
+    with open(path + ".snap", "rb") as f:
+        snapshot = f.read()
+    monkeypatch.setattr(punchcard.db, "_merge", _merge_out_of_order)
+    with pytest.raises(DbCorruption, match="strictly increasing"):
+        db.compact()
+    db.close()
+    monkeypatch.undo()
+    with open(path + ".snap", "rb") as f:
+        assert f.read() == snapshot
+    db = RedeemDb(path)
+    assert db.recovery.snapshot_entries == 5000 and db.recovery.log_records == 2
+    assert len(db) == 5005 and all(u in db for u in preloaded + logged)
+    assert db.take_claim(claim)
+    db.close()
+
+
 def test_a_short_read_of_the_claims_fails_the_open(tmp_path, monkeypatch):
     """A claims section that reads back short raises EIO, as a short body
     chunk does: a claim dropped in silence would refuse a reward that was
@@ -815,6 +854,26 @@ def test_snapshot_descriptors_close_with_the_store(tmp_path):
     for u in _secrets(rng, 10):
         assert db.check_and_insert(u)
         db.compact()
+    # a compaction the loader refuses, then one whose temp file fails its
+    # fsync after the load: the store answers from its old base after each
+    logged = _secrets(rng, 3)
+    assert db.check_and_insert(*logged)
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        if os.readlink(f"/proc/self/fd/{fd}").endswith(".snap.tmp"):
+            raise OSError(errno.EIO, "temp file fsync failed")
+        real_fsync(fd)
+
+    for owner, name, value, error in [
+        (punchcard.db, "_merge", _merge_out_of_order, DbCorruption),
+        (os, "fsync", fsync, OSError),
+    ]:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(owner, name, value)
+            with pytest.raises(error):
+                db.compact()
+        assert len(db) == 5013 and all(u in db for u in logged)
     assert db.purge(lambda u: u[0] < 16) > 0
     db.preload(_secrets(rng, 10))
     with pytest.raises(DbBusy):

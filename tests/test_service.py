@@ -1004,6 +1004,41 @@ def test_client_names_an_unexpected_reply_type():
     assert not server.is_alive()
 
 
+def test_a_reply_dribbled_byte_by_byte_times_out_at_the_client():
+    """A wallet reads each reply under one deadline, `timeout` after its
+    request: a server that sends a byte every 50 ms, each well inside the
+    socket's timeout, cannot hold a call longer than a silent one."""
+    frame = wire.pack_frame(wire.PK_RESP, b"k" * 32)
+    done = threading.Event()
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        listener.settimeout(10)
+
+        def dribble():
+            conn, _ = listener.accept()
+            with conn:
+                wire.recv_frame(conn)
+                for i in range(len(frame)):
+                    if done.wait(0.05):
+                        return
+                    try:
+                        conn.sendall(frame[i : i + 1])
+                    except ConnectionError:  # the client gave up and hung up
+                        return
+
+        server = threading.Thread(target=dribble)
+        server.start()
+        try:
+            with Client("127.0.0.1", listener.getsockname()[1], timeout=0.5) as client:
+                t0 = time.monotonic()
+                with pytest.raises(TimeoutError):
+                    client.fetch_pk()
+                assert time.monotonic() - t0 < 1
+        finally:
+            done.set()
+            server.join(10)
+    assert not server.is_alive()
+
+
 def test_mergeable_over_tcp(tmp_path):
     cfg = Config(
         state_dir=str(tmp_path / "state"),

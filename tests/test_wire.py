@@ -100,6 +100,14 @@ def test_recv_clean_close_and_midframe_close():
         wire.recv_frame(b)
     b.close()
 
+    for n in (1, 2, 3):  # a header cut short is mid-frame too
+        a, b = _pair()
+        a.sendall(frame[:n])
+        a.close()
+        with pytest.raises(WireError):
+            wire.recv_frame(b)
+        b.close()
+
 
 def test_recv_rejects_bad_length_before_reading_body():
     a, b = _pair()
