@@ -13,24 +13,32 @@ append-only log with periodic snapshot compaction:
 * purge() compacts, then drops entries by predicate, writes a fresh
   snapshot, and starts an empty log.
 
-The secrets of the last snapshot are sorted 32-byte records, found by
-bisecting a list of every 64th record (the fence) and scanning one block;
-secrets added since (log replay, new inserts) sit in a small set beside
-them that never repeats one of theirs. An on-disk store keeps only the
-fence in memory and reads a block with one pread of the snapshot file;
-an in-memory store keeps the records in one bytes object. Every on-disk
-base comes from one loader, which checks in one pass that the records
-strictly increase: at start-up, and in each rebuild, on the temp file
-before it is renamed over the snapshot, so a snapshot the loader refuses
-never replaces the one on disk. Only this store replaces the snapshot,
-by rename under its lock, and the loaded descriptor follows the file
-through it, so a lookup reads the bytes the load checked; a block that
-reads back otherwise fails the lookup with OSError. Compaction, purge
-and preload are one rebuild: it reads the old records a chunk at a time,
-merges the set into them and streams each merged chunk into the new
-snapshot, whose header, holding the record count, is written last; so it
-holds a few chunks, never the whole snapshot. All writes happen under
-one lock; lookups take none.
+The spent secrets sit in three parts, none repeating another's: the
+base, the sorted 32-byte records of the last snapshot, found by
+bisecting a list of every 64th record (the fence) and scanning one
+block; the logged tier, the secrets the log inserts, replayed at
+start-up into sorted records of the same form held in one bytes object;
+and a small set of the secrets accepted since the open or the last
+rebuild. A lookup tries the set, then the tier, then the base. The
+replay reads the log a window at a time, carrying a record cut by the
+window's end over to the next, and gathers the inserted secrets in a
+list, which is sorted once and joined a chunk at a time into the tier,
+each secret once. An on-disk store keeps only the base's fence in
+memory and reads a block with one pread of the snapshot file; an
+in-memory store keeps the base's records in one bytes object. Every
+on-disk base comes from one loader, which checks in one pass that the
+records strictly increase: at start-up, and in each rebuild, on the
+temp file before it is renamed over the snapshot, so a snapshot the
+loader refuses never replaces the one on disk. Only this store replaces
+the snapshot, by rename under its lock, and the loaded descriptor
+follows the file through it, so a lookup reads the bytes the load
+checked; a block that reads back otherwise fails the lookup with
+OSError. Compaction, purge and preload are one rebuild: it reads the old
+records and the tier a chunk at a time, merges the set into them and
+streams each merged chunk into the new snapshot, whose header, holding
+the record count, is written last; so it holds a few chunks, never the
+whole snapshot or tier. All writes happen under one lock; lookups take
+none.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ import bisect
 import contextlib
 import errno
 import fcntl
+import heapq
 import itertools
 import operator
 import os
@@ -46,7 +55,7 @@ import struct
 import threading
 import time
 import weakref
-from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from .core import SECRET_SIZE
 from .errors import DbBusy, DbCorruption
@@ -58,12 +67,15 @@ _REC_INSERT = 1
 _REC_CLAIM_ADD = 2
 _REC_CLAIM_TAKE = 3
 _MAX_PER_RECORD = 255  # the insert record's count is one byte; 0 ends replay
+_MAX_RECORD = 2 + _MAX_PER_RECORD * SECRET_SIZE  # the longest log record
+_WINDOW = 1 << 18  # log bytes replay reads at a time
 _RUN = 1024  # like insert records replayed in one go; more costs peak memory
 _CHUNK = 4096  # records read at a time when the whole base is walked
 _STEP = _CHUNK * SECRET_SIZE
 _BLOCK = 64  # records per fence entry of a _Sorted
 _BLOCK_BYTES = _BLOCK * SECRET_SIZE
 _SECRET_FMT = f"{SECRET_SIZE}s"  # one record, as a struct field
+_END = b"\xff" * (SECRET_SIZE + 1)  # sorts after every record
 
 
 def _records(chunk: bytes) -> Tuple[bytes, ...]:
@@ -74,12 +86,13 @@ def _records(chunk: bytes) -> Tuple[bytes, ...]:
 class _Sorted:
     """Spent secrets as sorted records, plus a fence: the first record of
     each block of _BLOCK, which bisect searches in C before one block is
-    read and scanned. The records are a bytes object (an in-memory store)
-    or the body of a snapshot file, read through the descriptor the
-    loader opened on it, so only the fence (about 1.3 B per secret) is
-    kept. The file is trusted to hold the bytes the loader checked (see
-    the module docstring); a block that reads back short or without its
-    fence record raises OSError, as a read error does.
+    read and scanned. The records are a bytes object (the logged tier, or
+    the base of an in-memory store) or the body of a snapshot file (an
+    on-disk base), read through the descriptor the loader opened on it,
+    so only the fence (about 1.3 B per secret) is kept. The file is
+    trusted to hold the bytes the loader checked (see the module
+    docstring); a block that reads back short or without its fence
+    record raises OSError, as a read error does.
     Immutable, so a rebuild swaps in a new one and a lookup never sees
     half of each; the descriptor closes once nothing holds the object,
     or at close()."""
@@ -101,6 +114,11 @@ class _Sorted:
 
     def __len__(self) -> int:
         return self.size // SECRET_SIZE
+
+    def __iter__(self) -> Iterator[bytes]:
+        """The records in order, read a chunk at a time."""
+        for off in range(0, self.size, _STEP):
+            yield from _records(self.read(off, _STEP))
 
     def __contains__(self, u: bytes) -> bool:
         block = bisect.bisect_right(self.fence, u) - 1
@@ -131,28 +149,63 @@ class _Sorted:
 
 
 def _merge(
-    base: _Sorted, new: List[bytes], drop: Optional[Callable[[bytes], bool]]
+    base: _Sorted, new: Iterable[bytes], drop: Optional[Callable[[bytes], bool]]
 ) -> Iterable[bytes]:
-    """The records of `base` and of the sorted list `new` in order, each
-    once, without those drop(u) accepts, yielded as pieces. `base` is
-    read a chunk at a time, as the pieces are taken, and a chunk that no
-    new record falls into and nothing is dropped from is yielded whole."""
+    """The records of `base` and of `new` (sorted records, which may repeat
+    one another or one of base's) in order, each once, without those
+    drop(u) accepts, yielded as pieces. Both are read as the pieces are taken:
+    `base` a chunk at a time, `new` at most a chunk of records per piece;
+    a base chunk that no new record falls into and nothing is dropped
+    from is yielded whole."""
 
     def kept(recs) -> bytes:
         return b"".join(recs if drop is None else itertools.filterfalse(drop, recs))
 
-    j = 0
+    new = map(operator.itemgetter(0), itertools.groupby(new))  # each once
+    u = next(new, _END)
     for off in range(0, base.size, _STEP):
         chunk = base.read(off, _STEP)
-        k = bisect.bisect_right(new, chunk[-SECRET_SIZE:], j)
-        if k == j and drop is None:
+        if u > chunk[-SECRET_SIZE:] and drop is None:
             yield chunk
             continue
-        recs = _records(chunk)  # new[j:k] are all <= recs[-1]
-        fresh = [u for u in new[j:k] if recs[bisect.bisect_left(recs, u)] != u]
-        yield kept(sorted(recs + tuple(fresh)) if fresh else recs)
-        j = k
-    yield kept(new[j:])
+        recs = _records(chunk)
+        i = 0  # recs[:i] are yielded
+        while i < len(recs):
+            fresh = []
+            while u <= recs[-1] and len(fresh) < _CHUNK:
+                fresh.append(u)
+                u = next(new, _END)
+            # up to the last fresh record if more may follow in this chunk
+            j = bisect.bisect_right(recs, fresh[-1], i) if len(fresh) == _CHUNK else len(recs)
+            fresh = [v for v in fresh if recs[bisect.bisect_left(recs, v, i)] != v]
+            yield kept(sorted(recs[i:j] + tuple(fresh)) if fresh else recs[i:j])
+            i = j
+    rest = itertools.chain((u,), new) if u is not _END else ()
+    for recs in iter(lambda: list(itertools.islice(rest, _CHUNK)), []):
+        yield kept(recs)
+
+
+def _join_sorted(records: List[bytes]) -> bytes:
+    """The records of the list, sorted and each once, as one blob. The
+    list is emptied from its end a chunk at a time as the blob's pieces
+    are made, so the records leave memory as the blob fills."""
+    records.sort()
+    pieces = []
+    while records:
+        if pieces and pieces[-1].startswith(records[-1]):  # a repeat across chunks
+            records.pop()
+            continue
+        # a call, so no local holds the last chunk's records past its join
+        pieces.append(_join_once(records[-_CHUNK:]))
+        del records[-_CHUNK:]
+    pieces.reverse()
+    return b"".join(pieces)
+
+
+def _join_once(recs: List[bytes]) -> bytes:
+    """The sorted records joined, each once: those unlike the one before."""
+    unlike = map(operator.ne, recs, itertools.chain((b"",), recs))
+    return b"".join(itertools.compress(recs, unlike))
 
 
 class Recovery(NamedTuple):
@@ -180,21 +233,26 @@ def write_durably(path: str, write: Callable, point: str, mode=0o666):
     """Call write(f) on a buffered binary file f (which it may seek) open
     on path + '.tmp', fsync that, rename it over path and fsync the
     directory, and return what write returned: path holds its old content
-    or all of the new, and the rename survives a crash. A writer that
-    raises leaves path as it was; the snapshot's loads the temp file
-    before the rename, so a snapshot its loader refuses never replaces
-    path. The temp file is always created afresh with `mode` (less the
-    umask): one a crash left is removed first, so its mode never carries
-    over. Fault points `point`.replace and `point`.dirsync come just
-    before the rename and the directory fsync."""
+    or all of the new, and the rename survives a crash. A writer or an
+    fsync that raises leaves path as it was and removes the temp file;
+    the snapshot's writer loads the temp file before the rename, so a
+    snapshot its loader refuses never replaces path. The temp file is
+    always created afresh with `mode` (less the umask): one a crash left
+    is removed first, so its mode never carries over. Fault points
+    `point`.replace and `point`.dirsync come just before the rename and
+    the directory fsync."""
     tmp = path + ".tmp"
     with contextlib.suppress(FileNotFoundError):
         os.remove(tmp)
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode)
-    with os.fdopen(fd, "wb") as f:
-        written = write(f)
-        f.flush()
-        os.fsync(f.fileno())
+    try:
+        with os.fdopen(fd, "wb") as f:
+            written = write(f)
+            f.flush()
+            os.fsync(f.fileno())
+    except Exception:  # not FaultInjected: a simulated crash leaves the file
+        os.remove(tmp)
+        raise
     fault_point(point + ".replace")
     os.replace(tmp, path)
     fault_point(point + ".dirsync")
@@ -211,7 +269,8 @@ class RedeemDb:
     def __init__(self, path: Optional[str] = None, fsync: bool = True):
         self._lock = threading.Lock()
         self._base = _Sorted.from_blob()  # the spent secrets of the snapshot
-        self._overlay = set()  # spent secrets added since, none in the base
+        self._logged = _Sorted.from_blob()  # those the log held at the open
+        self._overlay = set()  # those accepted since the open or a rebuild
         self._claims = set()
         self._path = path
         self._snap = None if path is None else path + ".snap"
@@ -239,13 +298,14 @@ class RedeemDb:
     # -- public api --------------------------------------------------------
 
     def __len__(self) -> int:
-        # no lock: exact except while a rebuild swaps the base in
-        return len(self._base) + len(self._overlay)
+        # no lock: exact except while a rebuild swaps the base in; the
+        # three parts never repeat one another's secrets
+        return len(self._base) + len(self._logged) + len(self._overlay)
 
     def __contains__(self, u: bytes) -> bool:
-        # the overlay first: a rebuild swaps in the new base before it
-        # empties the overlay, so a secret is always in one or the other
-        return u in self._overlay or u in self._base
+        # the base last: a rebuild swaps in the new base before it empties
+        # the tier and the overlay, so a secret is always in one of them
+        return u in self._overlay or u in self._logged or u in self._base
 
     def check_and_insert(self, *secrets: bytes) -> bool:
         """Insert all the secrets, or none of them. False (nothing written)
@@ -319,19 +379,21 @@ class RedeemDb:
         drop: Optional[Callable[[bytes], bool]] = None,
         extra: Iterable[bytes] = (),
     ) -> None:
-        """Merge the overlay (and `extra`) into a new base without repeats
-        or records drop(u) accepts; on disk, stream it into a temp file,
+        """Merge the logged tier, the overlay (and `extra`) into a new base
+        without repeats or records drop(u) accepts, reading the base and
+        the tier a chunk at a time; on disk, stream it into a temp file,
         load that as the base and rename it over the snapshot, then restart
-        the log. With nothing to merge or drop and an empty log (which also
-        holds the claim records) the snapshot is current, and nothing is
-        written."""
+        the log. The new base is installed before the tier and the overlay
+        are emptied. With nothing to merge or drop and an empty log (which
+        also holds the claim records and every secret of the tier) the
+        snapshot is current, and nothing is written."""
         if not (self._overlay or extra or drop or self._log_size):
             return
         on_disk = self._on_disk()
         new = sorted(self._overlay.union(extra))
         if any(len(u) != SECRET_SIZE for u in new):
             raise ValueError(f"spent secrets are {SECRET_SIZE} bytes")
-        pieces = _merge(self._base, new, drop)
+        pieces = _merge(self._base, heapq.merge(self._logged, new), drop)
         if on_disk:
             claims = sorted(self._claims)
 
@@ -354,7 +416,8 @@ class RedeemDb:
         else:
             base = _Sorted.from_blob(b"".join(pieces))
         # the old base's descriptor closes once no lookup holds it
-        self._base = base  # before the overlay goes; see __contains__
+        self._base = base  # before the tier and the overlay go; see __contains__
+        self._logged = _Sorted.from_blob()
         self._overlay = set()
 
     def _on_disk(self) -> bool:
@@ -429,61 +492,77 @@ class RedeemDb:
     def _replay_log(self) -> Tuple[int, int]:
         """Replays the complete records of the log and truncates what
         follows them; returns how many records it replayed and how many
-        bytes it dropped."""
+        bytes it dropped. The log is read a window at a time; a record
+        starts only where the longest one fits before the window's end, or
+        where the log ends, so a record the window cuts is carried over to
+        the next. The secrets it inserts become the logged tier."""
+        n_log = self._log.seek(0, os.SEEK_END)
         self._log.seek(0)
-        data = self._log.read()
-        n = len(data)
-        off = good = records = 0
+        logged = []  # the secrets the log inserts
+        data = b""
+        start = off = records = 0  # start: the log offset of data[0]
         first = b""  # the first secret the log inserts
         window = _RUN
-        while off < n:
-            run = 1
-            kind = data[off]
-            if kind == _REC_INSERT:
-                if off + 2 > n:
-                    break
-                count = data[off + 1]
-                size = 2 + count * SECRET_SIZE
-                end = off + size
-                if count == 0 or end > n:
-                    break
-                first = first or data[off + 2 : off + 2 + SECRET_SIZE]
-                if end + 1 < n and data[end] == kind and data[end + 1] == count:
-                    # a run of like records: slice the heads of up to
-                    # `window` whole records from here, and count those
-                    # that lead with this head
-                    stop = off + min((n - off) // size, window) * size
-                    kinds = data[off:stop:size].lstrip(data[off : off + 1])
-                    counts = data[off + 1 : stop : size].lstrip(data[off + 1 : off + 2])
-                    run = (stop - off) // size - max(len(kinds), len(counts))
-                    end = off + run * size
-                    # probe about twice this run next: a log of short runs
-                    # must not slice _RUN heads for each of them
-                    window = min(2 * run + 8, _RUN)
-                self._overlay.update(
-                    struct.unpack_from(("2x" + _SECRET_FMT * count) * run, data, off)
-                )
-            elif kind in (_REC_CLAIM_ADD, _REC_CLAIM_TAKE):
-                end = off + 1 + SECRET_SIZE
-                if end > n:
-                    break
-                u = data[off + 1 : end]
-                if kind == _REC_CLAIM_ADD:
-                    self._claims.add(u)
+        while True:
+            more = self._log.read(_WINDOW)
+            data = data[off:] + more
+            start += off
+            n = len(data)
+            limit = n - _MAX_RECORD if more else n
+            off = 0
+            while off < limit:
+                run = 1
+                kind = data[off]
+                if kind == _REC_INSERT:
+                    if off + 2 > n:
+                        break
+                    count = data[off + 1]
+                    size = 2 + count * SECRET_SIZE
+                    end = off + size
+                    if count == 0 or end > n:
+                        break
+                    first = first or data[off + 2 : off + 2 + SECRET_SIZE]
+                    if end + 1 < n and data[end] == kind and data[end + 1] == count:
+                        # a run of like records: slice the heads of up to
+                        # `window` whole records from here, and count those
+                        # that lead with this head
+                        stop = off + min((n - off) // size, window) * size
+                        kinds = data[off:stop:size].lstrip(data[off : off + 1])
+                        counts = data[off + 1 : stop : size].lstrip(data[off + 1 : off + 2])
+                        run = (stop - off) // size - max(len(kinds), len(counts))
+                        end = off + run * size
+                        # probe about twice this run next: a log of short runs
+                        # must not slice _RUN heads for each of them
+                        window = min(2 * run + 8, _RUN)
+                    logged += struct.unpack_from(("2x" + _SECRET_FMT * count) * run, data, off)
+                elif kind in (_REC_CLAIM_ADD, _REC_CLAIM_TAKE):
+                    end = off + 1 + SECRET_SIZE
+                    if end > n:
+                        break
+                    u = data[off + 1 : end]
+                    if kind == _REC_CLAIM_ADD:
+                        self._claims.add(u)
+                    else:
+                        self._claims.discard(u)
                 else:
-                    self._claims.discard(u)
+                    # unknown type: everything from here on is untrustworthy
+                    break
+                off = end
+                records += run
             else:
-                # unknown type: everything from here on is untrustworthy
-                break
-            off = good = end
-            records += run
+                if more:
+                    continue
+            break  # at the log's end, or at a record that is not whole
         if first in self._base:
             # A log repeats the snapshot only after a crash between a
             # rebuild's snapshot replace and its log restart; that rebuild
             # dropped nothing, so the snapshot holds every secret logged
             # before the crash. Those after it are new.
-            self._overlay = {u for u in self._overlay if u not in self._base}
-        if good != n:
+            logged = [u for u in logged if u not in self._base]
+        # one record may name a secret twice; the tier holds it once
+        self._logged = _Sorted.from_blob(_join_sorted(logged))
+        good = start + off
+        if good != n_log:
             self._log.truncate(good)  # torn tail from a crash mid-append
         self._log_size = good
-        return records, n - good
+        return records, n_log - good

@@ -86,8 +86,13 @@ MUTANTS = [
      "pk.side1, card.side1,\n        [(resp.punched1, resp.proof1)],\n    )\n",
      "    punched1 = resp.punched1\n", ["tests/test_mergeable.py"]),
     # a log record that inserts no secret is corrupt
-    (DB, "                if count == 0 or end > n:\n", "                if end > n:\n",
+    (DB, "                    if count == 0 or end > n:\n", "                    if end > n:\n",
      ["tests/test_db.py"]),
+    # a record the replay's window cuts is carried over, not cut off
+    (DB, "            limit = n - _MAX_RECORD if more else n\n", "            limit = n\n",
+     ["tests/test_db.py::test_reopen_holds_the_logged_secrets_as_sorted_records"]),
+    (DB, "            data = data[off:] + more\n", "            data = more\n",
+     ["tests/test_db.py::test_replay_carries_records_across_windows"]),
     # native libraries load by soname, so no start runs ldconfig
     ("src/punchcard/groups/base.py", "    yield from sonames\n", "", ["tests/test_groups.py"]),
     # a type the scheme does not serve gets ERROR, not another type's answer
@@ -143,6 +148,27 @@ MUTANTS = [
      '\n            write_durably(self._snap, write, "db.snapshot")\n'
      "            base = self._load_snapshot(self._snap)\n",
      ["tests/test_db.py::test_a_refused_compaction_leaves_the_old_snapshot_for_the_next_start"]),
+    # a lookup reads the logged tier
+    (DB, "return u in self._overlay or u in self._logged or u in self._base",
+     "return u in self._overlay or u in self._base",
+     ["tests/test_db.py::test_a_replayed_log_that_repeats_a_secret_keeps_len_exact"]),
+    # the logged tier holds each secret once, within a chunk and across two
+    (DB, "    return b\"\".join(itertools.compress(recs, unlike))\n",
+     "    return b\"\".join(recs)\n",
+     ["tests/test_db.py::test_a_replayed_log_that_repeats_a_secret_keeps_len_exact"]),
+    (DB, "        if pieces and pieces[-1].startswith(records[-1]):",
+     "        if False:",
+     ["tests/test_db.py::test_a_replayed_log_that_repeats_a_secret_keeps_len_exact"]),
+    # a rebuild merges the logged tier before it empties it
+    (DB, "pieces = _merge(self._base, heapq.merge(self._logged, new), drop)",
+     "pieces = _merge(self._base, new, drop)",
+     ["tests/test_db.py::test_compaction_streams_the_logged_tier_into_the_snapshot"]),
+    # ... and empties it only once the new base is installed
+    (DB, "        self._base = base  # before the tier and the overlay go; see __contains__\n"
+     "        self._logged = _Sorted.from_blob()\n",
+     "        self._logged = _Sorted.from_blob()\n"
+     "        self._base = base  # before the tier and the overlay go; see __contains__\n",
+     ["tests/test_db.py::test_every_secret_found_at_every_step_of_a_rebuild"]),
     # purge returns how many secrets its dropping rebuild removed
     (DB, "            return before - len(self._base)\n", "            return 0\n",
      ["tests/test_db.py::test_purge_and_replay"]),

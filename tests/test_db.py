@@ -509,6 +509,60 @@ def test_compaction_streams_the_merge_into_the_snapshot(tmp_path):
     assert peak <= 16 * n, f"{peak / n:.1f} B per entry"
 
 
+def _store_with_a_log_tail(path, rng, n_snapshot, n_logged):
+    """A closed store of n_snapshot secrets in its snapshot and a log of
+    n_logged one-secret insert records after it; returns the logged ones."""
+    db = RedeemDb(path, fsync=False)
+    db.preload(_secrets(rng, n_snapshot))
+    db.close()
+    logged = _secrets(rng, n_logged)
+    with open(path, "ab") as f:
+        f.write(b"".join(_insert([u]) for u in logged))
+    return logged
+
+
+def test_reopen_holds_the_logged_secrets_as_sorted_records(tmp_path):
+    """The replay gathers the logged secrets in a list and joins them,
+    sorted, into one blob a chunk at a time, letting each chunk go as it
+    is joined: a reopened store holds about 32 B per logged secret and
+    peaks under 100, where a set of them holds over 100."""
+    path = str(tmp_path / "db")
+    n = 10**5
+    logged = _store_with_a_log_tail(path, random.Random(180), 10**4, n)
+    tracemalloc.start()
+    try:
+        db = RedeemDb(path)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert db.recovery.log_records == n and len(db) == 10**4 + n
+    assert all(u in db for u in logged[::97])
+    db.close()
+    assert current <= 40 * n, f"{current / n:.1f} B per logged secret"
+    assert peak <= 100 * n, f"{peak / n:.1f} B per logged secret (peak)"
+
+
+def test_compaction_streams_the_logged_tier_into_the_snapshot(tmp_path):
+    """A compaction reads the logged tier a chunk at a time, as it does the
+    snapshot, so it never holds the tier's records as objects at once:
+    at most 16 B per entry of a 10^4-entry snapshot plus a 10^5-record
+    log, where those objects alone take over 60."""
+    path = str(tmp_path / "db")
+    n = 10**4 + 10**5
+    logged = _store_with_a_log_tail(path, random.Random(181), 10**4, 10**5)
+    db = RedeemDb(path)
+    tracemalloc.start()
+    try:
+        db.compact()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(db) == n and os.path.getsize(path) == 0
+    assert len(_snapshot_records(path)) == n and all(u in db for u in logged[::97])
+    db.close()
+    assert peak <= 16 * n, f"{peak / n:.1f} B per entry"
+
+
 def test_a_rebuild_never_installs_a_base_the_loader_refuses(tmp_path, monkeypatch):
     """The new snapshot is loaded back, with its order checked, before it
     becomes the base: a merge that yields a record out of order fails the
@@ -578,6 +632,46 @@ def test_a_refused_compaction_leaves_the_old_snapshot_for_the_next_start(
     assert db.recovery.snapshot_entries == 5000 and db.recovery.log_records == 2
     assert len(db) == 5005 and all(u in db for u in preloaded + logged)
     assert db.take_claim(claim)
+    db.close()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="names files by /proc/self/fd")
+def test_a_failed_rebuild_removes_its_temp_file(tmp_path):
+    """A rebuild whose new snapshot the loader refuses, or whose temp file
+    fails its fsync, removes the temp file, which would otherwise hold a
+    snapshot's size on disk until the next rebuild; a simulated crash
+    (FaultInjected) just before the rename leaves it, as a crash would."""
+    rng = random.Random(182)
+    path = str(tmp_path / "db")
+    tmp = path + ".snap.tmp"
+    db = RedeemDb(path)
+    db.preload(_secrets(rng, 5000))
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        if os.readlink(f"/proc/self/fd/{fd}").endswith(".snap.tmp"):
+            raise OSError(errno.EIO, "temp file fsync failed")
+        real_fsync(fd)
+
+    for owner, name, value, error in [
+        (punchcard.db, "_merge", _merge_out_of_order, DbCorruption),
+        (os, "fsync", fsync, OSError),
+    ]:
+        assert db.check_and_insert(rng.randbytes(32))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(owner, name, value)
+            with pytest.raises(error):
+                db.compact()
+        assert not os.path.exists(tmp)
+    with FaultPlan(fail_at=0) as plan:
+        with pytest.raises(FaultInjected):
+            db.compact()
+    assert plan.hits == ["db.snapshot.replace"] and os.path.exists(tmp)
+    db.close()
+    db = RedeemDb(path)
+    assert len(db) == 5002
+    db.compact()
+    assert not os.path.exists(tmp) and len(db) == 5002
     db.close()
 
 
@@ -734,6 +828,37 @@ def test_first_len_after_reopen_reads_no_record(tmp_path, monkeypatch):
     db.close()
 
 
+def test_a_replayed_log_that_repeats_a_secret_keeps_len_exact(tmp_path):
+    """The logged tier holds each secret once: one record may name a
+    secret twice, and a log not written by this store may repeat one
+    across records, and across the tier's chunks."""
+    rng = random.Random(183)
+    path = str(tmp_path / "db")
+    u = rng.randbytes(32)
+    db = RedeemDb(path, fsync=False)
+    assert db.check_and_insert(u, u) and len(db) == 1
+    db.close()
+    db = RedeemDb(path, fsync=False)
+    assert db.recovery.log_records == 1 and len(db) == 1 and u in db
+    assert not db.check_and_insert(u)
+    db.close()
+    # a log naming each secret three times: the tier is joined from its
+    # end 4096 records at a time, and 3 * 3000 - 4096 * k is not a
+    # multiple of 3, so the copies of one secret straddle each chunk end
+    pool = _secrets(rng, 3000)
+    records = [_insert([v]) for v in pool * 3]
+    rng.shuffle(records)
+    with open(path, "ab") as f:
+        f.write(b"".join(records) + _insert(pool[:2] * 2))
+    db = RedeemDb(path, fsync=False)
+    assert db.recovery.log_records == 1 + len(records) + 1
+    assert len(db) == 1 + len(pool) and all(v in db for v in pool + [u])
+    assert not db.check_and_insert(pool[0])
+    db.compact()
+    assert _snapshot_records(path) == sorted(pool + [u])
+    db.close()
+
+
 def test_rebuild_across_chunks_matches_a_set(tmp_path):
     """Merges span several 4096-record chunks: untouched chunks are copied
     whole, touched ones merged, and purge filters every one."""
@@ -842,6 +967,56 @@ def test_lookups_never_miss_while_compacting_on_disk(tmp_path):
     assert _open_fds() == fds
 
 
+def test_lookups_never_miss_while_compacting_a_reopened_store(tmp_path):
+    """Readers look up the secrets of a reopened store's logged tier and
+    of its snapshot while it compacts, round after round: the new base is
+    installed before the tier is emptied, so no lookup misses."""
+    rng = random.Random(184)
+    path = str(tmp_path / "db")
+    spent = _secrets(rng, 5000)
+    db = RedeemDb(path, fsync=False)
+    db.preload(spent)
+    db.close()
+    misses, errors = [], []
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(10):
+            logged = _secrets(rng, 500)
+            with open(path, "ab") as f:
+                f.write(b"".join(_insert([u]) for u in logged))
+            spent += logged
+            db = RedeemDb(path, fsync=False)
+            assert db.recovery.log_records == 500
+            done = threading.Event()
+
+            def reader(seed):
+                r = random.Random(seed)
+                try:
+                    while not done.is_set():
+                        u = spent[r.randrange(len(spent))]
+                        if u not in db:
+                            misses.append(u)
+                except Exception as e:  # reported below
+                    errors.append(e)
+
+            threads = [threading.Thread(target=reader, args=(s,)) for s in range(4)]
+            for t in threads:
+                t.start()
+            try:
+                db.compact()
+            finally:
+                done.set()
+                for t in threads:
+                    t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert len(db) == len(spent)
+            db.close()
+    finally:
+        sys.setswitchinterval(old)
+    assert errors == [] and not misses
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd")
 def test_snapshot_descriptors_close_with_the_store(tmp_path):
     """Every rebuild opens the snapshot it wrote and lets the old one go;
@@ -891,20 +1066,33 @@ def test_snapshot_descriptors_close_with_the_store(tmp_path):
     assert _open_fds() == fds
 
 
-def test_every_secret_found_at_every_step_of_a_rebuild():
+def test_every_secret_found_at_every_step_of_a_rebuild(tmp_path):
     """Lookups take no lock, so each spent secret must stay findable after
-    every statement of a rebuild, not only once it returns."""
+    every statement of a rebuild, not only once it returns: in an
+    in-memory store, and in a reopened one whose logged secrets sit in
+    the logged tier beside the secrets accepted since."""
     rng = random.Random(165)
     db = RedeemDb()
     preloaded = _secrets(rng, 5000)
     db.preload(preloaded)
-    logged = _secrets(rng, 20)
-    assert db.check_and_insert(*logged)
+    inserted = _secrets(rng, 20)
+    assert db.check_and_insert(*inserted)
+    _found_at_every_step_of_a_rebuild(db, inserted + preloaded[::100])
+    db.close()
+    path = str(tmp_path / "db")
+    logged = _store_with_a_log_tail(path, rng, 5000, 300)
+    db = RedeemDb(path, fsync=False)
+    assert db.check_and_insert(*inserted)
+    _found_at_every_step_of_a_rebuild(db, logged + inserted + _snapshot_records(path)[::100])
+    db.close()
+
+
+def _found_at_every_step_of_a_rebuild(db, spent):
     found = []
 
     def each_line(frame, event, arg):
         if event == "line":
-            found.append(all(u in db for u in logged + preloaded[::100]))
+            found.append(all(u in db for u in spent))
         return each_line
 
     def each_call(frame, event, arg):
@@ -1054,6 +1242,44 @@ def test_bulk_replay_at_run_boundaries(tmp_path, count, length, tail):
         assert all(u in db for u in spent) and len(db) == len(spent)
         assert not any(u in db for u in absent)
         assert db.pending_claims() == 1
+        db.close()
+        with open(path, "rb") as f:
+            assert f.read() == good
+
+
+@pytest.mark.parametrize("tail", ["none", "torn", "unknown-type"])
+def test_replay_carries_records_across_windows(tmp_path, tail):
+    """A log several replay windows long, of inserts of 1 to 255 secrets
+    and claim records, so records of every size straddle the windows'
+    ends; a bad record, if any, sits in a later window than the first,
+    and everything from it on is truncated. Replay must match a
+    per-record model."""
+    rng = random.Random(185)
+    spent, claims, good, records = set(), set(), [], 0
+    while sum(map(len, good)) < 3 * punchcard.db._WINDOW:
+        if rng.random() < 0.1:
+            u = rng.choice(sorted(spent)) if spent else rng.randbytes(32)
+            kind = rng.choice([2, 3])
+            (claims.add if kind == 2 else claims.discard)(u)
+            good.append(bytes([kind]) + u)
+        else:
+            us = _secrets(rng, rng.choice([1, 1, 2, 7, 255]))
+            spent.update(us)
+            good.append(_insert(us))
+        records += 1
+    good = b"".join(good)
+    absent = _secrets(rng, 3)
+    bad = {"none": b"", "torn": _insert(absent)[:-1],
+           "unknown-type": b"\x09" + _insert(absent)}[tail]
+    path = str(tmp_path / "db")
+    with open(path, "wb") as f:
+        f.write(good + bad)
+    for dropped in (len(bad), 0):  # the second open finds the healed file
+        db = RedeemDb(path, fsync=False)
+        assert db.recovery[1:3] == (records, dropped)
+        assert len(db) == len(spent) and all(u in db for u in spent)
+        assert not any(u in db for u in absent)
+        assert db.pending_claims() == len(claims)
         db.close()
         with open(path, "rb") as f:
             assert f.read() == good
