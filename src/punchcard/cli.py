@@ -15,11 +15,22 @@ sets the scheme of a new file and must match an existing one (exit 1
 otherwise). A server that hangs up or cannot be reached, or a file that
 cannot be opened, is reported as `error: ...` (exit 1). Scheme-specific
 work is done by the objects in `schemes`.
+
+A wallet command that writes holds an exclusive lock on `<wallet>.lock`
+from the load to the last save, so a second one on the same file exits 1
+("in use") before it reads or sends anything: two commands that each
+loaded the file would otherwise each save, and the second save would
+drop the first one's punch. The lock is on a file of its own because
+every save replaces the wallet's inode. `wallet list` takes no lock: a
+save renames a whole file into place, so it reads the old wallet or the
+new one.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import fcntl
 import logging
 import sys
 from datetime import date
@@ -27,7 +38,7 @@ from datetime import date
 from . import extensions, schemes, service
 from .core import RedeemStatus
 from .db import RedeemDb
-from .errors import ConfigError, PunchcardError
+from .errors import ConfigError, PunchcardError, WalletError
 
 # attacks, bench and wallet are imported by the commands that use them, so
 # that a server start does not load them
@@ -37,10 +48,18 @@ def _client(args) -> service.Client:
     return service.Client(args.host, args.port)
 
 
+@contextlib.contextmanager
 def _wallet(args, scheme=None):
+    """The wallet, loaded and used under the lock (see the module
+    docstring); WalletError if another command holds it."""
     from .wallet import Wallet
 
-    return Wallet(args.wallet, scheme=scheme)
+    with open(args.wallet + ".lock", "ab") as lock:
+        try:
+            fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise WalletError(f"{args.wallet} is in use by another command") from None
+        yield Wallet(args.wallet, scheme=scheme)
 
 
 def _print_status(status: RedeemStatus) -> int:
@@ -75,14 +94,16 @@ def cmd_server_purge(args) -> int:
 
 
 def cmd_wallet_new_card(args) -> int:
-    wallet = _wallet(args, scheme=args.scheme)
-    index = wallet.new_card()
+    with _wallet(args, scheme=args.scheme) as wallet:
+        index = wallet.new_card()
     print(f"card #{index} created")
     return 0
 
 
 def cmd_wallet_list(args) -> int:
-    wallet = _wallet(args)
+    from .wallet import Wallet
+
+    wallet = Wallet(args.wallet, scheme=None)
     if wallet.pk is not None:  # the pin, as the server's server.pk holds it
         print(f"server key {wallet.scheme.encode_pk(wallet.pk).hex()}")
     if not wallet.cards:
@@ -95,8 +116,7 @@ def cmd_wallet_list(args) -> int:
 
 
 def cmd_wallet_punch(args) -> int:
-    wallet = _wallet(args)
-    with _client(args) as client:
+    with _wallet(args) as wallet, _client(args) as client:
         if args.times > 1:
             gained = wallet.multi_punch(client, args.card, args.times)
             print(f"card #{args.card}: +{gained} punches")
@@ -108,14 +128,12 @@ def cmd_wallet_punch(args) -> int:
 
 
 def cmd_wallet_redeem(args) -> int:
-    wallet = _wallet(args)
-    with _client(args) as client:
+    with _wallet(args) as wallet, _client(args) as client:
         return _print_status(wallet.redeem(client, args.card))
 
 
 def cmd_wallet_merge_redeem(args) -> int:
-    wallet = _wallet(args)
-    with _client(args) as client:
+    with _wallet(args) as wallet, _client(args) as client:
         return _print_status(
             wallet.merge_redeem(client, args.card_a, args.card_b)
         )

@@ -15,21 +15,26 @@ append-only log with periodic snapshot compaction:
 
 The spent secrets sit in three parts, none repeating another's: the
 base, the sorted 32-byte records of the last snapshot, found by
-bisecting a list of every 64th record (the fence) and scanning one
+bisecting a list of every 64th record (the fence) and searching one
 block; the logged tier, the secrets the log inserts, replayed at
-start-up into sorted records of the same form held in one bytes object;
-and a small set of the secrets accepted since the open or the last
-rebuild. A lookup tries the set, then the tier, then the base. The
-replay reads the log a window at a time, carrying a record cut by the
-window's end over to the next, and gathers the inserted secrets in a
-list, which is sorted once and joined a chunk at a time into the tier,
-each secret once. An on-disk store keeps only the base's fence in
-memory and reads a block with one pread of the snapshot file; an
-in-memory store keeps the base's records in one bytes object. Every
-on-disk base comes from one loader, which checks in one pass that the
-records strictly increase: at start-up, and in each rebuild, on the
-temp file before it is renamed over the snapshot, so a snapshot the
-loader refuses never replaces the one on disk. Only this store replaces
+start-up into sorted records of the same form; and a small set of the
+secrets accepted since the open or the last rebuild. A lookup tries the
+set, then the tier, then the base. Records held in memory (the tier, and
+the base of an in-memory store) are a list of fixed-size pieces of whole
+blocks, and a lookup searches its block in place. The replay reads the
+log a window at a time, carrying a record cut by the window's end over
+to the next, and sorts the secrets each window inserts into a run of
+such pieces as soon as the window is parsed. One streaming merge then
+joins the runs into the tier a stripe at a time, each secret once,
+releasing each run's pieces as it passes them; so the replay holds one
+window's or one stripe's secrets as objects, never the log's, in the
+manner of an LSM tree's flush and merge (O'Neil et al., "The
+log-structured merge-tree", 1996). An on-disk store keeps only the
+base's fence in memory and reads a block with one pread of the snapshot
+file. Every on-disk base comes from one loader, which checks in one pass
+that the records strictly increase: at start-up, and in each rebuild,
+on the temp file before it is renamed over the snapshot, so a snapshot
+the loader refuses never replaces the one on disk. Only this store replaces
 the snapshot, by rename under its lock, and the loaded descriptor
 follows the file through it, so a lookup reads the bytes the load
 checked; a block that reads back otherwise fails the lookup with
@@ -74,6 +79,8 @@ _CHUNK = 4096  # records read at a time when the whole base is walked
 _STEP = _CHUNK * SECRET_SIZE
 _BLOCK = 64  # records per fence entry of a _Sorted
 _BLOCK_BYTES = _BLOCK * SECRET_SIZE
+_PIECE = 8 * _BLOCK_BYTES  # bytes per piece of records held in memory
+_STRIPE = 64  # fence records per stripe of the replay's merge
 _SECRET_FMT = f"{SECRET_SIZE}s"  # one record, as a struct field
 _END = b"\xff" * (SECRET_SIZE + 1)  # sorts after every record
 
@@ -86,31 +93,34 @@ def _records(chunk: bytes) -> Tuple[bytes, ...]:
 class _Sorted:
     """Spent secrets as sorted records, plus a fence: the first record of
     each block of _BLOCK, which bisect searches in C before one block is
-    read and scanned. The records are a bytes object (the logged tier, or
-    the base of an in-memory store) or the body of a snapshot file (an
-    on-disk base), read through the descriptor the loader opened on it,
-    so only the fence (about 1.3 B per secret) is kept. The file is
-    trusted to hold the bytes the loader checked (see the module
-    docstring); a block that reads back short or without its fence
-    record raises OSError, as a read error does.
-    Immutable, so a rebuild swaps in a new one and a lookup never sees
-    half of each; the descriptor closes once nothing holds the object,
-    or at close()."""
+    searched. The records are held in memory as a list of pieces of
+    _PIECE bytes, whole blocks each, the last one shorter (the logged
+    tier, a run of the replay, or the base of an in-memory store), and a
+    lookup searches its block in place in its piece; or they are the
+    body of a snapshot file (an on-disk base), read a block at a time
+    through the descriptor the loader opened on it, so only the fence
+    (about 1.3 B per secret) is kept. The file is trusted to hold the
+    bytes the loader checked (see the module docstring); a block that
+    reads back short or without its fence record raises OSError, as a
+    read error does. Immutable once another thread can see it, so a
+    rebuild swaps in a new one and a lookup never sees half of each; the
+    descriptor closes once nothing holds the object, or at close()."""
 
-    __slots__ = ("fence", "size", "_blob", "_fd", "_closer", "__weakref__")
+    __slots__ = ("fence", "size", "pieces", "_fd", "_closer", "__weakref__")
 
-    def __init__(self, fence: List[bytes], size: int, blob: bytes = b"",
+    def __init__(self, fence: List[bytes], size: int, pieces: List[bytes] = (),
                  fd: Optional[int] = None):
         self.fence = fence
         self.size = size  # bytes of records
-        self._blob = blob
+        self.pieces = pieces
         self._fd = fd
         self._closer = None if fd is None else weakref.finalize(self, os.close, fd)
 
     @classmethod
-    def from_blob(cls, blob: bytes = b"") -> "_Sorted":
-        fence = [blob[i : i + SECRET_SIZE] for i in range(0, len(blob), _BLOCK_BYTES)]
-        return cls(fence, len(blob), blob)
+    def from_pieces(cls, pieces: List[bytes]) -> "_Sorted":
+        fence = [p[i : i + SECRET_SIZE]
+                 for p in pieces for i in range(0, len(p), _BLOCK_BYTES)]
+        return cls(fence, sum(map(len, pieces)), pieces)
 
     def __len__(self) -> int:
         return self.size // SECRET_SIZE
@@ -124,10 +134,15 @@ class _Sorted:
         block = bisect.bisect_right(self.fence, u) - 1
         if block < 0 or len(u) != SECRET_SIZE:
             return False
-        data = self.read(block * _BLOCK_BYTES, _BLOCK_BYTES)
-        at = data.find(u)
+        if self._fd is None:
+            piece, start = divmod(block * _BLOCK_BYTES, _PIECE)
+            data = self.pieces[piece]
+        else:
+            data, start = self.read(block * _BLOCK_BYTES, _BLOCK_BYTES), 0
+        end = start + _BLOCK_BYTES
+        at = data.find(u, start, end)
         while at != -1 and at % SECRET_SIZE:  # a match across two records
-            at = data.find(u, at + 1)
+            at = data.find(u, at + 1, end)
         return at != -1
 
     def read(self, offset: int, size: int) -> bytes:
@@ -135,7 +150,9 @@ class _Sorted:
         block; from a file, checked against the fence."""
         size = min(size, self.size - offset)
         if self._fd is None:
-            return self._blob[offset : offset + size]
+            first, at = divmod(offset, _PIECE)
+            data = b"".join(self.pieces[first : (offset + size - 1) // _PIECE + 1])
+            return data[at : at + size]
         data = os.pread(self._fd, size, _SNAP_HEAD + offset)
         if len(data) != size or not data.startswith(self.fence[offset // _BLOCK_BYTES]):
             raise OSError(errno.EIO, "snapshot block does not read back as loaded")
@@ -185,27 +202,56 @@ def _merge(
         yield kept(recs)
 
 
-def _join_sorted(records: List[bytes]) -> bytes:
-    """The records of the list, sorted and each once, as one blob. The
-    list is emptied from its end a chunk at a time as the blob's pieces
-    are made, so the records leave memory as the blob fills."""
-    records.sort()
-    pieces = []
-    while records:
-        if pieces and pieces[-1].startswith(records[-1]):  # a repeat across chunks
-            records.pop()
-            continue
-        # a call, so no local holds the last chunk's records past its join
-        pieces.append(_join_once(records[-_CHUNK:]))
-        del records[-_CHUNK:]
-    pieces.reverse()
-    return b"".join(pieces)
+def _unique(recs: List[bytes]) -> Iterator[bytes]:
+    """The sorted records, each once: those unlike the one before."""
+    return itertools.compress(recs, map(operator.ne, recs, itertools.chain((b"",), recs)))
 
 
-def _join_once(recs: List[bytes]) -> bytes:
-    """The sorted records joined, each once: those unlike the one before."""
-    unlike = map(operator.ne, recs, itertools.chain((b"",), recs))
-    return b"".join(itertools.compress(recs, unlike))
+def _pack(records: Iterable[bytes]) -> List[bytes]:
+    """The records joined into pieces of _PIECE bytes, the last one
+    shorter; the iterable is read one piece's records at a time."""
+    records, n = iter(records), _PIECE // SECRET_SIZE
+    return list(iter(lambda: b"".join(itertools.islice(records, n)), b""))
+
+
+def _run(recs: List[bytes], seen: Optional[_Sorted]) -> _Sorted:
+    """The records sorted (in place) and without those in `seen`, as a
+    _Sorted of pieces. A run may repeat a record; the merge drops it."""
+    recs.sort()
+    if seen is not None:
+        recs = itertools.filterfalse(seen.__contains__, recs)
+    return _Sorted.from_pieces(_pack(recs))
+
+
+def _merge_runs(runs: List[_Sorted]) -> Iterator[Iterable[bytes]]:
+    """The records of the runs (each sorted) in order, each once, yielded
+    a stripe at a time. The stripes end at bounds, every _STRIPE-th
+    record of the runs' fences in order. For each bound, every block of
+    every run that starts below it is read whole; its records are sorted
+    with those held from the last stripe, those below the bound are
+    yielded, each once, and the rest are held. A block that starts at or
+    above the bound holds no record below it, so every copy of a record
+    is read by the time its stripe is yielded. A run's piece is released
+    once all of it is read, so the runs leave memory as the tier fills."""
+    bounds = sorted(itertools.chain.from_iterable(r.fence for r in runs))[_STRIPE::_STRIPE]
+    bounds.append(_END)
+    done = [0] * len(runs)  # bytes of each run read
+    held = []  # records read at or past the last bound
+    for bound in bounds:
+        chunks = []
+        for k, run in enumerate(runs):
+            upto = min(bisect.bisect_left(run.fence, bound) * _BLOCK_BYTES, run.size)
+            if upto > done[k]:
+                chunks.append(run.read(done[k], upto - done[k]))
+                for piece in range(done[k] // _PIECE, upto // _PIECE):
+                    run.pieces[piece] = None  # wholly read
+                done[k] = upto
+        recs = held
+        recs += _records(b"".join(chunks))
+        recs.sort()  # the held records and one slice per run, each sorted
+        cut = bisect.bisect_left(recs, bound)
+        held = recs[cut:]
+        yield _unique(recs[:cut])
 
 
 class Recovery(NamedTuple):
@@ -268,8 +314,8 @@ class RedeemDb:
 
     def __init__(self, path: Optional[str] = None, fsync: bool = True):
         self._lock = threading.Lock()
-        self._base = _Sorted.from_blob()  # the spent secrets of the snapshot
-        self._logged = _Sorted.from_blob()  # those the log held at the open
+        self._base = _Sorted.from_pieces([])  # the spent secrets of the snapshot
+        self._logged = _Sorted.from_pieces([])  # those the log held at the open
         self._overlay = set()  # those accepted since the open or a rebuild
         self._claims = set()
         self._path = path
@@ -414,10 +460,13 @@ class RedeemDb:
             self._log_size = 0
             os.fsync(self._log.fileno())
         else:
-            base = _Sorted.from_blob(b"".join(pieces))
+            blob = b"".join(pieces)
+            base = _Sorted.from_pieces(
+                [blob[i : i + _PIECE] for i in range(0, len(blob), _PIECE)]
+            )
         # the old base's descriptor closes once no lookup holds it
         self._base = base  # before the tier and the overlay go; see __contains__
-        self._logged = _Sorted.from_blob()
+        self._logged = _Sorted.from_pieces([])
         self._overlay = set()
 
     def _on_disk(self) -> bool:
@@ -495,15 +544,19 @@ class RedeemDb:
         bytes it dropped. The log is read a window at a time; a record
         starts only where the longest one fits before the window's end, or
         where the log ends, so a record the window cuts is carried over to
-        the next. The secrets it inserts become the logged tier."""
+        the next. The secrets a window inserts are sorted into a run as
+        soon as it is parsed, and one merge of the runs (_merge_runs)
+        makes the logged tier, so at most one window's or one stripe's
+        secrets are objects at a time."""
         n_log = self._log.seek(0, os.SEEK_END)
         self._log.seek(0)
-        logged = []  # the secrets the log inserts
+        runs = []  # the secrets each window inserts, sorted
+        seen = None  # the base, if the log repeats it
         data = b""
         start = off = records = 0  # start: the log offset of data[0]
-        first = b""  # the first secret the log inserts
         window = _RUN
         while True:
+            logged = []  # the secrets this window inserts
             more = self._log.read(_WINDOW)
             data = data[off:] + more
             start += off
@@ -511,7 +564,7 @@ class RedeemDb:
             limit = n - _MAX_RECORD if more else n
             off = 0
             while off < limit:
-                run = 1
+                like = 1  # records read at once
                 kind = data[off]
                 if kind == _REC_INSERT:
                     if off + 2 > n:
@@ -521,7 +574,6 @@ class RedeemDb:
                     end = off + size
                     if count == 0 or end > n:
                         break
-                    first = first or data[off + 2 : off + 2 + SECRET_SIZE]
                     if end + 1 < n and data[end] == kind and data[end + 1] == count:
                         # a run of like records: slice the heads of up to
                         # `window` whole records from here, and count those
@@ -529,12 +581,12 @@ class RedeemDb:
                         stop = off + min((n - off) // size, window) * size
                         kinds = data[off:stop:size].lstrip(data[off : off + 1])
                         counts = data[off + 1 : stop : size].lstrip(data[off + 1 : off + 2])
-                        run = (stop - off) // size - max(len(kinds), len(counts))
-                        end = off + run * size
+                        like = (stop - off) // size - max(len(kinds), len(counts))
+                        end = off + like * size
                         # probe about twice this run next: a log of short runs
                         # must not slice _RUN heads for each of them
-                        window = min(2 * run + 8, _RUN)
-                    logged += struct.unpack_from(("2x" + _SECRET_FMT * count) * run, data, off)
+                        window = min(2 * like + 8, _RUN)
+                    logged += struct.unpack_from(("2x" + _SECRET_FMT * count) * like, data, off)
                 elif kind in (_REC_CLAIM_ADD, _REC_CLAIM_TAKE):
                     end = off + 1 + SECRET_SIZE
                     if end > n:
@@ -548,19 +600,20 @@ class RedeemDb:
                     # unknown type: everything from here on is untrustworthy
                     break
                 off = end
-                records += run
-            else:
-                if more:
-                    continue
-            break  # at the log's end, or at a record that is not whole
-        if first in self._base:
-            # A log repeats the snapshot only after a crash between a
-            # rebuild's snapshot replace and its log restart; that rebuild
-            # dropped nothing, so the snapshot holds every secret logged
-            # before the crash. Those after it are new.
-            logged = [u for u in logged if u not in self._base]
-        # one record may name a secret twice; the tier holds it once
-        self._logged = _Sorted.from_blob(_join_sorted(logged))
+                records += like
+            if logged:
+                if not runs and logged[0] in self._base:
+                    # A log repeats the snapshot only after a crash between
+                    # a rebuild's snapshot replace and its log restart; that
+                    # rebuild dropped nothing, so the snapshot holds every
+                    # secret logged before the crash. Those after it are new.
+                    seen = self._base
+                runs.append(_run(logged, seen))
+            if off < limit or not more:
+                break  # at a record that is not whole, or at the log's end
+        del logged, data  # the last window's secrets and bytes, before the merge
+        stripes = _merge_runs(runs)
+        self._logged = _Sorted.from_pieces(_pack(itertools.chain.from_iterable(stripes)))
         good = start + off
         if good != n_log:
             self._log.truncate(good)  # torn tail from a crash mid-append

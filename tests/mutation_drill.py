@@ -152,23 +152,40 @@ MUTANTS = [
     (DB, "return u in self._overlay or u in self._logged or u in self._base",
      "return u in self._overlay or u in self._base",
      ["tests/test_db.py::test_a_replayed_log_that_repeats_a_secret_keeps_len_exact"]),
-    # the logged tier holds each secret once, within a chunk and across two
-    (DB, "    return b\"\".join(itertools.compress(recs, unlike))\n",
-     "    return b\"\".join(recs)\n",
+    # the logged tier holds each secret once
+    (DB, "    return itertools.compress(recs, map(operator.ne, recs, itertools.chain((b\"\",), recs)))\n",
+     "    return iter(recs)\n",
      ["tests/test_db.py::test_a_replayed_log_that_repeats_a_secret_keeps_len_exact"]),
-    (DB, "        if pieces and pieces[-1].startswith(records[-1]):",
-     "        if False:",
-     ["tests/test_db.py::test_a_replayed_log_that_repeats_a_secret_keeps_len_exact"]),
+    # the replay's merge cuts each stripe at its bound: no record at the
+    # bound is dropped, and none is yielded twice
+    (DB, "        held = recs[cut:]\n", "        held = recs[cut + 1:]\n",
+     ["tests/test_db.py::test_replay_merge_matches_a_model"]),
+    (DB, "        yield _unique(recs[:cut])\n", "        yield _unique(recs[:cut + 1])\n",
+     ["tests/test_db.py::test_replay_merge_matches_a_model"]),
+    # ... and releases a run's piece only once all of it is read
+    (DB, "range(done[k] // _PIECE, upto // _PIECE)",
+     "range(done[k] // _PIECE, (upto + _PIECE - 1) // _PIECE)",
+     ["tests/test_db.py::test_replay_merge_matches_a_model"]),
+    # a log that repeats the snapshot is filtered in every run, not the first
+    (DB, "                runs.append(_run(logged, seen))\n",
+     "                runs.append(_run(logged, None if runs else seen))\n",
+     ["tests/test_db.py::test_replay_merge_matches_a_model"]),
+    (DB, "                    seen = self._base\n", "                    pass\n",
+     ["tests/test_db.py::test_crash_before_log_restart_keeps_len_exact"]),
     # a rebuild merges the logged tier before it empties it
     (DB, "pieces = _merge(self._base, heapq.merge(self._logged, new), drop)",
      "pieces = _merge(self._base, new, drop)",
      ["tests/test_db.py::test_compaction_streams_the_logged_tier_into_the_snapshot"]),
     # ... and empties it only once the new base is installed
     (DB, "        self._base = base  # before the tier and the overlay go; see __contains__\n"
-     "        self._logged = _Sorted.from_blob()\n",
-     "        self._logged = _Sorted.from_blob()\n"
+     "        self._logged = _Sorted.from_pieces([])\n",
+     "        self._logged = _Sorted.from_pieces([])\n"
      "        self._base = base  # before the tier and the overlay go; see __contains__\n",
      ["tests/test_db.py::test_every_secret_found_at_every_step_of_a_rebuild"]),
+    # a second wallet command on one file is refused before it sends
+    ("src/punchcard/cli.py", "            fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)\n",
+     "            pass\n",
+     ["tests/test_cli.py::test_a_second_wallet_command_on_one_file_is_refused_before_it_sends"]),
     # purge returns how many secrets its dropping rebuild removed
     (DB, "            return before - len(self._base)\n", "            return 0\n",
      ["tests/test_db.py::test_purge_and_replay"]),

@@ -1,6 +1,10 @@
+import contextlib
 import json
 import logging
+import os
 import socket
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -303,3 +307,69 @@ def test_wallet_cli_reports_a_wallet_it_cannot_write_as_an_error(tmp_path, capsy
     assert cli.main(["wallet", "new-card", "--wallet", w]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "missing-dir" in err
+
+
+def _cli_process(*argv):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    code = f"import sys; from punchcard.cli import main; sys.exit(main({list(argv)!r}))"
+    return [sys.executable, "-c", code], env
+
+
+def _pump(src, dst):
+    while data := src.recv(65536):
+        dst.sendall(data)
+    with contextlib.suppress(OSError):
+        dst.shutdown(socket.SHUT_WR)
+
+
+def test_a_second_wallet_command_on_one_file_is_refused_before_it_sends(
+    main_server, tmp_path
+):
+    """Two `wallet punch` processes on one wallet: the first holds the
+    wallet's lock while its punch is held up on the way to the server, the
+    second exits 1 ("in use") without connecting, and `wallet list` reads
+    the whole file meanwhile. Once the first punch goes through, the file
+    holds it."""
+    w = str(tmp_path / "w.bin")
+    assert cli.main(["wallet", "new-card", "--wallet", w]) == 0
+    with socket.socket() as listener:
+        listener.bind(("127.0.0.1", 0))
+        listener.listen()
+        listener.settimeout(30)
+        punch = ["wallet", "punch", "--wallet", w, "--card", "0",
+                 "--port", str(listener.getsockname()[1])]
+        argv, env = _cli_process(*punch)
+        first = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE,
+                                 stderr=subprocess.PIPE, text=True)
+        try:
+            held, _ = listener.accept()  # the first punch, held here
+            with held:
+                argv, env = _cli_process(*punch)
+                second = subprocess.run(argv, env=env, capture_output=True, text=True,
+                                        timeout=60)
+                assert second.returncode == 1
+                assert second.stderr.startswith("error:") and "in use" in second.stderr
+                listener.setblocking(False)
+                with pytest.raises(BlockingIOError):  # it never connected
+                    listener.accept()
+                argv, env = _cli_process("wallet", "list", "--wallet", w)
+                listing = subprocess.run(argv, env=env, capture_output=True, text=True,
+                                         timeout=60)
+                assert listing.returncode == 0, listing.stderr
+                assert listing.stdout.splitlines()[-1].split()[::2] == ["0", "0"]
+                with socket.create_connection(("127.0.0.1", main_server.port)) as server:
+                    pumps = [threading.Thread(target=_pump, args=pair)
+                             for pair in ((held, server), (server, held))]
+                    for t in pumps:
+                        t.start()
+                    out, err = first.communicate(timeout=60)
+                    for t in pumps:
+                        t.join(timeout=10)
+        finally:
+            if first.poll() is None:
+                first.kill()
+                first.communicate()
+    assert first.returncode == 0, err
+    assert "+1 punch" in out
+    assert Wallet(w, scheme=None).cards[0].count == 1

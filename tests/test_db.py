@@ -9,6 +9,7 @@ import sys
 import tempfile
 import threading
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -522,10 +523,10 @@ def _store_with_a_log_tail(path, rng, n_snapshot, n_logged):
 
 
 def test_reopen_holds_the_logged_secrets_as_sorted_records(tmp_path):
-    """The replay gathers the logged secrets in a list and joins them,
-    sorted, into one blob a chunk at a time, letting each chunk go as it
-    is joined: a reopened store holds about 32 B per logged secret and
-    peaks under 100, where a set of them holds over 100."""
+    """The replay sorts each window's secrets into a run of pieces and
+    merges the runs into the tier a stripe at a time: a reopened store
+    holds about 32 B per logged secret and peaks under 100, where a set
+    of them holds over 100."""
     path = str(tmp_path / "db")
     n = 10**5
     logged = _store_with_a_log_tail(path, random.Random(180), 10**4, n)
@@ -842,9 +843,9 @@ def test_a_replayed_log_that_repeats_a_secret_keeps_len_exact(tmp_path):
     assert db.recovery.log_records == 1 and len(db) == 1 and u in db
     assert not db.check_and_insert(u)
     db.close()
-    # a log naming each secret three times: the tier is joined from its
-    # end 4096 records at a time, and 3 * 3000 - 4096 * k is not a
-    # multiple of 3, so the copies of one secret straddle each chunk end
+    # a log naming each secret three times, over two replay windows: the
+    # copies of one secret sit in one window's run or in both, and the
+    # merge keeps one
     pool = _secrets(rng, 3000)
     records = [_insert([v]) for v in pool * 3]
     rng.shuffle(records)
@@ -1283,6 +1284,98 @@ def test_replay_carries_records_across_windows(tmp_path, tail):
         db.close()
         with open(path, "rb") as f:
             assert f.read() == good
+
+
+def test_replay_memory_follows_the_window_not_the_log(tmp_path):
+    """The replay sorts each window's secrets into a run as it parses them
+    and merges the runs a stripe at a time, releasing each run's pieces
+    as the merge passes them. So what the open holds above the opened
+    store (tracemalloc's peak less its current) is about one window's
+    and one stripe's secrets as objects: it differs by under 1 MB between
+    2 * 10^4 and 2 * 10^5 logged secrets, where holding every logged
+    secret as an object would cost about 48 B more per secret."""
+    above = []
+    for n in (2 * 10**4, 2 * 10**5):
+        path = str(tmp_path / f"db{n}")
+        with open(path, "wb") as f:
+            f.write(b"".join(_insert([u]) for u in _secrets(random.Random(187), n)))
+        tracemalloc.start()
+        try:
+            db = RedeemDb(path, fsync=False)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(db) == n and db.recovery.log_records == n
+        db.close()
+        above.append(peak - current)
+    assert abs(above[1] - above[0]) < 2**20, above
+
+
+# Small enough that a log of a few thousand secrets makes dozens of runs,
+# each of several pieces of several blocks, and dozens of stripes.
+_SMALL_REPLAY = dict(_WINDOW=1024, _BLOCK=4, _BLOCK_BYTES=4 * 32, _PIECE=2 * 4 * 32, _STRIPE=2)
+_LOG_POOL = _secrets(random.Random(188), 600)
+
+
+def _check_replayed_tier(logged, snapshot):
+    """Opens a store of the snapshot and a log of the insert records
+    `logged` (lists of secrets) under _SMALL_REPLAY, and checks the
+    logged tier's records, len and every lookup against a model."""
+    spent = set(snapshot).union(*logged)
+    small = mock.patch.multiple(punchcard.db, **_SMALL_REPLAY)
+    with tempfile.TemporaryDirectory() as d, small:
+        path = os.path.join(d, "db")
+        db = RedeemDb(path, fsync=False)
+        db.preload(snapshot)
+        db.close()
+        with open(path, "ab") as f:
+            f.write(b"".join(map(_insert, logged)))
+        db = RedeemDb(path, fsync=False)
+        try:
+            tier = db._logged
+            assert b"".join(tier.pieces) == b"".join(sorted(spent - set(snapshot)))
+            assert {len(p) for p in tier.pieces[:-1]} <= {_SMALL_REPLAY["_PIECE"]}
+            assert db.recovery.log_records == len(logged)
+            assert len(db) == len(spent)
+            assert [u in db for u in _LOG_POOL] == [u in spent for u in _LOG_POOL]
+        finally:
+            db.close()
+
+
+def _log_of(records, snapshot, repeats):
+    """The insert records (count, first, step) as lists of secrets of the
+    pool, and a snapshot a store could hold with that log: one that
+    holds no logged secret, or, after a crash between a rebuild's
+    snapshot replace and its log restart, one that holds every secret of
+    the log's first records, as many as `repeats` says."""
+    logged = [[_LOG_POOL[(first + i * step) % len(_LOG_POOL)] for i in range(count)]
+              for count, first, step in records]
+    snapshot = {_LOG_POOL[i] for i in snapshot}.difference(*logged)
+    return logged, snapshot.union(*logged[:repeats])
+
+
+@pytest.mark.parametrize("repeats", [0, 1, 7])
+@pytest.mark.parametrize("seed", range(3))
+def test_replay_merge_matches_a_model(seed, repeats):
+    """Logs of inserts of 1 to 255 secrets that repeat secrets within a
+    record and across records and windows; with `repeats`, the log's
+    first records repeat the snapshot, over several windows. The tier
+    holds each logged secret the snapshot lacks, once and in order."""
+    rng = random.Random(189 + seed)
+    records = [(rng.choice([1, 2, 40, 255]), rng.randrange(600), rng.randrange(1, 8))
+               for _ in range(12)]
+    _check_replayed_tier(*_log_of(records, rng.sample(range(600), 150), repeats))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    records=st.lists(st.tuples(st.integers(1, 255), st.integers(0, 599), st.integers(1, 7)),
+                     min_size=1, max_size=12),
+    snapshot=st.sets(st.integers(0, 599), max_size=200),
+    repeats=st.integers(0, 12),
+)
+def test_replay_merge_matches_a_model_for_any_log(records, snapshot, repeats):
+    _check_replayed_tier(*_log_of(records, snapshot, repeats))
 
 
 def test_recovery_counts_snapshot_log_and_torn_tail(tmp_path):
