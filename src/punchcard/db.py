@@ -29,7 +29,11 @@ joins the runs into the tier a stripe at a time, each secret once,
 releasing each run's pieces as it passes them; so the replay holds one
 window's or one stripe's secrets as objects, never the log's, in the
 manner of an LSM tree's flush and merge (O'Neil et al., "The
-log-structured merge-tree", 1996). An on-disk store keeps only the
+log-structured merge-tree", 1996). Compaction, purge and preload are one
+rebuild by the same merge, of the base, the tier and a run of the set,
+which streams each stripe into the new snapshot, whose header, holding
+the record count, is written last; so it holds a few stripes, never the
+whole snapshot or tier. An on-disk store keeps only the
 base's fence in memory and reads a block with one pread of the snapshot
 file. Every on-disk base comes from one loader, which checks in one pass
 that the records strictly increase: at start-up, and in each rebuild,
@@ -38,12 +42,7 @@ the loader refuses never replaces the one on disk. Only this store replaces
 the snapshot, by rename under its lock, and the loaded descriptor
 follows the file through it, so a lookup reads the bytes the load
 checked; a block that reads back otherwise fails the lookup with
-OSError. Compaction, purge and preload are one rebuild: it reads the old
-records and the tier a chunk at a time, merges the set into them and
-streams each merged chunk into the new snapshot, whose header, holding
-the record count, is written last; so it holds a few chunks, never the
-whole snapshot or tier. All writes happen under one lock; lookups take
-none.
+OSError. All writes happen under one lock; lookups take none.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ import bisect
 import contextlib
 import errno
 import fcntl
-import heapq
 import itertools
 import operator
 import os
@@ -75,8 +73,7 @@ _MAX_PER_RECORD = 255  # the insert record's count is one byte; 0 ends replay
 _MAX_RECORD = 2 + _MAX_PER_RECORD * SECRET_SIZE  # the longest log record
 _WINDOW = 1 << 18  # log bytes replay reads at a time
 _RUN = 1024  # like insert records replayed in one go; more costs peak memory
-_CHUNK = 4096  # records read at a time when the whole base is walked
-_STEP = _CHUNK * SECRET_SIZE
+_STEP = 4096 * SECRET_SIZE  # bytes the loader reads at a time
 _BLOCK = 64  # records per fence entry of a _Sorted
 _BLOCK_BYTES = _BLOCK * SECRET_SIZE
 _PIECE = 8 * _BLOCK_BYTES  # bytes per piece of records held in memory
@@ -95,14 +92,15 @@ class _Sorted:
     each block of _BLOCK, which bisect searches in C before one block is
     searched. The records are held in memory as a list of pieces of
     _PIECE bytes, whole blocks each, the last one shorter (the logged
-    tier, a run of the replay, or the base of an in-memory store), and a
+    tier, a run of a merge, or the base of an in-memory store), and a
     lookup searches its block in place in its piece; or they are the
     body of a snapshot file (an on-disk base), read a block at a time
     through the descriptor the loader opened on it, so only the fence
     (about 1.3 B per secret) is kept. The file is trusted to hold the
     bytes the loader checked (see the module docstring); a block that
     reads back short or without its fence record raises OSError, as a
-    read error does. Immutable once another thread can see it, so a
+    read error does. Immutable once another thread can see it (a merge
+    releases the pieces of a view(), never of what lookups read), so a
     rebuild swaps in a new one and a lookup never sees half of each; the
     descriptor closes once nothing holds the object, or at close()."""
 
@@ -125,10 +123,10 @@ class _Sorted:
     def __len__(self) -> int:
         return self.size // SECRET_SIZE
 
-    def __iter__(self) -> Iterator[bytes]:
-        """The records in order, read a chunk at a time."""
-        for off in range(0, self.size, _STEP):
-            yield from _records(self.read(off, _STEP))
+    def view(self) -> "_Sorted":
+        """The same records over a piece list of its own, for a merge to
+        release; an on-disk base has no pieces and is its own view."""
+        return self if self._fd is not None else _Sorted(self.fence, self.size, list(self.pieces))
 
     def __contains__(self, u: bytes) -> bool:
         block = bisect.bisect_right(self.fence, u) - 1
@@ -165,43 +163,6 @@ class _Sorted:
             self._closer()
 
 
-def _merge(
-    base: _Sorted, new: Iterable[bytes], drop: Optional[Callable[[bytes], bool]]
-) -> Iterable[bytes]:
-    """The records of `base` and of `new` (sorted records, which may repeat
-    one another or one of base's) in order, each once, without those
-    drop(u) accepts, yielded as pieces. Both are read as the pieces are taken:
-    `base` a chunk at a time, `new` at most a chunk of records per piece;
-    a base chunk that no new record falls into and nothing is dropped
-    from is yielded whole."""
-
-    def kept(recs) -> bytes:
-        return b"".join(recs if drop is None else itertools.filterfalse(drop, recs))
-
-    new = map(operator.itemgetter(0), itertools.groupby(new))  # each once
-    u = next(new, _END)
-    for off in range(0, base.size, _STEP):
-        chunk = base.read(off, _STEP)
-        if u > chunk[-SECRET_SIZE:] and drop is None:
-            yield chunk
-            continue
-        recs = _records(chunk)
-        i = 0  # recs[:i] are yielded
-        while i < len(recs):
-            fresh = []
-            while u <= recs[-1] and len(fresh) < _CHUNK:
-                fresh.append(u)
-                u = next(new, _END)
-            # up to the last fresh record if more may follow in this chunk
-            j = bisect.bisect_right(recs, fresh[-1], i) if len(fresh) == _CHUNK else len(recs)
-            fresh = [v for v in fresh if recs[bisect.bisect_left(recs, v, i)] != v]
-            yield kept(sorted(recs[i:j] + tuple(fresh)) if fresh else recs[i:j])
-            i = j
-    rest = itertools.chain((u,), new) if u is not _END else ()
-    for recs in iter(lambda: list(itertools.islice(rest, _CHUNK)), []):
-        yield kept(recs)
-
-
 def _unique(recs: List[bytes]) -> Iterator[bytes]:
     """The sorted records, each once: those unlike the one before."""
     return itertools.compress(recs, map(operator.ne, recs, itertools.chain((b"",), recs)))
@@ -214,7 +175,7 @@ def _pack(records: Iterable[bytes]) -> List[bytes]:
     return list(iter(lambda: b"".join(itertools.islice(records, n)), b""))
 
 
-def _run(recs: List[bytes], seen: Optional[_Sorted]) -> _Sorted:
+def _run(recs: List[bytes], seen: Optional[_Sorted] = None) -> _Sorted:
     """The records sorted (in place) and without those in `seen`, as a
     _Sorted of pieces. A run may repeat a record; the merge drops it."""
     recs.sort()
@@ -223,16 +184,21 @@ def _run(recs: List[bytes], seen: Optional[_Sorted]) -> _Sorted:
     return _Sorted.from_pieces(_pack(recs))
 
 
-def _merge_runs(runs: List[_Sorted]) -> Iterator[Iterable[bytes]]:
-    """The records of the runs (each sorted) in order, each once, yielded
-    a stripe at a time. The stripes end at bounds, every _STRIPE-th
-    record of the runs' fences in order. For each bound, every block of
-    every run that starts below it is read whole; its records are sorted
-    with those held from the last stripe, those below the bound are
-    yielded, each once, and the rest are held. A block that starts at or
-    above the bound holds no record below it, so every copy of a record
-    is read by the time its stripe is yielded. A run's piece is released
-    once all of it is read, so the runs leave memory as the tier fills."""
+def _merge(
+    runs: List[_Sorted], drop: Optional[Callable[[bytes], bool]] = None
+) -> Iterator[Iterable[bytes]]:
+    """The records of the runs (each sorted) in order, each once and
+    without those drop(u) accepts, yielded a stripe at a time. The
+    stripes end at bounds, every _STRIPE-th record of the runs' fences
+    in order. For each bound, every block of every run that starts below
+    it is read whole; its records are sorted with those held from the
+    last stripe, those below the bound are yielded, each once, and the
+    rest are held. A block that starts at or above the bound holds no
+    record below it, so every copy of a record is read by the time its
+    stripe is yielded. A run's piece is released once all of it is read,
+    so the runs leave memory as the merged records are packed or
+    written; a run that lookups may still read is passed as its view().
+    An on-disk base has no pieces to release."""
     bounds = sorted(itertools.chain.from_iterable(r.fence for r in runs))[_STRIPE::_STRIPE]
     bounds.append(_END)
     done = [0] * len(runs)  # bytes of each run read
@@ -243,15 +209,16 @@ def _merge_runs(runs: List[_Sorted]) -> Iterator[Iterable[bytes]]:
             upto = min(bisect.bisect_left(run.fence, bound) * _BLOCK_BYTES, run.size)
             if upto > done[k]:
                 chunks.append(run.read(done[k], upto - done[k]))
-                for piece in range(done[k] // _PIECE, upto // _PIECE):
-                    run.pieces[piece] = None  # wholly read
+                for piece in range(done[k] // _PIECE, upto // _PIECE) if run.pieces else ():
+                    run.pieces[piece] = None  # wholly read; an on-disk base has none
                 done[k] = upto
         recs = held
         recs += _records(b"".join(chunks))
         recs.sort()  # the held records and one slice per run, each sorted
         cut = bisect.bisect_left(recs, bound)
         held = recs[cut:]
-        yield _unique(recs[:cut])
+        kept = _unique(recs[:cut])
+        yield kept if drop is None else itertools.filterfalse(drop, kept)
 
 
 class Recovery(NamedTuple):
@@ -275,6 +242,11 @@ def _sync_directory(path: str) -> None:
         os.close(fd)
 
 
+# a lock per path that write_durably has written, shared by every caller
+# in the process, since any two of them may write one path
+_WRITERS: dict = {}
+
+
 def write_durably(path: str, write: Callable, point: str, mode=0o666):
     """Call write(f) on a buffered binary file f (which it may seek) open
     on path + '.tmp', fsync that, rename it over path and fsync the
@@ -284,25 +256,30 @@ def write_durably(path: str, write: Callable, point: str, mode=0o666):
     the snapshot's writer loads the temp file before the rename, so a
     snapshot its loader refuses never replaces path. The temp file is
     always created afresh with `mode` (less the umask): one a crash left
-    is removed first, so its mode never carries over. Fault points
-    `point`.replace and `point`.dirsync come just before the rename and
-    the directory fsync."""
+    is removed first, so its mode never carries over. The writers of one
+    path in a process take turns, so none removes or renames another's
+    temp file. Fault points `point`.replace and `point`.dirsync come
+    just before the rename and the directory fsync."""
     tmp = path + ".tmp"
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(tmp)
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode)
-    try:
-        with os.fdopen(fd, "wb") as f:
-            written = write(f)
-            f.flush()
-            os.fsync(f.fileno())
-    except Exception:  # not FaultInjected: a simulated crash leaves the file
-        os.remove(tmp)
-        raise
-    fault_point(point + ".replace")
-    os.replace(tmp, path)
-    fault_point(point + ".dirsync")
-    _sync_directory(path)
+    # setdefault is atomic, so two first writers of a path get one lock;
+    # reentrant, so a nested write of the path in one thread (from a fault
+    # hook) runs unserialised, as before, rather than hanging
+    with _WRITERS.setdefault(os.path.abspath(path), threading.RLock()):
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode)
+        try:
+            with os.fdopen(fd, "wb") as f:
+                written = write(f)
+                f.flush()
+                os.fsync(f.fileno())
+        except Exception:  # not FaultInjected: a simulated crash leaves the file
+            os.remove(tmp)
+            raise
+        fault_point(point + ".replace")
+        os.replace(tmp, path)
+        fault_point(point + ".dirsync")
+        _sync_directory(path)
     return written
 
 
@@ -425,21 +402,23 @@ class RedeemDb:
         drop: Optional[Callable[[bytes], bool]] = None,
         extra: Iterable[bytes] = (),
     ) -> None:
-        """Merge the logged tier, the overlay (and `extra`) into a new base
-        without repeats or records drop(u) accepts, reading the base and
-        the tier a chunk at a time; on disk, stream it into a temp file,
-        load that as the base and rename it over the snapshot, then restart
-        the log. The new base is installed before the tier and the overlay
-        are emptied. With nothing to merge or drop and an empty log (which
-        also holds the claim records and every secret of the tier) the
-        snapshot is current, and nothing is written."""
+        """Merge views of the base and the logged tier, which lookups read
+        whole meanwhile, and a run of the overlay (and `extra`) into a new
+        base without repeats or records drop(u) accepts; on disk, stream
+        it into a temp file, load that as the base and rename it over the
+        snapshot, then restart the log. The new base is installed before
+        the tier and the overlay are emptied. With nothing to merge or
+        drop and an empty log (which also holds the claim records and
+        every secret of the tier) the snapshot is current, and nothing is
+        written."""
         if not (self._overlay or extra or drop or self._log_size):
             return
         on_disk = self._on_disk()
-        new = sorted(self._overlay.union(extra))
+        new = [*self._overlay, *extra]  # the merge drops repeats
         if any(len(u) != SECRET_SIZE for u in new):
             raise ValueError(f"spent secrets are {SECRET_SIZE} bytes")
-        pieces = _merge(self._base, heapq.merge(self._logged, new), drop)
+        stripes = _merge([self._base.view(), self._logged.view(), _run(new)], drop)
+        del new  # packed into the run
         if on_disk:
             claims = sorted(self._claims)
 
@@ -447,7 +426,7 @@ class RedeemDb:
                 # the header's spent count is known only once the records
                 # are written, so it goes last
                 f.write(bytes(_SNAP_HEAD))
-                size = sum(map(f.write, pieces))
+                size = sum(f.write(b"".join(stripe)) for stripe in stripes)
                 f.writelines(claims)
                 f.seek(0)
                 f.write(_SNAP_MAGIC + struct.pack("<II", size // SECRET_SIZE, len(claims)))
@@ -460,10 +439,7 @@ class RedeemDb:
             self._log_size = 0
             os.fsync(self._log.fileno())
         else:
-            blob = b"".join(pieces)
-            base = _Sorted.from_pieces(
-                [blob[i : i + _PIECE] for i in range(0, len(blob), _PIECE)]
-            )
+            base = _Sorted.from_pieces(_pack(itertools.chain.from_iterable(stripes)))
         # the old base's descriptor closes once no lookup holds it
         self._base = base  # before the tier and the overlay go; see __contains__
         self._logged = _Sorted.from_pieces([])
@@ -545,8 +521,8 @@ class RedeemDb:
         starts only where the longest one fits before the window's end, or
         where the log ends, so a record the window cuts is carried over to
         the next. The secrets a window inserts are sorted into a run as
-        soon as it is parsed, and one merge of the runs (_merge_runs)
-        makes the logged tier, so at most one window's or one stripe's
+        soon as it is parsed, and one merge of the runs (_merge) makes
+        the logged tier, so at most one window's or one stripe's
         secrets are objects at a time."""
         n_log = self._log.seek(0, os.SEEK_END)
         self._log.seek(0)
@@ -612,7 +588,7 @@ class RedeemDb:
             if off < limit or not more:
                 break  # at a record that is not whole, or at the log's end
         del logged, data  # the last window's secrets and bytes, before the merge
-        stripes = _merge_runs(runs)
+        stripes = _merge(runs)
         self._logged = _Sorted.from_pieces(_pack(itertools.chain.from_iterable(stripes)))
         good = start + off
         if good != n_log:

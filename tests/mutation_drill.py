@@ -160,7 +160,7 @@ MUTANTS = [
     # bound is dropped, and none is yielded twice
     (DB, "        held = recs[cut:]\n", "        held = recs[cut + 1:]\n",
      ["tests/test_db.py::test_replay_merge_matches_a_model"]),
-    (DB, "        yield _unique(recs[:cut])\n", "        yield _unique(recs[:cut + 1])\n",
+    (DB, "        kept = _unique(recs[:cut])\n", "        kept = _unique(recs[:cut + 1])\n",
      ["tests/test_db.py::test_replay_merge_matches_a_model"]),
     # ... and releases a run's piece only once all of it is read
     (DB, "range(done[k] // _PIECE, upto // _PIECE)",
@@ -173,9 +173,18 @@ MUTANTS = [
     (DB, "                    seen = self._base\n", "                    pass\n",
      ["tests/test_db.py::test_crash_before_log_restart_keeps_len_exact"]),
     # a rebuild merges the logged tier before it empties it
-    (DB, "pieces = _merge(self._base, heapq.merge(self._logged, new), drop)",
-     "pieces = _merge(self._base, new, drop)",
+    (DB, "_merge([self._base.view(), self._logged.view(), _run(new)], drop)",
+     "_merge([self._base.view(), _run(new)], drop)",
      ["tests/test_db.py::test_compaction_streams_the_logged_tier_into_the_snapshot"]),
+    # ... through views, since the merge releases the pieces it has read:
+    # a failed rebuild leaves the tier whole, and lookups read the base
+    (DB, "self._logged.view()", "self._logged",
+     ["tests/test_db.py::test_a_failed_rebuild_leaves_the_logged_tier_whole"]),
+    (DB, "self._base.view()", "self._base",
+     ["tests/test_db.py::test_lookups_never_miss_while_compacting"]),
+    # the merge leaves out the records a purge drops
+    (DB, "        yield kept if drop is None else itertools.filterfalse(drop, kept)\n",
+     "        yield kept\n", ["tests/test_db.py::test_purge_and_replay"]),
     # ... and empties it only once the new base is installed
     (DB, "        self._base = base  # before the tier and the overlay go; see __contains__\n"
      "        self._logged = _Sorted.from_pieces([])\n",

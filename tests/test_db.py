@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import punchcard.db
 from punchcard.db import _RUN, RedeemDb, Recovery
 from punchcard.errors import DbBusy, DbCorruption
-from punchcard.faults import FaultInjected, FaultPlan
+from punchcard.faults import FaultInjected, FaultPlan, install_hook
 
 
 def _secrets(rng, n):
@@ -579,7 +579,7 @@ def test_a_rebuild_never_installs_a_base_the_loader_refuses(tmp_path, monkeypatc
 
     def merge(*args):
         yield from real(*args)
-        yield bytes(32)  # sorts before every record yielded before it
+        yield [bytes(32)]  # sorts before every record yielded before it
 
     monkeypatch.setattr(punchcard.db, "_merge", merge)
     with pytest.raises(DbCorruption, match="strictly increasing"):
@@ -603,7 +603,7 @@ _REAL_MERGE = punchcard.db._merge
 def _merge_out_of_order(*args):
     """_merge, then one record that sorts before every record before it."""
     yield from _REAL_MERGE(*args)
-    yield bytes(32)
+    yield [bytes(32)]
 
 
 def test_a_refused_compaction_leaves_the_old_snapshot_for_the_next_start(
@@ -633,6 +633,24 @@ def test_a_refused_compaction_leaves_the_old_snapshot_for_the_next_start(
     assert db.recovery.snapshot_entries == 5000 and db.recovery.log_records == 2
     assert len(db) == 5005 and all(u in db for u in preloaded + logged)
     assert db.take_claim(claim)
+    db.close()
+
+
+def test_a_failed_rebuild_leaves_the_logged_tier_whole(tmp_path, monkeypatch):
+    """The merge releases each piece of a run once it has read it, so a
+    rebuild merges a view of the logged tier: one that fails leaves the
+    tier whole, every logged secret is found, len is exact and a later
+    compaction writes them all."""
+    path = str(tmp_path / "db")
+    logged = _store_with_a_log_tail(path, random.Random(190), 5000, 3000)
+    db = RedeemDb(path, fsync=False)
+    monkeypatch.setattr(punchcard.db, "_merge", _merge_out_of_order)
+    with pytest.raises(DbCorruption, match="strictly increasing"):
+        db.compact()
+    monkeypatch.undo()
+    assert all(u in db for u in logged) and len(db) == 8000
+    db.compact()
+    assert len(_snapshot_records(path)) == 8000 and all(u in db for u in logged)
     db.close()
 
 
@@ -674,6 +692,46 @@ def test_a_failed_rebuild_removes_its_temp_file(tmp_path):
     db.compact()
     assert not os.path.exists(tmp) and len(db) == 5002
     db.close()
+
+
+def test_two_durable_writers_of_one_path_in_one_process_take_turns(tmp_path):
+    """A second writer of a path waits for the first to finish: it never
+    removes the first one's temp file, nor is its own half-written one
+    renamed over the path. Both calls return, and the path holds the
+    bytes of one of them whole. Writer A holds its write open until B
+    has begun its own (or for 0.3 s), and B holds its write open until A
+    has renamed its temp file."""
+    path = str(tmp_path / "f")
+    a_writing, b_writing, a_renamed = threading.Event(), threading.Event(), threading.Event()
+    errors = []
+
+    def writer(data, started, wait_for):
+        def write(f):
+            f.write(data[:1000])
+            started.set()
+            wait_for.wait(timeout=0.3)
+            f.write(data[1000:])
+
+        try:
+            punchcard.db.write_durably(path, write, "test")
+        except Exception as e:  # reported below
+            errors.append(e)
+
+    a = threading.Thread(target=writer, args=(b"a" * 2000, a_writing, b_writing))
+    b = threading.Thread(target=writer, args=(b"b" * 2000, b_writing, a_renamed))
+    install_hook(lambda point: a_renamed.set() if point == "test.dirsync" else None)
+    try:
+        a.start()
+        assert a_writing.wait(timeout=10)
+        b.start()
+        a.join(timeout=10)
+        b.join(timeout=10)
+    finally:
+        install_hook(None)
+    assert errors == [] and not a.is_alive() and not b.is_alive()
+    with open(path, "rb") as f:
+        assert f.read() in (b"a" * 2000, b"b" * 2000)
+    assert not os.path.exists(path + ".tmp")
 
 
 def test_a_short_read_of_the_claims_fails_the_open(tmp_path, monkeypatch):
@@ -1320,7 +1378,10 @@ _LOG_POOL = _secrets(random.Random(188), 600)
 def _check_replayed_tier(logged, snapshot):
     """Opens a store of the snapshot and a log of the insert records
     `logged` (lists of secrets) under _SMALL_REPLAY, and checks the
-    logged tier's records, len and every lookup against a model."""
+    logged tier's records, len and every lookup against a model. Then it
+    accepts fresh secrets and refuses spent ones, compacts and purges,
+    and checks each new snapshot's records and len against the model:
+    those merges cross the base, the tier and the overlay many times."""
     spent = set(snapshot).union(*logged)
     small = mock.patch.multiple(punchcard.db, **_SMALL_REPLAY)
     with tempfile.TemporaryDirectory() as d, small:
@@ -1337,6 +1398,16 @@ def _check_replayed_tier(logged, snapshot):
             assert {len(p) for p in tier.pieces[:-1]} <= {_SMALL_REPLAY["_PIECE"]}
             assert db.recovery.log_records == len(logged)
             assert len(db) == len(spent)
+            assert [u in db for u in _LOG_POOL] == [u in spent for u in _LOG_POOL]
+            for u in _LOG_POOL[::7]:  # fresh and spent secrets across the tier
+                assert db.check_and_insert(u) == (u not in spent)
+                spent.add(u)
+            db.compact()
+            assert _snapshot_records(path) == sorted(spent) and len(db) == len(spent)
+            dropped = {u for u in spent if u[0] % 3 == 0}
+            assert db.purge(lambda u: u[0] % 3 == 0) == len(dropped)
+            spent -= dropped
+            assert _snapshot_records(path) == sorted(spent) and len(db) == len(spent)
             assert [u in db for u in _LOG_POOL] == [u in spent for u in _LOG_POOL]
         finally:
             db.close()
