@@ -17,11 +17,15 @@ The spent secrets sit in three parts, none repeating another's: the
 base, the sorted 32-byte records of the last snapshot, found by
 bisecting a list of every 64th record (the fence) and searching one
 block; the logged tier, the secrets the log inserts, replayed at
-start-up into sorted records of the same form; and a small set of the
-secrets accepted since the open or the last rebuild. A lookup tries the
-set, then the tier, then the base. Records held in memory (the tier, and
-the base of an in-memory store) are a list of fixed-size pieces of whole
-blocks, and a lookup searches its block in place. The replay reads the
+start-up into sorted records of the same form; and the overlay, the
+secrets accepted since the open or the last rebuild. The overlay is the
+part that grows while the server runs, so it appends each secret as a
+32-byte record to one of a fixed number of bytearrays, chosen by the
+secret's hash: about 35 B per secret, where a set of bytes objects takes
+about 110. A lookup tries the overlay, then the tier, then the base.
+Records held in memory (the tier, and the base of an in-memory store)
+are a list of fixed-size pieces of whole blocks, and a lookup searches
+its block in place. The replay reads the
 log a window at a time, carrying a record cut by the window's end over
 to the next, and sorts the secrets each window inserts into a run of
 such pieces as soon as the window is parsed. One streaming merge then
@@ -30,7 +34,7 @@ releasing each run's pieces as it passes them; so the replay holds one
 window's or one stripe's secrets as objects, never the log's, in the
 manner of an LSM tree's flush and merge (O'Neil et al., "The
 log-structured merge-tree", 1996). Compaction, purge and preload are one
-rebuild by the same merge, of the base, the tier and a run of the set,
+rebuild by the same merge, of the base, the tier and a run of the overlay,
 which streams each stripe into the new snapshot, whose header, holding
 the record count, is written last; so it holds a few stripes, never the
 whole snapshot or tier. An on-disk store keeps only the
@@ -80,6 +84,7 @@ _PIECE = 8 * _BLOCK_BYTES  # bytes per piece of records held in memory
 _STRIPE = 64  # fence records per stripe of the replay's merge
 _SECRET_FMT = f"{SECRET_SIZE}s"  # one record, as a struct field
 _END = b"\xff" * (SECRET_SIZE + 1)  # sorts after every record
+_BUCKETS = 4096  # the overlay's buckets, a power of two
 
 
 def _records(chunk: bytes) -> Tuple[bytes, ...]:
@@ -137,11 +142,7 @@ class _Sorted:
             data = self.pieces[piece]
         else:
             data, start = self.read(block * _BLOCK_BYTES, _BLOCK_BYTES), 0
-        end = start + _BLOCK_BYTES
-        at = data.find(u, start, end)
-        while at != -1 and at % SECRET_SIZE:  # a match across two records
-            at = data.find(u, at + 1, end)
-        return at != -1
+        return _has_record(data, u, start, start + _BLOCK_BYTES)
 
     def read(self, offset: int, size: int) -> bytes:
         """Up to `size` bytes of records from `offset`, the start of a
@@ -161,6 +162,55 @@ class _Sorted:
         if self._closer is not None:
             self._fd = -1  # never a number the next open reuses
             self._closer()
+
+
+def _has_record(data, u: bytes, start: int = 0, end: Optional[int] = None) -> bool:
+    """Whether u is a whole record of data[start:end], whose records
+    begin at `start`, a multiple of SECRET_SIZE. An append to a bytearray
+    moves none of its records, and each find is one C call, so a bucket
+    that grows meanwhile is searched correctly."""
+    at = data.find(u, start, end)
+    while at != -1 and at % SECRET_SIZE:  # a match across two records
+        at = data.find(u, at + 1, end)
+    return at != -1
+
+
+class _Overlay:
+    """The secrets accepted since the open or the last rebuild, each
+    appended as a 32-byte record to one of _BUCKETS bytearrays, chosen by
+    its hash: about 35 B per secret. hash() of bytes is keyed per
+    process, so a client cannot aim its secrets at one bucket. Only the
+    store's writer appends, under its lock, and nothing else changes a
+    bucket until a rebuild replaces the whole overlay, so a lock-free
+    lookup searches a bucket whole."""
+
+    __slots__ = ("_buckets", "_len")
+
+    def __init__(self):
+        self._buckets = [None] * _BUCKETS  # each made at its first insert
+        self._len = 0
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __contains__(self, u: bytes) -> bool:
+        if len(u) != SECRET_SIZE:
+            return False  # a shorter needle could match inside a record
+        bucket = self._buckets[hash(u) & (_BUCKETS - 1)]
+        return bucket is not None and _has_record(bucket, u)
+
+    def __iter__(self) -> Iterator[bytes]:
+        for bucket in filter(None, self._buckets):
+            yield from _records(bucket)
+
+    def add(self, u: bytes) -> None:
+        """Append u, a SECRET_SIZE-byte secret not yet held."""
+        k = hash(u) & (_BUCKETS - 1)
+        if self._buckets[k] is None:
+            self._buckets[k] = bytearray(u)
+        else:
+            self._buckets[k] += u
+        self._len += 1
 
 
 def _unique(recs: List[bytes]) -> Iterator[bytes]:
@@ -293,7 +343,7 @@ class RedeemDb:
         self._lock = threading.Lock()
         self._base = _Sorted.from_pieces([])  # the spent secrets of the snapshot
         self._logged = _Sorted.from_pieces([])  # those the log held at the open
-        self._overlay = set()  # those accepted since the open or a rebuild
+        self._overlay = _Overlay()  # those accepted since the open or a rebuild
         self._claims = set()
         self._path = path
         self._snap = None if path is None else path + ".snap"
@@ -343,11 +393,13 @@ class RedeemDb:
         for u in secrets:
             if len(u) != SECRET_SIZE:
                 return False
+        unique = dict.fromkeys(secrets)  # a secret named twice is held once
         with self._lock:
-            if any(u in self for u in secrets):
+            if any(u in self for u in unique):
                 return False
             self._append(bytes([_REC_INSERT, len(secrets)]) + b"".join(secrets))
-            self._overlay.update(secrets)
+            for u in unique:
+                self._overlay.add(u)
             return True
 
     def add_claim(self, u: bytes) -> None:
@@ -443,7 +495,7 @@ class RedeemDb:
         # the old base's descriptor closes once no lookup holds it
         self._base = base  # before the tier and the overlay go; see __contains__
         self._logged = _Sorted.from_pieces([])
-        self._overlay = set()
+        self._overlay = _Overlay()
 
     def _on_disk(self) -> bool:
         """Whether writes go to files; ValueError once close() closed them."""

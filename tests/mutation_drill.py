@@ -6,8 +6,10 @@ README.md and pyproject.toml, which some tests read) into a temporary
 directory outside the checkout, applies one mutant there, runs
 `pytest -x` on its test files and prints the test that killed it. A
 killer must pass without the mutant, so the drill reruns every killer on
-an unmutated copy at the end. It exits 1 if a mutant survives, if an old
-text is missing or occurs more than once, or if a killer fails unmutated.
+an unmutated copy at the end. A pytest run that outlasts TIMEOUT is
+killed, and its mutant is reported as HUNG, not as killed. It exits 1 if
+a mutant survives or hangs, if an old text is missing or occurs more
+than once, or if a killer fails unmutated.
 
     python tests/mutation_drill.py
 
@@ -19,11 +21,14 @@ from __future__ import annotations
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
 import time
+from typing import Optional
 
+TIMEOUT = 300  # seconds per pytest run; the slowest mutant's takes about 20
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COPIED = ("src", "tests", "README.md", "pyproject.toml")
 
@@ -59,7 +64,7 @@ MUTANTS = [
     ("src/punchcard/wire.py", "if not 1 <= length <= MAX_FRAME:", "if not 1 <= length:",
      ["tests/test_wire.py"]),
     # check_and_insert re-checks the spent set under its lock
-    (DB, "            if any(u in self for u in secrets):\n                return False\n",
+    (DB, "            if any(u in self for u in unique):\n                return False\n",
      "", ["tests/test_db.py"]),
     # libsodium 1.0.18 ignores bit 255, so the backend refuses it first
     ("src/punchcard/groups/ristretto.py", "        if e[31] & 0x80:\n            return False\n",
@@ -191,6 +196,26 @@ MUTANTS = [
      "        self._logged = _Sorted.from_pieces([])\n"
      "        self._base = base  # before the tier and the overlay go; see __contains__\n",
      ["tests/test_db.py::test_every_secret_found_at_every_step_of_a_rebuild"]),
+    # ... and the overlay too, which lookups also read without a lock
+    (DB, "        self._base = base  # before the tier and the overlay go; see __contains__\n"
+     "        self._logged = _Sorted.from_pieces([])\n        self._overlay = _Overlay()\n",
+     "        self._overlay = _Overlay()\n"
+     "        self._base = base  # before the tier and the overlay go; see __contains__\n"
+     "        self._logged = _Sorted.from_pieces([])\n",
+     ["tests/test_db.py::test_every_secret_found_at_every_step_of_a_rebuild"]),
+    # a lookup matches whole records only, never one across two
+    (DB, "    while at != -1 and at % SECRET_SIZE:  # a match across two records\n",
+     "    while False:  # a match across two records\n",
+     ["tests/test_db.py::test_lookup_needs_a_whole_record",
+      "tests/test_db.py::test_overlay_behaves_like_a_set"]),
+    # the overlay never matches a needle of another length inside a record
+    (DB, "        if len(u) != SECRET_SIZE:\n"
+     "            return False  # a shorter needle could match inside a record\n", "",
+     ["tests/test_db.py::test_overlay_behaves_like_a_set"]),
+    # a secret named twice in one call is held, and counted, once
+    (DB, "        unique = dict.fromkeys(secrets)  # a secret named twice is held once\n",
+     "        unique = secrets\n",
+     ["tests/test_db.py::test_a_replayed_log_that_repeats_a_secret_keeps_len_exact"]),
     # a second wallet command on one file is refused before it sends
     ("src/punchcard/cli.py", "            fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)\n",
      "            pass\n",
@@ -218,11 +243,21 @@ def _copy(dest: str) -> None:
             shutil.copy2(src, dest)
 
 
-def _pytest(cwd: str, args) -> subprocess.CompletedProcess:
+def _pytest(cwd: str, args) -> Optional[subprocess.CompletedProcess]:
+    """The pytest run, or None if it outlasted TIMEOUT: then it and every
+    process it started are killed."""
     env = dict(os.environ, PYTHONPATH=os.path.join(cwd, "src"), PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
            "-o", "addopts=", "-rfE", *args]
-    return subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, text=True)
+    with subprocess.Popen(cmd, cwd=cwd, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True, start_new_session=True) as proc:
+        try:
+            out, err = proc.communicate(timeout=TIMEOUT)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            return None
+    return subprocess.CompletedProcess(cmd, proc.returncode, out, err)
 
 
 def _killer(output: str):
@@ -260,8 +295,11 @@ def main() -> int:
             run = _pytest(copy, tests)
             took = time.perf_counter() - start
             label = f"{path}: {old.strip().splitlines()[0]!r} -> {new.strip()!r}"
-            killer = _killer(run.stdout) if run.returncode != 0 else None
-            if killer is None:
+            killer = _killer(run.stdout) if run and run.returncode != 0 else None
+            if run is None:  # a hang kills nothing: each mutant fails a named test
+                survivors.append(label)
+                print(f"HUNG     ({took:.1f}s) {label}", flush=True)
+            elif killer is None:
                 survivors.append(label)
                 print(f"SURVIVED ({took:.1f}s) {label}\n{run.stdout[-2000:]}", flush=True)
             else:
@@ -274,8 +312,9 @@ def main() -> int:
             clean = os.path.join(tmp, "clean")
             _copy(clean)
             run = _pytest(clean, sorted(set(killers)))
-            if run.returncode != 0:
-                print(f"a killer fails without its mutant:\n{run.stdout[-2000:]}")
+            if run is None or run.returncode != 0:
+                print("a killer fails without its mutant:\n"
+                      + (f"HUNG after {TIMEOUT}s" if run is None else run.stdout[-2000:]))
                 return 1
     print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")
     return 1 if survivors else 0

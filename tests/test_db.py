@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import punchcard.db
+from punchcard.core import SECRET_SIZE
 from punchcard.db import _RUN, RedeemDb, Recovery
 from punchcard.errors import DbBusy, DbCorruption
 from punchcard.faults import FaultInjected, FaultPlan, install_hook
@@ -960,7 +961,7 @@ def test_lookup_needs_a_whole_record():
         assert spent[k][:31] not in db and spent[k] + b"x" not in db
     assert b"" not in db and b"\x00" * 32 not in db and b"\xff" * 32 not in db
 
-def _lookups_never_miss_while_compacting(db):
+def _lookups_never_miss_while_compacting(db, every=25):
     rng = random.Random(163)
     db.preload(_secrets(rng, 5000))
     fresh = _secrets(rng, 1500)
@@ -974,7 +975,7 @@ def _lookups_never_miss_while_compacting(db):
             for i, u in enumerate(fresh):
                 assert db.check_and_insert(u)
                 inserted.append(u)
-                if i % 25 == 0:
+                if (i + 1) % every == 0:
                     db.compact()
         finally:
             done.set()
@@ -1008,6 +1009,15 @@ def _lookups_never_miss_while_compacting(db):
 
 def test_lookups_never_miss_while_compacting():
     _lookups_never_miss_while_compacting(RedeemDb())
+
+
+def test_lookups_never_miss_while_the_overlay_grows():
+    """With four buckets, each accept appends to a bytearray of hundreds
+    of records, which now and then moves as it grows; lock-free lookups
+    of the secrets accepted so far find every one, during the appends and
+    during the one compaction at the end."""
+    with mock.patch.object(punchcard.db, "_BUCKETS", 4):
+        _lookups_never_miss_while_compacting(RedeemDb(), every=1500)
 
 
 def _open_fds():
@@ -1208,6 +1218,73 @@ def test_store_behaves_like_a_set(ops):
                 assert len(db) == len(model)
         finally:
             db.close()
+
+
+# lookups of a pool secret cut to or lengthened to a length, or of a
+# needle that straddles two neighbouring records of the overlay's bucket
+_OVERLAY_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), st.lists(_IDX, min_size=1, max_size=3), st.none()),
+        st.tuples(st.just("lookup"), _IDX, st.sampled_from([16, 31, 32, 33])),
+        st.tuples(st.just("straddle"), _IDX, st.integers(1, SECRET_SIZE - 1)),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(ops=_OVERLAY_OPS)
+def test_overlay_behaves_like_a_set(ops):
+    """With one bucket, every secret accepted since the open is a record
+    of one bytearray, so a needle too short, too long, or straddling two
+    records would match inside it unless a lookup checks the needle's
+    length and the match's alignment. A secret named twice in one call
+    is held once, and a compaction writes each secret once."""
+    with tempfile.TemporaryDirectory() as d, mock.patch.object(punchcard.db, "_BUCKETS", 1):
+        path = os.path.join(d, "db")
+        db = RedeemDb(path, fsync=False)
+        model, records = set(), []  # records: the bucket's, in order
+        try:
+            for op, arg, k in ops:
+                if op == "insert":
+                    secrets = [_POOL[i] for i in arg]
+                    fresh = model.isdisjoint(secrets)
+                    assert db.check_and_insert(*secrets) == fresh
+                    if fresh:
+                        model.update(secrets)
+                        records += dict.fromkeys(secrets)
+                elif op == "lookup":
+                    needle = (_POOL[arg] + _POOL[arg - 1])[:k]
+                    assert (needle in db) == (needle in model)
+                elif len(records) > 1:
+                    j = arg % (len(records) - 1)
+                    assert records[j][k:] + records[j + 1][:k] not in db
+                assert [u in db for u in _POOL] == [u in model for u in _POOL]
+                assert len(db) == len(model)
+            db.compact()  # writes no snapshot while nothing is spent
+            assert (_snapshot_records(path) if model else []) == sorted(model)
+            assert [u in db for u in _POOL] == [u in model for u in _POOL]
+            assert len(db) == len(model)
+        finally:
+            db.close()
+
+
+def test_accepted_secrets_cost_at_most_48_bytes_each():
+    """The overlay is the part of the store that grows while the server
+    runs: it holds each secret accepted since the open as a 32-byte record
+    in a bucket, not as a bytes object in a set (about 107 B each)."""
+    rng = random.Random(185)
+    n = 10**5
+    db = RedeemDb()
+    tracemalloc.start()
+    try:
+        for _ in range(n):
+            assert db.check_and_insert(rng.randbytes(32))
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(db) == n
+    assert held <= 48 * n, f"{held / n:.1f} B per secret"
 
 
 def _insert(us):
