@@ -32,14 +32,13 @@ remembers the secrets.
 
 from __future__ import annotations
 
-import hmac
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from . import dleq
 from .errors import ProofRejected
-from .groups.base import Group, element, random_bytes, unpack
+from .groups.base import Group, compare_digest, element, random_bytes, unpack
 
 Element = Any
 
@@ -225,7 +224,7 @@ def verify_card(group: Group, sk: int, req: RedeemRequest, count: int) -> bool:
     """The redemption equation alone, on bytes: an element has one encoding,
     so they match exactly when the card would decode to the expected one.
     The comparison takes the same time wherever they differ."""
-    return hmac.compare_digest(req.card, expected_card(group, sk, req.u, count))
+    return compare_digest(req.card, expected_card(group, sk, req.u, count))
 
 
 def spend(db, secrets: Sequence[bytes], valid: Callable[[], bool]) -> RedeemStatus:

@@ -19,34 +19,39 @@ bisecting a list of every 64th record (the fence) and searching one
 block; the logged tier, the secrets the log inserts, replayed at
 start-up into sorted records of the same form; and the overlay, the
 secrets accepted since the open or the last rebuild. The overlay is the
-part that grows while the server runs, so it appends each secret as a
-32-byte record to one of a fixed number of bytearrays, chosen by the
-secret's hash: about 35 B per secret, where a set of bytes objects takes
-about 110. A lookup tries the overlay, then the tier, then the base.
-Records held in memory (the tier, and the base of an in-memory store)
-are a list of fixed-size pieces of whole blocks, and a lookup searches
-its block in place. The replay reads the
-log a window at a time, carrying a record cut by the window's end over
-to the next, and sorts the secrets each window inserts into a run of
-such pieces as soon as the window is parsed. One streaming merge then
-joins the runs into the tier a stripe at a time, each secret once,
-releasing each run's pieces as it passes them; so the replay holds one
-window's or one stripe's secrets as objects, never the log's, in the
-manner of an LSM tree's flush and merge (O'Neil et al., "The
+only part that grows in memory while the server runs, so it appends
+each secret as a 32-byte record to one of a fixed number of bytearrays,
+chosen by the secret's hash: about 35 B per secret, where a set of
+bytes objects takes about 110. A lookup tries the overlay, then the
+tier, then the base. The replay reads the log a window at a time,
+carrying a record cut by the window's end over to the next, and sorts
+the secrets each window inserts into a run as soon as the window is
+parsed, appended to an unlinked scratch file beside the log. One
+streaming merge then joins the runs a stripe at a time, each secret
+once, into the tier, in an unlinked scratch file of its own; so the
+replay holds one window's or one stripe's secrets as objects, never the
+log's, and the open store holds only the tier's fence, in the manner of
+an LSM tree's flush and merge to an on-disk level (O'Neil et al., "The
 log-structured merge-tree", 1996). Compaction, purge and preload are one
-rebuild by the same merge, of the base, the tier and a run of the overlay,
-which streams each stripe into the new snapshot, whose header, holding
-the record count, is written last; so it holds a few stripes, never the
-whole snapshot or tier. An on-disk store keeps only the
-base's fence in memory and reads a block with one pread of the snapshot
-file. Every on-disk base comes from one loader, which checks in one pass
-that the records strictly increase: at start-up, and in each rebuild,
-on the temp file before it is renamed over the snapshot, so a snapshot
-the loader refuses never replaces the one on disk. Only this store replaces
-the snapshot, by rename under its lock, and the loaded descriptor
-follows the file through it, so a lookup reads the bytes the load
-checked; a block that reads back otherwise fails the lookup with
-OSError. All writes happen under one lock; lookups take none.
+rebuild by the same merge, of the base, the tier and runs of the
+overlay, sorted a sixteenth of its buckets at a time into lists of
+fixed-size pieces of whole blocks (as is the base of an in-memory
+store, whose lookups search a block in place), which streams each
+stripe into the new snapshot, whose header, holding the record count,
+is written last; so it holds a few stripes, never the whole snapshot or
+tier, and the merge releases each piece as it passes it. An on-disk
+store keeps only the fences of the base and the tier in memory and
+reads a block with one pread of the snapshot or the tier's file: the
+tier costs 32 B of disk per logged secret while the store is open, and
+twice that while it opens. Every on-disk base comes from one loader,
+which checks in one pass that the records strictly increase: at
+start-up, and in each rebuild, on the temp file before it is renamed
+over the snapshot, so a snapshot the loader refuses never replaces the
+one on disk. Only this store replaces the snapshot, by rename under its
+lock, and the loaded descriptor follows the file through it, so a
+lookup reads the bytes the load checked; a block that reads back
+otherwise fails the lookup with OSError, as does a block of the tier.
+All writes happen under one lock; lookups take none.
 """
 
 from __future__ import annotations
@@ -55,10 +60,12 @@ import bisect
 import contextlib
 import errno
 import fcntl
+import functools
 import itertools
 import operator
 import os
 import struct
+import tempfile
 import threading
 import time
 import weakref
@@ -96,33 +103,36 @@ class _Sorted:
     """Spent secrets as sorted records, plus a fence: the first record of
     each block of _BLOCK, which bisect searches in C before one block is
     searched. The records are held in memory as a list of pieces of
-    _PIECE bytes, whole blocks each, the last one shorter (the logged
-    tier, a run of a merge, or the base of an in-memory store), and a
-    lookup searches its block in place in its piece; or they are the
-    body of a snapshot file (an on-disk base), read a block at a time
-    through the descriptor the loader opened on it, so only the fence
-    (about 1.3 B per secret) is kept. The file is trusted to hold the
-    bytes the loader checked (see the module docstring); a block that
-    reads back short or without its fence record raises OSError, as a
-    read error does. Immutable once another thread can see it (a merge
-    releases the pieces of a view(), never of what lookups read), so a
-    rebuild swaps in a new one and a lookup never sees half of each; the
-    descriptor closes once nothing holds the object, or at close()."""
+    _PIECE bytes, whole blocks each, the last one shorter (a run of a
+    rebuild's merge, or the base of an in-memory store), and a lookup
+    searches its block in place in its piece; or they sit in a file from
+    offset `head` on, read a block at a time with one pread of the
+    descriptor `fd`, so only the fence (about 1.3 B per secret) is kept:
+    the body of a snapshot (an on-disk base), or an unlinked scratch file
+    (the logged tier, or a run of the replay; see _spill). The file is
+    trusted to hold the bytes written or checked (see the module
+    docstring); a block that reads back short or without its fence
+    record raises OSError, as a read error does. Immutable once another
+    thread can see it (a merge releases the pieces of a view(), never of
+    what lookups read), so a rebuild swaps in a new one and a lookup
+    never sees half of each. `close`, if given, releases the descriptor:
+    once nothing holds the object, or at close()."""
 
-    __slots__ = ("fence", "size", "pieces", "_fd", "_closer", "__weakref__")
+    __slots__ = ("fence", "size", "pieces", "head", "_fd", "_closer", "__weakref__")
 
     def __init__(self, fence: List[bytes], size: int, pieces: List[bytes] = (),
-                 fd: Optional[int] = None):
+                 fd: Optional[int] = None, head: int = 0,
+                 close: Optional[Callable[[], None]] = None):
         self.fence = fence
         self.size = size  # bytes of records
         self.pieces = pieces
+        self.head = head  # the file offset of the first record
         self._fd = fd
-        self._closer = None if fd is None else weakref.finalize(self, os.close, fd)
+        self._closer = None if close is None else weakref.finalize(self, close)
 
     @classmethod
     def from_pieces(cls, pieces: List[bytes]) -> "_Sorted":
-        fence = [p[i : i + SECRET_SIZE]
-                 for p in pieces for i in range(0, len(p), _BLOCK_BYTES)]
+        fence = [u for p in pieces for u in _fence(p)]
         return cls(fence, sum(map(len, pieces)), pieces)
 
     def __len__(self) -> int:
@@ -130,7 +140,7 @@ class _Sorted:
 
     def view(self) -> "_Sorted":
         """The same records over a piece list of its own, for a merge to
-        release; an on-disk base has no pieces and is its own view."""
+        release; records in a file have no pieces and are their own view."""
         return self if self._fd is not None else _Sorted(self.fence, self.size, list(self.pieces))
 
     def __contains__(self, u: bytes) -> bool:
@@ -152,9 +162,9 @@ class _Sorted:
             first, at = divmod(offset, _PIECE)
             data = b"".join(self.pieces[first : (offset + size - 1) // _PIECE + 1])
             return data[at : at + size]
-        data = os.pread(self._fd, size, _SNAP_HEAD + offset)
+        data = os.pread(self._fd, size, self.head + offset)
         if len(data) != size or not data.startswith(self.fence[offset // _BLOCK_BYTES]):
-            raise OSError(errno.EIO, "snapshot block does not read back as loaded")
+            raise OSError(errno.EIO, "a block of spent secrets does not read back as stored")
         return data
 
     def close(self) -> None:
@@ -199,9 +209,13 @@ class _Overlay:
         bucket = self._buckets[hash(u) & (_BUCKETS - 1)]
         return bucket is not None and _has_record(bucket, u)
 
-    def __iter__(self) -> Iterator[bytes]:
-        for bucket in filter(None, self._buckets):
-            yield from _records(bucket)
+    def runs(self) -> Iterator[_Sorted]:
+        """The records as sorted runs of pieces, one per sixteenth of the
+        buckets, so only one sixteenth of them are objects at a time."""
+        step = max(_BUCKETS // 16, 1)
+        for k in range(0, _BUCKETS, step):
+            group = filter(None, self._buckets[k : k + step])
+            yield _run([u for bucket in group for u in _records(bucket)])
 
     def add(self, u: bytes) -> None:
         """Append u, a SECRET_SIZE-byte secret not yet held."""
@@ -218,20 +232,39 @@ def _unique(recs: List[bytes]) -> Iterator[bytes]:
     return itertools.compress(recs, map(operator.ne, recs, itertools.chain((b"",), recs)))
 
 
-def _pack(records: Iterable[bytes]) -> List[bytes]:
+def _pieces(records: Iterable[bytes]) -> Iterator[bytes]:
     """The records joined into pieces of _PIECE bytes, the last one
     shorter; the iterable is read one piece's records at a time."""
     records, n = iter(records), _PIECE // SECRET_SIZE
-    return list(iter(lambda: b"".join(itertools.islice(records, n)), b""))
+    return iter(lambda: b"".join(itertools.islice(records, n)), b"")
 
 
-def _run(recs: List[bytes], seen: Optional[_Sorted] = None) -> _Sorted:
+def _fence(piece: bytes) -> List[bytes]:
+    """The first record of each block of a piece of whole blocks."""
+    return [piece[i : i + SECRET_SIZE] for i in range(0, len(piece), _BLOCK_BYTES)]
+
+
+def _spill(records: Iterable[bytes], file, close: Optional[Callable[[], None]] = None) -> _Sorted:
+    """The sorted records appended to `file`, an unlinked scratch file
+    (see RedeemDb._scratch_file), a piece at a time, as a _Sorted that
+    keeps only their fence and reads a block with one pread. A write that
+    fails raises; `close` is passed on to the _Sorted."""
+    head, fence, size = file.tell(), [], 0
+    for piece in _pieces(records):
+        fence += _fence(piece)
+        size += file.write(piece)
+    file.flush()  # the preads read the file, not the buffer
+    return _Sorted(fence, size, fd=file.fileno(), head=head, close=close)
+
+
+def _run(recs: List[bytes], seen: Optional[_Sorted] = None, file=None) -> _Sorted:
     """The records sorted (in place) and without those in `seen`, as a
-    _Sorted of pieces. A run may repeat a record; the merge drops it."""
+    _Sorted of pieces, or spilled to `file` if given. A run may repeat a
+    record; the merge drops it."""
     recs.sort()
     if seen is not None:
         recs = itertools.filterfalse(seen.__contains__, recs)
-    return _Sorted.from_pieces(_pack(recs))
+    return _Sorted.from_pieces(list(_pieces(recs))) if file is None else _spill(recs, file)
 
 
 def _merge(
@@ -248,7 +281,7 @@ def _merge(
     stripe is yielded. A run's piece is released once all of it is read,
     so the runs leave memory as the merged records are packed or
     written; a run that lookups may still read is passed as its view().
-    An on-disk base has no pieces to release."""
+    Records in a file have no pieces to release."""
     bounds = sorted(itertools.chain.from_iterable(r.fence for r in runs))[_STRIPE::_STRIPE]
     bounds.append(_END)
     done = [0] * len(runs)  # bytes of each run read
@@ -260,7 +293,7 @@ def _merge(
             if upto > done[k]:
                 chunks.append(run.read(done[k], upto - done[k]))
                 for piece in range(done[k] // _PIECE, upto // _PIECE) if run.pieces else ():
-                    run.pieces[piece] = None  # wholly read; an on-disk base has none
+                    run.pieces[piece] = None  # wholly read; records in a file have none
                 done[k] = upto
         recs = held
         recs += _records(b"".join(chunks))
@@ -364,6 +397,7 @@ class RedeemDb:
             except BaseException as e:
                 self._log.close()
                 self._base.close()
+                self._logged.close()
                 if isinstance(e, BlockingIOError):
                     raise DbBusy(f"{path} is in use by another server or purge") from None
                 raise
@@ -446,6 +480,7 @@ class RedeemDb:
                 self._log = None
                 self._log_size = 0
                 self._base.close()
+                self._logged.close()
 
     # -- disk format -------------------------------------------------------
 
@@ -454,23 +489,25 @@ class RedeemDb:
         drop: Optional[Callable[[bytes], bool]] = None,
         extra: Iterable[bytes] = (),
     ) -> None:
-        """Merge views of the base and the logged tier, which lookups read
-        whole meanwhile, and a run of the overlay (and `extra`) into a new
-        base without repeats or records drop(u) accepts; on disk, stream
-        it into a temp file, load that as the base and rename it over the
-        snapshot, then restart the log. The new base is installed before
-        the tier and the overlay are emptied. With nothing to merge or
-        drop and an empty log (which also holds the claim records and
-        every secret of the tier) the snapshot is current, and nothing is
-        written."""
+        """Merge a view of the base, which lookups read whole meanwhile,
+        the logged tier (in a file of an on-disk store, so its own view;
+        an in-memory store's is empty), the overlay's runs and a run of
+        `extra` into a new base without repeats or records drop(u)
+        accepts; on disk, stream it into a temp file, load that as the
+        base and rename it over the snapshot, then restart the log. The
+        new base is installed before the tier and the overlay are emptied.
+        With nothing to merge or drop and an empty log (which also holds
+        the claim records and every secret of the tier) the snapshot is
+        current, and nothing is written."""
         if not (self._overlay or extra or drop or self._log_size):
             return
         on_disk = self._on_disk()
-        new = [*self._overlay, *extra]  # the merge drops repeats
+        new = list(extra)  # the merge drops repeats
         if any(len(u) != SECRET_SIZE for u in new):
             raise ValueError(f"spent secrets are {SECRET_SIZE} bytes")
-        stripes = _merge([self._base.view(), self._logged.view(), _run(new)], drop)
-        del new  # packed into the run
+        runs = [self._base.view(), self._logged, *self._overlay.runs(), _run(new)]
+        del new  # packed into its run
+        stripes = _merge(runs, drop)
         if on_disk:
             claims = sorted(self._claims)
 
@@ -491,7 +528,7 @@ class RedeemDb:
             self._log_size = 0
             os.fsync(self._log.fileno())
         else:
-            base = _Sorted.from_pieces(_pack(itertools.chain.from_iterable(stripes)))
+            base = _Sorted.from_pieces(list(_pieces(itertools.chain.from_iterable(stripes))))
         # the old base's descriptor closes once no lookup holds it
         self._base = base  # before the tier and the overlay go; see __contains__
         self._logged = _Sorted.from_pieces([])
@@ -524,7 +561,8 @@ class RedeemDb:
         t0 = time.perf_counter()
         if os.path.exists(self._snap):
             self._base = self._load_snapshot(self._snap)
-        records, torn = self._replay_log()
+        with self._scratch_file() as scratch:  # the replay's runs
+            records, torn = self._replay_log(scratch)
         self.recovery = Recovery(
             len(self._base), records, torn, time.perf_counter() - t0
         )
@@ -564,18 +602,29 @@ class RedeemDb:
             os.close(fd)
             raise
         self._claims.update(_records(claims))
-        return _Sorted(fence, size, fd=fd)
+        return _Sorted(fence, size, fd=fd, head=_SNAP_HEAD, close=functools.partial(os.close, fd))
 
-    def _replay_log(self) -> Tuple[int, int]:
+    def _scratch_file(self):
+        """A new unlinked file beside the log, for records that need not
+        survive the process: in the state directory's file system, never
+        /tmp, which may be a tmpfs and hold them in memory after all."""
+        return tempfile.TemporaryFile(dir=os.path.dirname(self._path) or ".")
+
+    def _replay_log(self, scratch) -> Tuple[int, int]:
         """Replays the complete records of the log and truncates what
         follows them; returns how many records it replayed and how many
         bytes it dropped. The log is read a window at a time; a record
         starts only where the longest one fits before the window's end, or
         where the log ends, so a record the window cuts is carried over to
         the next. The secrets a window inserts are sorted into a run as
-        soon as it is parsed, and one merge of the runs (_merge) makes
-        the logged tier, so at most one window's or one stripe's
-        secrets are objects at a time."""
+        soon as it is parsed, and appended to `scratch`, a scratch file;
+        one merge of the runs (_merge) streams the logged tier into a
+        scratch file of its own, which the tier reads from as the base
+        reads the snapshot. So at most one window's or one stripe's
+        secrets are objects at a time, and the tier's records stay on
+        disk: about 64 B per logged secret while the store opens, and 32
+        once it is open. The tier's descriptor is the one this leaves
+        open, and only if the log holds a secret the snapshot lacks."""
         n_log = self._log.seek(0, os.SEEK_END)
         self._log.seek(0)
         runs = []  # the secrets each window inserts, sorted
@@ -636,12 +685,17 @@ class RedeemDb:
                     # rebuild dropped nothing, so the snapshot holds every
                     # secret logged before the crash. Those after it are new.
                     seen = self._base
-                runs.append(_run(logged, seen))
+                runs.append(_run(logged, seen, scratch))
             if off < limit or not more:
                 break  # at a record that is not whole, or at the log's end
         del logged, data  # the last window's secrets and bytes, before the merge
-        stripes = _merge(runs)
-        self._logged = _Sorted.from_pieces(_pack(itertools.chain.from_iterable(stripes)))
+        if any(run.size for run in runs):
+            tier = self._scratch_file()
+            try:
+                self._logged = _spill(itertools.chain.from_iterable(_merge(runs)), tier, tier.close)
+            except BaseException:
+                tier.close()
+                raise
         good = start + off
         if good != n_log:
             self._log.truncate(good)  # torn tail from a crash mid-append

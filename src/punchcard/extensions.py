@@ -15,8 +15,6 @@
 
 from __future__ import annotations
 
-import hashlib
-import hmac
 from dataclasses import dataclass
 from datetime import date, timedelta
 from typing import Any, Dict, List, Tuple
@@ -29,7 +27,7 @@ from .errors import (
     PromotionTooLarge,
     ProofRejected,
 )
-from .groups.base import Group, element, random_bytes, tagged, unpack
+from .groups.base import Group, compare_digest, element, random_bytes, sha256, tagged, unpack
 
 Element = Any
 
@@ -194,7 +192,7 @@ def make_claim_secret(rng=None) -> Tuple[bytes, bytes]:
 
 
 def claim_to_secret(rs: bytes) -> bytes:
-    return hashlib.sha256(tagged(TAG_CLAIM, rs)).digest()
+    return sha256(tagged(TAG_CLAIM, rs)).digest()
 
 
 def claim(db, rs: bytes) -> bytes:
@@ -322,7 +320,7 @@ def verify_ticket(group: Group, sk: int, req: TicketRedeemRequest) -> bool:
         return False
     for name, count, encoded in req.slots:
         expected = core.expected_card(group, sk, req.u, count, _slot_tag(name))
-        if not hmac.compare_digest(encoded, expected):
+        if not compare_digest(encoded, expected):
             return False
     return True
 

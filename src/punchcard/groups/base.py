@@ -19,16 +19,42 @@ as no check, the scalar codec (``scalar_size`` bytes in
 inverted scalars, and ``hash_to_scalar``. ``load_library`` binds the
 native libraries under ristretto255 (libsodium) and the BLS12-381 field
 (libgmp).
+
+This module is the one place that names the hash and compare primitives:
+``sha512``, ``sha256`` and ``compare_digest`` (constant-time), with
+``os.urandom`` for randomness. They come from CPython's built-in modules,
+as ``random`` takes its SHA-512, never from ``hashlib``, ``hmac`` or
+``secrets``: those import ``_hashlib``, which maps OpenSSL's libcrypto,
+about 3.7 MB of every server's resident memory, for digests the built-ins
+give byte for byte. ``hashlib`` serves only where CPython was built
+without them.
 """
 
 from __future__ import annotations
 
+import _operator
 import ctypes
-import hashlib
-import secrets
+import os
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from ..errors import InvalidEncoding, ZeroInverse
+
+
+def _sha2() -> Tuple[Callable, Callable]:
+    """CPython's built-in sha256 and sha512, else hashlib's."""
+    try:
+        from _sha2 import sha256, sha512  # CPython 3.12 and later
+    except ImportError:
+        try:
+            from _sha256 import sha256  # CPython 3.10 and 3.11
+            from _sha512 import sha512
+        except ImportError:
+            from hashlib import sha256, sha512
+    return sha256, sha512
+
+
+sha256, sha512 = _sha2()
+compare_digest = _operator._compare_digest  # hmac's, without _hashlib
 
 Element = Any
 # one unpack field: (size, decode, check), where check (or None) raises
@@ -46,13 +72,13 @@ def tagged(tag: str, data: bytes) -> bytes:
 
 def wide_hash(tag: str, data: bytes) -> bytes:
     """512-bit digest over a tagged input; callers reduce mod their order."""
-    return hashlib.sha512(tagged(tag, data)).digest()
+    return sha512(tagged(tag, data)).digest()
 
 
 def random_bytes(n: int, rng=None) -> bytes:
     """n random bytes from rng (a random.Random, for tests) or the OS."""
     if rng is None:
-        return secrets.token_bytes(n)
+        return os.urandom(n)
     return rng.randbytes(n)
 
 

@@ -75,10 +75,8 @@ flags, off-curve x, and points outside the order-n subgroup.
 
 from __future__ import annotations
 
-import hashlib
-
 from ...errors import InvalidEncoding
-from ..base import tagged
+from ..base import sha512, tagged
 from .fields import (
     F2_ONE,
     FROB_V,
@@ -752,7 +750,7 @@ def g2_from_bytes(data: bytes):
 
 
 def _field_candidate(msg: bytes, ctr: int, idx: int):
-    h = hashlib.sha512(msg + bytes([ctr, idx])).digest()
+    h = sha512(msg + bytes([ctr, idx])).digest()
     return mpz(int.from_bytes(h, "big") % P)
 
 
@@ -766,7 +764,7 @@ def _hash(c, tag: str, data: bytes, clear):
             y = F.sqrt(c.rhs(x))
         except ValueError:
             continue
-        if hashlib.sha512(msg + bytes([ctr, F.degree])).digest()[0] & 1:
+        if sha512(msg + bytes([ctr, F.degree])).digest()[0] & 1:
             y = F.neg(y)
         pt = clear((x, y))
         if pt is not None:

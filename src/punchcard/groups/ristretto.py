@@ -21,10 +21,9 @@ inputs before calling C; everything else is passed through untouched.
 from __future__ import annotations
 
 import ctypes
-import hashlib
 
 from ..errors import InvalidEncoding
-from .base import Group, check_length, load_library, tagged
+from .base import Group, check_length, load_library, sha512, tagged
 
 # field and group parameters (curve25519 / ristretto255)
 P = 2**255 - 19
@@ -336,11 +335,11 @@ class RistrettoGroup(Group):
 
     def hash_to_group(self, tag: str, data: bytes) -> bytes:
         msg = tagged(tag, data)
-        e = self._backend.from_hash(hashlib.sha512(msg).digest())
+        e = self._backend.from_hash(sha512(msg).digest())
         ctr = 0
         while e == _IDENTITY:  # cannot occur except by 2^-250 accident
             e = self._backend.from_hash(
-                hashlib.sha512(msg + b"\x00" + bytes([ctr])).digest()
+                sha512(msg + b"\x00" + bytes([ctr])).digest()
             )
             ctr += 1
         return e

@@ -23,13 +23,12 @@ only ever runs the one verify equation (and u != u' holds for free).
 
 from __future__ import annotations
 
-import hmac
 from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
 from . import core, dleq
 from .core import SECRET, RedeemStatus
-from .groups.base import PairingGroups, element, unpack
+from .groups.base import PairingGroups, compare_digest, element, unpack
 
 Element = Any
 
@@ -212,7 +211,7 @@ def verify_card(
     if req.u_a == req.u_b:
         return False
     expected = expected_value(pairing, sk, req.u_a, req.u_b, count)
-    return hmac.compare_digest(req.value, expected)
+    return compare_digest(req.value, expected)
 
 
 def server_redeem(
