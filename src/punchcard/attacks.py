@@ -66,21 +66,24 @@ def replay_attack(
     db = RedeemDb()
     till = _Till()
     rejected = 0
-    for _ in range(trials):
-        secret, card = _earn(group, sk, pk, till, punches, rng)
-        req = core.client_redeem(group, secret, card)
-        raw = req.to_bytes(group)
-        if till.redeem(group, sk, req, punches, db) is not RedeemStatus.ACCEPT:
-            raise RuntimeError("an honest first redemption was refused")
-        # byte-identical replay
-        again = core.RedeemRequest.from_bytes(group, raw)
-        if till.redeem(group, sk, again, punches, db) is not RedeemStatus.ACCEPT:
-            rejected += 1
-        # same u, re-randomized card value: still the same spent secret
-        revalued = group.exp(group.decode_element(req.card), group.random_scalar(rng))
-        forged = core.RedeemRequest(u=req.u, card=group.encode_element(revalued))
-        if till.redeem(group, sk, forged, punches, db) is not RedeemStatus.ACCEPT:
-            rejected += 1
+    try:
+        for _ in range(trials):
+            secret, card = _earn(group, sk, pk, till, punches, rng)
+            req = core.client_redeem(group, secret, card)
+            raw = req.to_bytes(group)
+            if till.redeem(group, sk, req, punches, db) is not RedeemStatus.ACCEPT:
+                raise RuntimeError("an honest first redemption was refused")
+            # byte-identical replay
+            again = core.RedeemRequest.from_bytes(group, raw)
+            if till.redeem(group, sk, again, punches, db) is not RedeemStatus.ACCEPT:
+                rejected += 1
+            # same u, re-randomized card value: still the same spent secret
+            revalued = group.exp(group.decode_element(req.card), group.random_scalar(rng))
+            forged = core.RedeemRequest(u=req.u, card=group.encode_element(revalued))
+            if till.redeem(group, sk, forged, punches, db) is not RedeemStatus.ACCEPT:
+                rejected += 1
+    finally:
+        db.close()
     return {
         "scenario": "replay",
         "trials": trials * 2,
@@ -147,7 +150,6 @@ def eavesdropper_attack(
     before redemption) and the mask, all they can do is guess."""
     rng = random.Random(seed)
     sk, pk = core.server_setup(group, rng)
-    db = RedeemDb()
     till = _Till()
 
     sent, punched = [], []
@@ -161,25 +163,29 @@ def eavesdropper_attack(
     seen_elements = sent + punched
 
     accepted = 0
-    for i in range(guesses):
-        guess_u = rng.randbytes(core.SECRET_SIZE)
-        if i % 3 == 0:
-            guess_card = group.exp(
-                group.generator(), group.random_scalar(rng)
-            )
-        elif i % 3 == 1:
-            guess_card = seen_elements[i % len(seen_elements)]
-        else:
-            guess_card = group.exp(
-                seen_elements[i % len(seen_elements)], group.random_scalar(rng)
-            )
-        req = core.RedeemRequest(u=guess_u, card=group.encode_element(guess_card))
-        if till.redeem(group, sk, req, punches, db) is RedeemStatus.ACCEPT:
-            accepted += 1
-    # the victim's own redemption still goes through afterwards
-    victim = till.redeem(
-        group, sk, core.client_redeem(group, secret, card), punches, db
-    )
+    db = RedeemDb()
+    try:
+        for i in range(guesses):
+            guess_u = rng.randbytes(core.SECRET_SIZE)
+            if i % 3 == 0:
+                guess_card = group.exp(
+                    group.generator(), group.random_scalar(rng)
+                )
+            elif i % 3 == 1:
+                guess_card = seen_elements[i % len(seen_elements)]
+            else:
+                guess_card = group.exp(
+                    seen_elements[i % len(seen_elements)], group.random_scalar(rng)
+                )
+            req = core.RedeemRequest(u=guess_u, card=group.encode_element(guess_card))
+            if till.redeem(group, sk, req, punches, db) is RedeemStatus.ACCEPT:
+                accepted += 1
+        # the victim's own redemption still goes through afterwards
+        victim = till.redeem(
+            group, sk, core.client_redeem(group, secret, card), punches, db
+        )
+    finally:
+        db.close()
     return {
         "scenario": "eavesdropper",
         "trials": guesses,

@@ -112,16 +112,19 @@ def run(scheme, trials: int = MIN_TRIALS, db_size: int = 0) -> Dict:
     ]
 
     db = RedeemDb()
-    if db_size:
-        db.preload(_random_secrets(db_size))
-    rows.append(
-        _time_op(
-            f"server_redeem(db={len(db)})",
-            accepted_request,
-            lambda req: scheme.server_redeem(sk, req, punches, db),
-            trials,
+    try:
+        if db_size:
+            db.preload(_random_secrets(db_size))
+        rows.append(
+            _time_op(
+                f"server_redeem(db={len(db)})",
+                accepted_request,
+                lambda req: scheme.server_redeem(sk, req, punches, db),
+                trials,
+            )
         )
-    )
+    finally:
+        db.close()
 
     cards = issued_for_redeem()
     card = cards[0][1]

@@ -34,16 +34,17 @@ log's, and the open store holds only the tier's fence, in the manner of
 an LSM tree's flush and merge to an on-disk level (O'Neil et al., "The
 log-structured merge-tree", 1996). Compaction, purge and preload are one
 rebuild by the same merge, of the base, the tier and runs of the
-overlay, sorted a sixteenth of its buckets at a time into lists of
-fixed-size pieces of whole blocks (as is the base of an in-memory
-store, whose lookups search a block in place), which streams each
+overlay, sorted a sixteenth of its buckets at a time and spilled, with
+a run of the preloaded secrets, to one scratch file; it streams each
 stripe into the new snapshot, whose header, holding the record count,
-is written last; so it holds a few stripes, never the whole snapshot or
-tier, and the merge releases each piece as it passes it. An on-disk
-store keeps only the fences of the base and the tier in memory and
-reads a block with one pread of the snapshot or the tier's file: the
-tier costs 32 B of disk per logged secret while the store is open, and
-twice that while it opens. Every on-disk base comes from one loader,
+is written last; so it holds a few stripes, never the whole snapshot,
+tier or overlay as objects. Every level is on disk: the store keeps only
+the fences of the base and the tier in memory and reads a block with
+one pread of the snapshot or the tier's file, which costs 32 B of disk
+per logged secret while the store is open, and twice that while it
+opens. A store opened without a path keeps its log and snapshot in a
+private temporary directory, without fsync, removed at close() or once
+nothing holds the store. Every base comes from one loader,
 which checks in one pass that the records strictly increase: at
 start-up, and in each rebuild, on the temp file before it is renamed
 over the snapshot, so a snapshot the loader refuses never replaces the
@@ -64,6 +65,7 @@ import functools
 import itertools
 import operator
 import os
+import shutil
 import struct
 import tempfile
 import threading
@@ -87,81 +89,68 @@ _RUN = 1024  # like insert records replayed in one go; more costs peak memory
 _STEP = 4096 * SECRET_SIZE  # bytes the loader reads at a time
 _BLOCK = 64  # records per fence entry of a _Sorted
 _BLOCK_BYTES = _BLOCK * SECRET_SIZE
-_PIECE = 8 * _BLOCK_BYTES  # bytes per piece of records held in memory
+_PIECE = 8 * _BLOCK_BYTES  # bytes _spill writes at a time
 _STRIPE = 64  # fence records per stripe of the replay's merge
 _SECRET_FMT = f"{SECRET_SIZE}s"  # one record, as a struct field
 _END = b"\xff" * (SECRET_SIZE + 1)  # sorts after every record
 _BUCKETS = 4096  # the overlay's buckets, a power of two
+# one block's records; compiled once, where struct.unpack would compile
+# and cache a format for each length of chunk it is given
+_BLOCK_STRUCT = struct.Struct(_SECRET_FMT * _BLOCK)
 
 
-def _records(chunk: bytes) -> Tuple[bytes, ...]:
-    """The records of `chunk`, one bytes object each."""
-    return struct.unpack(_SECRET_FMT * (len(chunk) // SECRET_SIZE), chunk)
+def _records(chunk: bytes) -> List[bytes]:
+    """The records of `chunk`, one bytes object each: its whole blocks
+    unpacked by _BLOCK_STRUCT, then the records of the short tail."""
+    whole = len(chunk) - len(chunk) % _BLOCK_STRUCT.size
+    recs = []
+    for block in _BLOCK_STRUCT.iter_unpack(memoryview(chunk)[:whole]):
+        recs += block
+    recs += (chunk[i : i + SECRET_SIZE] for i in range(whole, len(chunk), SECRET_SIZE))
+    return recs
 
 
 class _Sorted:
-    """Spent secrets as sorted records, plus a fence: the first record of
-    each block of _BLOCK, which bisect searches in C before one block is
-    searched. The records are held in memory as a list of pieces of
-    _PIECE bytes, whole blocks each, the last one shorter (a run of a
-    rebuild's merge, or the base of an in-memory store), and a lookup
-    searches its block in place in its piece; or they sit in a file from
-    offset `head` on, read a block at a time with one pread of the
-    descriptor `fd`, so only the fence (about 1.3 B per secret) is kept:
-    the body of a snapshot (an on-disk base), or an unlinked scratch file
-    (the logged tier, or a run of the replay; see _spill). The file is
-    trusted to hold the bytes written or checked (see the module
-    docstring); a block that reads back short or without its fence
-    record raises OSError, as a read error does. Immutable once another
-    thread can see it (a merge releases the pieces of a view(), never of
-    what lookups read), so a rebuild swaps in a new one and a lookup
-    never sees half of each. `close`, if given, releases the descriptor:
-    once nothing holds the object, or at close()."""
+    """Spent secrets as sorted records in a file, plus a fence: the first
+    record of each block of _BLOCK, which bisect searches in C before one
+    block is read. The records sit in the file from offset `head` on,
+    read a block at a time with one pread of the descriptor `fd`, so
+    only the fence (about 1.3 B per secret) is kept: the body of a
+    snapshot (the base), or an unlinked scratch file (the logged tier,
+    or a run of the replay or a rebuild; see _spill). An empty part is
+    _Sorted([], 0), with no file. The file is trusted to hold the bytes
+    written or checked (see the module docstring); a block that reads
+    back short or without its fence record raises OSError, as a read
+    error does. Immutable once another thread can see it, so a rebuild
+    swaps in a new one and a lookup never sees half of each. `close`, if
+    given, releases the descriptor: once nothing holds the object, or at
+    close()."""
 
-    __slots__ = ("fence", "size", "pieces", "head", "_fd", "_closer", "__weakref__")
+    __slots__ = ("fence", "size", "head", "_fd", "_closer", "__weakref__")
 
-    def __init__(self, fence: List[bytes], size: int, pieces: List[bytes] = (),
-                 fd: Optional[int] = None, head: int = 0,
-                 close: Optional[Callable[[], None]] = None):
+    def __init__(self, fence: List[bytes], size: int, fd: Optional[int] = None,
+                 head: int = 0, close: Optional[Callable[[], None]] = None):
         self.fence = fence
         self.size = size  # bytes of records
-        self.pieces = pieces
         self.head = head  # the file offset of the first record
         self._fd = fd
         self._closer = None if close is None else weakref.finalize(self, close)
 
-    @classmethod
-    def from_pieces(cls, pieces: List[bytes]) -> "_Sorted":
-        fence = [u for p in pieces for u in _fence(p)]
-        return cls(fence, sum(map(len, pieces)), pieces)
-
     def __len__(self) -> int:
         return self.size // SECRET_SIZE
-
-    def view(self) -> "_Sorted":
-        """The same records over a piece list of its own, for a merge to
-        release; records in a file have no pieces and are their own view."""
-        return self if self._fd is not None else _Sorted(self.fence, self.size, list(self.pieces))
 
     def __contains__(self, u: bytes) -> bool:
         block = bisect.bisect_right(self.fence, u) - 1
         if block < 0 or len(u) != SECRET_SIZE:
             return False
-        if self._fd is None:
-            piece, start = divmod(block * _BLOCK_BYTES, _PIECE)
-            data = self.pieces[piece]
-        else:
-            data, start = self.read(block * _BLOCK_BYTES, _BLOCK_BYTES), 0
-        return _has_record(data, u, start, start + _BLOCK_BYTES)
+        return _has_record(self.read(block * _BLOCK_BYTES, _BLOCK_BYTES), u)
 
     def read(self, offset: int, size: int) -> bytes:
         """Up to `size` bytes of records from `offset`, the start of a
-        block; from a file, checked against the fence."""
+        block, checked against the fence."""
         size = min(size, self.size - offset)
-        if self._fd is None:
-            first, at = divmod(offset, _PIECE)
-            data = b"".join(self.pieces[first : (offset + size - 1) // _PIECE + 1])
-            return data[at : at + size]
+        if size <= 0:
+            return b""  # an empty part has no file to read
         data = os.pread(self._fd, size, self.head + offset)
         if len(data) != size or not data.startswith(self.fence[offset // _BLOCK_BYTES]):
             raise OSError(errno.EIO, "a block of spent secrets does not read back as stored")
@@ -174,14 +163,13 @@ class _Sorted:
             self._closer()
 
 
-def _has_record(data, u: bytes, start: int = 0, end: Optional[int] = None) -> bool:
-    """Whether u is a whole record of data[start:end], whose records
-    begin at `start`, a multiple of SECRET_SIZE. An append to a bytearray
+def _has_record(data, u: bytes) -> bool:
+    """Whether u is a whole record of data. An append to a bytearray
     moves none of its records, and each find is one C call, so a bucket
     that grows meanwhile is searched correctly."""
-    at = data.find(u, start, end)
+    at = data.find(u)
     while at != -1 and at % SECRET_SIZE:  # a match across two records
-        at = data.find(u, at + 1, end)
+        at = data.find(u, at + 1)
     return at != -1
 
 
@@ -209,13 +197,13 @@ class _Overlay:
         bucket = self._buckets[hash(u) & (_BUCKETS - 1)]
         return bucket is not None and _has_record(bucket, u)
 
-    def runs(self) -> Iterator[_Sorted]:
-        """The records as sorted runs of pieces, one per sixteenth of the
-        buckets, so only one sixteenth of them are objects at a time."""
+    def runs(self, file) -> Iterator[_Sorted]:
+        """The records as sorted runs spilled to `file`, one per sixteenth
+        of the buckets, so only one sixteenth of them are objects at a time."""
         step = max(_BUCKETS // 16, 1)
         for k in range(0, _BUCKETS, step):
             group = filter(None, self._buckets[k : k + step])
-            yield _run([u for bucket in group for u in _records(bucket)])
+            yield _run([u for bucket in group for u in _records(bucket)], file)
 
     def add(self, u: bytes) -> None:
         """Append u, a SECRET_SIZE-byte secret not yet held."""
@@ -239,11 +227,6 @@ def _pieces(records: Iterable[bytes]) -> Iterator[bytes]:
     return iter(lambda: b"".join(itertools.islice(records, n)), b"")
 
 
-def _fence(piece: bytes) -> List[bytes]:
-    """The first record of each block of a piece of whole blocks."""
-    return [piece[i : i + SECRET_SIZE] for i in range(0, len(piece), _BLOCK_BYTES)]
-
-
 def _spill(records: Iterable[bytes], file, close: Optional[Callable[[], None]] = None) -> _Sorted:
     """The sorted records appended to `file`, an unlinked scratch file
     (see RedeemDb._scratch_file), a piece at a time, as a _Sorted that
@@ -251,20 +234,19 @@ def _spill(records: Iterable[bytes], file, close: Optional[Callable[[], None]] =
     fails raises; `close` is passed on to the _Sorted."""
     head, fence, size = file.tell(), [], 0
     for piece in _pieces(records):
-        fence += _fence(piece)
+        fence += [piece[i : i + SECRET_SIZE] for i in range(0, len(piece), _BLOCK_BYTES)]
         size += file.write(piece)
     file.flush()  # the preads read the file, not the buffer
     return _Sorted(fence, size, fd=file.fileno(), head=head, close=close)
 
 
-def _run(recs: List[bytes], seen: Optional[_Sorted] = None, file=None) -> _Sorted:
-    """The records sorted (in place) and without those in `seen`, as a
-    _Sorted of pieces, or spilled to `file` if given. A run may repeat a
-    record; the merge drops it."""
+def _run(recs: List[bytes], file, seen: Optional[_Sorted] = None) -> _Sorted:
+    """The records sorted (in place), without those in `seen`, and
+    spilled to `file`. A run may repeat a record; the merge drops it."""
     recs.sort()
     if seen is not None:
         recs = itertools.filterfalse(seen.__contains__, recs)
-    return _Sorted.from_pieces(list(_pieces(recs))) if file is None else _spill(recs, file)
+    return _spill(recs, file)
 
 
 def _merge(
@@ -278,10 +260,8 @@ def _merge(
     last stripe, those below the bound are yielded, each once, and the
     rest are held. A block that starts at or above the bound holds no
     record below it, so every copy of a record is read by the time its
-    stripe is yielded. A run's piece is released once all of it is read,
-    so the runs leave memory as the merged records are packed or
-    written; a run that lookups may still read is passed as its view().
-    Records in a file have no pieces to release."""
+    stripe is yielded. The runs are only read, so lookups may read them
+    meanwhile."""
     bounds = sorted(itertools.chain.from_iterable(r.fence for r in runs))[_STRIPE::_STRIPE]
     bounds.append(_END)
     done = [0] * len(runs)  # bytes of each run read
@@ -292,8 +272,6 @@ def _merge(
             upto = min(bisect.bisect_left(run.fence, bound) * _BLOCK_BYTES, run.size)
             if upto > done[k]:
                 chunks.append(run.read(done[k], upto - done[k]))
-                for piece in range(done[k] // _PIECE, upto // _PIECE) if run.pieces else ():
-                    run.pieces[piece] = None  # wholly read; records in a file have none
                 done[k] = upto
         recs = held
         recs += _records(b"".join(chunks))
@@ -366,41 +344,52 @@ def write_durably(path: str, write: Callable, point: str, mode=0o666):
     return written
 
 
+def _remove_private(log, directory: str) -> None:
+    """Close a private store's log and remove its directory."""
+    log.close()
+    shutil.rmtree(directory, ignore_errors=True)
+
+
 class RedeemDb:
-    """path=None keeps everything in memory (tests, benches). Otherwise
-    `path` is the log file and `path + '.snap'` the snapshot. The log stays
-    locked until close(): a second opener gets DbBusy before it reads a
-    byte, since two writers could each accept the same secret."""
+    """`path` is the log file and `path + '.snap'` the snapshot. The log
+    stays locked until close(): a second opener gets DbBusy before it
+    reads a byte, since two writers could each accept the same secret.
+    With no path (tests, benches) the store is private: its files sit in
+    a temporary directory of its own, never fsynced, which close()
+    removes, as does a finalizer once nothing holds the store."""
 
     def __init__(self, path: Optional[str] = None, fsync: bool = True):
         self._lock = threading.Lock()
-        self._base = _Sorted.from_pieces([])  # the spent secrets of the snapshot
-        self._logged = _Sorted.from_pieces([])  # those the log held at the open
+        self._base = _Sorted([], 0)  # the spent secrets of the snapshot
+        self._logged = _Sorted([], 0)  # those the log held at the open
         self._overlay = _Overlay()  # those accepted since the open or a rebuild
         self._claims = set()
+        directory = None
+        if path is None:
+            directory = tempfile.mkdtemp(prefix="punchcard-")
+            path, fsync = os.path.join(directory, "db"), False
         self._path = path
-        self._snap = None if path is None else path + ".snap"
+        self._snap = path + ".snap"
         self._fsync = fsync
-        self._log = None
         self._log_size = 0  # bytes in the log; only this store writes it
         self.recovery = Recovery()
-        if path is not None:
-            created = not os.path.exists(path)
-            # unbuffered: no byte of a failed append can linger to be
-            # written ahead of the next one
-            self._log = open(path, "a+b", buffering=0)
-            try:
-                fcntl.flock(self._log, fcntl.LOCK_EX | fcntl.LOCK_NB)
-                if created:  # else the first accept could vanish with its log
-                    _sync_directory(path)
-                self._recover()
-            except BaseException as e:
-                self._log.close()
-                self._base.close()
-                self._logged.close()
-                if isinstance(e, BlockingIOError):
-                    raise DbBusy(f"{path} is in use by another server or purge") from None
-                raise
+        created = not os.path.exists(path)
+        # unbuffered: no byte of a failed append can linger to be
+        # written ahead of the next one
+        self._log = open(path, "a+b", buffering=0)
+        self._private = directory and weakref.finalize(self, _remove_private, self._log, directory)
+        try:
+            fcntl.flock(self._log, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            if created:  # else the first accept could vanish with its log
+                _sync_directory(path)
+            self._recover()
+        except BaseException as e:
+            self._log.close()
+            self._base.close()
+            self._logged.close()
+            if isinstance(e, BlockingIOError):
+                raise DbBusy(f"{path} is in use by another server or purge") from None
+            raise
 
     # -- public api --------------------------------------------------------
 
@@ -481,6 +470,8 @@ class RedeemDb:
                 self._log_size = 0
                 self._base.close()
                 self._logged.close()
+                if self._private:
+                    self._private()  # removes the private store's directory
 
     # -- disk format -------------------------------------------------------
 
@@ -489,27 +480,27 @@ class RedeemDb:
         drop: Optional[Callable[[bytes], bool]] = None,
         extra: Iterable[bytes] = (),
     ) -> None:
-        """Merge a view of the base, which lookups read whole meanwhile,
-        the logged tier (in a file of an on-disk store, so its own view;
-        an in-memory store's is empty), the overlay's runs and a run of
-        `extra` into a new base without repeats or records drop(u)
-        accepts; on disk, stream it into a temp file, load that as the
-        base and rename it over the snapshot, then restart the log. The
-        new base is installed before the tier and the overlay are emptied.
-        With nothing to merge or drop and an empty log (which also holds
-        the claim records and every secret of the tier) the snapshot is
-        current, and nothing is written."""
+        """Merge the base, the logged tier, the overlay's runs and a run
+        of `extra`, the last two spilled to one scratch file, into a new
+        base without repeats or records drop(u) accepts: stream it into a
+        temp file, load that as the base and rename it over the snapshot,
+        then restart the log. The merge only reads the base and the tier,
+        which lookups read meanwhile. The new base is installed before
+        the tier and the overlay are emptied. With nothing to merge or
+        drop and an empty log (which also holds the claim records and
+        every secret of the tier) the snapshot is current, and nothing is
+        written."""
         if not (self._overlay or extra or drop or self._log_size):
             return
-        on_disk = self._on_disk()
+        self._check_open()
         new = list(extra)  # the merge drops repeats
         if any(len(u) != SECRET_SIZE for u in new):
             raise ValueError(f"spent secrets are {SECRET_SIZE} bytes")
-        runs = [self._base.view(), self._logged, *self._overlay.runs(), _run(new)]
-        del new  # packed into its run
-        stripes = _merge(runs, drop)
-        if on_disk:
-            claims = sorted(self._claims)
+        claims = sorted(self._claims)
+        with self._scratch_file() as scratch:  # the overlay's and extra's runs
+            runs = [self._base, self._logged, *self._overlay.runs(scratch), _run(new, scratch)]
+            del new  # spilled into its run
+            stripes = _merge(runs, drop)
 
             def write(f) -> _Sorted:
                 # the header's spent count is known only once the records
@@ -523,26 +514,21 @@ class RedeemDb:
                 return self._load_snapshot(self._snap + ".tmp")
 
             base = write_durably(self._snap, write, "db.snapshot")
-            # the log is now redundant; restart it in place
-            self._log.truncate(0)
-            self._log_size = 0
-            os.fsync(self._log.fileno())
-        else:
-            base = _Sorted.from_pieces(list(_pieces(itertools.chain.from_iterable(stripes))))
+        # the log is now redundant; restart it in place
+        self._log.truncate(0)
+        self._log_size = 0
+        os.fsync(self._log.fileno())
         # the old base's descriptor closes once no lookup holds it
         self._base = base  # before the tier and the overlay go; see __contains__
-        self._logged = _Sorted.from_pieces([])
+        self._logged = _Sorted([], 0)
         self._overlay = _Overlay()
 
-    def _on_disk(self) -> bool:
-        """Whether writes go to files; ValueError once close() closed them."""
-        if self._path is not None and self._log is None:
+    def _check_open(self) -> None:
+        if self._log is None:
             raise ValueError("the spent-secret store is closed")
-        return self._path is not None
 
     def _append(self, record: bytes) -> None:
-        if not self._on_disk():
-            return
+        self._check_open()
         fault_point("db.append")
         size = self._log_size
         self._log_size += len(record)
@@ -685,7 +671,7 @@ class RedeemDb:
                     # rebuild dropped nothing, so the snapshot holds every
                     # secret logged before the crash. Those after it are new.
                     seen = self._base
-                runs.append(_run(logged, seen, scratch))
+                runs.append(_run(logged, scratch, seen))
             if off < limit or not more:
                 break  # at a record that is not whole, or at the log's end
         del logged, data  # the last window's secrets and bytes, before the merge

@@ -167,30 +167,23 @@ MUTANTS = [
      ["tests/test_db.py::test_replay_merge_matches_a_model"]),
     (DB, "        kept = _unique(recs[:cut])\n", "        kept = _unique(recs[:cut + 1])\n",
      ["tests/test_db.py::test_replay_merge_matches_a_model"]),
-    # ... and releases a run's piece only once all of it is read
-    (DB, "range(done[k] // _PIECE, upto // _PIECE)",
-     "range(done[k] // _PIECE, (upto + _PIECE - 1) // _PIECE)",
-     ["tests/test_db.py::test_replay_merge_matches_a_model"]),
     # a log that repeats the snapshot is filtered in every run, not the first
-    (DB, "                runs.append(_run(logged, seen, scratch))\n",
-     "                runs.append(_run(logged, None if runs else seen, scratch))\n",
+    (DB, "                runs.append(_run(logged, scratch, seen))\n",
+     "                runs.append(_run(logged, scratch, None if runs else seen))\n",
      ["tests/test_db.py::test_replay_merge_matches_a_model"]),
     (DB, "                    seen = self._base\n", "                    pass\n",
      ["tests/test_db.py::test_crash_before_log_restart_keeps_len_exact"]),
     # a rebuild merges the logged tier before it empties it
-    (DB, "runs = [self._base.view(), self._logged, *self._overlay.runs(), _run(new)]",
-     "runs = [self._base.view(), *self._overlay.runs(), _run(new)]",
+    (DB, "runs = [self._base, self._logged, *self._overlay.runs(scratch), _run(new, scratch)]",
+     "runs = [self._base, *self._overlay.runs(scratch), _run(new, scratch)]",
      ["tests/test_db.py::test_compaction_streams_the_logged_tier_into_the_snapshot"]),
-    # ... and the in-memory base through a view, since the merge releases
-    # the pieces it has read, and lookups read the base meanwhile
-    (DB, "self._base.view()", "self._base",
-     ["tests/test_db.py::test_lookups_never_miss_while_compacting"]),
     # ... and every sixteenth of the overlay's buckets, not only the first
     (DB, "        for k in range(0, _BUCKETS, step):\n", "        for k in range(0, step, step):\n",
      ["tests/test_db.py::test_compaction_sorts_the_overlay_a_sixteenth_at_a_time"]),
     # a spilled run's or tier's fence holds the first record of each of its
     # blocks, not of the block after
-    (DB, "        fence += _fence(piece)\n", "        fence += _fence(piece[_BLOCK_BYTES:])\n",
+    (DB, "for i in range(0, len(piece), _BLOCK_BYTES)]",
+     "for i in range(_BLOCK_BYTES, len(piece), _BLOCK_BYTES)]",
      ["tests/test_db.py::test_reopen_keeps_the_logged_tier_on_disk"]),
     # the server takes SHA-512 from CPython's built-in module: hashlib
     # would map OpenSSL (the import of 3.10 and 3.11, the versions CI runs)
@@ -202,16 +195,16 @@ MUTANTS = [
      "        yield kept\n", ["tests/test_db.py::test_purge_and_replay"]),
     # ... and empties it only once the new base is installed
     (DB, "        self._base = base  # before the tier and the overlay go; see __contains__\n"
-     "        self._logged = _Sorted.from_pieces([])\n",
-     "        self._logged = _Sorted.from_pieces([])\n"
+     "        self._logged = _Sorted([], 0)\n",
+     "        self._logged = _Sorted([], 0)\n"
      "        self._base = base  # before the tier and the overlay go; see __contains__\n",
      ["tests/test_db.py::test_every_secret_found_at_every_step_of_a_rebuild"]),
     # ... and the overlay too, which lookups also read without a lock
     (DB, "        self._base = base  # before the tier and the overlay go; see __contains__\n"
-     "        self._logged = _Sorted.from_pieces([])\n        self._overlay = _Overlay()\n",
+     "        self._logged = _Sorted([], 0)\n        self._overlay = _Overlay()\n",
      "        self._overlay = _Overlay()\n"
      "        self._base = base  # before the tier and the overlay go; see __contains__\n"
-     "        self._logged = _Sorted.from_pieces([])\n",
+     "        self._logged = _Sorted([], 0)\n",
      ["tests/test_db.py::test_every_secret_found_at_every_step_of_a_rebuild"]),
     # a lookup matches whole records only, never one across two
     (DB, "    while at != -1 and at % SECRET_SIZE:  # a match across two records\n",
@@ -230,6 +223,10 @@ MUTANTS = [
     ("src/punchcard/cli.py", "            fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)\n",
      "            pass\n",
      ["tests/test_cli.py::test_a_second_wallet_command_on_one_file_is_refused_before_it_sends"]),
+    # close() removes a private store's directory, not only a finalizer
+    (DB, "                if self._private:\n"
+     "                    self._private()  # removes the private store's directory\n", "",
+     ["tests/test_db.py::test_a_private_store_leaves_no_directory_or_descriptor"]),
     # purge returns how many secrets its dropping rebuild removed
     (DB, "            return before - len(self._base)\n", "            return 0\n",
      ["tests/test_db.py::test_purge_and_replay"]),

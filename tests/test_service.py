@@ -769,7 +769,7 @@ def test_handle_fuzz_answers_every_request(fuzz_service, data):
 
 
 class _FailingAppends(RedeemDb):
-    """An in-memory store whose appends raise OSError as `fails` says, one
+    """A private store whose appends raise OSError as `fails` says, one
     entry per append in turn (then none)."""
 
     def __init__(self, fails):
